@@ -10,7 +10,7 @@ canonical topological ordering of the wire-threading DAG.
 Contents:
     - Gate / Circuit / CanonicalForm data types and JSON (de)serialization
     - compose_seq / compose_par  (sequential and parallel composition)
-    - expand_macros              (X, Z, RX, MCP, MCRX, CTRL -> primitives)
+    - unfold / expand_macros     (X, Z, RX, MCP, MCRX, CTRL -> primitives)
     - canonicalize / deformation_equal
 """
 
@@ -332,6 +332,12 @@ def expand_gate(g: Gate) -> list[Gate]:
     """Primitive gate list for one (possibly macro) gate occurrence."""
     if g.kind in PRIMITIVE_KINDS:
         return [g]
+    return [gg for sub in unfold(g) for gg in expand_gate(sub)]
+
+
+def unfold(g: Gate) -> list[Gate]:
+    """One-level unfolding of a macro gate: its definition, whose gates may
+    themselves be macros on fewer wires."""
     if g.kind == "Z":
         return [p(math.pi, g.wires[0])]
     if g.kind == "X":
@@ -341,35 +347,31 @@ def expand_gate(g: Gate) -> list[Gate]:
         theta, w = g.params[0], g.wires[0]
         return [gphase(-theta / 2.0), h(w), p(theta, w), h(w)]
     if g.kind == "MCP":
-        return [gg for sub in _mcp_gates(g.params[0], g.wires) for gg in expand_gate(sub)]
+        # phase-gadget recursion
+        phi, wires = g.params[0], g.wires
+        if len(wires) == 1:
+            return [p(phi, wires[0])]
+        front, last = wires[:-1], wires[-1]
+        prev, tail = front[:-1], front[-1]
+        return [_controls_phase(phi / 2.0, front),
+                _controls_phase(phi / 2.0, prev + (last,)), cnot(tail, last),
+                _controls_phase(-phi / 2.0, prev + (last,)), cnot(tail, last)]
     if g.kind == "MCRX":
-        return [gg for sub in _mcrx_gates(g.params[0], g.wires) for gg in expand_gate(sub)]
+        theta, wires = g.params[0], g.wires
+        if len(wires) == 1:
+            return [rx(theta, wires[0])]
+        return [h(wires[-1]), mcp(theta, wires), h(wires[-1]),
+                _controls_phase(-theta / 2.0, wires[:-1])]
     if g.kind == "CTRL":
-        return [gg for sub in _ctrl_gates(g) for gg in expand_gate(sub)]
+        return _ctrl_gates(g)
     raise InvalidCircuit(f"cannot expand {g.kind}")
 
 
-def _mcp_gates(phi: float, wires: tuple[int, ...]) -> list[Gate]:
-    """Phase-gadget recursion for the multi-controlled phase gate."""
-    if len(wires) == 0:
-        return [gphase(phi)]
-    if len(wires) == 1:
-        return [p(phi, wires[0])]
-    front, last = wires[:-1], wires[-1]
-    prev, tail = front[:-1], front[-1]
-    return (_mcp_gates(phi / 2.0, front)
-            + _mcp_gates(phi / 2.0, prev + (last,))
-            + [cnot(tail, last)]
-            + _mcp_gates(-phi / 2.0, prev + (last,))
-            + [cnot(tail, last)])
-
-
-def _mcrx_gates(theta: float, wires: tuple[int, ...]) -> list[Gate]:
-    if len(wires) == 1:
-        return [rx(theta, wires[0])]
-    controls, target = wires[:-1], wires[-1]
-    return ([h(target), mcp(theta, wires), h(target)]
-            + _mcp_gates(-theta / 2.0, controls))
+def _controls_phase(phi: float, controls: tuple[int, ...]) -> Gate:
+    """The phase phi conditioned on all of ``controls`` (a global phase when
+    there are none)."""
+    return gphase(phi) if not controls else (
+        p(phi, controls[0]) if len(controls) == 1 else mcp(phi, controls))
 
 
 def _ctrl_gates(g: Gate) -> list[Gate]:
@@ -383,7 +385,7 @@ def _ctrl_gates(g: Gate) -> list[Gate]:
     elif base.kind == "RX":
         core = [mcrx(base.params[0], g.wires)]
     else:  # X: fix the -i phase of RX(pi) with a pi/2 phase on the controls
-        core = [mcrx(math.pi, g.wires)] + (_mcp_gates(math.pi / 2.0, controls) if controls else [])
+        core = [mcrx(math.pi, g.wires)] + ([mcp(math.pi / 2.0, controls)] if controls else [])
     return flips + core + [Gate(f.kind, f.wires) for f in reversed(flips)]
 
 

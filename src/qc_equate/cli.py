@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .circuit import Circuit, expand_macros
-from .errors import QcError
+from .errors import InvalidCircuit, QcError
 from .euler import nf_from_unitary
 from .interp import minimality_matrix, minimality_report
 from .rewrite import Derivation, normalize_1q, replay
@@ -23,9 +23,17 @@ from .theories import (THEORIES, lemma_names, lemma_signature, list_rules,
                        rule_signature, verify_theory)
 
 
-def _load_circuit(path: str) -> Circuit:
+def _load(path: str, parse):
+    """Parse a JSON input file; malformed content raises InvalidCircuit."""
     with open(path) as fh:
-        return Circuit.from_dict(json.load(fh))
+        try:
+            return parse(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:   # JSONDecodeError is a ValueError
+            raise InvalidCircuit(f"{path}: malformed input ({type(exc).__name__}: {exc})") from exc
+
+
+def _load_circuit(path: str) -> Circuit:
+    return _load(path, Circuit.from_dict)
 
 
 def _matrix_json(m: np.ndarray) -> list:
@@ -73,9 +81,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_synth1q(args) -> int:
-    with open(args.unitary) as fh:
-        raw = json.load(fh)
-    u = np.array([[complex(e[0], e[1]) for e in row] for row in raw])
+    u = _load(args.unitary,
+              lambda raw: np.array([[complex(e[0], e[1]) for e in row] for row in raw]))
     params = nf_from_unitary(u)
     _emit({"beta0": params.beta0, "beta1": params.beta1,
            "beta2": params.beta2, "beta3": params.beta3,
@@ -97,8 +104,7 @@ def cmd_verify_rules(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    with open(args.trace) as fh:
-        deriv = Derivation.from_dict(json.load(fh))
+    deriv = _load(args.trace, Derivation.from_dict)
     try:
         final = replay(deriv, allow_lemmas=args.allow_lemmas, tol=args.tol)
     except QcError as exc:

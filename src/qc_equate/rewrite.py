@@ -20,8 +20,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuit import (ANGLE_EPS, Circuit, Gate, deformation_equal, dest, init,
-                      reduce_angle, thread)
+import numpy as np
+
+from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, angles_equal,
+                      deformation_equal, dest, init, reduce_angle, thread)
 from .errors import (ArityMismatch, BadArity, IllegalSite, NoMatch, QcError,
                      SemanticDrift, UnknownLemma, UnknownTheory)
 from .euler import NormalFormParams, _pack, euler_eprime
@@ -30,8 +32,6 @@ from .theories import (DEFINITIONAL, RuleId, RuleInstance, _CATALOG,
                        instantiate, lemma_instantiate)
 
 _STRUCT = -1  # pseudo wire id shared by all INIT/DEST gates (order bookkeeping)
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -436,7 +436,10 @@ def reverse_derivation(d: Derivation, name: str = "") -> Derivation:
     A reversed step restores its predecessor only up to deformation, which
     can shift the gate indices later reversed steps refer to; each reversed
     site is therefore validated against the recorded intermediate circuit
-    and re-anchored with a site scan when the naive indices drift.
+    and re-anchored with a site scan when the naive indices drift.  The
+    reversed derivation starts from the forward replay's end, which the
+    reversed sites refer to; ``d.final`` may only be deformation-equal
+    to it.
     """
     c = d.initial
     fwd: list[tuple[Step, Circuit, Site]] = []
@@ -455,7 +458,7 @@ def reverse_derivation(d: Derivation, name: str = "") -> Derivation:
             cand, nxt = _reanchor(cur, step, flipped, d.theory, target, rsite)
         rev_steps.append(cand)
         cur = nxt
-    return Derivation(d.theory, d.final, rev_steps, d.initial,
+    return Derivation(d.theory, c, rev_steps, d.initial,
                       name=name or (d.name + "_reversed" if d.name else ""))
 
 
@@ -507,8 +510,6 @@ def find_sites(c: Circuit, rule: str, params=(), n: int | None = None,
     0-wire and freely movable, so they are bound anywhere by value.  Every
     candidate is validated by actually applying the step.
     """
-    from .circuit import angles_equal
-
     inst = resolve_rule(theory, rule, params, n, allow_lemmas)
     src = inst.lhs if direction == "LR" else inst.rhs
     idc = _IdCircuit(c)
@@ -583,7 +584,10 @@ def normalize_1q(c: Circuit, emit_trace: bool = False, theory: str = "QC"):
     Returns (NormalFormParams, Derivation or None).  The QC procedure
     eliminates H via (EH) and contracts RX.P.RX blocks with (E); the
     QCprime variant does the same work from (E') and (P+), solving for the
-    phase split that makes two (E') applications close.
+    phase split that makes two (E') applications close.  Every step goes
+    through the rewrite engine, and each follow-up site is derived from
+    where the previous replacement landed: wire gates are addressed by
+    their ordinal in the wire word, never found again by their angles.
     """
     if c.n_in != 1 or c.n_out != 1:
         raise BadArity("normalize_1q needs a 1-in 1-out circuit")
@@ -603,15 +607,14 @@ def decide_equiv_1q(c1: Circuit, c2: Circuit, tol: float = 1e-8) -> bool:
     return p1.close_to(p2, tol)
 
 
-def _is_zero_mod(v: float, period: float, tol: float = ANGLE_EPS) -> bool:
-    r = math.fmod(v, period)
-    if r < 0:
-        r += period
-    return r <= tol or period - r <= tol
-
-
 class _Normalizer:
-    """Stateful driver emitting verified steps (all applied via apply_step)."""
+    """Stateful driver emitting verified steps (all applied by the engine).
+
+    Wire gates are addressed by their ordinal in the wire word (the
+    non-GPHASE gates in circuit order).  No step reorders that word, so an
+    ordinal moves only by the wire gates a step inserts or removes in front
+    of it, while GPHASE gates float whenever (S+) merges them.
+    """
 
     def __init__(self, c: Circuit, theory: str, emit: bool):
         self.c = c
@@ -620,12 +623,15 @@ class _Normalizer:
         self.steps: list[Step] = []
 
     def do(self, rule: str, direction: str, params=(), n: int | None = None,
-           site: Site = Site()):
+           site: Site = Site()) -> tuple[int, ...]:
+        """Apply one step; returns the gate indices its replacement landed on."""
         step = Step(rule, direction, tuple(float(v) for v in params), n, site)
-        self.c = apply_step(self.c, step, self.theory, allow_lemmas=True,
-                            safety=False)
+        res = apply_step_full(self.c, step, self.theory, allow_lemmas=True,
+                              safety=False)
+        self.c = res.circuit
         if self.emit:
             self.steps.append(step)
+        return res.reverse_site.gates
 
     def gate(self, i: int) -> Gate:
         return self.c.gates[i]
@@ -636,14 +642,35 @@ class _Normalizer:
     def phase_gates(self) -> list[int]:
         return [i for i, g in enumerate(self.c.gates) if g.kind == "GPHASE"]
 
-    def find_word(self, kinds: tuple[str, ...], pred=None) -> tuple[int, ...] | None:
-        """First run of consecutive wire gates matching the kind word."""
+    def angle(self, k: int) -> float:
+        """Angle of the wire gate with ordinal k."""
+        return self.gate(self.wire_gates()[k]).params[0]
+
+    def wsite(self, k: int, m: int = 1) -> Site:
+        """Site selecting the m wire gates from ordinal k on."""
+        return Site(tuple(self.wire_gates()[k:k + m]), (0,))
+
+    def before(self, k: int) -> int:
+        """Gate index in front of wire ordinal k (past the last wire gate
+        when k is the length of the word)."""
         w = self.wire_gates()
-        for j in range(len(w) - len(kinds) + 1):
-            gs = [self.gate(w[j + t]) for t in range(len(kinds))]
-            if all(g.kind == k for g, k in zip(gs, kinds)) and (
-                    pred is None or pred(gs)):
-                return tuple(w[j + t] for t in range(len(kinds)))
+        if k < len(w):
+            return w[k]
+        return w[-1] + 1 if w else len(self.c.gates)
+
+    def insert(self, rule: str, k: int):
+        """Run a rule with an empty right side (H2, P0) backwards in front
+        of wire ordinal k."""
+        self.do(rule, "RL", site=Site((), (0,), self.before(k)))
+
+    def find_word(self, kinds: tuple[str, ...], pred=None) -> int | None:
+        """Ordinal of the first run of wire gates matching the kind word."""
+        gs = [self.gate(i) for i in self.wire_gates()]
+        for j in range(len(gs) - len(kinds) + 1):
+            run = gs[j:j + len(kinds)]
+            if all(g.kind == k for g, k in zip(run, kinds)) and (
+                    pred is None or pred(run)):
+                return j
         return None
 
     # -- high level ----------------------------------------------------------
@@ -694,11 +721,6 @@ class _Normalizer:
         self.do("P0", "RL", site=Site((), (0,), at + 1))
         self.do("RXDEF", "RL", (0.0,), site=Site((0, at, at + 1, at + 2), (0,)))
 
-    def _mint_gphase(self, value: float):
-        """Put GPHASE(value) at the front (S2PI then a split)."""
-        self.do("S2PI", "RL", site=Site((), (), 0))
-        self.do("SPLUS", "RL", (value, TWO_PI - value), site=Site((0,), ()))
-
     # -- reduction loop -------------------------------------------------------
 
     def _reduce(self):
@@ -726,377 +748,200 @@ class _Normalizer:
         while self._merge_phases():
             pass
 
+    def _pplus(self, k: int):
+        """Merge the P P pair at wire ordinals k, k+1."""
+        self.do("PPLUS", "LR", (self.angle(k), self.angle(k + 1)),
+                site=self.wsite(k, 2))
+
+    def _merge_pp_all(self):
+        while (k := self.find_word(("P", "P"))) is not None:
+            self._pplus(k)
+
     def _merge_wire_pairs(self) -> bool:
-        hit = self.find_word(("P", "P"))
-        if hit:
-            a, b = hit
-            self.do("PPLUS", "LR", (self.gate(a).params[0], self.gate(b).params[0]),
-                    site=Site((a, b), (0,)))
+        k = self.find_word(("P", "P"))
+        if k is not None:
+            self._pplus(k)
             return True
-        hit = self.find_word(("RX", "RX"))
-        if hit:
-            self._rxplus(*hit)
+        k = self.find_word(("RX", "RX"))
+        if k is not None:
+            self._rxplus(k)
             return True
         return False
 
-    def _rxplus(self, a: int, b: int):
-        ta, tb = self.gate(a).params[0], self.gate(b).params[0]
+    def _rxplus(self, k: int):
+        """Merge RX(ta) RX(tb) at wire ordinals k, k+1."""
+        ta, tb = self.angle(k), self.angle(k + 1)
         if self.theory == "QC":
-            self.do("RXPLUS", "LR", (ta, tb), site=Site((a, b), (0,)))
+            self.do("RXPLUS", "LR", (ta, tb), site=self.wsite(k, 2))
             return
         # QCprime: unfold both rotations, cancel the middle H pair, refold
-        self.do("RXDEF", "LR", (ta,), site=Site((a,), (0,)))
-        hit = self.find_word(("H", "P", "H", "RX"),
-                             lambda gs: abs(gs[1].params[0] - ta) < 1e-12
-                             and abs(gs[3].params[0] - tb) < 1e-12)
-        self.do("RXDEF", "LR", (tb,), site=Site((hit[3],), (0,)))
-        hit = self.find_word(("P", "H", "H", "P"),
-                             lambda gs: abs(gs[0].params[0] - ta) < 1e-12
-                             and abs(gs[3].params[0] - tb) < 1e-12)
-        self.do("H2", "LR", site=Site(hit[1:3], (0,)))
-        hit = self.find_word(("P", "P"),
-                             lambda gs: abs(gs[0].params[0] - ta) < 1e-12
-                             and abs(gs[1].params[0] - tb) < 1e-12)
-        self.do("PPLUS", "LR", (ta, tb), site=Site(hit, (0,)))
+        self.do("RXDEF", "LR", (ta,), site=self.wsite(k))          # H P H RX
+        self.do("RXDEF", "LR", (tb,), site=self.wsite(k + 3))      # H P H H P H
+        self.do("H2", "LR", site=self.wsite(k + 2, 2))
+        self._pplus(k + 1)
         self._merge_phases_all()
-        self._fold_hph(ta + tb)
+        self._fold_hph(k + 1)
 
-    def _fold_hph(self, total: float):
-        """Fold the unique H P(total) H block (plus phase) back into RX."""
+    def _fold_hph(self, k: int):
+        """Fold H P(v) H around wire ordinal k into RX(v) at ordinal k-1.
+
+        The rotation's -v/2 global phase is split off the first GPHASE,
+        which is minted from (S2pi) when there is none.
+        """
+        v = self.angle(k)
         if not self.phase_gates():
             self.do("S2PI", "RL", site=Site((), (), 0))
         ph = self.phase_gates()[0]
         cur = self.gate(ph).params[0]
-        self.do("SPLUS", "RL", (-total / 2.0, cur + total / 2.0),
-                site=Site((ph,), ()))
-        gidx = next(i for i in self.phase_gates()
-                    if abs(self.gate(i).params[0] - (-total / 2.0)) < 1e-12)
-        hit = self.find_word(("H", "P", "H"),
-                             lambda gs: abs(gs[1].params[0] - total) < 1e-12)
-        self.do("RXDEF", "RL", (total,), site=Site((gidx,) + hit, (0,)))
+        g = self.do("SPLUS", "RL", (-v / 2.0, cur + v / 2.0), site=Site((ph,), ()))[0]
+        self.do("RXDEF", "RL", (v,), site=Site((g,) + self.wsite(k - 1, 3).gates, (0,)))
 
     def _drop_trivial(self) -> bool:
-        hit = self.find_word(("P",), lambda gs: _is_zero_mod(gs[0].params[0], TWO_PI))
-        if hit:
-            self.do("P0", "LR", site=Site(hit, (0,)))
+        k = self.find_word(("P",), lambda gs: angles_equal(gs[0].params[0], 0.0))
+        if k is not None:
+            self.do("P0", "LR", site=self.wsite(k))
             return True
-        hit = self.find_word(("RX",), lambda gs: _is_zero_mod(gs[0].params[0], 2 * TWO_PI))
-        if hit:
-            i = hit[0]
-            if self.theory == "QC":
-                self.do("RX0", "LR", site=Site((i,), (0,)))
-            else:
-                theta = self.gate(i).params[0]
-                self.do("RXDEF", "LR", (theta,), site=Site((i,), (0,)))
-                ph = self.find_word(("P",),
-                                    lambda gs: _is_zero_mod(gs[0].params[0], TWO_PI))
-                self.do("P0", "LR", site=Site(ph, (0,)))
-                hh = self.find_word(("H", "H"))
-                self.do("H2", "LR", site=Site(hh, (0,)))
-                self._merge_phases_all()
-            return True
-        return False
-
-    def _contract_once(self) -> bool:
-        hit = self.find_word(("RX", "P", "RX"))
-        if not hit:
+        k = self.find_word(("RX",), lambda gs: angles_equal(gs[0].params[0], 0.0,
+                                                            2 * TWO_PI))
+        if k is None:
             return False
-        ia, ib, ic = hit
         if self.theory == "QC":
-            self.do("E", "LR", (self.gate(ia).params[0], self.gate(ib).params[0],
-                                self.gate(ic).params[0]), site=Site(hit, (0,)))
+            self.do("RX0", "LR", site=self.wsite(k))
         else:
-            self._contract_qcprime(ia, ib, ic)
+            self.do("RXDEF", "LR", (self.angle(k),), site=self.wsite(k))   # H P(0) H
+            self.do("P0", "LR", site=self.wsite(k + 1))
+            self.do("H2", "LR", site=self.wsite(k, 2))
+            self._merge_phases_all()
         return True
 
-    def _contract_qcprime(self, ia: int, ib: int, ic: int):
-        """RX(t1) P(phi) RX(t2) -> G P RX P using (E') twice.
+    def _contract_once(self) -> bool:
+        k = self.find_word(("RX", "P", "RX"))
+        if k is None:
+            return False
+        if self.theory == "QC":
+            self.do("E", "LR", (self.angle(k), self.angle(k + 1), self.angle(k + 2)),
+                    site=self.wsite(k, 3))
+        else:
+            self._contract_qcprime(k)
+        return True
 
-        The middle phase is split as phi = x + (phi - x); the free x is
-        solved so that the two leftover inner phases sum to 0 mod pi.  The
-        split can be folded into the left or the right rotation pair; one
-        of the two orientations always admits a solution.
+    def _contract_qcprime(self, k: int):
+        """RX(t1) P(phi) RX(t2) at wire ordinals k..k+2 -> P RX P via (E') twice.
+
+        The middle phase is split as P(a) P(b) with a + b = phi, and an H
+        pair between the halves lets each fold into an (E') block:
+        RX(t1) H RX(a) and RX(b) H RX(t2).  ``_solve_split`` picks x so the
+        two inner phases left over sum to 0 mod pi, with x = a (direct) or
+        x = b (mirrored); one orientation always has a solution unless
+        exactly one rotation is pi/2 mod pi, which ``_contract_via_h``
+        handles instead.  Every site is an ordinal offset from k.
         """
-        t1 = self.gate(ia).params[0]
-        phi = self.gate(ib).params[0]
-        t2 = self.gate(ic).params[0]
-        half1 = _is_zero_mod(t1 - math.pi / 2.0, math.pi)
-        half2 = _is_zero_mod(t2 - math.pi / 2.0, math.pi)
+        t1, phi, t2 = self.angle(k), self.angle(k + 1), self.angle(k + 2)
+        half1 = angles_equal(t1, math.pi / 2.0, math.pi)
+        half2 = angles_equal(t2, math.pi / 2.0, math.pi)
         if half1 != half2:
-            # exactly one rotation is Hadamard-like; the split equation has
-            # no solution, but that rotation unfolds into an H via (E_H)
-            if half1:
-                self._contract_via_h_left(ia, ib, ic)
-            else:
-                self._contract_via_h_right(ia, ib, ic)
+            self._contract_via_h(k, right=half2)
             return
         try:
-            xv = _solve_split(t1, phi, t2, mirror=False)
-            mirror = False
+            xv = _solve_split(t1, phi, t2)
+            a, b = xv, phi - xv
         except NoMatch:
             xv = _solve_split(t1, phi, t2, mirror=True)
-            mirror = True
+            a, b = phi - xv, xv
+        self.do("PPLUS", "RL", (a, b), site=self.wsite(k + 1))
+        self.insert("H2", k + 2)             # RX(t1) P(a) H H P(b) RX(t2)
+        self._absorb(k + 1, right=False)     # P RX P H P(b) RX(t2)
+        self._absorb(k + 4, right=True)      # P RX P P RX P
+        self._contract_tail(k)
 
-        if mirror:
-            self.do("PPLUS", "RL", (phi - xv, xv), site=Site((ib,), (0,)))
-            left_v, right_v = phi - xv, xv
-            fold_first, fold_second = xv, phi - xv
-            e1, e2 = (xv, t2), (t1, phi - xv)
-            dlt = euler_eprime(*e1)[0]
-            gam = euler_eprime(*e2)[0]
-        else:
-            self.do("PPLUS", "RL", (xv, phi - xv), site=Site((ib,), (0,)))
-            left_v, right_v = xv, phi - xv
-            fold_first, fold_second = xv, phi - xv
-            e1, e2 = (t1, xv), (phi - xv, t2)
-            gam = euler_eprime(*e1)[0]
-            dlt = euler_eprime(*e2)[0]
+    def _absorb(self, k: int, right: bool):
+        """Contract P(v) at wire ordinal k into the rotation on its right
+        (else left) side, given an H on its other side.
 
-        run = self.find_word(
-            ("RX", "P", "P", "RX"),
-            lambda gs: abs(gs[1].params[0] - left_v) < 1e-12
-            and abs(gs[2].params[0] - right_v) < 1e-12)
-        px = run[1] if not mirror else run[2]
-        self.do("H2", "RL", site=Site((), (0,), px))
-        self.do("H2", "RL", site=Site((), (0,), px + 3))
-        # .. Ha Hb P(fold_first) Hc Hd .. ; fold the inner triple into RX
-        self._fold_inner(fold_first)
-        if mirror:
-            # .. RX(t1) P(phi-x) Ha RX(x) Hd RX(t2): contract the right trio
-            trio = self.find_word(("RX", "H", "RX"),
-                                  lambda gs: abs(gs[0].params[0] - xv) < 1e-12)
-            self.do("EPRIME", "LR", e1, site=Site(trio, (0,)))
-            self._merge_phases_all()
-            hit = self.find_word(("P", "H"),
-                                 lambda gs: abs(gs[0].params[0] - (phi - xv)) < 1e-12)
-            self.do("H2", "RL", site=Site((), (0,), hit[0]))
-            self._fold_inner(fold_second)
-            trio = self.find_word(("RX", "H", "RX"),
-                                  lambda gs: abs(gs[2].params[0] - (phi - xv)) < 1e-12)
-            self.do("EPRIME", "LR", e2, site=Site(trio, (0,)))
-        else:
-            # .. RX(t1) Ha RX(x) Hd P(phi-x) RX(t2): contract the left trio
-            trio = self.find_word(("RX", "H", "RX"),
-                                  lambda gs: abs(gs[2].params[0] - xv) < 1e-12)
-            self.do("EPRIME", "LR", e1, site=Site(trio, (0,)))
-            self._merge_phases_all()
-            hit = self.find_word(("H", "P"),
-                                 lambda gs: abs(gs[1].params[0] - (phi - xv)) < 1e-12)
-            self.do("H2", "RL", site=Site((), (0,), hit[1] + 1))
-            self._fold_inner(fold_second)
-            trio = self.find_word(("RX", "H", "RX"),
-                                  lambda gs: abs(gs[0].params[0] - (phi - xv)) < 1e-12)
-            self.do("EPRIME", "LR", e2, site=Site(trio, (0,)))
-        self._merge_phases_all()
-        self._contract_tail(gam, dlt)
-
-    def _fold_inner(self, value: float):
-        """Fold the unique H . P(value) . H run into RX(value)."""
-        self._mint_gphase(-value / 2.0)
-        hit = self.find_word(("H", "P", "H"),
-                             lambda gs: abs(gs[1].params[0] - value) < 1e-12)
-        gidx = next(i for i in self.phase_gates()
-                    if abs(self.gate(i).params[0] - (-value / 2.0)) < 1e-12)
-        self.do("RXDEF", "RL", (value,), site=Site((gidx,) + hit, (0,)))
-
-    def _rx_to_quarter(self, i: int) -> int:
-        """Reduce an RX whose angle is pi/2 mod pi to a literal RX(pi/2).
-
-        Returns the gate index of the resulting RX(pi/2); a global phase
-        and a pair of P(pi) gates may be left next to it.
+        An H pair goes between P and RX, H P(v) H folds into RX(v), and
+        (E') contracts the resulting RX H RX block at ordinals k-1..k+1.
         """
-        vr = reduce_angle(self.gate(i).params[0], 2 * TWO_PI)
-        if vr > TWO_PI:                      # 5pi/2 or 7pi/2: extract the -1
-            self.do("RXNEG", "LR", (vr,), site=Site((i,), (0,)))
-            self._merge_phases_all()
-            vr -= TWO_PI
-        if _is_zero_mod(vr - 3 * math.pi / 2, TWO_PI):
-            i = self.find_word(("RX",),
-                               lambda gs: _is_zero_mod(gs[0].params[0] - vr,
-                                                       2 * TWO_PI, 1e-9))[0]
-            self.do("RXFLIP", "LR", (vr,), site=Site((i,), (0,)))
-            self._merge_phases_all()
-        return self.find_word(
-            ("RX",), lambda gs: _is_zero_mod(gs[0].params[0] - math.pi / 2,
-                                             2 * TWO_PI, 1e-9))[0]
+        if right:                       # H P(v) RX(t) -> H P(v) H H RX(t)
+            self.insert("H2", k + 1)
+            self._fold_hph(k)
+        else:                           # RX(t) P(v) H -> RX(t) H H P(v) H
+            self.insert("H2", k)
+            self._fold_hph(k + 2)
+        self.do("EPRIME", "LR", (self.angle(k - 1), self.angle(k + 1)),
+                site=self.wsite(k - 1, 3))
 
-    def _merge_pp_all(self):
-        while True:
-            pair = self.find_word(("P", "P"))
-            if not pair:
-                return
-            self.do("PPLUS", "LR",
-                    (self.gate(pair[0]).params[0], self.gate(pair[1]).params[0]),
-                    site=Site(pair, (0,)))
+    def _contract_via_h(self, k: int, right: bool):
+        """RX(t1) P(phi) RX(t2) at ordinals k..k+2 where only the right (else
+        left) rotation is pi/2 mod pi.
 
-    def _contract_via_h_left(self, ia: int, ib: int, ic: int):
-        """Contract RX(pi/2-like) P(phi) RX(t2) by turning the left RX into H."""
-        t2 = self.gate(ic).params[0]
-        self._rx_to_quarter(ia)
-        self._merge_pp_all()
-        q = math.pi / 2
-        run = self.find_word(("RX", "P", "RX"),
-                             lambda gs: _is_zero_mod(gs[0].params[0] - q, 2 * TWO_PI)
-                             and abs(gs[2].params[0] - t2) < 1e-12)
-        ia, ib, ic = run
-        phi = self.gate(ib).params[0]
-        self.do("P0", "RL", site=Site((), (0,), ia))
-        z = self.find_word(("P", "RX"),
-                           lambda gs: abs(gs[0].params[0]) < 1e-12
-                           and _is_zero_mod(gs[1].params[0] - q, 2 * TWO_PI))
-        self.do("PPLUS", "RL", (-q, q), site=Site((z[0],), (0,)))
-        mid = self.find_word(("P", "RX", "P"),
-                             lambda gs: abs(gs[0].params[0] - q) < 1e-12
-                             and _is_zero_mod(gs[1].params[0] - q, 2 * TWO_PI)
-                             and abs(gs[2].params[0] - phi) < 1e-12)
-        self.do("PPLUS", "RL", (q, phi - q), site=Site((mid[2],), (0,)))
-        hit = self.find_word(("P", "RX", "P"),
-                             lambda gs: abs(gs[0].params[0] - q) < 1e-12
-                             and _is_zero_mod(gs[1].params[0] - q, 2 * TWO_PI)
-                             and abs(gs[2].params[0] - q) < 1e-12)
-        self.do("EH", "RL", site=Site(hit, (0,)))
-        hp = self.find_word(("H", "P"),
-                            lambda gs: abs(gs[1].params[0] - (phi - q)) < 1e-12)
-        self.do("H2", "RL", site=Site((), (0,), hp[1] + 1))
-        self._fold_inner(phi - q)
-        trio = self.find_word(("RX", "H", "RX"),
-                              lambda gs: abs(gs[0].params[0] - (phi - q)) < 1e-12
-                              and abs(gs[2].params[0] - t2) < 1e-12)
-        self.do("EPRIME", "LR", (phi - q, t2), site=Site(trio, (0,)))
-        self._merge_phases_all()
-        self._merge_pp_all()
-
-    def _contract_via_h_right(self, ia: int, ib: int, ic: int):
-        """Mirror image: turn the right RX into an H."""
-        t1 = self.gate(ia).params[0]
-        self._rx_to_quarter(ic)
-        self._merge_pp_all()
-        q = math.pi / 2
-        run = self.find_word(("RX", "P", "RX"),
-                             lambda gs: abs(gs[0].params[0] - t1) < 1e-12
-                             and _is_zero_mod(gs[2].params[0] - q, 2 * TWO_PI))
-        ia, ib, ic = run
-        phi = self.gate(ib).params[0]
-        self.do("P0", "RL", site=Site((), (0,), ic + 1))
-        z = self.find_word(("RX", "P"),
-                           lambda gs: _is_zero_mod(gs[0].params[0] - q, 2 * TWO_PI)
-                           and abs(gs[1].params[0]) < 1e-12)
-        self.do("PPLUS", "RL", (q, -q), site=Site((z[1],), (0,)))
-        mid = self.find_word(("P", "RX", "P"),
-                             lambda gs: abs(gs[0].params[0] - phi) < 1e-12
-                             and _is_zero_mod(gs[1].params[0] - q, 2 * TWO_PI)
-                             and abs(gs[2].params[0] - q) < 1e-12)
-        self.do("PPLUS", "RL", (phi - q, q), site=Site((mid[0],), (0,)))
-        hit = self.find_word(("P", "RX", "P"),
-                             lambda gs: abs(gs[0].params[0] - q) < 1e-12
-                             and _is_zero_mod(gs[1].params[0] - q, 2 * TWO_PI)
-                             and abs(gs[2].params[0] - q) < 1e-12)
-        self.do("EH", "RL", site=Site(hit, (0,)))
-        ph = self.find_word(("P", "H"),
-                            lambda gs: abs(gs[0].params[0] - (phi - q)) < 1e-12)
-        self.do("H2", "RL", site=Site((), (0,), ph[0]))
-        self._fold_inner(phi - q)
-        trio = self.find_word(("RX", "H", "RX"),
-                              lambda gs: abs(gs[0].params[0] - t1) < 1e-12
-                              and abs(gs[2].params[0] - (phi - q)) < 1e-12)
-        self.do("EPRIME", "LR", (t1, phi - q), site=Site(trio, (0,)))
-        self._merge_phases_all()
-        self._merge_pp_all()
-
-    def _contract_tail(self, gam: NormalFormParams, dlt: NormalFormParams):
-        """Merge the inner phases (sum 0 mod pi) and the outer rotations.
-
-        The freshly created block reads RX(g2) P(g3) P(d1) RX(d2) P(d3);
-        all scans are value-pinned so context gates cannot be confused
-        with it.
+        (RX-) leaves that rotation as RX(q) with q = +-pi/2.  A P(0) on its
+        outer side and P(phi) are split so P(q) pads it on both sides, and
+        P(q) RX(q) P(q) = H by (E_H) or its mirror lemma.  The H then sits
+        next to P(phi - q), which ``_absorb`` contracts into the other
+        rotation.
         """
-        def near(a, b, tol=1e-9):
-            return abs(a - b) <= tol
-
-        run = self.find_word(
-            ("RX", "P", "P", "RX", "P"),
-            lambda gs: near(gs[0].params[0], gam.beta2)
-            and near(gs[1].params[0], gam.beta3) and near(gs[2].params[0], dlt.beta1)
-            and near(gs[3].params[0], dlt.beta2) and near(gs[4].params[0], dlt.beta3))
-        v = gam.beta3 + dlt.beta1
-        self.do("PPLUS", "LR", (gam.beta3, dlt.beta1), site=Site(run[1:3], (0,)))
-        if _is_zero_mod(v, TWO_PI, 1e-8):
-            mid = self.find_word(
-                ("RX", "P", "RX"),
-                lambda gs: near(gs[0].params[0], gam.beta2)
-                and near(gs[1].params[0], v, 1e-12)
-                and near(gs[2].params[0], dlt.beta2))[1]
-            self.do("P0", "LR", site=Site((mid,), (0,)))
+        j = k + 2 if right else k
+        vr = reduce_angle(self.angle(j), 2 * TWO_PI)
+        if math.pi < vr < 3 * math.pi:          # 3pi/2, 5pi/2 -> -pi/2, pi/2
+            self.do("RXNEG", "LR", (vr,), site=self.wsite(j))
+        q = math.pi / 2.0
+        if not angles_equal(vr, q):             # 3pi/2 or 7pi/2
+            q = -q
+        r = j if right else j + 1               # RX(q) once P(0) is in place
+        self.insert("P0", j + 1 if right else j)
+        self.do("PPLUS", "RL", (q, self.angle(r + 1) - q), site=self.wsite(r + 1))
+        self.do("PPLUS", "RL", (self.angle(r - 1) - q, q), site=self.wsite(r - 1))
+        if q > 0:
+            self.do("EH", "RL", site=self.wsite(r, 3))
         else:
-            # v = pi mod 2pi: pull the pi through the right rotation
-            mid = self.find_word(
-                ("RX", "P", "RX"),
-                lambda gs: near(gs[0].params[0], gam.beta2)
-                and near(gs[1].params[0], v, 1e-12)
-                and near(gs[2].params[0], dlt.beta2))[1]
-            self.do("PPLUS", "RL", (math.pi, v - math.pi), site=Site((mid,), (0,)))
-            zz = self.find_word(("P", "P"),
-                                lambda gs: near(gs[0].params[0], math.pi, 1e-12)
-                                and near(gs[1].params[0], v - math.pi, 1e-12))
-            self.do("P0", "LR", site=Site((zz[1],), (0,)))
-            word = self.find_word(
-                ("P", "RX", "P"),
-                lambda gs: near(gs[0].params[0], math.pi, 1e-12)
-                and near(gs[1].params[0], dlt.beta2)
-                and near(gs[2].params[0], dlt.beta3))
-            last = word[2]
-            vl = self.gate(last).params[0]
-            self.do("PPLUS", "RL", (math.pi, vl - math.pi), site=Site((last,), (0,)))
-            word = self.find_word(
-                ("P", "RX", "P"),
-                lambda gs: near(gs[0].params[0], math.pi, 1e-12)
-                and near(gs[1].params[0], dlt.beta2)
-                and near(gs[2].params[0], math.pi, 1e-12))
-            self.do("RXMINUS", "LR", (self.gate(word[1]).params[0],),
-                    site=Site(word, (0,)))
-        expect2 = dlt.beta2 if _is_zero_mod(v, TWO_PI, 1e-8) else -dlt.beta2
-        pair = self.find_word(("RX", "RX"),
-                              lambda gs: near(gs[0].params[0], gam.beta2)
-                              and near(gs[1].params[0], expect2))
-        if pair:
-            self._rxplus(*pair)
+            self.do("HEULERMINUS", "LR", site=self.wsite(r, 3))
+        self._absorb(r - 1 if right else r + 1, right=not right)
+
+    def _contract_tail(self, k: int):
+        """Finish P(g1) RX(g2) P(g3) P(d1) RX(d2) P(d3) at ordinals k..k+5.
+
+        The inner phases sum to 0 mod pi; a leftover pi is pulled through
+        the right rotation, and the two rotations merge.
+        """
+        v = self.angle(k + 2) + self.angle(k + 3)
+        self._pplus(k + 2)
+        if angles_equal(v, 0.0, TWO_PI, 1e-8):
+            self.do("P0", "LR", site=self.wsite(k + 2))
+        else:
+            self.do("PPLUS", "RL", (math.pi, v - math.pi), site=self.wsite(k + 2))
+            self.do("P0", "LR", site=self.wsite(k + 3))
+            self.do("PPLUS", "RL", (math.pi, self.angle(k + 4) - math.pi),
+                    site=self.wsite(k + 4))
+            self.do("RXMINUS", "LR", (self.angle(k + 3),), site=self.wsite(k + 2, 3))
+        self._rxplus(k + 1)
 
     # -- final shaping ---------------------------------------------------------
 
     def _shape_and_read(self) -> NormalFormParams:
-        w = self.wire_gates()
-        kinds = [self.gate(i).kind for i in w]
-        if "RX" not in kinds:
-            at = w[0] if w else len(self.c.gates)
+        if self.find_word(("RX",)) is None:
+            at = self.before(0)
             if self.theory == "QC":
                 self.do("RX0", "RL", site=Site((), (0,), at))
             else:
                 self._mint_rx0(at)
                 self._merge_phases_all()
         # band-reduce the rotation into [0, pi]
-        rx_i = self.find_word(("RX",))[0]
-        theta = reduce_angle(self.gate(rx_i).params[0], 2 * TWO_PI)
+        k = self.find_word(("RX",))
+        theta = reduce_angle(self.angle(k), 2 * TWO_PI)
         if theta > TWO_PI + ANGLE_EPS:
-            self.do("RXNEG", "LR", (self.gate(rx_i).params[0],),
-                    site=Site((rx_i,), (0,)))
+            self.do("RXNEG", "LR", (self.angle(k),), site=self.wsite(k))
             self._merge_phases_all()
-            rx_i = self.find_word(("RX",))[0]
-            theta = reduce_angle(self.gate(rx_i).params[0], 2 * TWO_PI)
+            theta = reduce_angle(self.angle(k), 2 * TWO_PI)
         if theta > math.pi + ANGLE_EPS:
-            self.do("RXFLIP", "LR", (self.gate(rx_i).params[0],),
-                    site=Site((rx_i,), (0,)))
+            self.do("RXFLIP", "LR", (self.angle(k),), site=self.wsite(k))
             self._merge_phases_all()
-            while self.find_word(("P", "P")):
-                pair = self.find_word(("P", "P"))
-                self.do("PPLUS", "LR",
-                        (self.gate(pair[0]).params[0], self.gate(pair[1]).params[0]),
-                        site=Site(pair, (0,)))
-        rx_i = self.find_word(("RX",))[0]
-        if not any(self.gate(i).kind == "P" and i < rx_i for i in self.wire_gates()):
-            self.do("P0", "RL", site=Site((), (0,), rx_i))
-        rx_i = self.find_word(("RX",))[0]
-        if not any(self.gate(i).kind == "P" and i > rx_i for i in self.wire_gates()):
-            self.do("P0", "RL", site=Site((), (0,), self.wire_gates()[-1] + 1))
+            self._merge_pp_all()
+        k = self.find_word(("RX",))
+        if not any(self.gate(i).kind == "P" for i in self.wire_gates()[:k]):
+            self.insert("P0", k)
+        k = self.find_word(("RX",))
+        if not any(self.gate(i).kind == "P" for i in self.wire_gates()[k + 1:]):
+            self.insert("P0", len(self.wire_gates()))
         if not self.phase_gates():
             self.do("S2PI", "RL", site=Site((), (), 0))
         if self.phase_gates() != [len(self.c.gates) - 1]:
@@ -1129,60 +974,58 @@ def _wrap_half(u: float) -> float:
 def _solve_split(t1: float, phi: float, t2: float, mirror: bool = False) -> float:
     """Find x making the two inner (E') phases sum to 0 mod pi.
 
-    Direct orientation: beta3'(t1, x) + beta1'(phi - x, t2); mirrored:
-    beta3'(t1, phi - x) + beta1'(x, t2).  One of the two always has a root
-    (the sweeps are intervals around pi/2 whose widths are the distances of
-    t1, t2 from the pi grid); we scan for sign changes of the wrapped sum
-    and polish by bisection, with a local minimization fallback for
-    tangential roots.
+    Direct orientation: f(x) = beta3'(t1, x) + beta1'(phi - x, t2);
+    mirrored: beta3'(t1, phi - x) + beta1'(x, t2).  Where both (E')
+    instances are generic, f = 0 mod pi exactly when
+    g(x) = Im(z_A conj(z'_A) z_B z'_B) vanishes (A, B the two angle pairs,
+    z, z' their Euler witnesses).  g is a trigonometric polynomial of
+    degree at most 4 in x/2, so 16 samples give its 9 Fourier coefficients
+    exactly and its zeros are the unit-circle roots of a degree-8
+    polynomial.  Each root is polished by bisection on the exact f; the
+    smallest root in [0, 4pi) with |f| < 1e-10 is returned, x = 0 when g
+    vanishes identically.
     """
+    def pairs(xv: float):
+        return ((t1, phi - xv), (xv, t2)) if mirror else ((t1, xv), (phi - xv, t2))
+
     def f(xv: float) -> float:
-        if mirror:
-            a, _ = euler_eprime(t1, phi - xv)
-            b, _ = euler_eprime(xv, t2)
-        else:
-            a, _ = euler_eprime(t1, xv)
-            b, _ = euler_eprime(phi - xv, t2)
+        (a, _), (b, _) = (euler_eprime(*ab) for ab in pairs(xv))
         return _wrap_half(a.beta3 + b.beta1)
 
-    n = 4096
-    xs = [i * 2 * TWO_PI / n for i in range(n + 1)]
-    vals = [f(xv) for xv in xs]
-    best = min(range(n + 1), key=lambda i: abs(vals[i]))
-    candidates = []
-    for i in range(n):
-        a, b = vals[i], vals[i + 1]
-        if abs(a) < 1e-12:
-            candidates.append(xs[i])
-        elif a * b < 0 and abs(a - b) < 0.5:   # genuine crossing, not a jump
-            lo, hi, flo = xs[i], xs[i + 1], a
-            for _ in range(120):
-                mid = 0.5 * (lo + hi)
-                vm = f(mid)
-                if vm == 0.0:
-                    lo = hi = mid
-                    break
-                if vm * flo < 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, vm
-            candidates.append(0.5 * (lo + hi))
-    if not candidates:
-        # tangential root: golden-section on |f| around the best grid point
-        lo = xs[max(best - 2, 0)]
-        hi = xs[min(best + 2, n)]
-        inv = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = lo, hi
-        c, d = b - inv * (b - a), a + inv * (b - a)
-        for _ in range(200):
-            if abs(f(c)) < abs(f(d)):
-                b, d = d, c
-                c = b - inv * (b - a)
-            else:
-                a, c = c, d
-                d = a + inv * (b - a)
-        candidates.append(0.5 * (a + b))
+    def g(xv: float) -> float:
+        (_, ca), (_, cb) = (euler_eprime(*ab) for ab in pairs(xv))
+        return (ca.z * ca.z_prime.conjugate() * cb.z * cb.z_prime).imag
+
+    coef = np.fft.fft([g(j * math.pi / 4.0) for j in range(16)]) / 16.0
+    poly = coef[np.arange(4, -5, -1) % 16]          # c_4 .. c_-4
+    if np.max(np.abs(poly)) < 1e-12:
+        candidates = [0.0]
+    else:
+        # x in [-1e-9, 4pi - 1e-9): a root just below 4pi is the root at 0
+        roots = sorted((2.0 * float(np.angle(w)) + 1e-9) % (2 * TWO_PI) - 1e-9
+                       for w in np.roots(poly) if abs(abs(w) - 1.0) < 1e-3)
+        candidates = (_bisect(f, xv) for xv in roots)
     for xv in candidates:
         if abs(f(xv)) < 1e-10:
             return xv
     raise NoMatch("no split angle closes the (E') contraction")
+
+
+def _bisect(f, xv: float) -> float:
+    """Refine a root estimate of f by bisection on [xv - 1e-6, xv + 1e-6];
+    the estimate is returned as is unless f changes sign strictly there."""
+    lo, hi = xv - 1e-6, xv + 1e-6
+    flo = f(lo)
+    if not flo * f(hi) < 0:
+        return xv
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        fm = f(mid)
+        if fm == 0.0:
+            break
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid

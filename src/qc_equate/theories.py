@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (Circuit, Gate, circuit, cnot, ctrl, dest, gphase, h,
-                      init, mcp, mcrx, p, rx, swap, x, z)
+from .circuit import (Circuit, Gate, _controls_phase, circuit, cnot, ctrl,
+                      dest, gphase, h, init, mcp, mcrx, p, rx, swap, unfold,
+                      x, z)
 from .errors import BadArity, BadParams, UnknownLemma, UnknownTheory
 from .euler import euler_e, euler_eprime
 from .semantics import equal_matrices, equal_up_to_phase, eval_matrix
@@ -363,10 +364,6 @@ def _lem_mcrxplus(ps, n):
     return (circuit(n, [mcrx(a, _all(n)), mcrx(b, _all(n))]),
             circuit(n, [mcrx(a + b, _all(n))]))
 
-def _controls_phase(phi: float, controls: tuple[int, ...]) -> Gate:
-    return gphase(phi) if not controls else (
-        p(phi, controls[0]) if len(controls) == 1 else mcp(phi, controls))
-
 def _lem_mcpop(ps, n):
     (phi,) = ps
     t = n - 1
@@ -516,46 +513,21 @@ _LEMMAS = {
 
 # -- definitional rewrites (macro unfoldings, usable in any theory) ----------
 
-def _def_rx(ps, n):
-    (theta,) = ps
-    return (circuit(1, [rx(theta, 0)]),
-            circuit(1, [gphase(-theta / 2.0), h(0), p(theta, 0), h(0)]))
-
-def _def_z(_, n):
-    return circuit(1, [z(0)]), circuit(1, [p(PI, 0)])
-
-def _def_x(_, n):
-    return circuit(1, [x(0)]), circuit(1, [h(0), p(PI, 0), h(0)])
-
-def _def_mcp(ps, n):
-    (phi,) = ps
-    w = _all(n)
-    if n == 1:
-        return circuit(1, [mcp(phi, (0,))]), circuit(1, [p(phi, 0)])
-    front, last = w[:-1], w[-1]
-    prev, tail = front[:-1], front[-1]
-    def sub(angle, wires):
-        return p(angle, wires[0]) if len(wires) == 1 else mcp(angle, wires)
-    rhs = [sub(phi / 2, front), sub(phi / 2, prev + (last,)), cnot(tail, last),
-           sub(-phi / 2, prev + (last,)), cnot(tail, last)]
-    return circuit(n, [mcp(phi, w)]), circuit(n, rhs)
-
-def _def_mcrx(ps, n):
-    (theta,) = ps
-    w = _all(n)
-    if n == 1:
-        return circuit(1, [mcrx(theta, (0,))]), circuit(1, [rx(theta, 0)])
-    t = w[-1]
-    rhs = [h(t), mcp(theta, w), h(t), _controls_phase(-theta / 2.0, w[:-1])]
-    return circuit(n, [mcrx(theta, w)]), circuit(n, rhs)
+def _definition(macro):
+    """Builder for a macro's definition: the gate ``macro(params, n)`` on
+    the left, its one-level unfolding on the right."""
+    def build(ps, n):
+        g = macro(ps, n)
+        return circuit(n, [g]), circuit(n, unfold(g))
+    return build
 
 
 _DEFS = {
-    "RXDEF":   (1, 1, _def_rx),
-    "ZDEF":    (0, 1, _def_z),
-    "XDEF":    (0, 1, _def_x),
-    "MCPDEF":  (1, None, _def_mcp),
-    "MCRXDEF": (1, None, _def_mcrx),
+    "RXDEF":   (1, 1, _definition(lambda ps, n: rx(ps[0], 0))),
+    "ZDEF":    (0, 1, _definition(lambda ps, n: z(0))),
+    "XDEF":    (0, 1, _definition(lambda ps, n: x(0))),
+    "MCPDEF":  (1, None, _definition(lambda ps, n: mcp(ps[0], _all(n)))),
+    "MCRXDEF": (1, None, _definition(lambda ps, n: mcrx(ps[0], _all(n)))),
 }
 
 DEFINITIONAL = tuple(_DEFS)

@@ -100,3 +100,12 @@ def test_expand(files, capsys):
 
 def test_bad_input_exit_code(tmp_path):
     assert main(["eval", str(tmp_path / "missing.json")]) == 2
+    no_gates = tmp_path / "no_gates.json"
+    no_gates.write_text(json.dumps({"n_in": 1, "n_out": 1}))
+    assert main(["eval", str(no_gates)]) == 2
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(json.dumps(HH)[:-7])
+    assert main(["eval", str(truncated)]) == 2
+    no_theory = tmp_path / "no_theory.json"
+    no_theory.write_text(json.dumps({"initial": HH, "steps": [], "final": HH}))
+    assert main(["replay", str(no_theory)]) == 2

@@ -169,6 +169,20 @@ def test_normalize_qcprime_variant():
         params, _ = normalize_1q(c, theory="QCprime")
         want = nf_from_unitary(eval_matrix(c))
         assert params.close_to(want, 1e-7)
+    # split angles on the pi grid next to context gates of the same angle
+    fixed = [
+        circuit(1, [h(0), h(0), z(0), x(0)]),
+        circuit(1, [x(0), z(0), h(0), h(0)]),
+        circuit(1, [x(0), h(0), x(0), h(0)]),
+        circuit(1, [x(0), z(0), gphase(6.761538988103883), z(0), h(0), x(0),
+                    h(0), rx(-6.814522666230806, 0), gphase(6.0419672278893355),
+                    gphase(4.800297777855281), p(6.4670877788452845, 0)]),
+    ]
+    for c in fixed:
+        params, deriv = normalize_1q(c, emit_trace=True, theory="QCprime")
+        assert params.close_to(nf_from_unitary(eval_matrix(c)), 1e-8)
+        out = replay(deriv, allow_lemmas=True, safety=True, tol=1e-9)
+        assert deformation_equal(out, deriv.final)
 
 
 def test_normalize_rejects_wide_or_ancilla():

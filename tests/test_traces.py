@@ -80,10 +80,11 @@ def test_axiom_only_traces_replay_in_strict_mode():
 
 
 def test_reverse_of_shipped_trace():
-    d = tr.qc_bprime()
-    rd = reverse_derivation(d)
-    out = replay(rd, allow_lemmas=True, safety=True)
-    assert deformation_equal(out, d.initial)
+    for d in (tr.qc_bprime(), tr.qcprime_pminus(1.3),
+              tr.qcprime_euler(0.9, 1.7, -0.6)):
+        rd = reverse_derivation(d)
+        out = replay(rd, allow_lemmas=True, safety=True)
+        assert deformation_equal(out, d.initial)
 
 
 def test_i3_trace_kills_the_multicontrol():
