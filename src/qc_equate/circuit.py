@@ -385,7 +385,8 @@ def _ctrl_gates(g: Gate) -> list[Gate]:
     elif base.kind == "RX":
         core = [mcrx(base.params[0], g.wires)]
     else:  # X: fix the -i phase of RX(pi) with a pi/2 phase on the controls
-        core = [mcrx(math.pi, g.wires)] + ([mcp(math.pi / 2.0, controls)] if controls else [])
+        fix = mcp(math.pi / 2.0, controls) if controls else gphase(math.pi / 2.0)
+        core = [mcrx(math.pi, g.wires), fix]
     return flips + core + [Gate(f.kind, f.wires) for f in reversed(flips)]
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import ANGLE_EPS, TWO_PI, Circuit, gphase, p, reduce_angle, rx
+from .circuit import (ANGLE_EPS, TWO_PI, Circuit, angles_equal, gphase, p,
+                      reduce_angle, rx)
 from .errors import DomainError, NotUnitary
 
 #: |z| or |z'| below this selects the corresponding degenerate case
@@ -78,14 +79,10 @@ class NormalFormParams:
              [-1j * np.exp(1j * b3) * s, np.exp(1j * (b1 + b3)) * c]])
 
     def close_to(self, other: "NormalFormParams", tol: float = 1e-8) -> bool:
-        def mod_close(x, y):
-            d = math.fmod(x - y, TWO_PI)
-            if d < 0:
-                d += TWO_PI
-            return d <= tol or TWO_PI - d <= tol
-        return (mod_close(self.beta0, other.beta0) and mod_close(self.beta1, other.beta1)
+        return (angles_equal(self.beta0, other.beta0, TWO_PI, tol)
+                and angles_equal(self.beta1, other.beta1, TWO_PI, tol)
                 and abs(self.beta2 - other.beta2) <= tol
-                and mod_close(self.beta3, other.beta3))
+                and angles_equal(self.beta3, other.beta3, TWO_PI, tol))
 
 
 def _boundary_fix(b0: float, b1: float, b2: float, b3: float) -> tuple:

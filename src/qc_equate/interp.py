@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, circuit, expand_macros
+from .circuit import TWO_PI, Circuit, angles_equal, circuit, expand_macros
 from .errors import (InconsistentClasses, NoInterpretation, UnknownTheory,
                      UnsupportedGate)
 from .euler import b_funcs
@@ -22,7 +22,6 @@ from .semantics import eval_matrix
 from .theories import (RuleInstance, instantiate, list_rules, rule_signature,
                        sample_params)
 
-TWO_PI = 2.0 * math.pi
 HALF_PI = math.pi / 2.0
 
 
@@ -55,14 +54,6 @@ def _count(c: Circuit, kinds) -> int:
     return sum(1 for g in c.gates if g.kind in kinds)
 
 
-def _phase_matches(c: Circuit, psi: float) -> bool:
-    return any(g.kind == "GPHASE"
-               and abs(((g.params[0] - psi) % TWO_PI + TWO_PI) % TWO_PI) < 1e-9
-               or g.kind == "GPHASE"
-               and TWO_PI - ((g.params[0] - psi) % TWO_PI + TWO_PI) % TWO_PI < 1e-9
-               for g in c.gates)
-
-
 def _keep_only(c: Circuit, kinds) -> Circuit:
     return Circuit(c.n_in, c.n_out,
                    tuple(g for g in c.gates if g.kind in kinds))
@@ -76,7 +67,8 @@ def interp_axiom(name: str, c: Circuit, psi: float | None = None):
     if name == "SPLUS":
         if psi is None:
             raise NoInterpretation("the SPLUS interpretation needs a phase psi")
-        return int(_phase_matches(e, psi))
+        return int(any(g.kind == "GPHASE" and angles_equal(g.params[0], psi, TWO_PI, 1e-9)
+                       for g in e.gates))
     if name == "H2":
         return int(_count(e, ("H",)) > 0)
     if name == "P0":
@@ -101,8 +93,7 @@ def _values_equal(a, b) -> bool:
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= 1e-9)
     if isinstance(a, float) or isinstance(b, float):
-        d = (a - b) % TWO_PI
-        return d < 1e-8 or TWO_PI - d < 1e-8
+        return angles_equal(a, b, TWO_PI, 1e-8)
     return a == b
 
 

@@ -5,16 +5,25 @@ Wire 0 is the leftmost tensor factor (most significant bit).  Vanilla
 circuits evaluate to unitaries; INIT / DEST extend the semantics to |0>
 insertion and <0| projection, so circuits built from them are isometries
 exactly when every removed wire is in state |0>.
+
+``eval_matrix`` applies every gate, macros included, as an in-place kernel
+on basic-indexed views of the state tensor ``(2,) * width + (cols,)``:
+diagonal gates (P, Z, MCP, controlled P/Z) multiply the slice where the
+controls match and the target is 1, the other 1-qubit bases update the two
+target half-views of the control slice with their 2x2 entries, and SWAP
+swaps two axes.  No macro is expanded; ``eval_matrix(expand_macros(c))``
+(the CLI's ``expand``) gives the primitive route.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 
 import numpy as np
 
-from .circuit import Circuit, Gate, expand_gate, thread
+from .circuit import Circuit, Gate, thread
 from .errors import (DegenerateMatrix, InvalidCircuit, NotUnitary,
                      ShapeMismatch, WireCapExceeded)
 
@@ -23,79 +32,89 @@ SQRT2_INV = 1.0 / math.sqrt(2.0)
 #: dense simulation refuses circuits wider than this many wires
 DEFAULT_WIRE_CAP = 10
 
+_H = (SQRT2_INV, SQRT2_INV, SQRT2_INV, -SQRT2_INV)
+
 
 def wire_cap() -> int:
     return int(os.environ.get("QCEQ_WIRE_CAP", DEFAULT_WIRE_CAP))
 
 
-def _gate_matrix(g: Gate) -> np.ndarray:
-    if g.kind == "H":
-        return np.array([[1, 1], [1, -1]], dtype=complex) * SQRT2_INV
-    if g.kind == "P":
-        return np.array([[1, 0], [0, np.exp(1j * g.params[0])]], dtype=complex)
-    if g.kind == "CNOT":
-        return np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                        dtype=complex)
-    if g.kind == "SWAP":
-        return np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                        dtype=complex)
-    raise InvalidCircuit(f"no matrix for {g.kind}")
-
-
 def eval_matrix(c: Circuit) -> np.ndarray:
-    """Matrix of the circuit; macros are expanded internally."""
+    """Matrix of the circuit, one in-place kernel per gate."""
     thread(c)  # validate before any work
     cap = wire_cap()
-    state = np.eye(2 ** c.n_in, dtype=complex)
     width = c.n_in
     if width > cap:
         raise WireCapExceeded(f"{width} wires exceeds cap {cap}")
-    for g0 in c.gates:
-        for g in expand_gate(g0):
-            if g.kind == "GPHASE":
-                state = state * np.exp(1j * g.params[0])
-            elif g.kind == "INIT":
-                state = _apply_init(state, width, g.wires[0])
-                width += 1
-                if width > cap:
-                    raise WireCapExceeded(f"{width} wires exceeds cap {cap}")
-            elif g.kind == "DEST":
-                state = _apply_dest(state, width, g.wires[0])
-                width -= 1
-            else:
-                state = _apply_gate(state, width, _gate_matrix(g), g.wires)
-    return state
-
-
-def _apply_gate(state: np.ndarray, width: int, u: np.ndarray, wires) -> np.ndarray:
-    """Left-multiply by u acting on the given wires of a width-wire register."""
-    k = len(wires)
-    cols = state.shape[1]
-    t = state.reshape((2,) * width + (cols,))
-    # bring the acted-on axes to the front, in gate order
-    rest = [a for a in range(width) if a not in wires]
-    perm = list(wires) + rest + [width]
-    t = np.transpose(t, perm)
-    t = t.reshape(2 ** k, -1)
-    t = u @ t
-    t = t.reshape((2,) * width + (cols,))
-    inv = np.argsort(perm)
-    t = np.transpose(t, inv)
+    cols = 2 ** width
+    t = np.eye(cols, dtype=complex).reshape((2,) * width + (cols,))
+    for g in c.gates:
+        if g.kind == "INIT":
+            t = _apply_init(t, g.wires[0])
+            width += 1
+            if width > cap:
+                raise WireCapExceeded(f"{width} wires exceeds cap {cap}")
+        elif g.kind == "DEST":
+            t = _apply_dest(t, g.wires[0])
+            width -= 1
+        elif g.kind == "SWAP":
+            t = np.swapaxes(t, *g.wires)
+        else:
+            _apply_kernel(t, g)
     return t.reshape(2 ** width, cols)
 
 
-def _apply_init(state: np.ndarray, width: int, pos: int) -> np.ndarray:
-    cols = state.shape[1]
-    t = state.reshape((2,) * width + (cols,))
-    t = np.stack([t, np.zeros_like(t)], axis=pos)  # new axis in state |0>
-    return t.reshape(2 ** (width + 1), cols)
+#: gate kinds that are their last wire's 1-qubit base controlled by all
+#: earlier wires at bit 1
+_ALL_ONES_BASE = {"CNOT": "X", "MCP": "P", "MCRX": "RX"}
 
 
-def _apply_dest(state: np.ndarray, width: int, pos: int) -> np.ndarray:
-    cols = state.shape[1]
-    t = state.reshape((2,) * width + (cols,))
-    t = np.take(t, 0, axis=pos)  # project onto <0|
-    return t.reshape(2 ** (width - 1), cols)
+def _apply_kernel(t: np.ndarray, g: Gate) -> None:
+    """Apply one non-structural gate to the state tensor in place."""
+    if g.kind == "GPHASE":
+        t *= cmath.exp(1j * g.params[0])
+        return
+    idx = [slice(None)] * t.ndim
+    if g.kind == "CTRL":
+        base, params = g.base.kind, g.base.params
+        for w, bit in zip(g.wires, g.pattern):
+            idx[w] = int(bit)
+    else:
+        base, params = _ALL_ONES_BASE.get(g.kind, g.kind), g.params
+        for w in g.wires[:-1]:
+            idx[w] = 1
+    target = g.wires[-1]
+    if base in ("P", "Z"):  # diagonal: phase the slice where the target is 1
+        idx[target] = 1
+        view = t[tuple(idx)]
+        view *= cmath.exp(1j * (params[0] if base == "P" else math.pi))
+        return
+    idx[target] = 0
+    a = t[tuple(idx)]
+    idx[target] = 1
+    b = t[tuple(idx)]
+    if base == "X":
+        tmp = a.copy()
+        a[...] = b
+        b[...] = tmp
+        return
+    if base == "H":
+        u00, u01, u10, u11 = _H
+    else:  # RX
+        cos, sin = math.cos(params[0] / 2.0), math.sin(params[0] / 2.0)
+        u00, u01, u10, u11 = cos, -1j * sin, -1j * sin, cos
+    a_new = u00 * a + u01 * b
+    b *= u11
+    b += u10 * a
+    a[...] = a_new
+
+
+def _apply_init(t: np.ndarray, pos: int) -> np.ndarray:
+    return np.stack([t, np.zeros_like(t)], axis=pos)  # new axis in state |0>
+
+
+def _apply_dest(t: np.ndarray, pos: int) -> np.ndarray:
+    return np.take(t, 0, axis=pos)  # project onto <0|
 
 
 # -- predicates --------------------------------------------------------------

@@ -21,14 +21,13 @@ import json
 import math
 import os
 
-from .circuit import Circuit, circuit, cnot, gphase, h, mcp, p, rx, swap, x
+from .circuit import TWO_PI, Circuit, circuit, cnot, gphase, h, mcp, p, rx, swap, x
 from .errors import QcError
 from .rewrite import (Derivation, Site, Step, apply_step, concat_derivations,
                       deformation_equal, normalize_1q, replay,
                       reverse_derivation)
 
 PI = math.pi
-TWO_PI = 2.0 * PI
 
 
 class _Builder:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from qc_equate import (Circuit, circuit, cnot, compose_par, compose_seq,
-                       det_arg, dest, equal_matrices, equal_up_to_phase,
-                       eval_matrix, gphase, h, init, is_isometry, p, rx, swap,
-                       x)
+                       ctrl, det_arg, dest, equal_matrices, equal_up_to_phase,
+                       eval_matrix, expand_macros, gphase, h, init,
+                       is_isometry, mcp, mcrx, p, rx, swap, x, z)
 from qc_equate.errors import (DegenerateMatrix, InvalidCircuit,
                               ShapeMismatch, WireCapExceeded)
 
@@ -131,6 +131,141 @@ def test_macro_evaluation_agrees_with_expansion():
                         mcrx(float(rng.uniform(0, 7)), tuple(range(n))),
                         x(int(rng.integers(n)))])
         assert np.max(np.abs(eval_matrix(c) - eval_matrix(expand_macros(c)))) < 1e-10
+
+
+def test_zero_control_ctrl_x_is_x():
+    c = circuit(1, [ctrl("", x(0), (0,))])
+    xmat = np.array([[0, 1], [1, 0]])
+    assert np.max(np.abs(eval_matrix(c) - xmat)) < 1e-12
+    assert np.max(np.abs(eval_matrix(expand_macros(c)) - xmat)) < 1e-12
+
+
+def _random_gate(rng, width):
+    """One gate of a random kind on a random (unsorted) wire tuple."""
+    angle = float(rng.uniform(-7, 7))
+    kinds = ["GPHASE", "H", "P", "X", "Z", "RX", "MCP", "MCRX", "CTRL"]
+    if width >= 2:
+        kinds += ["CNOT", "SWAP"]
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "GPHASE":
+        return gphase(angle)
+    one = int(rng.integers(width))
+    if kind in ("H", "X", "Z"):
+        return {"H": h, "X": x, "Z": z}[kind](one)
+    if kind in ("P", "RX"):
+        return {"P": p, "RX": rx}[kind](angle, one)
+    if kind in ("CNOT", "SWAP"):
+        a, b = (int(w) for w in rng.choice(width, 2, replace=False))
+        return cnot(a, b) if kind == "CNOT" else swap(a, b)
+    k = int(rng.integers(1, width + 1))
+    wires = tuple(int(w) for w in rng.choice(width, k, replace=False))
+    if kind == "MCP":
+        return mcp(angle, wires)
+    if kind == "MCRX":
+        return mcrx(angle, wires)
+    base = [p(angle, 0), x(0), z(0), rx(angle, 0)][int(rng.integers(4))]
+    pattern = "".join(str(int(b)) for b in rng.integers(0, 2, k - 1))
+    return ctrl(pattern, base, wires)
+
+
+def _random_circuit(rng):
+    """1-6 wires, 1-8 gates; about half the circuits insert/remove wires."""
+    n_in = int(rng.integers(1, 7))
+    width, gates = n_in, []
+    structural = rng.random() < 0.5
+    for _ in range(int(rng.integers(1, 9))):
+        r = rng.random()
+        if structural and r < 0.15 and width < 6:
+            gates.append(init(int(rng.integers(width + 1))))
+            width += 1
+        elif structural and r < 0.3 and width > 1:
+            gates.append(dest(int(rng.integers(width))))
+            width -= 1
+        else:
+            gates.append(_random_gate(rng, width))
+    return Circuit(n_in, width, tuple(gates))
+
+
+def test_kernels_agree_with_expansion_oracle():
+    rng = np.random.default_rng(20261018)
+    kinds, bases, zero_ctrl, structural = set(), set(), 0, 0
+    for _ in range(400):
+        c = _random_circuit(rng)
+        for g in c.gates:
+            kinds.add(g.kind)
+            if g.kind == "CTRL":
+                bases.add(g.base.kind)
+                zero_ctrl += len(g.wires) == 1
+        structural += c.n_in != c.n_out or any(g.kind in ("INIT", "DEST") for g in c.gates)
+        diff = np.max(np.abs(eval_matrix(c) - eval_matrix(expand_macros(c))))
+        assert diff < 1e-12, c.to_json()
+    assert kinds == {"GPHASE", "H", "P", "CNOT", "SWAP", "INIT", "DEST",
+                     "X", "Z", "RX", "MCP", "MCRX", "CTRL"}
+    assert bases == {"P", "X", "Z", "RX"}
+    assert zero_ctrl > 0 and structural > 0
+
+
+_PRIMITIVE_MATRICES = {
+    "H": np.array([[1, 1], [1, -1]]) / SQ2,
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    "SWAP": np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
+}
+
+
+def _reference_matrix(c):
+    """Primitive circuits by transpose-matmul-transpose, one gate at a time."""
+    width = c.n_in
+    state = np.eye(2 ** width, dtype=complex)
+    for g in c.gates:
+        cols = state.shape[1]
+        t = state.reshape((2,) * width + (cols,))
+        if g.kind == "GPHASE":
+            state = state * np.exp(1j * g.params[0])
+            continue
+        if g.kind in ("INIT", "DEST"):
+            pos = g.wires[0]
+            t = (np.stack([t, np.zeros_like(t)], axis=pos) if g.kind == "INIT"
+                 else np.take(t, 0, axis=pos))
+            width += 1 if g.kind == "INIT" else -1
+            state = t.reshape(2 ** width, cols)
+            continue
+        u = (np.diag([1, np.exp(1j * g.params[0])]) if g.kind == "P"
+             else _PRIMITIVE_MATRICES[g.kind])
+        perm = list(g.wires) + [a for a in range(width) if a not in g.wires] + [width]
+        t = (u @ np.transpose(t, perm).reshape(u.shape[0], -1)).reshape(
+            (2,) * width + (cols,))
+        state = np.transpose(t, np.argsort(perm)).reshape(2 ** width, cols)
+    return state
+
+
+def test_primitive_kernels_match_reference():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        c = expand_macros(_random_circuit(rng))
+        if len(c.gates) > 200:
+            continue
+        assert np.max(np.abs(eval_matrix(c) - _reference_matrix(c))) < 1e-12, c.to_json()
+
+
+def test_macro_closed_forms_at_ten_wires():
+    n = 10
+    assert np.max(np.abs(eval_matrix(circuit(n, [mcp(2 * PI, tuple(range(n)))]))
+                         - np.eye(2 ** n))) < 1e-12
+    phi = 1.234
+    want = np.ones(2 ** n, dtype=complex)
+    want[-1] = np.exp(1j * phi)
+    wires = (3, 7, 0, 9, 1, 5, 8, 2, 6, 4)
+    assert np.max(np.abs(eval_matrix(circuit(n, [mcp(phi, wires)]))
+                         - np.diag(want))) < 1e-12
+    theta = -2.5
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    want = np.eye(2 ** n, dtype=complex)
+    tbit = 1 << (n - 1 - wires[-1])
+    i1 = 2 ** n - 1          # every control at 1, target at 1
+    i0 = i1 ^ tbit
+    want[i0, i0] = want[i1, i1] = c
+    want[i0, i1] = want[i1, i0] = -1j * s
+    assert np.max(np.abs(eval_matrix(circuit(n, [mcrx(theta, wires)])) - want)) < 1e-12
 
 
 def test_wire_cap(monkeypatch):

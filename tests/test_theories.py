@@ -135,3 +135,12 @@ def test_estar_n_scales():
             params = tuple(rng.uniform(-6, 6, 3))
             inst = lemma_instantiate("ESTAR_N", params, n)
             assert check_soundness(inst, 1e-9), (n, params)
+
+
+@pytest.mark.parametrize("name", ["MCPDEF", "MCRXDEF"])
+def test_macro_definitions_sound_at_width(name):
+    # ties the MCP/MCRX evaluation kernels to the inductive definitions
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        phi = float(rng.uniform(-4 * PI, 4 * PI))
+        assert check_soundness(lemma_instantiate(name, (phi,), n), 1e-9), (name, n)
