@@ -5,7 +5,8 @@ wires and ``n_out`` output wires.  Gates act on positions in the running
 ordered list of open wires; ``INIT`` inserts a wire at its stated position,
 ``DEST`` removes one.  Circuits are identified up to deformation (sliding
 gates with disjoint wire support past each other), which is decided by a
-canonical topological ordering of the wire-threading DAG.
+canonical topological ordering of the wire-threading DAG.  A ``Circuit``
+keeps the threading its constructor validated, so nothing threads it again.
 
 Contents:
     - Gate / Circuit / CanonicalForm data types and JSON (de)serialization
@@ -19,7 +20,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, InvalidCircuit
 
@@ -121,6 +122,12 @@ class Gate:
         if self.kind != "INIT" and len(set(self.wires)) != len(self.wires):
             raise InvalidCircuit(f"{self.kind} wires must be pairwise distinct")
 
+    def with_wires(self, wires: tuple[int, ...]) -> "Gate":
+        """This gate on other positions (the gate itself if they are its own)."""
+        if wires == self.wires:
+            return self
+        return Gate(self.kind, wires, self.params, self.pattern, self.base)
+
     # -- deformation-level equality helpers --------------------------------
 
     def same_gate(self, other: "Gate", tol: float = ANGLE_EPS) -> bool:
@@ -203,12 +210,14 @@ class Circuit:
     n_in: int
     n_out: int
     gates: tuple[Gate, ...] = ()
+    threading: "Threading" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         if self.n_in < 0 or self.n_out < 0:
             raise InvalidCircuit("negative wire count")
-        thread(self)  # raises InvalidCircuit on bad threading
+        # raises InvalidCircuit on bad threading
+        object.__setattr__(self, "threading", thread(self))
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -244,19 +253,18 @@ class CanonicalForm:
         if not isinstance(other, CanonicalForm):
             return NotImplemented
         a, b = self.circuit, other.circuit
-        if (a.n_in, a.n_out, len(a.gates)) != (b.n_in, b.n_out, len(b.gates)):
-            return False
-        return all(g1.same_gate(g2) for g1, g2 in zip(a.gates, b.gates))
+        return (a.n_in, a.n_out) == (b.n_in, b.n_out) and _same_gates(a.gates, b.gates)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Threading:
-    """Result of replaying a gate list: wire identities per gate."""
+    """Result of replaying a gate list: wire identities per gate.
 
-    gate_ids: list[tuple[int, ...]]     # wire ids touched by each gate
-    init_positions: dict[int, int]      # gate index -> insertion position
-    input_ids: list[int]
-    output_ids: list[int]
+    Inputs get ids 0..n_in-1 and every INIT the next id, in birth order.
+    """
+
+    gate_ids: tuple[tuple[int, ...], ...]   # wire ids touched by each gate
+    output_ids: tuple[int, ...]
     n_ids: int
 
 
@@ -269,7 +277,6 @@ def thread(c: Circuit) -> Threading:
     open_ids = list(range(c.n_in))
     next_id = c.n_in
     gate_ids: list[tuple[int, ...]] = []
-    init_positions: dict[int, int] = {}
     for idx, g in enumerate(c.gates):
         w = len(open_ids)
         if g.kind == "INIT":
@@ -278,7 +285,6 @@ def thread(c: Circuit) -> Threading:
                 raise InvalidCircuit(f"gate {idx}: INIT position {pos} out of range (width {w})")
             open_ids.insert(pos, next_id)
             gate_ids.append((next_id,))
-            init_positions[idx] = pos
             next_id += 1
         elif g.kind == "DEST":
             pos = g.wires[0]
@@ -292,7 +298,7 @@ def thread(c: Circuit) -> Threading:
             gate_ids.append(tuple(open_ids[wp] for wp in g.wires))
     if len(open_ids) != c.n_out:
         raise InvalidCircuit(f"threading ends with {len(open_ids)} wires, declared n_out={c.n_out}")
-    return Threading(gate_ids, init_positions, list(range(c.n_in)), open_ids, next_id)
+    return Threading(tuple(gate_ids), tuple(open_ids), next_id)
 
 
 # -- composition ------------------------------------------------------------
@@ -315,7 +321,7 @@ def compose_par(c1: Circuit, c2: Circuit) -> Circuit:
 
 
 def _shift_gate(g: Gate, offset: int) -> Gate:
-    return Gate(g.kind, tuple(w + offset for w in g.wires), g.params, g.pattern, g.base)
+    return g.with_wires(tuple(w + offset for w in g.wires))
 
 
 # -- macro expansion --------------------------------------------------------
@@ -402,7 +408,12 @@ def canonicalize(c: Circuit) -> CanonicalForm:
     order (they reshape the open-wire list).  Ready gates are emitted by
     (dependency depth, smallest touched wire id, kind, parameters).
     """
-    th = thread(c)
+    return CanonicalForm(Circuit(c.n_in, c.n_out, tuple(_canonical_gates(c))))
+
+
+def _canonical_gates(c: Circuit) -> list[Gate]:
+    """The gates of ``canonicalize(c)``, read off the circuit's threading."""
+    gate_ids = c.threading.gate_ids
     n = len(c.gates)
     succ: list[list[int]] = [[] for _ in range(n)]
     n_pred = [0] * n
@@ -410,7 +421,7 @@ def canonicalize(c: Circuit) -> CanonicalForm:
     last_structural = -1
     for i, g in enumerate(c.gates):
         preds = set()
-        for wid in th.gate_ids[i]:
+        for wid in gate_ids[i]:
             if wid in last_by_id:
                 preds.add(last_by_id[wid])
             last_by_id[wid] = i
@@ -426,7 +437,7 @@ def canonicalize(c: Circuit) -> CanonicalForm:
     ready = []
     for i in range(n):
         if n_pred[i] == 0:
-            heapq.heappush(ready, _prio(c.gates[i], th.gate_ids[i], 0, i))
+            heapq.heappush(ready, _prio(c.gates[i], gate_ids[i], 0, i))
     order: list[int] = []
     while ready:
         *_, i = heapq.heappop(ready)
@@ -435,12 +446,10 @@ def canonicalize(c: Circuit) -> CanonicalForm:
             depth[j] = max(depth[j], depth[i] + 1)
             n_pred[j] -= 1
             if n_pred[j] == 0:
-                heapq.heappush(ready, _prio(c.gates[j], th.gate_ids[j], depth[j], j))
+                heapq.heappush(ready, _prio(c.gates[j], gate_ids[j], depth[j], j))
     if len(order) != n:
         raise InvalidCircuit("cycle in threading DAG")  # unreachable by construction
-
-    gates = _emit(c, th, order)
-    return CanonicalForm(Circuit(c.n_in, c.n_out, tuple(gates)))
+    return _emit(c, order)
 
 
 def _prio(g: Gate, ids: tuple[int, ...], depth: int, idx: int):
@@ -448,32 +457,32 @@ def _prio(g: Gate, ids: tuple[int, ...], depth: int, idx: int):
     return (depth, min_id, g.sort_key(), idx)
 
 
-def _emit(c: Circuit, th: Threading, order: list[int]) -> list[Gate]:
-    """Re-emit gate records in the given order, recomputing wire positions."""
+def _emit(c: Circuit, order: list[int]) -> list[Gate]:
+    """Re-emit the gates in the given order, recomputing wire positions.
+
+    INIT/DEST keep their mutual order and nothing else reshapes the
+    open-wire list, so their own positions stay valid.
+    """
     open_ids = list(range(c.n_in))
     out = []
     for i in order:
-        g = c.gates[i]
+        g, ids = c.gates[i], c.threading.gate_ids[i]
         if g.kind == "INIT":
-            pos = th.init_positions[i]
-            out.append(init(pos))
-            open_ids.insert(pos, th.gate_ids[i][0])
+            open_ids.insert(g.wires[0], ids[0])
         elif g.kind == "DEST":
-            pos = open_ids.index(th.gate_ids[i][0])
-            out.append(dest(pos))
-            open_ids.pop(pos)
+            open_ids.pop(g.wires[0])
         else:
-            wires = tuple(open_ids.index(wid) for wid in th.gate_ids[i])
-            out.append(Gate(g.kind, wires, g.params, g.pattern, g.base))
+            g = g.with_wires(tuple(open_ids.index(wid) for wid in ids))
+        out.append(g)
     return out
+
+
+def _same_gates(a, b, tol: float = ANGLE_EPS) -> bool:
+    return len(a) == len(b) and all(g1.same_gate(g2, tol) for g1, g2 in zip(a, b))
 
 
 def deformation_equal(c1: Circuit, c2: Circuit, tol: float = ANGLE_EPS) -> bool:
     """True iff the two circuits are equal up to prop deformation."""
     if (c1.n_in, c1.n_out) != (c2.n_in, c2.n_out):
         raise ArityMismatch("deformation_equal needs equal arities")
-    a = canonicalize(c1).circuit
-    b = canonicalize(c2).circuit
-    if len(a.gates) != len(b.gates):
-        return False
-    return all(g1.same_gate(g2, tol) for g1, g2 in zip(a.gates, b.gates))
+    return _same_gates(_canonical_gates(c1), _canonical_gates(c2), tol)

@@ -149,10 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="quantum circuit equational theories")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, theory=True):
-        if theory:
-            sp.add_argument("--theory", choices=THEORIES, default="QC")
-        sp.add_argument("--tol", type=float, default=1e-9)
+    def common(sp):
+        sp.add_argument("--theory", choices=THEORIES, default="QC")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--samples", type=int, default=100)
         sp.add_argument("--max-qubits", type=int, default=5)
@@ -184,6 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-rules", help="master soundness suite")
     common(sp)
+    sp.add_argument("--tol", type=float, default=1e-9)
     sp.set_defaults(fn=cmd_verify_rules)
 
     sp = sub.add_parser("replay", help="replay a derivation trace")
@@ -212,10 +211,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except QcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (QcError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

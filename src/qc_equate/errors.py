@@ -66,7 +66,8 @@ class NoInterpretation(QcError):
 
 
 class UnsupportedGate(QcError):
-    """Gate outside the domain of an interpretation (INIT/DEST)."""
+    """Gate outside the domain of an operation (INIT/DEST under an
+    interpretation, CTRL in the 1-qubit normalizer)."""
 
 
 class InconsistentClasses(QcError):

@@ -23,9 +23,9 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, angles_equal,
-                      deformation_equal, dest, init, reduce_angle, thread)
+                      deformation_equal, reduce_angle)
 from .errors import (ArityMismatch, BadArity, IllegalSite, NoMatch, QcError,
-                     SemanticDrift, UnknownLemma, UnknownTheory)
+                     SemanticDrift, UnknownLemma, UnknownTheory, UnsupportedGate)
 from .euler import NormalFormParams, _pack, euler_eprime
 from .semantics import equal_matrices, eval_matrix, wire_cap
 from .theories import (DEFINITIONAL, RuleId, RuleInstance, _CATALOG,
@@ -115,16 +115,16 @@ def resolve_rule(theory: str, name: str, params, n, allow_lemmas: bool) -> RuleI
 
 # -- id-level circuit view ----------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class _IdGate:
-    kind: str
-    ids: tuple[int, ...]
-    params: tuple[float, ...]
-    pattern: str
-    base: Gate | None
+    """A gate and the stable ids of the wires it touches."""
 
-    def gate_with_wires(self, wires: tuple[int, ...]) -> Gate:
-        return Gate(self.kind, wires, self.params, self.pattern, self.base)
+    gate: Gate
+    ids: tuple[int, ...]
+
+    @property
+    def kind(self) -> str:
+        return self.gate.kind
 
     def dep_ids(self) -> tuple[int, ...]:
         if self.kind in ("INIT", "DEST"):
@@ -136,7 +136,7 @@ class _IdCircuit:
     """Gate list over stable wire ids, with a total spatial order (keys)."""
 
     def __init__(self, c: Circuit):
-        th = thread(c)
+        th = c.threading
         self.n_in = c.n_in
         self.n_out = c.n_out
         self.key: dict[int, Fraction] = {i: Fraction(i) for i in range(c.n_in)}
@@ -151,7 +151,7 @@ class _IdCircuit:
                 open_ids.insert(pos, ids[0])
             elif g.kind == "DEST":
                 open_ids.remove(ids[0])
-            self.gates.append(_IdGate(g.kind, ids, g.params, g.pattern, g.base))
+            self.gates.append(_IdGate(g, ids))
         self._next_id = th.n_ids
 
     def key_between(self, lo: Fraction | None, hi: Fraction | None) -> Fraction:
@@ -176,11 +176,12 @@ class _IdCircuit:
         self.key[wid] = key
         return wid
 
-    def frames(self) -> list[list[int]]:
-        """Alive wire ids (spatial order) before each gate, plus the final frame."""
+    def frames(self, gates: list[_IdGate] | None = None) -> list[list[int]]:
+        """Alive wire ids (spatial order) before each of ``gates`` (default:
+        the circuit's own), plus the frame after the last one."""
         alive = sorted(range(self.n_in), key=lambda i: self.key[i])
         out = [list(alive)]
-        for g in self.gates:
+        for g in self.gates if gates is None else gates:
             if g.kind == "INIT":
                 keys = [self.key[a] for a in alive]
                 alive.insert(bisect_left(keys, self.key[g.ids[0]]), g.ids[0])
@@ -190,20 +191,13 @@ class _IdCircuit:
         return out
 
     def to_circuit(self) -> Circuit:
-        alive = sorted(range(self.n_in), key=lambda i: self.key[i])
-        gates: list[Gate] = []
-        for g in self.gates:
-            if g.kind == "INIT":
-                keys = [self.key[a] for a in alive]
-                pos = bisect_left(keys, self.key[g.ids[0]])
-                gates.append(init(pos))
-                alive.insert(pos, g.ids[0])
-            elif g.kind == "DEST":
-                pos = alive.index(g.ids[0])
-                gates.append(dest(pos))
-                alive.pop(pos)
-            else:
-                gates.append(g.gate_with_wires(tuple(alive.index(i) for i in g.ids)))
+        """Positions are read off the frames: an INIT's in the frame after
+        it, every other gate's in the frame before it."""
+        frames = self.frames()
+        gates = []
+        for g, frame, nxt in zip(self.gates, frames, frames[1:]):
+            ids_frame = nxt if g.kind == "INIT" else frame
+            gates.append(g.gate.with_wires(tuple(ids_frame.index(i) for i in g.ids)))
         return Circuit(self.n_in, self.n_out, tuple(gates))
 
 
@@ -212,11 +206,10 @@ def _rule_side_ids(side: Circuit):
 
     Returns (idgates, created labels in birth order, output labels).
     """
-    th = thread(side)
-    idgates = [_IdGate(g.kind, ids, g.params, g.pattern, g.base)
-               for g, ids in zip(side.gates, th.gate_ids)]
+    th = side.threading
+    idgates = [_IdGate(g, ids) for g, ids in zip(side.gates, th.gate_ids)]
     created = [ids[0] for g, ids in zip(side.gates, th.gate_ids) if g.kind == "INIT"]
-    return idgates, created, list(th.output_ids)
+    return idgates, created, th.output_ids
 
 
 # -- step application ---------------------------------------------------------
@@ -242,7 +235,6 @@ def apply_step_full(c: Circuit, step: Step, theory: str = "QC",
     src, dst = (inst.lhs, inst.rhs) if step.direction == "LR" else (inst.rhs, inst.lhs)
 
     idc = _IdCircuit(c)
-    frames = idc.frames()
     sel = tuple(step.site.gates)
     if len(sel) != len(set(sel)) or any(not 0 <= i < len(idc.gates) for i in sel):
         raise NoMatch("site gate indices out of range or repeated")
@@ -257,14 +249,8 @@ def apply_step_full(c: Circuit, step: Step, theory: str = "QC",
 
     # the block assembles after the floats-before; resolve wire positions in
     # that effective frame (floats may include INIT/DEST)
-    frame = list(frames[anchor])
-    for i in before:
-        g = idc.gates[i]
-        if g.kind == "INIT":
-            keys = [idc.key[a] for a in frame]
-            frame.insert(bisect_left(keys, idc.key[g.ids[0]]), g.ids[0])
-        elif g.kind == "DEST":
-            frame.remove(g.ids[0])
+    assembly = idc.gates[:anchor] + [idc.gates[i] for i in before]
+    frame = idc.frames(assembly)[-1]
     if len(step.site.wire_map) != src.n_in:
         raise NoMatch(f"wire_map has {len(step.site.wire_map)} entries, "
                       f"rule has {src.n_in} input wires")
@@ -282,19 +268,14 @@ def apply_step_full(c: Circuit, step: Step, theory: str = "QC",
     bound_created = _match_source(idc, src, sel, wire_ids)
     repl = _build_replacement(idc, src, dst, wire_ids, bound_created)
 
-    window_pre = idc.gates[:anchor]
     window_post = idc.gates[sel[-1] + 1:] if sel else idc.gates[anchor:]
-    new_gates = (window_pre + [idc.gates[i] for i in before] + repl
-                 + [idc.gates[i] for i in after] + window_post)
-    idc.gates = new_gates
+    idc.gates = assembly + repl + [idc.gates[i] for i in after] + window_post
     out = idc.to_circuit()
 
-    # site for the reverse step: the replacement block in the new circuit
-    start = anchor + len(before)
-    rev_gates = tuple(range(start, start + len(repl)))
-    rev_frame = _IdCircuit(out).frames()[start]
-    rev_map = tuple(rev_frame.index(w) for w in wire_ids)
-    rev_site = Site(rev_gates, rev_map, start)
+    # site for the reverse step: the replacement block in the new circuit,
+    # which assembles in the same frame, so under the same wire map
+    start = len(assembly)
+    rev_site = Site(tuple(range(start, start + len(repl))), step.site.wire_map, start)
 
     if safety:
         _safety_check(c, out, tol)
@@ -344,18 +325,18 @@ def _match_source(idc: _IdCircuit, src: Circuit, sel: tuple[int, ...],
             keys = [idc.key[a] for a in local_alive]
             pos = bisect_left(keys, idc.key[wid])
             local_alive.insert(pos, wid)
-            local_gates.append(init(pos))
+            local_gates.append(g.gate.with_wires((pos,)))
         elif g.kind == "DEST":
             wid = g.ids[0]
             if wid not in label_of or wid not in local_alive:
                 raise NoMatch("site DEST acts outside the mapped wires")
-            local_gates.append(dest(local_alive.index(wid)))
+            local_gates.append(g.gate.with_wires((local_alive.index(wid),)))
             local_alive.remove(wid)
         else:
             if any(wid not in label_of or wid not in local_alive for wid in g.ids):
                 raise NoMatch("selected gate touches a wire outside the map")
             local_gates.append(
-                g.gate_with_wires(tuple(local_alive.index(wid) for wid in g.ids)))
+                g.gate.with_wires(tuple(local_alive.index(wid) for wid in g.ids)))
     try:
         local = Circuit(src.n_in, src.n_out, tuple(local_gates))
     except QcError as exc:
@@ -382,10 +363,10 @@ def _build_replacement(idc: _IdCircuit, src: Circuit, dst: Circuit,
 
     repl: list[_IdGate] = []
     local_alive = [dst_map[i] for i in range(dst.n_in)]
-    for g, rg in zip(dst.gates, dst_gates):
+    for rg in dst_gates:
         if rg.kind == "INIT":
             lab = rg.ids[0]
-            rulepos = g.wires[0]
+            rulepos = rg.gate.wires[0]
             if lab not in dst_map:
                 lo = idc.key[local_alive[rulepos - 1]] if rulepos > 0 else None
                 hi = (idc.key[local_alive[rulepos]]
@@ -393,16 +374,10 @@ def _build_replacement(idc: _IdCircuit, src: Circuit, dst: Circuit,
                 if lo is None and hi is None and idc.key:
                     hi = min(idc.key.values())   # anchor-free: insert on top
                 dst_map[lab] = idc.fresh_id(idc.key_between(lo, hi))
-            wid = dst_map[lab]
-            local_alive.insert(rulepos, wid)
-            repl.append(_IdGate("INIT", (wid,), (), "", None))
+            local_alive.insert(rulepos, dst_map[lab])
         elif rg.kind == "DEST":
-            wid = dst_map[rg.ids[0]]
-            local_alive.remove(wid)
-            repl.append(_IdGate("DEST", (wid,), (), "", None))
-        else:
-            repl.append(_IdGate(rg.kind, tuple(dst_map[lab] for lab in rg.ids),
-                                rg.params, rg.pattern, rg.base))
+            local_alive.remove(dst_map[rg.ids[0]])
+        repl.append(_IdGate(rg.gate, tuple(dst_map[lab] for lab in rg.ids)))
     return repl
 
 
@@ -529,7 +504,7 @@ def find_sites(c: Circuit, rule: str, params=(), n: int | None = None,
             for i in phase_idx:
                 if i in used or i in chosen:
                     continue
-                if angles_equal(idc.gates[i].params[0], rg.params[0]):
+                if angles_equal(idc.gates[i].gate.params[0], rg.gate.params[0]):
                     used.append(i)
                     break
             else:
@@ -593,6 +568,8 @@ def normalize_1q(c: Circuit, emit_trace: bool = False, theory: str = "QC"):
         raise BadArity("normalize_1q needs a 1-in 1-out circuit")
     if any(g.kind in ("INIT", "DEST") for g in c.gates):
         raise BadArity("normalize_1q does not accept INIT/DEST")
+    if any(g.kind == "CTRL" for g in c.gates):
+        raise UnsupportedGate("normalize_1q has no rule that unfolds CTRL")
     nz = _Normalizer(c, theory, emit_trace)
     params = nz.run()
     if emit_trace:

@@ -23,7 +23,7 @@ import os
 
 import numpy as np
 
-from .circuit import Circuit, Gate, thread
+from .circuit import Circuit, Gate
 from .errors import (DegenerateMatrix, InvalidCircuit, NotUnitary,
                      ShapeMismatch, WireCapExceeded)
 
@@ -41,7 +41,6 @@ def wire_cap() -> int:
 
 def eval_matrix(c: Circuit) -> np.ndarray:
     """Matrix of the circuit, one in-place kernel per gate."""
-    thread(c)  # validate before any work
     cap = wire_cap()
     width = c.n_in
     if width > cap:

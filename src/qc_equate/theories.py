@@ -588,7 +588,7 @@ def verify_theory(theory: str, samples: int = 100, max_qubits: int = 6,
         else:
             ns = (arity,)
         for n in ns:
-            for _ in range(draws if n_params else min(draws, 3)):
+            for _ in range(draws):
                 ps = sample_params(n_params, rng)
                 inst = instantiate(rid, ps, n)
                 checks += 1

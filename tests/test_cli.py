@@ -71,6 +71,10 @@ def test_minimality(capsys):
                "--samples", "30"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["pass"]
+    # minimality takes no tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["minimality", "--theory", "QC", "--axiom", "H2", "--tol", "1e-9"])
+    assert exc.value.code == 2
 
 
 def test_list_rules(capsys):
@@ -98,8 +102,10 @@ def test_expand(files, capsys):
                for g in out["gates"])
 
 
-def test_bad_input_exit_code(tmp_path):
+def test_bad_input_exit_code(files, tmp_path):
     assert main(["eval", str(tmp_path / "missing.json")]) == 2
+    assert main(["eval", str(tmp_path)]) == 2
+    assert main(["normalize", files["hph"], "--trace", str(tmp_path)]) == 2
     no_gates = tmp_path / "no_gates.json"
     no_gates.write_text(json.dumps({"n_in": 1, "n_out": 1}))
     assert main(["eval", str(no_gates)]) == 2

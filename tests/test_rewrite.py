@@ -1,15 +1,18 @@
 """Rule application, sites, replay, and the 1-qubit decision procedures."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 from qc_equate import (Circuit, Derivation, Site, Step, apply_step, circuit,
-                       cnot, decide_equiv_1q, deformation_equal, dest,
+                       cnot, ctrl, decide_equiv_1q, deformation_equal, dest,
                        eval_matrix, find_sites, gphase, h, init, nf_from_unitary,
                        normalize_1q, p, replay, reverse_derivation, rx, x, z)
-from qc_equate.errors import BadArity, IllegalSite, NoMatch
+from qc_equate.errors import BadArity, IllegalSite, NoMatch, UnsupportedGate
+from qc_equate.rewrite import apply_step_full
+from qc_equate.traces import all_traces
 
 PI = math.pi
 
@@ -81,6 +84,37 @@ def test_ancilla_steps():
     out3 = apply_step(out2, Step("AP", "LR", (1.3,), None, Site((1, 2), (), 0)),
                       theory="QCancilla")
     assert deformation_equal(out3, out)
+
+
+def test_reverse_site_is_the_step_wire_map():
+    # the replacement assembles in the frame the step resolved its wire map
+    # in, and the flipped step fired there restores the step's input
+    for d in all_traces():
+        c = d.initial
+        for step in d.steps:
+            res = apply_step_full(c, step, d.theory, allow_lemmas=True, safety=False)
+            assert res.reverse_site.wire_map == step.site.wire_map
+            flipped = Step(step.rule, "RL" if step.direction == "LR" else "LR",
+                           step.params, step.n, res.reverse_site)
+            back = apply_step(res.circuit, flipped, d.theory, allow_lemmas=True,
+                              safety=True)
+            assert deformation_equal(back, c)
+            c = res.circuit
+
+
+def test_circuits_are_threaded_once(monkeypatch):
+    # only the Circuit constructor threads: a step threads the rule's two
+    # sides, the matched block and its result; evaluation threads nothing
+    circuit_mod = importlib.import_module("qc_equate.circuit")
+    c = circuit(2, [cnot(0, 1), p(0.7, 0), cnot(0, 1)])
+    calls = []
+    thread = circuit_mod.thread
+    monkeypatch.setattr(circuit_mod, "thread", lambda cc: calls.append(cc) or thread(cc))
+    apply_step(c, Step("C", "LR", (0.7,), None, Site((0, 1, 2), (0, 1))), safety=False)
+    assert len(calls) <= 4
+    calls.clear()
+    eval_matrix(c)
+    assert calls == []
 
 
 def test_find_sites():
@@ -190,6 +224,9 @@ def test_normalize_rejects_wide_or_ancilla():
         normalize_1q(circuit(2, [cnot(0, 1)]))
     with pytest.raises(BadArity):
         normalize_1q(Circuit(1, 1, (init(0), dest(0), h(0))))
+    for theory in ("QC", "QCprime"):
+        with pytest.raises(UnsupportedGate):
+            normalize_1q(circuit(1, [h(0), ctrl("", x(0), (0,))]), theory=theory)
 
 
 def test_decide_equiv_examples():

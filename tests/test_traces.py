@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from qc_equate import (Derivation, circuit, deformation_equal, eval_matrix,
 from qc_equate import traces as tr
 
 PI = math.pi
+TRACE_DIR = Path(__file__).resolve().parent.parent / "traces"
 
 
 def test_every_shipped_trace_replays_with_safety_net():
@@ -60,6 +62,14 @@ def test_parametric_traces_on_other_angles():
         replay(tr.qcprime_pminus(phi), allow_lemmas=True, safety=True)
     for abc in [(0.5, 1.5, 2.5), (-1.0, 0.3, 4.0)]:
         replay(tr.qcprime_euler(*abc), allow_lemmas=True, safety=True)
+
+
+def test_frozen_traces_equal_all_traces():
+    shipped = {d.name: d for d in tr.all_traces()}
+    frozen = {path.stem: path for path in TRACE_DIR.glob("*.json")}
+    assert set(frozen) == set(shipped)
+    for name, path in frozen.items():
+        assert json.loads(path.read_text()) == json.loads(json.dumps(shipped[name].to_dict()))
 
 
 def test_json_round_trip_replays(tmp_path):
