@@ -60,7 +60,11 @@ def _keep_only(c: Circuit, kinds) -> Circuit:
 
 
 def interp_axiom(name: str, c: Circuit, psi: float | None = None):
-    """Value of circuit c under the counter-interpretation for ``name``."""
+    """Value of circuit c under the counter-interpretation for ``name``.
+
+    ``P0'`` is the (P0) witness of QCprime: 1 when the expanded circuit
+    has a P gate.
+    """
     e = _expanded(c)
     if name == "S2PI":
         return int(_count(e, ("GPHASE",)) > 0)
@@ -73,6 +77,8 @@ def interp_axiom(name: str, c: Circuit, psi: float | None = None):
         return int(_count(e, ("H",)) > 0)
     if name == "P0":
         return _count(e, ("H", "P")) % 2
+    if name == "P0'":
+        return int(_count(e, ("P",)) > 0)
     if name == "C":
         return int(_count(e, ("CNOT",)) > 0)
     if name == "B":
@@ -87,6 +93,12 @@ def interp_axiom(name: str, c: Circuit, psi: float | None = None):
 #: qubit bound within which each interpretation is sound on the other axioms
 INTERP_BOUND = {"S2PI": 0, "SPLUS": 0, "H2": 1, "P0": 1, "C": 2, "CZ": None,
                 "B": None, "EH": None}
+
+#: witnesses that depend on the theory: (P+) turns two P gates into one,
+#: which breaks the #H + #P parity, so QCprime's (P0) row asks whether the
+#: circuit has a P gate at all.  QC keeps the parity: (EH) gives a P-free
+#: circuit P gates.
+_THEORY_WITNESS = {("QCprime", "P0"): "P0'"}
 
 
 def _values_equal(a, b) -> bool:
@@ -274,7 +286,8 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
         kind = "sign-assignment value set"
     else:
         bound = INTERP_BOUND[axiom]
-        kind = f"interp[{axiom}]"
+        witness = _THEORY_WITNESS.get((theory, axiom), axiom)
+        kind = f"interp[{witness}]"
         if axiom == "SPLUS":
             psi = float(rng.uniform(0.1, TWO_PI - 0.1))
 
@@ -308,7 +321,7 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
                 ok = equal_value_sets(interp_E_values(inst.lhs),
                                       interp_E_values(inst.rhs))
             else:
-                va, vb = _instance_values(axiom, inst, psi)
+                va, vb = _instance_values(witness, inst, psi)
                 ok = _values_equal(va, vb)
             if not ok:
                 sound = False

@@ -20,13 +20,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, angles_equal,
                       deformation_equal, reduce_angle)
 from .errors import (ArityMismatch, BadArity, IllegalSite, NoMatch, QcError,
                      SemanticDrift, UnknownLemma, UnknownTheory, UnsupportedGate)
-from .euler import NormalFormParams, _pack, euler_eprime
+from .euler import NormalFormParams, _pack
 from .semantics import equal_matrices, eval_matrix, wire_cap
 from .theories import (DEFINITIONAL, RuleId, RuleInstance, _CATALOG,
                        instantiate, lemma_instantiate)
@@ -54,8 +52,23 @@ class Site:
 
     @staticmethod
     def from_dict(d: dict) -> "Site":
-        return Site(tuple(d.get("gates", ())), tuple(d.get("wire_map", ())),
-                    int(d.get("at", 0)))
+        return Site(_int_tuple(d.get("gates", ()), "gates"),
+                    _int_tuple(d.get("wire_map", ()), "wire_map"),
+                    _int(d.get("at", 0), "at"))
+
+
+def _int(v, field: str) -> int:
+    """``v`` itself if it is an int; bools and floats are rejected, so 0.5
+    never truncates to 0."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"{field} must be an integer, got {v!r}")
+    return v
+
+
+def _int_tuple(vs, field: str) -> tuple[int, ...]:
+    if not isinstance(vs, (list, tuple)):
+        raise TypeError(f"{field} must be a list of integers, got {vs!r}")
+    return tuple(_int(v, field) for v in vs)
 
 
 @dataclass(frozen=True)
@@ -73,8 +86,11 @@ class Step:
 
     @staticmethod
     def from_dict(d: dict) -> "Step":
-        return Step(d["rule"], d["direction"], tuple(d.get("params", ())),
-                    d.get("n"), Site.from_dict(d.get("site", {})))
+        n = d.get("n")
+        return Step(d["rule"], d["direction"],
+                    tuple(float(v) for v in d.get("params", ())),
+                    None if n is None else _int(n, "n"),
+                    Site.from_dict(d.get("site", {})))
 
 
 @dataclass
@@ -557,12 +573,13 @@ def normalize_1q(c: Circuit, emit_trace: bool = False, theory: str = "QC"):
     """Bring a 1-qubit circuit to the normal form GPHASE.P.RX.P.
 
     Returns (NormalFormParams, Derivation or None).  The QC procedure
-    eliminates H via (EH) and contracts RX.P.RX blocks with (E); the
-    QCprime variant does the same work from (E') and (P+), solving for the
-    phase split that makes two (E') applications close.  Every step goes
-    through the rewrite engine, and each follow-up site is derived from
-    where the previous replacement landed: wire gates are addressed by
-    their ordinal in the wire word, never found again by their angles.
+    eliminates H via (EH), works over the {RX, P} word and contracts
+    RX.P.RX blocks with (E).  The QCprime procedure is its dual: it unfolds
+    RX via (RXDEF), works over the {H, P} word and contracts H.P.H.P.H
+    blocks with (E'), one H at a time.  Every step goes through the rewrite
+    engine, and each follow-up site is derived from where the previous
+    replacement landed: wire gates are addressed by their ordinal in the
+    wire word, never found again by their angles.
     """
     if c.n_in != 1 or c.n_out != 1:
         raise BadArity("normalize_1q needs a 1-in 1-out circuit")
@@ -586,6 +603,14 @@ def decide_equiv_1q(c1: Circuit, c2: Circuit, tol: float = 1e-8) -> bool:
 
 class _Normalizer:
     """Stateful driver emitting verified steps (all applied by the engine).
+
+    One reduction loop serves both theories: it merges GPHASEs (S+), P P
+    (P+) and RX RX (RX+) pairs, cancels H H (H2), drops P(0) (P0) and
+    RX(0) (RX0), and then contracts.  In QC every H has become P RX P by
+    (EH), and (E) contracts RX P RX.  In QCprime every RX has been unfolded
+    to H P H by (RXDEF), the reduced word alternates H and P, and each
+    contraction removes one H through (E').  Both end in the shared band
+    reduction of ``_shape_and_read``.
 
     Wire gates are addressed by their ordinal in the wire word (the
     non-GPHASE gates in circuit order).  No step reorders that word, so an
@@ -654,41 +679,25 @@ class _Normalizer:
 
     def run(self) -> NormalFormParams:
         self._unfold_macros()
-        self._strip_hadamards()
+        if self.theory == "QC":
+            self._strip_hadamards()
         self._reduce()
         return self._shape_and_read()
 
     def _unfold_macros(self):
-        changed = True
-        while changed:
-            changed = False
-            for i, g in enumerate(self.c.gates):
-                if g.kind == "X":
-                    self.do("XDEF", "LR", site=Site((i,), (0,)))
-                elif g.kind == "Z":
-                    self.do("ZDEF", "LR", site=Site((i,), (0,)))
-                elif g.kind == "MCP":
-                    self.do("MCPDEF", "LR", (g.params[0],), 1, Site((i,), (0,)))
-                elif g.kind == "MCRX":
-                    self.do("MCRXDEF", "LR", (g.params[0],), 1, Site((i,), (0,)))
-                else:
-                    continue
-                changed = True
-                break
+        """Unfold X, Z, MCP and MCRX, and in QCprime also RX, leftmost first."""
+        rules = {"X": "XDEF", "Z": "ZDEF", "MCP": "MCPDEF", "MCRX": "MCRXDEF"}
+        if self.theory != "QC":
+            rules["RX"] = "RXDEF"
+        while (i := next((i for i, g in enumerate(self.c.gates)
+                          if g.kind in rules), None)) is not None:
+            g = self.gate(i)
+            n = 1 if g.kind in ("MCP", "MCRX") else None
+            self.do(rules[g.kind], "LR", g.params, n, Site((i,), (0,)))
 
     def _strip_hadamards(self):
-        while True:
-            hs = [i for i, g in enumerate(self.c.gates) if g.kind == "H"]
-            if not hs:
-                return
-            i = hs[0]
-            if self.theory == "QC":
-                self.do("EH", "LR", site=Site((i,), (0,)))
-            else:
-                self._mint_rx0(i)          # RX(0) lands just before the H
-                self._mint_rx0(i + 2)      # and just after it
-                self.do("EPRIME", "LR", (0.0, 0.0),
-                        site=Site((i, i + 1, i + 2), (0,)))
+        while hs := [i for i, g in enumerate(self.c.gates) if g.kind == "H"]:
+            self.do("EH", "LR", site=Site((hs[0],), (0,)))
 
     def _mint_rx0(self, at: int):
         """Insert RX(0) at gate index ``at`` using axioms and definitions."""
@@ -701,16 +710,10 @@ class _Normalizer:
     # -- reduction loop -------------------------------------------------------
 
     def _reduce(self):
-        while True:
-            if self._merge_phases():
-                continue
-            if self._merge_wire_pairs():
-                continue
-            if self._drop_trivial():
-                continue
-            if self._contract_once():
-                continue
-            return
+        contract = self._contract_once if self.theory == "QC" else self._contract_hp
+        while (self._merge_phases() or self._merge_wire_pairs()
+               or self._drop_trivial() or contract()):
+            pass
 
     def _merge_phases(self) -> bool:
         ph = self.phase_gates()
@@ -735,29 +738,16 @@ class _Normalizer:
             self._pplus(k)
 
     def _merge_wire_pairs(self) -> bool:
-        k = self.find_word(("P", "P"))
-        if k is not None:
+        if (k := self.find_word(("P", "P"))) is not None:
             self._pplus(k)
-            return True
-        k = self.find_word(("RX", "RX"))
-        if k is not None:
-            self._rxplus(k)
-            return True
-        return False
-
-    def _rxplus(self, k: int):
-        """Merge RX(ta) RX(tb) at wire ordinals k, k+1."""
-        ta, tb = self.angle(k), self.angle(k + 1)
-        if self.theory == "QC":
-            self.do("RXPLUS", "LR", (ta, tb), site=self.wsite(k, 2))
-            return
-        # QCprime: unfold both rotations, cancel the middle H pair, refold
-        self.do("RXDEF", "LR", (ta,), site=self.wsite(k))          # H P H RX
-        self.do("RXDEF", "LR", (tb,), site=self.wsite(k + 3))      # H P H H P H
-        self.do("H2", "LR", site=self.wsite(k + 2, 2))
-        self._pplus(k + 1)
-        self._merge_phases_all()
-        self._fold_hph(k + 1)
+        elif (k := self.find_word(("RX", "RX"))) is not None:
+            self.do("RXPLUS", "LR", (self.angle(k), self.angle(k + 1)),
+                    site=self.wsite(k, 2))
+        elif (k := self.find_word(("H", "H"))) is not None:
+            self.do("H2", "LR", site=self.wsite(k, 2))
+        else:
+            return False
+        return True
 
     def _fold_hph(self, k: int):
         """Fold H P(v) H around wire ordinal k into RX(v) at ordinal k-1.
@@ -782,115 +772,48 @@ class _Normalizer:
                                                             2 * TWO_PI))
         if k is None:
             return False
-        if self.theory == "QC":
-            self.do("RX0", "LR", site=self.wsite(k))
-        else:
-            self.do("RXDEF", "LR", (self.angle(k),), site=self.wsite(k))   # H P(0) H
-            self.do("P0", "LR", site=self.wsite(k + 1))
-            self.do("H2", "LR", site=self.wsite(k, 2))
-            self._merge_phases_all()
+        self.do("RX0", "LR", site=self.wsite(k))
         return True
 
     def _contract_once(self) -> bool:
+        """QC: RX P RX -> GPHASE P RX P by (E)."""
         k = self.find_word(("RX", "P", "RX"))
         if k is None:
             return False
-        if self.theory == "QC":
-            self.do("E", "LR", (self.angle(k), self.angle(k + 1), self.angle(k + 2)),
-                    site=self.wsite(k, 3))
-        else:
-            self._contract_qcprime(k)
+        self.do("E", "LR", (self.angle(k), self.angle(k + 1), self.angle(k + 2)),
+                site=self.wsite(k, 3))
         return True
 
-    def _contract_qcprime(self, k: int):
-        """RX(t1) P(phi) RX(t2) at wire ordinals k..k+2 -> P RX P via (E') twice.
+    def _contract_hp(self) -> bool:
+        """QCprime: remove one H from the alternating {H, P} word.
 
-        The middle phase is split as P(a) P(b) with a + b = phi, and an H
-        pair between the halves lets each fold into an (E') block:
-        RX(t1) H RX(a) and RX(b) H RX(t2).  ``_solve_split`` picks x so the
-        two inner phases left over sum to 0 mod pi, with x = a (direct) or
-        x = b (mirrored); one orientation always has a solution unless
-        exactly one rotation is pi/2 mod pi, which ``_contract_via_h``
-        handles instead.  Every site is an ordinal offset from k.
+        With three or more H's the word reads H P(a) H P(b) H from the
+        first H on.  An H pair after the middle H lets both H P H runs fold
+        into RX(a) H RX(b), (E') turns that into GPHASE P RX P, and
+        unfolding the RX again leaves P H P H P.  Two H's fold into one RX;
+        a lone H gets an RX(0) on each side and (E') at (0, 0).  (E') is
+        total over its three Euler cases, so no case needs its own route.
         """
-        t1, phi, t2 = self.angle(k), self.angle(k + 1), self.angle(k + 2)
-        half1 = angles_equal(t1, math.pi / 2.0, math.pi)
-        half2 = angles_equal(t2, math.pi / 2.0, math.pi)
-        if half1 != half2:
-            self._contract_via_h(k, right=half2)
-            return
-        try:
-            xv = _solve_split(t1, phi, t2)
-            a, b = xv, phi - xv
-        except NoMatch:
-            xv = _solve_split(t1, phi, t2, mirror=True)
-            a, b = phi - xv, xv
-        self.do("PPLUS", "RL", (a, b), site=self.wsite(k + 1))
-        self.insert("H2", k + 2)             # RX(t1) P(a) H H P(b) RX(t2)
-        self._absorb(k + 1, right=False)     # P RX P H P(b) RX(t2)
-        self._absorb(k + 4, right=True)      # P RX P P RX P
-        self._contract_tail(k)
-
-    def _absorb(self, k: int, right: bool):
-        """Contract P(v) at wire ordinal k into the rotation on its right
-        (else left) side, given an H on its other side.
-
-        An H pair goes between P and RX, H P(v) H folds into RX(v), and
-        (E') contracts the resulting RX H RX block at ordinals k-1..k+1.
-        """
-        if right:                       # H P(v) RX(t) -> H P(v) H H RX(t)
-            self.insert("H2", k + 1)
-            self._fold_hph(k)
-        else:                           # RX(t) P(v) H -> RX(t) H H P(v) H
-            self.insert("H2", k)
-            self._fold_hph(k + 2)
-        self.do("EPRIME", "LR", (self.angle(k - 1), self.angle(k + 1)),
-                site=self.wsite(k - 1, 3))
-
-    def _contract_via_h(self, k: int, right: bool):
-        """RX(t1) P(phi) RX(t2) at ordinals k..k+2 where only the right (else
-        left) rotation is pi/2 mod pi.
-
-        (RX-) leaves that rotation as RX(q) with q = +-pi/2.  A P(0) on its
-        outer side and P(phi) are split so P(q) pads it on both sides, and
-        P(q) RX(q) P(q) = H by (E_H) or its mirror lemma.  The H then sits
-        next to P(phi - q), which ``_absorb`` contracts into the other
-        rotation.
-        """
-        j = k + 2 if right else k
-        vr = reduce_angle(self.angle(j), 2 * TWO_PI)
-        if math.pi < vr < 3 * math.pi:          # 3pi/2, 5pi/2 -> -pi/2, pi/2
-            self.do("RXNEG", "LR", (vr,), site=self.wsite(j))
-        q = math.pi / 2.0
-        if not angles_equal(vr, q):             # 3pi/2 or 7pi/2
-            q = -q
-        r = j if right else j + 1               # RX(q) once P(0) is in place
-        self.insert("P0", j + 1 if right else j)
-        self.do("PPLUS", "RL", (q, self.angle(r + 1) - q), site=self.wsite(r + 1))
-        self.do("PPLUS", "RL", (self.angle(r - 1) - q, q), site=self.wsite(r - 1))
-        if q > 0:
-            self.do("EH", "RL", site=self.wsite(r, 3))
+        hs = [k for k, i in enumerate(self.wire_gates()) if self.gate(i).kind == "H"]
+        if not hs:
+            return False
+        k = hs[0]
+        if len(hs) == 2:
+            self._fold_hph(k + 1)
+            return True
+        if len(hs) == 1:
+            i = self.wire_gates()[k]
+            self._mint_rx0(i)                # RX(0) lands just before the H
+            self._mint_rx0(i + 2)            # and just after it
         else:
-            self.do("HEULERMINUS", "LR", site=self.wsite(r, 3))
-        self._absorb(r - 1 if right else r + 1, right=not right)
-
-    def _contract_tail(self, k: int):
-        """Finish P(g1) RX(g2) P(g3) P(d1) RX(d2) P(d3) at ordinals k..k+5.
-
-        The inner phases sum to 0 mod pi; a leftover pi is pulled through
-        the right rotation, and the two rotations merge.
-        """
-        v = self.angle(k + 2) + self.angle(k + 3)
-        self._pplus(k + 2)
-        if angles_equal(v, 0.0, TWO_PI, 1e-8):
-            self.do("P0", "LR", site=self.wsite(k + 2))
-        else:
-            self.do("PPLUS", "RL", (math.pi, v - math.pi), site=self.wsite(k + 2))
-            self.do("P0", "LR", site=self.wsite(k + 3))
-            self.do("PPLUS", "RL", (math.pi, self.angle(k + 4) - math.pi),
-                    site=self.wsite(k + 4))
-            self.do("RXMINUS", "LR", (self.angle(k + 3),), site=self.wsite(k + 2, 3))
-        self._rxplus(k + 1)
+            self.insert("H2", k + 3)         # H P(a) H H H P(b) H
+            self._fold_hph(k + 1)            # RX(a) H H P(b) H
+            self._fold_hph(k + 3)            # RX(a) H RX(b)
+        self.do("EPRIME", "LR", (self.angle(k), self.angle(k + 2)),
+                site=self.wsite(k, 3))
+        if len(hs) > 2:
+            self.do("RXDEF", "LR", (self.angle(k + 1),), site=self.wsite(k + 1))
+        return True
 
     # -- final shaping ---------------------------------------------------------
 
@@ -938,71 +861,3 @@ class _Normalizer:
         b2 = reduce_angle(self.gate(w[1]).params[0], 2 * TWO_PI)
         b3 = self.gate(w[2]).params[0]
         return _pack(b0, b1, b2, b3)
-
-
-def _wrap_half(u: float) -> float:
-    """Reduce into [-pi/2, pi/2): distance of u from the nearest pi multiple."""
-    r = math.fmod(u + math.pi / 2.0, math.pi)
-    if r < 0:
-        r += math.pi
-    return r - math.pi / 2.0
-
-
-def _solve_split(t1: float, phi: float, t2: float, mirror: bool = False) -> float:
-    """Find x making the two inner (E') phases sum to 0 mod pi.
-
-    Direct orientation: f(x) = beta3'(t1, x) + beta1'(phi - x, t2);
-    mirrored: beta3'(t1, phi - x) + beta1'(x, t2).  Where both (E')
-    instances are generic, f = 0 mod pi exactly when
-    g(x) = Im(z_A conj(z'_A) z_B z'_B) vanishes (A, B the two angle pairs,
-    z, z' their Euler witnesses).  g is a trigonometric polynomial of
-    degree at most 4 in x/2, so 16 samples give its 9 Fourier coefficients
-    exactly and its zeros are the unit-circle roots of a degree-8
-    polynomial.  Each root is polished by bisection on the exact f; the
-    smallest root in [0, 4pi) with |f| < 1e-10 is returned, x = 0 when g
-    vanishes identically.
-    """
-    def pairs(xv: float):
-        return ((t1, phi - xv), (xv, t2)) if mirror else ((t1, xv), (phi - xv, t2))
-
-    def f(xv: float) -> float:
-        (a, _), (b, _) = (euler_eprime(*ab) for ab in pairs(xv))
-        return _wrap_half(a.beta3 + b.beta1)
-
-    def g(xv: float) -> float:
-        (_, ca), (_, cb) = (euler_eprime(*ab) for ab in pairs(xv))
-        return (ca.z * ca.z_prime.conjugate() * cb.z * cb.z_prime).imag
-
-    coef = np.fft.fft([g(j * math.pi / 4.0) for j in range(16)]) / 16.0
-    poly = coef[np.arange(4, -5, -1) % 16]          # c_4 .. c_-4
-    if np.max(np.abs(poly)) < 1e-12:
-        candidates = [0.0]
-    else:
-        # x in [-1e-9, 4pi - 1e-9): a root just below 4pi is the root at 0
-        roots = sorted((2.0 * float(np.angle(w)) + 1e-9) % (2 * TWO_PI) - 1e-9
-                       for w in np.roots(poly) if abs(abs(w) - 1.0) < 1e-3)
-        candidates = (_bisect(f, xv) for xv in roots)
-    for xv in candidates:
-        if abs(f(xv)) < 1e-10:
-            return xv
-    raise NoMatch("no split angle closes the (E') contraction")
-
-
-def _bisect(f, xv: float) -> float:
-    """Refine a root estimate of f by bisection on [xv - 1e-6, xv + 1e-6];
-    the estimate is returned as is unless f changes sign strictly there."""
-    lo, hi = xv - 1e-6, xv + 1e-6
-    flo = f(lo)
-    if not flo * f(hi) < 0:
-        return xv
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        fm = f(mid)
-        if fm == 0.0:
-            break
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -115,3 +116,29 @@ def test_bad_input_exit_code(files, tmp_path):
     no_theory = tmp_path / "no_theory.json"
     no_theory.write_text(json.dumps({"initial": HH, "steps": [], "final": HH}))
     assert main(["replay", str(no_theory)]) == 2
+    # mistyped step fields: no raw TypeError/ValueError, and 0.5 is not index 0
+    mistyped = tmp_path / "mistyped.json"
+
+    def replay_h2(**fields):
+        step = {"rule": "H2", "direction": "LR", "params": [], "n": None,
+                "site": {"gates": [0, 1], "wire_map": [0], "at": 0}}
+        for key, value in fields.items():
+            (step if key in ("params", "n") else step["site"])[key] = value
+        mistyped.write_text(json.dumps(
+            {"theory": "QC", "initial": HH, "steps": [step], "final": EMPTY}))
+        return main(["replay", str(mistyped)])
+
+    assert replay_h2() == 0
+    for field, bad in (("gates", "ab"), ("gates", [0.5, 1, 2]),
+                       ("wire_map", ["a", 1]), ("params", ["x"]),
+                       ("at", True), ("n", 1.0)):
+        assert replay_h2(**{field: bad}) == 2, field
+
+
+def test_replay_frozen_traces(capsys):
+    paths = sorted((Path(__file__).resolve().parent.parent / "traces").glob("*.json"))
+    assert len(paths) == 19
+    for path in paths:
+        assert main(["replay", str(path), "--allow-lemmas"]) == 0, path.name
+        out = json.loads(capsys.readouterr().out)
+        assert out["steps"] == len(json.loads(path.read_text())["steps"])

@@ -141,6 +141,19 @@ def test_minimality_matrix_helper():
     assert m["pass"] and len(m["rows"]) == 10
 
 
+def test_p0_witness_follows_the_theory():
+    # (P+) merges two P gates into one, so QCprime cannot use the #H + #P
+    # parity; it asks whether the circuit has a P gate instead
+    for seed in range(4):
+        rep = minimality_report("QCprime", "P0", seed=seed)
+        assert rep["pass"] and rep["interpretation"] == "interp[P0']", rep
+        assert rep["results"]["PPLUS"] == rep["results"]["EPRIME"] == "sound"
+        rep = minimality_report("QC", "P0", seed=seed)
+        assert rep["pass"] and rep["interpretation"] == "interp[P0]", rep
+    assert interp_axiom("P0'", circuit(1, [h(0)])) == 0
+    assert interp_axiom("P0'", circuit(1, [p(0.3, 0), p(0.4, 0)])) == 1
+
+
 def test_minimality_example_reports():
     rep = minimality_report("QC", "H2", samples=50, seed=0)
     assert rep["results"]["H2"] == "unsound"

@@ -11,17 +11,20 @@ from qc_equate import (Circuit, Derivation, Site, Step, apply_step, circuit,
                        eval_matrix, find_sites, gphase, h, init, nf_from_unitary,
                        normalize_1q, p, replay, reverse_derivation, rx, x, z)
 from qc_equate.errors import BadArity, IllegalSite, NoMatch, UnsupportedGate
+from qc_equate.euler import GENERIC, Z_ZERO, ZPRIME_ZERO, euler_eprime
 from qc_equate.rewrite import apply_step_full
+from qc_equate.theories import DEFINITIONAL, _CATALOG
 from qc_equate.traces import all_traces
 
 PI = math.pi
 
 
-def rand_1q(rng, m):
+def rand_1q(rng, m, grid=False):
+    """m random gates; with ``grid`` every angle is a multiple of pi/4."""
     gates = []
     for _ in range(m):
         k = rng.integers(0, 6)
-        ang = float(rng.uniform(-7, 7))
+        ang = float(rng.integers(-16, 17)) * PI / 4 if grid else float(rng.uniform(-7, 7))
         gates.append([h(0), p(ang, 0), gphase(ang), x(0), z(0),
                       rx(ang, 0)][k])
     return circuit(1, gates)
@@ -212,11 +215,30 @@ def test_normalize_qcprime_variant():
                     h(0), rx(-6.814522666230806, 0), gphase(6.0419672278893355),
                     gphase(4.800297777855281), p(6.4670877788452845, 0)]),
     ]
-    for c in fixed:
+    # angles on the pi/4 grid reach every Euler case of (E')
+    rng = np.random.default_rng(22)
+    grid = [rand_1q(rng, int(rng.integers(0, 17)), grid=True) for _ in range(150)]
+    cases = set()
+    for c in fixed + grid:
         params, deriv = normalize_1q(c, emit_trace=True, theory="QCprime")
         assert params.close_to(nf_from_unitary(eval_matrix(c)), 1e-8)
         out = replay(deriv, allow_lemmas=True, safety=True, tol=1e-9)
         assert deformation_equal(out, deriv.final)
+        cases |= {euler_eprime(*s.params)[1].tag for s in deriv.steps
+                  if s.rule == "EPRIME"}
+    assert cases == {GENERIC, Z_ZERO, ZPRIME_ZERO}
+
+
+def test_qcprime_normalizer_cites_only_qcprime_rules():
+    """QCprime traces rest on QCprime's axioms, the macro definitions and the
+    two band-reduction lemmas: never on (EH) or (E) or lemmas derived from
+    them."""
+    allowed = set(_CATALOG["QCprime"]) | set(DEFINITIONAL) | {"RXNEG", "RXFLIP"}
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        c = rand_1q(rng, int(rng.integers(0, 17)))
+        _, deriv = normalize_1q(c, emit_trace=True, theory="QCprime")
+        assert {s.rule for s in deriv.steps} <= allowed
 
 
 def test_normalize_rejects_wide_or_ancilla():
