@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import ArityMismatch, InvalidCircuit
@@ -80,6 +81,17 @@ def angles_equal(a: float, b: float, period: float = TWO_PI, tol: float = ANGLE_
     return d <= tol or period - d <= tol
 
 
+def _wire(w) -> int:
+    """``w`` as an int (numpy ints included); bools and floats are rejected,
+    so 0.9 never truncates to wire 0."""
+    if isinstance(w, bool):
+        raise InvalidCircuit(f"wire {w!r} is not an integer")
+    try:
+        return operator.index(w)
+    except TypeError:
+        raise InvalidCircuit(f"wire {w!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate occurrence: a kind tag, wire positions and real parameters.
@@ -100,7 +112,8 @@ class Gate:
     def __post_init__(self):
         if self.kind not in _KIND_SIG:
             raise InvalidCircuit(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
+        object.__setattr__(self, "wires", tuple(
+            w if type(w) is int else _wire(w) for w in self.wires))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         for p in self.params:
             if not math.isfinite(p):
@@ -413,6 +426,14 @@ def canonicalize(c: Circuit) -> CanonicalForm:
 
 def _canonical_gates(c: Circuit) -> list[Gate]:
     """The gates of ``canonicalize(c)``, read off the circuit's threading."""
+    return _emit(c, _canonical_order(c))
+
+
+def _canonical_order(c: Circuit) -> list[int]:
+    """The indices of ``c``'s gates in canonical order.
+
+    Deformation-equal circuits put the same gate at the same rank.
+    """
     gate_ids = c.threading.gate_ids
     n = len(c.gates)
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -449,7 +470,7 @@ def _canonical_gates(c: Circuit) -> list[Gate]:
                 heapq.heappush(ready, _prio(c.gates[j], gate_ids[j], depth[j], j))
     if len(order) != n:
         raise InvalidCircuit("cycle in threading DAG")  # unreachable by construction
-    return _emit(c, order)
+    return order
 
 
 def _prio(g: Gate, ids: tuple[int, ...], depth: int, idx: int):

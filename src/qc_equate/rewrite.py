@@ -20,8 +20,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, angles_equal,
-                      deformation_equal, reduce_angle)
+from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _canonical_order,
+                      angles_equal, deformation_equal, reduce_angle)
 from .errors import (ArityMismatch, BadArity, IllegalSite, NoMatch, QcError,
                      SemanticDrift, UnknownLemma, UnknownTheory, UnsupportedGate)
 from .euler import NormalFormParams, _pack
@@ -422,65 +422,74 @@ def replay(d: Derivation, allow_lemmas: bool = False, safety: bool = True,
 
 
 def reverse_derivation(d: Derivation, name: str = "") -> Derivation:
-    """The same derivation run backwards (directions flipped, sites rebuilt).
+    """The same derivation run backwards (directions flipped, sites carried).
 
-    A reversed step restores its predecessor only up to deformation, which
-    can shift the gate indices later reversed steps refer to; each reversed
-    site is therefore validated against the recorded intermediate circuit
-    and re-anchored with a site scan when the naive indices drift.  The
-    reversed derivation starts from the forward replay's end, which the
-    reversed sites refer to; ``d.final`` may only be deformation-equal
-    to it.
+    A reversed step restores its predecessor only up to deformation, so the
+    circuit the reversed run reaches may order its gates differently from
+    the one on which the forward step recorded its replacement's site.  That
+    site is carried over by canonical rank (``_carry_site``), never searched
+    for, and the reversed step must land deformation-equal on the forward
+    step's input; otherwise NoMatch is raised.  The reversed derivation
+    starts from the forward replay's end, which the reversed sites refer
+    to; ``d.final`` may only be deformation-equal to it.
     """
     c = d.initial
-    fwd: list[tuple[Step, Circuit, Site]] = []
+    fwd: list[tuple[Step, Circuit, ApplyResult]] = []
     for step in d.steps:
         res = apply_step_full(c, step, d.theory, allow_lemmas=True, safety=False)
-        fwd.append((step, c, res.reverse_site))
+        fwd.append((step, c, res))
         c = res.circuit
 
     rev_steps: list[Step] = []
     cur = c
-    for step, target, rsite in reversed(fwd):
-        flipped = "RL" if step.direction == "LR" else "LR"
-        cand = Step(step.rule, flipped, step.params, step.n, rsite)
-        nxt = _try_step(cur, cand, d.theory, target)
-        if nxt is None:
-            cand, nxt = _reanchor(cur, step, flipped, d.theory, target, rsite)
-        rev_steps.append(cand)
-        cur = nxt
+    for i, (step, before, res) in reversed(list(enumerate(fwd))):
+        chain = any(before.gates[j].kind in ("INIT", "DEST") for j in step.site.gates)
+        what = f"step {i} ({step.rule} {step.direction}) does not reverse"
+        try:
+            rstep = Step(step.rule, "RL" if step.direction == "LR" else "LR",
+                         step.params, step.n,
+                         _carry_site(res.reverse_site, res.circuit, cur, chain))
+            cur = apply_step(cur, rstep, d.theory, allow_lemmas=True, safety=False)
+        except QcError as exc:
+            raise NoMatch(f"{what}: {exc}") from exc
+        if not deformation_equal(cur, before):
+            raise NoMatch(f"{what}: it lands off the recorded circuit")
+        rev_steps.append(rstep)
     return Derivation(d.theory, c, rev_steps, d.initial,
                       name=name or (d.name + "_reversed" if d.name else ""))
 
 
-def _try_step(c: Circuit, step: Step, theory: str, target: Circuit):
-    try:
-        out = apply_step(c, step, theory, allow_lemmas=True, safety=False)
-    except QcError:
-        return None
-    return out if deformation_equal(out, target) else None
+def _carry_site(site: Site, rec: Circuit, cur: Circuit, chain: bool) -> Site:
+    """Move a reverse site from ``rec`` to the deformation-equal ``cur``.
 
-
-def _reanchor(c: Circuit, step: Step, direction: str, theory: str,
-              target: Circuit, rsite: Site):
-    """Find a site for the flipped step that lands on the recorded circuit."""
-    inst = resolve_rule(theory, step.rule, step.params, step.n, True)
-    src = inst.lhs if direction == "LR" else inst.rhs
-    if len(src.gates) == 0:
-        for at in range(len(c.gates) + 1):
-            cand = Step(step.rule, direction, step.params, step.n,
-                        Site((), rsite.wire_map, at))
-            out = _try_step(c, cand, theory, target)
-            if out is not None:
-                return cand, out
+    Deformation-equal circuits give each gate the same canonical rank and
+    each wire the same id, so gates map by rank and the wire map goes
+    through ids.  ``site`` selects a contiguous block of ``rec`` from
+    ``site.at`` on, as ``apply_step_full`` records it.  An empty block goes
+    right after the last gate it depends on: one before ``site.at`` that
+    shares a wire with it or, when the block joins the INIT/DEST chain
+    (``chain``), that is an INIT or DEST.
+    """
+    if rec.gates == cur.gates:
+        return site
+    rec_idc, idc = _IdCircuit(rec), _IdCircuit(cur)
+    wire_ids = [rec_idc.frames()[site.at][pos] for pos in site.wire_map]
+    rank = {i: r for r, i in enumerate(_canonical_order(rec))}
+    cur_order = _canonical_order(cur)
+    if site.gates:
+        sel = tuple(sorted(cur_order[rank[i]] for i in site.gates))
+        before, _ = _partition_block(idc, sel)
+        at = sel[0]
+        frame = idc.frames(idc.gates[:at] + [idc.gates[i] for i in before])[-1]
     else:
-        for site in find_sites(c, step.rule, step.params, step.n,
-                               direction, theory):
-            cand = Step(step.rule, direction, step.params, step.n, site)
-            out = _try_step(c, cand, theory, target)
-            if out is not None:
-                return cand, out
-    raise NoMatch(f"cannot reverse step {step.rule} {step.direction}")
+        deps = set(wire_ids) | ({_STRUCT} if chain else set())
+        sel = ()
+        at = max((cur_order[rank[i]] + 1 for i in range(site.at)
+                  if deps.intersection(rec_idc.gates[i].dep_ids())), default=0)
+        frame = idc.frames()[at]
+    if not set(wire_ids) <= set(frame):
+        raise NoMatch("a carried wire is not open at the carried site")
+    return Site(sel, tuple(frame.index(w) for w in wire_ids), at)
 
 
 def concat_derivations(a: Derivation, b: Derivation, name: str = "") -> Derivation:
@@ -581,6 +590,8 @@ def normalize_1q(c: Circuit, emit_trace: bool = False, theory: str = "QC"):
     replacement landed: wire gates are addressed by their ordinal in the
     wire word, never found again by their angles.
     """
+    if theory not in ("QC", "QCprime"):
+        raise UnknownTheory(f"normalize_1q runs in QC or QCprime, not {theory!r}")
     if c.n_in != 1 or c.n_out != 1:
         raise BadArity("normalize_1q needs a 1-in 1-out circuit")
     if any(g.kind in ("INIT", "DEST") for g in c.gates):

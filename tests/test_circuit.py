@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qc_equate import (Circuit, canonicalize, circuit, cnot, compose_par,
+from qc_equate import (Circuit, Gate, canonicalize, circuit, cnot, compose_par,
                        compose_seq, ctrl, deformation_equal, dest,
                        expand_macros, eval_matrix, gphase, h, init, mcp, mcrx,
                        p, rx, swap, x, z)
@@ -175,6 +175,13 @@ def test_json_round_trip():
 
 def test_swap_wires_normalized():
     assert swap(1, 0).wires == (0, 1)
+
+
+def test_gate_rejects_non_integer_wires():
+    assert h(np.int64(1)).wires == (1,)
+    for wires in ((0.9,), (True,), ("0",)):
+        with pytest.raises(InvalidCircuit):
+            Gate("H", wires)
 
 
 def test_gate_rejects_nonfinite_angle():

@@ -116,6 +116,11 @@ def test_bad_input_exit_code(files, tmp_path):
     no_theory = tmp_path / "no_theory.json"
     no_theory.write_text(json.dumps({"initial": HH, "steps": [], "final": HH}))
     assert main(["replay", str(no_theory)]) == 2
+    # wire entries that are not integers: 0.9 is not wire 0, true is not wire 1
+    for gate in ({"kind": "H", "wires": [0.9]}, {"kind": "CNOT", "wires": [True, 0]}):
+        bad_wire = tmp_path / "bad_wire.json"
+        bad_wire.write_text(json.dumps({"n_in": 2, "n_out": 2, "gates": [gate]}))
+        assert main(["eval", str(bad_wire)]) == 2, gate
     # mistyped step fields: no raw TypeError/ValueError, and 0.5 is not index 0
     mistyped = tmp_path / "mistyped.json"
 

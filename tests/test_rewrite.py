@@ -10,7 +10,8 @@ from qc_equate import (Circuit, Derivation, Site, Step, apply_step, circuit,
                        cnot, ctrl, decide_equiv_1q, deformation_equal, dest,
                        eval_matrix, find_sites, gphase, h, init, nf_from_unitary,
                        normalize_1q, p, replay, reverse_derivation, rx, x, z)
-from qc_equate.errors import BadArity, IllegalSite, NoMatch, UnsupportedGate
+from qc_equate.errors import (BadArity, IllegalSite, NoMatch, UnknownTheory,
+                              UnsupportedGate)
 from qc_equate.euler import GENERIC, Z_ZERO, ZPRIME_ZERO, euler_eprime
 from qc_equate.rewrite import apply_step_full
 from qc_equate.theories import DEFINITIONAL, _CATALOG
@@ -249,6 +250,14 @@ def test_normalize_rejects_wide_or_ancilla():
     for theory in ("QC", "QCprime"):
         with pytest.raises(UnsupportedGate):
             normalize_1q(circuit(1, [h(0), ctrl("", x(0), (0,))]), theory=theory)
+
+
+def test_normalize_rejects_other_theories():
+    # QCugp and QCancilla lack the lemmas and axioms the procedure cites
+    c = circuit(1, [h(0), p(0.3, 0), rx(0.5, 0)])
+    for theory in ("QCugp", "QCancilla", "QCnone"):
+        with pytest.raises(UnknownTheory):
+            normalize_1q(c, emit_trace=True, theory=theory)
 
 
 def test_decide_equiv_examples():
