@@ -7,6 +7,8 @@ ordered list of open wires; ``INIT`` inserts a wire at its stated position,
 gates with disjoint wire support past each other), which is decided by a
 canonical topological ordering of the wire-threading DAG.  A ``Circuit``
 keeps the threading its constructor validated, so nothing threads it again.
+INIT/DEST keep their mutual order under every deformation and rewrite, so
+each INIT's own position is the one record of wire order.
 
 Contents:
     - Gate / Circuit / CanonicalForm data types and JSON (de)serialization
@@ -22,6 +24,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ArityMismatch, InvalidCircuit
 
@@ -227,6 +230,9 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        if type(self.n_in) is not int or type(self.n_out) is not int:
+            object.__setattr__(self, "n_in", _wire(self.n_in))
+            object.__setattr__(self, "n_out", _wire(self.n_out))
         if self.n_in < 0 or self.n_out < 0:
             raise InvalidCircuit("negative wire count")
         # raises InvalidCircuit on bad threading
@@ -312,6 +318,61 @@ def thread(c: Circuit) -> Threading:
     if len(open_ids) != c.n_out:
         raise InvalidCircuit(f"threading ends with {len(open_ids)} wires, declared n_out={c.n_out}")
     return Threading(tuple(gate_ids), tuple(open_ids), next_id)
+
+
+# -- the id-level wire model ------------------------------------------------
+#
+# A circuit read at the id level is a list of (gate, wire ids) pairs, as
+# ``zip(c.gates, c.threading.gate_ids)`` gives it.  Gates may be moved and
+# replaced as long as INIT/DEST keep their chain order: nothing else
+# reshapes the open-wire list, so each INIT's own position stays valid and
+# is the one record of where its wire sits.
+
+class _IdGate(NamedTuple):
+    """A gate and the ids of the wires it touches."""
+
+    gate: Gate
+    ids: tuple[int, ...]
+
+
+_STRUCT = -1  # pseudo wire id that chains every INIT and DEST
+
+
+def _deps(g: Gate, ids: tuple[int, ...]) -> tuple[int, ...]:
+    """The ids that order ``g``: its wires, plus the INIT/DEST chain."""
+    return ids + (_STRUCT,) if g.kind in ("INIT", "DEST") else ids
+
+
+def _frames(alive, gates) -> list[list[int]]:
+    """The open ids before each of the id-level ``gates``, starting from
+    ``alive``, and after the last one."""
+    alive = list(alive)
+    out = [list(alive)]
+    for g, ids in gates:
+        if g.kind == "INIT":
+            alive.insert(g.wires[0], ids[0])
+        elif g.kind == "DEST":
+            alive.remove(ids[0])
+        out.append(list(alive))
+    return out
+
+
+def _place(alive: list[int], gates) -> list[Gate]:
+    """The id-level ``gates`` on the positions their ids hold in the running
+    open-wire list ``alive``, which is updated in place.  Each INIT keeps
+    its own position."""
+    out = []
+    for g, ids in gates:
+        if g.kind == "INIT":
+            alive.insert(g.wires[0], ids[0])
+        elif g.kind == "DEST":
+            pos = alive.index(ids[0])
+            del alive[pos]
+            g = g.with_wires((pos,))
+        else:
+            g = g.with_wires(tuple(map(alive.index, ids)))
+        out.append(g)
+    return out
 
 
 # -- composition ------------------------------------------------------------
@@ -417,16 +478,18 @@ _NO_WIRE = 1 << 60  # sort sentinel for 0-wire gates
 def canonicalize(c: Circuit) -> CanonicalForm:
     """Deterministic topological order of the wire-threading DAG.
 
-    Gates sharing a wire keep their order; INIT/DEST keep their mutual
-    order (they reshape the open-wire list).  Ready gates are emitted by
-    (dependency depth, smallest touched wire id, kind, parameters).
+    Gates sharing a wire keep their order, and so do INIT/DEST (``_deps``).
+    Ready gates are emitted by (dependency depth, smallest touched wire id,
+    kind, parameters).
     """
     return CanonicalForm(Circuit(c.n_in, c.n_out, tuple(_canonical_gates(c))))
 
 
 def _canonical_gates(c: Circuit) -> list[Gate]:
     """The gates of ``canonicalize(c)``, read off the circuit's threading."""
-    return _emit(c, _canonical_order(c))
+    gate_ids = c.threading.gate_ids
+    return _place(list(range(c.n_in)),
+                  [(c.gates[i], gate_ids[i]) for i in _canonical_order(c)])
 
 
 def _canonical_order(c: Circuit) -> list[int]:
@@ -439,17 +502,12 @@ def _canonical_order(c: Circuit) -> list[int]:
     succ: list[list[int]] = [[] for _ in range(n)]
     n_pred = [0] * n
     last_by_id: dict[int, int] = {}
-    last_structural = -1
     for i, g in enumerate(c.gates):
         preds = set()
-        for wid in gate_ids[i]:
+        for wid in _deps(g, gate_ids[i]):
             if wid in last_by_id:
                 preds.add(last_by_id[wid])
             last_by_id[wid] = i
-        if g.kind in ("INIT", "DEST"):
-            if last_structural >= 0:
-                preds.add(last_structural)
-            last_structural = i
         for j in preds:
             succ[j].append(i)
         n_pred[i] = len(preds)
@@ -476,26 +534,6 @@ def _canonical_order(c: Circuit) -> list[int]:
 def _prio(g: Gate, ids: tuple[int, ...], depth: int, idx: int):
     min_id = min(ids) if ids else _NO_WIRE
     return (depth, min_id, g.sort_key(), idx)
-
-
-def _emit(c: Circuit, order: list[int]) -> list[Gate]:
-    """Re-emit the gates in the given order, recomputing wire positions.
-
-    INIT/DEST keep their mutual order and nothing else reshapes the
-    open-wire list, so their own positions stay valid.
-    """
-    open_ids = list(range(c.n_in))
-    out = []
-    for i in order:
-        g, ids = c.gates[i], c.threading.gate_ids[i]
-        if g.kind == "INIT":
-            open_ids.insert(g.wires[0], ids[0])
-        elif g.kind == "DEST":
-            open_ids.pop(g.wires[0])
-        else:
-            g = g.with_wires(tuple(open_ids.index(wid) for wid in ids))
-        out.append(g)
-    return out
 
 
 def _same_gates(a, b, tol: float = ANGLE_EPS) -> bool:

@@ -136,7 +136,7 @@ def nf_from_unitary(u: np.ndarray) -> NormalFormParams:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise NotUnitary(f"expected a 2x2 matrix, got {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-9:
+    if not np.isfinite(u).all() or np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-9:
         raise NotUnitary("matrix is not unitary within 1e-9")
     cos_half = abs(u[0, 0])               # cos(b2/2) for a unitary
     sin_half = abs(u[1, 0])               # sin(b2/2); well conditioned at both ends

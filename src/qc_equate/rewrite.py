@@ -9,28 +9,24 @@ splices in the target side.  A safety net re-checks the semantics of every
 accepted step numerically.
 
 Sites for rules whose sides create or destroy wires (A, AP, ACX) require a
-spatially monotone wire map: rule wire order must agree with the circuit's
-wire order at the site.
+monotone wire map: ``wire_map`` must be strictly increasing, so that rule
+wire order agrees with the circuit's wire order at the site.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _canonical_order,
-                      angles_equal, deformation_equal, reduce_angle)
+from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _IdGate, _STRUCT,
+                      _canonical_order, _deps, _frames, _place, angles_equal,
+                      deformation_equal, reduce_angle)
 from .errors import (ArityMismatch, BadArity, IllegalSite, NoMatch, QcError,
                      SemanticDrift, UnknownLemma, UnknownTheory, UnsupportedGate)
 from .euler import NormalFormParams, _pack
 from .semantics import equal_matrices, eval_matrix, wire_cap
 from .theories import (DEFINITIONAL, RuleId, RuleInstance, _CATALOG,
                        instantiate, lemma_instantiate)
-
-_STRUCT = -1  # pseudo wire id shared by all INIT/DEST gates (order bookkeeping)
-
 
 @dataclass(frozen=True)
 class Site:
@@ -52,6 +48,7 @@ class Site:
 
     @staticmethod
     def from_dict(d: dict) -> "Site":
+        _of(dict, d, "site")
         return Site(_int_tuple(d.get("gates", ()), "gates"),
                     _int_tuple(d.get("wire_map", ()), "wire_map"),
                     _int(d.get("at", 0), "at"))
@@ -62,6 +59,13 @@ def _int(v, field: str) -> int:
     never truncates to 0."""
     if isinstance(v, bool) or not isinstance(v, int):
         raise TypeError(f"{field} must be an integer, got {v!r}")
+    return v
+
+
+def _of(kind: type, v, field: str):
+    """``v`` itself if it is a ``kind`` (str, dict or list)."""
+    if not isinstance(v, kind):
+        raise TypeError(f"{field} must be a {kind.__name__}, got {v!r}")
     return v
 
 
@@ -86,8 +90,9 @@ class Step:
 
     @staticmethod
     def from_dict(d: dict) -> "Step":
+        _of(dict, d, "step")
         n = d.get("n")
-        return Step(d["rule"], d["direction"],
+        return Step(_of(str, d["rule"], "rule"), _of(str, d["direction"], "direction"),
                     tuple(float(v) for v in d.get("params", ())),
                     None if n is None else _int(n, "n"),
                     Site.from_dict(d.get("site", {})))
@@ -110,8 +115,8 @@ class Derivation:
 
     @staticmethod
     def from_dict(d: dict) -> "Derivation":
-        return Derivation(d["theory"], Circuit.from_dict(d["initial"]),
-                          [Step.from_dict(s) for s in d["steps"]],
+        return Derivation(_of(str, d["theory"], "theory"), Circuit.from_dict(d["initial"]),
+                          [Step.from_dict(s) for s in _of(list, d["steps"], "steps")],
                           Circuit.from_dict(d["final"]), d.get("name", ""))
 
 
@@ -127,105 +132,6 @@ def resolve_rule(theory: str, name: str, params, n, allow_lemmas: bool) -> RuleI
         return lemma_instantiate(name, params, n)
     raise UnknownLemma(f"{name} is not an axiom of {theory} "
                        "(derived lemmas need allow_lemmas)")
-
-
-# -- id-level circuit view ----------------------------------------------------
-
-@dataclass(frozen=True)
-class _IdGate:
-    """A gate and the stable ids of the wires it touches."""
-
-    gate: Gate
-    ids: tuple[int, ...]
-
-    @property
-    def kind(self) -> str:
-        return self.gate.kind
-
-    def dep_ids(self) -> tuple[int, ...]:
-        if self.kind in ("INIT", "DEST"):
-            return self.ids + (_STRUCT,)
-        return self.ids
-
-
-class _IdCircuit:
-    """Gate list over stable wire ids, with a total spatial order (keys)."""
-
-    def __init__(self, c: Circuit):
-        th = c.threading
-        self.n_in = c.n_in
-        self.n_out = c.n_out
-        self.key: dict[int, Fraction] = {i: Fraction(i) for i in range(c.n_in)}
-        self.gates: list[_IdGate] = []
-        open_ids = list(range(c.n_in))
-        for g, ids in zip(c.gates, th.gate_ids):
-            if g.kind == "INIT":
-                pos = g.wires[0]
-                lo = self.key[open_ids[pos - 1]] if pos > 0 else None
-                hi = self.key[open_ids[pos]] if pos < len(open_ids) else None
-                self.key[ids[0]] = self.key_between(lo, hi)
-                open_ids.insert(pos, ids[0])
-            elif g.kind == "DEST":
-                open_ids.remove(ids[0])
-            self.gates.append(_IdGate(g, ids))
-        self._next_id = th.n_ids
-
-    def key_between(self, lo: Fraction | None, hi: Fraction | None) -> Fraction:
-        if lo is None and hi is None:
-            cand = Fraction(0)
-        elif lo is None:
-            cand = hi - 1
-        elif hi is None:
-            cand = lo + 1
-        else:
-            cand = Fraction(lo + hi, 2)
-        taken = set(self.key.values())
-        step = Fraction(1, 2)
-        while cand in taken:
-            cand = cand - step if hi is None else cand + step * (hi - cand)
-            step /= 2
-        return cand
-
-    def fresh_id(self, key: Fraction) -> int:
-        wid = self._next_id
-        self._next_id += 1
-        self.key[wid] = key
-        return wid
-
-    def frames(self, gates: list[_IdGate] | None = None) -> list[list[int]]:
-        """Alive wire ids (spatial order) before each of ``gates`` (default:
-        the circuit's own), plus the frame after the last one."""
-        alive = sorted(range(self.n_in), key=lambda i: self.key[i])
-        out = [list(alive)]
-        for g in self.gates if gates is None else gates:
-            if g.kind == "INIT":
-                keys = [self.key[a] for a in alive]
-                alive.insert(bisect_left(keys, self.key[g.ids[0]]), g.ids[0])
-            elif g.kind == "DEST":
-                alive.remove(g.ids[0])
-            out.append(list(alive))
-        return out
-
-    def to_circuit(self) -> Circuit:
-        """Positions are read off the frames: an INIT's in the frame after
-        it, every other gate's in the frame before it."""
-        frames = self.frames()
-        gates = []
-        for g, frame, nxt in zip(self.gates, frames, frames[1:]):
-            ids_frame = nxt if g.kind == "INIT" else frame
-            gates.append(g.gate.with_wires(tuple(ids_frame.index(i) for i in g.ids)))
-        return Circuit(self.n_in, self.n_out, tuple(gates))
-
-
-def _rule_side_ids(side: Circuit):
-    """Thread a rule side over abstract labels 0..n_in-1, fresh for INITs.
-
-    Returns (idgates, created labels in birth order, output labels).
-    """
-    th = side.threading
-    idgates = [_IdGate(g, ids) for g, ids in zip(side.gates, th.gate_ids)]
-    created = [ids[0] for g, ids in zip(side.gates, th.gate_ids) if g.kind == "INIT"]
-    return idgates, created, th.output_ids
 
 
 # -- step application ---------------------------------------------------------
@@ -250,55 +156,56 @@ def apply_step_full(c: Circuit, step: Step, theory: str = "QC",
     inst = resolve_rule(theory, step.rule, step.params, step.n, allow_lemmas)
     src, dst = (inst.lhs, inst.rhs) if step.direction == "LR" else (inst.rhs, inst.lhs)
 
-    idc = _IdCircuit(c)
+    gates = list(zip(c.gates, c.threading.gate_ids))
     sel = tuple(step.site.gates)
-    if len(sel) != len(set(sel)) or any(not 0 <= i < len(idc.gates) for i in sel):
+    if len(sel) != len(set(sel)) or any(not 0 <= i < len(gates) for i in sel):
         raise NoMatch("site gate indices out of range or repeated")
     if len(sel) != len(src.gates):
         raise NoMatch(f"site selects {len(sel)} gates, source side has {len(src.gates)}")
     sel = tuple(sorted(sel))
     anchor = sel[0] if sel else step.site.at
-    if not 0 <= anchor <= len(idc.gates):
+    if not 0 <= anchor <= len(gates):
         raise NoMatch("splice index out of range")
 
-    before, after = _partition_block(idc, sel)
+    before, after = _partition_block(gates, sel)
 
     # the block assembles after the floats-before; resolve wire positions in
     # that effective frame (floats may include INIT/DEST)
-    assembly = idc.gates[:anchor] + [idc.gates[i] for i in before]
-    frame = idc.frames(assembly)[-1]
-    if len(step.site.wire_map) != src.n_in:
-        raise NoMatch(f"wire_map has {len(step.site.wire_map)} entries, "
+    assembly = gates[:anchor] + [gates[i] for i in before]
+    frame = list(range(c.n_in))
+    head = _place(frame, assembly)
+    wire_map = step.site.wire_map
+    if len(wire_map) != src.n_in:
+        raise NoMatch(f"wire_map has {len(wire_map)} entries, "
                       f"rule has {src.n_in} input wires")
-    for pos in step.site.wire_map:
+    for pos in wire_map:
         if not 0 <= pos < len(frame):
             raise NoMatch(f"wire_map position {pos} out of range at the site frame")
-    wire_ids = [frame[pos] for pos in step.site.wire_map]
+    wire_ids = [frame[pos] for pos in wire_map]
     if len(set(wire_ids)) != len(wire_ids):
         raise NoMatch("wire_map is not injective")
 
     structural = any(g.kind in ("INIT", "DEST") for g in src.gates + dst.gates)
-    if structural and any(idc.key[a] >= idc.key[b]
-                          for a, b in zip(wire_ids, wire_ids[1:])):
-        raise IllegalSite("rules with INIT/DEST need a spatially monotone wire map")
-    bound_created = _match_source(idc, src, sel, wire_ids)
-    repl = _build_replacement(idc, src, dst, wire_ids, bound_created)
+    if structural and any(a >= b for a, b in zip(wire_map, wire_map[1:])):
+        raise IllegalSite("rules with INIT/DEST need a strictly increasing wire map")
+    inits = _match_source(src, [gates[i] for i in sel], wire_ids, frame)
+    repl = _build_replacement(src, dst, wire_ids, inits, frame, c.threading.n_ids)
 
-    window_post = idc.gates[sel[-1] + 1:] if sel else idc.gates[anchor:]
-    idc.gates = assembly + repl + [idc.gates[i] for i in after] + window_post
-    out = idc.to_circuit()
+    window_post = gates[sel[-1] + 1:] if sel else gates[anchor:]
+    out = Circuit(c.n_in, c.n_out, tuple(
+        head + _place(frame, repl + [gates[i] for i in after] + window_post)))
 
     # site for the reverse step: the replacement block in the new circuit,
     # which assembles in the same frame, so under the same wire map
     start = len(assembly)
-    rev_site = Site(tuple(range(start, start + len(repl))), step.site.wire_map, start)
+    rev_site = Site(tuple(range(start, start + len(repl))), wire_map, start)
 
     if safety:
         _safety_check(c, out, tol)
     return ApplyResult(out, rev_site)
 
 
-def _partition_block(idc: _IdCircuit, sel: tuple[int, ...]):
+def _partition_block(gates: list[_IdGate], sel: tuple[int, ...]):
     """Split the window between the selected gates into before/after floats."""
     if not sel:
         return [], []
@@ -307,8 +214,7 @@ def _partition_block(idc: _IdCircuit, sel: tuple[int, ...]):
     after_ids: set[int] = set()
     before, after = [], []
     for i in range(sel[0], sel[-1] + 1):
-        g = idc.gates[i]
-        deps = set(g.dep_ids())
+        deps = set(_deps(*gates[i]))
         if i in sel_set:
             if deps & after_ids:
                 raise IllegalSite("selected gates cannot be commuted into a block")
@@ -321,79 +227,69 @@ def _partition_block(idc: _IdCircuit, sel: tuple[int, ...]):
     return before, after
 
 
-def _match_source(idc: _IdCircuit, src: Circuit, sel: tuple[int, ...],
-                  wire_ids: list[int]) -> list[int]:
+def _match_source(src: Circuit, block: list[_IdGate], wire_ids: list[int],
+                  frame: list[int]) -> list[_IdGate]:
     """Check the selected block is deformation-equal to the source side.
 
-    Returns the circuit ids bound to the source side's INIT-created wires,
-    in birth order.
+    The block is relabelled onto the rule's wires: inputs through the wire
+    map, created wires in birth order, as the source side's threading
+    numbers them.  Each INIT goes among the mapped wires open after it in
+    the circuit, whose open wires where the block assembles are ``frame``.
+    Returns the block's INITs.
     """
-    label_of = {wid: i for i, wid in enumerate(wire_ids)}
-    created: list[int] = []
-    local_alive: list[int] = list(wire_ids)          # spatial order (monotone map)
-    local_gates: list[Gate] = []
-    for i in sel:
-        g = idc.gates[i]
+    label = {wid: i for i, wid in enumerate(wire_ids)}
+    relabelled, inits = [], []
+    for (g, ids), after in zip(block, _frames(frame, block)[1:]):
         if g.kind == "INIT":
-            wid = g.ids[0]
-            created.append(wid)
-            label_of[wid] = src.n_in + len(created) - 1
-            keys = [idc.key[a] for a in local_alive]
-            pos = bisect_left(keys, idc.key[wid])
-            local_alive.insert(pos, wid)
-            local_gates.append(g.gate.with_wires((pos,)))
-        elif g.kind == "DEST":
-            wid = g.ids[0]
-            if wid not in label_of or wid not in local_alive:
-                raise NoMatch("site DEST acts outside the mapped wires")
-            local_gates.append(g.gate.with_wires((local_alive.index(wid),)))
-            local_alive.remove(wid)
-        else:
-            if any(wid not in label_of or wid not in local_alive for wid in g.ids):
-                raise NoMatch("selected gate touches a wire outside the map")
-            local_gates.append(
-                g.gate.with_wires(tuple(local_alive.index(wid) for wid in g.ids)))
+            label[ids[0]] = len(label)
+            inits.append(_IdGate(g, ids))
+            g = g.with_wires(([wid for wid in after if wid in label].index(ids[0]),))
+        elif any(wid not in label for wid in ids):
+            raise NoMatch("selected gate touches a wire outside the map")
+        relabelled.append((g, tuple(label[wid] for wid in ids)))
     try:
-        local = Circuit(src.n_in, src.n_out, tuple(local_gates))
+        local = Circuit(src.n_in, src.n_out,
+                        tuple(_place(list(range(src.n_in)), relabelled)))
     except QcError as exc:
         raise NoMatch(f"selected block does not thread like the rule side: {exc}")
     if not deformation_equal(local, src):
         raise NoMatch("selected block is not deformation-equal to the rule side")
-    return created
+    return inits
 
 
-def _build_replacement(idc: _IdCircuit, src: Circuit, dst: Circuit,
-                       wire_ids: list[int], bound_created: list[int]) -> list[_IdGate]:
-    """Id-level gates for the target side."""
-    _, src_created, src_out = _rule_side_ids(src)
-    dst_gates, _, dst_out = _rule_side_ids(dst)
-    id_of: dict[int, int] = {i: wid for i, wid in enumerate(wire_ids)}
-    for lab, wid in zip(src_created, bound_created):
-        id_of[lab] = wid
-    out_ids = [id_of[lab] for lab in src_out]
+def _build_replacement(src: Circuit, dst: Circuit, wire_ids: list[int],
+                       inits: list[_IdGate], frame: list[int],
+                       next_id: int) -> list[_IdGate]:
+    """Id-level gates for the target side, spliced where the block
+    assembles (``frame``).
 
-    dst_map: dict[int, int] = {i: wid for i, wid in enumerate(wire_ids)}
-    for pos, lab in enumerate(dst_out):
+    An INIT of a wire the source side created is the block's INIT, at its
+    own position.  A fresh INIT, whose id counts up from ``next_id``, goes
+    right before the next mapped wire in rule order, after the last one,
+    or at 0 when no wire is mapped.
+    """
+    src_ids = wire_ids + [ids[0] for _, ids in inits]   # by source-side label
+    born = {ids[0]: g for g, ids in inits}
+    id_of = dict(enumerate(wire_ids))
+    for lab, src_lab in zip(dst.threading.output_ids, src.threading.output_ids):
         if lab >= dst.n_in:
-            dst_map[lab] = out_ids[pos]   # boundary wire shared by both sides
+            id_of[lab] = src_ids[src_lab]   # boundary wire shared by both sides
 
     repl: list[_IdGate] = []
-    local_alive = [dst_map[i] for i in range(dst.n_in)]
-    for rg in dst_gates:
-        if rg.kind == "INIT":
-            lab = rg.ids[0]
-            rulepos = rg.gate.wires[0]
-            if lab not in dst_map:
-                lo = idc.key[local_alive[rulepos - 1]] if rulepos > 0 else None
-                hi = (idc.key[local_alive[rulepos]]
-                      if rulepos < len(local_alive) else None)
-                if lo is None and hi is None and idc.key:
-                    hi = min(idc.key.values())   # anchor-free: insert on top
-                dst_map[lab] = idc.fresh_id(idc.key_between(lo, hi))
-            local_alive.insert(rulepos, dst_map[lab])
-        elif rg.kind == "DEST":
-            local_alive.remove(dst_map[rg.ids[0]])
-        repl.append(_IdGate(rg.gate, tuple(dst_map[lab] for lab in rg.ids)))
+    for g, labs in zip(dst.gates, dst.threading.gate_ids):
+        if g.kind == "INIT" and labs[0] not in id_of:
+            id_of[labs[0]] = next_id
+            next_id += 1
+        ids = tuple(id_of[lab] for lab in labs)
+        if g.kind == "INIT" and ids[0] in born:
+            g = born[ids[0]]
+        elif g.kind == "INIT":
+            alive = _frames(frame, repl)[-1]
+            mapped = [wid for wid in alive if wid in id_of.values()]
+            r = g.wires[0]
+            g = g.with_wires((alive.index(mapped[r]) if r < len(mapped) else
+                              alive.index(mapped[-1]) + 1 if mapped else 0,))
+        repl.append(_IdGate(g, ids))
     return repl
 
 
@@ -472,21 +368,23 @@ def _carry_site(site: Site, rec: Circuit, cur: Circuit, chain: bool) -> Site:
     """
     if rec.gates == cur.gates:
         return site
-    rec_idc, idc = _IdCircuit(rec), _IdCircuit(cur)
-    wire_ids = [rec_idc.frames()[site.at][pos] for pos in site.wire_map]
+    rec_gates = list(zip(rec.gates, rec.threading.gate_ids))
+    gates = list(zip(cur.gates, cur.threading.gate_ids))
+    rec_frame = _frames(range(rec.n_in), rec_gates[:site.at])[-1]
+    wire_ids = [rec_frame[pos] for pos in site.wire_map]
     rank = {i: r for r, i in enumerate(_canonical_order(rec))}
     cur_order = _canonical_order(cur)
     if site.gates:
         sel = tuple(sorted(cur_order[rank[i]] for i in site.gates))
-        before, _ = _partition_block(idc, sel)
+        before, _ = _partition_block(gates, sel)
         at = sel[0]
-        frame = idc.frames(idc.gates[:at] + [idc.gates[i] for i in before])[-1]
+        frame = _frames(range(cur.n_in), gates[:at] + [gates[i] for i in before])[-1]
     else:
         deps = set(wire_ids) | ({_STRUCT} if chain else set())
         sel = ()
         at = max((cur_order[rank[i]] + 1 for i in range(site.at)
-                  if deps.intersection(rec_idc.gates[i].dep_ids())), default=0)
-        frame = idc.frames()[at]
+                  if deps.intersection(_deps(*rec_gates[i]))), default=0)
+        frame = _frames(range(cur.n_in), gates[:at])[-1]
     if not set(wire_ids) <= set(frame):
         raise NoMatch("a carried wire is not open at the carried site")
     return Site(sel, tuple(frame.index(w) for w in wire_ids), at)
@@ -512,16 +410,16 @@ def find_sites(c: Circuit, rule: str, params=(), n: int | None = None,
     """
     inst = resolve_rule(theory, rule, params, n, allow_lemmas)
     src = inst.lhs if direction == "LR" else inst.rhs
-    idc = _IdCircuit(c)
-    frames = idc.frames()
+    gates = list(zip(c.gates, c.threading.gate_ids))
+    frames = _frames(range(c.n_in), gates)
     hits: list[Site] = []
     if len(src.gates) == 0:
         return hits
-    src_gates, _, _ = _rule_side_ids(src)
-    src_wire = [rg for rg in src_gates if rg.kind != "GPHASE"]
-    src_phase = [rg for rg in src_gates if rg.kind == "GPHASE"]
-    wire_idx = [i for i, g in enumerate(idc.gates) if g.kind != "GPHASE"]
-    phase_idx = [i for i, g in enumerate(idc.gates) if g.kind == "GPHASE"]
+    src_wire = [(g, labs) for g, labs in zip(src.gates, src.threading.gate_ids)
+                if g.kind != "GPHASE"]
+    src_phase = [g for g in src.gates if g.kind == "GPHASE"]
+    wire_idx = [i for i, g in enumerate(c.gates) if g.kind != "GPHASE"]
+    phase_idx = [i for i, g in enumerate(c.gates) if g.kind == "GPHASE"]
 
     def bind_phases(chosen: list[int]) -> list[int] | None:
         used: list[int] = []
@@ -529,7 +427,7 @@ def find_sites(c: Circuit, rule: str, params=(), n: int | None = None,
             for i in phase_idx:
                 if i in used or i in chosen:
                     continue
-                if angles_equal(idc.gates[i].gate.params[0], rg.gate.params[0]):
+                if angles_equal(c.gates[i].params[0], rg.params[0]):
                     used.append(i)
                     break
             else:
@@ -542,12 +440,12 @@ def find_sites(c: Circuit, rule: str, params=(), n: int | None = None,
     for window in windows:
         assign: dict[int, int] = {}
         ok = True
-        for rg, i in zip(src_wire, window):
-            g = idc.gates[i]
-            if g.kind != rg.kind or len(g.ids) != len(rg.ids):
+        for (rg, labs), i in zip(src_wire, window):
+            g, ids = gates[i]
+            if g.kind != rg.kind or len(ids) != len(labs):
                 ok = False
                 break
-            for lab, wid in zip(rg.ids, g.ids):
+            for lab, wid in zip(labs, ids):
                 if assign.get(lab, wid) != wid:
                     ok = False
                     break

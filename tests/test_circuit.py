@@ -184,6 +184,14 @@ def test_gate_rejects_non_integer_wires():
             Gate("H", wires)
 
 
+def test_circuit_rejects_non_integer_wire_counts():
+    assert type(Circuit(np.int64(1), 1, (h(0),)).n_in) is int   # JSON-serializable
+    # true is not 1 wire, and 1.0 is not a count
+    for n_in, n_out in ((True, True), (1.0, 1), (1, "1"), (-1, 0)):
+        with pytest.raises(InvalidCircuit):
+            Circuit(n_in, n_out)
+
+
 def test_gate_rejects_nonfinite_angle():
     with pytest.raises(InvalidCircuit):
         p(float("nan"), 0)

@@ -121,22 +121,35 @@ def test_bad_input_exit_code(files, tmp_path):
         bad_wire = tmp_path / "bad_wire.json"
         bad_wire.write_text(json.dumps({"n_in": 2, "n_out": 2, "gates": [gate]}))
         assert main(["eval", str(bad_wire)]) == 2, gate
+    # a wire count that is not an integer: true is not 1 wire
+    bad_count = tmp_path / "bad_count.json"
+    bad_count.write_text(json.dumps({"n_in": True, "n_out": 1, "gates": []}))
+    assert main(["eval", str(bad_count)]) == 2
+    # non-finite matrix entries (JSON Infinity/NaN parse) are not unitary
+    for entry in (math.inf, math.nan):
+        bad_unitary = tmp_path / "bad_unitary.json"
+        bad_unitary.write_text(json.dumps([[[1, 0], [0, 0]], [[0, 0], [entry, 0]]]))
+        assert main(["synth1q", str(bad_unitary)]) == 2, entry
     # mistyped step fields: no raw TypeError/ValueError, and 0.5 is not index 0
     mistyped = tmp_path / "mistyped.json"
 
     def replay_h2(**fields):
         step = {"rule": "H2", "direction": "LR", "params": [], "n": None,
                 "site": {"gates": [0, 1], "wire_map": [0], "at": 0}}
+        deriv = {"theory": "QC", "initial": HH, "steps": [step], "final": EMPTY}
         for key, value in fields.items():
-            (step if key in ("params", "n") else step["site"])[key] = value
-        mistyped.write_text(json.dumps(
-            {"theory": "QC", "initial": HH, "steps": [step], "final": EMPTY}))
+            (deriv if key in ("theory", "steps") else
+             step if key in ("rule", "direction", "params", "n", "site") else
+             step["site"])[key] = value
+        mistyped.write_text(json.dumps(deriv))
         return main(["replay", str(mistyped)])
 
     assert replay_h2() == 0
     for field, bad in (("gates", "ab"), ("gates", [0.5, 1, 2]),
                        ("wire_map", ["a", 1]), ("params", ["x"]),
-                       ("at", True), ("n", 1.0)):
+                       ("at", True), ("n", 1.0), ("theory", ["QC"]),
+                       ("rule", ["S2PI"]), ("direction", ["LR"]), ("site", [1]),
+                       ("steps", [1]), ("steps", "ab"), ("steps", {})):
         assert replay_h2(**{field: bad}) == 2, field
 
 

@@ -134,8 +134,9 @@ def test_nf_from_unitary_examples():
         NormalFormParams(0, PI / 2, PI / 2, PI / 2))
     phi = 2.2
     assert nf_from_unitary(p_mat(phi)).close_to(NormalFormParams(0, phi, 0, 0))
-    with pytest.raises(NotUnitary):
-        nf_from_unitary(np.array([[1, 0], [0, 2]], dtype=complex))
+    for bad in ([[1, 0], [0, 2]], [[1, 0], [0, math.inf]], [[1, 0], [0, math.nan]]):
+        with pytest.raises(NotUnitary):
+            nf_from_unitary(np.array(bad, dtype=complex))
 
 
 def test_b_derivs_anchor_values():

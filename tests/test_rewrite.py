@@ -90,6 +90,79 @@ def test_ancilla_steps():
     assert deformation_equal(out3, out)
 
 
+def _flip(step, site):
+    return Step(step.rule, "RL" if step.direction == "LR" else "LR",
+                step.params, step.n, site)
+
+
+def test_ancilla_steps_between_untouched_wires():
+    # the INIT opens the middle of three wires; H(0) and H(2) act around it
+    c = Circuit(2, 3, (h(0), init(1), h(2)))
+    cases = ((Step("AP", "RL", (0.4,), None, Site((1,), (), 1)),
+              (h(0), init(1), p(0.4, 1), h(2))),
+             (Step("A", "RL", (), None, Site((), (), 2)),
+              (h(0), init(1), init(0), dest(0), h(2))),
+             (Step("ACX", "RL", (), None, Site((1,), (1,), 1)),
+              (h(0), init(1), cnot(1, 2), h(2))))
+    for step, gates in cases:
+        res = apply_step_full(c, step, "QCancilla", safety=True)
+        assert res.circuit.gates == gates
+        back = apply_step(res.circuit, _flip(step, res.reverse_site), "QCancilla")
+        assert back.gates == c.gates
+    # ACX needs its ancilla above the system wire
+    with pytest.raises(NoMatch):
+        apply_step(c, Step("ACX", "RL", (), None, Site((1,), (0,), 1)), "QCancilla")
+
+
+def _rand_ancilla_circuit(rng):
+    n_in = int(rng.integers(0, 4))
+    w, gates = n_in, []
+    for _ in range(int(rng.integers(1, 8))):
+        r = rng.random()
+        if r < 0.35 and w < 4:
+            k = int(rng.integers(0, w + 1))
+            gates.append(init(k))
+            w += 1
+            if w >= 2 and rng.random() < 0.5:   # an ACX candidate
+                gates.append(cnot(k, int(rng.choice([i for i in range(w) if i != k]))))
+        elif r < 0.5 and w > 0:
+            gates.append(dest(int(rng.integers(0, w))))
+            w -= 1
+        elif r < 0.65 and w >= 2:
+            a, b = rng.choice(w, 2, replace=False)
+            gates.append(cnot(int(a), int(b)))
+        elif w > 0:
+            gates.append(p(float(rng.uniform(-3, 3)), int(rng.integers(0, w))))
+    return Circuit(n_in, w, tuple(gates))
+
+
+def test_ancilla_steps_reverse_on_random_circuits():
+    rng = np.random.default_rng(20261018)
+    applied = 0
+    for _ in range(40):
+        c = _rand_ancilla_circuit(rng)
+        n = len(c.gates)
+        steps = [Step("A", "RL", (), None, Site((), (), i)) for i in range(n + 1)]
+        for i in range(n):
+            steps.append(Step("AP", "RL", (0.3,), None, Site((i,), (), i)))
+            steps += [Step("ACX", "RL", (), None, Site((i,), (m,), i)) for m in range(4)]
+            for j in range(i + 1, n):
+                steps.append(Step("A", "LR", (), None, Site((i, j), (), i)))
+                steps.append(Step("AP", "LR", (c.gates[j].params or (0.0,)), None,
+                                  Site((i, j), (), i)))
+                steps += [Step("ACX", "LR", (), None, Site((i, j), (m,), i))
+                          for m in range(4)]
+        for step in steps:
+            try:
+                res = apply_step_full(c, step, "QCancilla", safety=True)
+            except (NoMatch, IllegalSite):
+                continue
+            applied += 1
+            back = apply_step(res.circuit, _flip(step, res.reverse_site), "QCancilla")
+            assert deformation_equal(back, c), step
+    assert applied >= 100
+
+
 def test_reverse_site_is_the_step_wire_map():
     # the replacement assembles in the frame the step resolved its wire map
     # in, and the flipped step fired there restores the step's input
@@ -98,10 +171,8 @@ def test_reverse_site_is_the_step_wire_map():
         for step in d.steps:
             res = apply_step_full(c, step, d.theory, allow_lemmas=True, safety=False)
             assert res.reverse_site.wire_map == step.site.wire_map
-            flipped = Step(step.rule, "RL" if step.direction == "LR" else "LR",
-                           step.params, step.n, res.reverse_site)
-            back = apply_step(res.circuit, flipped, d.theory, allow_lemmas=True,
-                              safety=True)
+            back = apply_step(res.circuit, _flip(step, res.reverse_site), d.theory,
+                              allow_lemmas=True, safety=True)
             assert deformation_equal(back, c)
             c = res.circuit
 
