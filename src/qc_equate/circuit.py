@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -70,7 +71,7 @@ def angle_period(kind: str, base_kind: str | None = None) -> float:
 def reduce_angle(value: float, period: float = TWO_PI) -> float:
     """Map into [0, period), values within ANGLE_EPS of period map to 0."""
     r = math.fmod(value, period)
-    if r < 0.0:
+    if r <= 0.0:        # so a zero, -0.0 included, leaves as 0.0 below
         r += period
     if r > period - ANGLE_EPS:
         r = 0.0
@@ -95,6 +96,14 @@ def _wire(w) -> int:
         raise InvalidCircuit(f"wire {w!r} is not an integer") from None
 
 
+def _real(v, what: str = "angle") -> float:
+    """``v`` as a float if it is a real number (numpy reals included);
+    bools and strings are rejected, so "7" never reads as 7 nor true as 1."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise InvalidCircuit(f"{what} {v!r} is not a real number")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate occurrence: a kind tag, wire positions and real parameters.
@@ -117,7 +126,8 @@ class Gate:
             raise InvalidCircuit(f"unknown gate kind {self.kind!r}")
         object.__setattr__(self, "wires", tuple(
             w if type(w) is int else _wire(w) for w in self.wires))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(self, "params", tuple(
+            p if type(p) is float else _real(p) for p in self.params))
         for p in self.params:
             if not math.isfinite(p):
                 raise InvalidCircuit(f"non-finite angle in {self.kind}")

@@ -42,7 +42,8 @@ class UnknownLemma(QcError):
 
 
 class BadParams(QcError):
-    """Rule or lemma instantiated with the wrong parameter count/values."""
+    """Wrong parameter count or values: a rule or lemma instance, a
+    sampling run with nothing to check, or a bad QCEQ_WIRE_CAP."""
 
 
 class BadArity(QcError):

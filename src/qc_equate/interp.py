@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .circuit import TWO_PI, Circuit, angles_equal, circuit, expand_macros
+from .circuit import (TWO_PI, Circuit, angles_equal, circuit, expand_macros,
+                      reduce_angle)
 from .errors import (InconsistentClasses, NoInterpretation, UnknownTheory,
                      UnsupportedGate)
 from .euler import b_funcs
 from .semantics import eval_matrix
-from .theories import (RuleInstance, instantiate, list_rules, rule_signature,
-                       sample_params)
+from .theories import instances, instantiate, list_rules, rule_signature
 
 HALF_PI = math.pi / 2.0
 
@@ -136,64 +137,42 @@ def sign_classes(c: Circuit) -> SignClasses:
             for g in e.gates]
     pos = [i for i, g in enumerate(e.gates) if g.kind == "P"]
 
-    # union-find with parity: parity 1 means opposite sign to the root
-    parent = {i: i for i in pos}
-    parity = {i: 0 for i in pos}
+    # union-find with parity: link[i] = (parent, 1 if opposite sign to it)
+    link = {i: (i, 0) for i in pos}
 
     def find(i):
-        path = []
-        while parent[i] != i:
-            path.append(i)
-            i = parent[i]
-        root, par = i, 0
-        for j in reversed(path):
-            par ^= parity[j]
-            parent[j], parity[j] = root, par
-        return root
+        """(root, sign of i relative to the root)."""
+        sign = 0
+        while link[i][0] != i:
+            i, s = link[i]
+            sign ^= s
+        return i, sign
 
-    def rel_parity(i):
-        find(i)
-        return parity[i] if parent[i] != i else 0
-
-    def union(i, j, par):
-        ri, rj = find(i), find(j)
-        pi = 0 if parent[i] == i else parity[i]
-        pj = 0 if parent[j] == j else parity[j]
-        if ri == rj:
-            if (pi ^ pj) != par:
-                raise InconsistentClasses("sign relation closure is contradictory")
-            return
-        parent[rj] = ri
-        parity[rj] = pi ^ pj ^ par
-
-    for a_idx in range(len(pos)):
-        for b_idx in range(a_idx + 1, len(pos)):
-            i, j = pos[a_idx], pos[b_idx]
-            mid = np.eye(2, dtype=complex)
-            for t in range(i + 1, j):
-                mid = mats[t] @ mid
-            off = max(abs(mid[0, 1]), abs(mid[1, 0]))
-            diag = max(abs(mid[0, 0]), abs(mid[1, 1]))
-            if off < 1e-10:
-                union(i, j, 0)       # diagonal middle: same sign
-            elif diag < 1e-10:
-                union(i, j, 1)       # anti-diagonal middle: opposite signs
+    for i, j in combinations(pos, 2):
+        mid = np.eye(2, dtype=complex)
+        for t in range(i + 1, j):
+            mid = mats[t] @ mid
+        off = max(abs(mid[0, 1]), abs(mid[1, 0]))
+        diag = max(abs(mid[0, 0]), abs(mid[1, 1]))
+        if off < 1e-10:
+            par = 0              # diagonal middle: same sign
+        elif diag < 1e-10:
+            par = 1              # anti-diagonal middle: opposite signs
+        else:
+            continue
+        (ri, si), (rj, sj) = find(i), find(j)
+        if ri != rj:
+            link[rj] = (ri, si ^ sj ^ par)
+        elif si ^ sj != par:
+            raise InconsistentClasses("sign relation closure is contradictory")
 
     groups: dict[tuple[int, int], list[int]] = {}
     for i in pos:
-        key = (find(i), rel_parity(i))
-        groups.setdefault(key, []).append(i)
-    classes = [tuple(sorted(v)) for _, v in sorted(groups.items())]
-    index_of = {cls: n for n, cls in enumerate(classes)}
-    pairing = []
-    roots = {}
-    for key, members in sorted(groups.items()):
-        root, par = key
-        cls_idx = index_of[tuple(sorted(members))]
-        if root in roots:
-            pairing.append((roots[root], cls_idx))
-        else:
-            roots[root] = cls_idx
+        groups.setdefault(find(i), []).append(i)
+    keys = sorted(groups)
+    classes = [tuple(groups[k]) for k in keys]
+    # (root, 0) sorts right before (root, 1): that couple takes opposite signs
+    pairing = [(n - 1, n) for n, (_, sign) in enumerate(keys) if sign]
     return SignClasses(pos, classes, pairing)
 
 
@@ -214,13 +193,7 @@ def interp_E_values(c: Circuit) -> tuple[float, ...]:
     values = {0.0}
     for contrib in components:
         values = {v + s * contrib for v in values for s in (1.0, -1.0)}
-    out = set()
-    for v in values:
-        r = v % HALF_PI
-        if r > HALF_PI - 1e-9 or r < 0:
-            r = 0.0
-        out.add(round(r, 9))
-    return tuple(sorted(out))
+    return tuple(sorted({round(reduce_angle(v, HALF_PI), 9) for v in values}))
 
 
 def equal_value_sets(a, b, tol: float = 1e-8) -> bool:
@@ -246,20 +219,6 @@ def sign_gap(s, s_prime, a1: float, a2: float, a3: float) -> float:
 
 # -- minimality harness --------------------------------------------------------
 
-def _instance_values(name: str, inst: RuleInstance, psi=None):
-    return (interp_axiom(name, inst.lhs, psi), interp_axiom(name, inst.rhs, psi))
-
-
-def _axiom_instances(theory: str, name: str, samples: int, max_qubits: int,
-                     rng: np.random.Generator):
-    n_params, arity = rule_signature(name)
-    draws = samples if n_params else 1
-    ns = range(3, max_qubits + 1) if name == "I" else (arity,)
-    for n in ns:
-        for _ in range(draws):
-            yield instantiate((theory, name), sample_params(n_params, rng), n)
-
-
 def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
                       samples: int = 100, seed: int = 0,
                       target_n: int = 4) -> dict:
@@ -268,65 +227,52 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     For (I) the interpretation is interp_k at k = target_n - 1; for (E) it
     is the sign-assignment value set; the remaining eight axioms use their
     registered interpretations.  Axioms acting on more qubits than the
-    interpretation's soundness bound are out of scope.
+    interpretation's soundness bound are out of scope; every other rule is
+    checked on its sampled ``instances``.
     """
     rng = np.random.default_rng(seed)
     if axiom not in {r.name for r in list_rules(theory)}:
         raise UnknownTheory(f"{axiom} is not an axiom of {theory}")
-    if axiom not in INTERP_BOUND and axiom not in ("E", "I"):
-        raise NoInterpretation(f"no counter-interpretation registered for {axiom}")
-    results: dict[str, str] = {}
     psi = None
-
     if axiom == "I":
         bound = target_n - 1
         kind = f"interp_k(k={bound})"
+        value, equal = (lambda c: interp_k(c, bound)), _values_equal
     elif axiom == "E":
         bound = 1
         kind = "sign-assignment value set"
-    else:
+        value, equal = interp_E_values, equal_value_sets
+    elif axiom in INTERP_BOUND:
         bound = INTERP_BOUND[axiom]
         witness = _THEORY_WITNESS.get((theory, axiom), axiom)
         kind = f"interp[{witness}]"
         if axiom == "SPLUS":
             psi = float(rng.uniform(0.1, TWO_PI - 0.1))
+        value, equal = (lambda c: interp_axiom(witness, c, psi)), _values_equal
+    else:
+        raise NoInterpretation(f"no counter-interpretation registered for {axiom}")
 
+    def kept(inst) -> bool:
+        return equal(value(inst.lhs), value(inst.rhs))
+
+    results: dict[str, str] = {}
     for rid in list_rules(theory):
         name = rid.name
-        n_params, arity = rule_signature(name)
-        max_arity = max_qubits if name == "I" else arity
-        if axiom == "I" and name == "I":
-            max_arity = target_n
-        if bound is not None and max_arity > bound and name != axiom:
-            results[name] = "out-of-scope"
-            continue
-        sound = True
-        if name == "I" and axiom == "I":
-            insts = [instantiate((theory, "I"), (), target_n)]
-        elif name == "SPLUS" and axiom == "SPLUS":
+        if name == axiom == "I":
+            insts = [instantiate(rid, (), target_n)]
+        elif name == axiom == "SPLUS":
             # the psi-carrying instances are the unsound ones
-            insts = [instantiate((theory, "SPLUS"),
-                                 (psi, float(rng.uniform(0.2, 3.0))), 0)
+            insts = [instantiate(rid, (psi, float(rng.uniform(0.2, 3.0))), 0)
                      for _ in range(3)]
         else:
-            insts = list(_axiom_instances(theory, name, samples,
-                                          min(max_qubits, bound or max_qubits),
-                                          rng))
-        for inst in insts:
-            if axiom == "I":
-                va = interp_k(inst.lhs, bound)
-                vb = interp_k(inst.rhs, bound)
-                ok = _values_equal(va, vb)
-            elif axiom == "E":
-                ok = equal_value_sets(interp_E_values(inst.lhs),
-                                      interp_E_values(inst.rhs))
-            else:
-                va, vb = _instance_values(witness, inst, psi)
-                ok = _values_equal(va, vb)
-            if not ok:
-                sound = False
-                break
-        results[name] = "sound" if sound else "unsound"
+            width = max_qubits if name == "I" else rule_signature(name)[1]
+            if bound is not None and width > bound and name != axiom:
+                results[name] = "out-of-scope"
+                continue
+            # drawn in full, so later rules' draws do not depend on where
+            # this one fails
+            insts = list(instances(theory, name, samples, max_qubits, rng))
+        results[name] = "sound" if all(map(kept, insts)) else "unsound"
 
     unsound = {k for k, v in results.items() if v == "unsound"}
     report = {"theory": theory, "axiom": axiom, "interpretation": kind,
@@ -335,15 +281,10 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     if psi is not None:
         report["psi"] = psi
         # psi-free instances must stay sound
-        free_ok = True
-        for _ in range(samples):
-            a, b = rng.uniform(0.1, 3.0, 2)
-            inst = instantiate((theory, "SPLUS"), (float(a), float(b)), 0)
-            va, vb = _instance_values("SPLUS", inst, psi)
-            if not _values_equal(va, vb):
-                free_ok = False
-        report["psi_free_sound"] = free_ok
-        report["pass"] = report["pass"] and free_ok
+        free = [instantiate((theory, "SPLUS"), rng.uniform(0.1, 3.0, 2), 0)
+                for _ in range(samples)]
+        report["psi_free_sound"] = all(map(kept, free))
+        report["pass"] = report["pass"] and report["psi_free_sound"]
     return report
 
 

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _IdGate, _STRUCT,
-                      _canonical_order, _deps, _frames, _place, angles_equal,
-                      deformation_equal, reduce_angle)
+                      _canonical_order, _deps, _frames, _place, _real,
+                      angles_equal, deformation_equal, reduce_angle)
 from .errors import (ArityMismatch, BadArity, IllegalSite, NoMatch, QcError,
                      SemanticDrift, UnknownLemma, UnknownTheory, UnsupportedGate)
 from .euler import NormalFormParams, _pack
@@ -49,8 +49,8 @@ class Site:
     @staticmethod
     def from_dict(d: dict) -> "Site":
         _of(dict, d, "site")
-        return Site(_int_tuple(d.get("gates", ()), "gates"),
-                    _int_tuple(d.get("wire_map", ()), "wire_map"),
+        return Site(_tuple_of(_int, d.get("gates", ()), "gates"),
+                    _tuple_of(_int, d.get("wire_map", ()), "wire_map"),
                     _int(d.get("at", 0), "at"))
 
 
@@ -69,10 +69,11 @@ def _of(kind: type, v, field: str):
     return v
 
 
-def _int_tuple(vs, field: str) -> tuple[int, ...]:
+def _tuple_of(item, vs, field: str) -> tuple:
+    """``item(v, field)`` for each entry of the list ``vs``."""
     if not isinstance(vs, (list, tuple)):
-        raise TypeError(f"{field} must be a list of integers, got {vs!r}")
-    return tuple(_int(v, field) for v in vs)
+        raise TypeError(f"{field} must be a list, got {vs!r}")
+    return tuple(item(v, field) for v in vs)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class Step:
         _of(dict, d, "step")
         n = d.get("n")
         return Step(_of(str, d["rule"], "rule"), _of(str, d["direction"], "direction"),
-                    tuple(float(v) for v in d.get("params", ())),
+                    _tuple_of(_real, d.get("params", ()), "params"),
                     None if n is None else _int(n, "n"),
                     Site.from_dict(d.get("site", {})))
 
@@ -117,7 +118,7 @@ class Derivation:
     def from_dict(d: dict) -> "Derivation":
         return Derivation(_of(str, d["theory"], "theory"), Circuit.from_dict(d["initial"]),
                           [Step.from_dict(s) for s in _of(list, d["steps"], "steps")],
-                          Circuit.from_dict(d["final"]), d.get("name", ""))
+                          Circuit.from_dict(d["final"]), _of(str, d.get("name", ""), "name"))
 
 
 def resolve_rule(theory: str, name: str, params, n, allow_lemmas: bool) -> RuleInstance:

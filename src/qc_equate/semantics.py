@@ -24,7 +24,7 @@ import os
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .errors import (DegenerateMatrix, InvalidCircuit, NotUnitary,
+from .errors import (BadParams, DegenerateMatrix, InvalidCircuit, NotUnitary,
                      ShapeMismatch, WireCapExceeded)
 
 SQRT2_INV = 1.0 / math.sqrt(2.0)
@@ -36,7 +36,11 @@ _H = (SQRT2_INV, SQRT2_INV, SQRT2_INV, -SQRT2_INV)
 
 
 def wire_cap() -> int:
-    return int(os.environ.get("QCEQ_WIRE_CAP", DEFAULT_WIRE_CAP))
+    raw = os.environ.get("QCEQ_WIRE_CAP", DEFAULT_WIRE_CAP)
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadParams(f"QCEQ_WIRE_CAP={raw!r} is not an integer") from None
 
 
 def eval_matrix(c: Circuit) -> np.ndarray:

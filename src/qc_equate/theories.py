@@ -379,29 +379,40 @@ def sample_params(n_params: int, rng: np.random.Generator) -> tuple[float, ...]:
     return tuple(float(v) for v in rng.uniform(-4 * PI, 4 * PI, n_params))
 
 
+def instances(theory: str, name: str, samples: int, max_qubits: int,
+              rng: np.random.Generator):
+    """Sampled instances of the axiom ``name`` of ``theory``.
+
+    ``samples`` parameter draws, or one for a rule without parameters (its
+    instance is fixed), at the rule's own width, or at every width from 3
+    to ``max_qubits`` for the n-ary (I).  Raises BadParams when that leaves
+    the rule with no instance, so no report passes with nothing checked.
+    """
+    n_params, arity = rule_signature(name)
+    draws = samples if n_params else 1
+    ns = range(3, max_qubits + 1) if arity is None else (arity,)
+    if draws < 1 or not ns:
+        raise BadParams(f"{name} gets no instance with samples={samples}, "
+                        f"max_qubits={max_qubits}")
+    rid = RuleId(theory, name)
+    for n in ns:
+        for _ in range(draws):
+            yield instantiate(rid, sample_params(n_params, rng), n)
+
+
 def verify_theory(theory: str, samples: int = 100, max_qubits: int = 6,
                   tol: float = 1e-9, seed: int = 0) -> dict:
-    """Check every axiom of a theory over random parameter draws.
+    """Check every axiom of a theory on its sampled ``instances``.
 
-    Returns {rule name: {"checks": int, "ok": bool}} plus an "ok" summary key.
+    A parametrised rule is checked ``samples`` times; a rule without
+    parameters has one fixed instance, checked once per width.  Returns
+    {rule name: {"checks": int, "ok": bool}} plus an "ok" summary key.
     """
     rng = np.random.default_rng(seed)
     report: dict = {"theory": theory, "tol": tol, "rules": {}, "ok": True}
     for rid in list_rules(theory):
-        n_params, arity = rule_signature(rid.name)
-        draws = samples if n_params > 0 else min(samples, 3)
-        ok, checks = True, 0
-        if rid.name == "I":
-            ns = range(3, max_qubits + 1)
-        else:
-            ns = (arity,)
-        for n in ns:
-            for _ in range(draws):
-                ps = sample_params(n_params, rng)
-                inst = instantiate(rid, ps, n)
-                checks += 1
-                if not check_soundness(inst, tol):
-                    ok = False
-        report["rules"][rid.name] = {"checks": checks, "ok": ok}
-        report["ok"] = report["ok"] and ok
+        oks = [check_soundness(inst, tol)
+               for inst in instances(theory, rid.name, samples, max_qubits, rng)]
+        report["rules"][rid.name] = {"checks": len(oks), "ok": all(oks)}
+        report["ok"] = report["ok"] and all(oks)
     return report

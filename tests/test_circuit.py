@@ -184,6 +184,16 @@ def test_gate_rejects_non_integer_wires():
             Gate("H", wires)
 
 
+def test_gate_params_must_be_real_numbers():
+    for angle in (7, 0.5, np.float32(0.5), np.int64(3)):
+        assert p(angle, 0).params == (float(angle),)
+        assert type(p(angle, 0).params[0]) is float
+    # "7" is not P(7), true is not P(1.0)
+    for params in (("7",), (True,), (None,), (1j,), (np.bool_(True),)):
+        with pytest.raises(InvalidCircuit):
+            Gate("P", (0,), params)
+
+
 def test_circuit_rejects_non_integer_wire_counts():
     assert type(Circuit(np.int64(1), 1, (h(0),)).n_in) is int   # JSON-serializable
     # true is not 1 wire, and 1.0 is not a count

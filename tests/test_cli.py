@@ -121,6 +121,12 @@ def test_bad_input_exit_code(files, tmp_path):
         bad_wire = tmp_path / "bad_wire.json"
         bad_wire.write_text(json.dumps({"n_in": 2, "n_out": 2, "gates": [gate]}))
         assert main(["eval", str(bad_wire)]) == 2, gate
+    # params that are not real numbers: "7" is not P(7), true is not P(1.0)
+    for params in ("7", [True], ["7"]):
+        bad_param = tmp_path / "bad_param.json"
+        bad_param.write_text(json.dumps(
+            {"n_in": 1, "n_out": 1, "gates": [{"kind": "P", "wires": [0], "params": params}]}))
+        assert main(["eval", str(bad_param)]) == 2, params
     # a wire count that is not an integer: true is not 1 wire
     bad_count = tmp_path / "bad_count.json"
     bad_count.write_text(json.dumps({"n_in": True, "n_out": 1, "gates": []}))
@@ -151,6 +157,32 @@ def test_bad_input_exit_code(files, tmp_path):
                        ("rule", ["S2PI"]), ("direction", ["LR"]), ("site", [1]),
                        ("steps", [1]), ("steps", "ab"), ("steps", {})):
         assert replay_h2(**{field: bad}) == 2, field
+    # step params "12" are not PPLUS(1, 2); a trace name must be a string
+    pp = {"n_in": 1, "n_out": 1, "gates": [{"kind": "P", "wires": [0], "params": [1]},
+                                           {"kind": "P", "wires": [0], "params": [2]}]}
+    p3 = {"n_in": 1, "n_out": 1, "gates": [{"kind": "P", "wires": [0], "params": [3]}]}
+    pplus = {"rule": "PPLUS", "direction": "LR", "params": [1, 2], "n": None,
+             "site": {"gates": [0, 1], "wire_map": [0], "at": 0}}
+
+    def replay_pplus(step=pplus, name="pplus"):
+        mistyped.write_text(json.dumps({"theory": "QC", "initial": pp, "steps": [step],
+                                        "final": p3, "name": name}))
+        return main(["replay", str(mistyped), "--allow-lemmas"])
+
+    assert replay_pplus() == 0
+    assert replay_pplus(dict(pplus, params="12")) == 2
+    assert replay_pplus(name=5) == 2
+    # a report with nothing checked: no draws, or no width for (I)
+    assert main(["verify-rules", "--samples", "0"]) == 2
+    assert main(["verify-rules", "--max-qubits", "2"]) == 2
+    # QCancilla has no (I), so two wires cover every rule
+    assert main(["verify-rules", "--theory", "QCancilla", "--max-qubits", "2",
+                 "--samples", "5"]) == 0
+
+
+def test_bad_wire_cap_exits_2(files, monkeypatch):
+    monkeypatch.setenv("QCEQ_WIRE_CAP", "abc")
+    assert main(["eval", files["hh"]]) == 2
 
 
 def test_replay_frozen_traces(capsys):

@@ -10,8 +10,9 @@ from qc_equate import (apply_step, circuit, cnot, eval_matrix, find_sites,
                        interp_k, mcp, minimality_report, p, sign_classes,
                        sign_gap, x, z)
 from qc_equate.circuit import Circuit, init, dest
-from qc_equate.errors import UnsupportedGate
-from qc_equate.interp import equal_value_sets
+from qc_equate.errors import BadParams, UnsupportedGate
+from qc_equate.interp import equal_value_sets, minimality_matrix
+from qc_equate.theories import list_rules
 from qc_equate.rewrite import Site, Step
 
 PI = math.pi
@@ -136,9 +137,36 @@ def test_minimality_matrix_all_ten_axioms():
 
 
 def test_minimality_matrix_helper():
-    from qc_equate import minimality_matrix
     m = minimality_matrix("QC", samples=25, seed=3)
     assert m["pass"] and len(m["rows"]) == 10
+
+
+def test_minimality_matrix_results_are_pinned():
+    # every row's own axiom is its one unsound rule; the rules wider than
+    # the interpretation's bound are out of scope, every other rule sound
+    wide = {"B", "C", "CZ", "I"}
+    for theory, rows in (("QC", ("S2PI", "SPLUS", "H2", "P0", "C", "B", "CZ",
+                                 "EH", "E", "I")),
+                         ("QCprime", ("S2PI", "SPLUS", "H2", "P0", "C", "B",
+                                      "CZ", "I"))):
+        names = [r.name for r in list_rules(theory)]
+        phases_only = set(names) - {"S2PI", "SPLUS"}
+        out_of_scope = {"C": {"I"}, "H2": wide, "P0": wide, "E": wide,
+                        "S2PI": phases_only, "SPLUS": phases_only}
+        m = minimality_matrix(theory, samples=15, seed=2)
+        assert m["pass"] and list(m["rows"]) == list(rows)
+        for axiom in rows:
+            assert m["rows"][axiom]["results"] == {
+                name: "unsound" if name == axiom
+                else "out-of-scope" if name in out_of_scope.get(axiom, ())
+                else "sound" for name in names}, (theory, axiom)
+
+
+def test_minimality_with_nothing_to_check_raises():
+    with pytest.raises(BadParams):
+        minimality_report("QC", "C", samples=0)
+    with pytest.raises(BadParams):      # (I) is in scope of CZ, with no width
+        minimality_report("QC", "CZ", max_qubits=2)
 
 
 def test_p0_witness_follows_the_theory():
@@ -180,6 +208,12 @@ def test_sign_classes_examples():
     a, b = sc.pairing[0]
     paired = set(sc.classes[a]) | set(sc.classes[b])
     assert len(paired) == 2   # the two outer gates; the inner P(pi) is its own class
+
+    # a paired couple between two unpaired classes (expanded: P H P H P H P)
+    sc = sign_classes(circuit(1, [p(0.4, 0), h(0), p(0.3, 0), x(0), p(0.6, 0)]))
+    assert sc.positions == [0, 2, 4, 6]
+    assert sc.classes == [(0,), (2,), (6,), (4,)]
+    assert sc.pairing == [(1, 2)]
 
 
 def test_interp_E_value_sets():

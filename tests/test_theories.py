@@ -73,6 +73,15 @@ def test_master_soundness_all_theories():
         assert report["ok"], report
 
 
+def test_verify_theory_checks_per_rule_kind():
+    # a fixed instance once per width, (I) at widths 3..max_qubits, and
+    # one check per parameter draw for a parametrised rule
+    report = verify_theory("QC", samples=7, max_qubits=5, seed=1)
+    assert {name: r["checks"] for name, r in report["rules"].items()} == {
+        "S2PI": 1, "SPLUS": 7, "H2": 1, "P0": 1, "C": 7, "B": 1, "CZ": 1,
+        "EH": 1, "E": 7, "I": 3}
+
+
 def test_i_rule_sound_but_not_axiomatic_below_three():
     # sound on 1 and 2 wires even though the catalog starts at n = 3
     for n in (1, 2):
