@@ -85,15 +85,16 @@ def angles_equal(a: float, b: float, period: float = TWO_PI, tol: float = ANGLE_
     return d <= tol or period - d <= tol
 
 
-def _wire(w) -> int:
+def _wire(w, what: str = "wire") -> int:
     """``w`` as an int (numpy ints included); bools and floats are rejected,
-    so 0.9 never truncates to wire 0."""
+    so 0.9 never truncates to wire 0.  The one integer check of all input:
+    wires, wire counts and the index fields of a trace."""
     if isinstance(w, bool):
-        raise InvalidCircuit(f"wire {w!r} is not an integer")
+        raise InvalidCircuit(f"{what} {w!r} is not an integer")
     try:
         return operator.index(w)
     except TypeError:
-        raise InvalidCircuit(f"wire {w!r} is not an integer") from None
+        raise InvalidCircuit(f"{what} {w!r} is not an integer") from None
 
 
 def _real(v, what: str = "angle") -> float:
@@ -492,29 +493,32 @@ def canonicalize(c: Circuit) -> CanonicalForm:
     Ready gates are emitted by (dependency depth, smallest touched wire id,
     kind, parameters).
     """
-    return CanonicalForm(Circuit(c.n_in, c.n_out, tuple(_canonical_gates(c))))
+    gates = _canonical_gates(c.n_in, _id_gates(c))
+    return CanonicalForm(Circuit(c.n_in, c.n_out, tuple(gates)))
 
 
-def _canonical_gates(c: Circuit) -> list[Gate]:
-    """The gates of ``canonicalize(c)``, read off the circuit's threading."""
-    gate_ids = c.threading.gate_ids
-    return _place(list(range(c.n_in)),
-                  [(c.gates[i], gate_ids[i]) for i in _canonical_order(c)])
+def _id_gates(c: Circuit) -> list[_IdGate]:
+    """``c`` at the id level, read off its threading."""
+    return list(zip(c.gates, c.threading.gate_ids))
 
 
-def _canonical_order(c: Circuit) -> list[int]:
-    """The indices of ``c``'s gates in canonical order.
+def _canonical_gates(n_in: int, gates: list[_IdGate]) -> list[Gate]:
+    """The id-level ``gates`` on ``n_in`` inputs in canonical order, placed."""
+    return _place(list(range(n_in)), [gates[i] for i in _canonical_order(gates)])
+
+
+def _canonical_order(gates: list[_IdGate]) -> list[int]:
+    """The indices of the id-level ``gates`` in canonical order.
 
     Deformation-equal circuits put the same gate at the same rank.
     """
-    gate_ids = c.threading.gate_ids
-    n = len(c.gates)
+    n = len(gates)
     succ: list[list[int]] = [[] for _ in range(n)]
     n_pred = [0] * n
     last_by_id: dict[int, int] = {}
-    for i, g in enumerate(c.gates):
+    for i, (g, ids) in enumerate(gates):
         preds = set()
-        for wid in _deps(g, gate_ids[i]):
+        for wid in _deps(g, ids):
             if wid in last_by_id:
                 preds.add(last_by_id[wid])
             last_by_id[wid] = i
@@ -526,7 +530,7 @@ def _canonical_order(c: Circuit) -> list[int]:
     ready = []
     for i in range(n):
         if n_pred[i] == 0:
-            heapq.heappush(ready, _prio(c.gates[i], gate_ids[i], 0, i))
+            heapq.heappush(ready, _prio(*gates[i], 0, i))
     order: list[int] = []
     while ready:
         *_, i = heapq.heappop(ready)
@@ -535,7 +539,7 @@ def _canonical_order(c: Circuit) -> list[int]:
             depth[j] = max(depth[j], depth[i] + 1)
             n_pred[j] -= 1
             if n_pred[j] == 0:
-                heapq.heappush(ready, _prio(c.gates[j], gate_ids[j], depth[j], j))
+                heapq.heappush(ready, _prio(*gates[j], depth[j], j))
     if len(order) != n:
         raise InvalidCircuit("cycle in threading DAG")  # unreachable by construction
     return order
@@ -554,4 +558,5 @@ def deformation_equal(c1: Circuit, c2: Circuit, tol: float = ANGLE_EPS) -> bool:
     """True iff the two circuits are equal up to prop deformation."""
     if (c1.n_in, c1.n_out) != (c2.n_in, c2.n_out):
         raise ArityMismatch("deformation_equal needs equal arities")
-    return _same_gates(_canonical_gates(c1), _canonical_gates(c2), tol)
+    return _same_gates(_canonical_gates(c1.n_in, _id_gates(c1)),
+                       _canonical_gates(c2.n_in, _id_gates(c2)), tol)

@@ -10,7 +10,9 @@ class ArityMismatch(QcError):
 
 
 class InvalidCircuit(QcError):
-    """Gate list cannot be threaded from n_in to n_out wires."""
+    """Malformed input: a gate list that cannot be threaded from n_in to
+    n_out wires, or a mistyped field of a circuit, rule instance or trace
+    (a wire, count or index not an integer, an angle not a real number)."""
 
 
 class WireCapExceeded(QcError):
@@ -42,8 +44,9 @@ class UnknownLemma(QcError):
 
 
 class BadParams(QcError):
-    """Wrong parameter count or values: a rule or lemma instance, a
-    sampling run with nothing to check, or a bad QCEQ_WIRE_CAP."""
+    """Wrong parameter count for a rule or lemma instance (a parameter that
+    is not a real number is InvalidCircuit), a sampling run with nothing to
+    check, or a bad QCEQ_WIRE_CAP."""
 
 
 class BadArity(QcError):

@@ -160,8 +160,7 @@ def nf_from_unitary(u: np.ndarray) -> NormalFormParams:
 
 def _check_domain(*alphas: float):
     for a in alphas:
-        r = math.fmod(a, math.pi)
-        if abs(r) <= ANGLE_EPS or math.pi - abs(r) <= ANGLE_EPS:
+        if angles_equal(a, 0.0, math.pi):
             raise DomainError(f"angle {a} is a multiple of pi")
 
 

@@ -197,13 +197,8 @@ def interp_E_values(c: Circuit) -> tuple[float, ...]:
 
 
 def equal_value_sets(a, b, tol: float = 1e-8) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(sorted(a), sorted(b)):
-        d = abs(x - y)
-        if d > tol and HALF_PI - d > tol:
-            return False
-    return True
+    return len(a) == len(b) and all(angles_equal(x, y, HALF_PI, tol)
+                                    for x, y in zip(sorted(a), sorted(b)))
 
 
 def sign_gap(s, s_prime, a1: float, a2: float, a3: float) -> float:

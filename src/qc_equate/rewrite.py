@@ -6,7 +6,7 @@ rule wires to circuit wire positions.  Matching is site-directed; the
 engine verifies that the selected gates can be commuted into a contiguous
 block and are deformation-equal to the instantiated source side, then
 splices in the target side.  A safety net re-checks the semantics of every
-accepted step numerically.
+accepted step numerically, with the theory's own equality.
 
 Sites for rules whose sides create or destroy wires (A, AP, ACX) require a
 monotone wire map: ``wire_map`` must be strictly increasing, so that rule
@@ -19,14 +19,15 @@ import math
 from dataclasses import dataclass
 
 from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _IdGate, _STRUCT,
-                      _canonical_order, _deps, _frames, _place, _real,
-                      angles_equal, deformation_equal, reduce_angle)
-from .errors import (ArityMismatch, BadArity, IllegalSite, NoMatch, QcError,
-                     SemanticDrift, UnknownLemma, UnknownTheory, UnsupportedGate)
+                      _canonical_gates, _canonical_order, _deps, _frames,
+                      _id_gates, _place, _real, _same_gates, _wire, angles_equal,
+                      deformation_equal, reduce_angle)
+from .errors import (ArityMismatch, BadArity, IllegalSite, InvalidCircuit,
+                     NoMatch, QcError, SemanticDrift, UnknownTheory,
+                     UnsupportedGate)
 from .euler import NormalFormParams, _pack
-from .semantics import equal_matrices, eval_matrix, wire_cap
-from .theories import (DEFINITIONAL, RuleId, RuleInstance, _CATALOG,
-                       instantiate, lemma_instantiate)
+from .semantics import eval_matrix, wire_cap
+from .theories import equal_in, resolve_rule
 
 @dataclass(frozen=True)
 class Site:
@@ -49,30 +50,22 @@ class Site:
     @staticmethod
     def from_dict(d: dict) -> "Site":
         _of(dict, d, "site")
-        return Site(_tuple_of(_int, d.get("gates", ()), "gates"),
-                    _tuple_of(_int, d.get("wire_map", ()), "wire_map"),
-                    _int(d.get("at", 0), "at"))
-
-
-def _int(v, field: str) -> int:
-    """``v`` itself if it is an int; bools and floats are rejected, so 0.5
-    never truncates to 0."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"{field} must be an integer, got {v!r}")
-    return v
+        return Site(_tuple_of(_wire, d.get("gates", ()), "gates"),
+                    _tuple_of(_wire, d.get("wire_map", ()), "wire_map"),
+                    _wire(d.get("at", 0), "at"))
 
 
 def _of(kind: type, v, field: str):
     """``v`` itself if it is a ``kind`` (str, dict or list)."""
     if not isinstance(v, kind):
-        raise TypeError(f"{field} must be a {kind.__name__}, got {v!r}")
+        raise InvalidCircuit(f"{field} must be a {kind.__name__}, got {v!r}")
     return v
 
 
 def _tuple_of(item, vs, field: str) -> tuple:
     """``item(v, field)`` for each entry of the list ``vs``."""
     if not isinstance(vs, (list, tuple)):
-        raise TypeError(f"{field} must be a list, got {vs!r}")
+        raise InvalidCircuit(f"{field} must be a list, got {vs!r}")
     return tuple(item(v, field) for v in vs)
 
 
@@ -95,7 +88,7 @@ class Step:
         n = d.get("n")
         return Step(_of(str, d["rule"], "rule"), _of(str, d["direction"], "direction"),
                     _tuple_of(_real, d.get("params", ()), "params"),
-                    None if n is None else _int(n, "n"),
+                    None if n is None else _wire(n, "n"),
                     Site.from_dict(d.get("site", {})))
 
 
@@ -121,20 +114,6 @@ class Derivation:
                           Circuit.from_dict(d["final"]), _of(str, d.get("name", ""), "name"))
 
 
-def resolve_rule(theory: str, name: str, params, n, allow_lemmas: bool) -> RuleInstance:
-    """Axioms of the theory first, then macro definitions, then lemmas."""
-    if theory not in _CATALOG:
-        raise UnknownTheory(f"no theory {theory!r}")
-    if name in _CATALOG[theory]:
-        return instantiate(RuleId(theory, name), params, n)
-    if name in DEFINITIONAL:
-        return lemma_instantiate(name, params, n)
-    if allow_lemmas:
-        return lemma_instantiate(name, params, n)
-    raise UnknownLemma(f"{name} is not an axiom of {theory} "
-                       "(derived lemmas need allow_lemmas)")
-
-
 # -- step application ---------------------------------------------------------
 
 @dataclass
@@ -157,7 +136,7 @@ def apply_step_full(c: Circuit, step: Step, theory: str = "QC",
     inst = resolve_rule(theory, step.rule, step.params, step.n, allow_lemmas)
     src, dst = (inst.lhs, inst.rhs) if step.direction == "LR" else (inst.rhs, inst.lhs)
 
-    gates = list(zip(c.gates, c.threading.gate_ids))
+    gates = _id_gates(c)
     sel = tuple(step.site.gates)
     if len(sel) != len(set(sel)) or any(not 0 <= i < len(gates) for i in sel):
         raise NoMatch("site gate indices out of range or repeated")
@@ -202,7 +181,7 @@ def apply_step_full(c: Circuit, step: Step, theory: str = "QC",
     rev_site = Site(tuple(range(start, start + len(repl))), wire_map, start)
 
     if safety:
-        _safety_check(c, out, tol)
+        _safety_check(c, out, theory, tol)
     return ApplyResult(out, rev_site)
 
 
@@ -233,10 +212,11 @@ def _match_source(src: Circuit, block: list[_IdGate], wire_ids: list[int],
     """Check the selected block is deformation-equal to the source side.
 
     The block is relabelled onto the rule's wires: inputs through the wire
-    map, created wires in birth order, as the source side's threading
-    numbers them.  Each INIT goes among the mapped wires open after it in
-    the circuit, whose open wires where the block assembles are ``frame``.
-    Returns the block's INITs.
+    map, created wires in birth order, which are the ids the source side's
+    threading gives them, so both compare in canonical order as they are.
+    Each INIT goes among the mapped wires open after it in the circuit,
+    whose open wires where the block assembles are ``frame``.  Returns the
+    block's INITs.
     """
     label = {wid: i for i, wid in enumerate(wire_ids)}
     relabelled, inits = [], []
@@ -248,12 +228,8 @@ def _match_source(src: Circuit, block: list[_IdGate], wire_ids: list[int],
         elif any(wid not in label for wid in ids):
             raise NoMatch("selected gate touches a wire outside the map")
         relabelled.append((g, tuple(label[wid] for wid in ids)))
-    try:
-        local = Circuit(src.n_in, src.n_out,
-                        tuple(_place(list(range(src.n_in)), relabelled)))
-    except QcError as exc:
-        raise NoMatch(f"selected block does not thread like the rule side: {exc}")
-    if not deformation_equal(local, src):
+    if not _same_gates(_canonical_gates(src.n_in, relabelled),
+                       _canonical_gates(src.n_in, _id_gates(src))):
         raise NoMatch("selected block is not deformation-equal to the rule side")
     return inits
 
@@ -294,11 +270,11 @@ def _build_replacement(src: Circuit, dst: Circuit, wire_ids: list[int],
     return repl
 
 
-def _safety_check(before: Circuit, after: Circuit, tol: float):
+def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float):
     width = max(before.n_in, before.n_out, after.n_in, after.n_out)
     if width > wire_cap():
         return
-    if not equal_matrices(eval_matrix(before), eval_matrix(after), tol):
+    if not equal_in(theory, eval_matrix(before), eval_matrix(after), tol):
         raise SemanticDrift("rewrite changed the semantics (engine bug)")
 
 
@@ -369,12 +345,12 @@ def _carry_site(site: Site, rec: Circuit, cur: Circuit, chain: bool) -> Site:
     """
     if rec.gates == cur.gates:
         return site
-    rec_gates = list(zip(rec.gates, rec.threading.gate_ids))
-    gates = list(zip(cur.gates, cur.threading.gate_ids))
+    rec_gates = _id_gates(rec)
+    gates = _id_gates(cur)
     rec_frame = _frames(range(rec.n_in), rec_gates[:site.at])[-1]
     wire_ids = [rec_frame[pos] for pos in site.wire_map]
-    rank = {i: r for r, i in enumerate(_canonical_order(rec))}
-    cur_order = _canonical_order(cur)
+    rank = {i: r for r, i in enumerate(_canonical_order(rec_gates))}
+    cur_order = _canonical_order(gates)
     if site.gates:
         sel = tuple(sorted(cur_order[rank[i]] for i in site.gates))
         before, _ = _partition_block(gates, sel)
@@ -411,7 +387,7 @@ def find_sites(c: Circuit, rule: str, params=(), n: int | None = None,
     """
     inst = resolve_rule(theory, rule, params, n, allow_lemmas)
     src = inst.lhs if direction == "LR" else inst.rhs
-    gates = list(zip(c.gates, c.threading.gate_ids))
+    gates = _id_gates(c)
     frames = _frames(range(c.n_in), gates)
     hits: list[Site] = []
     if len(src.gates) == 0:

@@ -4,13 +4,14 @@ Four theories are provided:
 
     QC        -- S2PI SPLUS H2 P0 C B CZ EH E I(n>=3)
     QCprime   -- QC with {EH, E} replaced by {PPLUS, EPRIME}
-    QCugp     -- QC up to global phases (no S2PI/SPLUS, circuits stripped
-                 of GPHASE gates, soundness checked up to phase)
+    QCugp     -- QC up to global phases (no S2PI/SPLUS, every cited rule
+                 stripped of GPHASE gates, equality up to phase)
     QCancilla -- S2PI H2 AP A ACX FIVE_CX C B CZ P0 EH E
 
 plus a catalog of derived-equation schemas (lemmas) and definitional
-rewrites (macro unfoldings).  ``check_soundness`` validates any instance
-numerically; nothing is assumed.
+rewrites (macro unfoldings).  ``resolve_rule`` looks up what a step in a
+theory may cite, ``equal_in`` is each theory's equality, and
+``check_soundness`` validates any instance numerically; nothing is assumed.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (Circuit, Gate, _controls_phase, circuit, cnot, dest,
-                      gphase, h, init, mcp, mcrx, p, rx, swap, unfold, x, z)
+from .circuit import (Circuit, Gate, _controls_phase, _real, circuit, cnot,
+                      dest, gphase, h, init, mcp, mcrx, p, rx, swap, unfold,
+                      x, z)
 from .errors import BadArity, BadParams, UnknownLemma, UnknownTheory
 from .euler import euler_e, euler_eprime
 from .semantics import equal_matrices, equal_up_to_phase, eval_matrix
@@ -296,23 +298,6 @@ _LEMMAS = frozenset(_RULES) - _AXIOMS - set(DEFINITIONAL) | {"PPLUS", "EH"}
 _LEMMAS_AND_DEFS = _LEMMAS | set(DEFINITIONAL)
 
 
-def _sides(name: str, params: tuple[float, ...], n: int | None,
-           min_n: int = 1) -> tuple[Circuit, Circuit]:
-    """Both sides of the rule ``name``, after checking the parameter count
-    and the wire count (the rule's fixed one when ``n`` is None)."""
-    n_params, arity, build = _RULES[name]
-    if len(params) != n_params:
-        raise BadParams(f"{name} takes {n_params} params, got {len(params)}")
-    if arity is None:
-        if n is None or n < min_n:
-            raise BadArity(f"{name} needs a wire count of at least {min_n}")
-    elif n is None:
-        n = arity
-    elif n != arity:
-        raise BadArity(f"{name} is pinned at {arity} wires")
-    return build(params, n)
-
-
 def list_rules(theory: str) -> list[RuleId]:
     if theory not in _CATALOG:
         raise UnknownTheory(f"no theory {theory!r}; pick one of {THEORIES}")
@@ -323,12 +308,31 @@ def rule_signature(name: str) -> tuple[int, int | None]:
     """(parameter count, fixed wire count or None for n-ary) of an axiom."""
     if name not in _AXIOMS:
         raise UnknownTheory(f"no axiom named {name!r}")
-    np_, arity, _ = _RULES[name]
-    return np_, arity
+    return _RULES[name][:2]
 
 
-def _strip_phases(c: Circuit) -> Circuit:
-    return Circuit(c.n_in, c.n_out, tuple(g for g in c.gates if g.kind != "GPHASE"))
+def _instance(rid: RuleId, params, n: int | None, theory: str | None) -> RuleInstance:
+    """The instance of the rule ``rid.name`` as a step in ``theory`` cites it.
+
+    Checks the parameters (real numbers, as many as the rule takes) and the
+    wire count (the rule's fixed one when ``n`` is None; (I) is an axiom
+    from 3 wires on).  QCugp cites every rule without global phases.
+    """
+    n_params, arity, build = _RULES[rid.name]
+    params = tuple(v if type(v) is float else _real(v, f"{rid.name} param")
+                   for v in params)
+    if len(params) != n_params:
+        raise BadParams(f"{rid.name} takes {n_params} params, got {len(params)}")
+    min_n = 3 if rid.name == "I" else 1
+    if arity is None and (n is None or n < min_n):
+        raise BadArity(f"{rid.name} needs a wire count of at least {min_n}")
+    if arity is not None and n not in (None, arity):
+        raise BadArity(f"{rid.name} is pinned at {arity} wires")
+    lhs, rhs = build(params, n if arity is None else arity)
+    if theory == "QCugp":
+        lhs, rhs = (Circuit(c.n_in, c.n_out, tuple(g for g in c.gates if g.kind != "GPHASE"))
+                    for c in (lhs, rhs))
+    return RuleInstance(rid, params, lhs.n_in, lhs, rhs)
 
 
 def instantiate(rule: RuleId | tuple[str, str], params=(), n: int | None = None) -> RuleInstance:
@@ -338,20 +342,43 @@ def instantiate(rule: RuleId | tuple[str, str], params=(), n: int | None = None)
         raise UnknownTheory(f"no theory {rule.theory!r}")
     if rule.name not in _CATALOG[rule.theory]:
         raise UnknownTheory(f"{rule.name} is not an axiom of {rule.theory}")
-    params = tuple(float(v) for v in params)
-    # (I) is an axiom for n >= 3 wires only
-    lhs, rhs = _sides(rule.name, params, n, min_n=3 if rule.name == "I" else 1)
-    if rule.theory == "QCugp":
-        lhs, rhs = _strip_phases(lhs), _strip_phases(rhs)
-    return RuleInstance(rule, params, lhs.n_in, lhs, rhs)
+    return _instance(rule, params, n, rule.theory)
+
+
+def lemma_instantiate(name: str, params=(), n: int | None = None) -> RuleInstance:
+    if name not in _LEMMAS_AND_DEFS:
+        raise UnknownLemma(f"no lemma named {name!r}")
+    return _instance(RuleId("LEMMA", name), params, n, None)
+
+
+def resolve_rule(theory: str, name: str, params, n, allow_lemmas: bool) -> RuleInstance:
+    """The instance of ``name`` that a step in ``theory`` may cite.
+
+    That is one of the theory's axioms, a macro definition, or a lemma when
+    ``allow_lemmas`` is set; lemmas and definitions keep the id
+    ``RuleId("LEMMA", name)``.
+    """
+    if theory not in _CATALOG:
+        raise UnknownTheory(f"no theory {theory!r}")
+    if name in _CATALOG[theory]:
+        return _instance(RuleId(theory, name), params, n, theory)
+    if name in DEFINITIONAL or allow_lemmas and name in _LEMMAS:
+        return _instance(RuleId("LEMMA", name), params, n, theory)
+    if allow_lemmas:
+        raise UnknownLemma(f"no lemma named {name!r}")
+    raise UnknownLemma(f"{name} is not an axiom of {theory} "
+                       "(derived lemmas need allow_lemmas)")
+
+
+def equal_in(theory: str, a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether two circuit matrices are equal in ``theory``: exactly, or up
+    to a global phase in QCugp."""
+    return (equal_up_to_phase if theory == "QCugp" else equal_matrices)(a, b, tol)
 
 
 def check_soundness(inst: RuleInstance, tol: float = 1e-9) -> bool:
-    """Numerically compare both sides (up to phase for QCugp instances)."""
-    a, b = eval_matrix(inst.lhs), eval_matrix(inst.rhs)
-    if inst.id.theory == "QCugp":
-        return equal_up_to_phase(a, b, tol)
-    return equal_matrices(a, b, tol)
+    """Numerically compare both sides in the instance's theory."""
+    return equal_in(inst.id.theory, eval_matrix(inst.lhs), eval_matrix(inst.rhs), tol)
 
 
 def lemma_names() -> list[str]:
@@ -361,16 +388,7 @@ def lemma_names() -> list[str]:
 def lemma_signature(name: str) -> tuple[int, int | None]:
     if name not in _LEMMAS_AND_DEFS:
         raise UnknownLemma(f"no lemma named {name!r}")
-    np_, arity, _ = _RULES[name]
-    return np_, arity
-
-
-def lemma_instantiate(name: str, params=(), n: int | None = None) -> RuleInstance:
-    if name not in _LEMMAS_AND_DEFS:
-        raise UnknownLemma(f"no lemma named {name!r}")
-    params = tuple(float(v) for v in params)
-    lhs, rhs = _sides(name, params, n)
-    return RuleInstance(RuleId("LEMMA", name), params, lhs.n_in, lhs, rhs)
+    return _RULES[name][:2]
 
 
 # -- sampling / master soundness suite ---------------------------------------

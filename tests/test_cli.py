@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from qc_equate import circuit, euler_e, p, rx
 from qc_equate.cli import main
 
 HH = {"n_in": 1, "n_out": 1,
@@ -178,6 +179,25 @@ def test_bad_input_exit_code(files, tmp_path):
     # QCancilla has no (I), so two wires cover every rule
     assert main(["verify-rules", "--theory", "QCancilla", "--max-qubits", "2",
                  "--samples", "5"]) == 0
+
+
+def test_replay_qcugp_step_and_off_final(tmp_path):
+    # a QCugp (E) step lands on P RX P: QCugp cites (E) without its global
+    # phase, and its safety net compares up to one
+    rxprx = circuit(1, [rx(0.3, 0), p(0.5, 0), rx(0.7, 0)])
+    _, b1, b2, b3 = euler_e(0.3, 0.5, 0.7)[0]
+    step = {"rule": "E", "direction": "LR", "params": [0.3, 0.5, 0.7], "n": None,
+            "site": {"gates": [0, 1, 2], "wire_map": [0], "at": 0}}
+    trace = tmp_path / "ugp.json"
+
+    def replay_e(final):
+        trace.write_text(json.dumps({"theory": "QCugp", "initial": rxprx.to_dict(),
+                                     "steps": [step], "final": final.to_dict()}))
+        return main(["replay", str(trace)])
+
+    assert replay_e(circuit(1, [p(b1, 0), rx(b2, 0), p(b3, 0)])) == 0
+    # a replay that ends off the declared final
+    assert replay_e(rxprx) == 2
 
 
 def test_bad_wire_cap_exits_2(files, monkeypatch):

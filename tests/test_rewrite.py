@@ -10,10 +10,11 @@ from qc_equate import (Circuit, Derivation, Site, Step, apply_step, circuit,
                        cnot, ctrl, decide_equiv_1q, deformation_equal, dest,
                        eval_matrix, find_sites, gphase, h, init, nf_from_unitary,
                        normalize_1q, p, replay, reverse_derivation, rx, x, z)
-from qc_equate.errors import (BadArity, IllegalSite, NoMatch, UnknownTheory,
+from qc_equate.errors import (ArityMismatch, BadArity, IllegalSite,
+                              InvalidCircuit, NoMatch, UnknownTheory,
                               UnsupportedGate)
 from qc_equate.euler import GENERIC, Z_ZERO, ZPRIME_ZERO, euler_eprime
-from qc_equate.rewrite import apply_step_full
+from qc_equate.rewrite import apply_step_full, concat_derivations, resolve_rule
 from qc_equate.theories import DEFINITIONAL, _CATALOG
 from qc_equate.traces import all_traces
 
@@ -88,6 +89,60 @@ def test_ancilla_steps():
     out3 = apply_step(out2, Step("AP", "LR", (1.3,), None, Site((1, 2), (), 0)),
                       theory="QCancilla")
     assert deformation_equal(out3, out)
+
+
+HH = circuit(1, [h(0), h(0)])
+CPC = circuit(2, [cnot(0, 1), p(0.7, 0), cnot(0, 1)])
+
+
+def _h2(site, direction="LR"):
+    return Step("H2", direction, (), None, site)
+
+
+@pytest.mark.parametrize("run, error", [
+    (lambda: apply_step(HH, _h2(Site((0, 1), (0,)), "UP")), NoMatch),
+    (lambda: apply_step(HH, _h2(Site((0, 0), (0,)))), NoMatch),
+    (lambda: apply_step(HH, _h2(Site((0, 2), (0,)))), NoMatch),
+    (lambda: apply_step(HH, _h2(Site((), (0,), 3), "RL")), NoMatch),
+    (lambda: apply_step(HH, _h2(Site((0, 1), (0, 1)))), NoMatch),
+    (lambda: apply_step(CPC, Step("C", "LR", (0.7,), None, Site((0, 1, 2), (0, 0)))),
+     NoMatch),
+    (lambda: replay(Derivation("QC", HH, [_h2(Site((0, 1), (0,)))], circuit(1, [h(0)]))),
+     NoMatch),
+    (lambda: concat_derivations(Derivation("QC", HH, [], HH),
+                                Derivation("QC", circuit(1, []), [], circuit(1, []))),
+     ArityMismatch),
+    (lambda: resolve_rule("QCnone", "H2", (), None, True), UnknownTheory),
+], ids=["direction", "repeated-index", "index-out-of-range", "splice-out-of-range",
+        "wire-map-length", "wire-map-not-injective", "replay-off-final",
+        "concat-no-chain", "unknown-theory"])
+def test_engine_rejections(run, error):
+    with pytest.raises(error):
+        run()
+
+
+def test_qcugp_steps_cite_rules_without_global_phases():
+    # (E) and (RXDEF) lose their GPHASE in QCugp, and the safety net
+    # compares up to a global phase there
+    c = circuit(1, [rx(0.3, 0), p(0.5, 0), rx(0.7, 0)])
+    out = apply_step(c, Step("E", "LR", (0.3, 0.5, 0.7), None, Site((0, 1, 2), (0,))),
+                     "QCugp", safety=True)
+    assert [g.kind for g in out.gates] == ["P", "RX", "P"]
+    out = apply_step(circuit(1, [rx(0.4, 0)]),
+                     Step("RXDEF", "LR", (0.4,), None, Site((0,), (0,))), "QCugp")
+    assert [g.kind for g in out.gates] == ["H", "P", "H"]
+
+
+def test_site_fields_are_integers():
+    # one integer check for every input: numpy ints pass as Gate wires do,
+    # floats and bools raise InvalidCircuit (a QcError)
+    site = Site.from_dict({"gates": [np.int64(0)], "wire_map": [np.int32(1)]})
+    assert site == Site((0,), (1,)) and type(site.gates[0]) is int
+    for bad in ({"gates": [0.5]}, {"wire_map": [True]}, {"at": 1.0}, {"gates": "ab"}):
+        with pytest.raises(InvalidCircuit):
+            Site.from_dict(bad)
+    with pytest.raises(InvalidCircuit):
+        Step.from_dict({"rule": "H2", "direction": "LR", "n": 1.0})
 
 
 def _flip(step, site):

@@ -8,7 +8,8 @@ import pytest
 from qc_equate import (RuleId, RuleInstance, check_soundness, circuit, cnot,
                        eval_matrix, instantiate, lemma_instantiate,
                        lemma_names, list_rules, swap, verify_theory)
-from qc_equate.errors import BadArity, BadParams, UnknownLemma, UnknownTheory
+from qc_equate.errors import (BadArity, BadParams, QcError, UnknownLemma,
+                              UnknownTheory)
 from qc_equate.theories import rule_signature
 
 PI = math.pi
@@ -36,6 +37,12 @@ def test_instantiate_validation():
         instantiate(("QC", "I"), (), 2)
     with pytest.raises(UnknownTheory):
         instantiate(("QCprime", "EH"), (), 1)
+    # parameters must be real numbers: "7" is not C(7), true is not C(1.0)
+    for run in (lambda: instantiate(("QC", "C"), ("7",)),
+                lambda: instantiate(("QC", "C"), (True,)),
+                lambda: lemma_instantiate("PPLUS", ("1", "2"))):
+        with pytest.raises(QcError):
+            run()
 
 
 def test_i_rule_shape():
