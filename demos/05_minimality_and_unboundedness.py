@@ -8,24 +8,25 @@ complete: it disagrees with the identity exactly one qubit above its index.
 
 import math
 
-from qc_equate import (circuit, instantiate, interp_E_values, interp_axiom,
-                       interp_k, mcp, minimality_report, p, sign_classes, x)
+from qc_equate import (circuit, interp_E_values, interp_axiom, interp_k, mcp,
+                       minimality_matrix, minimality_report, p, resolve_rule,
+                       sign_classes, x)
 
 PI = math.pi
 
 # The Hadamard-count indicator: sound everywhere on 1 qubit except (H^2).
-inst = instantiate(("QC", "H2"), (), 1)
+inst = resolve_rule("QC", "H2", (), 1)
 print("H-count indicator on (H2):",
       interp_axiom("H2", inst.lhs), "vs", interp_axiom("H2", inst.rhs))
 
-inst = instantiate(("QC", "EH"), (), 1)
+inst = resolve_rule("QC", "EH", (), 1)
 print("H-count indicator on (EH):",
       interp_axiom("H2", inst.lhs), "vs", interp_axiom("H2", inst.rhs),
       "(the X-rotation macro hides Hadamards)")
 
 # The swap-parity functor breaks exactly (B); the cnot+swap one exactly (CZ).
 for target in ("B", "CZ"):
-    inst = instantiate(("QC", target), (), 2)
+    inst = resolve_rule("QC", target, (), 2)
     va, vb = interp_axiom(target, inst.lhs), interp_axiom(target, inst.rhs)
     import numpy as np
     print(f"permutation functor on ({target}): lhs == rhs is",
@@ -50,3 +51,9 @@ for axiom in ("S2PI", "SPLUS", "H2", "P0", "C", "B", "CZ", "EH", "E", "I"):
     rep = minimality_report("QC", axiom, samples=100, seed=0)
     flags = " ".join(k for k, v in rep["results"].items() if v == "unsound")
     print(f"  {axiom:5s} -> unsound: {flags:6s} PASS={rep['pass']}")
+
+# No interpretation is defined on INIT/DEST, so QCancilla's ancilla rules
+# have no witness and its matrix does not pass.
+rows = minimality_matrix("QCancilla", samples=15, seed=2)["rows"]
+print("\nQCancilla rules without a witness:",
+      sorted({k for r in rows.values() for k, v in r["results"].items() if v == "no-witness"}))

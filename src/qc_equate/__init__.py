@@ -23,8 +23,7 @@ from .rewrite import (Derivation, Site, Step, apply_step, decide_equiv_1q,
 from .semantics import (det_arg, equal_matrices, equal_up_to_phase,
                         eval_matrix, is_isometry, is_unitary)
 from .theories import (THEORIES, RuleId, RuleInstance, check_soundness,
-                       instantiate, lemma_instantiate, lemma_names,
-                       list_rules, verify_theory)
+                       lemma_names, list_rules, resolve_rule, verify_theory)
 
 __version__ = "0.1.0"
 
@@ -41,6 +40,6 @@ __all__ = [
     "find_sites", "normalize_1q", "replay", "reverse_derivation",
     "det_arg", "equal_matrices", "equal_up_to_phase", "eval_matrix",
     "is_isometry", "is_unitary",
-    "THEORIES", "RuleId", "RuleInstance", "check_soundness", "instantiate",
-    "lemma_instantiate", "lemma_names", "list_rules", "verify_theory",
+    "THEORIES", "RuleId", "RuleInstance", "check_soundness", "lemma_names",
+    "list_rules", "resolve_rule", "verify_theory",
 ]

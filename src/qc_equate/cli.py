@@ -19,8 +19,8 @@ from .euler import nf_from_unitary
 from .interp import minimality_matrix, minimality_report
 from .rewrite import Derivation, normalize_1q, replay
 from .semantics import (equal_matrices, equal_up_to_phase, eval_matrix)
-from .theories import (THEORIES, lemma_names, lemma_signature, list_rules,
-                       rule_signature, verify_theory)
+from .theories import (THEORIES, RuleId, lemma_names, list_rules, signature,
+                       verify_theory)
 
 
 def _load(path: str, parse):
@@ -129,17 +129,15 @@ def cmd_minimality(args) -> int:
 
 
 def cmd_list_rules(args) -> int:
-    out = []
-    for rid in list_rules(args.theory):
-        n_params, arity = rule_signature(rid.name)
-        out.append({"name": rid.name, "params": n_params,
-                    "wires": arity if arity is not None else "n"})
-    payload = {"theory": args.theory, "rules": out}
+    def entry(name):
+        n_params, arity = signature(name)
+        return {"name": name, "params": n_params, "wires": "n" if arity is None else arity}
+
+    payload = {"theory": args.theory,
+               "rules": [entry(rid.name) for rid in list_rules(args.theory)]}
     if args.list_lemmas:
-        payload["lemmas"] = [
-            {"name": name, "params": lemma_signature(name)[0],
-             "wires": lemma_signature(name)[1] or "n"}
-            for name in lemma_names()]
+        payload["lemmas"] = [{**entry(name), "kind": RuleId(args.theory, name).kind}
+                             for name in lemma_names()]
     _emit(payload)
     return 0
 

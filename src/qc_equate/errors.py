@@ -36,11 +36,13 @@ class DomainError(QcError):
 
 
 class UnknownTheory(QcError):
-    """Theory tag not in the catalog."""
+    """Theory tag not in the catalog, or one an operation does not run in
+    (``normalize_1q`` outside QC/QCprime, minimality of a non-axiom)."""
 
 
 class UnknownLemma(QcError):
-    """Lemma name not in the derived-equation catalog."""
+    """Rule name a theory cannot cite: in no catalog, an axiom of other
+    theories only, or a lemma without ``allow_lemmas``."""
 
 
 class BadParams(QcError):

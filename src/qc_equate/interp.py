@@ -21,13 +21,17 @@ from .errors import (InconsistentClasses, NoInterpretation, UnknownTheory,
                      UnsupportedGate)
 from .euler import b_funcs
 from .semantics import eval_matrix
-from .theories import instances, instantiate, list_rules, rule_signature
+from .theories import instances, list_rules, resolve_rule, signature
 
 HALF_PI = math.pi / 2.0
 
 
+def _has_ancilla(c: Circuit) -> bool:
+    return any(g.kind in ("INIT", "DEST") for g in c.gates)
+
+
 def _expanded(c: Circuit) -> Circuit:
-    if any(g.kind in ("INIT", "DEST") for g in c.gates):
+    if _has_ancilla(c):
         raise UnsupportedGate("interpretations are defined on vanilla circuits")
     return expand_macros(c)
 
@@ -223,7 +227,9 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     is the sign-assignment value set; the remaining eight axioms use their
     registered interpretations.  Axioms acting on more qubits than the
     interpretation's soundness bound are out of scope; every other rule is
-    checked on its sampled ``instances``.
+    checked on its sampled ``instances``.  No interpretation is defined on
+    INIT/DEST, so a rule with an ancilla side has no witness and the report
+    does not pass.
     """
     rng = np.random.default_rng(seed)
     if axiom not in {r.name for r in list_rules(theory)}:
@@ -254,29 +260,32 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     for rid in list_rules(theory):
         name = rid.name
         if name == axiom == "I":
-            insts = [instantiate(rid, (), target_n)]
+            insts = [resolve_rule(theory, name, (), target_n)]
         elif name == axiom == "SPLUS":
             # the psi-carrying instances are the unsound ones
-            insts = [instantiate(rid, (psi, float(rng.uniform(0.2, 3.0))), 0)
+            insts = [resolve_rule(theory, name, (psi, float(rng.uniform(0.2, 3.0))), 0)
                      for _ in range(3)]
         else:
-            width = max_qubits if name == "I" else rule_signature(name)[1]
+            width = max_qubits if name == "I" else signature(name)[1]
             if bound is not None and width > bound and name != axiom:
                 results[name] = "out-of-scope"
                 continue
             # drawn in full, so later rules' draws do not depend on where
             # this one fails
             insts = list(instances(theory, name, samples, max_qubits, rng))
-        results[name] = "sound" if all(map(kept, insts)) else "unsound"
+        if _has_ancilla(insts[0].lhs) or _has_ancilla(insts[0].rhs):
+            results[name] = "no-witness"
+        else:
+            results[name] = "sound" if all(map(kept, insts)) else "unsound"
 
     unsound = {k for k, v in results.items() if v == "unsound"}
     report = {"theory": theory, "axiom": axiom, "interpretation": kind,
-              "bound": bound, "samples": samples, "seed": seed,
-              "results": results, "pass": unsound == {axiom}}
+              "bound": bound, "samples": samples, "seed": seed, "results": results,
+              "pass": unsound == {axiom} and "no-witness" not in results.values()}
     if psi is not None:
         report["psi"] = psi
         # psi-free instances must stay sound
-        free = [instantiate((theory, "SPLUS"), rng.uniform(0.1, 3.0, 2), 0)
+        free = [resolve_rule(theory, "SPLUS", rng.uniform(0.1, 3.0, 2), 0)
                 for _ in range(samples)]
         report["psi_free_sound"] = all(map(kept, free))
         report["pass"] = report["pass"] and report["psi_free_sound"]

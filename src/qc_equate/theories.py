@@ -9,9 +9,10 @@ Four theories are provided:
     QCancilla -- S2PI H2 AP A ACX FIVE_CX C B CZ P0 EH E
 
 plus a catalog of derived-equation schemas (lemmas) and definitional
-rewrites (macro unfoldings).  ``resolve_rule`` looks up what a step in a
-theory may cite, ``equal_in`` is each theory's equality, and
-``check_soundness`` validates any instance numerically; nothing is assumed.
+rewrites (macro unfoldings).  ``resolve_rule`` is the one way to build an
+instance: what a step in a theory may cite, under that theory's id.
+``equal_in`` is each theory's equality, and ``check_soundness`` validates
+any instance numerically; nothing is assumed.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ class RuleId:
     def __str__(self):
         return f"{self.theory}:{self.name}"
 
+    @property
+    def kind(self) -> str:
+        """What the rule is in its theory: "axiom", "definition" or "lemma"."""
+        return _kind(self.theory, self.name)
+
 
 @dataclass(frozen=True)
 class RuleInstance:
@@ -51,6 +57,10 @@ class RuleInstance:
     n: int
     lhs: Circuit
     rhs: Circuit
+
+    @property
+    def kind(self) -> str:
+        return self.id.kind
 
 
 def _czexp(a: int, b: int, sign: float = 1.0) -> list[Gate]:
@@ -263,7 +273,6 @@ _RULES = {
     "PGADGET":     (1, 2, _lem_pgadget),
     "HHCNOTHH":    (0, 2, _lem_hhcnothh),
     "CPMINUSPI":   (0, 2, _lem_cpminuspi),
-    "FIVECX":      (0, 3, _build_5cx),
     "SWAP2":       (0, 2, _lem_swap2),
     "SWAPP":       (1, 2, _lem_swapp),
     "SWAPCX":      (0, 2, _lem_swapcx),
@@ -293,9 +302,8 @@ _CATALOG = {
 
 _AXIOMS = frozenset(name for names in _CATALOG.values() for name in names)
 DEFINITIONAL = ("RXDEF", "ZDEF", "XDEF", "MCPDEF", "MCRXDEF")
-# PPLUS and EH are axioms of some theories and lemmas derived in others
-_LEMMAS = frozenset(_RULES) - _AXIOMS - set(DEFINITIONAL) | {"PPLUS", "EH"}
-_LEMMAS_AND_DEFS = _LEMMAS | set(DEFINITIONAL)
+# PPLUS, EH and FIVE_CX are axioms of some theories and lemmas derived in others
+_LEMMAS = frozenset(_RULES) - _AXIOMS - set(DEFINITIONAL) | {"PPLUS", "EH", "FIVE_CX"}
 
 
 def list_rules(theory: str) -> list[RuleId]:
@@ -304,70 +312,55 @@ def list_rules(theory: str) -> list[RuleId]:
     return [RuleId(theory, name) for name in _CATALOG[theory]]
 
 
-def rule_signature(name: str) -> tuple[int, int | None]:
-    """(parameter count, fixed wire count or None for n-ary) of an axiom."""
-    if name not in _AXIOMS:
-        raise UnknownTheory(f"no axiom named {name!r}")
+def signature(name: str) -> tuple[int, int | None]:
+    """(parameter count, fixed wire count or None for n-ary) of a catalog rule."""
+    if name not in _RULES:
+        raise UnknownLemma(f"no rule named {name!r}")
     return _RULES[name][:2]
 
 
-def _instance(rid: RuleId, params, n: int | None, theory: str | None) -> RuleInstance:
-    """The instance of the rule ``rid.name`` as a step in ``theory`` cites it.
+def _kind(theory: str, name: str) -> str:
+    """What ``name`` is in ``theory``: an axiom if the theory lists it, one
+    of the macro definitions, or else a lemma, checked but not an axiom."""
+    if theory not in _CATALOG:
+        raise UnknownTheory(f"no theory {theory!r}")
+    if name in _CATALOG[theory]:
+        return "axiom"
+    if name in DEFINITIONAL:
+        return "definition"
+    if name in _LEMMAS:
+        return "lemma"
+    raise UnknownLemma(f"no rule named {name!r} in {theory}")
+
+
+def resolve_rule(theory: str, name: str, params=(), n: int | None = None,
+                 allow_lemmas: bool = False) -> RuleInstance:
+    """The instance of ``name`` that a step in ``theory`` may cite, with the
+    id ``RuleId(theory, name)``: one of the theory's axioms, a macro
+    definition, or a lemma when ``allow_lemmas`` is set.
 
     Checks the parameters (real numbers, as many as the rule takes) and the
     wire count (the rule's fixed one when ``n`` is None; (I) is an axiom
     from 3 wires on).  QCugp cites every rule without global phases.
     """
-    n_params, arity, build = _RULES[rid.name]
-    params = tuple(v if type(v) is float else _real(v, f"{rid.name} param")
+    if _kind(theory, name) == "lemma" and not allow_lemmas:
+        raise UnknownLemma(f"{name} is not an axiom of {theory} "
+                           "(derived lemmas need allow_lemmas)")
+    n_params, arity, build = _RULES[name]
+    params = tuple(v if type(v) is float else _real(v, f"{name} param")
                    for v in params)
     if len(params) != n_params:
-        raise BadParams(f"{rid.name} takes {n_params} params, got {len(params)}")
-    min_n = 3 if rid.name == "I" else 1
+        raise BadParams(f"{name} takes {n_params} params, got {len(params)}")
+    min_n = 3 if name == "I" else 1
     if arity is None and (n is None or n < min_n):
-        raise BadArity(f"{rid.name} needs a wire count of at least {min_n}")
+        raise BadArity(f"{name} needs a wire count of at least {min_n}")
     if arity is not None and n not in (None, arity):
-        raise BadArity(f"{rid.name} is pinned at {arity} wires")
+        raise BadArity(f"{name} is pinned at {arity} wires")
     lhs, rhs = build(params, n if arity is None else arity)
     if theory == "QCugp":
         lhs, rhs = (Circuit(c.n_in, c.n_out, tuple(g for g in c.gates if g.kind != "GPHASE"))
                     for c in (lhs, rhs))
-    return RuleInstance(rid, params, lhs.n_in, lhs, rhs)
-
-
-def instantiate(rule: RuleId | tuple[str, str], params=(), n: int | None = None) -> RuleInstance:
-    if isinstance(rule, tuple):
-        rule = RuleId(*rule)
-    if rule.theory not in _CATALOG:
-        raise UnknownTheory(f"no theory {rule.theory!r}")
-    if rule.name not in _CATALOG[rule.theory]:
-        raise UnknownTheory(f"{rule.name} is not an axiom of {rule.theory}")
-    return _instance(rule, params, n, rule.theory)
-
-
-def lemma_instantiate(name: str, params=(), n: int | None = None) -> RuleInstance:
-    if name not in _LEMMAS_AND_DEFS:
-        raise UnknownLemma(f"no lemma named {name!r}")
-    return _instance(RuleId("LEMMA", name), params, n, None)
-
-
-def resolve_rule(theory: str, name: str, params, n, allow_lemmas: bool) -> RuleInstance:
-    """The instance of ``name`` that a step in ``theory`` may cite.
-
-    That is one of the theory's axioms, a macro definition, or a lemma when
-    ``allow_lemmas`` is set; lemmas and definitions keep the id
-    ``RuleId("LEMMA", name)``.
-    """
-    if theory not in _CATALOG:
-        raise UnknownTheory(f"no theory {theory!r}")
-    if name in _CATALOG[theory]:
-        return _instance(RuleId(theory, name), params, n, theory)
-    if name in DEFINITIONAL or allow_lemmas and name in _LEMMAS:
-        return _instance(RuleId("LEMMA", name), params, n, theory)
-    if allow_lemmas:
-        raise UnknownLemma(f"no lemma named {name!r}")
-    raise UnknownLemma(f"{name} is not an axiom of {theory} "
-                       "(derived lemmas need allow_lemmas)")
+    return RuleInstance(RuleId(theory, name), params, lhs.n_in, lhs, rhs)
 
 
 def equal_in(theory: str, a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
@@ -385,12 +378,6 @@ def lemma_names() -> list[str]:
     return sorted(_LEMMAS) + sorted(DEFINITIONAL)
 
 
-def lemma_signature(name: str) -> tuple[int, int | None]:
-    if name not in _LEMMAS_AND_DEFS:
-        raise UnknownLemma(f"no lemma named {name!r}")
-    return _RULES[name][:2]
-
-
 # -- sampling / master soundness suite ---------------------------------------
 
 def sample_params(n_params: int, rng: np.random.Generator) -> tuple[float, ...]:
@@ -406,16 +393,15 @@ def instances(theory: str, name: str, samples: int, max_qubits: int,
     to ``max_qubits`` for the n-ary (I).  Raises BadParams when that leaves
     the rule with no instance, so no report passes with nothing checked.
     """
-    n_params, arity = rule_signature(name)
+    n_params, arity = signature(name)
     draws = samples if n_params else 1
     ns = range(3, max_qubits + 1) if arity is None else (arity,)
     if draws < 1 or not ns:
         raise BadParams(f"{name} gets no instance with samples={samples}, "
                         f"max_qubits={max_qubits}")
-    rid = RuleId(theory, name)
     for n in ns:
         for _ in range(draws):
-            yield instantiate(rid, sample_params(n_params, rng), n)
+            yield resolve_rule(theory, name, sample_params(n_params, rng), n)
 
 
 def verify_theory(theory: str, samples: int = 100, max_qubits: int = 6,

@@ -6,7 +6,7 @@ replayable by construction).  Coverage:
 
     QC        -- P2PI, PPLUS, PMINUS (phase-group laws via (E));
                  S0, CNOT2, PCOMMUTCNOT, BPRIME, PGADGET, HHCNOTHH,
-                 CPMINUSPI, FIVECX (via (I) on 3 qubits)
+                 CPMINUSPI, FIVE_CX (via (I) on 3 qubits)
     QCprime   -- EH, P2PI, PMINUS, RXMINUS, E (all via the (E')-based
                  normalizer: normalize both sides, glue at the normal form)
     QCancilla -- P0 (from the primed ancilla axioms), SPLUS, I3

@@ -11,10 +11,11 @@ import numpy as np
 from qc_equate import (NormalFormParams, Site, Step, apply_step, b_derivs_alpha2,
                        b_funcs, circuit, decide_equiv_1q, equal_matrices,
                        eval_matrix, euler_e, euler_eprime, find_sites, gphase,
-                       h, interp_E_values, interp_k, lemma_instantiate,
-                       check_soundness, mcp, minimality_report, nf_from_unitary,
-                       p, replay, rx, verify_theory, x, z)
+                       h, interp_E_values, interp_k, check_soundness, mcp,
+                       minimality_report, nf_from_unitary, p, replay,
+                       resolve_rule, rx, verify_theory, x, z)
 from qc_equate.interp import equal_value_sets
+from qc_equate.theories import signature
 from qc_equate.traces import all_traces
 
 PI = math.pi
@@ -222,7 +223,7 @@ def test_criterion_11_estar_n():
     for n in range(2, 6):
         for _ in range(50):
             params = tuple(rng.uniform(-TWO_PI, TWO_PI, 3))
-            inst = lemma_instantiate("ESTAR_N", params, n)
+            inst = resolve_rule("QC", "ESTAR_N", params, n, True)
             if not check_soundness(inst, 1e-9):
                 ok = False
     report(11, ok, "multi-controlled Euler instances, n = 2..5, 50 draws each")
@@ -245,11 +246,7 @@ def test_criterion_12_sign_value_invariance():
             c2 = apply_step(c, Step(name, "RL", (), None, Site((), wires, at)),
                             allow_lemmas=True)
         else:
-            from qc_equate.theories import lemma_signature, rule_signature
-            try:
-                n_params, _ = rule_signature(name)
-            except Exception:
-                n_params, _ = lemma_signature(name)
+            n_params, _ = signature(name)
             params = tuple(rng.uniform(0.2, 3.0, n_params))
             sites = find_sites(c, name, params, n, direction=direction,
                                allow_lemmas=True)

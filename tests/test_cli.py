@@ -85,6 +85,20 @@ def test_list_rules(capsys):
     assert len(out["rules"]) == 12
     assert any(r["name"] == "FIVE_CX" for r in out["rules"])
     assert any(l["name"] == "ESTAR_N" for l in out["lemmas"])
+    assert {l["name"]: l["wires"] for l in out["lemmas"]}["S0"] == 0
+    kinds = {}
+    for theory in ("QC", "QCprime"):
+        assert main(["list-rules", "--theory", theory, "--list"]) == 0
+        kinds[theory] = {l["name"]: l["kind"] for l in json.loads(capsys.readouterr().out)["lemmas"]}
+    assert kinds["QCprime"]["PPLUS"] == "axiom" and kinds["QC"]["PPLUS"] == "lemma"
+    assert kinds["QC"]["RXDEF"] == kinds["QCprime"]["RXDEF"] == "definition"
+
+
+def test_minimality_without_witness_exits_1(capsys):
+    rc = main(["minimality", "--theory", "QCancilla", "--axiom", "ALL",
+               "--samples", "10"])
+    assert rc == 1
+    assert not json.loads(capsys.readouterr().out)["pass"]
 
 
 def test_synth1q(tmp_path, capsys):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from qc_equate import (apply_step, circuit, cnot, eval_matrix, find_sites,
-                       gphase, h, instantiate, interp_E_values, interp_axiom,
-                       interp_k, mcp, minimality_report, p, sign_classes,
+                       gphase, h, interp_E_values, interp_axiom, interp_k, mcp,
+                       minimality_report, p, resolve_rule, sign_classes,
                        sign_gap, x, z)
 from qc_equate.circuit import Circuit, init, dest
 from qc_equate.errors import BadParams, UnsupportedGate
 from qc_equate.interp import equal_value_sets, minimality_matrix
-from qc_equate.theories import list_rules
+from qc_equate.theories import list_rules, signature
 from qc_equate.rewrite import Site, Step
 
 PI = math.pi
@@ -114,7 +114,7 @@ def test_interp_axiom_h2_example():
 
 
 def test_interp_axiom_b_and_cz_permutation_oracle():
-    b = instantiate(("QC", "B"), (), 2)
+    b = resolve_rule("QC", "B", (), 2)
     vb_l = interp_axiom("B", b.lhs)
     vb_r = interp_axiom("B", b.rhs)
     assert np.allclose(vb_l, np.eye(4))
@@ -122,7 +122,7 @@ def test_interp_axiom_b_and_cz_permutation_oracle():
     swap_mat[0, 0] = swap_mat[1, 2] = swap_mat[2, 1] = swap_mat[3, 3] = 1
     assert np.allclose(vb_r, swap_mat)
 
-    cz = instantiate(("QC", "CZ"), (), 2)
+    cz = resolve_rule("QC", "CZ", (), 2)
     v_l = interp_axiom("CZ", cz.lhs)
     v_r = interp_axiom("CZ", cz.rhs)
     cx = np.zeros((4, 4))
@@ -160,6 +160,21 @@ def test_minimality_matrix_results_are_pinned():
                 name: "unsound" if name == axiom
                 else "out-of-scope" if name in out_of_scope.get(axiom, ())
                 else "sound" for name in names}, (theory, axiom)
+
+
+def test_ancilla_rules_have_no_witness():
+    # no interpretation is defined on INIT/DEST: A, AP and ACX get no
+    # witness wherever they are in scope, and no QCancilla row passes
+    m = minimality_matrix("QCancilla", samples=15, seed=2)
+    assert not m["pass"] and m["rows"]
+    marks = {name: set() for name in ("A", "AP", "ACX")}
+    for row in m["rows"].values():
+        assert not row["pass"]
+        for name in marks:
+            marks[name].add(row["results"][name])
+        assert "no-witness" not in {v for k, v in row["results"].items() if k not in marks}
+    assert marks == {"A": {"no-witness"}, "AP": {"no-witness", "out-of-scope"},
+                     "ACX": {"no-witness", "out-of-scope"}}
 
 
 def test_minimality_with_nothing_to_check_raises():
@@ -240,11 +255,7 @@ def test_interp_E_invariance_under_small_rules():
             gates.append([h(0), p(ang, 0), gphase(ang), x(0)][kind])
         c = circuit(1, gates)
         name = rules[int(rng.integers(len(rules)))]
-        from qc_equate.theories import rule_signature, lemma_signature
-        try:
-            n_params, _ = rule_signature(name)
-        except Exception:
-            n_params, _ = lemma_signature(name)
+        n_params, _ = signature(name)
         params = tuple(rng.uniform(0.2, 3.0, n_params))
         direction = "LR" if rng.random() < 0.5 else "RL"
         sites = find_sites(c, name, params, 1 if name not in ("S2PI", "SPLUS") else 0,

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from qc_equate import (RuleId, RuleInstance, check_soundness, circuit, cnot,
-                       eval_matrix, instantiate, lemma_instantiate,
-                       lemma_names, list_rules, swap, verify_theory)
+import qc_equate
+from qc_equate import (THEORIES, RuleId, RuleInstance, check_soundness, circuit,
+                       cnot, eval_matrix, lemma_names, list_rules, resolve_rule,
+                       swap, verify_theory)
 from qc_equate.errors import (BadArity, BadParams, QcError, UnknownLemma,
                               UnknownTheory)
-from qc_equate.theories import rule_signature
+from qc_equate.theories import _RULES, signature
 
 PI = math.pi
 
@@ -32,42 +33,43 @@ def test_catalogs():
 
 def test_instantiate_validation():
     with pytest.raises(BadParams):
-        instantiate(("QC", "E"), (0.1,), 1)
+        resolve_rule("QC", "E", (0.1,), 1)
     with pytest.raises(BadArity):
-        instantiate(("QC", "I"), (), 2)
-    with pytest.raises(UnknownTheory):
-        instantiate(("QCprime", "EH"), (), 1)
+        resolve_rule("QC", "I", (), 2)
+    # (EH) is a lemma of QCprime: citable only with allow_lemmas
+    with pytest.raises(UnknownLemma):
+        resolve_rule("QCprime", "EH", (), 1)
     # parameters must be real numbers: "7" is not C(7), true is not C(1.0)
-    for run in (lambda: instantiate(("QC", "C"), ("7",)),
-                lambda: instantiate(("QC", "C"), (True,)),
-                lambda: lemma_instantiate("PPLUS", ("1", "2"))):
+    for run in (lambda: resolve_rule("QC", "C", ("7",)),
+                lambda: resolve_rule("QC", "C", (True,)),
+                lambda: resolve_rule("QC", "PPLUS", ("1", "2"), None, True)):
         with pytest.raises(QcError):
             run()
 
 
 def test_i_rule_shape():
-    inst = instantiate(("QC", "I"), (), 3)
+    inst = resolve_rule("QC", "I", (), 3)
     assert inst.lhs.gates[0].kind == "MCP" and len(inst.rhs.gates) == 0
     assert check_soundness(inst, 1e-9)
 
 
 def test_e_rule_uses_euler_angles():
     phi = 1.9
-    inst = instantiate(("QC", "E"), (0.0, phi, 0.0), 1)
+    inst = resolve_rule("QC", "E", (0.0, phi, 0.0), 1)
     betas = [g.params[0] for g in inst.rhs.gates]
     assert np.allclose(betas, [0.0, phi, 0.0, 0.0])
 
 
 def test_c_rule_semantics_oracle():
     phi = 0.8
-    inst = instantiate(("QC", "C"), (phi,), 2)
+    inst = resolve_rule("QC", "C", (phi,), 2)
     want = np.diag([1, 1, np.exp(1j * phi), np.exp(1j * phi)])
     assert np.max(np.abs(eval_matrix(inst.lhs) - want)) < 1e-12
     assert np.max(np.abs(eval_matrix(inst.rhs) - want)) < 1e-12
 
 
 def test_corrupted_b_instance_fails():
-    good = instantiate(("QC", "B"), (), 2)
+    good = resolve_rule("QC", "B", (), 2)
     assert check_soundness(good, 1e-9)
     bad = RuleInstance(RuleId("QC", "B"), (), 2, good.lhs,
                        circuit(2, [cnot(0, 1), swap(0, 1)]))
@@ -96,44 +98,77 @@ def test_i_rule_sound_but_not_axiomatic_below_three():
         lhs = circuit(n, [mcp(2 * PI, tuple(range(n)))])
         assert np.max(np.abs(eval_matrix(lhs) - np.eye(2 ** n))) < 1e-9
         with pytest.raises(BadArity):
-            instantiate(("QC", "I"), (), n)
+            resolve_rule("QC", "I", (), n)
 
 
 def test_qcugp_circuits_are_phase_free():
     rng = np.random.default_rng(5)
     for rid in list_rules("QCugp"):
-        n_params, arity = rule_signature(rid.name)
+        n_params, arity = signature(rid.name)
         n = 3 if rid.name == "I" else arity
-        inst = instantiate(rid, tuple(rng.uniform(0, 6, n_params)), n)
+        inst = resolve_rule("QCugp", rid.name, tuple(rng.uniform(0, 6, n_params)), n)
         assert all(g.kind != "GPHASE" for g in inst.lhs.gates + inst.rhs.gates)
         assert check_soundness(inst, 1e-9)
 
 
 def test_lemma_catalog_all_sound():
+    # in every theory, QCugp's phase-stripped sides up to a global phase
     rng = np.random.default_rng(6)
-    for name in lemma_names():
-        from qc_equate.theories import lemma_signature
-        n_params, arity = lemma_signature(name)
-        for _ in range(4):
-            params = tuple(rng.uniform(-6, 6, n_params))
-            ns = (arity,) if arity is not None else (1, 2, 3)
-            for n in ns:
-                inst = lemma_instantiate(name, params, n)
-                assert check_soundness(inst, 1e-9), (name, params, n)
+    for theory in THEORIES:
+        for name in lemma_names():
+            n_params, arity = signature(name)
+            for _ in range(4):
+                params = tuple(rng.uniform(-6, 6, n_params))
+                ns = (arity,) if arity is not None else (1, 2, 3)
+                for n in ns:
+                    inst = resolve_rule(theory, name, params, n, True)
+                    assert check_soundness(inst, 1e-9), (theory, name, params, n)
+
+
+def test_instances_carry_theory_and_kind():
+    inst = resolve_rule("QCugp", "RXDEF", (0.4,), None, True)
+    assert inst.id == RuleId("QCugp", "RXDEF") and inst.kind == "definition"
+    assert all(g.kind != "GPHASE" for g in inst.rhs.gates)
+    assert check_soundness(inst, 1e-9)
+    qc = resolve_rule("QC", "PPLUS", (0.3, 0.4), None, True)
+    assert qc.id == RuleId("QC", "PPLUS") and qc.kind == "lemma"
+    qcp = resolve_rule("QCprime", "PPLUS", (0.3, 0.4))
+    assert qcp.id == RuleId("QCprime", "PPLUS") and qcp.kind == "axiom"
+    # the same sides in both theories
+    assert (qc.lhs, qc.rhs) == (qcp.lhs, qcp.rhs)
+    # FIVE_CX is an axiom of QCancilla and a lemma elsewhere
+    assert resolve_rule("QCancilla", "FIVE_CX").kind == "axiom"
+    assert resolve_rule("QC", "FIVE_CX", (), None, True).kind == "lemma"
+    # an axiom of another theory that is no lemma is not citable
+    for theory, name in (("QC", "EPRIME"), ("QC", "ACX"), ("QCugp", "SPLUS")):
+        with pytest.raises(UnknownLemma):
+            resolve_rule(theory, name, (0.0,) * signature(name)[0], None, True)
+
+
+def test_public_names_resolve_once():
+    # `from qc_equate import *` must not name anything that is gone
+    assert len(set(qc_equate.__all__)) == len(qc_equate.__all__)
+    for name in qc_equate.__all__:
+        assert hasattr(qc_equate, name), name
+
+
+def test_no_two_rules_share_a_builder():
+    builders = [build for _, _, build in _RULES.values()]
+    assert len(set(builders)) == len(builders)
 
 
 def test_lemma_examples():
-    inst = lemma_instantiate("P2PI", (), 1)
+    inst = resolve_rule("QC", "P2PI", (), 1, True)
     assert check_soundness(inst, 1e-12)
 
     # multi-controlled Euler equation on 3 wires against the 8x8 oracle
-    inst = lemma_instantiate("ESTAR_N", (0.4, 1.2, -0.9), 3)
+    inst = resolve_rule("QC", "ESTAR_N", (0.4, 1.2, -0.9), 3, True)
     a, b = eval_matrix(inst.lhs), eval_matrix(inst.rhs)
     assert a.shape == (8, 8)
     assert np.max(np.abs(a - b)) < 1e-9
 
     phi = 1.3
-    inst = lemma_instantiate("PMINUS", (phi,), 1)
+    inst = resolve_rule("QC", "PMINUS", (phi,), 1, True)
     # oracle: X P(phi) X = e^{i phi} P(-phi)
     xm = np.array([[0, 1], [1, 0]], dtype=complex)
     want = np.exp(1j * phi) * np.diag([1, np.exp(-1j * phi)])
@@ -141,7 +176,7 @@ def test_lemma_examples():
     assert check_soundness(inst, 1e-12)
 
     with pytest.raises(UnknownLemma):
-        lemma_instantiate("NOPE", (), 1)
+        resolve_rule("QC", "NOPE", (), 1, True)
 
 
 def test_estar_n_scales():
@@ -149,7 +184,7 @@ def test_estar_n_scales():
     for n in range(1, 5):
         for _ in range(5):
             params = tuple(rng.uniform(-6, 6, 3))
-            inst = lemma_instantiate("ESTAR_N", params, n)
+            inst = resolve_rule("QC", "ESTAR_N", params, n, True)
             assert check_soundness(inst, 1e-9), (n, params)
 
 
@@ -159,4 +194,4 @@ def test_macro_definitions_sound_at_width(name):
     rng = np.random.default_rng(11)
     for n in range(1, 9):
         phi = float(rng.uniform(-4 * PI, 4 * PI))
-        assert check_soundness(lemma_instantiate(name, (phi,), n), 1e-9), (name, n)
+        assert check_soundness(resolve_rule("QC", name, (phi,), n), 1e-9), (name, n)
