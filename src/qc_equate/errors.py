@@ -37,12 +37,13 @@ class DomainError(QcError):
 
 class UnknownTheory(QcError):
     """Theory tag not in the catalog, or one an operation does not run in
-    (``normalize_1q`` outside QC/QCprime, minimality of a non-axiom)."""
+    (``normalize_1q`` outside QC/QCprime)."""
 
 
 class UnknownLemma(QcError):
     """Rule name a theory cannot cite: in no catalog, an axiom of other
-    theories only, or a lemma without ``allow_lemmas``."""
+    theories only, or a lemma without ``allow_lemmas``; or a name that is
+    not an axiom of the theory whose minimality is asked for."""
 
 
 class BadParams(QcError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import (TWO_PI, Circuit, angles_equal, circuit, expand_macros,
                       reduce_angle)
-from .errors import (InconsistentClasses, NoInterpretation, UnknownTheory,
+from .errors import (InconsistentClasses, NoInterpretation, UnknownLemma,
                      UnsupportedGate)
 from .euler import b_funcs
 from .semantics import eval_matrix
@@ -233,7 +233,7 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     """
     rng = np.random.default_rng(seed)
     if axiom not in {r.name for r in list_rules(theory)}:
-        raise UnknownTheory(f"{axiom} is not an axiom of {theory}")
+        raise UnknownLemma(f"{axiom} is not an axiom of {theory}")
     psi = None
     if axiom == "I":
         bound = target_n - 1

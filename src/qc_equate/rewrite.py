@@ -278,7 +278,31 @@ def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float):
         raise SemanticDrift("rewrite changed the semantics (engine bug)")
 
 
-# -- replay -------------------------------------------------------------------
+# -- recording and replay -----------------------------------------------------
+
+class _Recorder:
+    """Applies steps in a theory while recording them, so the derivation it
+    ends with replays by construction."""
+
+    def __init__(self, theory: str, initial: Circuit):
+        self.theory = theory
+        self.initial = initial
+        self.c = initial
+        self.steps: list[Step] = []
+
+    def do(self, rule: str, direction: str, params=(), n: int | None = None,
+           site: Site = Site()) -> tuple[int, ...]:
+        """Apply one step; returns the gate indices its replacement landed on."""
+        step = Step(rule, direction, tuple(float(v) for v in params), n, site)
+        res = apply_step_full(self.c, step, self.theory, allow_lemmas=True,
+                              safety=False)
+        self.c = res.circuit
+        self.steps.append(step)
+        return res.reverse_site.gates
+
+    def derivation(self, name: str = "") -> Derivation:
+        return Derivation(self.theory, self.initial, self.steps, self.c, name=name)
+
 
 def replay(d: Derivation, allow_lemmas: bool = False, safety: bool = True,
            tol: float = 1e-9) -> Circuit:
@@ -313,22 +337,19 @@ def reverse_derivation(d: Derivation, name: str = "") -> Derivation:
         fwd.append((step, c, res))
         c = res.circuit
 
-    rev_steps: list[Step] = []
-    cur = c
+    rec = _Recorder(d.theory, c)
     for i, (step, before, res) in reversed(list(enumerate(fwd))):
         chain = any(before.gates[j].kind in ("INIT", "DEST") for j in step.site.gates)
         what = f"step {i} ({step.rule} {step.direction}) does not reverse"
         try:
-            rstep = Step(step.rule, "RL" if step.direction == "LR" else "LR",
-                         step.params, step.n,
-                         _carry_site(res.reverse_site, res.circuit, cur, chain))
-            cur = apply_step(cur, rstep, d.theory, allow_lemmas=True, safety=False)
+            rec.do(step.rule, "RL" if step.direction == "LR" else "LR",
+                   step.params, step.n,
+                   _carry_site(res.reverse_site, res.circuit, rec.c, chain))
         except QcError as exc:
             raise NoMatch(f"{what}: {exc}") from exc
-        if not deformation_equal(cur, before):
+        if not deformation_equal(rec.c, before):
             raise NoMatch(f"{what}: it lands off the recorded circuit")
-        rev_steps.append(rstep)
-    return Derivation(d.theory, c, rev_steps, d.initial,
+    return Derivation(d.theory, c, rec.steps, d.initial,
                       name=name or (d.name + "_reversed" if d.name else ""))
 
 
@@ -473,11 +494,9 @@ def normalize_1q(c: Circuit, emit_trace: bool = False, theory: str = "QC"):
         raise BadArity("normalize_1q does not accept INIT/DEST")
     if any(g.kind == "CTRL" for g in c.gates):
         raise UnsupportedGate("normalize_1q has no rule that unfolds CTRL")
-    nz = _Normalizer(c, theory, emit_trace)
+    nz = _Normalizer(theory, c)
     params = nz.run()
-    if emit_trace:
-        return params, Derivation(theory, c, nz.steps, nz.c, name="normalize_1q")
-    return params, None
+    return params, nz.derivation("normalize_1q") if emit_trace else None
 
 
 def decide_equiv_1q(c1: Circuit, c2: Circuit, tol: float = 1e-8) -> bool:
@@ -487,7 +506,7 @@ def decide_equiv_1q(c1: Circuit, c2: Circuit, tol: float = 1e-8) -> bool:
     return p1.close_to(p2, tol)
 
 
-class _Normalizer:
+class _Normalizer(_Recorder):
     """Stateful driver emitting verified steps (all applied by the engine).
 
     One reduction loop serves both theories: it merges GPHASEs (S+), P P
@@ -503,23 +522,6 @@ class _Normalizer:
     ordinal moves only by the wire gates a step inserts or removes in front
     of it, while GPHASE gates float whenever (S+) merges them.
     """
-
-    def __init__(self, c: Circuit, theory: str, emit: bool):
-        self.c = c
-        self.theory = theory
-        self.emit = emit
-        self.steps: list[Step] = []
-
-    def do(self, rule: str, direction: str, params=(), n: int | None = None,
-           site: Site = Site()) -> tuple[int, ...]:
-        """Apply one step; returns the gate indices its replacement landed on."""
-        step = Step(rule, direction, tuple(float(v) for v in params), n, site)
-        res = apply_step_full(self.c, step, self.theory, allow_lemmas=True,
-                              safety=False)
-        self.c = res.circuit
-        if self.emit:
-            self.steps.append(step)
-        return res.reverse_site.gates
 
     def gate(self, i: int) -> Gate:
         return self.c.gates[i]

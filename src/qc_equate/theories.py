@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (Circuit, Gate, _controls_phase, _real, circuit, cnot,
-                      dest, gphase, h, init, mcp, mcrx, p, rx, swap, unfold,
-                      x, z)
+from .circuit import (Circuit, Gate, _controls_phase, _real, _wire, circuit,
+                      cnot, dest, gphase, h, init, mcp, mcrx, p, rx, swap,
+                      unfold, x, z)
 from .errors import BadArity, BadParams, UnknownLemma, UnknownTheory
 from .euler import euler_e, euler_eprime
 from .semantics import equal_matrices, equal_up_to_phase, eval_matrix
@@ -302,8 +302,10 @@ _CATALOG = {
 
 _AXIOMS = frozenset(name for names in _CATALOG.values() for name in names)
 DEFINITIONAL = ("RXDEF", "ZDEF", "XDEF", "MCPDEF", "MCRXDEF")
-# PPLUS, EH and FIVE_CX are axioms of some theories and lemmas derived in others
-_LEMMAS = frozenset(_RULES) - _AXIOMS - set(DEFINITIONAL) | {"PPLUS", "EH", "FIVE_CX"}
+# axioms of some theory that a shipped trace derives in another, where a
+# step may cite them as lemmas
+_LEMMAS = (frozenset(_RULES) - _AXIOMS - set(DEFINITIONAL)
+           | {"PPLUS", "EH", "FIVE_CX", "E", "SPLUS", "I"})
 
 
 def list_rules(theory: str) -> list[RuleId]:
@@ -340,8 +342,8 @@ def resolve_rule(theory: str, name: str, params=(), n: int | None = None,
     definition, or a lemma when ``allow_lemmas`` is set.
 
     Checks the parameters (real numbers, as many as the rule takes) and the
-    wire count (the rule's fixed one when ``n`` is None; (I) is an axiom
-    from 3 wires on).  QCugp cites every rule without global phases.
+    wire count (an integer, the rule's fixed one when ``n`` is None; (I)
+    is an axiom from 3 wires on).  QCugp cites every rule without global phases.
     """
     if _kind(theory, name) == "lemma" and not allow_lemmas:
         raise UnknownLemma(f"{name} is not an axiom of {theory} "
@@ -349,6 +351,8 @@ def resolve_rule(theory: str, name: str, params=(), n: int | None = None,
     n_params, arity, build = _RULES[name]
     params = tuple(v if type(v) is float else _real(v, f"{name} param")
                    for v in params)
+    if n is not None:
+        n = _wire(n, f"{name} wire count")
     if len(params) != n_params:
         raise BadParams(f"{name} takes {n_params} params, got {len(params)}")
     min_n = 3 if name == "I" else 1
@@ -394,6 +398,7 @@ def instances(theory: str, name: str, samples: int, max_qubits: int,
     the rule with no instance, so no report passes with nothing checked.
     """
     n_params, arity = signature(name)
+    samples, max_qubits = _wire(samples, "samples"), _wire(max_qubits, "max_qubits")
     draws = samples if n_params else 1
     ns = range(3, max_qubits + 1) if arity is None else (arity,)
     if draws < 1 or not ns:

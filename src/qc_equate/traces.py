@@ -1,15 +1,11 @@
 """The shipped derivation set.
 
-Every builder returns a Derivation that replays against the rewrite engine
-(each step is applied while the trace is built, so a returned derivation is
-replayable by construction).  Coverage:
-
-    QC        -- P2PI, PPLUS, PMINUS (phase-group laws via (E));
-                 S0, CNOT2, PCOMMUTCNOT, BPRIME, PGADGET, HHCNOTHH,
-                 CPMINUSPI, FIVE_CX (via (I) on 3 qubits)
-    QCprime   -- EH, P2PI, PMINUS, RXMINUS, E (all via the (E')-based
-                 normalizer: normalize both sides, glue at the normal form)
-    QCancilla -- P0 (from the primed ancilla axioms), SPLUS, I3
+Each builder names the catalog rule it derives, in the theory it derives it
+in: it starts on the source side of that rule's instance and is checked to
+end on the target side.  Every step is applied while the trace is built, so
+a returned derivation is replayable by construction.  The QCprime traces
+normalize both sides with the (E')-based normalizer and glue them at the
+normal form (``derive_rule``).
 
 ``all_traces(...)`` instantiates the whole set at fixed sample angles;
 ``write_traces(dir)`` dumps them as JSON files for the CLI replayer.
@@ -21,42 +17,40 @@ import json
 import math
 import os
 
-from .circuit import TWO_PI, Circuit, circuit, cnot, gphase, h, mcp, p, rx, swap, x
+from .circuit import TWO_PI, Circuit
 from .errors import QcError
-from .rewrite import (Derivation, Site, Step, apply_step, concat_derivations,
+from .rewrite import (Derivation, Site, _Recorder, concat_derivations,
                       deformation_equal, normalize_1q, replay,
                       reverse_derivation)
+from .theories import resolve_rule
 
 PI = math.pi
 
 
-class _Builder:
-    """Step recorder: applies while recording, so results replay for free."""
+class _Builder(_Recorder):
+    """Derives one catalog rule: starts on the source side of its instance
+    and must end on the target side."""
 
-    def __init__(self, theory: str, initial: Circuit):
-        self.theory = theory
-        self.initial = initial
-        self.c = initial
-        self.steps: list[Step] = []
+    def __init__(self, theory: str, rule: str, params=(), n: int | None = None,
+                 direction: str = "LR"):
+        inst = resolve_rule(theory, rule, params, n, allow_lemmas=True)
+        src, self.target = (inst.lhs, inst.rhs) if direction == "LR" else (inst.rhs, inst.lhs)
+        super().__init__(theory, src)
 
     def do(self, rule, direction, params=(), n=None, gates=(), wires=(), at=0):
-        step = Step(rule, direction, tuple(float(v) for v in params), n,
-                    Site(tuple(gates), tuple(wires), at))
-        self.c = apply_step(self.c, step, self.theory, allow_lemmas=True,
-                            safety=False)
-        self.steps.append(step)
+        super().do(rule, direction, params, n, Site(tuple(gates), tuple(wires), at))
 
-    def done(self, name: str, final: Circuit | None = None) -> Derivation:
-        if final is not None and not deformation_equal(self.c, final):
-            raise QcError(f"{name}: builder ended at an unexpected circuit")
-        return Derivation(self.theory, self.initial, self.steps, self.c, name=name)
+    def done(self, name: str) -> Derivation:
+        if not deformation_equal(self.c, self.target):
+            raise QcError(f"{name}: builder ended off the rule's target side")
+        return self.derivation(name)
 
 
 # -- QC: the phase-group laws, derived through the Euler rule -----------------
 
 def qc_p2pi() -> Derivation:
     """P(2pi) = identity."""
-    b = _Builder("QC", circuit(1, [p(TWO_PI, 0)]))
+    b = _Builder("QC", "P2PI")
     b.do("H2", "RL", wires=(0,), at=0)                     # Ha Hb P(2pi)
     b.do("H2", "RL", wires=(0,), at=3)                     # ... Hc Hd
     b.do("S2PI", "RL", at=0)
@@ -77,13 +71,13 @@ def qc_p2pi() -> Derivation:
     b.do("H2", "LR", gates=(2, 3), wires=(0,))
     b.do("SPLUS", "LR", (0.0, 0.0), gates=(0, 1))
     b.do("S2PI", "LR", gates=(0,))                         # G(0) matches G(2pi)
-    return b.done("qc_p2pi", circuit(1, []))
+    return b.done("qc_p2pi")
 
 
 def qc_pplus(a: float, bparam: float) -> Derivation:
     """P(a) . P(b) = P(a+b), by running (E) forwards and backwards."""
     s = a + bparam
-    b = _Builder("QC", circuit(1, [p(a, 0), p(bparam, 0)]))
+    b = _Builder("QC", "PPLUS", (a, bparam))
     b.do("H2", "RL", wires=(0,), at=0)
     b.do("H2", "RL", wires=(0,), at=3)
     b.do("H2", "RL", wires=(0,), at=6)
@@ -111,12 +105,12 @@ def qc_pplus(a: float, bparam: float) -> Derivation:
     b.do("SPLUS", "LR", (TWO_PI + s / 2, -s / 2), gates=(0, 1))
     b.do("SPLUS", "LR", (TWO_PI, 0.0), gates=(0, 2))
     b.do("S2PI", "LR", gates=(1,))
-    return b.done("qc_pplus", circuit(1, [p(s, 0)]))
+    return b.done("qc_pplus")
 
 
 def qc_pminus(phi: float) -> Derivation:
     """X . P(phi) . X = GPHASE(phi) . P(-phi)."""
-    b = _Builder("QC", circuit(1, [x(0), p(phi, 0), x(0)]))
+    b = _Builder("QC", "PMINUS", (phi,))
     b.do("XDEF", "LR", gates=(0,), wires=(0,))
     b.do("XDEF", "LR", gates=(4,), wires=(0,))
     # H P(pi) H P(phi) H P(pi) H
@@ -135,46 +129,46 @@ def qc_pminus(phi: float) -> Derivation:
     # G(3pi) G(phi-pi) P(2pi-phi) G(0)
     b.do("SPLUS", "LR", (3 * PI, (phi - PI) % TWO_PI), gates=(0, 1))
     b.do("SPLUS", "LR", (3 * PI + (phi - PI) % TWO_PI, 0.0), gates=(0, 2))
-    return b.done("qc_pminus", circuit(1, [gphase(phi), p(-phi, 0)]))
+    return b.done("qc_pminus")
 
 
 # -- QC: the CNOT / swap / gadget identities ----------------------------------
 
 def qc_s0() -> Derivation:
-    b = _Builder("QC", circuit(0, [gphase(0.0)]))
+    b = _Builder("QC", "S0")
     b.do("S2PI", "RL", at=1)
     b.do("SPLUS", "LR", (0.0, TWO_PI), gates=(0, 1))
     b.do("S2PI", "LR", gates=(0,))
-    return b.done("qc_s0", circuit(0, []))
+    return b.done("qc_s0")
 
 
 def qc_cnot2() -> Derivation:
-    b = _Builder("QC", circuit(2, [cnot(0, 1), cnot(0, 1)]))
+    b = _Builder("QC", "CNOT2")
     b.do("P0", "RL", wires=(0,), at=1)
     b.do("C", "LR", (0.0,), gates=(0, 1, 2), wires=(0, 1))
     b.do("P0", "LR", gates=(0,), wires=(0,))
-    return b.done("qc_cnot2", circuit(2, []))
+    return b.done("qc_cnot2")
 
 
 def qc_pcommutcnot(phi: float) -> Derivation:
-    b = _Builder("QC", circuit(2, [p(phi, 0), cnot(0, 1)]))
+    b = _Builder("QC", "PCOMMUTCNOT", (phi,))
     b.do("CNOT2", "RL", wires=(0, 1), at=0)
     b.do("C", "LR", (phi,), gates=(1, 2, 3), wires=(0, 1))
-    return b.done("qc_pcommutcnot", circuit(2, [cnot(0, 1), p(phi, 0)]))
+    return b.done("qc_pcommutcnot")
 
 
 def qc_bprime() -> Derivation:
-    b = _Builder("QC", circuit(2, [cnot(0, 1), cnot(1, 0), cnot(0, 1)]))
+    b = _Builder("QC", "BPRIME")
     b.do("B", "LR", gates=(0, 1), wires=(0, 1))
     b.do("P0", "RL", wires=(0,), at=2)
     b.do("C", "LR", (0.0,), gates=(1, 2, 3), wires=(0, 1))
     b.do("P0", "LR", gates=(1,), wires=(0,))
-    return b.done("qc_bprime", circuit(2, [swap(0, 1)]))
+    return b.done("qc_bprime")
 
 
 def qc_pgadget(phi: float) -> Derivation:
     """CX.P(phi)@target.CX = flipped gadget, via (B) twice and (C) once."""
-    b = _Builder("QC", circuit(2, [cnot(0, 1), p(phi, 1), cnot(0, 1)]))
+    b = _Builder("QC", "PGADGET", (phi,))
     b.do("CNOT2", "RL", wires=(1, 0), at=0)
     b.do("CNOT2", "RL", wires=(1, 0), at=5)
     # CX10 CX10 CX01 P@1 CX01 CX10 CX10
@@ -188,11 +182,11 @@ def qc_pgadget(phi: float) -> Derivation:
     # CX10 SWAP SWAP CX01 P@0 CX01 CX10
     b.do("SWAP2", "LR", gates=(1, 2), wires=(0, 1))
     b.do("C", "LR", (phi,), gates=(1, 2, 3), wires=(0, 1))
-    return b.done("qc_pgadget", circuit(2, [cnot(1, 0), p(phi, 0), cnot(1, 0)]))
+    return b.done("qc_pgadget")
 
 
 def qc_hhcnothh() -> Derivation:
-    b = _Builder("QC", circuit(2, [h(0), h(1), cnot(0, 1), h(0), h(1)]))
+    b = _Builder("QC", "HHCNOTHH")
     b.do("CZ", "LR", gates=(1, 2, 4), wires=(0, 1))
     # H0 P(pi/2)@0 P(pi/2)@1 CX P(-pi/2)@1 CX H0
     b.do("PGADGET", "LR", (-PI / 2,), gates=(3, 4, 5), wires=(0, 1))
@@ -201,23 +195,19 @@ def qc_hhcnothh() -> Derivation:
     # H0 H0' CX10 H0'' H0
     b.do("H2", "LR", gates=(0, 1), wires=(0,))
     b.do("H2", "LR", gates=(1, 2), wires=(0,))
-    return b.done("qc_hhcnothh", circuit(2, [cnot(1, 0)]))
+    return b.done("qc_hhcnothh")
 
 
 def qc_ctrlpminuspi() -> Derivation:
     """The controlled phase of angle -pi equals the one of angle +pi."""
-    lhs = circuit(2, [p(-PI / 2, 0), p(-PI / 2, 1), cnot(0, 1),
-                      p(PI / 2, 1), cnot(0, 1)])
-    b = _Builder("QC", lhs)
+    b = _Builder("QC", "CPMINUSPI")
     b.do("PPLUS", "RL", (PI / 2, -PI), gates=(0,), wires=(0,))
     b.do("PPLUS", "RL", (PI / 2, -PI), gates=(2,), wires=(1,))
     # P(pi/2)@0 P(-pi)@0 P(pi/2)@1 P(-pi)@1 CX P(pi/2)@1 CX
     b.do("ZZCX", "LR", gates=(1, 3, 4), wires=(0, 1))
     # P(pi/2)@0 P(pi/2)@1 CX P(pi)@1 P(pi/2)@1 CX
     b.do("PPLUS", "LR", (PI, PI / 2), gates=(3, 4), wires=(1,))
-    rhs = circuit(2, [p(PI / 2, 0), p(PI / 2, 1), cnot(0, 1),
-                      p(-PI / 2, 1), cnot(0, 1)])
-    return b.done("qc_ctrlpminuspi", rhs)
+    return b.done("qc_ctrlpminuspi")
 
 
 def qc_5cx() -> Derivation:
@@ -227,10 +217,10 @@ def qc_5cx() -> Derivation:
     a checked schema (its gate-level expansion is the QC_3 bookkeeping part
     of the derivation); the essential step is the (I) axiom on 3 qubits.
     """
-    b = _Builder("QC", circuit(3, [cnot(0, 1), cnot(1, 2), cnot(0, 1)]))
+    b = _Builder("QC", "FIVE_CX")
     b.do("MCPFOLD5CX", "LR", gates=(0, 1, 2), wires=(0, 1, 2))
     b.do("I", "LR", n=3, gates=(0,), wires=(0, 1, 2))
-    return b.done("qc_5cx", circuit(3, [cnot(1, 2), cnot(0, 2)]))
+    return b.done("qc_5cx")
 
 
 # -- QCprime: deriving the replaced rules from (E') and (P+) ------------------
@@ -242,40 +232,17 @@ def derive_equal(c1: Circuit, c2: Circuit, theory: str, name: str) -> Derivation
     return concat_derivations(d1, reverse_derivation(d2), name=name)
 
 
-def qcprime_eh() -> Derivation:
-    rhs = circuit(1, [p(PI / 2, 0), rx(PI / 2, 0), p(PI / 2, 0)])
-    return derive_equal(circuit(1, [h(0)]), rhs, "QCprime", "qcprime_eh")
-
-
-def qcprime_p2pi() -> Derivation:
-    return derive_equal(circuit(1, [p(TWO_PI, 0)]), circuit(1, []),
-                        "QCprime", "qcprime_p2pi")
-
-
-def qcprime_pminus(phi: float) -> Derivation:
-    return derive_equal(circuit(1, [x(0), p(phi, 0), x(0)]),
-                        circuit(1, [gphase(phi), p(-phi, 0)]),
-                        "QCprime", "qcprime_pminus")
-
-
-def qcprime_rxminus(theta: float) -> Derivation:
-    return derive_equal(circuit(1, [p(PI, 0), rx(theta, 0), p(PI, 0)]),
-                        circuit(1, [rx(-theta, 0)]),
-                        "QCprime", "qcprime_rxminus")
-
-
-def qcprime_euler(a1: float, a2: float, a3: float) -> Derivation:
-    from .euler import euler_e
-    nf, _ = euler_e(a1, a2, a3)
-    return derive_equal(circuit(1, [rx(a1, 0), p(a2, 0), rx(a3, 0)]),
-                        nf.circuit(), "QCprime", "qcprime_euler")
+def derive_rule(theory: str, rule: str, params=(), name: str = "") -> Derivation:
+    """Derive a catalog rule by ``derive_equal`` on the two sides of its instance."""
+    inst = resolve_rule(theory, rule, params, allow_lemmas=True)
+    return derive_equal(inst.lhs, inst.rhs, theory, name)
 
 
 # -- QCancilla: the ancilla propositions --------------------------------------
 
 def qcancilla_p0() -> Derivation:
     """P(0) = identity from the primed ancilla axioms (no P0, EH, E used)."""
-    b = _Builder("QCancilla", circuit(1, []))
+    b = _Builder("QCancilla", "P0", direction="RL")
     b.do("H2", "RL", wires=(0,), at=0)                     # Ha Hb
     b.do("A", "RL", at=1)                                  # Ha INIT DEST Hb
     b.do("ACX", "RL", gates=(1,), wires=(0,))              # Ha INIT CX DEST Hb
@@ -286,13 +253,13 @@ def qcancilla_p0() -> Derivation:
     b.do("ACX", "LR", gates=(1, 3), wires=(0,))
     b.do("A", "LR", gates=(2, 3), wires=())
     b.do("PPLUS", "LR", (PI / 2, -PI / 2), gates=(0, 1), wires=(0,))
-    return b.done("qcancilla_p0", circuit(1, [p(0.0, 0)]))
+    return b.done("qcancilla_p0")
 
 
 def qcancilla_splus(phi1: float, phi2: float) -> Derivation:
     """GPHASE(a) . GPHASE(b) = GPHASE(a+b) without the (S+) axiom."""
     s = phi1 + phi2
-    b = _Builder("QCancilla", circuit(0, [gphase(phi1), gphase(phi2)]))
+    b = _Builder("QCancilla", "SPLUS", (phi1, phi2))
     b.do("A", "RL", at=2)                                  # G G INIT DEST
     b.do("AP", "RL", (-2 * phi1,), gates=(2,), wires=())
     b.do("AP", "RL", (-2 * phi2,), gates=(2,), wires=())
@@ -322,12 +289,12 @@ def qcancilla_splus(phi1: float, phi2: float) -> Derivation:
     b.do("AP", "LR", (-2 * s,), gates=(0, 3), wires=())
     b.do("A", "LR", gates=(2, 3), wires=())
     b.do("S2PI", "LR", gates=(0,))              # G(0) is G(2pi) mod 2pi
-    return b.done("qcancilla_splus", circuit(0, [gphase(s)]))
+    return b.done("qcancilla_splus")
 
 
 def qcancilla_i3() -> Derivation:
     """(I) on 3 qubits from the ancilla theory (the essential step is 5CX)."""
-    b = _Builder("QCancilla", circuit(3, [mcp(TWO_PI, (0, 1, 2))]))
+    b = _Builder("QCancilla", "I", n=3)
     b.do("MCPDEF", "LR", (TWO_PI,), n=3, gates=(0,), wires=(0, 1, 2))
     # MCP(pi)@(01) MCP(pi)@(02) CX12 MCP(-pi)@(02) CX12
     b.do("MCPDEF", "LR", (PI,), n=2, gates=(0,), wires=(0, 1))
@@ -362,7 +329,7 @@ def qcancilla_i3() -> Derivation:
     # E01 E02 E02' E01'
     b.do("CZEXP2", "LR", gates=tuple(range(5, 15)), wires=(0, 2))
     b.do("CZEXP2", "LR", gates=tuple(range(0, 10)), wires=(0, 1))
-    return b.done("qcancilla_i3", circuit(3, []))
+    return b.done("qcancilla_i3")
 
 
 # -- registry -----------------------------------------------------------------
@@ -381,11 +348,11 @@ def all_traces() -> list[Derivation]:
         qc_hhcnothh(),
         qc_ctrlpminuspi(),
         qc_5cx(),
-        qcprime_eh(),
-        qcprime_p2pi(),
-        qcprime_pminus(1.3),
-        qcprime_rxminus(0.7),
-        qcprime_euler(0.9, 1.7, -0.6),
+        derive_rule("QCprime", "EH", name="qcprime_eh"),
+        derive_rule("QCprime", "P2PI", name="qcprime_p2pi"),
+        derive_rule("QCprime", "PMINUS", (1.3,), "qcprime_pminus"),
+        derive_rule("QCprime", "RXMINUS", (0.7,), "qcprime_rxminus"),
+        derive_rule("QCprime", "E", (0.9, 1.7, -0.6), "qcprime_euler"),
         qcancilla_p0(),
         qcancilla_splus(0.7, 1.1),
         qcancilla_i3(),

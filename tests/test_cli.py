@@ -91,6 +91,7 @@ def test_list_rules(capsys):
         assert main(["list-rules", "--theory", theory, "--list"]) == 0
         kinds[theory] = {l["name"]: l["kind"] for l in json.loads(capsys.readouterr().out)["lemmas"]}
     assert kinds["QCprime"]["PPLUS"] == "axiom" and kinds["QC"]["PPLUS"] == "lemma"
+    assert kinds["QCprime"]["E"] == "lemma" and kinds["QC"]["E"] == "axiom"
     assert kinds["QC"]["RXDEF"] == kinds["QCprime"]["RXDEF"] == "definition"
 
 

@@ -10,7 +10,8 @@ from qc_equate import (apply_step, circuit, cnot, eval_matrix, find_sites,
                        minimality_report, p, resolve_rule, sign_classes,
                        sign_gap, x, z)
 from qc_equate.circuit import Circuit, init, dest
-from qc_equate.errors import BadParams, UnsupportedGate
+from qc_equate.cli import main
+from qc_equate.errors import BadParams, UnknownLemma, UnsupportedGate
 from qc_equate.interp import equal_value_sets, minimality_matrix
 from qc_equate.theories import list_rules, signature
 from qc_equate.rewrite import Site, Step
@@ -182,6 +183,13 @@ def test_minimality_with_nothing_to_check_raises():
         minimality_report("QC", "C", samples=0)
     with pytest.raises(BadParams):      # (I) is in scope of CZ, with no width
         minimality_report("QC", "CZ", max_qubits=2)
+
+
+def test_minimality_of_a_non_axiom_raises_unknown_lemma():
+    for theory, name in (("QCprime", "E"), ("QC", "i")):
+        with pytest.raises(UnknownLemma):
+            minimality_report(theory, name)
+        assert main(["minimality", "--theory", theory, "--axiom", name]) == 2
 
 
 def test_p0_witness_follows_the_theory():

@@ -7,8 +7,8 @@ import pytest
 
 import qc_equate
 from qc_equate import (THEORIES, RuleId, RuleInstance, check_soundness, circuit,
-                       cnot, eval_matrix, lemma_names, list_rules, resolve_rule,
-                       swap, verify_theory)
+                       cnot, eval_matrix, lemma_names, list_rules,
+                       minimality_report, resolve_rule, swap, verify_theory)
 from qc_equate.errors import (BadArity, BadParams, QcError, UnknownLemma,
                               UnknownTheory)
 from qc_equate.theories import _RULES, signature
@@ -40,9 +40,16 @@ def test_instantiate_validation():
     with pytest.raises(UnknownLemma):
         resolve_rule("QCprime", "EH", (), 1)
     # parameters must be real numbers: "7" is not C(7), true is not C(1.0)
+    # and wire counts, sample counts and widths integers: 3.0 is not 3
     for run in (lambda: resolve_rule("QC", "C", ("7",)),
                 lambda: resolve_rule("QC", "C", (True,)),
-                lambda: resolve_rule("QC", "PPLUS", ("1", "2"), None, True)):
+                lambda: resolve_rule("QC", "PPLUS", ("1", "2"), None, True),
+                lambda: resolve_rule("QC", "I", (), 3.0),
+                lambda: resolve_rule("QC", "MCPDEF", (0.1,), 2.0, True),
+                lambda: resolve_rule("QC", "ESTAR_N", (0.4, 1.2, -0.9), "2", True),
+                lambda: minimality_report("QC", "I", target_n=4.0),
+                lambda: verify_theory("QC", samples=2.5),
+                lambda: verify_theory("QC", samples=3, max_qubits=4.0)):
         with pytest.raises(QcError):
             run()
 
@@ -119,7 +126,8 @@ def test_lemma_catalog_all_sound():
             n_params, arity = signature(name)
             for _ in range(4):
                 params = tuple(rng.uniform(-6, 6, n_params))
-                ns = (arity,) if arity is not None else (1, 2, 3)
+                # n-ary rules from their least width: (I) from 3 wires
+                ns = (arity,) if arity is not None else (3,) if name == "I" else (1, 2, 3)
                 for n in ns:
                     inst = resolve_rule(theory, name, params, n, True)
                     assert check_soundness(inst, 1e-9), (theory, name, params, n)
@@ -140,9 +148,21 @@ def test_instances_carry_theory_and_kind():
     assert resolve_rule("QCancilla", "FIVE_CX").kind == "axiom"
     assert resolve_rule("QC", "FIVE_CX", (), None, True).kind == "lemma"
     # an axiom of another theory that is no lemma is not citable
-    for theory, name in (("QC", "EPRIME"), ("QC", "ACX"), ("QCugp", "SPLUS")):
+    for theory, name in (("QC", "EPRIME"), ("QC", "ACX"), ("QCugp", "S2PI")):
         with pytest.raises(UnknownLemma):
             resolve_rule(theory, name, (0.0,) * signature(name)[0], None, True)
+
+
+def test_axioms_derived_elsewhere_are_lemmas():
+    # the shipped traces derive (E) in QCprime and (S+), (I) in QCancilla
+    for theory, name, params, n in (("QCprime", "E", (0.9, 1.7, -0.6), None),
+                                    ("QCancilla", "SPLUS", (0.7, 1.1), None),
+                                    ("QCancilla", "I", (), 3)):
+        inst = resolve_rule(theory, name, params, n, True)
+        assert inst.id == RuleId(theory, name) and inst.kind == "lemma"
+        assert check_soundness(inst, 1e-9)
+        with pytest.raises(UnknownLemma):
+            resolve_rule(theory, name, params, n)
 
 
 def test_public_names_resolve_once():

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qc_equate import (Derivation, circuit, deformation_equal, eval_matrix,
-                       gphase, mcp, p, replay, reverse_derivation)
+from qc_equate import (Derivation, RuleId, circuit, deformation_equal,
+                       eval_matrix, gphase, mcp, p, replay, resolve_rule,
+                       reverse_derivation)
 from qc_equate import rewrite, traces as tr
-from qc_equate.errors import NoMatch
+from qc_equate.errors import NoMatch, QcError
 
 PI = math.pi
 TRACE_DIR = Path(__file__).resolve().parent.parent / "traces"
@@ -61,9 +62,9 @@ def test_parametric_traces_on_other_angles():
         replay(tr.qcancilla_splus(a, b), allow_lemmas=True, safety=True)
     for phi in (0.4, 2.5, -1.1):
         replay(tr.qc_pminus(phi), allow_lemmas=True, safety=True)
-        replay(tr.qcprime_pminus(phi), allow_lemmas=True, safety=True)
+        replay(tr.derive_rule("QCprime", "PMINUS", (phi,)), allow_lemmas=True, safety=True)
     for abc in [(0.5, 1.5, 2.5), (-1.0, 0.3, 4.0)]:
-        replay(tr.qcprime_euler(*abc), allow_lemmas=True, safety=True)
+        replay(tr.derive_rule("QCprime", "E", abc), allow_lemmas=True, safety=True)
 
 
 def test_frozen_traces_equal_all_traces():
@@ -84,10 +85,15 @@ def test_json_round_trip_replays(tmp_path):
 
 
 def test_axiom_only_traces_replay_in_strict_mode():
-    # these cite nothing outside the theory's axioms and the macro definitions
-    for d in (tr.qc_p2pi(), tr.qc_pplus(0.9, 1.4), tr.qc_pminus(0.7),
-              tr.qc_s0(), tr.qc_cnot2(), tr.qc_bprime(),
-              tr.qcancilla_splus(0.6, 0.9)):
+    # a trace whose steps cite no lemma (only the theory's axioms and the
+    # macro definitions) replays without allow_lemmas
+    strict = [d for d in tr.all_traces()
+              if all(RuleId(d.theory, s.rule).kind != "lemma" for s in d.steps)]
+    assert {d.name for d in strict} == {
+        "qc_p2pi", "qc_pplus", "qc_pminus", "qc_s0", "qc_cnot2", "qc_bprime",
+        "qcancilla_splus", "qcprime_eh", "qcprime_p2pi", "qcprime_pminus",
+        "qcprime_euler"}
+    for d in strict:
         replay(d, allow_lemmas=False, safety=True, tol=1e-9)
 
 
@@ -111,9 +117,27 @@ def test_reverse_carries_sites_without_a_scan(monkeypatch):
         raise AssertionError("reverse_derivation scanned for a site")
 
     monkeypatch.setattr(rewrite, "find_sites", no_scan)
-    for d in (tr.qcprime_euler(0.9, 1.7, -0.6), tr.qcprime_pminus(1.3)):
+    for d in (tr.derive_rule("QCprime", "E", (0.9, 1.7, -0.6)),
+              tr.derive_rule("QCprime", "PMINUS", (1.3,))):
         out = replay(reverse_derivation(d), allow_lemmas=True, safety=True)
         assert deformation_equal(out, d.initial)
+
+
+def test_builder_must_end_on_the_target_side():
+    b = tr._Builder("QC", "CNOT2")
+    b.do("P0", "RL", wires=(0,), at=1)
+    b.do("C", "LR", (0.0,), gates=(0, 1, 2), wires=(0, 1))
+    with pytest.raises(QcError, match="target side"):     # P(0) is left
+        b.done("short")
+    b.do("P0", "LR", gates=(0,), wires=(0,))
+    assert len(b.done("qc_cnot2").final.gates) == 0
+
+
+def test_derive_rule_starts_and_ends_on_the_instance():
+    d = tr.derive_rule("QCprime", "RXMINUS", (0.7,), "qcprime_rxminus")
+    inst = resolve_rule("QCprime", "RXMINUS", (0.7,), None, True)
+    assert d.name == "qcprime_rxminus" and d.initial == inst.lhs
+    assert deformation_equal(replay(d, allow_lemmas=True), inst.rhs)
 
 
 def test_i3_trace_kills_the_multicontrol():
