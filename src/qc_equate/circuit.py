@@ -157,16 +157,16 @@ class Gate:
 
     # -- deformation-level equality helpers --------------------------------
 
-    def same_gate(self, other: "Gate", tol: float = ANGLE_EPS) -> bool:
+    def same_gate(self, other: "Gate") -> bool:
         """Equality with angles compared modulo the kind's period."""
         if (self.kind, self.wires, self.pattern) != (other.kind, other.wires, other.pattern):
             return False
         if (self.base is None) != (other.base is None):
             return False
-        if self.base is not None and not self.base.same_gate(other.base, tol):
+        if self.base is not None and not self.base.same_gate(other.base):
             return False
         period = angle_period(self.kind, self.base.kind if self.base else None)
-        return all(angles_equal(a, b, period, tol) for a, b in zip(self.params, other.params))
+        return all(angles_equal(a, b, period) for a, b in zip(self.params, other.params))
 
     def sort_key(self):
         period = angle_period(self.kind, self.base.kind if self.base else None)
@@ -550,13 +550,13 @@ def _prio(g: Gate, ids: tuple[int, ...], depth: int, idx: int):
     return (depth, min_id, g.sort_key(), idx)
 
 
-def _same_gates(a, b, tol: float = ANGLE_EPS) -> bool:
-    return len(a) == len(b) and all(g1.same_gate(g2, tol) for g1, g2 in zip(a, b))
+def _same_gates(a, b) -> bool:
+    return len(a) == len(b) and all(g1.same_gate(g2) for g1, g2 in zip(a, b))
 
 
-def deformation_equal(c1: Circuit, c2: Circuit, tol: float = ANGLE_EPS) -> bool:
+def deformation_equal(c1: Circuit, c2: Circuit) -> bool:
     """True iff the two circuits are equal up to prop deformation."""
     if (c1.n_in, c1.n_out) != (c2.n_in, c2.n_out):
         raise ArityMismatch("deformation_equal needs equal arities")
     return _same_gates(_canonical_gates(c1.n_in, _id_gates(c1)),
-                       _canonical_gates(c2.n_in, _id_gates(c2)), tol)
+                       _canonical_gates(c2.n_in, _id_gates(c2)))

@@ -130,7 +130,7 @@ def cmd_minimality(args) -> int:
 
 def cmd_list_rules(args) -> int:
     def entry(name):
-        n_params, arity = signature(name)
+        n_params, arity, _ = signature(name)
         return {"name": name, "params": n_params, "wires": "n" if arity is None else arity}
 
     payload = {"theory": args.theory,

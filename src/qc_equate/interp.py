@@ -266,7 +266,8 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
             insts = [resolve_rule(theory, name, (psi, float(rng.uniform(0.2, 3.0))), 0)
                      for _ in range(3)]
         else:
-            width = max_qubits if name == "I" else signature(name)[1]
+            arity = signature(name).arity
+            width = max_qubits if arity is None else arity
             if bound is not None and width > bound and name != axiom:
                 results[name] = "out-of-scope"
                 continue

@@ -477,14 +477,13 @@ def find_sites(c: Circuit, rule: str, params=(), n: int | None = None,
 def normalize_1q(c: Circuit, emit_trace: bool = False, theory: str = "QC"):
     """Bring a 1-qubit circuit to the normal form GPHASE.P.RX.P.
 
-    Returns (NormalFormParams, Derivation or None).  The QC procedure
-    eliminates H via (EH), works over the {RX, P} word and contracts
-    RX.P.RX blocks with (E).  The QCprime procedure is its dual: it unfolds
-    RX via (RXDEF), works over the {H, P} word and contracts H.P.H.P.H
-    blocks with (E'), one H at a time.  Every step goes through the rewrite
-    engine, and each follow-up site is derived from where the previous
-    replacement landed: wire gates are addressed by their ordinal in the
-    wire word, never found again by their angles.
+    Returns (NormalFormParams, Derivation or None).  Both theories follow
+    one procedure: unfold every macro, RX included, work over the
+    alternating {H, P} word and contract its H's, QC with (E) and (EH),
+    QCprime with (E').  Every step goes through the rewrite engine, and
+    each follow-up site is derived from where the previous replacement
+    landed: wire gates are addressed by their ordinal in the wire word,
+    never found again by their angles.
     """
     if theory not in ("QC", "QCprime"):
         raise UnknownTheory(f"normalize_1q runs in QC or QCprime, not {theory!r}")
@@ -509,12 +508,13 @@ def decide_equiv_1q(c1: Circuit, c2: Circuit, tol: float = 1e-8) -> bool:
 class _Normalizer(_Recorder):
     """Stateful driver emitting verified steps (all applied by the engine).
 
-    One reduction loop serves both theories: it merges GPHASEs (S+), P P
-    (P+) and RX RX (RX+) pairs, cancels H H (H2), drops P(0) (P0) and
-    RX(0) (RX0), and then contracts.  In QC every H has become P RX P by
-    (EH), and (E) contracts RX P RX.  In QCprime every RX has been unfolded
-    to H P H by (RXDEF), the reduced word alternates H and P, and each
-    contraction removes one H through (E').  Both end in the shared band
+    One reduction path serves both theories.  Every macro, RX included, is
+    unfolded by its definition, so the wire word holds H and P only.  The
+    loop merges GPHASEs (S+) and P P pairs (P+), cancels H H (H2) and drops
+    P(0) (P0), which leaves H and P alternating, and then contracts H's
+    (``_contract``).  The only theory difference is the Euler rule there:
+    (E) on RX P RX, with (EH) for an odd H count, in QC; (E') on RX H RX,
+    with (H2) and a minted RX(0), in QCprime.  Both end in the band
     reduction of ``_shape_and_read``.
 
     Wire gates are addressed by their ordinal in the wire word (the
@@ -567,25 +567,20 @@ class _Normalizer(_Recorder):
 
     def run(self) -> NormalFormParams:
         self._unfold_macros()
-        if self.theory == "QC":
-            self._strip_hadamards()
-        self._reduce()
+        while (self._merge_phases() or self._merge_wire_pairs()
+               or self._drop_trivial() or self._contract()):
+            pass
         return self._shape_and_read()
 
     def _unfold_macros(self):
-        """Unfold X, Z, MCP and MCRX, and in QCprime also RX, leftmost first."""
-        rules = {"X": "XDEF", "Z": "ZDEF", "MCP": "MCPDEF", "MCRX": "MCRXDEF"}
-        if self.theory != "QC":
-            rules["RX"] = "RXDEF"
+        """Unfold X, Z, RX, MCP and MCRX, leftmost first."""
+        rules = {"X": "XDEF", "Z": "ZDEF", "RX": "RXDEF", "MCP": "MCPDEF",
+                 "MCRX": "MCRXDEF"}
         while (i := next((i for i, g in enumerate(self.c.gates)
                           if g.kind in rules), None)) is not None:
             g = self.gate(i)
             n = 1 if g.kind in ("MCP", "MCRX") else None
             self.do(rules[g.kind], "LR", g.params, n, Site((i,), (0,)))
-
-    def _strip_hadamards(self):
-        while hs := [i for i, g in enumerate(self.c.gates) if g.kind == "H"]:
-            self.do("EH", "LR", site=Site((hs[0],), (0,)))
 
     def _mint_rx0(self, at: int):
         """Insert RX(0) at gate index ``at`` using axioms and definitions."""
@@ -596,12 +591,6 @@ class _Normalizer(_Recorder):
         self.do("RXDEF", "RL", (0.0,), site=Site((0, at, at + 1, at + 2), (0,)))
 
     # -- reduction loop -------------------------------------------------------
-
-    def _reduce(self):
-        contract = self._contract_once if self.theory == "QC" else self._contract_hp
-        while (self._merge_phases() or self._merge_wire_pairs()
-               or self._drop_trivial() or contract()):
-            pass
 
     def _merge_phases(self) -> bool:
         ph = self.phase_gates()
@@ -628,9 +617,6 @@ class _Normalizer(_Recorder):
     def _merge_wire_pairs(self) -> bool:
         if (k := self.find_word(("P", "P"))) is not None:
             self._pplus(k)
-        elif (k := self.find_word(("RX", "RX"))) is not None:
-            self.do("RXPLUS", "LR", (self.angle(k), self.angle(k + 1)),
-                    site=self.wsite(k, 2))
         elif (k := self.find_word(("H", "H"))) is not None:
             self.do("H2", "LR", site=self.wsite(k, 2))
         else:
@@ -653,66 +639,65 @@ class _Normalizer(_Recorder):
 
     def _drop_trivial(self) -> bool:
         k = self.find_word(("P",), lambda gs: angles_equal(gs[0].params[0], 0.0))
-        if k is not None:
-            self.do("P0", "LR", site=self.wsite(k))
-            return True
-        k = self.find_word(("RX",), lambda gs: angles_equal(gs[0].params[0], 0.0,
-                                                            2 * TWO_PI))
         if k is None:
             return False
-        self.do("RX0", "LR", site=self.wsite(k))
+        self.do("P0", "LR", site=self.wsite(k))
         return True
 
-    def _contract_once(self) -> bool:
-        """QC: RX P RX -> GPHASE P RX P by (E)."""
-        k = self.find_word(("RX", "P", "RX"))
-        if k is None:
-            return False
-        self.do("E", "LR", (self.angle(k), self.angle(k + 1), self.angle(k + 2)),
-                site=self.wsite(k, 3))
-        return True
+    def _contract(self) -> bool:
+        """Remove H's from the alternating {H, P} word.
 
-    def _contract_hp(self) -> bool:
-        """QCprime: remove one H from the alternating {H, P} word.
-
-        With three or more H's the word reads H P(a) H P(b) H from the
-        first H on.  An H pair after the middle H lets both H P H runs fold
-        into RX(a) H RX(b), (E') turns that into GPHASE P RX P, and
-        unfolding the RX again leaves P H P H P.  Two H's fold into one RX;
-        a lone H gets an RX(0) on each side and (E') at (0, 0).  (E') is
-        total over its three Euler cases, so no case needs its own route.
+        From its first H on, the word reads H P(a) H P(b) H ...  Two H's
+        fold into one RX.  Otherwise both H P H runs of the first four H's
+        fold, giving RX(a) P(b) RX(c), or, after (H2) doubles the middle of
+        the first three H's in QCprime, RX(a) H RX(b); the theory's Euler
+        rule turns that into GPHASE P RX P, and unfolding the RX again
+        leaves P H P H P.  In QC an odd count first trades one H for
+        P RX P by (EH), which a lone H keeps and any other H count unfolds
+        again; in QCprime a lone H gets an RX(0) on each side and (E') at
+        (0, 0).  Each Euler rule is total over its three cases, so no case
+        needs its own route.
         """
         hs = [k for k, i in enumerate(self.wire_gates()) if self.gate(i).kind == "H"]
         if not hs:
             return False
-        k = hs[0]
+        k, qc = hs[0], self.theory == "QC"
         if len(hs) == 2:
-            self._fold_hph(k + 1)
-            return True
-        if len(hs) == 1:
+            self._fold_hph(k + 1)            # H P(a) H -> RX(a)
+        elif qc and len(hs) % 2:
+            self.do("EH", "LR", site=self.wsite(k))        # H -> P RX P
+            if len(hs) > 1:                  # RX -> H P H: an even count
+                self.do("RXDEF", "LR", (self.angle(k + 1),), site=self.wsite(k + 1))
+        elif len(hs) == 1:
             i = self.wire_gates()[k]
             self._mint_rx0(i)                # RX(0) lands just before the H
             self._mint_rx0(i + 2)            # and just after it
+            self._euler(k)
         else:
-            self.insert("H2", k + 3)         # H P(a) H H H P(b) H
-            self._fold_hph(k + 1)            # RX(a) H H P(b) H
-            self._fold_hph(k + 3)            # RX(a) H RX(b)
-        self.do("EPRIME", "LR", (self.angle(k), self.angle(k + 2)),
-                site=self.wsite(k, 3))
-        if len(hs) > 2:
+            if not qc:
+                self.insert("H2", k + 3)     # H P(a) H H H P(b) H
+            self._fold_hph(k + 1)
+            self._fold_hph(k + 3)            # RX(a) P(b) RX(c) or RX(a) H RX(b)
+            self._euler(k)
             self.do("RXDEF", "LR", (self.angle(k + 1),), site=self.wsite(k + 1))
         return True
+
+    def _euler(self, k: int):
+        """The theory's Euler rule on the three wire gates from ordinal k:
+        (E) on RX P RX in QC, (E') on RX H RX in QCprime."""
+        if self.theory == "QC":
+            self.do("E", "LR", (self.angle(k), self.angle(k + 1), self.angle(k + 2)),
+                    site=self.wsite(k, 3))
+        else:
+            self.do("EPRIME", "LR", (self.angle(k), self.angle(k + 2)),
+                    site=self.wsite(k, 3))
 
     # -- final shaping ---------------------------------------------------------
 
     def _shape_and_read(self) -> NormalFormParams:
         if self.find_word(("RX",)) is None:
-            at = self.before(0)
-            if self.theory == "QC":
-                self.do("RX0", "RL", site=Site((), (0,), at))
-            else:
-                self._mint_rx0(at)
-                self._merge_phases_all()
+            self._mint_rx0(self.before(0))
+            self._merge_phases_all()
         # band-reduce the rotation into [0, pi]
         k = self.find_word(("RX",))
         theta = reduce_angle(self.angle(k), 2 * TWO_PI)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,13 +189,6 @@ def _lem_zzcx(_, n):
 def _lem_czexp2(_, n):
     return circuit(2, _czexp(0, 1) + _czexp(0, 1)), circuit(2, [])
 
-def _lem_rxplus(ps, n):
-    a, b = ps
-    return circuit(1, [rx(a, 0), rx(b, 0)]), circuit(1, [rx(a + b, 0)])
-
-def _lem_rx0(_, n):
-    return circuit(1, [rx(0.0, 0)]), circuit(1, [])
-
 def _lem_rxneg(ps, n):
     (theta,) = ps
     return (circuit(1, [rx(theta, 0)]),
@@ -243,7 +237,13 @@ def _definition(macro):
     return build
 
 
-# -- the rule table: name -> (n_params, fixed_arity_or_None, build) -----------
+# -- the rule table: name -> (n_params, wires, build) --------------------------
+
+class _AtLeast(NamedTuple):
+    """The ``wires`` entry of an n-ary rule: defined from ``n`` wires on."""
+
+    n: int
+
 
 _RULES = {
     # axioms
@@ -256,7 +256,7 @@ _RULES = {
     "CZ":      (0, 2, _build_cz),
     "EH":      (0, 1, _build_eh),      # derived in QCprime/QCancilla'
     "E":       (3, 1, _build_e),
-    "I":       (0, None, _build_i),
+    "I":       (0, _AtLeast(3), _build_i),
     "PPLUS":   (2, 1, _build_pplus),   # derived in QC
     "EPRIME":  (2, 1, _build_eprime),
     "A":       (0, 0, _build_a),
@@ -278,19 +278,17 @@ _RULES = {
     "SWAPCX":      (0, 2, _lem_swapcx),
     "ZZCX":        (0, 2, _lem_zzcx),
     "CZEXP2":      (0, 2, _lem_czexp2),
-    "RXPLUS":      (2, 1, _lem_rxplus),
-    "RX0":         (0, 1, _lem_rx0),
     "RXNEG":       (1, 1, _lem_rxneg),
     "RXFLIP":      (1, 1, _lem_rxflip),
     "RXMINUS":     (1, 1, _lem_rxminus),
     "MCPFOLD5CX":  (0, 3, _lem_mcpfold5cx),
-    "ESTAR_N":     (3, None, _lem_estar_n),
+    "ESTAR_N":     (3, _AtLeast(1), _lem_estar_n),
     # macro definitions
     "RXDEF":   (1, 1, _definition(lambda ps, n: rx(ps[0], 0))),
     "ZDEF":    (0, 1, _definition(lambda ps, n: z(0))),
     "XDEF":    (0, 1, _definition(lambda ps, n: x(0))),
-    "MCPDEF":  (1, None, _definition(lambda ps, n: mcp(ps[0], _all(n)))),
-    "MCRXDEF": (1, None, _definition(lambda ps, n: mcrx(ps[0], _all(n)))),
+    "MCPDEF":  (1, _AtLeast(1), _definition(lambda ps, n: mcp(ps[0], _all(n)))),
+    "MCRXDEF": (1, _AtLeast(1), _definition(lambda ps, n: mcrx(ps[0], _all(n)))),
 }
 
 _CATALOG = {
@@ -314,11 +312,22 @@ def list_rules(theory: str) -> list[RuleId]:
     return [RuleId(theory, name) for name in _CATALOG[theory]]
 
 
-def signature(name: str) -> tuple[int, int | None]:
-    """(parameter count, fixed wire count or None for n-ary) of a catalog rule."""
+class Signature(NamedTuple):
+    """A catalog rule's parameter count, its fixed wire count (None for an
+    n-ary rule) and the least wire count it is defined at."""
+
+    n_params: int
+    arity: int | None
+    min_n: int
+
+
+def signature(name: str) -> Signature:
     if name not in _RULES:
         raise UnknownLemma(f"no rule named {name!r}")
-    return _RULES[name][:2]
+    n_params, wires, _ = _RULES[name]
+    if isinstance(wires, _AtLeast):
+        return Signature(n_params, None, wires.n)
+    return Signature(n_params, wires, wires)
 
 
 def _kind(theory: str, name: str) -> str:
@@ -342,25 +351,25 @@ def resolve_rule(theory: str, name: str, params=(), n: int | None = None,
     definition, or a lemma when ``allow_lemmas`` is set.
 
     Checks the parameters (real numbers, as many as the rule takes) and the
-    wire count (an integer, the rule's fixed one when ``n`` is None; (I)
-    is an axiom from 3 wires on).  QCugp cites every rule without global phases.
+    wire count (an integer: the rule's fixed one when ``n`` is None, else at
+    least the ``signature``'s ``min_n``).  QCugp cites every rule without
+    global phases.
     """
     if _kind(theory, name) == "lemma" and not allow_lemmas:
         raise UnknownLemma(f"{name} is not an axiom of {theory} "
                            "(derived lemmas need allow_lemmas)")
-    n_params, arity, build = _RULES[name]
+    n_params, arity, min_n = signature(name)
     params = tuple(v if type(v) is float else _real(v, f"{name} param")
                    for v in params)
     if n is not None:
         n = _wire(n, f"{name} wire count")
     if len(params) != n_params:
         raise BadParams(f"{name} takes {n_params} params, got {len(params)}")
-    min_n = 3 if name == "I" else 1
     if arity is None and (n is None or n < min_n):
         raise BadArity(f"{name} needs a wire count of at least {min_n}")
     if arity is not None and n not in (None, arity):
         raise BadArity(f"{name} is pinned at {arity} wires")
-    lhs, rhs = build(params, n if arity is None else arity)
+    lhs, rhs = _RULES[name][2](params, n if arity is None else arity)
     if theory == "QCugp":
         lhs, rhs = (Circuit(c.n_in, c.n_out, tuple(g for g in c.gates if g.kind != "GPHASE"))
                     for c in (lhs, rhs))
@@ -393,14 +402,15 @@ def instances(theory: str, name: str, samples: int, max_qubits: int,
     """Sampled instances of the axiom ``name`` of ``theory``.
 
     ``samples`` parameter draws, or one for a rule without parameters (its
-    instance is fixed), at the rule's own width, or at every width from 3
-    to ``max_qubits`` for the n-ary (I).  Raises BadParams when that leaves
-    the rule with no instance, so no report passes with nothing checked.
+    instance is fixed), at the rule's own width, or at every width from its
+    least one to ``max_qubits`` for an n-ary rule such as (I).  Raises
+    BadParams when that leaves the rule with no instance, so no report
+    passes with nothing checked.
     """
-    n_params, arity = signature(name)
+    n_params, arity, min_n = signature(name)
     samples, max_qubits = _wire(samples, "samples"), _wire(max_qubits, "max_qubits")
     draws = samples if n_params else 1
-    ns = range(3, max_qubits + 1) if arity is None else (arity,)
+    ns = range(min_n, max_qubits + 1) if arity is None else (arity,)
     if draws < 1 or not ns:
         raise BadParams(f"{name} gets no instance with samples={samples}, "
                         f"max_qubits={max_qubits}")

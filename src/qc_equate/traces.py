@@ -3,9 +3,9 @@
 Each builder names the catalog rule it derives, in the theory it derives it
 in: it starts on the source side of that rule's instance and is checked to
 end on the target side.  Every step is applied while the trace is built, so
-a returned derivation is replayable by construction.  The QCprime traces
-normalize both sides with the (E')-based normalizer and glue them at the
-normal form (``derive_rule``).
+a returned derivation is replayable by construction.  ``derive_rule``
+traces (``qc_p2pi`` and the QCprime ones) normalize both sides in their
+theory and glue them at the normal form.
 
 ``all_traces(...)`` instantiates the whole set at fixed sample angles;
 ``write_traces(dir)`` dumps them as JSON files for the CLI replayer.
@@ -47,32 +47,6 @@ class _Builder(_Recorder):
 
 
 # -- QC: the phase-group laws, derived through the Euler rule -----------------
-
-def qc_p2pi() -> Derivation:
-    """P(2pi) = identity."""
-    b = _Builder("QC", "P2PI")
-    b.do("H2", "RL", wires=(0,), at=0)                     # Ha Hb P(2pi)
-    b.do("H2", "RL", wires=(0,), at=3)                     # ... Hc Hd
-    b.do("S2PI", "RL", at=0)
-    b.do("SPLUS", "RL", (0.0, TWO_PI), gates=(0,))         # G0 G2pi
-    b.do("SPLUS", "RL", (0.0, TWO_PI), gates=(1,))         # G0 G0 G2pi
-    b.do("S2PI", "LR", gates=(2,))                         # G0 G0 Ha Hb P2pi Hc Hd
-    b.do("P0", "RL", wires=(0,), at=3)                     # between Ha Hb
-    b.do("P0", "RL", wires=(0,), at=7)                     # between Hc Hd
-    # fold both H.P(0).H runs into RX(0)
-    b.do("RXDEF", "RL", (0.0,), gates=(0, 2, 3, 4), wires=(0,))
-    b.do("RXDEF", "RL", (0.0,), gates=(0, 3, 4, 5), wires=(0,))
-    b.do("E", "LR", (0.0, TWO_PI, 0.0), gates=(0, 1, 2), wires=(0,))
-    # -> G(0) P(0) RX(0) P(0)
-    b.do("P0", "LR", gates=(1,), wires=(0,))
-    b.do("P0", "LR", gates=(2,), wires=(0,))
-    b.do("RXDEF", "LR", (0.0,), gates=(1,), wires=(0,))    # G0 G0 H P0 H
-    b.do("P0", "LR", gates=(3,), wires=(0,))
-    b.do("H2", "LR", gates=(2, 3), wires=(0,))
-    b.do("SPLUS", "LR", (0.0, 0.0), gates=(0, 1))
-    b.do("S2PI", "LR", gates=(0,))                         # G(0) matches G(2pi)
-    return b.done("qc_p2pi")
-
 
 def qc_pplus(a: float, bparam: float) -> Derivation:
     """P(a) . P(b) = P(a+b), by running (E) forwards and backwards."""
@@ -223,7 +197,7 @@ def qc_5cx() -> Derivation:
     return b.done("qc_5cx")
 
 
-# -- QCprime: deriving the replaced rules from (E') and (P+) ------------------
+# -- derivations through the 1-qubit normal form ------------------------------
 
 def derive_equal(c1: Circuit, c2: Circuit, theory: str, name: str) -> Derivation:
     """Normalize both circuits and glue the traces at the normal form."""
@@ -337,7 +311,7 @@ def qcancilla_i3() -> Derivation:
 def all_traces() -> list[Derivation]:
     """The shipped set, instantiated at fixed sample angles."""
     return [
-        qc_p2pi(),
+        derive_rule("QC", "P2PI", name="qc_p2pi"),
         qc_pplus(0.7, 1.9),
         qc_pminus(0.9),
         qc_s0(),

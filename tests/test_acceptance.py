@@ -246,7 +246,7 @@ def test_criterion_12_sign_value_invariance():
             c2 = apply_step(c, Step(name, "RL", (), None, Site((), wires, at)),
                             allow_lemmas=True)
         else:
-            n_params, _ = signature(name)
+            n_params = signature(name).n_params
             params = tuple(rng.uniform(0.2, 3.0, n_params))
             sites = find_sites(c, name, params, n, direction=direction,
                                allow_lemmas=True)

@@ -74,6 +74,20 @@ def test_threading_validation():
     # INIT inserts a wire; the widened frame is usable afterwards
     c = Circuit(1, 2, (init(0), cnot(0, 1)))
     assert c.n_out == 2
+    # each gate checks its kind, wire and parameter counts, CTRL's base and
+    # pattern, and distinct wires
+    for make in (lambda: Gate("FOO", (0,)),
+                 lambda: Gate("CNOT", (0,)),
+                 lambda: Gate("P", (0,), ()),
+                 lambda: Gate("MCP", (), (0.1,)),
+                 lambda: Gate("MCRX", (), (0.1,)),
+                 lambda: Gate("CTRL", (0, 1), (), "1"),
+                 lambda: ctrl("1", h(1), (0, 1)),
+                 lambda: ctrl("2", x(1), (0, 1)),
+                 lambda: ctrl("10", x(1), (0, 1)),
+                 lambda: Gate("CNOT", (1, 1))):
+        with pytest.raises(InvalidCircuit):
+            make()
 
 
 def test_expand_macros_primitive_only_and_idempotent():

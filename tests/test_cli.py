@@ -17,12 +17,15 @@ HPH = {"n_in": 1, "n_out": 1,
        "gates": [{"kind": "H", "wires": [0], "params": []},
                  {"kind": "P", "wires": [0], "params": [0.7]},
                  {"kind": "H", "wires": [0], "params": []}]}
+PP = {"n_in": 1, "n_out": 1,
+      "gates": [{"kind": "P", "wires": [0], "params": [1.1]},
+                {"kind": "P", "wires": [0], "params": [2.2]}]}
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, obj in (("hh", HH), ("empty", EMPTY), ("hph", HPH)):
+    for name, obj in (("hh", HH), ("empty", EMPTY), ("hph", HPH), ("pp", PP)):
         fp = tmp_path / f"{name}.json"
         fp.write_text(json.dumps(obj))
         paths[name] = str(fp)
@@ -63,8 +66,13 @@ def test_normalize_and_replay(files, tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert abs(out["beta2"]) <= math.pi
     assert main(["replay", trace, "--allow-lemmas"]) == 0
+    # H P H normalizes with QC's axioms and the macro definitions only
+    assert main(["replay", trace]) == 0
     capsys.readouterr()
-    # strict replay fails because the trace cites derived lemmas
+    # P P merges by (P+), a lemma of QC: strict replay fails
+    assert main(["normalize", files["pp"], "--trace", trace]) == 0
+    assert main(["replay", trace, "--allow-lemmas"]) == 0
+    capsys.readouterr()
     assert main(["replay", trace]) == 2
 
 
@@ -137,6 +145,11 @@ def test_bad_input_exit_code(files, tmp_path):
         bad_wire = tmp_path / "bad_wire.json"
         bad_wire.write_text(json.dumps({"n_in": 2, "n_out": 2, "gates": [gate]}))
         assert main(["eval", str(bad_wire)]) == 2, gate
+    # gates the constructor rejects: an unknown kind, a repeated wire
+    for gate in ({"kind": "FOO", "wires": [0]}, {"kind": "CNOT", "wires": [1, 1]}):
+        bad_gate = tmp_path / "bad_gate.json"
+        bad_gate.write_text(json.dumps({"n_in": 2, "n_out": 2, "gates": [gate]}))
+        assert main(["eval", str(bad_gate)]) == 2, gate
     # params that are not real numbers: "7" is not P(7), true is not P(1.0)
     for params in ("7", [True], ["7"]):
         bad_param = tmp_path / "bad_param.json"

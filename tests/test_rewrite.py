@@ -13,7 +13,8 @@ from qc_equate import (Circuit, Derivation, Site, Step, apply_step, circuit,
 from qc_equate.errors import (ArityMismatch, BadArity, IllegalSite,
                               InvalidCircuit, NoMatch, UnknownTheory,
                               UnsupportedGate)
-from qc_equate.euler import GENERIC, Z_ZERO, ZPRIME_ZERO, euler_eprime
+from qc_equate import theories
+from qc_equate.euler import GENERIC, Z_ZERO, ZPRIME_ZERO, euler_e, euler_eprime
 from qc_equate.rewrite import apply_step_full, concat_derivations, resolve_rule
 from qc_equate.theories import DEFINITIONAL, _CATALOG
 from qc_equate.traces import all_traces
@@ -99,6 +100,20 @@ def _h2(site, direction="LR"):
     return Step("H2", direction, (), None, site)
 
 
+def _init_step_off_wire_order():
+    """A rule with INIT on two input wires, cited with a decreasing wire map.
+
+    Every catalog rule with INIT/DEST has at most one input wire, so the
+    check is reached through a rule registered for the call.
+    """
+    side = Circuit(2, 3, (init(0),))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(theories._RULES, "INIT2", (0, 2, lambda ps, n: (side, side)))
+        mp.setitem(theories._CATALOG, "QCancilla",
+                   theories._CATALOG["QCancilla"] + ("INIT2",))
+        apply_step(side, Step("INIT2", "LR", (), None, Site((0,), (1, 0))), "QCancilla")
+
+
 @pytest.mark.parametrize("run, error", [
     (lambda: apply_step(HH, _h2(Site((0, 1), (0,)), "UP")), NoMatch),
     (lambda: apply_step(HH, _h2(Site((0, 0), (0,)))), NoMatch),
@@ -113,9 +128,10 @@ def _h2(site, direction="LR"):
                                 Derivation("QC", circuit(1, []), [], circuit(1, []))),
      ArityMismatch),
     (lambda: resolve_rule("QCnone", "H2", (), None, True), UnknownTheory),
+    (_init_step_off_wire_order, IllegalSite),
 ], ids=["direction", "repeated-index", "index-out-of-range", "splice-out-of-range",
         "wire-map-length", "wire-map-not-injective", "replay-off-final",
-        "concat-no-chain", "unknown-theory"])
+        "concat-no-chain", "unknown-theory", "init-wire-map-not-increasing"])
 def test_engine_rejections(run, error):
     with pytest.raises(error):
         run()
@@ -342,30 +358,52 @@ def test_normalize_qcprime_variant():
                     h(0), rx(-6.814522666230806, 0), gphase(6.0419672278893355),
                     gphase(4.800297777855281), p(6.4670877788452845, 0)]),
     ]
-    # angles on the pi/4 grid reach every Euler case of (E')
+    _assert_euler_cases("QCprime", fixed)
+
+
+def test_normalize_qc_reaches_every_euler_case():
+    # reaches (E) at Z_ZERO: RX(a) P(pi) RX(c) with a - c = pi mod 2pi
+    _assert_euler_cases("QC", [circuit(1, [z(0), p(3 * PI / 2, 0), rx(-9 * PI / 4, 0),
+                                           z(0), rx(3 * PI / 4, 0), z(0)])])
+
+
+def _assert_euler_cases(theory, fixed):
+    """The fixed circuits and angles on the pi/4 grid normalize correctly,
+    replay, and reach every case of the theory's Euler rule."""
+    rule, euler = {"QC": ("E", euler_e), "QCprime": ("EPRIME", euler_eprime)}[theory]
     rng = np.random.default_rng(22)
     grid = [rand_1q(rng, int(rng.integers(0, 17)), grid=True) for _ in range(150)]
     cases = set()
     for c in fixed + grid:
-        params, deriv = normalize_1q(c, emit_trace=True, theory="QCprime")
+        params, deriv = normalize_1q(c, emit_trace=True, theory=theory)
         assert params.close_to(nf_from_unitary(eval_matrix(c)), 1e-8)
         out = replay(deriv, allow_lemmas=True, safety=True, tol=1e-9)
         assert deformation_equal(out, deriv.final)
-        cases |= {euler_eprime(*s.params)[1].tag for s in deriv.steps
-                  if s.rule == "EPRIME"}
+        cases |= {euler(*s.params)[1].tag for s in deriv.steps if s.rule == rule}
     assert cases == {GENERIC, Z_ZERO, ZPRIME_ZERO}
+
+
+def _assert_cites_only(theory, allowed):
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        c = rand_1q(rng, int(rng.integers(0, 17)))
+        _, deriv = normalize_1q(c, emit_trace=True, theory=theory)
+        assert {s.rule for s in deriv.steps} <= allowed
 
 
 def test_qcprime_normalizer_cites_only_qcprime_rules():
     """QCprime traces rest on QCprime's axioms, the macro definitions and the
     two band-reduction lemmas: never on (EH) or (E) or lemmas derived from
     them."""
-    allowed = set(_CATALOG["QCprime"]) | set(DEFINITIONAL) | {"RXNEG", "RXFLIP"}
-    rng = np.random.default_rng(23)
-    for _ in range(60):
-        c = rand_1q(rng, int(rng.integers(0, 17)))
-        _, deriv = normalize_1q(c, emit_trace=True, theory="QCprime")
-        assert {s.rule for s in deriv.steps} <= allowed
+    _assert_cites_only("QCprime", set(_CATALOG["QCprime"]) | set(DEFINITIONAL)
+                       | {"RXNEG", "RXFLIP"})
+
+
+def test_qc_normalizer_cites_only_qc_rules():
+    """QC traces rest on QC's axioms, the macro definitions, (P+) and the two
+    band-reduction lemmas: never on a rotation lemma such as RX RX = RX."""
+    _assert_cites_only("QC", set(_CATALOG["QC"]) | set(DEFINITIONAL)
+                       | {"PPLUS", "RXNEG", "RXFLIP"})
 
 
 def test_normalize_rejects_wide_or_ancilla():

@@ -36,6 +36,11 @@ def test_instantiate_validation():
         resolve_rule("QC", "E", (0.1,), 1)
     with pytest.raises(BadArity):
         resolve_rule("QC", "I", (), 2)
+    # a fixed-width rule takes no other width
+    with pytest.raises(BadArity):
+        resolve_rule("QC", "H2", (), 2)
+    with pytest.raises(UnknownLemma):
+        signature("NOPE")
     # (EH) is a lemma of QCprime: citable only with allow_lemmas
     with pytest.raises(UnknownLemma):
         resolve_rule("QCprime", "EH", (), 1)
@@ -106,13 +111,13 @@ def test_i_rule_sound_but_not_axiomatic_below_three():
         assert np.max(np.abs(eval_matrix(lhs) - np.eye(2 ** n))) < 1e-9
         with pytest.raises(BadArity):
             resolve_rule("QC", "I", (), n)
+    assert signature("I") == (0, None, 3)
 
 
 def test_qcugp_circuits_are_phase_free():
     rng = np.random.default_rng(5)
     for rid in list_rules("QCugp"):
-        n_params, arity = signature(rid.name)
-        n = 3 if rid.name == "I" else arity
+        n_params, _, n = signature(rid.name)
         inst = resolve_rule("QCugp", rid.name, tuple(rng.uniform(0, 6, n_params)), n)
         assert all(g.kind != "GPHASE" for g in inst.lhs.gates + inst.rhs.gates)
         assert check_soundness(inst, 1e-9)
@@ -123,11 +128,11 @@ def test_lemma_catalog_all_sound():
     rng = np.random.default_rng(6)
     for theory in THEORIES:
         for name in lemma_names():
-            n_params, arity = signature(name)
+            n_params, arity, min_n = signature(name)
             for _ in range(4):
                 params = tuple(rng.uniform(-6, 6, n_params))
-                # n-ary rules from their least width: (I) from 3 wires
-                ns = (arity,) if arity is not None else (3,) if name == "I" else (1, 2, 3)
+                # n-ary rules from their least width on
+                ns = (arity,) if arity is not None else range(min_n, 4)
                 for n in ns:
                     inst = resolve_rule(theory, name, params, n, True)
                     assert check_soundness(inst, 1e-9), (theory, name, params, n)

@@ -31,7 +31,7 @@ def test_every_shipped_trace_replays_with_safety_net():
 
 
 def test_trace_endpoints():
-    d = tr.qc_p2pi()
+    d = tr.derive_rule("QC", "P2PI", name="qc_p2pi")
     assert [g.kind for g in d.initial.gates] == ["P"]
     assert len(d.final.gates) == 0
 
