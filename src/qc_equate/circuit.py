@@ -558,5 +558,7 @@ def deformation_equal(c1: Circuit, c2: Circuit) -> bool:
     """True iff the two circuits are equal up to prop deformation."""
     if (c1.n_in, c1.n_out) != (c2.n_in, c2.n_out):
         raise ArityMismatch("deformation_equal needs equal arities")
+    if c1.gates == c2.gates:
+        return True
     return _same_gates(_canonical_gates(c1.n_in, _id_gates(c1)),
                        _canonical_gates(c2.n_in, _id_gates(c2)))

@@ -5,8 +5,11 @@ direction, parameters, and a site: explicit gate indices plus a map from
 rule wires to circuit wire positions.  Matching is site-directed; the
 engine verifies that the selected gates can be commuted into a contiguous
 block and are deformation-equal to the instantiated source side, then
-splices in the target side.  A safety net re-checks the semantics of every
-accepted step numerically, with the theory's own equality.
+splices in the target side.  The block is compared with the source side in
+the order it was selected first, and in canonical order only when that
+fails; angles are compared modulo the gate's period.  A safety net
+re-checks the semantics of every accepted step numerically, with the
+theory's own equality.
 
 Sites for rules whose sides create or destroy wires (A, AP, ACX) require a
 monotone wire map: ``wire_map`` must be strictly increasing, so that rule
@@ -213,9 +216,11 @@ def _match_source(src: Circuit, block: list[_IdGate], wire_ids: list[int],
 
     The block is relabelled onto the rule's wires: inputs through the wire
     map, created wires in birth order, which are the ids the source side's
-    threading gives them, so both compare in canonical order as they are.
-    Each INIT goes among the mapped wires open after it in the circuit,
-    whose open wires where the block assembles are ``frame``.  Returns the
+    threading gives them.  Each INIT goes among the mapped wires open after
+    it in the circuit, whose open wires where the block assembles are
+    ``frame``.  The block is first compared with the source side in the
+    order it was selected, which nearly always matches; only when that
+    fails are both put in canonical order and compared again.  Returns the
     block's INITs.
     """
     label = {wid: i for i, wid in enumerate(wire_ids)}
@@ -228,6 +233,8 @@ def _match_source(src: Circuit, block: list[_IdGate], wire_ids: list[int],
         elif any(wid not in label for wid in ids):
             raise NoMatch("selected gate touches a wire outside the map")
         relabelled.append((g, tuple(label[wid] for wid in ids)))
+    if _same_gates(_place(list(range(src.n_in)), relabelled), src.gates):
+        return inits
     if not _same_gates(_canonical_gates(src.n_in, relabelled),
                        _canonical_gates(src.n_in, _id_gates(src))):
         raise NoMatch("selected block is not deformation-equal to the rule side")
@@ -389,6 +396,9 @@ def _carry_site(site: Site, rec: Circuit, cur: Circuit, chain: bool) -> Site:
 
 
 def concat_derivations(a: Derivation, b: Derivation, name: str = "") -> Derivation:
+    if a.theory != b.theory:
+        raise UnknownTheory(f"cannot chain a {a.theory} derivation "
+                            f"with a {b.theory} one")
     if not deformation_equal(a.final, b.initial):
         raise ArityMismatch("derivations do not chain")
     return Derivation(a.theory, a.initial, a.steps + b.steps, b.final, name=name)

@@ -17,6 +17,7 @@ any instance numerically; nothing is assumed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -369,11 +370,23 @@ def resolve_rule(theory: str, name: str, params=(), n: int | None = None,
         raise BadArity(f"{name} needs a wire count of at least {min_n}")
     if arity is not None and n not in (None, arity):
         raise BadArity(f"{name} is pinned at {arity} wires")
-    lhs, rhs = _RULES[name][2](params, n if arity is None else arity)
+    build = _instance if n_params or arity is None else _fixed_instance
+    return build(theory, name, params, n if arity is None else arity)
+
+
+def _instance(theory: str, name: str, params: tuple[float, ...],
+              n: int) -> RuleInstance:
+    """Build the checked instance; QCugp's sides lose their GPHASE gates."""
+    lhs, rhs = _RULES[name][2](params, n)
     if theory == "QCugp":
         lhs, rhs = (Circuit(c.n_in, c.n_out, tuple(g for g in c.gates if g.kind != "GPHASE"))
                     for c in (lhs, rhs))
     return RuleInstance(RuleId(theory, name), params, lhs.n_in, lhs, rhs)
+
+
+# a rule without parameters and with a fixed width has one instance per
+# theory, and a RuleInstance is immutable, so it is built once
+_fixed_instance = functools.cache(_instance)
 
 
 def equal_in(theory: str, a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:

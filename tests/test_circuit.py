@@ -146,6 +146,14 @@ def test_canonicalize_examples():
                              circuit(3, [p(0.1, 2), h(0)]))
 
 
+def test_deformation_equal_checks_arity_before_gates():
+    # equal gate lists do not make circuits of different arities equal
+    for a, b in ((circuit(1, [h(0)]), circuit(2, [h(0)])),
+                 (circuit(1, []), circuit(2, []))):
+        with pytest.raises(ArityMismatch):
+            deformation_equal(a, b)
+
+
 def test_canonicalize_idempotent_and_semantics_preserving():
     rng = np.random.default_rng(7)
     for _ in range(40):

@@ -73,6 +73,24 @@ def test_apply_angle_mismatch_is_no_match():
         apply_step(c, Step("P0", "LR", (), None, Site((0,), (0,))))
 
 
+def test_block_selected_out_of_rule_order_matches_canonically():
+    # the block is compared in selection order first, and in canonical
+    # order only when that fails, so gates the rule lists in another
+    # (deformation-equal) order still match
+    a, b = 0.4, 1.1
+    out = apply_step(circuit(0, [gphase(b), gphase(a)]),
+                     Step("SPLUS", "LR", (a, b), None, Site((0, 1), ())))
+    assert len(out.gates) == 1 and out.gates[0].same_gate(gphase(a + b))
+    zzcx = Step("ZZCX", "LR", (), None, Site((0, 1, 2), (0, 1)))
+    swapped = apply_step(circuit(2, [p(PI, 1), p(PI, 0), cnot(0, 1)]), zzcx)
+    in_order = apply_step(circuit(2, [p(PI, 0), p(PI, 1), cnot(0, 1)]), zzcx)
+    assert deformation_equal(swapped, in_order)
+    # a block in rule order with one wrong angle falls through both
+    with pytest.raises(NoMatch):
+        apply_step(circuit(1, [p(0.3, 0), p(0.6, 0)]),
+                   Step("PPLUS", "LR", (0.3, 0.5), None, Site((0, 1), (0,))))
+
+
 def test_empty_source_insertion():
     c = circuit(1, [p(0.3, 0)])
     out = apply_step(c, Step("H2", "RL", (), None, Site((), (0,), at=1)))
@@ -127,11 +145,14 @@ def _init_step_off_wire_order():
     (lambda: concat_derivations(Derivation("QC", HH, [], HH),
                                 Derivation("QC", circuit(1, []), [], circuit(1, []))),
      ArityMismatch),
+    (lambda: concat_derivations(Derivation("QC", HH, [], HH),
+                                Derivation("QCprime", HH, [], HH)), UnknownTheory),
     (lambda: resolve_rule("QCnone", "H2", (), None, True), UnknownTheory),
     (_init_step_off_wire_order, IllegalSite),
 ], ids=["direction", "repeated-index", "index-out-of-range", "splice-out-of-range",
         "wire-map-length", "wire-map-not-injective", "replay-off-final",
-        "concat-no-chain", "unknown-theory", "init-wire-map-not-increasing"])
+        "concat-no-chain", "concat-theories", "unknown-theory",
+        "init-wire-map-not-increasing"])
 def test_engine_rejections(run, error):
     with pytest.raises(error):
         run()

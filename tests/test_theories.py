@@ -7,10 +7,10 @@ import pytest
 
 import qc_equate
 from qc_equate import (THEORIES, RuleId, RuleInstance, check_soundness, circuit,
-                       cnot, eval_matrix, lemma_names, list_rules,
+                       cnot, eval_matrix, gphase, lemma_names, list_rules,
                        minimality_report, resolve_rule, swap, verify_theory)
-from qc_equate.errors import (BadArity, BadParams, QcError, UnknownLemma,
-                              UnknownTheory)
+from qc_equate.errors import (BadArity, BadParams, InvalidCircuit, QcError,
+                              UnknownLemma, UnknownTheory)
 from qc_equate.theories import _RULES, signature
 
 PI = math.pi
@@ -44,6 +44,17 @@ def test_instantiate_validation():
     # (EH) is a lemma of QCprime: citable only with allow_lemmas
     with pytest.raises(UnknownLemma):
         resolve_rule("QCprime", "EH", (), 1)
+    # a parameter-free fixed-width rule is built once per theory, but every
+    # input check still runs before it is served
+    assert resolve_rule("QC", "H2") is resolve_rule("QC", "H2", (), 1)
+    with pytest.raises(InvalidCircuit):
+        resolve_rule("QC", "H2", (), 1.0)
+    assert resolve_rule("QCprime", "EH", (), 1, True).kind == "lemma"
+    with pytest.raises(UnknownLemma):
+        resolve_rule("QCprime", "EH", (), 1)
+    qc_s0, ugp_s0 = (resolve_rule(t, "S0", (), None, True) for t in ("QC", "QCugp"))
+    assert qc_s0.lhs.gates == (gphase(0.0),) and ugp_s0.lhs.gates == ()
+    assert (qc_s0.id.theory, ugp_s0.id.theory) == ("QC", "QCugp")
     # parameters must be real numbers: "7" is not C(7), true is not C(1.0)
     # and wire counts, sample counts and widths integers: 3.0 is not 3
     for run in (lambda: resolve_rule("QC", "C", ("7",)),
