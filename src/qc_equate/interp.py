@@ -296,8 +296,10 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
 def minimality_matrix(theory: str = "QC", max_qubits: int = 5,
                       samples: int = 100, seed: int = 0,
                       target_n: int = 4) -> dict:
-    """One report per axiom of the theory; PASS iff every row passes."""
-    rows = {}
+    """One report per axiom of the theory that has a counter-interpretation;
+    the axioms without one are named in ``no_interpretation``, in catalog
+    order.  PASS iff every row passes."""
+    rows, missing = {}, []
     ok = True
     for rid in list_rules(theory):
         try:
@@ -305,9 +307,10 @@ def minimality_matrix(theory: str = "QC", max_qubits: int = 5,
                                     samples=samples, seed=seed,
                                     target_n=target_n)
         except NoInterpretation:
+            missing.append(rid.name)
             continue
         rows[rid.name] = {"interpretation": rep["interpretation"],
                           "results": rep["results"], "pass": rep["pass"]}
         ok = ok and rep["pass"]
     return {"theory": theory, "samples": samples, "seed": seed,
-            "rows": rows, "pass": ok}
+            "rows": rows, "no_interpretation": missing, "pass": ok}

@@ -10,10 +10,6 @@ the order it was selected first, and in canonical order only when that
 fails; angles are compared modulo the gate's period.  A safety net
 re-checks the semantics of every accepted step numerically, with the
 theory's own equality.
-
-Sites for rules whose sides create or destroy wires (A, AP, ACX) require a
-monotone wire map: ``wire_map`` must be strictly increasing, so that rule
-wire order agrees with the circuit's wire order at the site.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _IdGate, _STRUCT,
+from .circuit import (ANGLE_EPS, TWO_PI, Circuit, _IdGate, _STRUCT,
                       _canonical_gates, _canonical_order, _deps, _frames,
                       _id_gates, _place, _real, _same_gates, _wire, angles_equal,
                       deformation_equal, reduce_angle)
@@ -168,9 +164,6 @@ def apply_step_full(c: Circuit, step: Step, theory: str = "QC",
     if len(set(wire_ids)) != len(wire_ids):
         raise NoMatch("wire_map is not injective")
 
-    structural = any(g.kind in ("INIT", "DEST") for g in src.gates + dst.gates)
-    if structural and any(a >= b for a, b in zip(wire_map, wire_map[1:])):
-        raise IllegalSite("rules with INIT/DEST need a strictly increasing wire map")
     inits = _match_source(src, [gates[i] for i in sel], wire_ids, frame)
     repl = _build_replacement(src, dst, wire_ids, inits, frame, c.threading.n_ids)
 
@@ -492,8 +485,8 @@ def normalize_1q(c: Circuit, emit_trace: bool = False, theory: str = "QC"):
     alternating {H, P} word and contract its H's, QC with (E) and (EH),
     QCprime with (E').  Every step goes through the rewrite engine, and
     each follow-up site is derived from where the previous replacement
-    landed: wire gates are addressed by their ordinal in the wire word,
-    never found again by their angles.
+    landed: with the one global phase kept last, a wire gate is addressed
+    by its gate index, never found again by its angle.
     """
     if theory not in ("QC", "QCprime"):
         raise UnknownTheory(f"normalize_1q runs in QC or QCprime, not {theory!r}")
@@ -520,52 +513,39 @@ class _Normalizer(_Recorder):
 
     One reduction path serves both theories.  Every macro, RX included, is
     unfolded by its definition, so the wire word holds H and P only.  The
-    loop merges GPHASEs (S+) and P P pairs (P+), cancels H H (H2) and drops
-    P(0) (P0), which leaves H and P alternating, and then contracts H's
-    (``_contract``).  The only theory difference is the Euler rule there:
-    (E) on RX P RX, with (EH) for an odd H count, in QC; (E') on RX H RX,
-    with (H2) and a minted RX(0), in QCprime.  Both end in the band
-    reduction of ``_shape_and_read``.
+    loop merges P P pairs (P+), cancels H H (H2) and drops P(0) (P0), which
+    leaves H and P alternating, and then contracts H's (``_contract``).
+    The only theory difference is the Euler rule there: (E) on RX P RX,
+    with (EH) for an odd H count, in QC; (E') on RX H RX, with (H2) and a
+    minted RX(0), in QCprime.  Both end in the band reduction of
+    ``_shape_and_read``, which mints a missing RX(0) after every P.
 
-    Wire gates are addressed by their ordinal in the wire word (the
-    non-GPHASE gates in circuit order).  No step reorders that word, so an
-    ordinal moves only by the wire gates a step inserts or removes in front
-    of it, while GPHASE gates float whenever (S+) merges them.
+    Between moves the circuit holds exactly one GPHASE, as its last gate:
+    (S2PI) mints it there first when the input does not end on one, and
+    (S+) merges every other GPHASE into it, both the input's and the one
+    a rule's replacement starts with.  The wire word is then every gate but the last, and a
+    wire gate is addressed by its gate index.
     """
 
-    def gate(self, i: int) -> Gate:
-        return self.c.gates[i]
-
-    def wire_gates(self) -> list[int]:
-        return [i for i, g in enumerate(self.c.gates) if g.kind != "GPHASE"]
-
-    def phase_gates(self) -> list[int]:
-        return [i for i, g in enumerate(self.c.gates) if g.kind == "GPHASE"]
-
-    def angle(self, k: int) -> float:
-        """Angle of the wire gate with ordinal k."""
-        return self.gate(self.wire_gates()[k]).params[0]
-
-    def wsite(self, k: int, m: int = 1) -> Site:
-        """Site selecting the m wire gates from ordinal k on."""
-        return Site(tuple(self.wire_gates()[k:k + m]), (0,))
-
-    def before(self, k: int) -> int:
-        """Gate index in front of wire ordinal k (past the last wire gate
-        when k is the length of the word)."""
-        w = self.wire_gates()
-        if k < len(w):
-            return w[k]
-        return w[-1] + 1 if w else len(self.c.gates)
+    def angle(self, i: int) -> float:
+        return self.c.gates[i].params[0]
 
     def insert(self, rule: str, k: int):
         """Run a rule with an empty right side (H2, P0) backwards in front
-        of wire ordinal k."""
-        self.do(rule, "RL", site=Site((), (0,), self.before(k)))
+        of gate k."""
+        self.do(rule, "RL", site=Site((), (0,), k))
+
+    def lr(self, rule: str, k: int, m: int = 1, params=(), n: int | None = None):
+        """Run a rule forwards on the m wire gates from k; a GPHASE its
+        replacement starts with is merged into the last gate."""
+        landed = self.do(rule, "LR", params, n, Site(tuple(range(k, k + m)), (0,)))
+        if landed and self.c.gates[landed[0]].kind == "GPHASE":
+            self._merge_phase(landed[0])
 
     def find_word(self, kinds: tuple[str, ...], pred=None) -> int | None:
-        """Ordinal of the first run of wire gates matching the kind word."""
-        gs = [self.gate(i) for i in self.wire_gates()]
+        """Index of the first run of gates matching the kind word, the last
+        gate (the global phase) left out."""
+        gs = self.c.gates[:-1]
         for j in range(len(gs) - len(kinds) + 1):
             run = gs[j:j + len(kinds)]
             if all(g.kind == k for g, k in zip(run, kinds)) and (
@@ -576,11 +556,19 @@ class _Normalizer(_Recorder):
     # -- high level ----------------------------------------------------------
 
     def run(self) -> NormalFormParams:
+        if not self.c.gates or self.c.gates[-1].kind != "GPHASE":
+            self.do("S2PI", "RL", site=Site((), (), len(self.c.gates)))
+        while (i := self.find_word(("GPHASE",))) is not None:
+            self._merge_phase(i)
         self._unfold_macros()
-        while (self._merge_phases() or self._merge_wire_pairs()
-               or self._drop_trivial() or self._contract()):
+        while self._merge_wire_pairs() or self._drop_trivial() or self._contract():
             pass
         return self._shape_and_read()
+
+    def _merge_phase(self, i: int):
+        """Merge the GPHASE at gate i into the last gate (S+)."""
+        last = len(self.c.gates) - 1
+        self.do("SPLUS", "LR", (self.angle(i), self.angle(last)), site=Site((i, last), ()))
 
     def _unfold_macros(self):
         """Unfold X, Z, RX, MCP and MCRX, leftmost first."""
@@ -588,37 +576,22 @@ class _Normalizer(_Recorder):
                  "MCRX": "MCRXDEF"}
         while (i := next((i for i, g in enumerate(self.c.gates)
                           if g.kind in rules), None)) is not None:
-            g = self.gate(i)
+            g = self.c.gates[i]
             n = 1 if g.kind in ("MCP", "MCRX") else None
-            self.do(rules[g.kind], "LR", g.params, n, Site((i,), (0,)))
+            self.lr(rules[g.kind], i, params=g.params, n=n)
 
-    def _mint_rx0(self, at: int):
-        """Insert RX(0) at gate index ``at`` using axioms and definitions."""
-        self.do("S2PI", "RL", site=Site((), (), 0))        # GPHASE(2pi) up front
-        at += 1
-        self.do("H2", "RL", site=Site((), (0,), at))
-        self.do("P0", "RL", site=Site((), (0,), at + 1))
-        self.do("RXDEF", "RL", (0.0,), site=Site((0, at, at + 1, at + 2), (0,)))
+    def _mint_rx0(self, k: int):
+        """Insert RX(0) in front of gate k: H P(0) H by (H2) and (P0),
+        folded."""
+        self.insert("H2", k)
+        self.insert("P0", k + 1)
+        self._fold_hph(k + 1)
 
     # -- reduction loop -------------------------------------------------------
 
-    def _merge_phases(self) -> bool:
-        ph = self.phase_gates()
-        if len(ph) >= 2:
-            self.do("SPLUS", "LR",
-                    (self.gate(ph[0]).params[0], self.gate(ph[1]).params[0]),
-                    site=Site((ph[0], ph[1]), ()))
-            return True
-        return False
-
-    def _merge_phases_all(self):
-        while self._merge_phases():
-            pass
-
     def _pplus(self, k: int):
-        """Merge the P P pair at wire ordinals k, k+1."""
-        self.do("PPLUS", "LR", (self.angle(k), self.angle(k + 1)),
-                site=self.wsite(k, 2))
+        """Merge the P P pair at gates k, k+1."""
+        self.lr("PPLUS", k, 2, (self.angle(k), self.angle(k + 1)))
 
     def _merge_pp_all(self):
         while (k := self.find_word(("P", "P"))) is not None:
@@ -628,30 +601,27 @@ class _Normalizer(_Recorder):
         if (k := self.find_word(("P", "P"))) is not None:
             self._pplus(k)
         elif (k := self.find_word(("H", "H"))) is not None:
-            self.do("H2", "LR", site=self.wsite(k, 2))
+            self.lr("H2", k, 2)
         else:
             return False
         return True
 
     def _fold_hph(self, k: int):
-        """Fold H P(v) H around wire ordinal k into RX(v) at ordinal k-1.
+        """Fold H P(v) H around gate k into RX(v) at gate k-1.
 
-        The rotation's -v/2 global phase is split off the first GPHASE,
-        which is minted from (S2pi) when there is none.
+        (S+) splits the rotation's -v/2 global phase off the last gate, in
+        front of the rest, which stays last when (RXDEF) takes the split.
         """
-        v = self.angle(k)
-        if not self.phase_gates():
-            self.do("S2PI", "RL", site=Site((), (), 0))
-        ph = self.phase_gates()[0]
-        cur = self.gate(ph).params[0]
-        g = self.do("SPLUS", "RL", (-v / 2.0, cur + v / 2.0), site=Site((ph,), ()))[0]
-        self.do("RXDEF", "RL", (v,), site=Site((g,) + self.wsite(k - 1, 3).gates, (0,)))
+        v, last = self.angle(k), len(self.c.gates) - 1
+        self.do("SPLUS", "RL", (-v / 2.0, self.angle(last) + v / 2.0),
+                site=Site((last,), ()))
+        self.do("RXDEF", "RL", (v,), site=Site((k - 1, k, k + 1, last), (0,)))
 
     def _drop_trivial(self) -> bool:
         k = self.find_word(("P",), lambda gs: angles_equal(gs[0].params[0], 0.0))
         if k is None:
             return False
-        self.do("P0", "LR", site=self.wsite(k))
+        self.lr("P0", k)
         return True
 
     def _contract(self) -> bool:
@@ -668,20 +638,19 @@ class _Normalizer(_Recorder):
         (0, 0).  Each Euler rule is total over its three cases, so no case
         needs its own route.
         """
-        hs = [k for k, i in enumerate(self.wire_gates()) if self.gate(i).kind == "H"]
+        hs = [k for k, g in enumerate(self.c.gates) if g.kind == "H"]
         if not hs:
             return False
         k, qc = hs[0], self.theory == "QC"
         if len(hs) == 2:
             self._fold_hph(k + 1)            # H P(a) H -> RX(a)
         elif qc and len(hs) % 2:
-            self.do("EH", "LR", site=self.wsite(k))        # H -> P RX P
+            self.lr("EH", k)                 # H -> P RX P
             if len(hs) > 1:                  # RX -> H P H: an even count
-                self.do("RXDEF", "LR", (self.angle(k + 1),), site=self.wsite(k + 1))
+                self.lr("RXDEF", k + 1, params=(self.angle(k + 1),))
         elif len(hs) == 1:
-            i = self.wire_gates()[k]
-            self._mint_rx0(i)                # RX(0) lands just before the H
-            self._mint_rx0(i + 2)            # and just after it
+            self._mint_rx0(k)                # RX(0) lands just before the H
+            self._mint_rx0(k + 2)            # and just after it
             self._euler(k)
         else:
             if not qc:
@@ -689,58 +658,40 @@ class _Normalizer(_Recorder):
             self._fold_hph(k + 1)
             self._fold_hph(k + 3)            # RX(a) P(b) RX(c) or RX(a) H RX(b)
             self._euler(k)
-            self.do("RXDEF", "LR", (self.angle(k + 1),), site=self.wsite(k + 1))
+            self.lr("RXDEF", k + 1, params=(self.angle(k + 1),))
         return True
 
     def _euler(self, k: int):
-        """The theory's Euler rule on the three wire gates from ordinal k:
-        (E) on RX P RX in QC, (E') on RX H RX in QCprime."""
+        """The theory's Euler rule on the three wire gates from k: (E) on
+        RX P RX in QC, (E') on RX H RX in QCprime."""
         if self.theory == "QC":
-            self.do("E", "LR", (self.angle(k), self.angle(k + 1), self.angle(k + 2)),
-                    site=self.wsite(k, 3))
+            self.lr("E", k, 3, (self.angle(k), self.angle(k + 1), self.angle(k + 2)))
         else:
-            self.do("EPRIME", "LR", (self.angle(k), self.angle(k + 2)),
-                    site=self.wsite(k, 3))
+            self.lr("EPRIME", k, 3, (self.angle(k), self.angle(k + 2)))
 
     # -- final shaping ---------------------------------------------------------
 
     def _shape_and_read(self) -> NormalFormParams:
         if self.find_word(("RX",)) is None:
-            self._mint_rx0(self.before(0))
-            self._merge_phases_all()
+            # after every P, so that at b2 = 0 the P's angle is b1, as _pack has it
+            self._mint_rx0(len(self.c.gates) - 1)
         # band-reduce the rotation into [0, pi]
         k = self.find_word(("RX",))
         theta = reduce_angle(self.angle(k), 2 * TWO_PI)
         if theta > TWO_PI + ANGLE_EPS:
-            self.do("RXNEG", "LR", (self.angle(k),), site=self.wsite(k))
-            self._merge_phases_all()
+            self.lr("RXNEG", k, params=(self.angle(k),))
             theta = reduce_angle(self.angle(k), 2 * TWO_PI)
         if theta > math.pi + ANGLE_EPS:
-            self.do("RXFLIP", "LR", (self.angle(k),), site=self.wsite(k))
-            self._merge_phases_all()
+            self.lr("RXFLIP", k, params=(self.angle(k),))
             self._merge_pp_all()
         k = self.find_word(("RX",))
-        if not any(self.gate(i).kind == "P" for i in self.wire_gates()[:k]):
+        if not any(g.kind == "P" for g in self.c.gates[:k]):
             self.insert("P0", k)
         k = self.find_word(("RX",))
-        if not any(self.gate(i).kind == "P" for i in self.wire_gates()[k + 1:]):
-            self.insert("P0", len(self.wire_gates()))
-        if not self.phase_gates():
-            self.do("S2PI", "RL", site=Site((), (), 0))
-        if self.phase_gates() != [len(self.c.gates) - 1]:
-            # relocate the global phase to the tail so normal forms from
-            # different derivations share the same literal gate order
-            k = self.phase_gates()[0]
-            v = self.gate(k).params[0]
-            self.do("S2PI", "RL", site=Site((), (), len(self.c.gates)))
-            self.do("SPLUS", "LR", (v, TWO_PI),
-                    site=Site((k, len(self.c.gates) - 1), ()))
-        w = self.wire_gates()
-        kinds = [self.gate(i).kind for i in w]
-        if kinds != ["P", "RX", "P"] or self.phase_gates() != [3]:
+        if not any(g.kind == "P" for g in self.c.gates[k + 1:-1]):
+            self.insert("P0", len(self.c.gates) - 1)
+        kinds = [g.kind for g in self.c.gates]
+        if kinds != ["P", "RX", "P", "GPHASE"]:
             raise SemanticDrift(f"normalization left shape {kinds} (engine bug)")
-        b0 = self.gate(self.phase_gates()[0]).params[0]
-        b1 = self.gate(w[0]).params[0]
-        b2 = reduce_angle(self.gate(w[1]).params[0], 2 * TWO_PI)
-        b3 = self.gate(w[2]).params[0]
-        return _pack(b0, b1, b2, b3)
+        b1, b2, b3, b0 = (g.params[0] for g in self.c.gates)
+        return _pack(b0, b1, reduce_angle(b2, 2 * TWO_PI), b3)

@@ -146,16 +146,17 @@ def test_minimality_matrix_results_are_pinned():
     # every row's own axiom is its one unsound rule; the rules wider than
     # the interpretation's bound are out of scope, every other rule sound
     wide = {"B", "C", "CZ", "I"}
-    for theory, rows in (("QC", ("S2PI", "SPLUS", "H2", "P0", "C", "B", "CZ",
-                                 "EH", "E", "I")),
-                         ("QCprime", ("S2PI", "SPLUS", "H2", "P0", "C", "B",
-                                      "CZ", "I"))):
+    for theory, rows, missing in (
+            ("QC", ("S2PI", "SPLUS", "H2", "P0", "C", "B", "CZ", "EH", "E", "I"), []),
+            ("QCprime", ("S2PI", "SPLUS", "H2", "P0", "C", "B", "CZ", "I"),
+             ["PPLUS", "EPRIME"])):
         names = [r.name for r in list_rules(theory)]
         phases_only = set(names) - {"S2PI", "SPLUS"}
         out_of_scope = {"C": {"I"}, "H2": wide, "P0": wide, "E": wide,
                         "S2PI": phases_only, "SPLUS": phases_only}
         m = minimality_matrix(theory, samples=15, seed=2)
         assert m["pass"] and list(m["rows"]) == list(rows)
+        assert m["no_interpretation"] == missing
         for axiom in rows:
             assert m["rows"][axiom]["results"] == {
                 name: "unsound" if name == axiom
@@ -168,6 +169,7 @@ def test_ancilla_rules_have_no_witness():
     # witness wherever they are in scope, and no QCancilla row passes
     m = minimality_matrix("QCancilla", samples=15, seed=2)
     assert not m["pass"] and m["rows"]
+    assert m["no_interpretation"] == ["AP", "A", "ACX", "FIVE_CX"]
     marks = {name: set() for name in ("A", "AP", "ACX")}
     for row in m["rows"].values():
         assert not row["pass"]

@@ -71,8 +71,11 @@ def test_frozen_traces_equal_all_traces():
     shipped = {d.name: d for d in tr.all_traces()}
     frozen = {path.stem: path for path in TRACE_DIR.glob("*.json")}
     assert set(frozen) == set(shipped)
-    for name, path in frozen.items():
-        assert json.loads(path.read_text()) == json.loads(json.dumps(shipped[name].to_dict()))
+    stale = [name for name, path in sorted(frozen.items()) if json.loads(path.read_text())
+             != json.loads(json.dumps(shipped[name].to_dict()))]
+    assert not stale, (f"frozen traces differ from all_traces(): {stale}; regenerate "
+                       "them with PYTHONPATH=src python -c \"from qc_equate.traces "
+                       "import write_traces; write_traces('traces')\"")
 
 
 def test_json_round_trip_replays(tmp_path):
