@@ -6,14 +6,17 @@ rule wires to circuit wire positions.  Matching is site-directed; the
 engine verifies that the selected gates can be commuted into a contiguous
 block and are deformation-equal to the instantiated source side, then
 splices in the target side.  The block is compared with the source side in
-the order it was selected first, and in canonical order only when that
-fails; angles are compared modulo the gate's period.  A safety net
-re-checks the semantics of every accepted step numerically, with the
-theory's own equality.
+the order it was selected first, 0-wire gates first as rule sides list
+them, and in canonical order only when that fails; angles are compared
+modulo the gate's period.  A safety net re-checks the semantics of every
+accepted step numerically, with the theory's own equality.  The engine
+works on id-level gates (``_apply``): a derivation keeps one working
+circuit across its steps and builds a ``Circuit`` only when one is read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,9 +24,8 @@ from .circuit import (ANGLE_EPS, TWO_PI, Circuit, _IdGate, _STRUCT,
                       _canonical_gates, _canonical_order, _deps, _frames,
                       _id_gates, _place, _real, _same_gates, _wire, angles_equal,
                       deformation_equal, reduce_angle)
-from .errors import (ArityMismatch, BadArity, IllegalSite, InvalidCircuit,
-                     NoMatch, QcError, SemanticDrift, UnknownTheory,
-                     UnsupportedGate)
+from .errors import (BadArity, IllegalSite, InvalidCircuit, NoMatch, QcError,
+                     SemanticDrift, UnknownTheory, UnsupportedGate)
 from .euler import NormalFormParams, _pack
 from .semantics import eval_matrix, wire_cap
 from .theories import equal_in, resolve_rule
@@ -130,12 +132,23 @@ def apply_step(c: Circuit, step: Step, theory: str = "QC",
 def apply_step_full(c: Circuit, step: Step, theory: str = "QC",
                     allow_lemmas: bool = True, safety: bool = True,
                     tol: float = 1e-9) -> ApplyResult:
+    gates, rev_site, _ = _apply(_id_gates(c), c.n_in, c.threading.n_ids, step,
+                                theory, allow_lemmas)
+    out = Circuit(c.n_in, c.n_out, tuple(_place(list(range(c.n_in)), gates)))
+    if safety:
+        _safety_check(c, out, theory, tol)
+    return ApplyResult(out, rev_site)
+
+
+def _apply(gates: list[_IdGate], n_in: int, n_ids: int, step: Step, theory: str,
+           allow_lemmas: bool) -> tuple[list[_IdGate], Site, int]:
+    """``step`` on id-level ``gates`` over inputs 0..n_in-1, all ids below
+    ``n_ids``: the new gates, the reverse step's site and the next free id."""
     if step.direction not in ("LR", "RL"):
         raise NoMatch(f"bad direction {step.direction!r}")
     inst = resolve_rule(theory, step.rule, step.params, step.n, allow_lemmas)
     src, dst = (inst.lhs, inst.rhs) if step.direction == "LR" else (inst.rhs, inst.lhs)
 
-    gates = _id_gates(c)
     sel = tuple(step.site.gates)
     if len(sel) != len(set(sel)) or any(not 0 <= i < len(gates) for i in sel):
         raise NoMatch("site gate indices out of range or repeated")
@@ -151,8 +164,7 @@ def apply_step_full(c: Circuit, step: Step, theory: str = "QC",
     # the block assembles after the floats-before; resolve wire positions in
     # that effective frame (floats may include INIT/DEST)
     assembly = gates[:anchor] + [gates[i] for i in before]
-    frame = list(range(c.n_in))
-    head = _place(frame, assembly)
+    frame = _frames(range(n_in), assembly)[-1]
     wire_map = step.site.wire_map
     if len(wire_map) != src.n_in:
         raise NoMatch(f"wire_map has {len(wire_map)} entries, "
@@ -165,20 +177,14 @@ def apply_step_full(c: Circuit, step: Step, theory: str = "QC",
         raise NoMatch("wire_map is not injective")
 
     inits = _match_source(src, [gates[i] for i in sel], wire_ids, frame)
-    repl = _build_replacement(src, dst, wire_ids, inits, frame, c.threading.n_ids)
-
-    window_post = gates[sel[-1] + 1:] if sel else gates[anchor:]
-    out = Circuit(c.n_in, c.n_out, tuple(
-        head + _place(frame, repl + [gates[i] for i in after] + window_post)))
+    repl, n_ids = _build_replacement(src, dst, wire_ids, inits, frame, n_ids)
 
     # site for the reverse step: the replacement block in the new circuit,
     # which assembles in the same frame, so under the same wire map
     start = len(assembly)
     rev_site = Site(tuple(range(start, start + len(repl))), wire_map, start)
-
-    if safety:
-        _safety_check(c, out, theory, tol)
-    return ApplyResult(out, rev_site)
+    window_post = gates[sel[-1] + 1:] if sel else gates[anchor:]
+    return assembly + repl + [gates[i] for i in after] + window_post, rev_site, n_ids
 
 
 def _partition_block(gates: list[_IdGate], sel: tuple[int, ...]):
@@ -212,9 +218,9 @@ def _match_source(src: Circuit, block: list[_IdGate], wire_ids: list[int],
     threading gives them.  Each INIT goes among the mapped wires open after
     it in the circuit, whose open wires where the block assembles are
     ``frame``.  The block is first compared with the source side in the
-    order it was selected, which nearly always matches; only when that
-    fails are both put in canonical order and compared again.  Returns the
-    block's INITs.
+    order it was selected, its 0-wire gates moved first as rule sides list
+    them, which nearly always matches; only when that fails are both put
+    in canonical order and compared again.  Returns the block's INITs.
     """
     label = {wid: i for i, wid in enumerate(wire_ids)}
     relabelled, inits = [], []
@@ -226,6 +232,7 @@ def _match_source(src: Circuit, block: list[_IdGate], wire_ids: list[int],
         elif any(wid not in label for wid in ids):
             raise NoMatch("selected gate touches a wire outside the map")
         relabelled.append((g, tuple(label[wid] for wid in ids)))
+    relabelled.sort(key=lambda gi: bool(gi[1]))   # stable: 0-wire gates first
     if _same_gates(_place(list(range(src.n_in)), relabelled), src.gates):
         return inits
     if not _same_gates(_canonical_gates(src.n_in, relabelled),
@@ -236,9 +243,9 @@ def _match_source(src: Circuit, block: list[_IdGate], wire_ids: list[int],
 
 def _build_replacement(src: Circuit, dst: Circuit, wire_ids: list[int],
                        inits: list[_IdGate], frame: list[int],
-                       next_id: int) -> list[_IdGate]:
+                       next_id: int) -> tuple[list[_IdGate], int]:
     """Id-level gates for the target side, spliced where the block
-    assembles (``frame``).
+    assembles (``frame``), and the next free wire id after them.
 
     An INIT of a wire the source side created is the block's INIT, at its
     own position.  A fresh INIT, whose id counts up from ``next_id``, goes
@@ -267,7 +274,7 @@ def _build_replacement(src: Circuit, dst: Circuit, wire_ids: list[int],
             g = g.with_wires((alive.index(mapped[r]) if r < len(mapped) else
                               alive.index(mapped[-1]) + 1 if mapped else 0,))
         repl.append(_IdGate(g, ids))
-    return repl
+    return repl, next_id
 
 
 def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float):
@@ -282,23 +289,31 @@ def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float):
 
 class _Recorder:
     """Applies steps in a theory while recording them, so the derivation it
-    ends with replays by construction."""
+    ends with replays by construction.  The working circuit stays id-level
+    across steps (``gates``, next free wire id ``n_ids``); ``c`` builds it
+    as a validated ``Circuit`` only when read."""
 
     def __init__(self, theory: str, initial: Circuit):
         self.theory = theory
         self.initial = initial
-        self.c = initial
+        self.gates = _id_gates(initial)
+        self.n_ids = initial.threading.n_ids
         self.steps: list[Step] = []
+
+    @functools.cached_property
+    def c(self) -> Circuit:
+        i = self.initial
+        return Circuit(i.n_in, i.n_out, tuple(_place(list(range(i.n_in)), self.gates)))
 
     def do(self, rule: str, direction: str, params=(), n: int | None = None,
            site: Site = Site()) -> tuple[int, ...]:
         """Apply one step; returns the gate indices its replacement landed on."""
         step = Step(rule, direction, tuple(float(v) for v in params), n, site)
-        res = apply_step_full(self.c, step, self.theory, allow_lemmas=True,
-                              safety=False)
-        self.c = res.circuit
+        self.gates, rev_site, self.n_ids = _apply(
+            self.gates, self.initial.n_in, self.n_ids, step, self.theory, True)
+        self.__dict__.pop("c", None)
         self.steps.append(step)
-        return res.reverse_site.gates
+        return rev_site.gates
 
     def derivation(self, name: str = "") -> Derivation:
         return Derivation(self.theory, self.initial, self.steps, self.c, name=name)
@@ -392,8 +407,8 @@ def concat_derivations(a: Derivation, b: Derivation, name: str = "") -> Derivati
     if a.theory != b.theory:
         raise UnknownTheory(f"cannot chain a {a.theory} derivation "
                             f"with a {b.theory} one")
-    if not deformation_equal(a.final, b.initial):
-        raise ArityMismatch("derivations do not chain")
+    if not deformation_equal(a.final, b.initial):   # ArityMismatch on unequal arities
+        raise NoMatch("derivations do not chain: the first ends off the second's start")
     return Derivation(a.theory, a.initial, a.steps + b.steps, b.final, name=name)
 
 
@@ -523,12 +538,16 @@ class _Normalizer(_Recorder):
     Between moves the circuit holds exactly one GPHASE, as its last gate:
     (S2PI) mints it there first when the input does not end on one, and
     (S+) merges every other GPHASE into it, both the input's and the one
-    a rule's replacement starts with.  The wire word is then every gate but the last, and a
-    wire gate is addressed by its gate index.
+    a rule's replacement starts with.  The wire word is then every gate
+    but the last, and a wire gate is addressed by its gate index in the
+    working circuit, which becomes a ``Circuit`` only for the derivation.
     """
 
     def angle(self, i: int) -> float:
-        return self.c.gates[i].params[0]
+        return self.gates[i][0].params[0]
+
+    def kinds(self) -> list[str]:
+        return [g.kind for g, _ in self.gates]
 
     def insert(self, rule: str, k: int):
         """Run a rule with an empty right side (H2, P0) backwards in front
@@ -539,26 +558,22 @@ class _Normalizer(_Recorder):
         """Run a rule forwards on the m wire gates from k; a GPHASE its
         replacement starts with is merged into the last gate."""
         landed = self.do(rule, "LR", params, n, Site(tuple(range(k, k + m)), (0,)))
-        if landed and self.c.gates[landed[0]].kind == "GPHASE":
+        if landed and self.gates[landed[0]][0].kind == "GPHASE":
             self._merge_phase(landed[0])
 
-    def find_word(self, kinds: tuple[str, ...], pred=None) -> int | None:
+    def find_word(self, word: list[str], pred=None) -> int | None:
         """Index of the first run of gates matching the kind word, the last
-        gate (the global phase) left out."""
-        gs = self.c.gates[:-1]
-        for j in range(len(gs) - len(kinds) + 1):
-            run = gs[j:j + len(kinds)]
-            if all(g.kind == k for g, k in zip(run, kinds)) and (
-                    pred is None or pred(run)):
-                return j
-        return None
+        gate (the global phase) left out, whose index meets ``pred``."""
+        kinds, m = self.kinds()[:-1], len(word)
+        return next((j for j in range(len(kinds) - m + 1) if kinds[j:j + m] == word
+                     and (pred is None or pred(j))), None)
 
     # -- high level ----------------------------------------------------------
 
     def run(self) -> NormalFormParams:
-        if not self.c.gates or self.c.gates[-1].kind != "GPHASE":
-            self.do("S2PI", "RL", site=Site((), (), len(self.c.gates)))
-        while (i := self.find_word(("GPHASE",))) is not None:
+        if self.kinds()[-1:] != ["GPHASE"]:
+            self.do("S2PI", "RL", site=Site((), (), len(self.gates)))
+        while (i := self.find_word(["GPHASE"])) is not None:
             self._merge_phase(i)
         self._unfold_macros()
         while self._merge_wire_pairs() or self._drop_trivial() or self._contract():
@@ -567,16 +582,16 @@ class _Normalizer(_Recorder):
 
     def _merge_phase(self, i: int):
         """Merge the GPHASE at gate i into the last gate (S+)."""
-        last = len(self.c.gates) - 1
+        last = len(self.gates) - 1
         self.do("SPLUS", "LR", (self.angle(i), self.angle(last)), site=Site((i, last), ()))
 
     def _unfold_macros(self):
         """Unfold X, Z, RX, MCP and MCRX, leftmost first."""
         rules = {"X": "XDEF", "Z": "ZDEF", "RX": "RXDEF", "MCP": "MCPDEF",
                  "MCRX": "MCRXDEF"}
-        while (i := next((i for i, g in enumerate(self.c.gates)
-                          if g.kind in rules), None)) is not None:
-            g = self.c.gates[i]
+        while (i := next((i for i, k in enumerate(self.kinds())
+                          if k in rules), None)) is not None:
+            g = self.gates[i][0]
             n = 1 if g.kind in ("MCP", "MCRX") else None
             self.lr(rules[g.kind], i, params=g.params, n=n)
 
@@ -594,13 +609,13 @@ class _Normalizer(_Recorder):
         self.lr("PPLUS", k, 2, (self.angle(k), self.angle(k + 1)))
 
     def _merge_pp_all(self):
-        while (k := self.find_word(("P", "P"))) is not None:
+        while (k := self.find_word(["P", "P"])) is not None:
             self._pplus(k)
 
     def _merge_wire_pairs(self) -> bool:
-        if (k := self.find_word(("P", "P"))) is not None:
+        if (k := self.find_word(["P", "P"])) is not None:
             self._pplus(k)
-        elif (k := self.find_word(("H", "H"))) is not None:
+        elif (k := self.find_word(["H", "H"])) is not None:
             self.lr("H2", k, 2)
         else:
             return False
@@ -612,13 +627,13 @@ class _Normalizer(_Recorder):
         (S+) splits the rotation's -v/2 global phase off the last gate, in
         front of the rest, which stays last when (RXDEF) takes the split.
         """
-        v, last = self.angle(k), len(self.c.gates) - 1
+        v, last = self.angle(k), len(self.gates) - 1
         self.do("SPLUS", "RL", (-v / 2.0, self.angle(last) + v / 2.0),
                 site=Site((last,), ()))
         self.do("RXDEF", "RL", (v,), site=Site((k - 1, k, k + 1, last), (0,)))
 
     def _drop_trivial(self) -> bool:
-        k = self.find_word(("P",), lambda gs: angles_equal(gs[0].params[0], 0.0))
+        k = self.find_word(["P"], lambda j: angles_equal(self.angle(j), 0.0))
         if k is None:
             return False
         self.lr("P0", k)
@@ -638,7 +653,7 @@ class _Normalizer(_Recorder):
         (0, 0).  Each Euler rule is total over its three cases, so no case
         needs its own route.
         """
-        hs = [k for k, g in enumerate(self.c.gates) if g.kind == "H"]
+        hs = [i for i, k in enumerate(self.kinds()) if k == "H"]
         if not hs:
             return False
         k, qc = hs[0], self.theory == "QC"
@@ -672,11 +687,11 @@ class _Normalizer(_Recorder):
     # -- final shaping ---------------------------------------------------------
 
     def _shape_and_read(self) -> NormalFormParams:
-        if self.find_word(("RX",)) is None:
+        if self.find_word(["RX"]) is None:
             # after every P, so that at b2 = 0 the P's angle is b1, as _pack has it
-            self._mint_rx0(len(self.c.gates) - 1)
+            self._mint_rx0(len(self.gates) - 1)
         # band-reduce the rotation into [0, pi]
-        k = self.find_word(("RX",))
+        k = self.find_word(["RX"])
         theta = reduce_angle(self.angle(k), 2 * TWO_PI)
         if theta > TWO_PI + ANGLE_EPS:
             self.lr("RXNEG", k, params=(self.angle(k),))
@@ -684,14 +699,13 @@ class _Normalizer(_Recorder):
         if theta > math.pi + ANGLE_EPS:
             self.lr("RXFLIP", k, params=(self.angle(k),))
             self._merge_pp_all()
-        k = self.find_word(("RX",))
-        if not any(g.kind == "P" for g in self.c.gates[:k]):
+        k = self.find_word(["RX"])
+        if "P" not in self.kinds()[:k]:
             self.insert("P0", k)
-        k = self.find_word(("RX",))
-        if not any(g.kind == "P" for g in self.c.gates[k + 1:-1]):
-            self.insert("P0", len(self.c.gates) - 1)
-        kinds = [g.kind for g in self.c.gates]
-        if kinds != ["P", "RX", "P", "GPHASE"]:
+        k = self.find_word(["RX"])
+        if "P" not in self.kinds()[k + 1:-1]:
+            self.insert("P0", len(self.gates) - 1)
+        if (kinds := self.kinds()) != ["P", "RX", "P", "GPHASE"]:
             raise SemanticDrift(f"normalization left shape {kinds} (engine bug)")
-        b1, b2, b3, b0 = (g.params[0] for g in self.c.gates)
+        b1, b2, b3, b0 = map(self.angle, range(4))
         return _pack(b0, b1, reduce_angle(b2, 2 * TWO_PI), b3)

@@ -19,6 +19,8 @@ from qc_equate.rewrite import apply_step_full, concat_derivations, resolve_rule
 from qc_equate.theories import DEFINITIONAL, _CATALOG
 from qc_equate.traces import all_traces, derive_equal
 
+rewrite = importlib.import_module("qc_equate.rewrite")
+
 PI = math.pi
 
 
@@ -130,13 +132,15 @@ def _h2(site, direction="LR"):
      NoMatch),
     (lambda: concat_derivations(Derivation("QC", HH, [], HH),
                                 Derivation("QC", circuit(1, []), [], circuit(1, []))),
-     ArityMismatch),
+     NoMatch),
+    (lambda: concat_derivations(Derivation("QC", HH, [], HH),
+                                Derivation("QC", CPC, [], CPC)), ArityMismatch),
     (lambda: concat_derivations(Derivation("QC", HH, [], HH),
                                 Derivation("QCprime", HH, [], HH)), UnknownTheory),
     (lambda: resolve_rule("QCnone", "H2", (), None, True), UnknownTheory),
 ], ids=["direction", "repeated-index", "index-out-of-range", "splice-out-of-range",
         "wire-map-length", "wire-map-not-injective", "replay-off-final",
-        "concat-no-chain", "concat-theories", "unknown-theory"])
+        "concat-no-chain", "concat-arity", "concat-theories", "unknown-theory"])
 def test_engine_rejections(run, error):
     with pytest.raises(error):
         run()
@@ -455,7 +459,55 @@ def test_normalizer_ends_on_the_normal_form(theory):
             assert deformation_equal(deriv.final, params.circuit()), params
 
 
-@pytest.mark.xfail(raises=ArityMismatch, strict=True,
+def test_id_level_steps_equal_circuit_steps(monkeypatch):
+    """A recorder's step on its id-level working circuit gives, gate for
+    gate, what ``apply_step_full`` gives on the materialized circuit, and
+    folding ``apply_step_full`` over a recorded trace ends on its final."""
+    do = rewrite._Recorder.do
+
+    def checked(self, *args, **kw):
+        before = self.c
+        landed = do(self, *args, **kw)
+        res = apply_step_full(before, self.steps[-1], self.theory, safety=False)
+        assert res.circuit == self.c and res.reverse_site.gates == landed
+        return landed
+
+    monkeypatch.setattr(rewrite._Recorder, "do", checked)
+    derivs = [normalize_1q(c, emit_trace=True, theory=theory)[1]
+              for theory in ("QC", "QCprime") for c, _, _ in _normalized(theory)]
+    off = set()
+    for d in derivs + all_traces():
+        c = d.initial
+        for step in d.steps:
+            c = apply_step_full(c, step, d.theory, safety=False).circuit
+        if c != d.final:
+            assert deformation_equal(c, d.final), d.name
+            off.add(d.name)
+    # derive_rule glues on a reversed trace, which declares the forward
+    # trace's start as its end and reaches it only up to deformation
+    assert off <= {"qcprime_pminus", "qcprime_euler"}
+
+
+@pytest.mark.parametrize("theory", ["QC", "QCprime"])
+def test_normalizer_takes_the_fast_paths(theory, monkeypatch):
+    """No normalizer step falls back to the canonical-order comparison, and
+    a run builds one ``Circuit`` from its working gates, for the trace."""
+    cases = _normalized(theory)
+
+    def no_fallback(*args):
+        raise AssertionError("canonical-order fallback")
+
+    built = []
+    make = rewrite.Circuit
+    monkeypatch.setattr(rewrite, "_canonical_gates", no_fallback)
+    monkeypatch.setattr(rewrite, "Circuit", lambda *a: built.append(a) or make(*a))
+    for c, params, deriv in cases:
+        built.clear()
+        again, d = normalize_1q(c, emit_trace=True, theory=theory)
+        assert len(built) == 1 and again == params and d.steps == deriv.steps
+
+
+@pytest.mark.xfail(raises=NoMatch, strict=True,
                    reason="at b2 = pi the two traces end on P(0) RX(pi) P(0.5) "
                           "and P(-0.5) RX(pi) P(0): no step derives "
                           "RX(pi) P(phi) = G(phi) P(-phi) RX(pi)")
