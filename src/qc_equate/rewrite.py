@@ -2,10 +2,11 @@
 
 A rewrite step names a rule (axiom, derived lemma, or macro definition), a
 direction, parameters, and a site: explicit gate indices plus a map from
-rule wires to circuit wire positions.  Matching is site-directed; the
-engine verifies that the selected gates can be commuted into a contiguous
-block and are deformation-equal to the instantiated source side, then
-splices in the target side.  The block is compared with the source side in
+rule wires to circuit wire positions.  A step is site-directed; the engine
+verifies that the selected gates can be commuted into a contiguous block
+and are deformation-equal to the instantiated source side, then splices
+in the target side.  ``find_sites`` finds the sites by matching the source
+side in the circuit's wire DAG.  The block is compared with the source side in
 the order it was selected first, 0-wire gates first as rule sides list
 them, and in canonical order only when that fails; angles are compared
 modulo the gate's period.  A safety net re-checks the semantics of every
@@ -17,6 +18,7 @@ circuit across its steps and builds a ``Circuit`` only when one is read.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -132,40 +134,40 @@ def apply_step(c: Circuit, step: Step, theory: str = "QC",
 def apply_step_full(c: Circuit, step: Step, theory: str = "QC",
                     allow_lemmas: bool = True, safety: bool = True,
                     tol: float = 1e-9) -> ApplyResult:
-    gates, rev_site, _ = _apply(_id_gates(c), c.n_in, c.threading.n_ids, step,
-                                theory, allow_lemmas)
+    gates, rev_site, _ = _apply(_id_gates(c), c.n_in, c.threading.n_ids,
+                                *_sides(step, theory, allow_lemmas), step.site)
     out = Circuit(c.n_in, c.n_out, tuple(_place(list(range(c.n_in)), gates)))
     if safety:
         _safety_check(c, out, theory, tol)
     return ApplyResult(out, rev_site)
 
 
-def _apply(gates: list[_IdGate], n_in: int, n_ids: int, step: Step, theory: str,
-           allow_lemmas: bool) -> tuple[list[_IdGate], Site, int]:
-    """``step`` on id-level ``gates`` over inputs 0..n_in-1, all ids below
-    ``n_ids``: the new gates, the reverse step's site and the next free id."""
+def _sides(step: Step, theory: str, allow_lemmas: bool) -> tuple[Circuit, Circuit]:
+    """The source and target side of the rule instance ``step`` cites."""
     if step.direction not in ("LR", "RL"):
         raise NoMatch(f"bad direction {step.direction!r}")
     inst = resolve_rule(theory, step.rule, step.params, step.n, allow_lemmas)
-    src, dst = (inst.lhs, inst.rhs) if step.direction == "LR" else (inst.rhs, inst.lhs)
+    return (inst.lhs, inst.rhs) if step.direction == "LR" else (inst.rhs, inst.lhs)
 
-    sel = tuple(step.site.gates)
+
+def _apply(gates: list[_IdGate], n_in: int, n_ids: int, src: Circuit,
+           dst: Circuit, site: Site) -> tuple[list[_IdGate], Site, int]:
+    """Replace the block ``site`` selects in id-level ``gates`` (inputs
+    0..n_in-1, ids below ``n_ids``), deformation-equal to ``src``, by
+    ``dst``: the new gates, the reverse step's site and the next free id."""
+    sel = tuple(site.gates)
     if len(sel) != len(set(sel)) or any(not 0 <= i < len(gates) for i in sel):
         raise NoMatch("site gate indices out of range or repeated")
     if len(sel) != len(src.gates):
         raise NoMatch(f"site selects {len(sel)} gates, source side has {len(src.gates)}")
     sel = tuple(sorted(sel))
-    anchor = sel[0] if sel else step.site.at
+    anchor = sel[0] if sel else site.at
     if not 0 <= anchor <= len(gates):
         raise NoMatch("splice index out of range")
 
-    before, after = _partition_block(gates, sel)
-
-    # the block assembles after the floats-before; resolve wire positions in
-    # that effective frame (floats may include INIT/DEST)
-    assembly = gates[:anchor] + [gates[i] for i in before]
-    frame = _frames(range(n_in), assembly)[-1]
-    wire_map = step.site.wire_map
+    # wire positions are read where the block assembles, after the floats-before
+    assembly, after, frame = _assembly(gates, n_in, sel, anchor)
+    wire_map = site.wire_map
     if len(wire_map) != src.n_in:
         raise NoMatch(f"wire_map has {len(wire_map)} entries, "
                       f"rule has {src.n_in} input wires")
@@ -187,17 +189,16 @@ def _apply(gates: list[_IdGate], n_in: int, n_ids: int, step: Step, theory: str,
     return assembly + repl + [gates[i] for i in after] + window_post, rev_site, n_ids
 
 
-def _partition_block(gates: list[_IdGate], sel: tuple[int, ...]):
-    """Split the window between the selected gates into before/after floats."""
-    if not sel:
-        return [], []
-    sel_set = set(sel)
+def _assembly(gates: list[_IdGate], n_in: int, sel: tuple[int, ...], anchor: int):
+    """Where the block ``sel`` (sorted; empty for a splice at ``anchor``)
+    assembles: the gates in front of it once the window's floats-before
+    have moved there, the window's floats-after, and the open ids there."""
     block_ids: set[int] = set()
     after_ids: set[int] = set()
     before, after = [], []
-    for i in range(sel[0], sel[-1] + 1):
+    for i in range(anchor, sel[-1] + 1 if sel else anchor):
         deps = set(_deps(*gates[i]))
-        if i in sel_set:
+        if i in sel:
             if deps & after_ids:
                 raise IllegalSite("selected gates cannot be commuted into a block")
             block_ids |= deps
@@ -206,7 +207,8 @@ def _partition_block(gates: list[_IdGate], sel: tuple[int, ...]):
             after_ids |= deps
         else:
             before.append(i)
-    return before, after
+    assembly = gates[:anchor] + [gates[i] for i in before]
+    return assembly, after, _frames(range(n_in), assembly)[-1]
 
 
 def _match_source(src: Circuit, block: list[_IdGate], wire_ids: list[int],
@@ -309,8 +311,12 @@ class _Recorder:
            site: Site = Site()) -> tuple[int, ...]:
         """Apply one step; returns the gate indices its replacement landed on."""
         step = Step(rule, direction, tuple(float(v) for v in params), n, site)
-        self.gates, rev_site, self.n_ids = _apply(
-            self.gates, self.initial.n_in, self.n_ids, step, self.theory, True)
+        return self._keep(step, _apply(self.gates, self.initial.n_in, self.n_ids,
+                                       *_sides(step, self.theory, True), site))
+
+    def _keep(self, step: Step, applied) -> tuple[int, ...]:
+        """Record ``step``, whose ``_apply`` result is ``applied``."""
+        self.gates, rev_site, self.n_ids = applied
         self.__dict__.pop("c", None)
         self.steps.append(step)
         return rev_site.gates
@@ -389,15 +395,13 @@ def _carry_site(site: Site, rec: Circuit, cur: Circuit, chain: bool) -> Site:
     cur_order = _canonical_order(gates)
     if site.gates:
         sel = tuple(sorted(cur_order[rank[i]] for i in site.gates))
-        before, _ = _partition_block(gates, sel)
         at = sel[0]
-        frame = _frames(range(cur.n_in), gates[:at] + [gates[i] for i in before])[-1]
     else:
         deps = set(wire_ids) | ({_STRUCT} if chain else set())
         sel = ()
         at = max((cur_order[rank[i]] + 1 for i in range(site.at)
                   if deps.intersection(_deps(*rec_gates[i]))), default=0)
-        frame = _frames(range(cur.n_in), gates[:at])[-1]
+    _, _, frame = _assembly(gates, cur.n_in, sel, at)
     if not set(wire_ids) <= set(frame):
         raise NoMatch("a carried wire is not open at the carried site")
     return Site(sel, tuple(frame.index(w) for w in wire_ids), at)
@@ -412,82 +416,79 @@ def concat_derivations(a: Derivation, b: Derivation, name: str = "") -> Derivati
     return Derivation(a.theory, a.initial, a.steps + b.steps, b.final, name=name)
 
 
-# -- convenience site scan ----------------------------------------------------
+# -- site matching ------------------------------------------------------------
 
 def find_sites(c: Circuit, rule: str, params=(), n: int | None = None,
                direction: str = "LR", theory: str = "QC",
                allow_lemmas: bool = True) -> list[Site]:
-    """Best-effort site scan.
+    """Every site where the rule applies to ``c``, sorted by (gates, wire_map).
 
-    The non-phase part of the source side is matched against contiguous
-    windows of the circuit's non-phase gate subsequence; GPHASE gates are
-    0-wire and freely movable, so they are bound anywhere by value.  Every
-    candidate is validated by actually applying the step.
+    The source side's gates bind in order, each wire label to one wire id:
+    the first gate on a label is any gate of its kind, each later one the
+    next gate on that wire after the label's last one.  SWAP binds its
+    labels either way round, a GPHASE the first free one of its angle.  The
+    wire map is read where the block assembles; an input label that no gate
+    touches takes any open wire left.  Each candidate is validated by
+    applying it.  An empty source side has no site: a step splices it in.
     """
-    inst = resolve_rule(theory, rule, params, n, allow_lemmas)
-    src = inst.lhs if direction == "LR" else inst.rhs
-    gates = _id_gates(c)
-    frames = _frames(range(c.n_in), gates)
-    hits: list[Site] = []
-    if len(src.gates) == 0:
-        return hits
-    src_wire = [(g, labs) for g, labs in zip(src.gates, src.threading.gate_ids)
-                if g.kind != "GPHASE"]
-    src_phase = [g for g in src.gates if g.kind == "GPHASE"]
-    wire_idx = [i for i, g in enumerate(c.gates) if g.kind != "GPHASE"]
-    phase_idx = [i for i, g in enumerate(c.gates) if g.kind == "GPHASE"]
+    sides = _sides(Step(rule, direction, tuple(params), n), theory, allow_lemmas)
+    return [s for s, _ in _matches(_id_gates(c), c.n_in, c.threading.n_ids, *sides)]
 
-    def bind_phases(chosen: list[int]) -> list[int] | None:
-        used: list[int] = []
-        for rg in src_phase:
-            for i in phase_idx:
-                if i in used or i in chosen:
+
+def _matches(gates: list[_IdGate], n_in: int, n_ids: int, src: Circuit, dst: Circuit,
+             wires: tuple[int, ...] | None = None) -> list[tuple[Site, tuple]]:
+    """Each site of ``src`` in ``gates``, matched as ``find_sites`` says
+    (with wire map ``wires`` when given), and what ``_apply`` gives there."""
+    succ: dict[tuple[int | None, int], int] = {}   # (gate, wire id) -> next gate on it
+    last: dict[int, int] = {}
+    of_kind: dict[str, list[int]] = {}
+    for i, (g, ids) in enumerate(gates):
+        of_kind.setdefault(g.kind, []).append(i)
+        for wid in ids:
+            succ[last.get(wid), wid] = i
+            last[wid] = i
+    todo = list(zip(src.gates, src.threading.gate_ids))
+    hits: dict[Site, tuple] = {}
+
+    def bind(chosen: list[int], at: dict[int, tuple[int, int]]):   # label -> (gate, wire)
+        if len(chosen) < len(todo):
+            rg, labs = todo[len(chosen)]
+            old = [lab for lab in labs if lab in at]
+            for i in [succ.get(at[old[0]])] if old else of_kind.get(rg.kind, ()):
+                if i is None or i in chosen or gates[i][0].kind != rg.kind:
                     continue
-                if angles_equal(c.gates[i].params[0], rg.params[0]):
-                    used.append(i)
-                    break
-            else:
-                return None
-        return used
+                g, ids = gates[i]
+                if g.kind == "GPHASE":
+                    if angles_equal(g.params[0], rg.params[0]):
+                        return bind(chosen + [i], at)
+                    continue
+                for order in (ids, ids[::-1]) if g.kind == "SWAP" else (ids,):
+                    if len(ids) == len(labs) and all(
+                            succ.get(at[lab]) == i and at[lab][1] == wid if lab in at
+                            else all(w != wid for _, w in at.values())
+                            for lab, wid in zip(labs, order)):
+                        bind(chosen + [i], {**at, **{lab: (i, w) for lab, w in zip(labs, order)}})
+            return
+        sel = tuple(sorted(chosen))
+        try:
+            frame = _assembly(gates, n_in, sel, sel[0])[2]
+        except IllegalSite:
+            return
+        ids = [at[lab][1] if lab in at else None for lab in range(src.n_in)]
+        if any(wid is not None and wid not in frame for wid in ids):
+            return
+        free = [pos for pos, wid in enumerate(frame) if all(w != wid for _, w in at.values())]
+        for pick in map(iter, itertools.permutations(free, ids.count(None))):
+            site = Site(sel, tuple(next(pick) if wid is None else frame.index(wid) for wid in ids))
+            if wires in (None, site.wire_map) and site not in hits:
+                try:
+                    hits[site] = _apply(gates, n_in, n_ids, src, dst, site)
+                except QcError:
+                    pass
 
-    k = len(src_wire)
-    windows = ([[]] if k == 0 else
-               [wire_idx[s:s + k] for s in range(len(wire_idx) - k + 1)])
-    for window in windows:
-        assign: dict[int, int] = {}
-        ok = True
-        for (rg, labs), i in zip(src_wire, window):
-            g, ids = gates[i]
-            if g.kind != rg.kind or len(ids) != len(labs):
-                ok = False
-                break
-            for lab, wid in zip(labs, ids):
-                if assign.get(lab, wid) != wid:
-                    ok = False
-                    break
-                assign[lab] = wid
-            if not ok:
-                break
-        if not ok or len(set(assign.values())) != len(assign):
-            continue
-        phases = bind_phases(window)
-        if phases is None:
-            continue
-        sel = tuple(sorted(window + phases))
-        anchor = sel[0] if sel else 0
-        frame = frames[anchor]
-        try:
-            wire_map = tuple(frame.index(assign[lab]) for lab in range(src.n_in))
-        except (KeyError, ValueError):
-            continue
-        site = Site(sel, wire_map, anchor)
-        try:
-            apply_step_full(c, Step(rule, direction, tuple(params), n, site),
-                            theory, allow_lemmas=True, safety=False)
-        except QcError:
-            continue
-        hits.append(site)
-    return hits
+    if todo:
+        bind([], {})
+    return sorted(hits.items(), key=lambda hit: (hit[0].gates, hit[0].wire_map))
 
 
 # -- 1-qubit normalization ----------------------------------------------------

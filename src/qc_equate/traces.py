@@ -1,11 +1,11 @@
 """The shipped derivation set.
 
-Each builder names the catalog rule it derives, in the theory it derives it
-in: it starts on the source side of that rule's instance and is checked to
-end on the target side.  Every step is applied while the trace is built, so
-a returned derivation is replayable by construction.  ``derive_rule``
-traces (``qc_p2pi`` and the QCprime ones) normalize both sides in their
-theory and glue them at the normal form.
+Each builder derives a catalog rule in a theory: it starts on the source
+side of the rule's instance and is checked to end on the target side.  A
+step names a rule, its parameters and the wires it fires on; the matcher
+of ``find_sites`` finds its gates (an insertion names a gate index).  Steps
+are applied as the trace is built, so it replays by construction.
+``derive_rule`` traces normalize both sides and glue them at the normal form.
 
 ``all_traces(...)`` instantiates the whole set at fixed sample angles;
 ``write_traces(dir)`` dumps them as JSON files for the CLI replayer.
@@ -18,11 +18,10 @@ import math
 import os
 
 from .circuit import TWO_PI, Circuit
-from .errors import QcError
-from .rewrite import (Derivation, Site, _Recorder, concat_derivations,
-                      deformation_equal, normalize_1q, replay,
-                      reverse_derivation)
-from .theories import resolve_rule
+from .errors import NoMatch, QcError
+from .rewrite import (Derivation, Site, Step, _Recorder, _matches, _sides,
+                      concat_derivations, deformation_equal, normalize_1q,
+                      replay, reverse_derivation)
 
 PI = math.pi
 
@@ -33,17 +32,32 @@ class _Builder(_Recorder):
 
     def __init__(self, theory: str, rule: str, params=(), n: int | None = None,
                  direction: str = "LR"):
-        inst = resolve_rule(theory, rule, params, n, allow_lemmas=True)
-        src, self.target = (inst.lhs, inst.rhs) if direction == "LR" else (inst.rhs, inst.lhs)
+        src, self.target = _sides(Step(rule, direction, params, n), theory, True)
         super().__init__(theory, src)
 
-    def do(self, rule, direction, params=(), n=None, gates=(), wires=(), at=0):
-        super().do(rule, direction, params, n, Site(tuple(gates), tuple(wires), at))
+    def rewrite(self, rule, direction, params=(), n=None, wires=(), at=None, nth=0):
+        """One step: spliced in at gate ``at``, or at the ``nth`` site on ``wires``."""
+        if at is not None:
+            return self.do(rule, direction, params, n, Site((), tuple(wires), at))
+        step = Step(rule, direction, tuple(float(v) for v in params), n)
+        hits = _matches(self.gates, self.initial.n_in, self.n_ids,
+                        *_sides(step, self.theory, True), tuple(wires))
+        if nth >= len(hits):
+            raise NoMatch(f"{rule} {direction}: no site {nth} on wires {tuple(wires)}")
+        return self._keep(Step(rule, direction, step.params, n, hits[nth][0]), hits[nth][1])
 
     def done(self, name: str) -> Derivation:
         if not deformation_equal(self.c, self.target):
             raise QcError(f"{name}: builder ended off the rule's target side")
         return self.derivation(name)
+
+
+def _drop_p0_rx0(b: _Builder, nth: int = 0):
+    """Drop a P(0), then an RX(0) by (RXDEF), (P0) and the ``nth`` (H2) site."""
+    b.rewrite("P0", "LR", wires=(0,))
+    b.rewrite("RXDEF", "LR", (0.0,), wires=(0,))
+    b.rewrite("P0", "LR", wires=(0,))
+    b.rewrite("H2", "LR", wires=(0,), nth=nth)
 
 
 # -- QC: the phase-group laws, derived through the Euler rule -----------------
@@ -52,57 +66,50 @@ def qc_pplus(a: float, bparam: float) -> Derivation:
     """P(a) . P(b) = P(a+b), by running (E) forwards and backwards."""
     s = a + bparam
     b = _Builder("QC", "PPLUS", (a, bparam))
-    b.do("H2", "RL", wires=(0,), at=0)
-    b.do("H2", "RL", wires=(0,), at=3)
-    b.do("H2", "RL", wires=(0,), at=6)
-    b.do("S2PI", "RL", at=0)
-    b.do("SPLUS", "RL", (-a / 2, TWO_PI + a / 2), gates=(0,))
-    b.do("SPLUS", "RL", (-bparam / 2, TWO_PI + (a + bparam) / 2), gates=(1,))
+    for at in (0, 3, 6):
+        b.rewrite("H2", "RL", wires=(0,), at=at)
+    b.rewrite("S2PI", "RL", at=0)
+    b.rewrite("SPLUS", "RL", (-a / 2, TWO_PI + a / 2))
+    b.rewrite("SPLUS", "RL", (-bparam / 2, TWO_PI + (a + bparam) / 2))
     # layout: G(-a/2) G(-b/2) G(rest) Ha Hb P(a) Hc Hd P(b) He Hf
-    b.do("RXDEF", "RL", (a,), gates=(0, 4, 5, 6), wires=(0,))
-    b.do("RXDEF", "RL", (bparam,), gates=(0, 4, 5, 6), wires=(0,))
+    b.rewrite("RXDEF", "RL", (a,), wires=(0,))
+    b.rewrite("RXDEF", "RL", (bparam,), wires=(0,))
     # G(rest) Ha RX(a) RX(b) Hf
-    b.do("P0", "RL", wires=(0,), at=3)
-    b.do("E", "LR", (a, 0.0, bparam), gates=(2, 3, 4), wires=(0,))
+    b.rewrite("P0", "RL", wires=(0,), at=3)
+    b.rewrite("E", "LR", (a, 0.0, bparam), wires=(0,))
     # G(rest) Ha G(b0) P(b1) RX(b2) P(b3) Hf ; same betas as E(s, 0, 0)
-    b.do("E", "RL", (s, 0.0, 0.0), gates=(2, 3, 4, 5), wires=(0,))
+    b.rewrite("E", "RL", (s, 0.0, 0.0), wires=(0,))
     # G(rest) Ha RX(s) P(0) RX(0) Hf
-    b.do("P0", "LR", gates=(3,), wires=(0,))
-    b.do("RXDEF", "LR", (0.0,), gates=(3,), wires=(0,))
-    b.do("P0", "LR", gates=(5,), wires=(0,))
-    b.do("H2", "LR", gates=(4, 5), wires=(0,))
+    _drop_p0_rx0(b)
     # G(rest) Ha RX(s) G(0) Hf
-    b.do("RXDEF", "LR", (s,), gates=(2,), wires=(0,))
+    b.rewrite("RXDEF", "LR", (s,), wires=(0,))
     # G(rest) Ha G(-s/2) Hp P(s) Hq G(0) Hf
-    b.do("H2", "LR", gates=(1, 3), wires=(0,))
-    b.do("H2", "LR", gates=(3, 5), wires=(0,))
-    b.do("SPLUS", "LR", (TWO_PI + s / 2, -s / 2), gates=(0, 1))
-    b.do("SPLUS", "LR", (TWO_PI, 0.0), gates=(0, 2))
-    b.do("S2PI", "LR", gates=(1,))
+    b.rewrite("H2", "LR", wires=(0,))
+    b.rewrite("H2", "LR", wires=(0,))
+    b.rewrite("SPLUS", "LR", (TWO_PI + s / 2, -s / 2))
+    b.rewrite("SPLUS", "LR", (TWO_PI, 0.0))
+    b.rewrite("S2PI", "LR")
     return b.done("qc_pplus")
 
 
 def qc_pminus(phi: float) -> Derivation:
     """X . P(phi) . X = GPHASE(phi) . P(-phi)."""
     b = _Builder("QC", "PMINUS", (phi,))
-    b.do("XDEF", "LR", gates=(0,), wires=(0,))
-    b.do("XDEF", "LR", gates=(4,), wires=(0,))
+    b.rewrite("XDEF", "LR", wires=(0,))
+    b.rewrite("XDEF", "LR", wires=(0,))
     # H P(pi) H P(phi) H P(pi) H
-    b.do("S2PI", "RL", at=0)
-    b.do("SPLUS", "RL", (-PI / 2, TWO_PI + PI / 2), gates=(0,))
-    b.do("SPLUS", "RL", (-PI / 2, 3 * PI), gates=(1,))
-    b.do("RXDEF", "RL", (PI,), gates=(0, 3, 4, 5), wires=(0,))
-    b.do("RXDEF", "RL", (PI,), gates=(0, 4, 5, 6), wires=(0,))
+    b.rewrite("S2PI", "RL", at=0)
+    b.rewrite("SPLUS", "RL", (-PI / 2, TWO_PI + PI / 2))
+    b.rewrite("SPLUS", "RL", (-PI / 2, 3 * PI))
+    b.rewrite("RXDEF", "RL", (PI,), wires=(0,))
+    b.rewrite("RXDEF", "RL", (PI,), wires=(0,))
     # G(3pi) RX(pi) P(phi) RX(pi)
-    b.do("E", "LR", (PI, phi, PI), gates=(1, 2, 3), wires=(0,))
+    b.rewrite("E", "LR", (PI, phi, PI), wires=(0,))
     # G(3pi) G(phi-pi) P(2pi-phi) RX(0) P(0)
-    b.do("P0", "LR", gates=(4,), wires=(0,))
-    b.do("RXDEF", "LR", (0.0,), gates=(3,), wires=(0,))
-    b.do("P0", "LR", gates=(5,), wires=(0,))
-    b.do("H2", "LR", gates=(4, 5), wires=(0,))
+    _drop_p0_rx0(b)
     # G(3pi) G(phi-pi) P(2pi-phi) G(0)
-    b.do("SPLUS", "LR", (3 * PI, (phi - PI) % TWO_PI), gates=(0, 1))
-    b.do("SPLUS", "LR", (3 * PI + (phi - PI) % TWO_PI, 0.0), gates=(0, 2))
+    b.rewrite("SPLUS", "LR", (3 * PI, (phi - PI) % TWO_PI))
+    b.rewrite("SPLUS", "LR", (3 * PI + (phi - PI) % TWO_PI, 0.0))
     return b.done("qc_pminus")
 
 
@@ -110,77 +117,77 @@ def qc_pminus(phi: float) -> Derivation:
 
 def qc_s0() -> Derivation:
     b = _Builder("QC", "S0")
-    b.do("S2PI", "RL", at=1)
-    b.do("SPLUS", "LR", (0.0, TWO_PI), gates=(0, 1))
-    b.do("S2PI", "LR", gates=(0,))
+    b.rewrite("S2PI", "RL", at=1)
+    b.rewrite("SPLUS", "LR", (0.0, TWO_PI))
+    b.rewrite("S2PI", "LR")
     return b.done("qc_s0")
 
 
 def qc_cnot2() -> Derivation:
     b = _Builder("QC", "CNOT2")
-    b.do("P0", "RL", wires=(0,), at=1)
-    b.do("C", "LR", (0.0,), gates=(0, 1, 2), wires=(0, 1))
-    b.do("P0", "LR", gates=(0,), wires=(0,))
+    b.rewrite("P0", "RL", wires=(0,), at=1)
+    b.rewrite("C", "LR", (0.0,), wires=(0, 1))
+    b.rewrite("P0", "LR", wires=(0,))
     return b.done("qc_cnot2")
 
 
 def qc_pcommutcnot(phi: float) -> Derivation:
     b = _Builder("QC", "PCOMMUTCNOT", (phi,))
-    b.do("CNOT2", "RL", wires=(0, 1), at=0)
-    b.do("C", "LR", (phi,), gates=(1, 2, 3), wires=(0, 1))
+    b.rewrite("CNOT2", "RL", wires=(0, 1), at=0)
+    b.rewrite("C", "LR", (phi,), wires=(0, 1))
     return b.done("qc_pcommutcnot")
 
 
 def qc_bprime() -> Derivation:
     b = _Builder("QC", "BPRIME")
-    b.do("B", "LR", gates=(0, 1), wires=(0, 1))
-    b.do("P0", "RL", wires=(0,), at=2)
-    b.do("C", "LR", (0.0,), gates=(1, 2, 3), wires=(0, 1))
-    b.do("P0", "LR", gates=(1,), wires=(0,))
+    b.rewrite("B", "LR", wires=(0, 1))
+    b.rewrite("P0", "RL", wires=(0,), at=2)
+    b.rewrite("C", "LR", (0.0,), wires=(0, 1))
+    b.rewrite("P0", "LR", wires=(0,))
     return b.done("qc_bprime")
 
 
 def qc_pgadget(phi: float) -> Derivation:
     """CX.P(phi)@target.CX = flipped gadget, via (B) twice and (C) once."""
     b = _Builder("QC", "PGADGET", (phi,))
-    b.do("CNOT2", "RL", wires=(1, 0), at=0)
-    b.do("CNOT2", "RL", wires=(1, 0), at=5)
+    b.rewrite("CNOT2", "RL", wires=(1, 0), at=0)
+    b.rewrite("CNOT2", "RL", wires=(1, 0), at=5)
     # CX10 CX10 CX01 P@1 CX01 CX10 CX10
-    b.do("B", "LR", gates=(1, 2), wires=(1, 0))
+    b.rewrite("B", "LR", wires=(1, 0))
     # CX10 SWAP CX10 P@1 CX01 CX10 CX10
-    b.do("B", "LR", gates=(4, 5), wires=(0, 1))
+    b.rewrite("B", "LR", wires=(0, 1))
     # CX10 SWAP CX10 P@1 SWAP CX01 CX10
-    b.do("SWAPP", "LR", (phi,), gates=(3, 4), wires=(1, 0))
+    b.rewrite("SWAPP", "LR", (phi,), wires=(1, 0))
     # CX10 SWAP CX10 SWAP P@0 CX01 CX10
-    b.do("SWAPCX", "LR", gates=(2, 3), wires=(1, 0))
+    b.rewrite("SWAPCX", "LR", wires=(1, 0), nth=1)
     # CX10 SWAP SWAP CX01 P@0 CX01 CX10
-    b.do("SWAP2", "LR", gates=(1, 2), wires=(0, 1))
-    b.do("C", "LR", (phi,), gates=(1, 2, 3), wires=(0, 1))
+    b.rewrite("SWAP2", "LR", wires=(0, 1))
+    b.rewrite("C", "LR", (phi,), wires=(0, 1))
     return b.done("qc_pgadget")
 
 
 def qc_hhcnothh() -> Derivation:
     b = _Builder("QC", "HHCNOTHH")
-    b.do("CZ", "LR", gates=(1, 2, 4), wires=(0, 1))
+    b.rewrite("CZ", "LR", wires=(0, 1))
     # H0 P(pi/2)@0 P(pi/2)@1 CX P(-pi/2)@1 CX H0
-    b.do("PGADGET", "LR", (-PI / 2,), gates=(3, 4, 5), wires=(0, 1))
+    b.rewrite("PGADGET", "LR", (-PI / 2,), wires=(0, 1))
     # H0 P(pi/2)@0 P(pi/2)@1 CX10 P(-pi/2)@0 CX10 H0
-    b.do("CZ", "RL", gates=(1, 2, 3, 4, 5), wires=(1, 0))
+    b.rewrite("CZ", "RL", wires=(1, 0))
     # H0 H0' CX10 H0'' H0
-    b.do("H2", "LR", gates=(0, 1), wires=(0,))
-    b.do("H2", "LR", gates=(1, 2), wires=(0,))
+    b.rewrite("H2", "LR", wires=(0,))
+    b.rewrite("H2", "LR", wires=(0,))
     return b.done("qc_hhcnothh")
 
 
 def qc_ctrlpminuspi() -> Derivation:
     """The controlled phase of angle -pi equals the one of angle +pi."""
     b = _Builder("QC", "CPMINUSPI")
-    b.do("PPLUS", "RL", (PI / 2, -PI), gates=(0,), wires=(0,))
-    b.do("PPLUS", "RL", (PI / 2, -PI), gates=(2,), wires=(1,))
+    b.rewrite("PPLUS", "RL", (PI / 2, -PI), wires=(0,))
+    b.rewrite("PPLUS", "RL", (PI / 2, -PI), wires=(1,))
     # P(pi/2)@0 P(-pi)@0 P(pi/2)@1 P(-pi)@1 CX P(pi/2)@1 CX
-    b.do("ZZCX", "LR", gates=(1, 3, 4), wires=(0, 1))
+    b.rewrite("ZZCX", "LR", wires=(0, 1))
     # P(pi/2)@0 P(pi/2)@1 CX P(pi)@1 P(pi/2)@1 CX
-    b.do("PPLUS", "LR", (PI, PI / 2), gates=(3, 4), wires=(1,))
+    b.rewrite("PPLUS", "LR", (PI, PI / 2), wires=(1,))
     return b.done("qc_ctrlpminuspi")
 
 
@@ -192,8 +199,8 @@ def qc_5cx() -> Derivation:
     of the derivation); the essential step is the (I) axiom on 3 qubits.
     """
     b = _Builder("QC", "FIVE_CX")
-    b.do("MCPFOLD5CX", "LR", gates=(0, 1, 2), wires=(0, 1, 2))
-    b.do("I", "LR", n=3, gates=(0,), wires=(0, 1, 2))
+    b.rewrite("MCPFOLD5CX", "LR", wires=(0, 1, 2))
+    b.rewrite("I", "LR", n=3, wires=(0, 1, 2))
     return b.done("qc_5cx")
 
 
@@ -208,8 +215,7 @@ def derive_equal(c1: Circuit, c2: Circuit, theory: str, name: str) -> Derivation
 
 def derive_rule(theory: str, rule: str, params=(), name: str = "") -> Derivation:
     """Derive a catalog rule by ``derive_equal`` on the two sides of its instance."""
-    inst = resolve_rule(theory, rule, params, allow_lemmas=True)
-    return derive_equal(inst.lhs, inst.rhs, theory, name)
+    return derive_equal(*_sides(Step(rule, "LR", params), theory, True), theory, name)
 
 
 # -- QCancilla: the ancilla propositions --------------------------------------
@@ -217,16 +223,16 @@ def derive_rule(theory: str, rule: str, params=(), name: str = "") -> Derivation
 def qcancilla_p0() -> Derivation:
     """P(0) = identity from the primed ancilla axioms (no P0, EH, E used)."""
     b = _Builder("QCancilla", "P0", direction="RL")
-    b.do("H2", "RL", wires=(0,), at=0)                     # Ha Hb
-    b.do("A", "RL", at=1)                                  # Ha INIT DEST Hb
-    b.do("ACX", "RL", gates=(1,), wires=(0,))              # Ha INIT CX DEST Hb
-    b.do("CZ", "LR", gates=(0, 2, 4), wires=(0, 1))
+    b.rewrite("H2", "RL", wires=(0,), at=0)                     # Ha Hb
+    b.rewrite("A", "RL", at=1)                                  # Ha INIT DEST Hb
+    b.rewrite("ACX", "RL", wires=(0,))                          # Ha INIT CX DEST Hb
+    b.rewrite("CZ", "LR", wires=(0, 1))
     # INIT P(pi/2)@anc P(pi/2)@w CX P(-pi/2)@w CX DEST
-    b.do("AP", "LR", (PI / 2,), gates=(0, 1), wires=())
-    b.do("ACX", "LR", gates=(0, 2), wires=(0,))
-    b.do("ACX", "LR", gates=(1, 3), wires=(0,))
-    b.do("A", "LR", gates=(2, 3), wires=())
-    b.do("PPLUS", "LR", (PI / 2, -PI / 2), gates=(0, 1), wires=(0,))
+    b.rewrite("AP", "LR", (PI / 2,))
+    b.rewrite("ACX", "LR", wires=(0,))
+    b.rewrite("ACX", "LR", wires=(0,))
+    b.rewrite("A", "LR")
+    b.rewrite("PPLUS", "LR", (PI / 2, -PI / 2), wires=(0,))
     return b.done("qcancilla_p0")
 
 
@@ -234,75 +240,68 @@ def qcancilla_splus(phi1: float, phi2: float) -> Derivation:
     """GPHASE(a) . GPHASE(b) = GPHASE(a+b) without the (S+) axiom."""
     s = phi1 + phi2
     b = _Builder("QCancilla", "SPLUS", (phi1, phi2))
-    b.do("A", "RL", at=2)                                  # G G INIT DEST
-    b.do("AP", "RL", (-2 * phi1,), gates=(2,), wires=())
-    b.do("AP", "RL", (-2 * phi2,), gates=(2,), wires=())
+    b.rewrite("A", "RL", at=2)                                  # G G INIT DEST
+    b.rewrite("AP", "RL", (-2 * phi1,))
+    b.rewrite("AP", "RL", (-2 * phi2,))
     # G1 G2 INIT P(-2phi2) P(-2phi1) DEST
-    b.do("H2", "RL", wires=(0,), at=3)
-    b.do("H2", "RL", wires=(0,), at=6)
-    b.do("H2", "RL", wires=(0,), at=9)
+    for at in (3, 6, 9):
+        b.rewrite("H2", "RL", wires=(0,), at=at)
     # G1 G2 INIT Ha Hb P(-2phi2) Hc Hd P(-2phi1) He Hf DEST
-    b.do("RXDEF", "RL", (-2 * phi2,), gates=(1, 4, 5, 6), wires=(0,))
-    b.do("RXDEF", "RL", (-2 * phi1,), gates=(0, 4, 5, 6), wires=(0,))
+    b.rewrite("RXDEF", "RL", (-2 * phi2,), wires=(0,))
+    b.rewrite("RXDEF", "RL", (-2 * phi1,), wires=(0,))
     # INIT Ha RX(-2phi2) RX(-2phi1) Hf DEST
-    b.do("P0", "RL", wires=(0,), at=3)
-    b.do("E", "LR", (-2 * phi2, 0.0, -2 * phi1), gates=(2, 3, 4), wires=(0,))
+    b.rewrite("P0", "RL", wires=(0,), at=3)
+    b.rewrite("E", "LR", (-2 * phi2, 0.0, -2 * phi1), wires=(0,))
     # INIT Ha G(b0) P(b1) RX(b2) P(b3) Hf DEST
-    b.do("E", "RL", (0.0, 0.0, -2 * s), gates=(2, 3, 4, 5), wires=(0,))
+    b.rewrite("E", "RL", (0.0, 0.0, -2 * s), wires=(0,))
     # INIT Ha RX(0) P(0) RX(-2s) Hf DEST
-    b.do("P0", "LR", gates=(3,), wires=(0,))
-    b.do("RXDEF", "LR", (0.0,), gates=(2,), wires=(0,))
-    # G(0) INIT Ha Hx P(0) Hy RX(-2s) Hf DEST
-    b.do("P0", "LR", gates=(4,), wires=(0,))
-    b.do("H2", "LR", gates=(3, 4), wires=(0,))
-    b.do("RXDEF", "LR", (-2 * s,), gates=(3,), wires=(0,))
+    _drop_p0_rx0(b, nth=1)     # the H's of RX(0) follow Ha
+    b.rewrite("RXDEF", "LR", (-2 * s,), wires=(0,))
     # INIT Ha G(-0) G(s) Hp P(-2s) Hq Hf DEST
-    b.do("H2", "LR", gates=(1, 4), wires=(0,))
-    b.do("H2", "LR", gates=(4, 5), wires=(0,))
+    b.rewrite("H2", "LR", wires=(0,))
+    b.rewrite("H2", "LR", wires=(0,))
     # INIT G(-0) G(s) P(-2s) DEST
-    b.do("AP", "LR", (-2 * s,), gates=(0, 3), wires=())
-    b.do("A", "LR", gates=(2, 3), wires=())
-    b.do("S2PI", "LR", gates=(0,))              # G(0) is G(2pi) mod 2pi
+    b.rewrite("AP", "LR", (-2 * s,))
+    b.rewrite("A", "LR")
+    b.rewrite("S2PI", "LR")              # G(0) is G(2pi) mod 2pi
     return b.done("qcancilla_splus")
 
 
 def qcancilla_i3() -> Derivation:
     """(I) on 3 qubits from the ancilla theory (the essential step is 5CX)."""
     b = _Builder("QCancilla", "I", n=3)
-    b.do("MCPDEF", "LR", (TWO_PI,), n=3, gates=(0,), wires=(0, 1, 2))
+    b.rewrite("MCPDEF", "LR", (TWO_PI,), n=3, wires=(0, 1, 2))
     # MCP(pi)@(01) MCP(pi)@(02) CX12 MCP(-pi)@(02) CX12
-    b.do("MCPDEF", "LR", (PI,), n=2, gates=(0,), wires=(0, 1))
-    b.do("MCPDEF", "LR", (PI,), n=2, gates=(5,), wires=(0, 2))
-    b.do("MCPDEF", "LR", (-PI,), n=2, gates=(11,), wires=(0, 2))
+    b.rewrite("MCPDEF", "LR", (PI,), n=2, wires=(0, 1))
+    b.rewrite("MCPDEF", "LR", (PI,), n=2, wires=(0, 2))
+    b.rewrite("MCPDEF", "LR", (-PI,), n=2, wires=(0, 2))
     # E01 E02 CX12 E02m CX12   (each E* is 5 primitive gates)
-    b.do("CPMINUSPI", "LR", gates=(11, 12, 13, 14, 15), wires=(0, 2))
+    b.rewrite("CPMINUSPI", "LR", wires=(0, 2))
     # E01 E02 CX12 E02 CX12
-    b.do("CZ", "RL", gates=(11, 12, 13, 14, 15), wires=(0, 2))
+    b.rewrite("CZ", "RL", wires=(0, 2), nth=1)
     # E01 E02 CX12 [H2' CX02 H2''] CX12
-    b.do("H2", "RL", wires=(0,), at=11)
-    b.do("H2", "RL", wires=(0,), at=16)
+    b.rewrite("H2", "RL", wires=(0,), at=11)
+    b.rewrite("H2", "RL", wires=(0,), at=16)
     # E01 E02 CX12 Ha Hb H2' CX02 H2'' Hc Hd CX12
-    b.do("HHCNOTHH", "LR", gates=(12, 13, 14, 15, 16), wires=(0, 2))
+    b.rewrite("HHCNOTHH", "LR", wires=(0, 2))
     # E01 E02 CX12 Ha CX20 Hd CX12
-    b.do("FIVE_CX", "LR", gates=(10, 12, 14), wires=(1, 2, 0))
-    # E01 E02 Ha@0 CX20 CX10 Hd@0          (indices 10..13)
-    b.do("H2", "RL", wires=(0,), at=12)
-    b.do("H2", "RL", wires=(2,), at=11)
-    b.do("H2", "RL", wires=(2,), at=14)
-    # 10:Ha 11:H2a 12:H2b 13:CX20 14:H2c 15:H2d 16:He 17:Hf 18:CX10 19:Hd
-    b.do("HHCNOTHH", "LR", gates=(10, 12, 13, 14, 16), wires=(2, 0))
-    # E01 E02 H2a CX02 H2d Hf CX10 Hd
-    b.do("CZ", "LR", gates=(10, 11, 12), wires=(0, 2))
-    # E01 E02 E02' Hf CX10 Hd               (E02' at 10..14)
-    b.do("H2", "RL", wires=(1,), at=16)
-    b.do("H2", "RL", wires=(1,), at=19)
-    # 15:Hf 16:H1a 17:H1b 18:CX10 19:H1c 20:H1d 21:Hd
-    b.do("HHCNOTHH", "LR", gates=(15, 17, 18, 19, 21), wires=(1, 0))
-    # .. H1a CX01 H1d
-    b.do("CZ", "LR", gates=(15, 16, 17), wires=(0, 1))
+    b.rewrite("FIVE_CX", "LR", wires=(1, 2, 0))
+    # E01 E02 Ha CX20 CX10 Hd     (H's on wire 0 unless marked)
+    b.rewrite("H2", "RL", wires=(0,), at=12)
+    b.rewrite("H2", "RL", wires=(2,), at=11)
+    b.rewrite("H2", "RL", wires=(2,), at=14)
+    b.rewrite("HHCNOTHH", "LR", wires=(2, 0))
+    # E01 E02 H@2 CX02 H@2 Hf CX10 Hd
+    b.rewrite("CZ", "LR", wires=(0, 2))
+    # E01 E02 E02' Hf CX10 Hd
+    b.rewrite("H2", "RL", wires=(1,), at=16)
+    b.rewrite("H2", "RL", wires=(1,), at=19)
+    b.rewrite("HHCNOTHH", "LR", wires=(1, 0))
+    # E01 E02 E02' H@1 CX01 H@1
+    b.rewrite("CZ", "LR", wires=(0, 1))
     # E01 E02 E02' E01'
-    b.do("CZEXP2", "LR", gates=tuple(range(5, 15)), wires=(0, 2))
-    b.do("CZEXP2", "LR", gates=tuple(range(0, 10)), wires=(0, 1))
+    b.rewrite("CZEXP2", "LR", wires=(0, 2))
+    b.rewrite("CZEXP2", "LR", wires=(0, 1))
     return b.done("qcancilla_i3")
 
 

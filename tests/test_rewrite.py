@@ -10,7 +10,8 @@ import pytest
 from qc_equate import (Circuit, Derivation, Site, Step, apply_step, circuit,
                        cnot, ctrl, decide_equiv_1q, deformation_equal, dest,
                        eval_matrix, find_sites, gphase, h, init, nf_from_unitary,
-                       normalize_1q, p, replay, reverse_derivation, rx, x, z)
+                       normalize_1q, p, replay, reverse_derivation, rx, swap,
+                       x, z)
 from qc_equate.errors import (ArityMismatch, BadArity, IllegalSite,
                               InvalidCircuit, NoMatch, UnknownTheory,
                               UnsupportedGate)
@@ -279,6 +280,31 @@ def test_find_sites():
     c2 = circuit(2, [cnot(0, 1), p(0.4, 0), cnot(0, 1)])
     sites = find_sites(c2, "C", (0.4,), direction="LR")
     assert len(sites) == 1
+    # the wire map is read where the block assembles: behind the INIT,
+    # which floats out of the window in front of it
+    c3 = Circuit(1, 2, (gphase(-0.4), init(0), h(1), p(0.8, 1), h(1)))
+    assert find_sites(c3, "RXDEF", (0.8,), None, "RL", "QC") == [Site((0, 2, 3, 4), (1,))]
+
+
+def test_find_sites_follows_wires_not_windows():
+    # the two H's on wire 0 are not adjacent in the gate list
+    c = circuit(2, [h(0), p(0.3, 1), h(1), h(0)])
+    assert [(s.gates, s.wire_map) for s in find_sites(c, "H2")] == [((0, 3), (0,))]
+    # an interleaved gate on the block's wire keeps it from matching
+    assert find_sites(circuit(1, [h(0), p(0.3, 0), h(0)]), "H2") == []
+
+
+def test_find_sites_binds_swap_either_way_round():
+    # SWAP sorts its wires, so rule wire 0 may sit on either of them
+    assert find_sites(circuit(2, [p(0.8, 1), swap(0, 1)]), "SWAPP", (0.8,)) == \
+        [Site((0, 1), (1, 0))]
+    assert find_sites(circuit(2, [cnot(1, 0), swap(0, 1)]), "SWAPCX") == [Site((0, 1), (1, 0))]
+
+
+def test_find_sites_ranges_an_untouched_input_over_open_wires():
+    # ACX's right side is a lone INIT: its input wire is touched by no gate
+    c = Circuit(1, 1, (h(0), init(0), dest(0), h(0)))
+    assert find_sites(c, "ACX", direction="RL", theory="QCancilla") == [Site((1,), (0,))]
 
 
 def test_replay_and_reverse():

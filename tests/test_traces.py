@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qc_equate import (Derivation, RuleId, circuit, deformation_equal,
-                       eval_matrix, gphase, mcp, p, replay, resolve_rule,
-                       reverse_derivation)
+from qc_equate import (Derivation, RuleId, apply_step, circuit,
+                       deformation_equal, eval_matrix, find_sites, gphase, mcp,
+                       p, replay, resolve_rule, reverse_derivation)
 from qc_equate import rewrite, traces as tr
 from qc_equate.errors import NoMatch, QcError
 
@@ -47,7 +47,6 @@ def test_trace_endpoints():
 
 
 def test_traces_preserve_semantics_per_step():
-    from qc_equate import apply_step
     d = tr.qc_pminus(1.2)
     c = d.initial
     ref = eval_matrix(c)
@@ -119,7 +118,7 @@ def test_reverse_carries_sites_without_a_scan(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("reverse_derivation scanned for a site")
 
-    monkeypatch.setattr(rewrite, "find_sites", no_scan)
+    monkeypatch.setattr(rewrite, "_matches", no_scan)
     for d in (tr.derive_rule("QCprime", "E", (0.9, 1.7, -0.6)),
               tr.derive_rule("QCprime", "PMINUS", (1.3,))):
         out = replay(reverse_derivation(d), allow_lemmas=True, safety=True)
@@ -128,12 +127,48 @@ def test_reverse_carries_sites_without_a_scan(monkeypatch):
 
 def test_builder_must_end_on_the_target_side():
     b = tr._Builder("QC", "CNOT2")
-    b.do("P0", "RL", wires=(0,), at=1)
-    b.do("C", "LR", (0.0,), gates=(0, 1, 2), wires=(0, 1))
+    b.rewrite("P0", "RL", wires=(0,), at=1)
+    b.rewrite("C", "LR", (0.0,), wires=(0, 1))
     with pytest.raises(QcError, match="target side"):     # P(0) is left
         b.done("short")
-    b.do("P0", "LR", gates=(0,), wires=(0,))
+    b.rewrite("P0", "LR", wires=(0,))
     assert len(b.done("qc_cnot2").final.gates) == 0
+
+
+def test_builder_rewrite_needs_a_site_on_the_wires():
+    b = tr._Builder("QC", "CNOT2")
+    with pytest.raises(NoMatch, match="no site"):
+        b.rewrite("H2", "LR", wires=(0,))
+    b.rewrite("P0", "RL", wires=(0,), at=1)
+    with pytest.raises(NoMatch, match="no site"):
+        b.rewrite("C", "LR", (0.0,), wires=(1, 0))
+    with pytest.raises(NoMatch, match="no site"):
+        b.rewrite("C", "LR", (0.0,), wires=(0, 1), nth=1)
+    assert len(b.steps) == 1          # a step that finds no site records nothing
+
+
+BUILT = ["qc_pplus", "qc_pminus", "qc_s0", "qc_cnot2", "qc_pcommutcnot",
+         "qc_bprime", "qc_pgadget", "qc_hhcnothh", "qc_ctrlpminuspi", "qc_5cx",
+         "qcancilla_p0", "qcancilla_splus", "qcancilla_i3"]
+
+
+def test_find_sites_recovers_every_builder_site():
+    # each frozen builder trace records its steps' sites as gate indices;
+    # find_sites lists every one of them on the circuit before its step
+    found = insertions = 0
+    for name in BUILT:
+        d = Derivation.from_dict(json.loads((TRACE_DIR / f"{name}.json").read_text()))
+        c = d.initial
+        for i, step in enumerate(d.steps):
+            if step.site.gates:
+                hits = [(s.gates, s.wire_map) for s in find_sites(
+                    c, step.rule, step.params, step.n, step.direction, d.theory)]
+                assert (step.site.gates, step.site.wire_map) in hits, (name, i)
+                found += 1
+            else:
+                insertions += 1
+            c = apply_step(c, step, d.theory, safety=False)
+    assert (found, insertions) == (91, 26)
 
 
 def test_derive_rule_starts_and_ends_on_the_instance():
