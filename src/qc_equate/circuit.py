@@ -252,6 +252,23 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
+    def with_angles(self, angles) -> "Circuit":
+        """This circuit with new ``angles``, one per gate that carries one,
+        in gate order.  Kinds and wires stay, so the threading is kept;
+        each gate with an angle is built anew, which checks the angle."""
+        gates = list(self.gates)
+        at = [i for i, g in enumerate(gates) if g.params]
+        angles = tuple(angles)
+        if len(angles) != len(at):
+            raise InvalidCircuit(f"{len(at)} gates carry an angle, got {len(angles)} angles")
+        for i, a in zip(at, angles):
+            gates[i] = Gate(gates[i].kind, gates[i].wires, (a,))
+        out = object.__new__(Circuit)
+        for name, v in (("n_in", self.n_in), ("n_out", self.n_out),
+                        ("gates", tuple(gates)), ("threading", self.threading)):
+            object.__setattr__(out, name, v)
+        return out
+
     def to_dict(self) -> dict:
         return {"n_in": self.n_in, "n_out": self.n_out,
                 "gates": [g.to_dict() for g in self.gates]}

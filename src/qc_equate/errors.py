@@ -12,7 +12,8 @@ class ArityMismatch(QcError):
 class InvalidCircuit(QcError):
     """Malformed input: a gate list that cannot be threaded from n_in to
     n_out wires, or a mistyped field of a circuit, rule instance or trace
-    (a wire, count or index not an integer, an angle not a real number)."""
+    (a wire, count or index not an integer, an angle or rule parameter not
+    a finite real number)."""
 
 
 class WireCapExceeded(QcError):

@@ -116,18 +116,30 @@ def _from_z(z: complex, zp: complex, b0_base: float) -> tuple[NormalFormParams, 
     return _pack(*b), case
 
 
+def _finite(*alphas: float):
+    if not all(map(math.isfinite, alphas)):
+        raise DomainError(f"Euler angles must be finite, got {alphas}")
+
+
+# The half-angle sums are taken as a/2 + b/2: it equals (a + b)/2 bit for bit
+# barring underflow of the halves, and it stays finite where a + b overflows.
+
 def euler_e(a1: float, a2: float, a3: float) -> tuple[NormalFormParams, EulerCase]:
     """Angles for RX(a1).P(a2).RX(a3) = GPHASE(b0).P(b1).RX(b2).P(b3)."""
-    c2, s2 = math.cos(a2 / 2.0), math.sin(a2 / 2.0)
-    z = complex(c2 * math.cos((a1 + a3) / 2.0), s2 * math.cos((a1 - a3) / 2.0))
-    zp = complex(c2 * math.sin((a1 + a3) / 2.0), -s2 * math.sin((a1 - a3) / 2.0))
-    return _from_z(z, zp, a2 / 2.0)
+    _finite(a1, a2, a3)
+    h1, h2, h3 = a1 / 2.0, a2 / 2.0, a3 / 2.0
+    c2, s2 = math.cos(h2), math.sin(h2)
+    z = complex(c2 * math.cos(h1 + h3), s2 * math.cos(h1 - h3))
+    zp = complex(c2 * math.sin(h1 + h3), -s2 * math.sin(h1 - h3))
+    return _from_z(z, zp, h2)
 
 
 def euler_eprime(a1p: float, a3p: float) -> tuple[NormalFormParams, EulerCase]:
     """Angles for RX(a1').H.RX(a3') = GPHASE(b0').P(b1').RX(b2').P(b3')."""
-    z = complex(-math.sin((a1p + a3p) / 2.0), math.cos((a1p - a3p) / 2.0))
-    zp = complex(math.cos((a1p + a3p) / 2.0), -math.sin((a1p - a3p) / 2.0))
+    _finite(a1p, a3p)
+    h1, h3 = a1p / 2.0, a3p / 2.0
+    z = complex(-math.sin(h1 + h3), math.cos(h1 - h3))
+    zp = complex(math.cos(h1 + h3), -math.sin(h1 - h3))
     return _from_z(z, zp, math.pi / 2.0)
 
 

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .circuit import (TWO_PI, Circuit, angles_equal, circuit, expand_macros,
+from .circuit import (TWO_PI, Circuit, Gate, angles_equal, circuit, expand_gate,
                       reduce_angle)
 from .errors import (InconsistentClasses, NoInterpretation, UnknownLemma,
                      UnsupportedGate)
@@ -30,16 +30,19 @@ def _has_ancilla(c: Circuit) -> bool:
     return any(g.kind in ("INIT", "DEST") for g in c.gates)
 
 
-def _expanded(c: Circuit) -> Circuit:
+def _expanded(c: Circuit) -> list[Gate]:
+    """``c``'s gates with every macro expanded into primitives, as
+    ``expand_gate`` gives them: a valuation reads the gates in order and
+    needs no threading."""
     if _has_ancilla(c):
         raise UnsupportedGate("interpretations are defined on vanilla circuits")
-    return expand_macros(c)
+    return [e for g in c.gates for e in expand_gate(g)]
 
 
 def interp_k(c: Circuit, k: int) -> float:
     """The determinant-related valuation, in [0, 2*pi)."""
     total = 0.0
-    for g in _expanded(c).gates:
+    for g in _expanded(c):
         if g.kind == "GPHASE":
             total += (2.0 ** k) * g.params[0]
         elif g.kind == "H":
@@ -55,13 +58,14 @@ def interp_k(c: Circuit, k: int) -> float:
 
 # -- the eight per-axiom interpretations --------------------------------------
 
-def _count(c: Circuit, kinds) -> int:
-    return sum(1 for g in c.gates if g.kind in kinds)
+def _count(gates: list[Gate], kinds) -> int:
+    return sum(1 for g in gates if g.kind in kinds)
 
 
-def _keep_only(c: Circuit, kinds) -> Circuit:
-    return Circuit(c.n_in, c.n_out,
-                   tuple(g for g in c.gates if g.kind in kinds))
+def _keep_only(c: Circuit, gates: list[Gate], kinds) -> Circuit:
+    """A circuit of ``c``'s arity holding those of ``gates``, its expansion,
+    of the given kinds."""
+    return Circuit(c.n_in, c.n_out, tuple(g for g in gates if g.kind in kinds))
 
 
 def interp_axiom(name: str, c: Circuit, psi: float | None = None):
@@ -77,7 +81,7 @@ def interp_axiom(name: str, c: Circuit, psi: float | None = None):
         if psi is None:
             raise NoInterpretation("the SPLUS interpretation needs a phase psi")
         return int(any(g.kind == "GPHASE" and angles_equal(g.params[0], psi, TWO_PI, 1e-9)
-                       for g in e.gates))
+                       for g in e))
     if name == "H2":
         return int(_count(e, ("H",)) > 0)
     if name == "P0":
@@ -87,9 +91,9 @@ def interp_axiom(name: str, c: Circuit, psi: float | None = None):
     if name == "C":
         return int(_count(e, ("CNOT",)) > 0)
     if name == "B":
-        return eval_matrix(_keep_only(e, ("SWAP",)))
+        return eval_matrix(_keep_only(c, e, ("SWAP",)))
     if name == "CZ":
-        return eval_matrix(_keep_only(e, ("CNOT", "SWAP")))
+        return eval_matrix(_keep_only(c, e, ("CNOT", "SWAP")))
     if name == "EH":
         return _count(e, ("H",)) % 2
     raise NoInterpretation(f"no registered counter-interpretation for {name}")
@@ -138,8 +142,8 @@ def sign_classes(c: Circuit) -> SignClasses:
     e = _expanded(c)
     mats = [eval_matrix(circuit(1, [g])) if g.kind != "GPHASE"
             else np.eye(2, dtype=complex) * np.exp(1j * g.params[0])
-            for g in e.gates]
-    pos = [i for i, g in enumerate(e.gates) if g.kind == "P"]
+            for g in e]
+    pos = [i for i, g in enumerate(e) if g.kind == "P"]
 
     # union-find with parity: link[i] = (parent, 1 if opposite sign to it)
     link = {i: (i, 0) for i in pos}
@@ -184,7 +188,7 @@ def interp_E_values(c: Circuit) -> tuple[float, ...]:
     """All values of the signed phase sum modulo pi/2, over valid assignments."""
     sc = sign_classes(c)
     e = _expanded(c)
-    phis = {i: e.gates[i].params[0] for i in sc.positions}
+    phis = {i: e[i].params[0] for i in sc.positions}
     paired = {a for pair in sc.pairing for a in pair}
     # one free sign per component: a paired couple of classes is one component
     components: list[float] = []

@@ -440,21 +440,43 @@ def _matches(gates: list[_IdGate], n_in: int, n_ids: int, src: Circuit, dst: Cir
     """Each site of ``src`` in ``gates``, matched as ``find_sites`` says
     (with wire map ``wires`` when given), and what ``_apply`` gives there."""
     succ: dict[tuple[int | None, int], int] = {}   # (gate, wire id) -> next gate on it
+    pred: dict[tuple[int, int], int | None] = {}   # (gate, wire id) -> the one before
     last: dict[int, int] = {}
     of_kind: dict[str, list[int]] = {}
     for i, (g, ids) in enumerate(gates):
         of_kind.setdefault(g.kind, []).append(i)
         for wid in ids:
             succ[last.get(wid), wid] = i
+            pred[i, wid] = last.get(wid)
             last[wid] = i
     todo = list(zip(src.gates, src.threading.gate_ids))
+    # from_[k]: label -> the first source gate from k on that touches it
+    from_: list[dict[int, int]] = [{}]
+    for k in reversed(range(len(todo))):
+        from_.append({**from_[-1], **dict.fromkeys(todo[k][1], k)})
+    from_.reverse()
     hits: dict[Site, tuple] = {}
+
+    def met(k: int, labs, at) -> list[int | None] | None:
+        """Candidates for source gate k, whose labels are all free, when one
+        of them meets a label bound so far at a later source gate: that
+        source gate matches the circuit gate the bound label reaches next,
+        so k matches a gate just before it.  None when no label meets one."""
+        ahead = from_[k + 1]
+        for lab in labs:
+            for other in todo[ahead[lab]][1] if lab in ahead else ():
+                if other in at and other not in labs and ahead[other] == ahead[lab]:
+                    t = succ.get(at[other])
+                    return [] if t is None else [pred[t, wid] for wid in gates[t][1]]
+        return None
 
     def bind(chosen: list[int], at: dict[int, tuple[int, int]]):   # label -> (gate, wire)
         if len(chosen) < len(todo):
-            rg, labs = todo[len(chosen)]
+            k = len(chosen)
+            rg, labs = todo[k]
             old = [lab for lab in labs if lab in at]
-            for i in [succ.get(at[old[0]])] if old else of_kind.get(rg.kind, ()):
+            cands = [succ.get(at[old[0]])] if old else met(k, labs, at)
+            for i in of_kind.get(rg.kind, ()) if cands is None else cands:
                 if i is None or i in chosen or gates[i][0].kind != rg.kind:
                     continue
                 g, ids = gates[i]

@@ -10,14 +10,19 @@ Four theories are provided:
 
 plus a catalog of derived-equation schemas (lemmas) and definitional
 rewrites (macro unfoldings).  ``resolve_rule`` is the one way to build an
-instance: what a step in a theory may cite, under that theory's id.
-``equal_in`` is each theory's equality, and ``check_soundness`` validates
-any instance numerically; nothing is assumed.
+instance: what a step in a theory may cite, under that theory's id.  Each
+rule's two sides are built and threaded once per theory and width, with
+placeholder angles, and an instance substitutes the angles its angle map
+gives for the parameters (``Circuit.with_angles``); a rule without
+parameters has one instance per theory and width.  ``equal_in`` is each
+theory's equality, and ``check_soundness`` validates any instance
+numerically; nothing is assumed.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,7 +32,8 @@ import numpy as np
 from .circuit import (Circuit, Gate, _controls_phase, _real, _wire, circuit,
                       cnot, dest, gphase, h, init, mcp, mcrx, p, rx, swap,
                       unfold, x, z)
-from .errors import BadArity, BadParams, UnknownLemma, UnknownTheory
+from .errors import (BadArity, BadParams, InvalidCircuit, UnknownLemma,
+                     UnknownTheory)
 from .euler import euler_e, euler_eprime
 from .semantics import equal_matrices, equal_up_to_phase, eval_matrix
 
@@ -71,170 +77,188 @@ def _czexp(a: int, b: int, sign: float = 1.0) -> list[Gate]:
     return [p(s, a), p(s, b), cnot(a, b), p(-s, b), cnot(a, b)]
 
 
-# -- axiom builders: build(params, n) -> (lhs, rhs) --------------------------
+# -- rule builders: build(n) -> (lhs, rhs, angles) -----------------------------
+#
+# A rule is built once per theory and width.  A rule without parameters
+# gives its two sides as they are and no angle map.  A rule with parameters
+# gives their shapes, every angle the placeholder ``_A``, and its angle map:
+# params -> (lhs angles, rhs angles), one per gate that carries an angle,
+# in gate order.  An instance substitutes them (``Circuit.with_angles``).
 
-def _build_s2pi(_, n):
-    return circuit(0, [gphase(2 * PI)]), circuit(0, [])
+_A = 0.0
 
-def _build_splus(ps, n):
-    a, b = ps
-    return circuit(0, [gphase(a), gphase(b)]), circuit(0, [gphase(a + b)])
 
-def _build_h2(_, n):
-    return circuit(1, [h(0), h(0)]), circuit(1, [])
+def _euler_angles(a1, a2, a3):
+    return (a1, a2, a3), tuple(euler_e(a1, a2, a3)[0])
 
-def _build_p0(_, n):
-    return circuit(1, [p(0.0, 0)]), circuit(1, [])
 
-def _build_c(ps, n):
-    (phi,) = ps
-    return (circuit(2, [cnot(0, 1), p(phi, 0), cnot(0, 1)]),
-            circuit(2, [p(phi, 0)]))
+def _normal_form() -> Circuit:
+    """The shape GPHASE P RX P that both Euler rules end in."""
+    return circuit(1, [gphase(_A), p(_A, 0), rx(_A, 0), p(_A, 0)])
 
-def _build_b(_, n):
+
+def _build_s2pi(n):
+    return circuit(0, [gphase(2 * PI)]), circuit(0, []), None
+
+def _build_splus(n):
+    return (circuit(0, [gphase(_A), gphase(_A)]), circuit(0, [gphase(_A)]),
+            lambda a, b: ((a, b), (a + b,)))
+
+def _build_h2(n):
+    return circuit(1, [h(0), h(0)]), circuit(1, []), None
+
+def _build_p0(n):
+    return circuit(1, [p(0.0, 0)]), circuit(1, []), None
+
+def _build_c(n):
+    return (circuit(2, [cnot(0, 1), p(_A, 0), cnot(0, 1)]), circuit(2, [p(_A, 0)]),
+            lambda phi: ((phi,), (phi,)))
+
+def _build_b(n):
     return (circuit(2, [cnot(0, 1), cnot(1, 0)]),
-            circuit(2, [swap(0, 1), cnot(0, 1)]))
+            circuit(2, [swap(0, 1), cnot(0, 1)]), None)
 
-def _build_cz(_, n):
-    return (circuit(2, [h(1), cnot(0, 1), h(1)]), circuit(2, _czexp(0, 1)))
+def _build_cz(n):
+    return circuit(2, [h(1), cnot(0, 1), h(1)]), circuit(2, _czexp(0, 1)), None
 
-def _build_eh(_, n):
+def _build_eh(n):
     return (circuit(1, [h(0)]),
-            circuit(1, [p(PI / 2, 0), rx(PI / 2, 0), p(PI / 2, 0)]))
+            circuit(1, [p(PI / 2, 0), rx(PI / 2, 0), p(PI / 2, 0)]), None)
 
-def _build_e(ps, n):
-    a1, a2, a3 = ps
-    nf, _ = euler_e(a1, a2, a3)
-    return (circuit(1, [rx(a1, 0), p(a2, 0), rx(a3, 0)]), nf.circuit())
+def _build_e(n):
+    return (circuit(1, [rx(_A, 0), p(_A, 0), rx(_A, 0)]), _normal_form(),
+            _euler_angles)
 
-def _build_i(_, n):
-    return circuit(n, [mcp(2 * PI, tuple(range(n)))]), circuit(n, [])
+def _build_i(n):
+    return circuit(n, [mcp(2 * PI, tuple(range(n)))]), circuit(n, []), None
 
-def _build_pplus(ps, n):
-    a, b = ps
-    return circuit(1, [p(a, 0), p(b, 0)]), circuit(1, [p(a + b, 0)])
+def _build_pplus(n):
+    return (circuit(1, [p(_A, 0), p(_A, 0)]), circuit(1, [p(_A, 0)]),
+            lambda a, b: ((a, b), (a + b,)))
 
-def _build_eprime(ps, n):
-    a1p, a3p = ps
-    nf, _ = euler_eprime(a1p, a3p)
-    return (circuit(1, [rx(a1p, 0), h(0), rx(a3p, 0)]), nf.circuit())
+def _build_eprime(n):
+    return (circuit(1, [rx(_A, 0), h(0), rx(_A, 0)]), _normal_form(),
+            lambda a1p, a3p: ((a1p, a3p), tuple(euler_eprime(a1p, a3p)[0])))
 
-def _build_a(_, n):
-    return Circuit(0, 0, (init(0), dest(0))), Circuit(0, 0, ())
+def _build_a(n):
+    return Circuit(0, 0, (init(0), dest(0))), Circuit(0, 0, ()), None
 
-def _build_ap(ps, n):
-    (phi,) = ps
-    return Circuit(0, 1, (init(0), p(phi, 0))), Circuit(0, 1, (init(0),))
+def _build_ap(n):
+    return (Circuit(0, 1, (init(0), p(_A, 0))), Circuit(0, 1, (init(0),)),
+            lambda phi: ((phi,), ()))
 
-def _build_acx(_, n):
-    return Circuit(1, 2, (init(0), cnot(0, 1))), Circuit(1, 2, (init(0),))
+def _build_acx(n):
+    return Circuit(1, 2, (init(0), cnot(0, 1))), Circuit(1, 2, (init(0),)), None
 
-def _build_5cx(_, n):
+def _build_5cx(n):
     return (circuit(3, [cnot(0, 1), cnot(1, 2), cnot(0, 1)]),
-            circuit(3, [cnot(1, 2), cnot(0, 2)]))
+            circuit(3, [cnot(1, 2), cnot(0, 2)]), None)
 
 
 # -- derived-equation schemas -------------------------------------------------
 
-def _lem_p2pi(_, n):
-    return circuit(1, [p(2 * PI, 0)]), circuit(1, [])
+def _lem_p2pi(n):
+    return circuit(1, [p(2 * PI, 0)]), circuit(1, []), None
 
-def _lem_pminus(ps, n):
-    (phi,) = ps
-    return (circuit(1, [x(0), p(phi, 0), x(0)]),
-            circuit(1, [gphase(phi), p(-phi, 0)]))
+def _lem_pminus(n):
+    return (circuit(1, [x(0), p(_A, 0), x(0)]),
+            circuit(1, [gphase(_A), p(_A, 0)]),
+            lambda phi: ((phi,), (phi, -phi)))
 
-def _lem_s0(_, n):
-    return circuit(0, [gphase(0.0)]), circuit(0, [])
+def _lem_s0(n):
+    return circuit(0, [gphase(0.0)]), circuit(0, []), None
 
-def _lem_bprime(_, n):
+def _lem_bprime(n):
     return (circuit(2, [cnot(0, 1), cnot(1, 0), cnot(0, 1)]),
-            circuit(2, [swap(0, 1)]))
+            circuit(2, [swap(0, 1)]), None)
 
-def _lem_cnot2(_, n):
-    return circuit(2, [cnot(0, 1), cnot(0, 1)]), circuit(2, [])
+def _lem_cnot2(n):
+    return circuit(2, [cnot(0, 1), cnot(0, 1)]), circuit(2, []), None
 
-def _lem_pcommutcnot(ps, n):
-    (phi,) = ps
-    return (circuit(2, [p(phi, 0), cnot(0, 1)]),
-            circuit(2, [cnot(0, 1), p(phi, 0)]))
+def _lem_pcommutcnot(n):
+    return (circuit(2, [p(_A, 0), cnot(0, 1)]),
+            circuit(2, [cnot(0, 1), p(_A, 0)]),
+            lambda phi: ((phi,), (phi,)))
 
-def _lem_pgadget(ps, n):
-    (phi,) = ps
-    return (circuit(2, [cnot(0, 1), p(phi, 1), cnot(0, 1)]),
-            circuit(2, [cnot(1, 0), p(phi, 0), cnot(1, 0)]))
+def _lem_pgadget(n):
+    return (circuit(2, [cnot(0, 1), p(_A, 1), cnot(0, 1)]),
+            circuit(2, [cnot(1, 0), p(_A, 0), cnot(1, 0)]),
+            lambda phi: ((phi,), (phi,)))
 
-def _lem_hhcnothh(_, n):
+def _lem_hhcnothh(n):
     return (circuit(2, [h(0), h(1), cnot(0, 1), h(0), h(1)]),
-            circuit(2, [cnot(1, 0)]))
+            circuit(2, [cnot(1, 0)]), None)
 
-def _lem_cpminuspi(_, n):
-    return (circuit(2, _czexp(0, 1, sign=-1.0)), circuit(2, _czexp(0, 1)))
+def _lem_cpminuspi(n):
+    return circuit(2, _czexp(0, 1, sign=-1.0)), circuit(2, _czexp(0, 1)), None
 
-def _lem_swap2(_, n):
-    return circuit(2, [swap(0, 1), swap(0, 1)]), circuit(2, [])
+def _lem_swap2(n):
+    return circuit(2, [swap(0, 1), swap(0, 1)]), circuit(2, []), None
 
-def _lem_swapp(ps, n):
-    (phi,) = ps
-    return (circuit(2, [p(phi, 0), swap(0, 1)]),
-            circuit(2, [swap(0, 1), p(phi, 1)]))
+def _lem_swapp(n):
+    return (circuit(2, [p(_A, 0), swap(0, 1)]),
+            circuit(2, [swap(0, 1), p(_A, 1)]),
+            lambda phi: ((phi,), (phi,)))
 
-def _lem_swapcx(_, n):
+def _lem_swapcx(n):
     return (circuit(2, [cnot(0, 1), swap(0, 1)]),
-            circuit(2, [swap(0, 1), cnot(1, 0)]))
+            circuit(2, [swap(0, 1), cnot(1, 0)]), None)
 
-def _lem_zzcx(_, n):
+def _lem_zzcx(n):
     return (circuit(2, [p(PI, 0), p(PI, 1), cnot(0, 1)]),
-            circuit(2, [cnot(0, 1), p(PI, 1)]))
+            circuit(2, [cnot(0, 1), p(PI, 1)]), None)
 
-def _lem_czexp2(_, n):
-    return circuit(2, _czexp(0, 1) + _czexp(0, 1)), circuit(2, [])
+def _lem_czexp2(n):
+    return circuit(2, _czexp(0, 1) + _czexp(0, 1)), circuit(2, []), None
 
-def _lem_rxneg(ps, n):
-    (theta,) = ps
-    return (circuit(1, [rx(theta, 0)]),
-            circuit(1, [gphase(PI), rx(theta - 2 * PI, 0)]))
+def _lem_rxneg(n):
+    return (circuit(1, [rx(_A, 0)]),
+            circuit(1, [gphase(_A), rx(_A, 0)]),
+            lambda theta: ((theta,), (PI, theta - 2 * PI)))
 
-def _lem_rxflip(ps, n):
-    (theta,) = ps
-    return (circuit(1, [rx(theta, 0)]),
-            circuit(1, [gphase(PI), p(PI, 0), rx(2 * PI - theta, 0), p(PI, 0)]))
+def _lem_rxflip(n):
+    return (circuit(1, [rx(_A, 0)]),
+            circuit(1, [gphase(_A), p(_A, 0), rx(_A, 0), p(_A, 0)]),
+            lambda theta: ((theta,), (PI, PI, 2 * PI - theta, PI)))
 
-def _lem_rxminus(ps, n):
-    (theta,) = ps
-    return (circuit(1, [p(PI, 0), rx(theta, 0), p(PI, 0)]),
-            circuit(1, [rx(-theta, 0)]))
+def _lem_rxminus(n):
+    return (circuit(1, [p(_A, 0), rx(_A, 0), p(_A, 0)]),
+            circuit(1, [rx(_A, 0)]),
+            lambda theta: ((PI, theta, PI), (-theta,)))
 
 def _all(n):
     return tuple(range(n))
 
-def _lem_mcpfold5cx(_, n):
+def _lem_mcpfold5cx(n):
     # lhs . rhs^-1 of the 5CX equation folds into a 2pi multi-control;
     # the gate-level fold is routine CNOT/phase bookkeeping
     return (circuit(3, [cnot(0, 1), cnot(1, 2), cnot(0, 1)]),
-            circuit(3, [mcp(2 * PI, (0, 1, 2)), cnot(1, 2), cnot(0, 2)]))
+            circuit(3, [mcp(2 * PI, (0, 1, 2)), cnot(1, 2), cnot(0, 2)]), None)
 
 
-def _lem_estar_n(ps, n):
+def _lem_estar_n(n):
     if n == 1:
-        return _build_e(ps, n)
-    a1, a2, a3 = ps
-    nf, _ = euler_e(a1, a2, a3)
-    b0, b1, b2, b3 = nf
+        return _build_e(n)
     w = _all(n)
-    lhs = circuit(n, [mcrx(a1, w), mcp(a2, w), mcrx(a3, w)])
-    rhs = circuit(n, [_controls_phase(b0, w[:-1]), mcp(b1, w), mcrx(b2, w), mcp(b3, w)])
-    return lhs, rhs
+    return (circuit(n, [mcrx(_A, w), mcp(_A, w), mcrx(_A, w)]),
+            circuit(n, [_controls_phase(_A, w[:-1]), mcp(_A, w), mcrx(_A, w),
+                        mcp(_A, w)]),
+            _euler_angles)
 
 
 # -- definitional rewrites (macro unfoldings, usable in any theory) ----------
 
 def _definition(macro):
-    """Builder for a macro's definition: the gate ``macro(params, n)`` on
-    the left, its one-level unfolding on the right."""
-    def build(ps, n):
-        g = macro(ps, n)
-        return circuit(n, [g]), circuit(n, unfold(g))
+    """Builder for a macro's definition: the gate ``macro(phi, n)`` on the
+    left, its one-level unfolding on the right.  Every unfolded angle is a
+    fixed multiple of the macro's, which the unfolding at angle 1 shows."""
+    def build(n):
+        g = macro(1.0, n)
+        lhs, rhs = circuit(n, [g]), circuit(n, unfold(g))
+        if not g.params:
+            return lhs, rhs, None
+        factors = tuple(u.params[0] for u in rhs.gates if u.params)
+        return lhs, rhs, lambda phi: ((phi,), tuple(f * phi for f in factors))
     return build
 
 
@@ -285,11 +309,11 @@ _RULES = {
     "MCPFOLD5CX":  (0, 3, _lem_mcpfold5cx),
     "ESTAR_N":     (3, _AtLeast(1), _lem_estar_n),
     # macro definitions
-    "RXDEF":   (1, 1, _definition(lambda ps, n: rx(ps[0], 0))),
-    "ZDEF":    (0, 1, _definition(lambda ps, n: z(0))),
-    "XDEF":    (0, 1, _definition(lambda ps, n: x(0))),
-    "MCPDEF":  (1, _AtLeast(1), _definition(lambda ps, n: mcp(ps[0], _all(n)))),
-    "MCRXDEF": (1, _AtLeast(1), _definition(lambda ps, n: mcrx(ps[0], _all(n)))),
+    "RXDEF":   (1, 1, _definition(lambda phi, n: rx(phi, 0))),
+    "ZDEF":    (0, 1, _definition(lambda phi, n: z(0))),
+    "XDEF":    (0, 1, _definition(lambda phi, n: x(0))),
+    "MCPDEF":  (1, _AtLeast(1), _definition(lambda phi, n: mcp(phi, _all(n)))),
+    "MCRXDEF": (1, _AtLeast(1), _definition(lambda phi, n: mcrx(phi, _all(n)))),
 }
 
 _CATALOG = {
@@ -351,10 +375,11 @@ def resolve_rule(theory: str, name: str, params=(), n: int | None = None,
     id ``RuleId(theory, name)``: one of the theory's axioms, a macro
     definition, or a lemma when ``allow_lemmas`` is set.
 
-    Checks the parameters (real numbers, as many as the rule takes) and the
-    wire count (an integer: the rule's fixed one when ``n`` is None, else at
-    least the ``signature``'s ``min_n``).  QCugp cites every rule without
-    global phases.
+    Checks the parameters (finite real numbers, as many as the rule takes)
+    and the wire count (an integer: the rule's fixed one when ``n`` is None,
+    else at least the ``signature``'s ``min_n``).  QCugp cites every rule
+    without global phases.  The sides are the rule's shape at that width,
+    built once, with the angle map's angles for ``params`` substituted.
     """
     if _kind(theory, name) == "lemma" and not allow_lemmas:
         raise UnknownLemma(f"{name} is not an axiom of {theory} "
@@ -362,6 +387,8 @@ def resolve_rule(theory: str, name: str, params=(), n: int | None = None,
     n_params, arity, min_n = signature(name)
     params = tuple(v if type(v) is float else _real(v, f"{name} param")
                    for v in params)
+    if not all(map(math.isfinite, params)):
+        raise InvalidCircuit(f"{name} params must be finite, got {params}")
     if n is not None:
         n = _wire(n, f"{name} wire count")
     if len(params) != n_params:
@@ -370,23 +397,33 @@ def resolve_rule(theory: str, name: str, params=(), n: int | None = None,
         raise BadArity(f"{name} needs a wire count of at least {min_n}")
     if arity is not None and n not in (None, arity):
         raise BadArity(f"{name} is pinned at {arity} wires")
-    build = _instance if n_params or arity is None else _fixed_instance
-    return build(theory, name, params, n if arity is None else arity)
+    shape, angles = _shape(theory, name, n if arity is None else arity)
+    if angles is None:
+        return shape
+    lhs, rhs = angles(*params)
+    return RuleInstance(shape.id, params, shape.n, shape.lhs.with_angles(lhs),
+                        shape.rhs.with_angles(rhs))
 
 
-def _instance(theory: str, name: str, params: tuple[float, ...],
-              n: int) -> RuleInstance:
-    """Build the checked instance; QCugp's sides lose their GPHASE gates."""
-    lhs, rhs = _RULES[name][2](params, n)
+@functools.cache
+def _shape(theory: str, name: str, n: int):
+    """The rule's instance at width ``n``, with placeholder angles, and its
+    angle map; a rule without parameters has no angle map, and this is its
+    one instance.  QCugp's sides lose their GPHASE gates, and its angle map
+    the angles of those."""
+    lhs, rhs, angles = _RULES[name][2](n)
     if theory == "QCugp":
+        if angles is not None:
+            keep = [[g.kind != "GPHASE" for g in c.gates if g.params] for c in (lhs, rhs)]
+            angles = functools.partial(_kept_angles, angles, keep)
         lhs, rhs = (Circuit(c.n_in, c.n_out, tuple(g for g in c.gates if g.kind != "GPHASE"))
                     for c in (lhs, rhs))
-    return RuleInstance(RuleId(theory, name), params, lhs.n_in, lhs, rhs)
+    return RuleInstance(RuleId(theory, name), (), lhs.n_in, lhs, rhs), angles
 
 
-# a rule without parameters and with a fixed width has one instance per
-# theory, and a RuleInstance is immutable, so it is built once
-_fixed_instance = functools.cache(_instance)
+def _kept_angles(angles, keep, *params):
+    """The angles ``angles`` maps ``params`` to, each side's kept ones."""
+    return tuple(map(itertools.compress, angles(*params), keep))
 
 
 def equal_in(theory: str, a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from qc_equate import circuit, euler_e, p, rx
+from qc_equate import (NormalFormParams, circuit, euler_e, eval_matrix, h,
+                       nf_from_unitary, p, rx)
 from qc_equate.cli import main
 
 HH = {"n_in": 1, "n_out": 1,
@@ -240,3 +241,23 @@ def test_replay_frozen_traces(capsys):
         assert main(["replay", str(path), "--allow-lemmas"]) == 0, path.name
         out = json.loads(capsys.readouterr().out)
         assert out["steps"] == len(json.loads(path.read_text())["steps"])
+
+
+def test_huge_angles_get_an_answer_or_exit_2(tmp_path, capsys):
+    # RX(1e308) H RX(-1e308) normalizes in QCprime to the matrix route's
+    # normal form; its (E') sums half-angles, which do not overflow
+    c = circuit(1, [rx(1e308, 0), h(0), rx(-1e308, 0)])
+    path = tmp_path / "huge.json"
+    path.write_text(c.to_json())
+    assert main(["normalize", str(path), "--theory", "QCprime"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    got = NormalFormParams(out["beta0"], out["beta1"], out["beta2"], out["beta3"])
+    assert got.close_to(nf_from_unitary(eval_matrix(c)))
+    # a one-step QC trace citing (E) at 1e308: an instance, then a step error
+    rxprx = circuit(1, [rx(1e308, 0), p(1e308, 0), rx(1e308, 0)])
+    trace = tmp_path / "e.json"
+    trace.write_text(json.dumps({
+        "theory": "QC", "initial": rxprx.to_dict(), "final": rxprx.to_dict(),
+        "steps": [{"rule": "E", "direction": "LR", "params": [1e308] * 3, "n": None,
+                   "site": {"gates": [0, 1, 2], "wire_map": [0], "at": 0}}]}))
+    assert main(["replay", str(trace)]) == 2

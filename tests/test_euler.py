@@ -183,3 +183,20 @@ def test_b_funcs_domain_error():
         b_funcs(PI, 0.3, 0.4)
     with pytest.raises(DomainError):
         b_derivs_alpha2(0.3, 2 * PI, 0.4)
+
+
+def test_euler_angles_at_huge_and_non_finite_inputs():
+    # the half-angle sums a/2 + b/2 stay finite where (a + b)/2 overflows
+    for a1, a2, a3 in ((1e308, 0.3, 1e308), (-1e308, 2.1, -1e308), (1e308, 0.3, -1e308)):
+        nf, _ = euler_e(a1, a2, a3)
+        assert nf.valid() and np.allclose(nf_mat(nf), lhs_e(a1, a2, a3), atol=1e-9)
+    for a1p, a3p in ((1e308, -1e308), (1e308, 1e308), (-1e308, -1e308)):
+        nf, _ = euler_eprime(a1p, a3p)
+        assert nf.valid() and np.allclose(nf_mat(nf), lhs_eprime(a1p, a3p), atol=1e-9)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            euler_e(bad, 0.0, 0.0)
+        with pytest.raises(DomainError):
+            euler_e(0.1, 0.2, bad)
+        with pytest.raises(DomainError):
+            euler_eprime(0.1, bad)

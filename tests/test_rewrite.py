@@ -21,6 +21,7 @@ from qc_equate.theories import DEFINITIONAL, _CATALOG
 from qc_equate.traces import all_traces, derive_equal
 
 rewrite = importlib.import_module("qc_equate.rewrite")
+circuit_module = importlib.import_module("qc_equate.circuit")
 
 PI = math.pi
 
@@ -517,20 +518,25 @@ def test_id_level_steps_equal_circuit_steps(monkeypatch):
 @pytest.mark.parametrize("theory", ["QC", "QCprime"])
 def test_normalizer_takes_the_fast_paths(theory, monkeypatch):
     """No normalizer step falls back to the canonical-order comparison, and
-    a run builds one ``Circuit`` from its working gates, for the trace."""
+    a run builds one ``Circuit`` from its working gates, for the trace, and
+    threads only that one: every rule instance it cites is substituted into
+    a shape built before."""
     cases = _normalized(theory)
 
     def no_fallback(*args):
         raise AssertionError("canonical-order fallback")
 
-    built = []
-    make = rewrite.Circuit
+    built, threaded = [], []
+    make, thread = rewrite.Circuit, circuit_module.thread
     monkeypatch.setattr(rewrite, "_canonical_gates", no_fallback)
     monkeypatch.setattr(rewrite, "Circuit", lambda *a: built.append(a) or make(*a))
+    monkeypatch.setattr(circuit_module, "thread", lambda c: threaded.append(c) or thread(c))
     for c, params, deriv in cases:
         built.clear()
+        threaded.clear()
         again, d = normalize_1q(c, emit_trace=True, theory=theory)
         assert len(built) == 1 and again == params and d.steps == deriv.steps
+        assert threaded == [d.final]
 
 
 @pytest.mark.xfail(raises=NoMatch, strict=True,

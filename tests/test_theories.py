@@ -1,17 +1,18 @@
 """Rule catalogs, instantiation, and the master soundness suite."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 import qc_equate
-from qc_equate import (THEORIES, RuleId, RuleInstance, check_soundness, circuit,
-                       cnot, eval_matrix, gphase, lemma_names, list_rules,
+from qc_equate import (THEORIES, Circuit, RuleId, RuleInstance, check_soundness,
+                       circuit, cnot, eval_matrix, gphase, list_rules,
                        minimality_report, resolve_rule, swap, verify_theory)
 from qc_equate.errors import (BadArity, BadParams, InvalidCircuit, QcError,
                               UnknownLemma, UnknownTheory)
-from qc_equate.theories import _RULES, signature
+from qc_equate.theories import _RULES, instances, signature
 
 PI = math.pi
 
@@ -135,17 +136,27 @@ def test_qcugp_circuits_are_phase_free():
 
 
 def test_lemma_catalog_all_sound():
-    # in every theory, QCugp's phase-stripped sides up to a global phase
+    # every rule each theory may cite, lemmas and definitions included, at
+    # widths up to 5 for n-ary rules: an instance is its rule's shape with
+    # the angles substituted, so the same gates and threading as the
+    # circuit the constructor builds from them, and it is sound (QCugp's
+    # phase-stripped sides up to a global phase)
     rng = np.random.default_rng(6)
     for theory in THEORIES:
-        for name in lemma_names():
+        for name in _RULES:
+            try:
+                RuleId(theory, name).kind
+            except UnknownLemma:
+                continue
             n_params, arity, min_n = signature(name)
-            for _ in range(4):
-                params = tuple(rng.uniform(-6, 6, n_params))
-                # n-ary rules from their least width on
-                ns = (arity,) if arity is not None else range(min_n, 4)
-                for n in ns:
+            for n in (arity,) if arity is not None else range(min_n, 6):
+                for _ in range(4 if n_params else 1):
+                    params = tuple(rng.uniform(-4 * PI, 4 * PI, n_params))
                     inst = resolve_rule(theory, name, params, n, True)
+                    for side in (inst.lhs, inst.rhs):
+                        again = Circuit(side.n_in, side.n_out, side.gates)
+                        assert side.gates == again.gates
+                        assert side.threading == again.threading, (name, n)
                     assert check_soundness(inst, 1e-9), (theory, name, params, n)
 
 
@@ -191,6 +202,34 @@ def test_public_names_resolve_once():
 def test_no_two_rules_share_a_builder():
     builders = [build for _, _, build in _RULES.values()]
     assert len(set(builders)) == len(builders)
+
+
+def test_drawing_instances_threads_nothing_once_the_shape_exists(monkeypatch):
+    circuit_module = importlib.import_module("qc_equate.circuit")
+    threaded = []
+    thread = circuit_module.thread
+    rng = np.random.default_rng(13)
+    for theory in THEORIES:
+        for rid in list_rules(theory):
+            if signature(rid.name).n_params:
+                next(instances(theory, rid.name, 1, 4, rng))
+                monkeypatch.setattr(circuit_module, "thread",
+                                    lambda c: threaded.append(c) or thread(c))
+                drawn = list(instances(theory, rid.name, 50, 4, rng))
+                monkeypatch.setattr(circuit_module, "thread", thread)
+                assert len(drawn) == 50 and threaded == [], (theory, rid.name)
+
+
+def test_non_finite_or_overflowing_params_raise():
+    for params in ((0.1, 0.2, math.inf), (math.nan, 0.2, 0.3), (0.1, -math.inf, 0.3)):
+        with pytest.raises(InvalidCircuit):
+            resolve_rule("QC", "E", params)
+    # finite params whose sum overflows: the gate constructor's angle check
+    with pytest.raises(InvalidCircuit):
+        resolve_rule("QC", "SPLUS", (1e308, 1e308))
+    # half-angle sums do not overflow where the full sums would
+    inst = resolve_rule("QC", "E", (1e308, 1e308, 1e308))
+    assert all(map(math.isfinite, (a for g in inst.rhs.gates for a in g.params)))
 
 
 def test_lemma_examples():
