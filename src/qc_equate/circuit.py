@@ -6,7 +6,8 @@ ordered list of open wires; ``INIT`` inserts a wire at its stated position,
 ``DEST`` removes one.  Circuits are identified up to deformation (sliding
 gates with disjoint wire support past each other), which is decided by a
 canonical topological ordering of the wire-threading DAG.  A ``Circuit``
-keeps the threading its constructor validated, so nothing threads it again.
+keeps the threading its constructor validated, so nothing threads it again,
+and its canonical order once computed, so nothing orders it again.
 INIT/DEST keep their mutual order under every deformation and rewrite, so
 each INIT's own position is the one record of wire order.
 
@@ -19,6 +20,7 @@ Contents:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
@@ -252,10 +254,17 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
+    @functools.cached_property
+    def canonical_order(self) -> tuple[int, ...]:
+        """The gate indices in canonical order (``canonicalize``), computed
+        on first read and kept, as the threading is."""
+        return _canonical_order(_id_gates(self))
+
     def with_angles(self, angles) -> "Circuit":
         """This circuit with new ``angles``, one per gate that carries one,
         in gate order.  Kinds and wires stay, so the threading is kept;
-        each gate with an angle is built anew, which checks the angle."""
+        each gate with an angle is built anew, which checks the angle.  The
+        canonical order, which angles may change, is computed anew."""
         gates = list(self.gates)
         at = [i for i, g in enumerate(gates) if g.params]
         angles = tuple(angles)
@@ -510,7 +519,7 @@ def canonicalize(c: Circuit) -> CanonicalForm:
     Ready gates are emitted by (dependency depth, smallest touched wire id,
     kind, parameters).
     """
-    gates = _canonical_gates(c.n_in, _id_gates(c))
+    gates = _canonical_gates(c.n_in, _id_gates(c), c.canonical_order)
     return CanonicalForm(Circuit(c.n_in, c.n_out, tuple(gates)))
 
 
@@ -519,12 +528,13 @@ def _id_gates(c: Circuit) -> list[_IdGate]:
     return list(zip(c.gates, c.threading.gate_ids))
 
 
-def _canonical_gates(n_in: int, gates: list[_IdGate]) -> list[Gate]:
-    """The id-level ``gates`` on ``n_in`` inputs in canonical order, placed."""
-    return _place(list(range(n_in)), [gates[i] for i in _canonical_order(gates)])
+def _canonical_gates(n_in: int, gates: list[_IdGate], order) -> list[Gate]:
+    """The id-level ``gates`` on ``n_in`` inputs in their canonical
+    ``order``, placed."""
+    return _place(list(range(n_in)), [gates[i] for i in order])
 
 
-def _canonical_order(gates: list[_IdGate]) -> list[int]:
+def _canonical_order(gates: list[_IdGate]) -> tuple[int, ...]:
     """The indices of the id-level ``gates`` in canonical order.
 
     Deformation-equal circuits put the same gate at the same rank.
@@ -559,7 +569,7 @@ def _canonical_order(gates: list[_IdGate]) -> list[int]:
                 heapq.heappush(ready, _prio(*gates[j], depth[j], j))
     if len(order) != n:
         raise InvalidCircuit("cycle in threading DAG")  # unreachable by construction
-    return order
+    return tuple(order)
 
 
 def _prio(g: Gate, ids: tuple[int, ...], depth: int, idx: int):
@@ -577,5 +587,5 @@ def deformation_equal(c1: Circuit, c2: Circuit) -> bool:
         raise ArityMismatch("deformation_equal needs equal arities")
     if c1.gates == c2.gates:
         return True
-    return _same_gates(_canonical_gates(c1.n_in, _id_gates(c1)),
-                       _canonical_gates(c2.n_in, _id_gates(c2)))
+    return _same_gates(_canonical_gates(c1.n_in, _id_gates(c1), c1.canonical_order),
+                       _canonical_gates(c2.n_in, _id_gates(c2), c2.canonical_order))

@@ -10,9 +10,13 @@ side in the circuit's wire DAG.  The block is compared with the source side in
 the order it was selected first, 0-wire gates first as rule sides list
 them, and in canonical order only when that fails; angles are compared
 modulo the gate's period.  A safety net re-checks the semantics of every
-accepted step numerically, with the theory's own equality.  The engine
-works on id-level gates (``_apply``): a derivation keeps one working
-circuit across its steps and builds a ``Circuit`` only when one is read.
+accepted step numerically, with the theory's own equality; a replay
+evaluates each circuit it passes once and compares it with the matrix of
+the one before.  The engine works on id-level gates (``_apply``): a
+derivation keeps one working circuit across its steps and builds a
+``Circuit`` only when one is read.  A ``Circuit`` keeps its canonical
+order once computed, so deformation checks and carried sites that meet
+the same circuit again do not order it again.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from .circuit import (ANGLE_EPS, TWO_PI, Circuit, _IdGate, _STRUCT,
                       _canonical_gates, _canonical_order, _deps, _frames,
                       _id_gates, _place, _real, _same_gates, _wire, angles_equal,
                       deformation_equal, reduce_angle)
-from .errors import (BadArity, IllegalSite, InvalidCircuit, NoMatch, QcError,
-                     SemanticDrift, UnknownTheory, UnsupportedGate)
+from .errors import (BadArity, DomainError, IllegalSite, InvalidCircuit, NoMatch,
+                     QcError, SemanticDrift, UnknownTheory, UnsupportedGate)
 from .euler import NormalFormParams, _pack
 from .semantics import eval_matrix, wire_cap
 from .theories import equal_in, resolve_rule
@@ -138,7 +142,7 @@ def apply_step_full(c: Circuit, step: Step, theory: str = "QC",
                                 *_sides(step, theory, allow_lemmas), step.site)
     out = Circuit(c.n_in, c.n_out, tuple(_place(list(range(c.n_in)), gates)))
     if safety:
-        _safety_check(c, out, theory, tol)
+        _safety_check(c, out, theory, tol, wire_cap())
     return ApplyResult(out, rev_site)
 
 
@@ -237,8 +241,8 @@ def _match_source(src: Circuit, block: list[_IdGate], wire_ids: list[int],
     relabelled.sort(key=lambda gi: bool(gi[1]))   # stable: 0-wire gates first
     if _same_gates(_place(list(range(src.n_in)), relabelled), src.gates):
         return inits
-    if not _same_gates(_canonical_gates(src.n_in, relabelled),
-                       _canonical_gates(src.n_in, _id_gates(src))):
+    if not _same_gates(_canonical_gates(src.n_in, relabelled, _canonical_order(relabelled)),
+                       _canonical_gates(src.n_in, _id_gates(src), src.canonical_order)):
         raise NoMatch("selected block is not deformation-equal to the rule side")
     return inits
 
@@ -279,12 +283,19 @@ def _build_replacement(src: Circuit, dst: Circuit, wire_ids: list[int],
     return repl, next_id
 
 
-def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float):
-    width = max(before.n_in, before.n_out, after.n_in, after.n_out)
-    if width > wire_cap():
-        return
-    if not equal_in(theory, eval_matrix(before), eval_matrix(after), tol):
+def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float,
+                  cap: int, m_before=None):
+    """Check that ``after`` is equal in ``theory`` to ``before``, whose
+    matrix is ``m_before`` when already evaluated, and return ``after``'s
+    matrix; None, with no check, when either is wider than ``cap``."""
+    if max(before.n_in, before.n_out, after.n_in, after.n_out) > cap:
+        return None
+    if m_before is None:
+        m_before = eval_matrix(before)
+    m_after = eval_matrix(after)
+    if not equal_in(theory, m_before, m_after, tol):
         raise SemanticDrift("rewrite changed the semantics (engine bug)")
+    return m_after
 
 
 # -- recording and replay -----------------------------------------------------
@@ -327,13 +338,23 @@ class _Recorder:
 
 def replay(d: Derivation, allow_lemmas: bool = False, safety: bool = True,
            tol: float = 1e-9) -> Circuit:
-    """Fold the steps over the initial circuit; verify the declared final."""
-    c = d.initial
+    """Fold the steps over the initial circuit; verify the declared final.
+
+    With ``safety``, each step is checked as ``apply_step`` checks it, but
+    every circuit is evaluated once: a step's circuit is compared with the
+    matrix the step before evaluated.  A step wider than the wire cap is
+    not checked, and the next check evaluates its circuit afresh.
+    """
+    cap = wire_cap() if safety else 0
+    c, m = d.initial, None   # m: c's matrix, when the last step checked it
     for i, step in enumerate(d.steps):
         try:
-            c = apply_step(c, step, d.theory, allow_lemmas, safety, tol)
+            after = apply_step(c, step, d.theory, allow_lemmas, False, tol)
+            if safety:
+                m = _safety_check(c, after, d.theory, tol, cap, m)
         except QcError as exc:
             raise type(exc)(f"step {i} ({step.rule} {step.direction}): {exc}") from exc
+        c = after
     if not deformation_equal(c, d.final):
         raise NoMatch("replayed circuit is not deformation-equal to the declared final")
     return c
@@ -391,8 +412,8 @@ def _carry_site(site: Site, rec: Circuit, cur: Circuit, chain: bool) -> Site:
     gates = _id_gates(cur)
     rec_frame = _frames(range(rec.n_in), rec_gates[:site.at])[-1]
     wire_ids = [rec_frame[pos] for pos in site.wire_map]
-    rank = {i: r for r, i in enumerate(_canonical_order(rec_gates))}
-    cur_order = _canonical_order(gates)
+    rank = {i: r for r, i in enumerate(rec.canonical_order)}
+    cur_order = cur.canonical_order
     if site.gates:
         sel = tuple(sorted(cur_order[rank[i]] for i in site.gates))
         at = sel[0]
@@ -515,6 +536,15 @@ def _matches(gates: list[_IdGate], n_in: int, n_ids: int, src: Circuit, dst: Cir
 
 # -- 1-qubit normalization ----------------------------------------------------
 
+#: the largest angle magnitude ``normalize_1q`` accepts.  Its (S+) and (P+)
+#: steps sum angles, and a sum with a much larger angle absorbs the smaller
+#: one.  In seeded sweeps of random 1-qubit circuits with one angle scaled,
+#: checked against the matrix route at 1e-8, none of 8000 with that angle
+#: up to 1e6 got a wrong normal form, 1 of 2000 with it in [5e6, 1e7] did,
+#: and 153 (QC) and 247 (QCprime) of 2000 up to 1e8.
+NF_MAX_ANGLE = 1e6
+
+
 def normalize_1q(c: Circuit, emit_trace: bool = False, theory: str = "QC"):
     """Bring a 1-qubit circuit to the normal form GPHASE.P.RX.P.
 
@@ -524,7 +554,8 @@ def normalize_1q(c: Circuit, emit_trace: bool = False, theory: str = "QC"):
     QCprime with (E').  Every step goes through the rewrite engine, and
     each follow-up site is derived from where the previous replacement
     landed: with the one global phase kept last, a wire gate is addressed
-    by its gate index, never found again by its angle.
+    by its gate index, never found again by its angle.  An input angle of
+    magnitude above ``NF_MAX_ANGLE`` raises DomainError.
     """
     if theory not in ("QC", "QCprime"):
         raise UnknownTheory(f"normalize_1q runs in QC or QCprime, not {theory!r}")
@@ -534,6 +565,10 @@ def normalize_1q(c: Circuit, emit_trace: bool = False, theory: str = "QC"):
         raise BadArity("normalize_1q does not accept INIT/DEST")
     if any(g.kind == "CTRL" for g in c.gates):
         raise UnsupportedGate("normalize_1q has no rule that unfolds CTRL")
+    big = [a for g in c.gates for a in g.params if abs(a) > NF_MAX_ANGLE]
+    if big:
+        raise DomainError(f"normalize_1q takes angles within +-{NF_MAX_ANGLE:g}, "
+                          f"got {big[0]!r}")
     nz = _Normalizer(theory, c)
     params = nz.run()
     return params, nz.derivation("normalize_1q") if emit_trace else None

@@ -146,6 +146,16 @@ def test_canonicalize_examples():
                              circuit(3, [p(0.1, 2), h(0)]))
 
 
+def test_canonical_order_is_kept_and_never_inherited():
+    # two global phases are ordered by angle, so new angles reorder them
+    c = circuit(1, [gphase(0.2), h(0), gphase(0.1)])
+    assert c.canonical_order == (1, 2, 0)
+    assert c.canonical_order is c.canonical_order
+    d = c.with_angles((0.1, 0.2))
+    assert d.canonical_order == (1, 0, 2)
+    assert canonicalize(d).circuit.gates == (h(0), gphase(0.1), gphase(0.2))
+
+
 def test_deformation_equal_checks_arity_before_gates():
     # equal gate lists do not make circuits of different arities equal
     for a, b in ((circuit(1, [h(0)]), circuit(2, [h(0)])),

@@ -6,8 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qc_equate import (NormalFormParams, circuit, euler_e, eval_matrix, h,
-                       nf_from_unitary, p, rx)
+from qc_equate import circuit, euler_e, h, p, rx
 from qc_equate.cli import main
 
 HH = {"n_in": 1, "n_out": 1,
@@ -229,9 +228,12 @@ def test_replay_qcugp_step_and_off_final(tmp_path):
     assert replay_e(rxprx) == 2
 
 
-def test_bad_wire_cap_exits_2(files, monkeypatch):
+def test_bad_wire_cap_exits_2(files, monkeypatch, capsys):
     monkeypatch.setenv("QCEQ_WIRE_CAP", "abc")
     assert main(["eval", files["hh"]]) == 2
+    trace = Path(__file__).resolve().parent.parent / "traces" / "qc_cnot2.json"
+    assert main(["replay", str(trace)]) == 2
+    assert "QCEQ_WIRE_CAP" in capsys.readouterr().err
 
 
 def test_replay_frozen_traces(capsys):
@@ -244,15 +246,15 @@ def test_replay_frozen_traces(capsys):
 
 
 def test_huge_angles_get_an_answer_or_exit_2(tmp_path, capsys):
-    # RX(1e308) H RX(-1e308) normalizes in QCprime to the matrix route's
-    # normal form; its (E') sums half-angles, which do not overflow
+    # RX(1e308) H RX(-1e308) is beyond normalize_1q's angle bound in both
+    # theories: QC's (S+)/(P+) sums absorbed the small angle and answered
+    # a wrong normal form, so both now exit 2 and say why
     c = circuit(1, [rx(1e308, 0), h(0), rx(-1e308, 0)])
     path = tmp_path / "huge.json"
     path.write_text(c.to_json())
-    assert main(["normalize", str(path), "--theory", "QCprime"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    got = NormalFormParams(out["beta0"], out["beta1"], out["beta2"], out["beta3"])
-    assert got.close_to(nf_from_unitary(eval_matrix(c)))
+    for theory in ("QC", "QCprime"):
+        assert main(["normalize", str(path), "--theory", theory]) == 2
+        assert "within" in capsys.readouterr().err
     # a one-step QC trace citing (E) at 1e308: an instance, then a step error
     rxprx = circuit(1, [rx(1e308, 0), p(1e308, 0), rx(1e308, 0)])
     trace = tmp_path / "e.json"

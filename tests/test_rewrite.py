@@ -12,11 +12,12 @@ from qc_equate import (Circuit, Derivation, Site, Step, apply_step, circuit,
                        eval_matrix, find_sites, gphase, h, init, nf_from_unitary,
                        normalize_1q, p, replay, reverse_derivation, rx, swap,
                        x, z)
-from qc_equate.errors import (ArityMismatch, BadArity, IllegalSite,
-                              InvalidCircuit, NoMatch, UnknownTheory,
-                              UnsupportedGate)
+from qc_equate.errors import (ArityMismatch, BadArity, DomainError,
+                              IllegalSite, InvalidCircuit, NoMatch,
+                              UnknownTheory, UnsupportedGate)
 from qc_equate.euler import GENERIC, Z_ZERO, ZPRIME_ZERO, euler_e, euler_eprime
-from qc_equate.rewrite import apply_step_full, concat_derivations, resolve_rule
+from qc_equate.rewrite import (NF_MAX_ANGLE, apply_step_full, concat_derivations,
+                               resolve_rule)
 from qc_equate.theories import DEFINITIONAL, _CATALOG
 from qc_equate.traces import all_traces, derive_equal
 
@@ -565,6 +566,41 @@ def test_normalize_rejects_other_theories():
     for theory in ("QCugp", "QCancilla", "QCnone"):
         with pytest.raises(UnknownTheory):
             normalize_1q(c, emit_trace=True, theory=theory)
+
+
+@pytest.mark.parametrize("theory", ["QC", "QCprime"])
+def test_normalize_rejects_angles_beyond_the_bound(theory):
+    # RX(1e308) H RX(-1e308): (S+)/(P+) sums absorbed the small angle, so
+    # QC answered beta0 0.2812 where the matrix route gives pi
+    for c in (circuit(1, [rx(1e308, 0), h(0), rx(-1e308, 0)]),
+              circuit(1, [h(0), p(0.3, 0), gphase(-1.5 * NF_MAX_ANGLE)]),
+              circuit(1, [rx(0.2, 0), x(0), rx(np.nextafter(NF_MAX_ANGLE, np.inf), 0)])):
+        with pytest.raises(DomainError, match="within"):
+            normalize_1q(c, theory=theory)
+    big = circuit(1, [p(1e10, 0), h(0)])
+    with pytest.raises(DomainError):
+        derive_equal(big, circuit(1, [p(1e10 + 0.1, 0), h(0)]), theory, "big")
+    with pytest.raises(DomainError):
+        decide_equiv_1q(big, big)
+
+
+@pytest.mark.parametrize("theory", ["QC", "QCprime"])
+def test_normalize_is_right_up_to_the_bound(theory):
+    # a seeded sample of circuits with one angle of magnitude in
+    # [bound/2, bound], the bound itself included, against the matrix route
+    rng = np.random.default_rng(1019)
+    for i in range(60):
+        c = rand_1q(rng, int(rng.integers(1, 12)))
+        angled = [j for j, g in enumerate(c.gates) if g.params]
+        if not angled:
+            continue
+        mag = NF_MAX_ANGLE if i == 0 else rng.uniform(0.5, 1.0) * NF_MAX_ANGLE
+        j = angled[int(rng.integers(len(angled)))]
+        angles = [g.params[0] for g in c.gates if g.params]
+        angles[angled.index(j)] = float(rng.choice([-1.0, 1.0]) * mag)
+        c = c.with_angles(angles)
+        got, _ = normalize_1q(c, theory=theory)
+        assert got.close_to(nf_from_unitary(eval_matrix(c)), 1e-8), c
 
 
 def test_decide_equiv_examples():

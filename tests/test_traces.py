@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from qc_equate import (Derivation, RuleId, apply_step, circuit,
                        deformation_equal, eval_matrix, find_sites, gphase, mcp,
                        p, replay, resolve_rule, reverse_derivation)
 from qc_equate import rewrite, traces as tr
-from qc_equate.errors import NoMatch, QcError
+from qc_equate.errors import NoMatch, QcError, SemanticDrift
 
 PI = math.pi
 TRACE_DIR = Path(__file__).resolve().parent.parent / "traces"
@@ -123,6 +124,113 @@ def test_reverse_carries_sites_without_a_scan(monkeypatch):
               tr.derive_rule("QCprime", "PMINUS", (1.3,))):
         out = replay(reverse_derivation(d), allow_lemmas=True, safety=True)
         assert deformation_equal(out, d.initial)
+
+
+def _frozen() -> list[Derivation]:
+    return [Derivation.from_dict(json.loads(path.read_text()))
+            for path in sorted(TRACE_DIR.glob("*.json"))]
+
+
+def _count_evals(monkeypatch) -> list:
+    """Record each circuit the safety net evaluates, in call order."""
+    seen, real = [], rewrite.eval_matrix
+
+    def counted(c):
+        seen.append(c)
+        return real(c)
+
+    monkeypatch.setattr(rewrite, "eval_matrix", counted)
+    return seen
+
+
+def test_replay_evaluates_each_circuit_once(monkeypatch):
+    seen = _count_evals(monkeypatch)
+    for d in _frozen():
+        seen.clear()
+        replay(d, allow_lemmas=True, safety=True)
+        assert len(seen) == len(d.steps) + 1, d.name
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_safety_net_fires_at_the_corrupted_step(k, monkeypatch):
+    # every step of this trace splices in a P of nonzero angle; dropping
+    # it at step k changes the semantics there and nowhere before
+    d = Derivation.from_dict(json.loads((TRACE_DIR / "qc_ctrlpminuspi.json").read_text()))
+    assert k < len(d.steps) == 4
+    calls, real = [], rewrite._build_replacement
+
+    def corrupted(*args):
+        repl, next_id = real(*args)
+        calls.append(None)
+        if len(calls) == k + 1:
+            drop = next(i for i, (g, _) in enumerate(repl) if g.kind == "P")
+            repl = repl[:drop] + repl[drop + 1:]
+        return repl, next_id
+
+    monkeypatch.setattr(rewrite, "_build_replacement", corrupted)
+    with pytest.raises(SemanticDrift, match=fr"^step {k} \("):
+        replay(d, allow_lemmas=True, safety=True)
+
+
+def test_wire_cap_skips_the_same_steps_as_apply_step(monkeypatch):
+    # at a cap of 2 the 3-wire qcancilla_i3 is never checked, while
+    # qcancilla_p0 and qcancilla_splus never open more than 2 wires
+    monkeypatch.setenv("QCEQ_WIRE_CAP", "2")
+    seen = _count_evals(monkeypatch)
+    at, real_apply = [], rewrite.apply_step
+
+    def counted_apply(*args, **kwargs):
+        at.append(len(seen))   # evaluations made before this step
+        return real_apply(*args, **kwargs)
+
+    monkeypatch.setattr(rewrite, "apply_step", counted_apply)
+    checked = {}
+    for d in _frozen():
+        if not d.name.startswith("qcancilla"):
+            continue
+        seen.clear()
+        c, by_step = d.initial, set()
+        for i, step in enumerate(d.steps):
+            before = len(seen)
+            c = apply_step(c, step, d.theory, allow_lemmas=True, safety=True)
+            if len(seen) > before:
+                by_step.add(i)
+        at.clear()
+        seen.clear()
+        replay(d, allow_lemmas=True, safety=True)
+        bounds = at + [len(seen)]
+        by_replay = {i for i in range(len(d.steps)) if bounds[i + 1] > bounds[i]}
+        assert by_replay == by_step, d.name
+        checked[d.name] = len(by_step)
+    assert checked == {"qcancilla_i3": 0, "qcancilla_p0": 9, "qcancilla_splus": 21}
+
+
+def test_reversal_orders_each_circuit_once(monkeypatch):
+    # each canonical order is traced to the Circuit whose id-level gates it
+    # was computed from; an id-level block that is not a Circuit maps to None
+    module = sys.modules["qc_equate.circuit"]
+    real_ids, real_order = module._id_gates, module._canonical_order
+    of, ordered = {}, []
+
+    def id_gates(c):
+        out = real_ids(c)
+        of[id(out)] = (out, c)
+        return out
+
+    def order(gates):
+        ordered.append(of.get(id(gates), (None, None))[1])
+        return real_order(gates)
+
+    for mod in (module, rewrite):
+        monkeypatch.setattr(mod, "_id_gates", id_gates)
+        monkeypatch.setattr(mod, "_canonical_order", order)
+    for d in _frozen():
+        try:
+            reverse_derivation(d)
+        except NoMatch:
+            assert d.name == "qcancilla_p0"
+    circuits = [c for c in ordered if c is not None]
+    assert circuits and len({id(c) for c in circuits}) == len(circuits)
 
 
 def test_builder_must_end_on_the_target_side():
