@@ -11,10 +11,17 @@ and its canonical order once computed, so nothing orders it again.
 INIT/DEST keep their mutual order under every deformation and rewrite, so
 each INIT's own position is the one record of wire order.
 
+``unfold`` is the one definition of each macro.  ``expand_gate`` unfolds a
+gate's shape (kind, wires, CTRL pattern and base kind) once, keeps a
+bounded number of such expansions, and substitutes each gate's angle into
+its shape's: every angle of an unfolding is a constant or the macro's angle
+times +-2^-k, so the substituted gates equal the unfolding's exactly.
+
 Contents:
     - Gate / Circuit / CanonicalForm data types and JSON (de)serialization
     - compose_seq / compose_par  (sequential and parallel composition)
-    - unfold / expand_macros     (X, Z, RX, MCP, MCRX, CTRL -> primitives)
+    - unfold / expand_gate / expand_macros  (X, Z, RX, MCP, MCRX, CTRL ->
+      primitives)
     - canonicalize / deformation_equal
 """
 
@@ -26,6 +33,7 @@ import json
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -107,7 +115,7 @@ def _real(v, what: str = "angle") -> float:
     return float(v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate occurrence: a kind tag, wire positions and real parameters.
 
@@ -116,6 +124,11 @@ class Gate:
     additionally carries a control bit ``pattern`` (one bit per control
     wire, ``wires[:-1]``) and a 1-qubit ``base`` gate applied on the last
     wire.
+
+    The constructor is the one place a gate is checked and normalised:
+    wires become a tuple of ints and params a tuple of finite floats
+    (``_wire``, ``_real``), and a SWAP's two wires are sorted.  A field is
+    rewritten only when that changes it.
     """
 
     kind: str
@@ -125,31 +138,50 @@ class Gate:
     base: "Gate | None" = None
 
     def __post_init__(self):
-        if self.kind not in _KIND_SIG:
-            raise InvalidCircuit(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "wires", tuple(
-            w if type(w) is int else _wire(w) for w in self.wires))
-        object.__setattr__(self, "params", tuple(
-            p if type(p) is float else _real(p) for p in self.params))
-        for p in self.params:
-            if not math.isfinite(p):
-                raise InvalidCircuit(f"non-finite angle in {self.kind}")
-        nw, np_ = _KIND_SIG[self.kind]
-        if nw is not None and len(self.wires) != nw:
-            raise InvalidCircuit(f"{self.kind} takes {nw} wire entries, got {len(self.wires)}")
-        if len(self.params) != np_:
-            raise InvalidCircuit(f"{self.kind} takes {np_} params, got {len(self.params)}")
-        if self.kind == "SWAP":
-            object.__setattr__(self, "wires", tuple(sorted(self.wires)))
-        if self.kind in ("MCP", "MCRX") and len(self.wires) < 1:
-            raise InvalidCircuit(f"{self.kind} needs at least one wire")
-        if self.kind == "CTRL":
-            if self.base is None or self.base.kind not in ("P", "X", "Z", "RX"):
-                raise InvalidCircuit("CTRL base must be a P, X, Z or RX gate")
-            if len(self.pattern) != len(self.wires) - 1 or set(self.pattern) - {"0", "1"}:
-                raise InvalidCircuit("CTRL pattern must be a 0/1 string, one bit per control")
-        if self.kind != "INIT" and len(set(self.wires)) != len(self.wires):
-            raise InvalidCircuit(f"{self.kind} wires must be pairwise distinct")
+        kind, wires, params = self.kind, self.wires, self.params
+        sig = _KIND_SIG.get(kind)
+        if sig is None:
+            raise InvalidCircuit(f"unknown gate kind {kind!r}")
+        if type(wires) is not tuple:
+            wires = tuple(wires)
+            object.__setattr__(self, "wires", wires)
+        for w in wires:
+            if type(w) is not int:
+                wires = tuple([w if type(w) is int else _wire(w) for w in wires])
+                object.__setattr__(self, "wires", wires)
+                break
+        if type(params) is not tuple:
+            params = tuple(params)
+            object.__setattr__(self, "params", params)
+        for v in params:
+            if type(v) is not float:
+                params = tuple([v if type(v) is float else _real(v) for v in params])
+                object.__setattr__(self, "params", params)
+                break
+        for v in params:
+            if not math.isfinite(v):
+                raise InvalidCircuit(f"non-finite angle in {kind}")
+        nw, np_ = sig
+        if nw is not None and len(wires) != nw:
+            raise InvalidCircuit(f"{kind} takes {nw} wire entries, got {len(wires)}")
+        if len(params) != np_:
+            raise InvalidCircuit(f"{kind} takes {np_} params, got {len(params)}")
+        if kind == "SWAP" and wires[0] > wires[1]:
+            wires = (wires[1], wires[0])
+            object.__setattr__(self, "wires", wires)
+        if nw is None:   # MCP, MCRX, CTRL
+            if kind != "CTRL":
+                if not wires:
+                    raise InvalidCircuit(f"{kind} needs at least one wire")
+            else:
+                base, pattern = self.base, self.pattern
+                if base is None or base.kind not in ("P", "X", "Z", "RX"):
+                    raise InvalidCircuit("CTRL base must be a P, X, Z or RX gate")
+                if len(pattern) != len(wires) - 1 or set(pattern) - {"0", "1"}:
+                    raise InvalidCircuit("CTRL pattern must be a 0/1 string, one bit per control")
+        # INIT has one entry, a position, so it never gets here
+        if len(wires) > 1 and len(set(wires)) != len(wires):
+            raise InvalidCircuit(f"{kind} wires must be pairwise distinct")
 
     def with_wires(self, wires: tuple[int, ...]) -> "Gate":
         """This gate on other positions (the gate itself if they are its own)."""
@@ -394,6 +426,19 @@ def _frames(alive, gates) -> list[list[int]]:
     return out
 
 
+def _widest(c: Circuit) -> int:
+    """The most wires open at once in ``c``, its INITs counted: the width
+    ``eval_matrix`` must allow."""
+    width = top = c.n_in
+    for g in c.gates:
+        if g.kind == "INIT":
+            width += 1
+            top = max(top, width)
+        elif g.kind == "DEST":
+            width -= 1
+    return top
+
+
 def _place(alive: list[int], gates) -> list[Gate]:
     """The id-level ``gates`` on the positions their ids hold in the running
     open-wire list ``alive``, which is updated in place.  Each INIT keeps
@@ -446,10 +491,73 @@ def expand_macros(c: Circuit) -> Circuit:
 
 
 def expand_gate(g: Gate) -> list[Gate]:
-    """Primitive gate list for one (possibly macro) gate occurrence."""
+    """Primitive gate list for one (possibly macro) gate occurrence: the
+    gates of ``unfold``, unfolded again until none is a macro.
+
+    The gates come from the expansion of ``g``'s shape (``_expansion``),
+    built once: a gate without a scaled angle is the shape's own, and each
+    other one is built anew with its factor times ``g``'s angle, which is
+    the exact value the unfolding computes by halving and negating it."""
     if g.kind in PRIMITIVE_KINDS:
         return [g]
-    return [gg for sub in unfold(g) for gg in expand_gate(sub)]
+    gates, scales, least = _expansion(*_shape_of(g))
+    params = g.base.params if g.kind == "CTRL" else g.params
+    if not params:
+        return list(gates)
+    theta = params[0]
+    if theta and abs(theta) * least < sys.float_info.min:
+        # halving into subnormals rounds at each step of the unfolding,
+        # which one product need not match: take the unfolding itself
+        return _unfold_all(g)
+    return [u if f is None else Gate(u.kind, u.wires, (f * theta,))
+            for u, f in zip(gates, scales)]
+
+
+def _shape_gates(g: Gate) -> tuple[Gate, ...]:
+    """``expand_gate(g)``'s gates with the right kinds and wires, but not
+    its angles: the expansion of ``g``'s shape, at macro angle 1."""
+    if g.kind in PRIMITIVE_KINDS:
+        return (g,)
+    return _expansion(*_shape_of(g))[0]
+
+
+def _shape_of(g: Gate) -> tuple:
+    """What ``unfold`` reads of a macro gate other than its angle: kind,
+    wires, and for CTRL the control pattern (as a str, which the checked
+    0/1 bits always join to) and the base kind."""
+    if g.kind == "CTRL":
+        return g.kind, g.wires, "".join(g.pattern), g.base.kind
+    return g.kind, g.wires, "", None
+
+
+# bounded: an MCP on n wires expands to 2 * 3^(n-1) - 1 gates
+@functools.lru_cache(maxsize=256)
+def _expansion(kind: str, wires: tuple[int, ...], pattern: str, base_kind: str | None):
+    """The expansion of a macro shape: its primitive gates at macro angle 1,
+    per gate the factor its angle is of the macro's (None for a gate whose
+    angle does not depend on it, or that has none), and the least factor's
+    magnitude (1 when there is none).
+
+    Every angle ``unfold`` computes is a constant or the macro's angle
+    halved and negated some number of times, so a factor is +-2^-k; the
+    unfolding at angle 2 tells which angles scale."""
+    def at(angle):
+        if kind == "CTRL":
+            base = Gate(base_kind, (0,), (angle,) if _KIND_SIG[base_kind][1] else ())
+            return _unfold_all(Gate(kind, wires, (), pattern, base))
+        return _unfold_all(Gate(kind, wires, (angle,) if _KIND_SIG[kind][1] else ()))
+    ones, twos = at(1.0), at(2.0)
+    scales = tuple(None if u.params == v.params else u.params[0]
+                   for u, v in zip(ones, twos))
+    least = min((abs(f) for f in scales if f is not None), default=1.0)
+    return tuple(ones), scales, least
+
+
+def _unfold_all(g: Gate) -> list[Gate]:
+    """``g`` unfolded by ``unfold`` until no gate is a macro."""
+    if g.kind in PRIMITIVE_KINDS:
+        return [g]
+    return [e for sub in unfold(g) for e in _unfold_all(sub)]
 
 
 def unfold(g: Gate) -> list[Gate]:

@@ -5,6 +5,12 @@ other axiom (within a stated qubit bound) preserves and the target axiom
 breaks: indicator and parity counts for the small rules, swap/cnot functors
 for B and CZ, the determinant-related valuation ``interp_k`` for the
 multi-control rule, and a sign-assignment phase sum for the Euler rule.
+
+Every valuation reads a circuit's gates with its macros expanded.  The
+witnesses that read only kinds and wires (S2PI, H2, P0, P0', C, EH, B, CZ)
+read the expansion of each gate's shape as ``circuit`` keeps it, and build
+no gate; SPLUS, ``interp_k`` and the Euler value set read angles, so they
+take ``expand_gate``'s gates with the circuit's angles substituted.
 """
 
 from __future__ import annotations
@@ -15,8 +21,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .circuit import (TWO_PI, Circuit, Gate, angles_equal, circuit, expand_gate,
-                      reduce_angle)
+from .circuit import (TWO_PI, Circuit, Gate, _shape_gates, angles_equal, circuit,
+                      expand_gate, reduce_angle)
 from .errors import (InconsistentClasses, NoInterpretation, UnknownLemma,
                      UnsupportedGate)
 from .euler import b_funcs
@@ -30,13 +36,24 @@ def _has_ancilla(c: Circuit) -> bool:
     return any(g.kind in ("INIT", "DEST") for g in c.gates)
 
 
+def _vanilla(c: Circuit) -> Circuit:
+    if _has_ancilla(c):
+        raise UnsupportedGate("interpretations are defined on vanilla circuits")
+    return c
+
+
 def _expanded(c: Circuit) -> list[Gate]:
     """``c``'s gates with every macro expanded into primitives, as
     ``expand_gate`` gives them: a valuation reads the gates in order and
     needs no threading."""
-    if _has_ancilla(c):
-        raise UnsupportedGate("interpretations are defined on vanilla circuits")
-    return [e for g in c.gates for e in expand_gate(g)]
+    return [e for g in _vanilla(c).gates for e in expand_gate(g)]
+
+
+def _expanded_shape(c: Circuit) -> list[Gate]:
+    """``_expanded(c)`` with the right kinds and wires but not its angles,
+    read off each gate's shape expansion with no gate built: for a
+    valuation that reads no angle."""
+    return [e for g in _vanilla(c).gates for e in _shape_gates(g)]
 
 
 def interp_k(c: Circuit, k: int) -> float:
@@ -72,9 +89,10 @@ def interp_axiom(name: str, c: Circuit, psi: float | None = None):
     """Value of circuit c under the counter-interpretation for ``name``.
 
     ``P0'`` is the (P0) witness of QCprime: 1 when the expanded circuit
-    has a P gate.
+    has a P gate.  Only SPLUS reads an angle; the others read the kinds and
+    wires of the expansion.
     """
-    e = _expanded(c)
+    e = _expanded(c) if name == "SPLUS" else _expanded_shape(c)
     if name == "S2PI":
         return int(_count(e, ("GPHASE",)) > 0)
     if name == "SPLUS":
@@ -134,12 +152,20 @@ class SignClasses:
     pairing: list[tuple[int, int]]
 
 
-def sign_classes(c: Circuit) -> SignClasses:
+def _one_qubit(c: Circuit) -> None:
     if c.n_in != c.n_out or c.n_in > 1:
         raise UnsupportedGate("sign classes are defined for 1-qubit circuits")
+
+
+def sign_classes(c: Circuit) -> SignClasses:
+    _one_qubit(c)
     if c.n_in == 0:   # only global phases: no P gates, one empty class set
         return SignClasses([], [], [])
-    e = _expanded(c)
+    return _sign_classes(_expanded(c))
+
+
+def _sign_classes(e: list[Gate]) -> SignClasses:
+    """``sign_classes`` of a circuit whose expanded gates are ``e``."""
     mats = [eval_matrix(circuit(1, [g])) if g.kind != "GPHASE"
             else np.eye(2, dtype=complex) * np.exp(1j * g.params[0])
             for g in e]
@@ -186,8 +212,9 @@ def sign_classes(c: Circuit) -> SignClasses:
 
 def interp_E_values(c: Circuit) -> tuple[float, ...]:
     """All values of the signed phase sum modulo pi/2, over valid assignments."""
-    sc = sign_classes(c)
+    _one_qubit(c)
     e = _expanded(c)
+    sc = _sign_classes(e)
     phis = {i: e[i].params[0] for i in sc.positions}
     paired = {a for pair in sc.pairing for a in pair}
     # one free sign per component: a paired couple of classes is one component

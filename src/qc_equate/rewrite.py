@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 from .circuit import (ANGLE_EPS, TWO_PI, Circuit, _IdGate, _STRUCT,
                       _canonical_gates, _canonical_order, _deps, _frames,
-                      _id_gates, _place, _real, _same_gates, _wire, angles_equal,
-                      deformation_equal, reduce_angle)
+                      _id_gates, _place, _real, _same_gates, _widest, _wire,
+                      angles_equal, deformation_equal, reduce_angle)
 from .errors import (BadArity, DomainError, IllegalSite, InvalidCircuit, NoMatch,
                      QcError, SemanticDrift, UnknownTheory, UnsupportedGate)
 from .euler import NormalFormParams, _pack
@@ -287,8 +287,9 @@ def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float,
                   cap: int, m_before=None):
     """Check that ``after`` is equal in ``theory`` to ``before``, whose
     matrix is ``m_before`` when already evaluated, and return ``after``'s
-    matrix; None, with no check, when either is wider than ``cap``."""
-    if max(before.n_in, before.n_out, after.n_in, after.n_out) > cap:
+    matrix; None, with no check, when either opens more than ``cap`` wires
+    at once (``_widest``)."""
+    if max(_widest(before), _widest(after)) > cap:
         return None
     if m_before is None:
         m_before = eval_matrix(before)

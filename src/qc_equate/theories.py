@@ -346,6 +346,7 @@ class Signature(NamedTuple):
     min_n: int
 
 
+@functools.cache
 def signature(name: str) -> Signature:
     if name not in _RULES:
         raise UnknownLemma(f"no rule named {name!r}")
@@ -444,7 +445,7 @@ def lemma_names() -> list[str]:
 # -- sampling / master soundness suite ---------------------------------------
 
 def sample_params(n_params: int, rng: np.random.Generator) -> tuple[float, ...]:
-    return tuple(float(v) for v in rng.uniform(-4 * PI, 4 * PI, n_params))
+    return tuple(rng.uniform(-4 * PI, 4 * PI, n_params).tolist())
 
 
 def instances(theory: str, name: str, samples: int, max_qubits: int,

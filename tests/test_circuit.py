@@ -1,6 +1,7 @@
 """Circuit construction, composition, macro expansion, canonicalization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from qc_equate import (Circuit, Gate, canonicalize, circuit, cnot, compose_par,
                        compose_seq, ctrl, deformation_equal, dest,
                        expand_macros, eval_matrix, gphase, h, init, mcp, mcrx,
                        p, rx, swap, x, z)
-from qc_equate.circuit import PRIMITIVE_KINDS
+from qc_equate.circuit import PRIMITIVE_KINDS, _shape_gates, expand_gate, unfold
 from qc_equate.errors import ArityMismatch, InvalidCircuit
 
 PI = math.pi
@@ -237,3 +238,137 @@ def test_circuit_rejects_non_integer_wire_counts():
 def test_gate_rejects_nonfinite_angle():
     with pytest.raises(InvalidCircuit):
         p(float("nan"), 0)
+
+
+# -- the Gate constructor: every rejection and normalisation ------------------
+
+_REJECTED = [
+    # (kind, wires, params, pattern, base), the message
+    (("FOO", (0,), ()), "unknown gate kind 'FOO'"),
+    (("FOO", (0.5,), ("x",)), "unknown gate kind 'FOO'"),
+    (("H", (0.5,)), "wire 0.5 is not an integer"),
+    (("H", (True,)), "wire True is not an integer"),
+    (("H", ("0",)), "wire '0' is not an integer"),
+    (("P", (0.5,), ("x",)), "wire 0.5 is not an integer"),
+    (("P", (0,), ("7",)), "angle '7' is not a real number"),
+    (("P", (0,), (True,)), "angle True is not a real number"),
+    (("P", (0,), (None,)), "angle None is not a real number"),
+    (("GPHASE", (), (math.inf, "x")), "angle 'x' is not a real number"),
+    (("P", (0,), (math.inf,)), "non-finite angle in P"),
+    (("RX", (0,), (-math.inf,)), "non-finite angle in RX"),
+    (("GPHASE", (), (math.nan,)), "non-finite angle in GPHASE"),
+    (("H", (0, 1), (math.nan,)), "non-finite angle in H"),
+    (("H", (0, 1)), "H takes 1 wire entries, got 2"),
+    (("H", (0, 1), (1.0,)), "H takes 1 wire entries, got 2"),
+    (("GPHASE", (0,), (1.0,)), "GPHASE takes 0 wire entries, got 1"),
+    (("INIT", ()), "INIT takes 1 wire entries, got 0"),
+    (("H", (0,), (1.0,)), "H takes 0 params, got 1"),
+    (("P", (0,)), "P takes 1 params, got 0"),
+    (("MCP", (), ()), "MCP takes 1 params, got 0"),
+    (("MCP", (), (1.0,)), "MCP needs at least one wire"),
+    (("MCRX", (), (1.0,)), "MCRX needs at least one wire"),
+    (("CTRL", (0, 1), (), "1", None), "CTRL base must be a P, X, Z or RX gate"),
+    (("CTRL", (0, 1), (), "2", Gate("H", (1,))), "CTRL base must be a P, X, Z or RX gate"),
+    (("CTRL", (0, 0), (), "2", x(0)), "CTRL pattern must be a 0/1 string, one bit per control"),
+    (("CTRL", (0, 1), (), "", x(0)), "CTRL pattern must be a 0/1 string, one bit per control"),
+    (("CTRL", (0, 1), (), "10", x(0)), "CTRL pattern must be a 0/1 string, one bit per control"),
+    (("CTRL", (), (), "", x(0)), "CTRL pattern must be a 0/1 string, one bit per control"),
+    (("CTRL", (0, 0), (), "1", x(0)), "CTRL wires must be pairwise distinct"),
+    (("CNOT", (1, 1)), "CNOT wires must be pairwise distinct"),
+    (("SWAP", (2, 2)), "SWAP wires must be pairwise distinct"),
+    (("MCP", (0, 1, 0), (1.0,)), "MCP wires must be pairwise distinct"),
+    (("MCRX", (2, 2), (1.0,)), "MCRX wires must be pairwise distinct"),
+]
+
+
+@pytest.mark.parametrize("args, message", _REJECTED)
+def test_gate_rejects_with_the_first_failing_check(args, message):
+    with pytest.raises(InvalidCircuit, match=f"^{re.escape(message)}$"):
+        Gate(*args)
+
+
+_NORMALISED = [
+    # (kind, wires, params), the gate's wires and params
+    (("CNOT", [0, 1]), (0, 1), ()),
+    (("CNOT", (w for w in (2, 0))), (2, 0), ()),
+    (("H", (np.int64(2),)), (2,), ()),
+    (("SWAP", (3, 1)), (1, 3), ()),
+    (("SWAP", [np.int32(4), 0]), (0, 4), ()),
+    (("SWAP", (1, 3)), (1, 3), ()),
+    (("P", (0,), [1]), (0,), (1.0,)),
+    (("P", (0,), (np.float32(0.5),)), (0,), (0.5,)),
+    (("GPHASE", (), (np.float64(-0.0),)), (), (-0.0,)),
+    (("MCP", [2, np.int64(0)], (np.int64(3),)), (2, 0), (3.0,)),
+    (("INIT", (0,)), (0,), ()),
+]
+
+
+@pytest.mark.parametrize("args, wires, params", _NORMALISED)
+def test_gate_normalises_wires_and_params(args, wires, params):
+    g = Gate(*args)
+    assert type(g.wires) is tuple and g.wires == wires
+    assert all(type(w) is int for w in g.wires)
+    assert type(g.params) is tuple and all(type(v) is float for v in g.params)
+    assert list(map(repr, g.params)) == list(map(repr, params))
+
+
+def test_gate_keeps_fields_that_need_no_change():
+    wires, params = (0,), (0.5,)
+    g = Gate("P", wires, params)
+    assert g.wires is wires and g.params is params
+    with pytest.raises(AttributeError):
+        g.__dict__
+
+
+# -- macro expansion: the cached shapes against the unfolding ------------------
+
+def _unfolded(g):
+    """The reference route: ``unfold`` applied until no gate is a macro."""
+    if g.kind in PRIMITIVE_KINDS:
+        return [g]
+    return [e for u in unfold(g) for e in _unfolded(u)]
+
+
+def _exact(gates):
+    """Gates with their angles as exact floats, the sign of zero included."""
+    return [(g.kind, g.wires, tuple(map(repr, g.params))) for g in gates]
+
+
+def _macro_gates(rng):
+    """Seeded X/Z/RX/MCP/MCRX and CTRL gates: every CTRL base, controls
+    from none up, '0' pattern bits, 1-7 wires and extreme angles, subnormal
+    ones included (fewer of them on the widest shapes, which expand to
+    thousands of gates)."""
+    # 5 * 2^-1074 halved three times rounds to 0 step by step, to 2^-1074
+    # in one product
+    angles = [0.0, -0.0, PI, -PI, 1e300, -1e300, 5e-324, 2.5e-323, 3e-310]
+    for n in range(1, 8):
+        wires = tuple(int(w) for w in rng.permutation(8)[:n])
+        thetas = angles if n <= 4 else angles[::2]
+        for i, theta in enumerate(thetas + [float(v) for v in rng.uniform(-1e3, 1e3, 2)]):
+            yield mcp(theta, wires)
+            yield mcrx(theta, wires)
+            if n == 1:
+                yield rx(theta, wires[0])
+            base = (p(theta, 0), rx(theta, 0), x(0), z(0))[i % 4]
+            yield ctrl("".join(rng.choice(["0", "1"], n - 1)), base, wires)
+            yield ctrl("0" * (n - 1), base, wires)
+        yield x(n)
+        yield z(n)
+
+
+def test_expand_gate_equals_the_unfolding():
+    rng = np.random.default_rng(20)
+    seen = 0
+    for g in _macro_gates(rng):
+        want = _unfolded(g)
+        got = expand_gate(g)
+        assert _exact(got) == _exact(want), g
+        assert [(u.kind, u.wires) for u in _shape_gates(g)] == \
+            [(u.kind, u.wires) for u in want]
+        # the caller owns the list it gets
+        got.append(h(0))
+        got[0] = h(0)
+        assert _exact(expand_gate(g)) == _exact(want)
+        seen += 1
+    assert seen > 200

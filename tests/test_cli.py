@@ -236,6 +236,14 @@ def test_bad_wire_cap_exits_2(files, monkeypatch, capsys):
     assert "QCEQ_WIRE_CAP" in capsys.readouterr().err
 
 
+def test_wire_cap_skips_steps_whose_inits_open_too_many_wires(monkeypatch, capsys):
+    # qcancilla_p0 has one wire at both ends, but its INITs open a second
+    monkeypatch.setenv("QCEQ_WIRE_CAP", "1")
+    trace = Path(__file__).resolve().parent.parent / "traces" / "qcancilla_p0.json"
+    assert main(["replay", str(trace), "--allow-lemmas"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def test_replay_frozen_traces(capsys):
     paths = sorted((Path(__file__).resolve().parent.parent / "traces").glob("*.json"))
     assert len(paths) == 19

@@ -9,11 +9,12 @@ from qc_equate import (apply_step, circuit, cnot, eval_matrix, find_sites,
                        gphase, h, interp_E_values, interp_axiom, interp_k, mcp,
                        minimality_report, p, resolve_rule, sign_classes,
                        sign_gap, x, z)
+from qc_equate import interp
 from qc_equate.circuit import Circuit, init, dest
 from qc_equate.cli import main
 from qc_equate.errors import BadParams, UnknownLemma, UnsupportedGate
 from qc_equate.interp import equal_value_sets, minimality_matrix
-from qc_equate.theories import list_rules, signature
+from qc_equate.theories import THEORIES, instances, list_rules, signature
 from qc_equate.rewrite import Site, Step
 
 PI = math.pi
@@ -288,3 +289,41 @@ def test_sign_gap_derivative_is_nonzero():
             g1 = sign_gap(s, sp, PI / 4, PI / 4 + eps, PI / 4)
             g0 = sign_gap(s, sp, PI / 4, PI / 4 - eps, PI / 4)
             assert abs((g1 - g0) / (2 * eps)) > 0.05
+
+
+#: the witnesses that read the kinds and wires of the expansion, no angle
+_SHAPE_WITNESSES = ("S2PI", "H2", "P0", "P0'", "C", "EH", "B", "CZ")
+
+
+def test_shape_witnesses_agree_with_the_built_expansion(monkeypatch):
+    # every vanilla rule of every theory, 20 sampled instances each (one for
+    # a rule without parameters), valued on the shape expansion and on the
+    # gates expand_gate builds with the instance's angles
+    rng = np.random.default_rng(21)
+    sides = [c for t in THEORIES for rid in list_rules(t)
+             for inst in instances(t, rid.name, 20, 4, rng)
+             for c in (inst.lhs, inst.rhs)
+             if not any(g.kind in ("INIT", "DEST") for g in c.gates)]
+
+    def values():
+        return [interp_axiom(w, c) for c in sides for w in _SHAPE_WITNESSES]
+
+    by_shape = values()
+    monkeypatch.setattr(interp, "_expanded_shape", interp._expanded)
+    by_gates = values()
+    assert len(sides) > 200 and len(by_shape) == len(by_gates)
+    for a, b in zip(by_shape, by_gates):
+        assert type(a) is type(b) and np.array_equal(a, b)
+
+
+def test_interp_E_values_expands_its_circuit_once(monkeypatch):
+    calls, real = [], interp._expanded
+
+    def counted(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(interp, "_expanded", counted)
+    c = circuit(1, [x(0), p(0.7, 0), h(0), p(1.1, 0)])
+    assert len(interp_E_values(c)) == 4
+    assert len(calls) == 1

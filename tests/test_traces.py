@@ -205,6 +205,36 @@ def test_wire_cap_skips_the_same_steps_as_apply_step(monkeypatch):
     assert checked == {"qcancilla_i3": 0, "qcancilla_p0": 9, "qcancilla_splus": 21}
 
 
+def _widest_frame(c) -> int:
+    width = top = c.n_in
+    for g in c.gates:
+        width += {"INIT": 1, "DEST": -1}.get(g.kind, 0)
+        top = max(top, width)
+    return top
+
+
+def test_wire_cap_counts_the_wires_inits_open(monkeypatch):
+    # qcancilla_p0 stays at one wire at its ends while steps 1-7 open a
+    # second: at a cap of 1 exactly the steps whose circuits both stay
+    # within one wire are checked, and the others are skipped, not failed
+    monkeypatch.setenv("QCEQ_WIRE_CAP", "1")
+    seen = _count_evals(monkeypatch)
+    (d,) = [d for d in _frozen() if d.name == "qcancilla_p0"]
+    c, checked, narrow = d.initial, set(), set()
+    for i, step in enumerate(d.steps):
+        before = len(seen)
+        after = apply_step(c, step, d.theory, allow_lemmas=True, safety=True)
+        if len(seen) > before:
+            checked.add(i)
+        if max(_widest_frame(c), _widest_frame(after)) <= 1:
+            narrow.add(i)
+        c = after
+    assert checked == narrow == {0, 8}
+    seen.clear()
+    assert deformation_equal(replay(d, allow_lemmas=True, safety=True), d.final)
+    assert seen and all(_widest_frame(c) <= 1 for c in seen)
+
+
 def test_reversal_orders_each_circuit_once(monkeypatch):
     # each canonical order is traced to the Circuit whose id-level gates it
     # was computed from; an id-level block that is not a Circuit maps to None
