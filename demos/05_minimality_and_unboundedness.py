@@ -8,6 +8,8 @@ complete: it disagrees with the identity exactly one qubit above its index.
 
 import math
 
+import numpy as np
+
 from qc_equate import (circuit, interp_E_values, interp_axiom, interp_k, mcp,
                        minimality_matrix, minimality_report, p, resolve_rule,
                        sign_classes, x)
@@ -28,13 +30,14 @@ print("H-count indicator on (EH):",
 for target in ("B", "CZ"):
     inst = resolve_rule("QC", target, (), 2)
     va, vb = interp_axiom(target, inst.lhs), interp_axiom(target, inst.rhs)
-    import numpy as np
     print(f"permutation functor on ({target}): lhs == rhs is",
           bool(np.allclose(va, vb)))
 
 # interp_k: sound for every rule on at most k qubits, but it gives pi to the
 # (k+1)-qubit multi-control of 2pi -- so that instance cannot be derived.
-for n in (3, 4, 5):
+# interp_k recurses on the macro's one-level unfolding, so wide witnesses
+# cost little.
+for n in (3, 5, 10, 64):
     w = interp_k(circuit(n, [mcp(2 * PI, tuple(range(n)))]), n - 1)
     print(f"interp_(n-1) of MCP(2pi) on {n} wires = {w:.6f} (pi, not 0)")
 

@@ -11,11 +11,8 @@ and its canonical order once computed, so nothing orders it again.
 INIT/DEST keep their mutual order under every deformation and rewrite, so
 each INIT's own position is the one record of wire order.
 
-``unfold`` is the one definition of each macro.  ``expand_gate`` unfolds a
-gate's shape (kind, wires, CTRL pattern and base kind) once, keeps a
-bounded number of such expansions, and substitutes each gate's angle into
-its shape's: every angle of an unfolding is a constant or the macro's angle
-times +-2^-k, so the substituted gates equal the unfolding's exactly.
+``unfold`` is the one definition of each macro; ``expand_gate`` applies it
+until no gate is a macro.
 
 Contents:
     - Gate / Circuit / CanonicalForm data types and JSON (de)serialization
@@ -33,7 +30,6 @@ import json
 import math
 import numbers
 import operator
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -120,10 +116,10 @@ class Gate:
     """One gate occurrence: a kind tag, wire positions and real parameters.
 
     ``wires`` index the ordered list of wires open at this gate's time
-    frame.  For INIT the single entry is the insertion position.  CTRL
-    additionally carries a control bit ``pattern`` (one bit per control
-    wire, ``wires[:-1]``) and a 1-qubit ``base`` gate applied on the last
-    wire.
+    frame.  For INIT the single entry is the insertion position.  CTRL,
+    and no other kind, additionally carries a control bit ``pattern`` (a
+    str, one bit per control wire, ``wires[:-1]``) and a 1-qubit ``base``
+    gate applied on the last wire.
 
     The constructor is the one place a gate is checked and normalised:
     wires become a tuple of ints and params a tuple of finite floats
@@ -169,16 +165,20 @@ class Gate:
         if kind == "SWAP" and wires[0] > wires[1]:
             wires = (wires[1], wires[0])
             object.__setattr__(self, "wires", wires)
-        if nw is None:   # MCP, MCRX, CTRL
-            if kind != "CTRL":
-                if not wires:
-                    raise InvalidCircuit(f"{kind} needs at least one wire")
-            else:
-                base, pattern = self.base, self.pattern
-                if base is None or base.kind not in ("P", "X", "Z", "RX"):
-                    raise InvalidCircuit("CTRL base must be a P, X, Z or RX gate")
-                if len(pattern) != len(wires) - 1 or set(pattern) - {"0", "1"}:
-                    raise InvalidCircuit("CTRL pattern must be a 0/1 string, one bit per control")
+        if kind == "CTRL":
+            base, pattern = self.base, self.pattern
+            if not isinstance(base, Gate) or base.kind not in ("P", "X", "Z", "RX"):
+                raise InvalidCircuit("CTRL base must be a P, X, Z or RX gate")
+            if (type(pattern) is not str or len(pattern) != len(wires) - 1
+                    or set(pattern) - {"0", "1"}):
+                raise InvalidCircuit("CTRL pattern must be a 0/1 string, one bit per control")
+        else:
+            # to_dict writes neither, so a gate that kept one would not
+            # survive a JSON round trip
+            if self.base is not None or type(self.pattern) is not str or self.pattern:
+                raise InvalidCircuit(f"{kind} takes no control pattern or base")
+            if nw is None and not wires:   # MCP, MCRX
+                raise InvalidCircuit(f"{kind} needs at least one wire")
         # INIT has one entry, a position, so it never gets here
         if len(wires) > 1 and len(set(wires)) != len(wires):
             raise InvalidCircuit(f"{kind} wires must be pairwise distinct")
@@ -492,72 +492,10 @@ def expand_macros(c: Circuit) -> Circuit:
 
 def expand_gate(g: Gate) -> list[Gate]:
     """Primitive gate list for one (possibly macro) gate occurrence: the
-    gates of ``unfold``, unfolded again until none is a macro.
-
-    The gates come from the expansion of ``g``'s shape (``_expansion``),
-    built once: a gate without a scaled angle is the shape's own, and each
-    other one is built anew with its factor times ``g``'s angle, which is
-    the exact value the unfolding computes by halving and negating it."""
+    gates of ``unfold``, unfolded again until none is a macro."""
     if g.kind in PRIMITIVE_KINDS:
         return [g]
-    gates, scales, least = _expansion(*_shape_of(g))
-    params = g.base.params if g.kind == "CTRL" else g.params
-    if not params:
-        return list(gates)
-    theta = params[0]
-    if theta and abs(theta) * least < sys.float_info.min:
-        # halving into subnormals rounds at each step of the unfolding,
-        # which one product need not match: take the unfolding itself
-        return _unfold_all(g)
-    return [u if f is None else Gate(u.kind, u.wires, (f * theta,))
-            for u, f in zip(gates, scales)]
-
-
-def _shape_gates(g: Gate) -> tuple[Gate, ...]:
-    """``expand_gate(g)``'s gates with the right kinds and wires, but not
-    its angles: the expansion of ``g``'s shape, at macro angle 1."""
-    if g.kind in PRIMITIVE_KINDS:
-        return (g,)
-    return _expansion(*_shape_of(g))[0]
-
-
-def _shape_of(g: Gate) -> tuple:
-    """What ``unfold`` reads of a macro gate other than its angle: kind,
-    wires, and for CTRL the control pattern (as a str, which the checked
-    0/1 bits always join to) and the base kind."""
-    if g.kind == "CTRL":
-        return g.kind, g.wires, "".join(g.pattern), g.base.kind
-    return g.kind, g.wires, "", None
-
-
-# bounded: an MCP on n wires expands to 2 * 3^(n-1) - 1 gates
-@functools.lru_cache(maxsize=256)
-def _expansion(kind: str, wires: tuple[int, ...], pattern: str, base_kind: str | None):
-    """The expansion of a macro shape: its primitive gates at macro angle 1,
-    per gate the factor its angle is of the macro's (None for a gate whose
-    angle does not depend on it, or that has none), and the least factor's
-    magnitude (1 when there is none).
-
-    Every angle ``unfold`` computes is a constant or the macro's angle
-    halved and negated some number of times, so a factor is +-2^-k; the
-    unfolding at angle 2 tells which angles scale."""
-    def at(angle):
-        if kind == "CTRL":
-            base = Gate(base_kind, (0,), (angle,) if _KIND_SIG[base_kind][1] else ())
-            return _unfold_all(Gate(kind, wires, (), pattern, base))
-        return _unfold_all(Gate(kind, wires, (angle,) if _KIND_SIG[kind][1] else ()))
-    ones, twos = at(1.0), at(2.0)
-    scales = tuple(None if u.params == v.params else u.params[0]
-                   for u, v in zip(ones, twos))
-    least = min((abs(f) for f in scales if f is not None), default=1.0)
-    return tuple(ones), scales, least
-
-
-def _unfold_all(g: Gate) -> list[Gate]:
-    """``g`` unfolded by ``unfold`` until no gate is a macro."""
-    if g.kind in PRIMITIVE_KINDS:
-        return [g]
-    return [e for sub in unfold(g) for e in _unfold_all(sub)]
+    return [e for sub in unfold(g) for e in expand_gate(sub)]
 
 
 def unfold(g: Gate) -> list[Gate]:

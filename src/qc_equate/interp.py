@@ -6,23 +6,26 @@ breaks: indicator and parity counts for the small rules, swap/cnot functors
 for B and CZ, the determinant-related valuation ``interp_k`` for the
 multi-control rule, and a sign-assignment phase sum for the Euler rule.
 
-Every valuation reads a circuit's gates with its macros expanded.  The
-witnesses that read only kinds and wires (S2PI, H2, P0, P0', C, EH, B, CZ)
-read the expansion of each gate's shape as ``circuit`` keeps it, and build
-no gate; SPLUS, ``interp_k`` and the Euler value set read angles, so they
-take ``expand_gate``'s gates with the circuit's angles substituted.
+The per-axiom witnesses and the Euler value set read a circuit's gates
+with its macros expanded by ``expand_gate``.  ``interp_k`` is a sum over
+gates, and weighs a macro by recursion on ``unfold``, so an n-wire MCP
+costs O(n), not its 2 * 3^(n-1) - 1 expanded gates.  The witnesses that
+read only kinds and wires (S2PI, H2, P0, P0', C, EH, B, CZ) have one value
+per rule width, so ``minimality_report`` reads one instance per width for
+them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .circuit import (TWO_PI, Circuit, Gate, _shape_gates, angles_equal, circuit,
-                      expand_gate, reduce_angle)
+from .circuit import (TWO_PI, Circuit, Gate, _wire, angles_equal, circuit,
+                      expand_gate, reduce_angle, unfold)
 from .errors import (InconsistentClasses, NoInterpretation, UnknownLemma,
                      UnsupportedGate)
 from .euler import b_funcs
@@ -49,28 +52,39 @@ def _expanded(c: Circuit) -> list[Gate]:
     return [e for g in _vanilla(c).gates for e in expand_gate(g)]
 
 
-def _expanded_shape(c: Circuit) -> list[Gate]:
-    """``_expanded(c)`` with the right kinds and wires but not its angles,
-    read off each gate's shape expansion with no gate built: for a
-    valuation that reads no angle."""
-    return [e for g in _vanilla(c).gates for e in _shape_gates(g)]
-
-
 def interp_k(c: Circuit, k: int) -> float:
     """The determinant-related valuation, in [0, 2*pi)."""
-    total = 0.0
-    for g in _expanded(c):
-        if g.kind == "GPHASE":
-            total += (2.0 ** k) * g.params[0]
-        elif g.kind == "H":
-            total += (2.0 ** (k - 1)) * math.pi
-        elif g.kind == "P":
-            total += (2.0 ** (k - 1)) * g.params[0]
-        elif g.kind in ("CNOT", "SWAP"):
-            total += (2.0 ** (k - 2)) * math.pi
-        total %= TWO_PI
-    r = total % TWO_PI
+    r = _weigh(_vanilla(c).gates, k)
     return 0.0 if r > TWO_PI - 1e-12 else r
+
+
+def _weigh(gates, k: int) -> float:
+    """``interp_k``'s sum over ``gates``, modulo 2*pi.  A macro weighs what
+    its ``unfold`` weighs, which reads no wire: it is weighed on wires
+    ``0..n-1``, so the two shapes an MCP unfolds into per level are each
+    weighed once and an n-wire MCP costs O(n)."""
+    total = 0.0
+    for g in gates:
+        if g.kind == "GPHASE":
+            w = (2.0 ** k) * g.params[0]
+        elif g.kind == "H":
+            w = (2.0 ** (k - 1)) * math.pi
+        elif g.kind == "P":
+            w = (2.0 ** (k - 1)) * g.params[0]
+        elif g.kind in ("CNOT", "SWAP"):
+            w = (2.0 ** (k - 2)) * math.pi
+        else:
+            w = _macro_weight(g.with_wires(tuple(range(len(g.wires)))), k)
+        # reduced before it is added, so a weight of 2^(k-2) pi or more
+        # does not round away the low bits of the total
+        total = (total + w % TWO_PI) % TWO_PI
+    return total
+
+
+# bounded: the key holds the macro's angle, which most callers draw anew
+@functools.lru_cache(maxsize=1024)
+def _macro_weight(g: Gate, k: int) -> float:
+    return _weigh(unfold(g), k)
 
 
 # -- the eight per-axiom interpretations --------------------------------------
@@ -92,7 +106,7 @@ def interp_axiom(name: str, c: Circuit, psi: float | None = None):
     has a P gate.  Only SPLUS reads an angle; the others read the kinds and
     wires of the expansion.
     """
-    e = _expanded(c) if name == "SPLUS" else _expanded_shape(c)
+    e = _expanded(c)
     if name == "S2PI":
         return int(_count(e, ("GPHASE",)) > 0)
     if name == "SPLUS":
@@ -258,9 +272,11 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     is the sign-assignment value set; the remaining eight axioms use their
     registered interpretations.  Axioms acting on more qubits than the
     interpretation's soundness bound are out of scope; every other rule is
-    checked on its sampled ``instances``.  No interpretation is defined on
-    INIT/DEST, so a rule with an ancilla side has no witness and the report
-    does not pass.
+    checked on its sampled ``instances``: every draw for (I), (E) and
+    SPLUS, whose interpretations read angles, and one draw per width for
+    the others, which read only the kinds and wires that every draw at a
+    width shares.  No interpretation is defined on INIT/DEST, so a rule with
+    an ancilla side has no witness and the report does not pass.
     """
     rng = np.random.default_rng(seed)
     if axiom not in {r.name for r in list_rules(theory)}:
@@ -302,9 +318,11 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
             if bound is not None and width > bound and name != axiom:
                 results[name] = "out-of-scope"
                 continue
+            draws = (samples if axiom in ("I", "E", "SPLUS")
+                     else min(_wire(samples, "samples"), 1))
             # drawn in full, so later rules' draws do not depend on where
             # this one fails
-            insts = list(instances(theory, name, samples, max_qubits, rng))
+            insts = list(instances(theory, name, draws, max_qubits, rng))
         if _has_ancilla(insts[0].lhs) or _has_ancilla(insts[0].rhs):
             results[name] = "no-witness"
         else:

@@ -1,5 +1,6 @@
 """Circuit construction, composition, macro expansion, canonicalization."""
 
+import json
 import math
 import re
 
@@ -10,7 +11,7 @@ from qc_equate import (Circuit, Gate, canonicalize, circuit, cnot, compose_par,
                        compose_seq, ctrl, deformation_equal, dest,
                        expand_macros, eval_matrix, gphase, h, init, mcp, mcrx,
                        p, rx, swap, x, z)
-from qc_equate.circuit import PRIMITIVE_KINDS, _shape_gates, expand_gate, unfold
+from qc_equate.circuit import ALL_KINDS, PRIMITIVE_KINDS, expand_gate, unfold
 from qc_equate.errors import ArityMismatch, InvalidCircuit
 
 PI = math.pi
@@ -206,6 +207,15 @@ def test_json_round_trip():
     assert back == c
 
 
+def test_every_gate_kind_survives_a_json_round_trip():
+    gates = [gphase(0.1), h(0), p(0.2, 0), cnot(1, 0), swap(0, 1), init(0), dest(0),
+             x(0), z(0), rx(0.3, 0), mcp(0.4, (0, 2, 1)), mcrx(0.5, (1, 0))]
+    gates += [ctrl("01", base, (2, 0, 1)) for base in (p(0.6, 0), x(0), z(0), rx(0.7, 0))]
+    assert {g.kind for g in gates} == set(ALL_KINDS)
+    for g in gates:
+        assert Gate.from_dict(json.loads(json.dumps(g.to_dict()))) == g
+
+
 def test_swap_wires_normalized():
     assert swap(1, 0).wires == (0, 1)
 
@@ -278,6 +288,14 @@ _REJECTED = [
     (("SWAP", (2, 2)), "SWAP wires must be pairwise distinct"),
     (("MCP", (0, 1, 0), (1.0,)), "MCP wires must be pairwise distinct"),
     (("MCRX", (2, 2), (1.0,)), "MCRX wires must be pairwise distinct"),
+    (("CTRL", (0, 1), (), "1", "P"), "CTRL base must be a P, X, Z or RX gate"),
+    (("CTRL", (0, 1), (), ["1"], p(0.3, 0)), "CTRL pattern must be a 0/1 string, one bit per control"),
+    # to_dict writes a pattern and base for CTRL only
+    (("H", (0,), (), "01"), "H takes no control pattern or base"),
+    (("H", (0,), (), []), "H takes no control pattern or base"),
+    (("P", (0,), (1.0,), "", x(0)), "P takes no control pattern or base"),
+    (("MCP", (0, 1), (1.0,), "1"), "MCP takes no control pattern or base"),
+    (("MCRX", (), (1.0,), "", rx(0.2, 0)), "MCRX takes no control pattern or base"),
 ]
 
 
@@ -320,7 +338,7 @@ def test_gate_keeps_fields_that_need_no_change():
         g.__dict__
 
 
-# -- macro expansion: the cached shapes against the unfolding ------------------
+# -- macro expansion against the unfolding ------------------------------------
 
 def _unfolded(g):
     """The reference route: ``unfold`` applied until no gate is a macro."""
@@ -364,8 +382,6 @@ def test_expand_gate_equals_the_unfolding():
         want = _unfolded(g)
         got = expand_gate(g)
         assert _exact(got) == _exact(want), g
-        assert [(u.kind, u.wires) for u in _shape_gates(g)] == \
-            [(u.kind, u.wires) for u in want]
         # the caller owns the list it gets
         got.append(h(0))
         got[0] = h(0)

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from qc_equate import (apply_step, circuit, cnot, eval_matrix, find_sites,
-                       gphase, h, interp_E_values, interp_axiom, interp_k, mcp,
-                       minimality_report, p, resolve_rule, sign_classes,
-                       sign_gap, x, z)
+from qc_equate import (apply_step, circuit, cnot, ctrl, eval_matrix,
+                       expand_macros, find_sites, gphase, h, interp_E_values,
+                       interp_axiom, interp_k, mcp, mcrx, minimality_report, p,
+                       resolve_rule, rx, sign_classes, sign_gap, x, z)
 from qc_equate import interp
-from qc_equate.circuit import Circuit, init, dest
+from qc_equate.circuit import Circuit, angles_equal, init, dest
 from qc_equate.cli import main
-from qc_equate.errors import BadParams, UnknownLemma, UnsupportedGate
+from qc_equate.errors import BadParams, InvalidCircuit, UnknownLemma, UnsupportedGate
 from qc_equate.interp import equal_value_sets, minimality_matrix
 from qc_equate.theories import THEORIES, instances, list_rules, signature
 from qc_equate.rewrite import Site, Step
@@ -88,10 +88,50 @@ def test_interp_k_additive_over_compositions():
 
 
 def test_unboundedness_witness():
-    for n in range(3, 8):
+    for n in (3, 4, 5, 6, 7, 16, 32, 64):
         w = interp_k(circuit(n, [mcp(TWO_PI, tuple(range(n)))]), n - 1)
-        assert abs(w - PI) <= 1e-9
+        assert abs(w - PI) <= 1e-12
         assert interp_k(circuit(n, []), n - 1) == 0.0
+
+
+def _interp_k_by_expansion(expanded, k):
+    """The reference route: ``interp_k``'s weights summed over a circuit's
+    ``expand_macros`` gates, one at a time."""
+    total = 0.0
+    for g in expanded:
+        if g.kind == "GPHASE":
+            total += (2.0 ** k) * g.params[0]
+        elif g.kind == "H":
+            total += (2.0 ** (k - 1)) * PI
+        elif g.kind == "P":
+            total += (2.0 ** (k - 1)) * g.params[0]
+        elif g.kind in ("CNOT", "SWAP"):
+            total += (2.0 ** (k - 2)) * PI
+        total %= TWO_PI
+    return total
+
+
+def test_interp_k_recursion_equals_the_expansion():
+    # seeded X/Z/RX/MCP/MCRX and CTRL gates on 1-8 wires: every CTRL base,
+    # '0' pattern bits, alone and in one circuit (fewer draws on the widest,
+    # which expand to thousands of gates)
+    rng = np.random.default_rng(21)
+    seen = 0
+    for n in range(1, 9):
+        for i in range(4 if n < 7 else 2):
+            wires = tuple(int(w) for w in rng.permutation(n))
+            theta, phi = (float(v) for v in rng.uniform(-TWO_PI, TWO_PI, 2))
+            base = (p(phi, 0), rx(phi, 0), x(0), z(0))[(i + n) % 4]
+            gates = [mcp(theta, wires), mcrx(theta, wires), x(wires[0]), z(wires[-1]),
+                     rx(phi, wires[-1]), ctrl("0" * (n - 1), base, wires),
+                     ctrl("".join(rng.choice(["0", "1"], n - 1)), base, wires)]
+            for c in [circuit(n, [g]) for g in gates] + [circuit(n, gates)]:
+                expanded = expand_macros(c).gates
+                for k in range(1, 9):
+                    assert angles_equal(interp_k(c, k), _interp_k_by_expansion(expanded, k),
+                                        TWO_PI, 1e-9), (c, k)
+                    seen += 1
+    assert seen == (6 * 4 + 2 * 2) * 8 * 8
 
 
 def test_equal_circuits_share_interp_k():
@@ -186,6 +226,13 @@ def test_minimality_with_nothing_to_check_raises():
         minimality_report("QC", "C", samples=0)
     with pytest.raises(BadParams):      # (I) is in scope of CZ, with no width
         minimality_report("QC", "CZ", max_qubits=2)
+
+
+def test_minimality_rejects_a_non_integer_sample_count():
+    # the angle-free witnesses read one draw per width, the others every draw
+    for axiom in ("C", "I", "E", "SPLUS"):
+        with pytest.raises(InvalidCircuit, match="^samples 1.5 is not an integer$"):
+            minimality_report("QC", axiom, samples=1.5)
 
 
 def test_minimality_of_a_non_axiom_raises_unknown_lemma():
@@ -295,25 +342,24 @@ def test_sign_gap_derivative_is_nonzero():
 _SHAPE_WITNESSES = ("S2PI", "H2", "P0", "P0'", "C", "EH", "B", "CZ")
 
 
-def test_shape_witnesses_agree_with_the_built_expansion(monkeypatch):
-    # every vanilla rule of every theory, 20 sampled instances each (one for
-    # a rule without parameters), valued on the shape expansion and on the
-    # gates expand_gate builds with the instance's angles
+def test_angle_free_witnesses_have_one_value_per_rule_width():
+    # minimality_report reads one instance per width for these witnesses:
+    # every vanilla rule side of every theory, at every width up to 4, has
+    # on each of 20 sampled instances the value it has on the first
     rng = np.random.default_rng(21)
-    sides = [c for t in THEORIES for rid in list_rules(t)
-             for inst in instances(t, rid.name, 20, 4, rng)
-             for c in (inst.lhs, inst.rhs)
-             if not any(g.kind in ("INIT", "DEST") for g in c.gates)]
-
-    def values():
-        return [interp_axiom(w, c) for c in sides for w in _SHAPE_WITNESSES]
-
-    by_shape = values()
-    monkeypatch.setattr(interp, "_expanded_shape", interp._expanded)
-    by_gates = values()
-    assert len(sides) > 200 and len(by_shape) == len(by_gates)
-    for a, b in zip(by_shape, by_gates):
-        assert type(a) is type(b) and np.array_equal(a, b)
+    first, seen = {}, 0
+    for t in THEORIES:
+        for rid in list_rules(t):
+            for inst in instances(t, rid.name, 20, 4, rng):
+                for side, c in (("lhs", inst.lhs), ("rhs", inst.rhs)):
+                    if any(g.kind in ("INIT", "DEST") for g in c.gates):
+                        continue
+                    values = [interp_axiom(w, c) for w in _SHAPE_WITNESSES]
+                    want = first.setdefault((t, rid.name, inst.n, side), values)
+                    for a, b in zip(values, want):
+                        assert type(a) is type(b) and np.array_equal(a, b), (t, rid, inst.n)
+                    seen += 1
+    assert seen > 400
 
 
 def test_interp_E_values_expands_its_circuit_once(monkeypatch):
