@@ -53,7 +53,10 @@ def _expanded(c: Circuit) -> list[Gate]:
 
 
 def interp_k(c: Circuit, k: int) -> float:
-    """The determinant-related valuation, in [0, 2*pi)."""
+    """The determinant-related valuation, in [0, 2*pi).  It is a prop
+    functor only for k >= 2: at k = 1, ``SWAP SWAP`` weighs pi and the empty
+    circuit 0.  ``minimality_report`` never uses k = 1: it takes
+    k = target_n - 1, and (I) needs ``target_n >= 3`` (2 raises BadArity)."""
     r = _weigh(_vanilla(c).gates, k)
     return 0.0 if r > TWO_PI - 1e-12 else r
 
@@ -272,11 +275,12 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     is the sign-assignment value set; the remaining eight axioms use their
     registered interpretations.  Axioms acting on more qubits than the
     interpretation's soundness bound are out of scope; every other rule is
-    checked on its sampled ``instances``: every draw for (I), (E) and
-    SPLUS, whose interpretations read angles, and one draw per width for
-    the others, which read only the kinds and wires that every draw at a
-    width shares.  No interpretation is defined on INIT/DEST, so a rule with
-    an ancilla side has no witness and the report does not pass.
+    checked on its sampled ``instances``: every draw for (I) and (E),
+    whose interpretations read angles, and one draw per width for the
+    others, which read only kinds and wires, or, for SPLUS, keep in scope
+    only its own psi instances and rules with no parameters.  No
+    interpretation is defined on INIT/DEST, so a rule with an ancilla side
+    has no witness and the report does not pass.
     """
     rng = np.random.default_rng(seed)
     if axiom not in {r.name for r in list_rules(theory)}:
@@ -318,7 +322,7 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
             if bound is not None and width > bound and name != axiom:
                 results[name] = "out-of-scope"
                 continue
-            draws = (samples if axiom in ("I", "E", "SPLUS")
+            draws = (samples if axiom in ("I", "E")
                      else min(_wire(samples, "samples"), 1))
             # drawn in full, so later rules' draws do not depend on where
             # this one fails

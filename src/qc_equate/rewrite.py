@@ -12,16 +12,17 @@ them, and in canonical order only when that fails; angles are compared
 modulo the gate's period.  A safety net re-checks the semantics of every
 accepted step numerically, with the theory's own equality; a replay
 evaluates each circuit it passes once and compares it with the matrix of
-the one before.  The engine works on id-level gates (``_apply``): a
-derivation keeps one working circuit across its steps and builds a
-``Circuit`` only when one is read.  A ``Circuit`` keeps its canonical
-order once computed, so deformation checks and carried sites that meet
-the same circuit again do not order it again.
+the one before.  Every step, the normalizer's, the builders', reversal's,
+``replay``'s and ``apply_step``'s, goes through one recorder,
+``_Recorder``, on id-level gates (``_apply``): it keeps one working
+circuit across a derivation's steps, builds a ``Circuit`` only when one
+is read, and re-bases the working gates on it.  A ``Circuit`` keeps its
+canonical order once computed, so deformation checks and carried sites
+that meet the same circuit again do not order it again.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -123,27 +124,16 @@ class Derivation:
 
 # -- step application ---------------------------------------------------------
 
-@dataclass
-class ApplyResult:
-    circuit: Circuit
-    reverse_site: Site
-
-
 def apply_step(c: Circuit, step: Step, theory: str = "QC",
                allow_lemmas: bool = True, safety: bool = True,
                tol: float = 1e-9) -> Circuit:
-    return apply_step_full(c, step, theory, allow_lemmas, safety, tol).circuit
-
-
-def apply_step_full(c: Circuit, step: Step, theory: str = "QC",
-                    allow_lemmas: bool = True, safety: bool = True,
-                    tol: float = 1e-9) -> ApplyResult:
-    gates, rev_site, _ = _apply(_id_gates(c), c.n_in, c.threading.n_ids,
-                                *_sides(step, theory, allow_lemmas), step.site)
-    out = Circuit(c.n_in, c.n_out, tuple(_place(list(range(c.n_in)), gates)))
+    """``c`` after ``step``; with ``safety``, checked by the safety net."""
+    rec = _Recorder(theory, c, allow_lemmas)
+    rec.step(step)
+    out = rec.c
     if safety:
         _safety_check(c, out, theory, tol, wire_cap())
-    return ApplyResult(out, rev_site)
+    return out
 
 
 def _sides(step: Step, theory: str, allow_lemmas: bool) -> tuple[Circuit, Circuit]:
@@ -303,35 +293,42 @@ def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float,
 
 class _Recorder:
     """Applies steps in a theory while recording them, so the derivation it
-    ends with replays by construction.  The working circuit stays id-level
-    across steps (``gates``, next free wire id ``n_ids``); ``c`` builds it
-    as a validated ``Circuit`` only when read."""
+    ends with replays by construction; every step of the engine goes
+    through ``step``.  The working circuit stays id-level across steps
+    (``gates``, next free wire id ``n_ids``); reading ``c`` builds it as a
+    validated ``Circuit`` and re-bases the working gates on it."""
 
-    def __init__(self, theory: str, initial: Circuit):
+    def __init__(self, theory: str, initial: Circuit, allow_lemmas: bool = True):
         self.theory = theory
         self.initial = initial
+        self.allow_lemmas = allow_lemmas
         self.gates = _id_gates(initial)
         self.n_ids = initial.threading.n_ids
         self.steps: list[Step] = []
 
-    @functools.cached_property
+    @property
     def c(self) -> Circuit:
         i = self.initial
-        return Circuit(i.n_in, i.n_out, tuple(_place(list(range(i.n_in)), self.gates)))
+        c = Circuit(i.n_in, i.n_out, tuple(_place(list(range(i.n_in)), self.gates)))
+        self.gates, self.n_ids = _id_gates(c), c.threading.n_ids
+        return c
 
     def do(self, rule: str, direction: str, params=(), n: int | None = None,
-           site: Site = Site()) -> tuple[int, ...]:
-        """Apply one step; returns the gate indices its replacement landed on."""
-        step = Step(rule, direction, tuple(float(v) for v in params), n, site)
-        return self._keep(step, _apply(self.gates, self.initial.n_in, self.n_ids,
-                                       *_sides(step, self.theory, True), site))
+           site: Site = Site()) -> Site:
+        """Apply one step; returns the reverse step's site."""
+        return self.step(Step(rule, direction, tuple(float(v) for v in params), n, site))
 
-    def _keep(self, step: Step, applied) -> tuple[int, ...]:
+    def step(self, step: Step) -> Site:
+        """Apply ``step`` and record it; returns the reverse step's site."""
+        return self._keep(step, _apply(self.gates, self.initial.n_in, self.n_ids,
+                                       *_sides(step, self.theory, self.allow_lemmas),
+                                       step.site))
+
+    def _keep(self, step: Step, applied) -> Site:
         """Record ``step``, whose ``_apply`` result is ``applied``."""
         self.gates, rev_site, self.n_ids = applied
-        self.__dict__.pop("c", None)
         self.steps.append(step)
-        return rev_site.gates
+        return rev_site
 
     def derivation(self, name: str = "") -> Derivation:
         return Derivation(self.theory, self.initial, self.steps, self.c, name=name)
@@ -347,15 +344,16 @@ def replay(d: Derivation, allow_lemmas: bool = False, safety: bool = True,
     not checked, and the next check evaluates its circuit afresh.
     """
     cap = wire_cap() if safety else 0
+    rec = _Recorder(d.theory, d.initial, allow_lemmas)
     c, m = d.initial, None   # m: c's matrix, when the last step checked it
     for i, step in enumerate(d.steps):
         try:
-            after = apply_step(c, step, d.theory, allow_lemmas, False, tol)
+            rec.step(step)
+            before, c = c, rec.c
             if safety:
-                m = _safety_check(c, after, d.theory, tol, cap, m)
+                m = _safety_check(before, c, d.theory, tol, cap, m)
         except QcError as exc:
             raise type(exc)(f"step {i} ({step.rule} {step.direction}): {exc}") from exc
-        c = after
     if not deformation_equal(c, d.final):
         raise NoMatch("replayed circuit is not deformation-equal to the declared final")
     return c
@@ -373,26 +371,28 @@ def reverse_derivation(d: Derivation, name: str = "") -> Derivation:
     starts from the forward replay's end, which the reversed sites refer
     to; ``d.final`` may only be deformation-equal to it.
     """
-    c = d.initial
-    fwd: list[tuple[Step, Circuit, ApplyResult]] = []
-    for step in d.steps:
-        res = apply_step_full(c, step, d.theory, allow_lemmas=True, safety=False)
-        fwd.append((step, c, res))
-        c = res.circuit
+    rec, c, fwd = _Recorder(d.theory, d.initial), d.initial, []
+    for i, step in enumerate(d.steps):
+        try:
+            rev_site = rec.step(step)
+        except QcError as exc:
+            raise type(exc)(f"step {i} ({step.rule} {step.direction}): {exc}") from exc
+        before, c = c, rec.c
+        fwd.append((step, before, c, rev_site))
 
     rec = _Recorder(d.theory, c)
-    for i, (step, before, res) in reversed(list(enumerate(fwd))):
+    for i, (step, before, after, rev_site) in reversed(list(enumerate(fwd))):
         chain = any(before.gates[j].kind in ("INIT", "DEST") for j in step.site.gates)
         what = f"step {i} ({step.rule} {step.direction}) does not reverse"
         try:
-            rec.do(step.rule, "RL" if step.direction == "LR" else "LR",
-                   step.params, step.n,
-                   _carry_site(res.reverse_site, res.circuit, rec.c, chain))
+            rec.step(Step(step.rule, "RL" if step.direction == "LR" else "LR",
+                          step.params, step.n, _carry_site(rev_site, after, c, chain)))
         except QcError as exc:
             raise NoMatch(f"{what}: {exc}") from exc
-        if not deformation_equal(rec.c, before):
+        c = rec.c
+        if not deformation_equal(c, before):
             raise NoMatch(f"{what}: it lands off the recorded circuit")
-    return Derivation(d.theory, c, rec.steps, d.initial,
+    return Derivation(d.theory, rec.initial, rec.steps, d.initial,
                       name=name or (d.name + "_reversed" if d.name else ""))
 
 
@@ -402,7 +402,7 @@ def _carry_site(site: Site, rec: Circuit, cur: Circuit, chain: bool) -> Site:
     Deformation-equal circuits give each gate the same canonical rank and
     each wire the same id, so gates map by rank and the wire map goes
     through ids.  ``site`` selects a contiguous block of ``rec`` from
-    ``site.at`` on, as ``apply_step_full`` records it.  An empty block goes
+    ``site.at`` on, as ``_Recorder.step`` returns it.  An empty block goes
     right after the last gate it depends on: one before ``site.at`` that
     shares a wire with it or, when the block joins the INIT/DEST chain
     (``chain``), that is an INIT or DEST.
@@ -616,7 +616,7 @@ class _Normalizer(_Recorder):
     def lr(self, rule: str, k: int, m: int = 1, params=(), n: int | None = None):
         """Run a rule forwards on the m wire gates from k; a GPHASE its
         replacement starts with is merged into the last gate."""
-        landed = self.do(rule, "LR", params, n, Site(tuple(range(k, k + m)), (0,)))
+        landed = self.do(rule, "LR", params, n, Site(tuple(range(k, k + m)), (0,))).gates
         if landed and self.gates[landed[0]][0].kind == "GPHASE":
             self._merge_phase(landed[0])
 
@@ -663,17 +663,9 @@ class _Normalizer(_Recorder):
 
     # -- reduction loop -------------------------------------------------------
 
-    def _pplus(self, k: int):
-        """Merge the P P pair at gates k, k+1."""
-        self.lr("PPLUS", k, 2, (self.angle(k), self.angle(k + 1)))
-
-    def _merge_pp_all(self):
-        while (k := self.find_word(["P", "P"])) is not None:
-            self._pplus(k)
-
     def _merge_wire_pairs(self) -> bool:
         if (k := self.find_word(["P", "P"])) is not None:
-            self._pplus(k)
+            self.lr("PPLUS", k, 2, (self.angle(k), self.angle(k + 1)))
         elif (k := self.find_word(["H", "H"])) is not None:
             self.lr("H2", k, 2)
         else:
@@ -757,7 +749,8 @@ class _Normalizer(_Recorder):
             theta = reduce_angle(self.angle(k), 2 * TWO_PI)
         if theta > math.pi + ANGLE_EPS:
             self.lr("RXFLIP", k, params=(self.angle(k),))
-            self._merge_pp_all()
+            while self._merge_wire_pairs():
+                pass
         k = self.find_word(["RX"])
         if "P" not in self.kinds()[:k]:
             self.insert("P0", k)

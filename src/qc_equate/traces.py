@@ -47,9 +47,10 @@ class _Builder(_Recorder):
         return self._keep(Step(rule, direction, step.params, n, hits[nth][0]), hits[nth][1])
 
     def done(self, name: str) -> Derivation:
-        if not deformation_equal(self.c, self.target):
+        d = self.derivation(name)
+        if not deformation_equal(d.final, self.target):
             raise QcError(f"{name}: builder ended off the rule's target side")
-        return self.derivation(name)
+        return d
 
 
 def _drop_p0_rx0(b: _Builder, nth: int = 0):

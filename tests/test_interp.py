@@ -362,6 +362,17 @@ def test_angle_free_witnesses_have_one_value_per_rule_width():
     assert seen > 400
 
 
+def test_splus_witness_keeps_only_parameter_free_rules_in_scope():
+    # minimality_report reads one draw per width for the rows of SPLUS's
+    # witness, which reads angles: besides SPLUS, which takes its own psi
+    # instances, every row it keeps in scope has no parameters
+    for theory in ("QC", "QCprime"):
+        results = minimality_report(theory, "SPLUS", samples=2)["results"]
+        kept = [name for name, r in results.items() if r != "out-of-scope"]
+        assert "SPLUS" in kept and len(kept) > 1
+        assert all(name == "SPLUS" or signature(name).n_params == 0 for name in kept), kept
+
+
 def test_interp_E_values_expands_its_circuit_once(monkeypatch):
     calls, real = [], interp._expanded
 

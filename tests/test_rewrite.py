@@ -16,8 +16,8 @@ from qc_equate.errors import (ArityMismatch, BadArity, DomainError,
                               IllegalSite, InvalidCircuit, NoMatch,
                               UnknownTheory, UnsupportedGate)
 from qc_equate.euler import GENERIC, Z_ZERO, ZPRIME_ZERO, euler_e, euler_eprime
-from qc_equate.rewrite import (NF_MAX_ANGLE, apply_step_full, concat_derivations,
-                               resolve_rule)
+from qc_equate.rewrite import NF_MAX_ANGLE, concat_derivations, resolve_rule
+from qc_equate.semantics import wire_cap
 from qc_equate.theories import DEFINITIONAL, _CATALOG
 from qc_equate.traces import all_traces, derive_equal
 
@@ -178,6 +178,18 @@ def _flip(step, site):
                 step.params, step.n, site)
 
 
+def _step_and_reverse_site(c, step, theory, safety=True):
+    """``c`` after ``step``, read from a recorder's ``c``, and the reverse
+    step's site that ``_Recorder.step`` returns; with ``safety`` the
+    safety net checks the step."""
+    rec = rewrite._Recorder(theory, c)
+    site = rec.step(step)
+    out = rec.c
+    if safety:
+        rewrite._safety_check(c, out, theory, 1e-9, wire_cap())
+    return out, site
+
+
 def test_ancilla_steps_between_untouched_wires():
     # the INIT opens the middle of three wires; H(0) and H(2) act around it
     c = Circuit(2, 3, (h(0), init(1), h(2)))
@@ -188,9 +200,9 @@ def test_ancilla_steps_between_untouched_wires():
              (Step("ACX", "RL", (), None, Site((1,), (1,), 1)),
               (h(0), init(1), cnot(1, 2), h(2))))
     for step, gates in cases:
-        res = apply_step_full(c, step, "QCancilla", safety=True)
-        assert res.circuit.gates == gates
-        back = apply_step(res.circuit, _flip(step, res.reverse_site), "QCancilla")
+        out, site = _step_and_reverse_site(c, step, "QCancilla")
+        assert out.gates == gates
+        back = apply_step(out, _flip(step, site), "QCancilla")
         assert back.gates == c.gates
     # ACX needs its ancilla above the system wire
     with pytest.raises(NoMatch):
@@ -237,11 +249,11 @@ def test_ancilla_steps_reverse_on_random_circuits():
                           for m in range(4)]
         for step in steps:
             try:
-                res = apply_step_full(c, step, "QCancilla", safety=True)
+                out, site = _step_and_reverse_site(c, step, "QCancilla")
             except (NoMatch, IllegalSite):
                 continue
             applied += 1
-            back = apply_step(res.circuit, _flip(step, res.reverse_site), "QCancilla")
+            back = apply_step(out, _flip(step, site), "QCancilla")
             assert deformation_equal(back, c), step
     assert applied >= 100
 
@@ -252,12 +264,12 @@ def test_reverse_site_is_the_step_wire_map():
     for d in all_traces():
         c = d.initial
         for step in d.steps:
-            res = apply_step_full(c, step, d.theory, allow_lemmas=True, safety=False)
-            assert res.reverse_site.wire_map == step.site.wire_map
-            back = apply_step(res.circuit, _flip(step, res.reverse_site), d.theory,
+            out, site = _step_and_reverse_site(c, step, d.theory, safety=False)
+            assert site.wire_map == step.site.wire_map
+            back = apply_step(out, _flip(step, site), d.theory,
                               allow_lemmas=True, safety=True)
             assert deformation_equal(back, c)
-            c = res.circuit
+            c = out
 
 
 def test_circuits_are_threaded_once(monkeypatch):
@@ -487,18 +499,28 @@ def test_normalizer_ends_on_the_normal_form(theory):
             assert deformation_equal(deriv.final, params.circuit()), params
 
 
+def _materialized(rec) -> Circuit:
+    """A recorder's working circuit, built without reading ``rec.c``, which
+    would re-base the working gates on it."""
+    i = rec.initial
+    return Circuit(i.n_in, i.n_out,
+                   tuple(circuit_module._place(list(range(i.n_in)), rec.gates)))
+
+
 def test_id_level_steps_equal_circuit_steps(monkeypatch):
-    """A recorder's step on its id-level working circuit gives, gate for
-    gate, what ``apply_step_full`` gives on the materialized circuit, and
-    folding ``apply_step_full`` over a recorded trace ends on its final."""
+    """A recorder that never reads ``c`` gives, step by step and gate for
+    gate, what a one-step ``apply_step`` gives on the materialized circuit,
+    and its replacement lands where a recorder started on that circuit says;
+    folding ``apply_step`` over a recorded trace ends on its final."""
     do = rewrite._Recorder.do
 
     def checked(self, *args, **kw):
-        before = self.c
-        landed = do(self, *args, **kw)
-        res = apply_step_full(before, self.steps[-1], self.theory, safety=False)
-        assert res.circuit == self.c and res.reverse_site.gates == landed
-        return landed
+        before = _materialized(self)
+        site = do(self, *args, **kw)
+        step = self.steps[-1]
+        assert apply_step(before, step, self.theory, safety=False) == _materialized(self)
+        assert rewrite._Recorder(self.theory, before).step(step) == site
+        return site
 
     monkeypatch.setattr(rewrite._Recorder, "do", checked)
     derivs = [normalize_1q(c, emit_trace=True, theory=theory)[1]
@@ -507,7 +529,7 @@ def test_id_level_steps_equal_circuit_steps(monkeypatch):
     for d in derivs + all_traces():
         c = d.initial
         for step in d.steps:
-            c = apply_step_full(c, step, d.theory, safety=False).circuit
+            c = apply_step(c, step, d.theory, safety=False)
         if c != d.final:
             assert deformation_equal(c, d.final), d.name
             off.add(d.name)

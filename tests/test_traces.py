@@ -1,5 +1,6 @@
 """The shipped derivation set: replay, JSON round trips, reversibility."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -13,6 +14,7 @@ from qc_equate import (Derivation, RuleId, apply_step, circuit,
                        p, replay, resolve_rule, reverse_derivation)
 from qc_equate import rewrite, traces as tr
 from qc_equate.errors import NoMatch, QcError, SemanticDrift
+from qc_equate.rewrite import Site
 
 PI = math.pi
 TRACE_DIR = Path(__file__).resolve().parent.parent / "traces"
@@ -126,6 +128,17 @@ def test_reverse_carries_sites_without_a_scan(monkeypatch):
         assert deformation_equal(out, d.initial)
 
 
+def test_reverse_names_the_step_its_forward_pass_fails_at():
+    # the forward pass of a reversal reports a bad step as replay does
+    d = tr.qc_cnot2()
+    d.steps[1] = dataclasses.replace(d.steps[1], site=Site((7,), (0, 1)))
+    want = r"^step 1 \(C LR\): site gate indices out of range or repeated$"
+    with pytest.raises(NoMatch, match=want):
+        replay(d, allow_lemmas=True)
+    with pytest.raises(NoMatch, match=want):
+        reverse_derivation(d)
+
+
 def _frozen() -> list[Derivation]:
     return [Derivation.from_dict(json.loads(path.read_text()))
             for path in sorted(TRACE_DIR.glob("*.json"))]
@@ -177,13 +190,13 @@ def test_wire_cap_skips_the_same_steps_as_apply_step(monkeypatch):
     # qcancilla_p0 and qcancilla_splus never open more than 2 wires
     monkeypatch.setenv("QCEQ_WIRE_CAP", "2")
     seen = _count_evals(monkeypatch)
-    at, real_apply = [], rewrite.apply_step
+    at, real_step = [], rewrite._Recorder.step
 
-    def counted_apply(*args, **kwargs):
+    def counted_step(*args, **kwargs):
         at.append(len(seen))   # evaluations made before this step
-        return real_apply(*args, **kwargs)
+        return real_step(*args, **kwargs)
 
-    monkeypatch.setattr(rewrite, "apply_step", counted_apply)
+    monkeypatch.setattr(rewrite._Recorder, "step", counted_step)
     checked = {}
     for d in _frozen():
         if not d.name.startswith("qcancilla"):
