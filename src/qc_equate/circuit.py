@@ -6,8 +6,9 @@ ordered list of open wires; ``INIT`` inserts a wire at its stated position,
 ``DEST`` removes one.  Circuits are identified up to deformation (sliding
 gates with disjoint wire support past each other), which is decided by a
 canonical topological ordering of the wire-threading DAG.  A ``Circuit``
-keeps the threading its constructor validated, so nothing threads it again,
-and its canonical order once computed, so nothing orders it again.
+keeps the threading its constructor validated, the one record of its
+widest frame, and its canonical order once computed, so nothing threads
+or orders it again.
 INIT/DEST keep their mutual order under every deformation and rewrite, so
 each INIT's own position is the one record of wire order.
 
@@ -111,6 +112,13 @@ def _real(v, what: str = "angle") -> float:
     return float(v)
 
 
+def _as_tuple(vs, what: str) -> tuple:
+    try:
+        return tuple(vs)
+    except TypeError:
+        raise InvalidCircuit(f"{what} {vs!r} is not a sequence") from None
+
+
 @dataclass(frozen=True, slots=True)
 class Gate:
     """One gate occurrence: a kind tag, wire positions and real parameters.
@@ -139,7 +147,7 @@ class Gate:
         if sig is None:
             raise InvalidCircuit(f"unknown gate kind {kind!r}")
         if type(wires) is not tuple:
-            wires = tuple(wires)
+            wires = _as_tuple(wires, "wires")
             object.__setattr__(self, "wires", wires)
         for w in wires:
             if type(w) is not int:
@@ -147,7 +155,7 @@ class Gate:
                 object.__setattr__(self, "wires", wires)
                 break
         if type(params) is not tuple:
-            params = tuple(params)
+            params = _as_tuple(params, "params")
             object.__setattr__(self, "params", params)
         for v in params:
             if type(v) is not float:
@@ -218,8 +226,7 @@ class Gate:
     @staticmethod
     def from_dict(d: dict) -> "Gate":
         base = Gate.from_dict(d["base"]) if "base" in d else None
-        return Gate(d["kind"], tuple(d.get("wires", ())), tuple(d.get("params", ())),
-                    d.get("pattern", ""), base)
+        return Gate(d["kind"], d.get("wires", ()), d.get("params", ()), d.get("pattern", ""), base)
 
 
 # -- constructors -----------------------------------------------------------
@@ -274,14 +281,18 @@ class Circuit:
     threading: "Threading" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
+        if type(self.gates) is not tuple:
+            object.__setattr__(self, "gates", _as_tuple(self.gates, "gates"))
         if type(self.n_in) is not int or type(self.n_out) is not int:
             object.__setattr__(self, "n_in", _wire(self.n_in))
             object.__setattr__(self, "n_out", _wire(self.n_out))
         if self.n_in < 0 or self.n_out < 0:
             raise InvalidCircuit("negative wire count")
-        # raises InvalidCircuit on bad threading
-        object.__setattr__(self, "threading", thread(self))
+        try:   # raises InvalidCircuit on bad threading
+            object.__setattr__(self, "threading", thread(self))
+        except AttributeError:   # thread reads fields only a Gate has
+            idx, bad = next((i, g) for i, g in enumerate(self.gates) if type(g) is not Gate)
+            raise InvalidCircuit(f"gate {idx}: {bad!r} is not a Gate") from None
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -349,11 +360,13 @@ class Threading:
     """Result of replaying a gate list: wire identities per gate.
 
     Inputs get ids 0..n_in-1 and every INIT the next id, in birth order.
+    ``widest`` is the most wires open at once, INITs counted.
     """
 
     gate_ids: tuple[tuple[int, ...], ...]   # wire ids touched by each gate
     output_ids: tuple[int, ...]
     n_ids: int
+    widest: int
 
 
 def thread(c: Circuit) -> Threading:
@@ -363,7 +376,7 @@ def thread(c: Circuit) -> Threading:
     the replay does not end with exactly n_out wires.
     """
     open_ids = list(range(c.n_in))
-    next_id = c.n_in
+    next_id = widest = c.n_in
     gate_ids: list[tuple[int, ...]] = []
     for idx, g in enumerate(c.gates):
         w = len(open_ids)
@@ -374,6 +387,7 @@ def thread(c: Circuit) -> Threading:
             open_ids.insert(pos, next_id)
             gate_ids.append((next_id,))
             next_id += 1
+            widest = max(widest, w + 1)
         elif g.kind == "DEST":
             pos = g.wires[0]
             if not 0 <= pos < w:
@@ -386,7 +400,7 @@ def thread(c: Circuit) -> Threading:
             gate_ids.append(tuple(open_ids[wp] for wp in g.wires))
     if len(open_ids) != c.n_out:
         raise InvalidCircuit(f"threading ends with {len(open_ids)} wires, declared n_out={c.n_out}")
-    return Threading(tuple(gate_ids), tuple(open_ids), next_id)
+    return Threading(tuple(gate_ids), tuple(open_ids), next_id, widest)
 
 
 # -- the id-level wire model ------------------------------------------------
@@ -426,19 +440,6 @@ def _frames(alive, gates) -> list[list[int]]:
     return out
 
 
-def _widest(c: Circuit) -> int:
-    """The most wires open at once in ``c``, its INITs counted: the width
-    ``eval_matrix`` must allow."""
-    width = top = c.n_in
-    for g in c.gates:
-        if g.kind == "INIT":
-            width += 1
-            top = max(top, width)
-        elif g.kind == "DEST":
-            width -= 1
-    return top
-
-
 def _place(alive: list[int], gates) -> list[Gate]:
     """The id-level ``gates`` on the positions their ids hold in the running
     open-wire list ``alive``, which is updated in place.  Each INIT keeps
@@ -472,12 +473,8 @@ def compose_par(c1: Circuit, c2: Circuit) -> Circuit:
     c1's gates are emitted first, so while c2's gates run the region above
     them has settled at c1.n_out wires; any interleaving is deformation-equal.
     """
-    shifted = tuple(_shift_gate(g, c1.n_out) for g in c2.gates)
+    shifted = tuple(g.with_wires(tuple(w + c1.n_out for w in g.wires)) for g in c2.gates)
     return Circuit(c1.n_in + c2.n_in, c1.n_out + c2.n_out, c1.gates + shifted)
-
-
-def _shift_gate(g: Gate, offset: int) -> Gate:
-    return g.with_wires(tuple(w + offset for w in g.wires))
 
 
 # -- macro expansion --------------------------------------------------------

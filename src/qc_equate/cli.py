@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .circuit import Circuit, expand_macros
+from .circuit import Circuit, _real, expand_macros
 from .errors import InvalidCircuit, QcError
 from .euler import nf_from_unitary
 from .interp import minimality_matrix, minimality_report
@@ -68,9 +69,7 @@ def cmd_normalize(args) -> int:
     c = _load_circuit(args.circuit)
     params, deriv = normalize_1q(c, emit_trace=args.trace is not None,
                                  theory=args.theory)
-    out = {"beta0": params.beta0, "beta1": params.beta1,
-           "beta2": params.beta2, "beta3": params.beta3,
-           "normal_form": params.circuit().to_dict()}
+    out = {**asdict(params), "normal_form": params.circuit().to_dict()}
     if args.trace:
         with open(args.trace, "w") as fh:
             json.dump(deriv.to_dict(), fh, indent=1)
@@ -81,12 +80,10 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_synth1q(args) -> int:
-    u = _load(args.unitary,
-              lambda raw: np.array([[complex(e[0], e[1]) for e in row] for row in raw]))
+    u = _load(args.unitary, lambda raw: np.array(   # each entry an [re, im] pair
+        [[complex(_real(re, "entry"), _real(im, "entry")) for re, im in row] for row in raw]))
     params = nf_from_unitary(u)
-    _emit({"beta0": params.beta0, "beta1": params.beta1,
-           "beta2": params.beta2, "beta3": params.beta3,
-           "circuit": params.circuit().to_dict()})
+    _emit({**asdict(params), "circuit": params.circuit().to_dict()})
     return 0
 
 

@@ -30,7 +30,7 @@ from .errors import (InconsistentClasses, NoInterpretation, UnknownLemma,
                      UnsupportedGate)
 from .euler import b_funcs
 from .semantics import eval_matrix
-from .theories import instances, list_rules, resolve_rule, signature
+from .theories import _seeded_rng, instances, list_rules, resolve_rule, signature
 
 HALF_PI = math.pi / 2.0
 
@@ -282,7 +282,7 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     interpretation is defined on INIT/DEST, so a rule with an ancilla side
     has no witness and the report does not pass.
     """
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     if axiom not in {r.name for r in list_rules(theory)}:
         raise UnknownLemma(f"{axiom} is not an axiom of {theory}")
     psi = None

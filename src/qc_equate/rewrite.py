@@ -12,13 +12,13 @@ them, and in canonical order only when that fails; angles are compared
 modulo the gate's period.  A safety net re-checks the semantics of every
 accepted step numerically, with the theory's own equality; a replay
 evaluates each circuit it passes once and compares it with the matrix of
-the one before.  Every step, the normalizer's, the builders', reversal's,
-``replay``'s and ``apply_step``'s, goes through one recorder,
-``_Recorder``, on id-level gates (``_apply``): it keeps one working
-circuit across a derivation's steps, builds a ``Circuit`` only when one
-is read, and re-bases the working gates on it.  A ``Circuit`` keeps its
-canonical order once computed, so deformation checks and carried sites
-that meet the same circuit again do not order it again.
+the one before.  Every step goes through one recorder, ``_Recorder``, on
+id-level gates (``_apply``): it keeps one working circuit across a
+derivation's steps, builds a ``Circuit`` only when one is read, and
+re-bases the working gates on it; ``replay`` and reversal share one walk
+over a derivation (``_walk``).  A ``Circuit`` keeps its canonical order
+once computed, so deformation checks and carried sites that meet the same
+circuit again do not order it again.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from dataclasses import dataclass
 
 from .circuit import (ANGLE_EPS, TWO_PI, Circuit, _IdGate, _STRUCT,
                       _canonical_gates, _canonical_order, _deps, _frames,
-                      _id_gates, _place, _real, _same_gates, _widest, _wire,
+                      _id_gates, _place, _real, _same_gates, _wire,
                       angles_equal, deformation_equal, reduce_angle)
 from .errors import (BadArity, DomainError, IllegalSite, InvalidCircuit, NoMatch,
                      QcError, SemanticDrift, UnknownTheory, UnsupportedGate)
 from .euler import NormalFormParams, _pack
-from .semantics import eval_matrix, wire_cap
+from .semantics import eval_matrix, within_cap
 from .theories import equal_in, resolve_rule
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ def apply_step(c: Circuit, step: Step, theory: str = "QC",
     rec.step(step)
     out = rec.c
     if safety:
-        _safety_check(c, out, theory, tol, wire_cap())
+        _safety_check(c, out, theory, tol)
     return out
 
 
@@ -274,12 +274,12 @@ def _build_replacement(src: Circuit, dst: Circuit, wire_ids: list[int],
 
 
 def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float,
-                  cap: int, m_before=None):
+                  m_before=None):
     """Check that ``after`` is equal in ``theory`` to ``before``, whose
-    matrix is ``m_before`` when already evaluated, and return ``after``'s
-    matrix; None, with no check, when either opens more than ``cap`` wires
-    at once (``_widest``)."""
-    if max(_widest(before), _widest(after)) > cap:
+    matrix is ``m_before`` when already evaluated, and so within the wire
+    cap, and return ``after``'s matrix; None, with no check, when either
+    opens more wires at once than the cap (``within_cap``)."""
+    if not within_cap(after) or (m_before is None and not within_cap(before)):
         return None
     if m_before is None:
         m_before = eval_matrix(before)
@@ -334,6 +334,24 @@ class _Recorder:
         return Derivation(self.theory, self.initial, self.steps, self.c, name=name)
 
 
+def _walk(d: Derivation, allow_lemmas: bool, safety: bool, tol: float):
+    """Apply ``d``'s steps through one recorder, checked as ``replay``
+    says when ``safety``, and yield each step's input circuit, output
+    circuit and reverse site; a failing step's error gets the prefix
+    ``step i (rule dir): ``."""
+    rec = _Recorder(d.theory, d.initial, allow_lemmas)
+    c, m = d.initial, None   # m: c's matrix, when the last step checked it
+    for i, step in enumerate(d.steps):
+        try:
+            rev_site = rec.step(step)
+            before, c = c, rec.c
+            if safety:
+                m = _safety_check(before, c, d.theory, tol, m)
+        except QcError as exc:
+            raise type(exc)(f"step {i} ({step.rule} {step.direction}): {exc}") from exc
+        yield before, c, rev_site
+
+
 def replay(d: Derivation, allow_lemmas: bool = False, safety: bool = True,
            tol: float = 1e-9) -> Circuit:
     """Fold the steps over the initial circuit; verify the declared final.
@@ -343,17 +361,9 @@ def replay(d: Derivation, allow_lemmas: bool = False, safety: bool = True,
     matrix the step before evaluated.  A step wider than the wire cap is
     not checked, and the next check evaluates its circuit afresh.
     """
-    cap = wire_cap() if safety else 0
-    rec = _Recorder(d.theory, d.initial, allow_lemmas)
-    c, m = d.initial, None   # m: c's matrix, when the last step checked it
-    for i, step in enumerate(d.steps):
-        try:
-            rec.step(step)
-            before, c = c, rec.c
-            if safety:
-                m = _safety_check(before, c, d.theory, tol, cap, m)
-        except QcError as exc:
-            raise type(exc)(f"step {i} ({step.rule} {step.direction}): {exc}") from exc
+    c = d.initial
+    for _, c, _ in _walk(d, allow_lemmas, safety, tol):
+        pass
     if not deformation_equal(c, d.final):
         raise NoMatch("replayed circuit is not deformation-equal to the declared final")
     return c
@@ -369,19 +379,14 @@ def reverse_derivation(d: Derivation, name: str = "") -> Derivation:
     for, and the reversed step must land deformation-equal on the forward
     step's input; otherwise NoMatch is raised.  The reversed derivation
     starts from the forward replay's end, which the reversed sites refer
-    to; ``d.final`` may only be deformation-equal to it.
+    to; ``d.final`` may only be deformation-equal to it.  The forward run
+    is ``replay``'s walk (``_walk``), with lemmas and without the safety net.
     """
-    rec, c, fwd = _Recorder(d.theory, d.initial), d.initial, []
-    for i, step in enumerate(d.steps):
-        try:
-            rev_site = rec.step(step)
-        except QcError as exc:
-            raise type(exc)(f"step {i} ({step.rule} {step.direction}): {exc}") from exc
-        before, c = c, rec.c
-        fwd.append((step, before, c, rev_site))
-
+    fwd = list(_walk(d, allow_lemmas=True, safety=False, tol=0.0))
+    c = fwd[-1][1] if fwd else d.initial
     rec = _Recorder(d.theory, c)
-    for i, (step, before, after, rev_site) in reversed(list(enumerate(fwd))):
+    for i in reversed(range(len(fwd))):
+        step, (before, after, rev_site) = d.steps[i], fwd[i]
         chain = any(before.gates[j].kind in ("INIT", "DEST") for j in step.site.gates)
         what = f"step {i} ({step.rule} {step.direction}) does not reverse"
         try:

@@ -43,28 +43,28 @@ def wire_cap() -> int:
         raise BadParams(f"QCEQ_WIRE_CAP={raw!r} is not an integer") from None
 
 
+def within_cap(c: Circuit) -> bool:
+    """Whether the circuit opens no more wires at once than the wire cap."""
+    return c.threading.widest <= wire_cap()
+
+
 def eval_matrix(c: Circuit) -> np.ndarray:
-    """Matrix of the circuit, one in-place kernel per gate."""
-    cap = wire_cap()
-    width = c.n_in
-    if width > cap:
-        raise WireCapExceeded(f"{width} wires exceeds cap {cap}")
-    cols = 2 ** width
-    t = np.eye(cols, dtype=complex).reshape((2,) * width + (cols,))
+    """Matrix of the circuit, one in-place kernel per gate, if ``within_cap``."""
+    if not within_cap(c):
+        raise WireCapExceeded(f"circuit opens {c.threading.widest} wires at once, "
+                              f"cap {wire_cap()}")
+    cols = 2 ** c.n_in
+    t = np.eye(cols, dtype=complex).reshape((2,) * c.n_in + (cols,))
     for g in c.gates:
-        if g.kind == "INIT":
-            t = _apply_init(t, g.wires[0])
-            width += 1
-            if width > cap:
-                raise WireCapExceeded(f"{width} wires exceeds cap {cap}")
-        elif g.kind == "DEST":
-            t = _apply_dest(t, g.wires[0])
-            width -= 1
+        if g.kind == "INIT":   # a new axis in state |0>
+            t = np.stack([t, np.zeros_like(t)], axis=g.wires[0])
+        elif g.kind == "DEST":   # project onto <0|
+            t = np.take(t, 0, axis=g.wires[0])
         elif g.kind == "SWAP":
             t = np.swapaxes(t, *g.wires)
         else:
             _apply_kernel(t, g)
-    return t.reshape(2 ** width, cols)
+    return t.reshape(2 ** c.n_out, cols)
 
 
 #: gate kinds that are their last wire's 1-qubit base controlled by all
@@ -110,14 +110,6 @@ def _apply_kernel(t: np.ndarray, g: Gate) -> None:
     b *= u11
     b += u10 * a
     a[...] = a_new
-
-
-def _apply_init(t: np.ndarray, pos: int) -> np.ndarray:
-    return np.stack([t, np.zeros_like(t)], axis=pos)  # new axis in state |0>
-
-
-def _apply_dest(t: np.ndarray, pos: int) -> np.ndarray:
-    return np.take(t, 0, axis=pos)  # project onto <0|
 
 
 # -- predicates --------------------------------------------------------------

@@ -444,6 +444,13 @@ def lemma_names() -> list[str]:
 
 # -- sampling / master soundness suite ---------------------------------------
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """The generator a sampling run draws from: ``seed`` is an int >= 0."""
+    if (seed := _wire(seed, "seed")) < 0:
+        raise BadParams(f"seed {seed} is negative")
+    return np.random.default_rng(seed)
+
+
 def sample_params(n_params: int, rng: np.random.Generator) -> tuple[float, ...]:
     return tuple(rng.uniform(-4 * PI, 4 * PI, n_params).tolist())
 
@@ -478,7 +485,7 @@ def verify_theory(theory: str, samples: int = 100, max_qubits: int = 6,
     parameters has one fixed instance, checked once per width.  Returns
     {rule name: {"checks": int, "ok": bool}} plus an "ok" summary key.
     """
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     report: dict = {"theory": theory, "tol": tol, "rules": {}, "ok": True}
     for rid in list_rules(theory):
         oks = [check_soundness(inst, tol)

@@ -245,6 +245,14 @@ def test_circuit_rejects_non_integer_wire_counts():
             Circuit(n_in, n_out)
 
 
+def test_circuit_rejects_gates_that_are_not_a_sequence_of_gates():
+    for gates, message in ((5, "gates 5 is not a sequence"),
+                           ((5,), "gate 0: 5 is not a Gate"),
+                           ([h(0), "H"], "gate 1: 'H' is not a Gate")):
+        with pytest.raises(InvalidCircuit, match=f"^{re.escape(message)}$"):
+            Circuit(1, 1, gates)
+
+
 def test_gate_rejects_nonfinite_angle():
     with pytest.raises(InvalidCircuit):
         p(float("nan"), 0)
@@ -296,6 +304,9 @@ _REJECTED = [
     (("P", (0,), (1.0,), "", x(0)), "P takes no control pattern or base"),
     (("MCP", (0, 1), (1.0,), "1"), "MCP takes no control pattern or base"),
     (("MCRX", (), (1.0,), "", rx(0.2, 0)), "MCRX takes no control pattern or base"),
+    # fields that are not sequences
+    (("H", 0), "wires 0 is not a sequence"),
+    (("P", (0,), 0.5), "params 0.5 is not a sequence"),
 ]
 
 

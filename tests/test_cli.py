@@ -120,6 +120,27 @@ def test_synth1q(tmp_path, capsys):
     assert abs(out["beta1"] - math.pi / 2) < 1e-9
 
 
+def test_synth1q_rejects_entries_that_are_not_re_im_pairs(tmp_path, capsys):
+    # [1] is no pair, and true is not the number 1
+    for u, message in (([[[1], [0]], [[0], [1]]], "not enough values to unpack"),
+                       ([[[True, False], [0, 0]], [[0, 0], [True, 0]]],
+                        "entry True is not a real number")):
+        fp = tmp_path / "u.json"
+        fp.write_text(json.dumps(u))
+        assert main(["synth1q", str(fp)]) == 2, u
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+
+def test_negative_seed_exits_2(capsys):
+    for argv in (["verify-rules", "--seed", "-5", "--samples", "2"],
+                 ["minimality", "--theory", "QC", "--axiom", "H2", "--seed", "-1"],
+                 ["minimality", "--theory", "QC", "--axiom", "ALL", "--seed", "-1"]):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "seed -" in err, argv
+
+
 def test_expand(files, capsys):
     assert main(["expand", files["hph"]]) == 0
     out = json.loads(capsys.readouterr().out)

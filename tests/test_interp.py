@@ -14,7 +14,7 @@ from qc_equate.circuit import Circuit, angles_equal, init, dest
 from qc_equate.cli import main
 from qc_equate.errors import BadParams, InvalidCircuit, UnknownLemma, UnsupportedGate
 from qc_equate.interp import equal_value_sets, minimality_matrix
-from qc_equate.theories import THEORIES, instances, list_rules, signature
+from qc_equate.theories import THEORIES, instances, list_rules, signature, verify_theory
 from qc_equate.rewrite import Site, Step
 
 PI = math.pi
@@ -384,3 +384,19 @@ def test_interp_E_values_expands_its_circuit_once(monkeypatch):
     c = circuit(1, [x(0), p(0.7, 0), h(0), p(1.1, 0)])
     assert len(interp_E_values(c)) == 4
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed, error", [(1.5, InvalidCircuit), (True, InvalidCircuit),
+                                         ("3", InvalidCircuit), (-1, BadParams)])
+def test_sampling_runs_check_their_seed(seed, error):
+    with pytest.raises(error, match="^seed "):
+        verify_theory("QC", 2, seed=seed)
+    with pytest.raises(error, match="^seed "):
+        minimality_report("QC", "H2", samples=2, seed=seed)
+    with pytest.raises(error, match="^seed "):
+        minimality_matrix("QC", samples=2, seed=seed)
+
+
+def test_numpy_integer_seeds_draw_as_ints():
+    assert (verify_theory("QC", 2, max_qubits=3, seed=np.int64(4))
+            == verify_theory("QC", 2, max_qubits=3, seed=4))

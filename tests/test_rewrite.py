@@ -17,7 +17,6 @@ from qc_equate.errors import (ArityMismatch, BadArity, DomainError,
                               UnknownTheory, UnsupportedGate)
 from qc_equate.euler import GENERIC, Z_ZERO, ZPRIME_ZERO, euler_e, euler_eprime
 from qc_equate.rewrite import NF_MAX_ANGLE, concat_derivations, resolve_rule
-from qc_equate.semantics import wire_cap
 from qc_equate.theories import DEFINITIONAL, _CATALOG
 from qc_equate.traces import all_traces, derive_equal
 
@@ -186,7 +185,7 @@ def _step_and_reverse_site(c, step, theory, safety=True):
     site = rec.step(step)
     out = rec.c
     if safety:
-        rewrite._safety_check(c, out, theory, 1e-9, wire_cap())
+        rewrite._safety_check(c, out, theory, 1e-9)
     return out, site
 
 

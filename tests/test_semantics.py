@@ -274,3 +274,15 @@ def test_wire_cap(monkeypatch):
         eval_matrix(circuit(4, [h(0)]))
     monkeypatch.delenv("QCEQ_WIRE_CAP")
     eval_matrix(circuit(4, [h(0)]))  # default cap is 10
+
+
+def test_eval_matrix_refuses_a_circuit_whose_inits_pass_the_cap(monkeypatch):
+    # one wire at both ends, two in between: refused before any kernel runs
+    monkeypatch.setenv("QCEQ_WIRE_CAP", "1")
+    c = Circuit(1, 1, (init(0), dest(0)))
+    assert c.threading.widest == 2
+    with pytest.raises(WireCapExceeded, match="^circuit opens 2 wires at once, cap 1$"):
+        eval_matrix(c)
+    assert eval_matrix(Circuit(1, 1, (h(0),))).shape == (2, 2)
+    monkeypatch.setenv("QCEQ_WIRE_CAP", "2")
+    assert np.allclose(eval_matrix(c), np.eye(2))

@@ -248,6 +248,29 @@ def test_wire_cap_counts_the_wires_inits_open(monkeypatch):
     assert seen and all(_widest_frame(c) <= 1 for c in seen)
 
 
+def test_threading_records_the_widest_frame(monkeypatch):
+    # every circuit the replay of a frozen trace, or of its reversal,
+    # passes through goes through the safety net
+    seen, real = [], rewrite._safety_check
+
+    def recorded(before, after, *args):
+        seen.extend((before, after))
+        return real(before, after, *args)
+
+    monkeypatch.setattr(rewrite, "_safety_check", recorded)
+    n_steps = 0
+    for d in _frozen():
+        runs = [d]
+        if d.name != "qcancilla_p0":   # the one frozen trace that does not reverse
+            runs.append(reverse_derivation(d))
+        for run in runs:
+            replay(run, allow_lemmas=True, safety=True)
+            n_steps += len(run.steps)
+    assert len(seen) == 2 * n_steps
+    assert all(c.threading.widest == _widest_frame(c) for c in seen)
+    assert any(c.threading.widest > max(c.n_in, c.n_out) for c in seen)
+
+
 def test_reversal_orders_each_circuit_once(monkeypatch):
     # each canonical order is traced to the Circuit whose id-level gates it
     # was computed from; an id-level block that is not a Circuit maps to None
