@@ -365,7 +365,6 @@ class Threading:
 
     gate_ids: tuple[tuple[int, ...], ...]   # wire ids touched by each gate
     output_ids: tuple[int, ...]
-    n_ids: int
     widest: int
 
 
@@ -400,7 +399,7 @@ def thread(c: Circuit) -> Threading:
             gate_ids.append(tuple(open_ids[wp] for wp in g.wires))
     if len(open_ids) != c.n_out:
         raise InvalidCircuit(f"threading ends with {len(open_ids)} wires, declared n_out={c.n_out}")
-    return Threading(tuple(gate_ids), tuple(open_ids), next_id, widest)
+    return Threading(tuple(gate_ids), tuple(open_ids), widest)
 
 
 # -- the id-level wire model ------------------------------------------------

@@ -8,6 +8,7 @@ codes: 0 success / property holds, 1 property fails, 2 input or step error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -139,6 +140,7 @@ def cmd_list_rules(args) -> int:
     return 0
 
 
+@functools.cache   # built once per process; each parse_args call starts afresh
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qc-equate",
                                  description="quantum circuit equational theories")

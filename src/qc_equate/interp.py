@@ -283,6 +283,8 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     has no witness and the report does not pass.
     """
     rng = _seeded_rng(seed)
+    seed, samples = _wire(seed, "seed"), _wire(samples, "samples")   # echoed as ints
+    target_n = _wire(target_n, "target_n")
     if axiom not in {r.name for r in list_rules(theory)}:
         raise UnknownLemma(f"{axiom} is not an axiom of {theory}")
     psi = None
@@ -322,8 +324,7 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
             if bound is not None and width > bound and name != axiom:
                 results[name] = "out-of-scope"
                 continue
-            draws = (samples if axiom in ("I", "E")
-                     else min(_wire(samples, "samples"), 1))
+            draws = samples if axiom in ("I", "E") else min(samples, 1)
             # drawn in full, so later rules' draws do not depend on where
             # this one fails
             insts = list(instances(theory, name, draws, max_qubits, rng))
@@ -352,6 +353,7 @@ def minimality_matrix(theory: str = "QC", max_qubits: int = 5,
     """One report per axiom of the theory that has a counter-interpretation;
     the axioms without one are named in ``no_interpretation``, in catalog
     order.  PASS iff every row passes."""
+    seed, samples = _wire(seed, "seed"), _wire(samples, "samples")   # echoed as ints
     rows, missing = {}, []
     ok = True
     for rid in list_rules(theory):

@@ -14,11 +14,10 @@ accepted step numerically, with the theory's own equality; a replay
 evaluates each circuit it passes once and compares it with the matrix of
 the one before.  Every step goes through one recorder, ``_Recorder``, on
 id-level gates (``_apply``): it keeps one working circuit across a
-derivation's steps, builds a ``Circuit`` only when one is read, and
-re-bases the working gates on it; ``replay`` and reversal share one walk
-over a derivation (``_walk``).  A ``Circuit`` keeps its canonical order
-once computed, so deformation checks and carried sites that meet the same
-circuit again do not order it again.
+derivation's steps and builds a ``Circuit`` only when one is read;
+``replay`` and reversal share one walk over a derivation (``_walk``).  A
+``Circuit`` keeps its canonical order once computed, so deformation checks
+and carried sites that meet the same circuit again do not order it again.
 """
 
 from __future__ import annotations
@@ -144,11 +143,11 @@ def _sides(step: Step, theory: str, allow_lemmas: bool) -> tuple[Circuit, Circui
     return (inst.lhs, inst.rhs) if step.direction == "LR" else (inst.rhs, inst.lhs)
 
 
-def _apply(gates: list[_IdGate], n_in: int, n_ids: int, src: Circuit,
-           dst: Circuit, site: Site) -> tuple[list[_IdGate], Site, int]:
+def _apply(gates: list[_IdGate], n_in: int, src: Circuit, dst: Circuit,
+           site: Site) -> tuple[list[_IdGate], Site]:
     """Replace the block ``site`` selects in id-level ``gates`` (inputs
-    0..n_in-1, ids below ``n_ids``), deformation-equal to ``src``, by
-    ``dst``: the new gates, the reverse step's site and the next free id."""
+    0..n_in-1), deformation-equal to ``src``, by ``dst``: the new gates and
+    the reverse step's site."""
     sel = tuple(site.gates)
     if len(sel) != len(set(sel)) or any(not 0 <= i < len(gates) for i in sel):
         raise NoMatch("site gate indices out of range or repeated")
@@ -173,14 +172,14 @@ def _apply(gates: list[_IdGate], n_in: int, n_ids: int, src: Circuit,
         raise NoMatch("wire_map is not injective")
 
     inits = _match_source(src, [gates[i] for i in sel], wire_ids, frame)
-    repl, n_ids = _build_replacement(src, dst, wire_ids, inits, frame, n_ids)
+    repl = _build_replacement(src, dst, wire_ids, inits, frame, gates, n_in)
 
     # site for the reverse step: the replacement block in the new circuit,
     # which assembles in the same frame, so under the same wire map
     start = len(assembly)
     rev_site = Site(tuple(range(start, start + len(repl))), wire_map, start)
     window_post = gates[sel[-1] + 1:] if sel else gates[anchor:]
-    return assembly + repl + [gates[i] for i in after] + window_post, rev_site, n_ids
+    return assembly + repl + [gates[i] for i in after] + window_post, rev_site
 
 
 def _assembly(gates: list[_IdGate], n_in: int, sel: tuple[int, ...], anchor: int):
@@ -239,14 +238,14 @@ def _match_source(src: Circuit, block: list[_IdGate], wire_ids: list[int],
 
 def _build_replacement(src: Circuit, dst: Circuit, wire_ids: list[int],
                        inits: list[_IdGate], frame: list[int],
-                       next_id: int) -> tuple[list[_IdGate], int]:
-    """Id-level gates for the target side, spliced where the block
-    assembles (``frame``), and the next free wire id after them.
+                       gates: list[_IdGate], n_in: int) -> list[_IdGate]:
+    """Id-level gates for the target side, spliced into ``gates`` (inputs
+    0..n_in-1) where the block assembles (``frame``).
 
     An INIT of a wire the source side created is the block's INIT, at its
-    own position.  A fresh INIT, whose id counts up from ``next_id``, goes
-    right before the next mapped wire in rule order, after the last one,
-    or at 0 when no wire is mapped.
+    own position.  A fresh INIT takes the id one above every id in use
+    and goes right before the next mapped wire in rule order, after the
+    last one, or at 0 when no wire is mapped.
     """
     src_ids = wire_ids + [ids[0] for _, ids in inits]   # by source-side label
     born = {ids[0]: g for g, ids in inits}
@@ -258,8 +257,8 @@ def _build_replacement(src: Circuit, dst: Circuit, wire_ids: list[int],
     repl: list[_IdGate] = []
     for g, labs in zip(dst.gates, dst.threading.gate_ids):
         if g.kind == "INIT" and labs[0] not in id_of:
-            id_of[labs[0]] = next_id
-            next_id += 1
+            id_of[labs[0]] = 1 + max([n_in - 1, *id_of.values(),
+                                      *(wid for _, ids in gates for wid in ids)])
         ids = tuple(id_of[lab] for lab in labs)
         if g.kind == "INIT" and ids[0] in born:
             g = born[ids[0]]
@@ -270,7 +269,7 @@ def _build_replacement(src: Circuit, dst: Circuit, wire_ids: list[int],
             g = g.with_wires((alive.index(mapped[r]) if r < len(mapped) else
                               alive.index(mapped[-1]) + 1 if mapped else 0,))
         repl.append(_IdGate(g, ids))
-    return repl, next_id
+    return repl
 
 
 def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float,
@@ -295,23 +294,19 @@ class _Recorder:
     """Applies steps in a theory while recording them, so the derivation it
     ends with replays by construction; every step of the engine goes
     through ``step``.  The working circuit stays id-level across steps
-    (``gates``, next free wire id ``n_ids``); reading ``c`` builds it as a
-    validated ``Circuit`` and re-bases the working gates on it."""
+    (``gates``); reading ``c`` builds it as a validated ``Circuit``."""
 
     def __init__(self, theory: str, initial: Circuit, allow_lemmas: bool = True):
         self.theory = theory
         self.initial = initial
         self.allow_lemmas = allow_lemmas
         self.gates = _id_gates(initial)
-        self.n_ids = initial.threading.n_ids
         self.steps: list[Step] = []
 
     @property
     def c(self) -> Circuit:
         i = self.initial
-        c = Circuit(i.n_in, i.n_out, tuple(_place(list(range(i.n_in)), self.gates)))
-        self.gates, self.n_ids = _id_gates(c), c.threading.n_ids
-        return c
+        return Circuit(i.n_in, i.n_out, tuple(_place(list(range(i.n_in)), self.gates)))
 
     def do(self, rule: str, direction: str, params=(), n: int | None = None,
            site: Site = Site()) -> Site:
@@ -320,13 +315,13 @@ class _Recorder:
 
     def step(self, step: Step) -> Site:
         """Apply ``step`` and record it; returns the reverse step's site."""
-        return self._keep(step, _apply(self.gates, self.initial.n_in, self.n_ids,
+        return self._keep(step, _apply(self.gates, self.initial.n_in,
                                        *_sides(step, self.theory, self.allow_lemmas),
                                        step.site))
 
     def _keep(self, step: Step, applied) -> Site:
         """Record ``step``, whose ``_apply`` result is ``applied``."""
-        self.gates, rev_site, self.n_ids = applied
+        self.gates, rev_site = applied
         self.steps.append(step)
         return rev_site
 
@@ -459,51 +454,29 @@ def find_sites(c: Circuit, rule: str, params=(), n: int | None = None,
     applying it.  An empty source side has no site: a step splices it in.
     """
     sides = _sides(Step(rule, direction, tuple(params), n), theory, allow_lemmas)
-    return [s for s, _ in _matches(_id_gates(c), c.n_in, c.threading.n_ids, *sides)]
+    return [s for s, _ in _matches(_id_gates(c), c.n_in, *sides)]
 
 
-def _matches(gates: list[_IdGate], n_in: int, n_ids: int, src: Circuit, dst: Circuit,
+def _matches(gates: list[_IdGate], n_in: int, src: Circuit, dst: Circuit,
              wires: tuple[int, ...] | None = None) -> list[tuple[Site, tuple]]:
     """Each site of ``src`` in ``gates``, matched as ``find_sites`` says
     (with wire map ``wires`` when given), and what ``_apply`` gives there."""
     succ: dict[tuple[int | None, int], int] = {}   # (gate, wire id) -> next gate on it
-    pred: dict[tuple[int, int], int | None] = {}   # (gate, wire id) -> the one before
     last: dict[int, int] = {}
     of_kind: dict[str, list[int]] = {}
     for i, (g, ids) in enumerate(gates):
         of_kind.setdefault(g.kind, []).append(i)
         for wid in ids:
             succ[last.get(wid), wid] = i
-            pred[i, wid] = last.get(wid)
             last[wid] = i
     todo = list(zip(src.gates, src.threading.gate_ids))
-    # from_[k]: label -> the first source gate from k on that touches it
-    from_: list[dict[int, int]] = [{}]
-    for k in reversed(range(len(todo))):
-        from_.append({**from_[-1], **dict.fromkeys(todo[k][1], k)})
-    from_.reverse()
     hits: dict[Site, tuple] = {}
-
-    def met(k: int, labs, at) -> list[int | None] | None:
-        """Candidates for source gate k, whose labels are all free, when one
-        of them meets a label bound so far at a later source gate: that
-        source gate matches the circuit gate the bound label reaches next,
-        so k matches a gate just before it.  None when no label meets one."""
-        ahead = from_[k + 1]
-        for lab in labs:
-            for other in todo[ahead[lab]][1] if lab in ahead else ():
-                if other in at and other not in labs and ahead[other] == ahead[lab]:
-                    t = succ.get(at[other])
-                    return [] if t is None else [pred[t, wid] for wid in gates[t][1]]
-        return None
 
     def bind(chosen: list[int], at: dict[int, tuple[int, int]]):   # label -> (gate, wire)
         if len(chosen) < len(todo):
-            k = len(chosen)
-            rg, labs = todo[k]
+            rg, labs = todo[len(chosen)]
             old = [lab for lab in labs if lab in at]
-            cands = [succ.get(at[old[0]])] if old else met(k, labs, at)
-            for i in of_kind.get(rg.kind, ()) if cands is None else cands:
+            for i in [succ.get(at[old[0]])] if old else of_kind.get(rg.kind, ()):
                 if i is None or i in chosen or gates[i][0].kind != rg.kind:
                     continue
                 g, ids = gates[i]
@@ -531,7 +504,7 @@ def _matches(gates: list[_IdGate], n_in: int, n_ids: int, src: Circuit, dst: Cir
             site = Site(sel, tuple(next(pick) if wid is None else frame.index(wid) for wid in ids))
             if wires in (None, site.wire_map) and site not in hits:
                 try:
-                    hits[site] = _apply(gates, n_in, n_ids, src, dst, site)
+                    hits[site] = _apply(gates, n_in, src, dst, site)
                 except QcError:
                     pass
 

@@ -40,7 +40,7 @@ class _Builder(_Recorder):
         if at is not None:
             return self.do(rule, direction, params, n, Site((), tuple(wires), at))
         step = Step(rule, direction, tuple(float(v) for v in params), n)
-        hits = _matches(self.gates, self.initial.n_in, self.n_ids,
+        hits = _matches(self.gates, self.initial.n_in,
                         *_sides(step, self.theory, True), tuple(wires))
         if nth >= len(hits):
             raise NoMatch(f"{rule} {direction}: no site {nth} on wires {tuple(wires)}")

@@ -274,6 +274,15 @@ def test_replay_frozen_traces(capsys):
         assert out["steps"] == len(json.loads(path.read_text())["steps"])
 
 
+def test_successive_calls_share_no_parsed_state(capsys):
+    # the parser is built once per process: a flag given to one call must
+    # not carry over to the next, so the lemma CNOT2 is refused without it
+    trace = str(Path(__file__).resolve().parent.parent / "traces" / "qc_pcommutcnot.json")
+    assert main(["replay", trace, "--allow-lemmas"]) == 0
+    assert main(["replay", trace]) == 2
+    assert "CNOT2" in capsys.readouterr().err
+
+
 def test_huge_angles_get_an_answer_or_exit_2(tmp_path, capsys):
     # RX(1e308) H RX(-1e308) is beyond normalize_1q's angle bound in both
     # theories: QC's (S+)/(P+) sums absorbed the small angle and answered

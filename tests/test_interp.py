@@ -1,5 +1,6 @@
 """Alternative interpretations, minimality reports, sign assignments."""
 
+import json
 import math
 
 import numpy as np
@@ -400,3 +401,15 @@ def test_sampling_runs_check_their_seed(seed, error):
 def test_numpy_integer_seeds_draw_as_ints():
     assert (verify_theory("QC", 2, max_qubits=3, seed=np.int64(4))
             == verify_theory("QC", 2, max_qubits=3, seed=4))
+
+
+def test_minimality_reports_echo_numpy_integers_as_ints():
+    # a report copies seed, samples and (I)'s bound target_n - 1, so numpy
+    # integers, which the checks accept, must come back as JSON-ready ints
+    np_ints = {"samples": np.int64(2), "seed": np.int64(3)}
+    ints = {k: int(v) for k, v in np_ints.items()}
+    for axiom in ("I", "H2"):
+        rep = minimality_report("QC", axiom, target_n=np.int64(4), **np_ints)
+        assert json.dumps(rep) == json.dumps(minimality_report("QC", axiom, target_n=4, **ints))
+    rep = minimality_matrix("QC", **np_ints)
+    assert json.dumps(rep) == json.dumps(minimality_matrix("QC", **ints))

@@ -2,6 +2,7 @@
 
 import functools
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -13,11 +14,11 @@ from qc_equate import (Circuit, Derivation, Site, Step, apply_step, circuit,
                        normalize_1q, p, replay, reverse_derivation, rx, swap,
                        x, z)
 from qc_equate.errors import (ArityMismatch, BadArity, DomainError,
-                              IllegalSite, InvalidCircuit, NoMatch,
+                              IllegalSite, InvalidCircuit, NoMatch, QcError,
                               UnknownTheory, UnsupportedGate)
 from qc_equate.euler import GENERIC, Z_ZERO, ZPRIME_ZERO, euler_e, euler_eprime
 from qc_equate.rewrite import NF_MAX_ANGLE, concat_derivations, resolve_rule
-from qc_equate.theories import DEFINITIONAL, _CATALOG
+from qc_equate.theories import DEFINITIONAL, _CATALOG, signature
 from qc_equate.traces import all_traces, derive_equal
 
 rewrite = importlib.import_module("qc_equate.rewrite")
@@ -257,6 +258,19 @@ def test_ancilla_steps_reverse_on_random_circuits():
     assert applied >= 100
 
 
+def test_a_fresh_wire_takes_an_id_no_other_wire_has():
+    # (A) opens a wire on a circuit whose inputs no gate touches; (ACX)
+    # then puts a CNOT from it onto input 0, which needs two distinct ids
+    rec = rewrite._Recorder("QCancilla", circuit(2, []))
+    rec.step(Step("A", "RL", (), None, Site((), (), 0)))
+    rec.step(Step("ACX", "RL", (), None, Site((0,), (0,))))
+    assert rec.c == Circuit(2, 2, (init(0), cnot(0, 1), dest(0)))
+    # two fresh INITs of one target side get two ids
+    two = Circuit(0, 0, (init(0), init(1), cnot(0, 1), dest(1), dest(0)))
+    gates, _ = rewrite._apply([], 0, Circuit(0, 0, ()), two, Site())
+    assert Circuit(0, 0, tuple(circuit_module._place([], gates))) == two
+
+
 def test_reverse_site_is_the_step_wire_map():
     # the replacement assembles in the frame the step resolved its wire map
     # in, and the flipped step fired there restores the step's input
@@ -318,6 +332,61 @@ def test_find_sites_ranges_an_untouched_input_over_open_wires():
     # ACX's right side is a lone INIT: its input wire is touched by no gate
     c = Circuit(1, 1, (h(0), init(0), dest(0), h(0)))
     assert find_sites(c, "ACX", direction="RL", theory="QCancilla") == [Site((1,), (0,))]
+
+
+#: QC rules and lemmas whose sides hold no GPHASE, which the matcher binds
+#: to the first equal one by design
+_ORACLE_RULES = ("H2", "P0", "C", "B", "CZ", "CNOT2", "PCOMMUTCNOT", "PGADGET",
+                 "HHCNOTHH", "BPRIME", "SWAP2", "SWAPP", "SWAPCX", "ZZCX", "PPLUS")
+
+
+def _oracle_circuit(rng, src: Circuit) -> Circuit:
+    """1-3 wires and 2-7 gates over H, P(0), CNOT and SWAP, with ``src``'s
+    gates planted in on random wires most of the time."""
+    plant = rng.random() < 0.7
+    n = int(rng.integers(max(src.n_in, 1) if plant else 1, 4))
+    planted = []
+    if plant:
+        m = rng.permutation(n)[:src.n_in]
+        planted = [g.with_wires(tuple(int(m[w]) for w in g.wires)) for g in src.gates]
+    gates = []
+    for _ in range(rng.integers(max(0, 2 - len(planted)), 8 - len(planted))):
+        w = [int(v) for v in rng.permutation(n)]
+        k = rng.integers(0, 4 if n > 1 else 2)
+        gates.append(h(w[0]) if k == 0 else p(0.0, w[0]) if k == 1
+                     else cnot(w[0], w[1]) if k == 2 else swap(w[0], w[1]))
+    at = int(rng.integers(0, len(gates) + 1))
+    return circuit(n, gates[:at] + planted + gates[at:])
+
+
+def test_find_sites_lists_every_site_apply_step_accepts():
+    # the oracle tries every gate subset of the source side's size under
+    # every injective wire map; find_sites must list exactly those accepted
+    rng = np.random.default_rng(2024)
+    cases = 0
+    for rule in _ORACLE_RULES:
+        params = (0.0,) * signature(rule).n_params
+        inst = resolve_rule("QC", rule, params, None, True)
+        for direction, src in (("LR", inst.lhs), ("RL", inst.rhs)):
+            assert not any(g.kind == "GPHASE" for g in src.gates), rule
+            if not src.gates:
+                continue
+            for _ in range(6):
+                c = _oracle_circuit(rng, src)
+                accepted = set()
+                for sel in itertools.combinations(range(len(c.gates)), len(src.gates)):
+                    for wm in itertools.permutations(range(c.n_in), src.n_in):
+                        try:
+                            apply_step(c, Step(rule, direction, params, None, Site(sel, wm)),
+                                       "QC", safety=False)
+                        except QcError:
+                            continue
+                        accepted.add((sel, wm))
+                found = {(s.gates, s.wire_map)
+                         for s in find_sites(c, rule, params, None, direction, "QC")}
+                assert found == accepted, (rule, direction, c)
+                cases += 1
+    assert cases == 156
 
 
 def test_replay_and_reverse():
@@ -498,26 +567,19 @@ def test_normalizer_ends_on_the_normal_form(theory):
             assert deformation_equal(deriv.final, params.circuit()), params
 
 
-def _materialized(rec) -> Circuit:
-    """A recorder's working circuit, built without reading ``rec.c``, which
-    would re-base the working gates on it."""
-    i = rec.initial
-    return Circuit(i.n_in, i.n_out,
-                   tuple(circuit_module._place(list(range(i.n_in)), rec.gates)))
-
-
 def test_id_level_steps_equal_circuit_steps(monkeypatch):
-    """A recorder that never reads ``c`` gives, step by step and gate for
-    gate, what a one-step ``apply_step`` gives on the materialized circuit,
-    and its replacement lands where a recorder started on that circuit says;
-    folding ``apply_step`` over a recorded trace ends on its final."""
+    """A recorder, whose working ids carry over from step to step, gives,
+    step by step and gate for gate, what a one-step ``apply_step`` gives on
+    its circuit ``c``, and its replacement lands where a recorder started on
+    that circuit says; folding ``apply_step`` over a recorded trace ends on
+    its final."""
     do = rewrite._Recorder.do
 
     def checked(self, *args, **kw):
-        before = _materialized(self)
+        before = self.c
         site = do(self, *args, **kw)
         step = self.steps[-1]
-        assert apply_step(before, step, self.theory, safety=False) == _materialized(self)
+        assert apply_step(before, step, self.theory, safety=False) == self.c
         assert rewrite._Recorder(self.theory, before).step(step) == site
         return site
 

@@ -173,12 +173,12 @@ def test_safety_net_fires_at_the_corrupted_step(k, monkeypatch):
     calls, real = [], rewrite._build_replacement
 
     def corrupted(*args):
-        repl, next_id = real(*args)
+        repl = real(*args)
         calls.append(None)
         if len(calls) == k + 1:
             drop = next(i for i, (g, _) in enumerate(repl) if g.kind == "P")
             repl = repl[:drop] + repl[drop + 1:]
-        return repl, next_id
+        return repl
 
     monkeypatch.setattr(rewrite, "_build_replacement", corrupted)
     with pytest.raises(SemanticDrift, match=fr"^step {k} \("):
