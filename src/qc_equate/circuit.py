@@ -425,18 +425,15 @@ def _deps(g: Gate, ids: tuple[int, ...]) -> tuple[int, ...]:
     return ids + (_STRUCT,) if g.kind in ("INIT", "DEST") else ids
 
 
-def _frames(alive, gates) -> list[list[int]]:
-    """The open ids before each of the id-level ``gates``, starting from
-    ``alive``, and after the last one."""
+def _frame(alive, gates) -> list[int]:
+    """The open ids after the id-level ``gates``, starting from ``alive``."""
     alive = list(alive)
-    out = [list(alive)]
     for g, ids in gates:
         if g.kind == "INIT":
             alive.insert(g.wires[0], ids[0])
         elif g.kind == "DEST":
             alive.remove(ids[0])
-        out.append(list(alive))
-    return out
+    return alive
 
 
 def _place(alive: list[int], gates) -> list[Gate]:

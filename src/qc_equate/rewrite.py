@@ -4,20 +4,23 @@ A rewrite step names a rule (axiom, derived lemma, or macro definition), a
 direction, parameters, and a site: explicit gate indices plus a map from
 rule wires to circuit wire positions.  A step is site-directed; the engine
 verifies that the selected gates can be commuted into a contiguous block
-and are deformation-equal to the instantiated source side, then splices
+and are deformation-equal to the rule's source side, then splices
 in the target side.  ``find_sites`` finds the sites by matching the source
 side in the circuit's wire DAG.  The block is compared with the source side in
 the order it was selected first, 0-wire gates first as rule sides list
 them, and in canonical order only when that fails; angles are compared
-modulo the gate's period.  A safety net re-checks the semantics of every
-accepted step numerically, with the theory's own equality; a replay
-evaluates each circuit it passes once and compares it with the matrix of
-the one before.  Every step goes through one recorder, ``_Recorder``, on
-id-level gates (``_apply``): it keeps one working circuit across a
-derivation's steps and builds a ``Circuit`` only when one is read;
-``replay`` and reversal share one walk over a derivation (``_walk``).  A
-``Circuit`` keeps its canonical order once computed, so deformation checks
-and carried sites that meet the same circuit again do not order it again.
+modulo the gate's period.  A step reads the rule's shape and each side's
+angles (``_sides``), not a built instance: only its target's angle gates
+are new, and only the canonical-order comparison builds the source side.
+A safety net re-checks the semantics of every accepted step numerically,
+with the theory's own equality; a replay evaluates each circuit it passes
+once and compares it with the matrix of the one before.  Every step goes
+through one recorder, ``_Recorder``, on id-level gates (``_apply``): it
+keeps one working circuit across a derivation's steps and builds a
+``Circuit`` only when one is read; ``replay`` and reversal share one walk
+over a derivation (``_walk``).  A ``Circuit`` keeps its canonical order
+once computed, so deformation checks and carried sites that meet the same
+circuit again do not order it again.
 """
 
 from __future__ import annotations
@@ -26,15 +29,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .circuit import (ANGLE_EPS, TWO_PI, Circuit, _IdGate, _STRUCT,
-                      _canonical_gates, _canonical_order, _deps, _frames,
-                      _id_gates, _place, _real, _same_gates, _wire,
+from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _IdGate, _STRUCT,
+                      _canonical_gates, _canonical_order, _deps, _frame,
+                      _id_gates, _place, _real, _same_gates, _wire, angle_period,
                       angles_equal, deformation_equal, reduce_angle)
 from .errors import (BadArity, DomainError, IllegalSite, InvalidCircuit, NoMatch,
                      QcError, SemanticDrift, UnknownTheory, UnsupportedGate)
 from .euler import NormalFormParams, _pack
 from .semantics import eval_matrix, within_cap
-from .theories import equal_in, resolve_rule
+from .theories import _resolve, equal_in, resolve_rule
 
 @dataclass(frozen=True)
 class Site:
@@ -135,24 +138,33 @@ def apply_step(c: Circuit, step: Step, theory: str = "QC",
     return out
 
 
-def _sides(step: Step, theory: str, allow_lemmas: bool) -> tuple[Circuit, Circuit]:
-    """The source and target side of the rule instance ``step`` cites."""
+def _sides(step: Step, theory: str, allow_lemmas: bool):
+    """The source and target side of the rule instance ``step`` cites, each
+    as the rule's shape and its angles (None for a rule without parameters)."""
     if step.direction not in ("LR", "RL"):
         raise NoMatch(f"bad direction {step.direction!r}")
-    inst = resolve_rule(theory, step.rule, step.params, step.n, allow_lemmas)
-    return (inst.lhs, inst.rhs) if step.direction == "LR" else (inst.rhs, inst.lhs)
+    shape, _, angles = _resolve(theory, step.rule, step.params, step.n, allow_lemmas)
+    lhs, rhs = angles or (None, None)
+    lhs, rhs = (shape.lhs, lhs), (shape.rhs, rhs)
+    return (lhs, rhs) if step.direction == "LR" else (rhs, lhs)
 
 
-def _apply(gates: list[_IdGate], n_in: int, src: Circuit, dst: Circuit,
+def _side_circuit(side) -> Circuit:
+    """A side of ``_sides`` as its circuit: the shape with its angles."""
+    shape, angles = side
+    return shape if angles is None else shape.with_angles(angles)
+
+
+def _apply(gates: list[_IdGate], n_in: int, src, dst,
            site: Site) -> tuple[list[_IdGate], Site]:
     """Replace the block ``site`` selects in id-level ``gates`` (inputs
-    0..n_in-1), deformation-equal to ``src``, by ``dst``: the new gates and
-    the reverse step's site."""
+    0..n_in-1), deformation-equal to the side ``src``, by the side ``dst``
+    (``_sides``): the new gates and the reverse step's site."""
     sel = tuple(site.gates)
     if len(sel) != len(set(sel)) or any(not 0 <= i < len(gates) for i in sel):
         raise NoMatch("site gate indices out of range or repeated")
-    if len(sel) != len(src.gates):
-        raise NoMatch(f"site selects {len(sel)} gates, source side has {len(src.gates)}")
+    if len(sel) != len(src[0].gates):
+        raise NoMatch(f"site selects {len(sel)} gates, source side has {len(src[0].gates)}")
     sel = tuple(sorted(sel))
     anchor = sel[0] if sel else site.at
     if not 0 <= anchor <= len(gates):
@@ -161,9 +173,9 @@ def _apply(gates: list[_IdGate], n_in: int, src: Circuit, dst: Circuit,
     # wire positions are read where the block assembles, after the floats-before
     assembly, after, frame = _assembly(gates, n_in, sel, anchor)
     wire_map = site.wire_map
-    if len(wire_map) != src.n_in:
+    if len(wire_map) != src[0].n_in:
         raise NoMatch(f"wire_map has {len(wire_map)} entries, "
-                      f"rule has {src.n_in} input wires")
+                      f"rule has {src[0].n_in} input wires")
     for pos in wire_map:
         if not 0 <= pos < len(frame):
             raise NoMatch(f"wire_map position {pos} out of range at the site frame")
@@ -172,7 +184,7 @@ def _apply(gates: list[_IdGate], n_in: int, src: Circuit, dst: Circuit,
         raise NoMatch("wire_map is not injective")
 
     inits = _match_source(src, [gates[i] for i in sel], wire_ids, frame)
-    repl = _build_replacement(src, dst, wire_ids, inits, frame, gates, n_in)
+    repl = _build_replacement(src[0], *dst, wire_ids, inits, frame, gates, n_in)
 
     # site for the reverse step: the replacement block in the new circuit,
     # which assembles in the same frame, so under the same wire map
@@ -201,10 +213,10 @@ def _assembly(gates: list[_IdGate], n_in: int, sel: tuple[int, ...], anchor: int
         else:
             before.append(i)
     assembly = gates[:anchor] + [gates[i] for i in before]
-    return assembly, after, _frames(range(n_in), assembly)[-1]
+    return assembly, after, _frame(range(n_in), assembly)
 
 
-def _match_source(src: Circuit, block: list[_IdGate], wire_ids: list[int],
+def _match_source(src, block: list[_IdGate], wire_ids: list[int],
                   frame: list[int]) -> list[_IdGate]:
     """Check the selected block is deformation-equal to the source side.
 
@@ -218,34 +230,53 @@ def _match_source(src: Circuit, block: list[_IdGate], wire_ids: list[int],
     in canonical order and compared again.  Returns the block's INITs.
     """
     label = {wid: i for i, wid in enumerate(wire_ids)}
-    relabelled, inits = [], []
-    for (g, ids), after in zip(block, _frames(frame, block)[1:]):
+    relabelled, inits, alive = [], [], list(frame)
+    for g, ids in block:
         if g.kind == "INIT":
+            alive.insert(g.wires[0], ids[0])
             label[ids[0]] = len(label)
             inits.append(_IdGate(g, ids))
-            g = g.with_wires(([wid for wid in after if wid in label].index(ids[0]),))
+            g = g.with_wires(([wid for wid in alive if wid in label].index(ids[0]),))
         elif any(wid not in label for wid in ids):
             raise NoMatch("selected gate touches a wire outside the map")
+        elif g.kind == "DEST":
+            alive.remove(ids[0])
         relabelled.append((g, tuple(label[wid] for wid in ids)))
     relabelled.sort(key=lambda gi: bool(gi[1]))   # stable: 0-wire gates first
-    if _same_gates(_place(list(range(src.n_in)), relabelled), src.gates):
+    if _same_side(_place(list(range(src[0].n_in)), relabelled), src):
         return inits
-    if not _same_gates(_canonical_gates(src.n_in, relabelled, _canonical_order(relabelled)),
-                       _canonical_gates(src.n_in, _id_gates(src), src.canonical_order)):
+    c = _side_circuit(src)
+    if not _same_gates(_canonical_gates(c.n_in, relabelled, _canonical_order(relabelled)),
+                       _canonical_gates(c.n_in, _id_gates(c), c.canonical_order)):
         raise NoMatch("selected block is not deformation-equal to the rule side")
     return inits
 
 
-def _build_replacement(src: Circuit, dst: Circuit, wire_ids: list[int],
+def _same_side(gates: list[Gate], side) -> bool:
+    """``_same_gates`` against a side, each angle read from its angles in
+    turn; a rule side's angle gates have one angle and no pattern or base."""
+    shape, angles = side
+    if angles is None:
+        return _same_gates(gates, shape.gates)
+    angles = iter(angles)
+    return len(gates) == len(shape.gates) and all(
+        g.kind == s.kind and g.wires == s.wires
+        and angles_equal(g.params[0], next(angles), angle_period(s.kind))
+        if s.params else g.same_gate(s) for g, s in zip(gates, shape.gates))
+
+
+def _build_replacement(src: Circuit, dst: Circuit, angles, wire_ids: list[int],
                        inits: list[_IdGate], frame: list[int],
                        gates: list[_IdGate], n_in: int) -> list[_IdGate]:
-    """Id-level gates for the target side, spliced into ``gates`` (inputs
-    0..n_in-1) where the block assembles (``frame``).
+    """Id-level gates for the target side, of shape ``dst`` and ``angles``
+    (``_sides``), spliced into ``gates`` (inputs 0..n_in-1) where the block
+    of the source side, of shape ``src``, assembles (``frame``).
 
-    An INIT of a wire the source side created is the block's INIT, at its
-    own position.  A fresh INIT takes the id one above every id in use
-    and goes right before the next mapped wire in rule order, after the
-    last one, or at 0 when no wire is mapped.
+    Each target gate with an angle is built once, from its shape gate and
+    the next target angle.  An INIT of a wire the source side created is
+    the block's INIT, at its own position.  A fresh INIT takes the id one
+    above every id in use and goes right before the next mapped wire in
+    rule order, after the last one, or at 0 when no wire is mapped.
     """
     src_ids = wire_ids + [ids[0] for _, ids in inits]   # by source-side label
     born = {ids[0]: g for g, ids in inits}
@@ -253,6 +284,7 @@ def _build_replacement(src: Circuit, dst: Circuit, wire_ids: list[int],
     for lab, src_lab in zip(dst.threading.output_ids, src.threading.output_ids):
         if lab >= dst.n_in:
             id_of[lab] = src_ids[src_lab]   # boundary wire shared by both sides
+    angles = None if angles is None else iter(angles)
 
     repl: list[_IdGate] = []
     for g, labs in zip(dst.gates, dst.threading.gate_ids):
@@ -263,11 +295,13 @@ def _build_replacement(src: Circuit, dst: Circuit, wire_ids: list[int],
         if g.kind == "INIT" and ids[0] in born:
             g = born[ids[0]]
         elif g.kind == "INIT":
-            alive = _frames(frame, repl)[-1]
+            alive = _frame(frame, repl)
             mapped = [wid for wid in alive if wid in id_of.values()]
             r = g.wires[0]
             g = g.with_wires((alive.index(mapped[r]) if r < len(mapped) else
                               alive.index(mapped[-1]) + 1 if mapped else 0,))
+        elif g.params and angles is not None:
+            g = Gate(g.kind, g.wires, (next(angles),))
         repl.append(_IdGate(g, ids))
     return repl
 
@@ -411,7 +445,7 @@ def _carry_site(site: Site, rec: Circuit, cur: Circuit, chain: bool) -> Site:
         return site
     rec_gates = _id_gates(rec)
     gates = _id_gates(cur)
-    rec_frame = _frames(range(rec.n_in), rec_gates[:site.at])[-1]
+    rec_frame = _frame(range(rec.n_in), rec_gates[:site.at])
     wire_ids = [rec_frame[pos] for pos in site.wire_map]
     rank = {i: r for r, i in enumerate(rec.canonical_order)}
     cur_order = cur.canonical_order
@@ -457,10 +491,11 @@ def find_sites(c: Circuit, rule: str, params=(), n: int | None = None,
     return [s for s, _ in _matches(_id_gates(c), c.n_in, *sides)]
 
 
-def _matches(gates: list[_IdGate], n_in: int, src: Circuit, dst: Circuit,
+def _matches(gates: list[_IdGate], n_in: int, src_side, dst_side,
              wires: tuple[int, ...] | None = None) -> list[tuple[Site, tuple]]:
-    """Each site of ``src`` in ``gates``, matched as ``find_sites`` says
-    (with wire map ``wires`` when given), and what ``_apply`` gives there."""
+    """Each site of the side ``src_side`` in ``gates``, matched as
+    ``find_sites`` says (with wire map ``wires`` when given), and what
+    ``_apply`` gives there."""
     succ: dict[tuple[int | None, int], int] = {}   # (gate, wire id) -> next gate on it
     last: dict[int, int] = {}
     of_kind: dict[str, list[int]] = {}
@@ -469,6 +504,7 @@ def _matches(gates: list[_IdGate], n_in: int, src: Circuit, dst: Circuit,
         for wid in ids:
             succ[last.get(wid), wid] = i
             last[wid] = i
+    src = _side_circuit(src_side)
     todo = list(zip(src.gates, src.threading.gate_ids))
     hits: dict[Site, tuple] = {}
 
@@ -504,7 +540,7 @@ def _matches(gates: list[_IdGate], n_in: int, src: Circuit, dst: Circuit,
             site = Site(sel, tuple(next(pick) if wid is None else frame.index(wid) for wid in ids))
             if wires in (None, site.wire_map) and site not in hits:
                 try:
-                    hits[site] = _apply(gates, n_in, src, dst, site)
+                    hits[site] = _apply(gates, n_in, src_side, dst_side, site)
                 except QcError:
                     pass
 

@@ -14,7 +14,10 @@ instance: what a step in a theory may cite, under that theory's id.  Each
 rule's two sides are built and threaded once per theory and width, with
 placeholder angles, and an instance substitutes the angles its angle map
 gives for the parameters (``Circuit.with_angles``); a rule without
-parameters has one instance per theory and width.  ``equal_in`` is each
+parameters has one instance per theory and width.  A rewrite step makes
+the same checks but reads the shape and the angles without building the
+sides (``_resolve``); ``resolve_rule`` builds them for callers that read
+them.  ``equal_in`` is each
 theory's equality, and ``check_soundness`` validates any instance
 numerically; nothing is assumed.
 """
@@ -83,7 +86,8 @@ def _czexp(a: int, b: int, sign: float = 1.0) -> list[Gate]:
 # gives its two sides as they are and no angle map.  A rule with parameters
 # gives their shapes, every angle the placeholder ``_A``, and its angle map:
 # params -> (lhs angles, rhs angles), one per gate that carries an angle,
-# in gate order.  An instance substitutes them (``Circuit.with_angles``).
+# in gate order.  An instance substitutes them (``Circuit.with_angles``); a
+# rewrite step reads them beside the shape and builds no source-side gate.
 
 _A = 0.0
 
@@ -382,6 +386,19 @@ def resolve_rule(theory: str, name: str, params=(), n: int | None = None,
     without global phases.  The sides are the rule's shape at that width,
     built once, with the angle map's angles for ``params`` substituted.
     """
+    shape, params, angles = _resolve(theory, name, params, n, allow_lemmas)
+    if angles is None:
+        return shape
+    lhs, rhs = angles
+    return RuleInstance(shape.id, params, shape.n, shape.lhs.with_angles(lhs),
+                        shape.rhs.with_angles(rhs))
+
+
+def _resolve(theory: str, name: str, params, n: int | None, allow_lemmas: bool):
+    """``resolve_rule``'s checks, without building the sides: the rule's
+    shape instance (``_shape``), the checked params, and the angle map's
+    (lhs angles, rhs angles) for them, or None for a rule without
+    parameters, whose shape is its instance."""
     if _kind(theory, name) == "lemma" and not allow_lemmas:
         raise UnknownLemma(f"{name} is not an axiom of {theory} "
                            "(derived lemmas need allow_lemmas)")
@@ -399,11 +416,7 @@ def resolve_rule(theory: str, name: str, params=(), n: int | None = None,
     if arity is not None and n not in (None, arity):
         raise BadArity(f"{name} is pinned at {arity} wires")
     shape, angles = _shape(theory, name, n if arity is None else arity)
-    if angles is None:
-        return shape
-    lhs, rhs = angles(*params)
-    return RuleInstance(shape.id, params, shape.n, shape.lhs.with_angles(lhs),
-                        shape.rhs.with_angles(rhs))
+    return shape, params, None if angles is None else angles(*params)
 
 
 @functools.cache
@@ -424,7 +437,7 @@ def _shape(theory: str, name: str, n: int):
 
 def _kept_angles(angles, keep, *params):
     """The angles ``angles`` maps ``params`` to, each side's kept ones."""
-    return tuple(map(itertools.compress, angles(*params), keep))
+    return tuple(tuple(itertools.compress(a, k)) for a, k in zip(angles(*params), keep))
 
 
 def equal_in(theory: str, a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:

@@ -19,9 +19,10 @@ import os
 
 from .circuit import TWO_PI, Circuit
 from .errors import NoMatch, QcError
-from .rewrite import (Derivation, Site, Step, _Recorder, _matches, _sides,
-                      concat_derivations, deformation_equal, normalize_1q,
+from .rewrite import (Derivation, Site, Step, _Recorder, _matches, _side_circuit,
+                      _sides, concat_derivations, deformation_equal, normalize_1q,
                       replay, reverse_derivation)
+from .theories import resolve_rule
 
 PI = math.pi
 
@@ -32,7 +33,8 @@ class _Builder(_Recorder):
 
     def __init__(self, theory: str, rule: str, params=(), n: int | None = None,
                  direction: str = "LR"):
-        src, self.target = _sides(Step(rule, direction, params, n), theory, True)
+        src, self.target = map(_side_circuit, _sides(Step(rule, direction, params, n),
+                                                     theory, True))
         super().__init__(theory, src)
 
     def rewrite(self, rule, direction, params=(), n=None, wires=(), at=None, nth=0):
@@ -216,7 +218,8 @@ def derive_equal(c1: Circuit, c2: Circuit, theory: str, name: str) -> Derivation
 
 def derive_rule(theory: str, rule: str, params=(), name: str = "") -> Derivation:
     """Derive a catalog rule by ``derive_equal`` on the two sides of its instance."""
-    return derive_equal(*_sides(Step(rule, "LR", params), theory, True), theory, name)
+    inst = resolve_rule(theory, rule, params, None, True)
+    return derive_equal(inst.lhs, inst.rhs, theory, name)
 
 
 # -- QCancilla: the ancilla propositions --------------------------------------

@@ -267,8 +267,26 @@ def test_a_fresh_wire_takes_an_id_no_other_wire_has():
     assert rec.c == Circuit(2, 2, (init(0), cnot(0, 1), dest(0)))
     # two fresh INITs of one target side get two ids
     two = Circuit(0, 0, (init(0), init(1), cnot(0, 1), dest(1), dest(0)))
-    gates, _ = rewrite._apply([], 0, Circuit(0, 0, ()), two, Site())
+    gates, _ = rewrite._apply([], 0, (Circuit(0, 0, ()), None), (two, None), Site())
     assert Circuit(0, 0, tuple(circuit_module._place([], gates))) == two
+
+
+@pytest.mark.parametrize("rule, params, c, built", [
+    ("C", (0.3,), circuit(2, [cnot(0, 1), p(0.3, 0), cnot(0, 1)]), 1),
+    ("PPLUS", (0.3, 0.4), circuit(1, [p(0.3, 0), p(0.4, 0)]), 1),
+    ("E", (0.3, 0.4, 0.5), circuit(1, [rx(0.3, 0), p(0.4, 0), rx(0.5, 0)]), 4),
+])
+def test_a_step_builds_only_its_target_angle_gates(rule, params, c, built, monkeypatch):
+    # the source side is matched against the rule's shape and angles, so
+    # the only gates a step constructs are the target side's angle gates
+    step = Step(rule, "LR", params, None, Site(tuple(range(len(c.gates))), tuple(range(c.n_in))))
+    rewrite._Recorder("QC", c).step(step)   # the rule's shape is built once, here
+    rec, seen = rewrite._Recorder("QC", c), []
+    real = circuit_module.Gate.__post_init__
+    monkeypatch.setattr(circuit_module.Gate, "__post_init__",
+                        lambda g: seen.append(g.kind) or real(g))
+    rec.step(step)
+    assert len(seen) == built, seen
 
 
 def test_reverse_site_is_the_step_wire_map():

@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qc_equate import (Derivation, RuleId, apply_step, circuit,
+from qc_equate import (Circuit, Derivation, Gate, RuleId, apply_step, circuit,
                        deformation_equal, eval_matrix, find_sites, gphase, mcp,
-                       p, replay, resolve_rule, reverse_derivation)
+                       p, replay, resolve_rule, reverse_derivation, rx)
 from qc_equate import rewrite, traces as tr
+from qc_equate.circuit import angle_period
 from qc_equate.errors import NoMatch, QcError, SemanticDrift
 from qc_equate.rewrite import Site
 
@@ -142,6 +143,37 @@ def test_reverse_names_the_step_its_forward_pass_fails_at():
 def _frozen() -> list[Derivation]:
     return [Derivation.from_dict(json.loads(path.read_text()))
             for path in sorted(TRACE_DIR.glob("*.json"))]
+
+
+def _shifted(c: Circuit, j: int, by: float) -> Circuit:
+    """``c`` with the angle of gate ``j`` moved by ``by``."""
+    g = c.gates[j]
+    return Circuit(c.n_in, c.n_out, c.gates[:j] + (Gate(g.kind, g.wires, (g.params[0] + by,)),)
+                   + c.gates[j + 1:])
+
+
+def test_a_step_matches_angles_as_same_gate_does():
+    # a selected angle moved by its period is the same gate, so the step
+    # lands where it did; moved by 1e-6 or half its period it is not, and
+    # the step has no match
+    rec = rewrite._Recorder("QCugp", circuit(1, [rx(0.3, 0), p(0.4, 0), rx(0.5, 0)]))
+    back = rec.do("E", "LR", (0.3, 0.4, 0.5), site=Site((0, 1, 2), (0,)))
+    rec.do("E", "RL", (0.3, 0.4, 0.5), site=back)   # QCugp: the kept angles
+    checked = 0
+    for d in _frozen() + [rec.derivation("qcugp_e")]:
+        c = d.initial
+        for step in d.steps:
+            out = apply_step(c, step, d.theory, safety=False)
+            j = next((j for j in step.site.gates if c.gates[j].params), None)
+            if j is not None:
+                period = angle_period(c.gates[j].kind)
+                assert apply_step(_shifted(c, j, period), step, d.theory, safety=False) == out
+                for by in (1e-6, period / 2):
+                    with pytest.raises(NoMatch):
+                        apply_step(_shifted(c, j, by), step, d.theory, safety=False)
+                checked += 1
+            c = out
+    assert checked >= 150, checked
 
 
 def _count_evals(monkeypatch) -> list:
