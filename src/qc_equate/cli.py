@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -140,6 +141,14 @@ def cmd_list_rules(args) -> int:
     return 0
 
 
+def _tol(text: str) -> float:
+    """A ``--tol`` value: a finite number >= 0, else argparse exits 2."""
+    tol = float(text)   # a ValueError reads as an invalid value
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 @functools.cache   # built once per process; each parse_args call starts afresh
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qc-equate",
@@ -160,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("circuit_a")
     sp.add_argument("circuit_b")
     sp.add_argument("--up-to-phase", action="store_true")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_tol, default=1e-9)
     sp.set_defaults(fn=cmd_equiv)
 
     sp = sub.add_parser("normalize", help="1-qubit normal form (with optional trace)")
@@ -179,13 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-rules", help="master soundness suite")
     common(sp)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_tol, default=1e-9)
     sp.set_defaults(fn=cmd_verify_rules)
 
     sp = sub.add_parser("replay", help="replay a derivation trace")
     sp.add_argument("trace")
     sp.add_argument("--allow-lemmas", action="store_true")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_tol, default=1e-9)
     sp.set_defaults(fn=cmd_replay)
 
     sp = sub.add_parser("minimality", help="per-axiom counter-interpretation report")

@@ -4,14 +4,12 @@ A rewrite step names a rule (axiom, derived lemma, or macro definition), a
 direction, parameters, and a site: explicit gate indices plus a map from
 rule wires to circuit wire positions.  A step is site-directed; the engine
 verifies that the selected gates can be commuted into a contiguous block
-and are deformation-equal to the rule's source side, then splices
-in the target side.  ``find_sites`` finds the sites by matching the source
-side in the circuit's wire DAG.  The block is compared with the source side in
-the order it was selected first, 0-wire gates first as rule sides list
-them, and in canonical order only when that fails; angles are compared
-modulo the gate's period.  A step reads the rule's shape and each side's
-angles (``_sides``), not a built instance: only its target's angle gates
-are new, and only the canonical-order comparison builds the source side.
+and are deformation-equal to the rule's source side, then splices in the
+target side.  One binding in the wire DAG (``_bind``) decides equality: a
+step binds the source side to its block with the inputs its wire map
+names, and ``find_sites`` to the whole circuit with nothing bound.  A step
+reads the rule's shape and each side's angles (``_sides``), never a built
+instance, so only its target's angle gates are new.
 A safety net re-checks the semantics of every accepted step numerically,
 with the theory's own equality; a replay evaluates each circuit it passes
 once and compares it with the matrix of the one before.  Every step goes
@@ -29,9 +27,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _IdGate, _STRUCT,
-                      _canonical_gates, _canonical_order, _deps, _frame,
-                      _id_gates, _place, _real, _same_gates, _wire, angle_period,
+from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _IdGate, _STRUCT, _deps,
+                      _frame, _id_gates, _place, _real, _wire, angle_period,
                       angles_equal, deformation_equal, reduce_angle)
 from .errors import (BadArity, DomainError, IllegalSite, InvalidCircuit, NoMatch,
                      QcError, SemanticDrift, UnknownTheory, UnsupportedGate)
@@ -149,17 +146,11 @@ def _sides(step: Step, theory: str, allow_lemmas: bool):
     return (lhs, rhs) if step.direction == "LR" else (rhs, lhs)
 
 
-def _side_circuit(side) -> Circuit:
-    """A side of ``_sides`` as its circuit: the shape with its angles."""
-    shape, angles = side
-    return shape if angles is None else shape.with_angles(angles)
-
-
 def _apply(gates: list[_IdGate], n_in: int, src, dst,
            site: Site) -> tuple[list[_IdGate], Site]:
     """Replace the block ``site`` selects in id-level ``gates`` (inputs
-    0..n_in-1), deformation-equal to the side ``src``, by the side ``dst``
-    (``_sides``): the new gates and the reverse step's site."""
+    0..n_in-1), which binds to the side ``src`` (``_bind``), by the side
+    ``dst`` (``_sides``): the new gates and the reverse step's site."""
     sel = tuple(site.gates)
     if len(sel) != len(set(sel)) or any(not 0 <= i < len(gates) for i in sel):
         raise NoMatch("site gate indices out of range or repeated")
@@ -176,15 +167,32 @@ def _apply(gates: list[_IdGate], n_in: int, src, dst,
     if len(wire_map) != src[0].n_in:
         raise NoMatch(f"wire_map has {len(wire_map)} entries, "
                       f"rule has {src[0].n_in} input wires")
-    for pos in wire_map:
+
+    at = {_STRUCT: (None, _STRUCT)}   # label -> (last gate bound on it, wire id)
+    for lab, pos in enumerate(wire_map):
         if not 0 <= pos < len(frame):
             raise NoMatch(f"wire_map position {pos} out of range at the site frame")
-    wire_ids = [frame[pos] for pos in wire_map]
-    if len(set(wire_ids)) != len(wire_ids):
+        at[lab] = (None, frame[pos])
+    if len(set(wire_map)) != len(wire_map):
         raise NoMatch("wire_map is not injective")
-
-    inits = _match_source(src, [gates[i] for i in sel], wire_ids, frame)
-    repl = _build_replacement(src[0], *dst, wire_ids, inits, frame, gates, n_in)
+    # the block binds with its inputs and the INIT/DEST chain bound, which
+    # pairs its INITs with the side's in order; each must open its wire
+    # where the side's does among the bound wires
+    if not _bind(gates, sel, src, at):
+        raise NoMatch("selected block is not deformation-equal to the rule side")
+    src_ids = [at[lab][1] for lab in range(len(at) - 1)]   # by source-side label
+    inits, alive = [], frame[:]
+    for i in sel if len(src_ids) > len(wire_map) else ():   # the side opens wires
+        g, ids = gates[i]
+        if g.kind == "INIT":
+            alive.insert(g.wires[0], ids[0])
+            opens = [s.wires[0] for s in src[0].gates if s.kind == "INIT"]
+            if [wid for wid in alive if wid in src_ids].index(ids[0]) != opens[len(inits)]:
+                raise NoMatch("a selected INIT opens its wire off the rule side's place")
+            inits.append(gates[i])
+        elif g.kind == "DEST":
+            alive.remove(ids[0])
+    repl = _build_replacement(src[0], *dst, src_ids, inits, frame, gates, n_in)
 
     # site for the reverse step: the replacement block in the new circuit,
     # which assembles in the same frame, so under the same wire map
@@ -216,61 +224,13 @@ def _assembly(gates: list[_IdGate], n_in: int, sel: tuple[int, ...], anchor: int
     return assembly, after, _frame(range(n_in), assembly)
 
 
-def _match_source(src, block: list[_IdGate], wire_ids: list[int],
-                  frame: list[int]) -> list[_IdGate]:
-    """Check the selected block is deformation-equal to the source side.
-
-    The block is relabelled onto the rule's wires: inputs through the wire
-    map, created wires in birth order, which are the ids the source side's
-    threading gives them.  Each INIT goes among the mapped wires open after
-    it in the circuit, whose open wires where the block assembles are
-    ``frame``.  The block is first compared with the source side in the
-    order it was selected, its 0-wire gates moved first as rule sides list
-    them, which nearly always matches; only when that fails are both put
-    in canonical order and compared again.  Returns the block's INITs.
-    """
-    label = {wid: i for i, wid in enumerate(wire_ids)}
-    relabelled, inits, alive = [], [], list(frame)
-    for g, ids in block:
-        if g.kind == "INIT":
-            alive.insert(g.wires[0], ids[0])
-            label[ids[0]] = len(label)
-            inits.append(_IdGate(g, ids))
-            g = g.with_wires(([wid for wid in alive if wid in label].index(ids[0]),))
-        elif any(wid not in label for wid in ids):
-            raise NoMatch("selected gate touches a wire outside the map")
-        elif g.kind == "DEST":
-            alive.remove(ids[0])
-        relabelled.append((g, tuple(label[wid] for wid in ids)))
-    relabelled.sort(key=lambda gi: bool(gi[1]))   # stable: 0-wire gates first
-    if _same_side(_place(list(range(src[0].n_in)), relabelled), src):
-        return inits
-    c = _side_circuit(src)
-    if not _same_gates(_canonical_gates(c.n_in, relabelled, _canonical_order(relabelled)),
-                       _canonical_gates(c.n_in, _id_gates(c), c.canonical_order)):
-        raise NoMatch("selected block is not deformation-equal to the rule side")
-    return inits
-
-
-def _same_side(gates: list[Gate], side) -> bool:
-    """``_same_gates`` against a side, each angle read from its angles in
-    turn; a rule side's angle gates have one angle and no pattern or base."""
-    shape, angles = side
-    if angles is None:
-        return _same_gates(gates, shape.gates)
-    angles = iter(angles)
-    return len(gates) == len(shape.gates) and all(
-        g.kind == s.kind and g.wires == s.wires
-        and angles_equal(g.params[0], next(angles), angle_period(s.kind))
-        if s.params else g.same_gate(s) for g, s in zip(gates, shape.gates))
-
-
-def _build_replacement(src: Circuit, dst: Circuit, angles, wire_ids: list[int],
+def _build_replacement(src: Circuit, dst: Circuit, angles, src_ids: list[int],
                        inits: list[_IdGate], frame: list[int],
                        gates: list[_IdGate], n_in: int) -> list[_IdGate]:
     """Id-level gates for the target side, of shape ``dst`` and ``angles``
     (``_sides``), spliced into ``gates`` (inputs 0..n_in-1) where the block
-    of the source side, of shape ``src``, assembles (``frame``).
+    of the source side, of shape ``src``, assembles (``frame``); the block
+    bound the source side's wires to ``src_ids`` and opens ``inits``.
 
     Each target gate with an angle is built once, from its shape gate and
     the next target angle.  An INIT of a wire the source side created is
@@ -278,9 +238,8 @@ def _build_replacement(src: Circuit, dst: Circuit, angles, wire_ids: list[int],
     above every id in use and goes right before the next mapped wire in
     rule order, after the last one, or at 0 when no wire is mapped.
     """
-    src_ids = wire_ids + [ids[0] for _, ids in inits]   # by source-side label
     born = {ids[0]: g for g, ids in inits}
-    id_of = dict(enumerate(wire_ids))
+    id_of = dict(enumerate(src_ids[:src.n_in]))
     for lab, src_lab in zip(dst.threading.output_ids, src.threading.output_ids):
         if lab >= dst.n_in:
             id_of[lab] = src_ids[src_lab]   # boundary wire shared by both sides
@@ -479,12 +438,9 @@ def find_sites(c: Circuit, rule: str, params=(), n: int | None = None,
                allow_lemmas: bool = True) -> list[Site]:
     """Every site where the rule applies to ``c``, sorted by (gates, wire_map).
 
-    The source side's gates bind in order, each wire label to one wire id:
-    the first gate on a label is any gate of its kind, each later one the
-    next gate on that wire after the label's last one.  SWAP binds its
-    labels either way round, a GPHASE the first free one of its angle.  The
-    wire map is read where the block assembles; an input label that no gate
-    touches takes any open wire left.  Each candidate is validated by
+    The source side binds in the wire DAG with no label bound (``_bind``).
+    The wire map is read where the block assembles; an input label that no
+    gate touches takes any open wire left.  Each candidate is validated by
     applying it.  An empty source side has no site: a step splices it in.
     """
     sides = _sides(Step(rule, direction, tuple(params), n), theory, allow_lemmas)
@@ -496,45 +452,16 @@ def _matches(gates: list[_IdGate], n_in: int, src_side, dst_side,
     """Each site of the side ``src_side`` in ``gates``, matched as
     ``find_sites`` says (with wire map ``wires`` when given), and what
     ``_apply`` gives there."""
-    succ: dict[tuple[int | None, int], int] = {}   # (gate, wire id) -> next gate on it
-    last: dict[int, int] = {}
-    of_kind: dict[str, list[int]] = {}
-    for i, (g, ids) in enumerate(gates):
-        of_kind.setdefault(g.kind, []).append(i)
-        for wid in ids:
-            succ[last.get(wid), wid] = i
-            last[wid] = i
-    src = _side_circuit(src_side)
-    todo = list(zip(src.gates, src.threading.gate_ids))
     hits: dict[Site, tuple] = {}
-
-    def bind(chosen: list[int], at: dict[int, tuple[int, int]]):   # label -> (gate, wire)
-        if len(chosen) < len(todo):
-            rg, labs = todo[len(chosen)]
-            old = [lab for lab in labs if lab in at]
-            for i in [succ.get(at[old[0]])] if old else of_kind.get(rg.kind, ()):
-                if i is None or i in chosen or gates[i][0].kind != rg.kind:
-                    continue
-                g, ids = gates[i]
-                if g.kind == "GPHASE":
-                    if angles_equal(g.params[0], rg.params[0]):
-                        return bind(chosen + [i], at)
-                    continue
-                for order in (ids, ids[::-1]) if g.kind == "SWAP" else (ids,):
-                    if len(ids) == len(labs) and all(
-                            succ.get(at[lab]) == i and at[lab][1] == wid if lab in at
-                            else all(w != wid for _, w in at.values())
-                            for lab, wid in zip(labs, order)):
-                        bind(chosen + [i], {**at, **{lab: (i, w) for lab, w in zip(labs, order)}})
-            return
+    for chosen, at in _bind(gates, range(len(gates)), src_side, {}) if src_side[0].gates else ():
         sel = tuple(sorted(chosen))
         try:
             frame = _assembly(gates, n_in, sel, sel[0])[2]
         except IllegalSite:
-            return
-        ids = [at[lab][1] if lab in at else None for lab in range(src.n_in)]
+            continue
+        ids = [at[lab][1] if lab in at else None for lab in range(src_side[0].n_in)]
         if any(wid is not None and wid not in frame for wid in ids):
-            return
+            continue
         free = [pos for pos, wid in enumerate(frame) if all(w != wid for _, w in at.values())]
         for pick in map(iter, itertools.permutations(free, ids.count(None))):
             site = Site(sel, tuple(next(pick) if wid is None else frame.index(wid) for wid in ids))
@@ -543,10 +470,73 @@ def _matches(gates: list[_IdGate], n_in: int, src_side, dst_side,
                     hits[site] = _apply(gates, n_in, src_side, dst_side, site)
                 except QcError:
                     pass
-
-    if todo:
-        bind([], {})
     return sorted(hits.items(), key=lambda hit: (hit[0].gates, hit[0].wire_map))
+
+
+def _bind(gates: list[_IdGate], cand, side, at: dict) -> list[tuple[list[int], dict]]:
+    """Each way the side ``side`` (``_sides``) binds to the gates ``cand``
+    (indices into id-level ``gates``, in order), extending the binding
+    ``at``: the gates its gates bind to, and the binding.
+
+    A label, a side's wire or the INIT/DEST chain (``_deps``), binds to a
+    wire id and the last gate bound on it (None before the first).  Each
+    side gate binds a candidate of its kind and angle (modulo the kind's
+    period): the next one on a bound label's wire, or, with no label bound,
+    any one, SWAP either way round; its other labels must end there or take
+    wires no label holds.  A GPHASE binds the first free one of its angle.
+    A step binds its inputs and the chain first, so every gate it reaches
+    has a bound label: it binds one way or none, filling ``at`` in place.
+    """
+    succ, last = {}, {}   # succ: (gate, id) -> the next candidate on it
+    for i in cand:
+        for wid in _deps(*gates[i]):
+            succ[last.get(wid), wid] = i
+            last[wid] = i
+    shape, angles = side
+    angles = None if angles is None else iter(angles)
+    wanted = [(s.kind, _deps(s, labs), None if not s.params else
+               s.params[0] if angles is None else next(angles))
+              for s, labs in zip(shape.gates, shape.threading.gate_ids)]
+    found, partial = [], [(0, [], at)]   # (next side gate, gates bound, binding)
+    while partial:
+        k, chosen, at = partial.pop()
+        for kind, labs, angle in wanted[k:]:
+            for lab in labs:
+                if lab in at:
+                    next_on = (succ.get(at[lab]),)
+                    break
+            else:
+                next_on = cand
+            fits = []
+            for i in next_on:
+                if i is None or i in chosen or gates[i][0].kind != kind:
+                    continue
+                g, ids = gates[i][0], _deps(*gates[i])
+                if len(ids) != len(labs) or angle is not None and not angles_equal(
+                        g.params[0], angle, angle_period(kind)):
+                    continue
+                for order in (ids, ids[::-1]) if kind == "SWAP" else (ids,):
+                    for lab, wid in zip(labs, order):
+                        if (succ.get(at[lab]) != i or at[lab][1] != wid if lab in at
+                                else any(w == wid for _, w in at.values())):
+                            break
+                    else:
+                        fits.append((i, order))
+                if fits and not labs:
+                    break
+            if not fits:
+                break
+            k += 1
+            i, order = fits.pop()
+            for j, other in fits:   # each other way binds on from a copy
+                branch = {**at, **{lab: (j, w) for lab, w in zip(labs, other)}}
+                partial.append((k, chosen + [j], branch))
+            chosen.append(i)
+            for lab, wid in zip(labs, order):
+                at[lab] = (i, wid)
+        else:
+            found.append((chosen, at))
+    return found
 
 
 # -- 1-qubit normalization ----------------------------------------------------

@@ -19,9 +19,9 @@ import os
 
 from .circuit import TWO_PI, Circuit
 from .errors import NoMatch, QcError
-from .rewrite import (Derivation, Site, Step, _Recorder, _matches, _side_circuit,
-                      _sides, concat_derivations, deformation_equal, normalize_1q,
-                      replay, reverse_derivation)
+from .rewrite import (Derivation, Site, Step, _Recorder, _matches, _sides,
+                      concat_derivations, deformation_equal, normalize_1q, replay,
+                      reverse_derivation)
 from .theories import resolve_rule
 
 PI = math.pi
@@ -33,8 +33,8 @@ class _Builder(_Recorder):
 
     def __init__(self, theory: str, rule: str, params=(), n: int | None = None,
                  direction: str = "LR"):
-        src, self.target = map(_side_circuit, _sides(Step(rule, direction, params, n),
-                                                     theory, True))
+        inst = resolve_rule(theory, rule, params, n, True)
+        src, self.target = (inst.lhs, inst.rhs) if direction == "LR" else (inst.rhs, inst.lhs)
         super().__init__(theory, src)
 
     def rewrite(self, rule, direction, params=(), n=None, wires=(), at=None, nth=0):

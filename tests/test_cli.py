@@ -301,3 +301,17 @@ def test_huge_angles_get_an_answer_or_exit_2(tmp_path, capsys):
         "steps": [{"rule": "E", "direction": "LR", "params": [1e308] * 3, "n": None,
                    "site": {"gates": [0, 1, 2], "wire_map": [0], "at": 0}}]}))
     assert main(["replay", str(trace)]) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1"])
+def test_tol_must_be_a_finite_number_at_least_zero(files, bad, capsys):
+    trace = str(Path(__file__).resolve().parent.parent / "traces" / "qc_cnot2.json")
+    for argv in (["verify-rules", "--samples", "2"], ["replay", trace],
+                 ["equiv", files["hh"], files["hh"]]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", bad])
+        assert exc.value.code == 2, argv
+        assert "--tol" in capsys.readouterr().err
+        # 0 still runs: the command reports in JSON, whether it holds or not
+        assert main(argv + ["--tol", "0"]) != 2, argv
+        json.loads(capsys.readouterr().out)

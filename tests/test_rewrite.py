@@ -79,8 +79,8 @@ def test_apply_angle_mismatch_is_no_match():
 
 
 def test_block_selected_out_of_rule_order_matches_canonically():
-    # the block is compared in selection order first, and in canonical
-    # order only when that fails, so gates the rule lists in another
+    # the block binds to the rule side in the wire DAG, not in the order
+    # it was selected, so gates the rule lists in another
     # (deformation-equal) order still match
     a, b = 0.4, 1.1
     out = apply_step(circuit(0, [gphase(b), gphase(a)]),
@@ -90,7 +90,7 @@ def test_block_selected_out_of_rule_order_matches_canonically():
     swapped = apply_step(circuit(2, [p(PI, 1), p(PI, 0), cnot(0, 1)]), zzcx)
     in_order = apply_step(circuit(2, [p(PI, 0), p(PI, 1), cnot(0, 1)]), zzcx)
     assert deformation_equal(swapped, in_order)
-    # a block in rule order with one wrong angle falls through both
+    # a block in rule order with one wrong angle does not bind
     with pytest.raises(NoMatch):
         apply_step(circuit(1, [p(0.3, 0), p(0.6, 0)]),
                    Step("PPLUS", "LR", (0.3, 0.5), None, Site((0, 1), (0,))))
@@ -377,9 +377,29 @@ def _oracle_circuit(rng, src: Circuit) -> Circuit:
     return circuit(n, gates[:at] + planted + gates[at:])
 
 
+def _deformation_equal_block(c: Circuit, src: Circuit, sel, wm) -> bool:
+    """The reference for a site: the block ``sel`` commutes into one, and
+    relabelled onto the rule's wires through the wire map ``wm`` (read
+    where it assembles) and placed, it is deformation-equal to ``src``, a
+    side without INIT/DEST."""
+    gates = circuit_module._id_gates(c)
+    try:
+        frame = rewrite._assembly(gates, c.n_in, sel, sel[0])[2]
+    except IllegalSite:
+        return False
+    label = {frame[pos]: lab for lab, pos in enumerate(wm)}
+    block = [gates[i] for i in sel]
+    if any(wid not in label for _, ids in block for wid in ids):
+        return False
+    placed = circuit_module._place(list(range(src.n_in)),
+                                   [(g, tuple(label[w] for w in ids)) for g, ids in block])
+    return deformation_equal(Circuit(src.n_in, src.n_out, tuple(placed)), src)
+
+
 def test_find_sites_lists_every_site_apply_step_accepts():
-    # the oracle tries every gate subset of the source side's size under
-    # every injective wire map; find_sites must list exactly those accepted
+    # every gate subset of the source side's size under every injective
+    # wire map: find_sites lists, apply_step accepts, and the reference
+    # (the block relabelled and compared up to deformation) accepts the same
     rng = np.random.default_rng(2024)
     cases = 0
     for rule in _ORACLE_RULES:
@@ -391,9 +411,11 @@ def test_find_sites_lists_every_site_apply_step_accepts():
                 continue
             for _ in range(6):
                 c = _oracle_circuit(rng, src)
-                accepted = set()
+                accepted, reference = set(), set()
                 for sel in itertools.combinations(range(len(c.gates)), len(src.gates)):
                     for wm in itertools.permutations(range(c.n_in), src.n_in):
+                        if _deformation_equal_block(c, src, sel, wm):
+                            reference.add((sel, wm))
                         try:
                             apply_step(c, Step(rule, direction, params, None, Site(sel, wm)),
                                        "QC", safety=False)
@@ -402,9 +424,41 @@ def test_find_sites_lists_every_site_apply_step_accepts():
                         accepted.add((sel, wm))
                 found = {(s.gates, s.wire_map)
                          for s in find_sites(c, rule, params, None, direction, "QC")}
-                assert found == accepted, (rule, direction, c)
+                assert found == accepted == reference, (rule, direction, c)
                 cases += 1
     assert cases == 156
+
+
+def test_find_sites_lists_every_ancilla_site_apply_step_accepts():
+    # the QCancilla rules whose sides open a wire: find_sites lists exactly
+    # the (gates, wire map) pairs apply_step accepts, the INIT/DEST chain
+    # bound as one more label
+    rng = np.random.default_rng(20261019)
+    cases = sites = 0
+    for _ in range(150):
+        c = _rand_ancilla_circuit(rng)
+        angles = [g.params[0] for g in c.gates if g.kind == "P"]
+        a = angles[int(rng.integers(len(angles)))] if angles else 0.3   # AP's angle
+        for rule, params in (("A", ()), ("AP", (a,)), ("ACX", ())):
+            inst = resolve_rule("QCancilla", rule, params)
+            for direction, src in (("LR", inst.lhs), ("RL", inst.rhs)):
+                if not src.gates:
+                    continue
+                accepted = set()
+                for sel in itertools.combinations(range(len(c.gates)), len(src.gates)):
+                    for wm in itertools.permutations(range(c.threading.widest), src.n_in):
+                        try:
+                            apply_step(c, Step(rule, direction, params, None, Site(sel, wm)),
+                                       "QCancilla", safety=False)
+                        except QcError:
+                            continue
+                        accepted.add((sel, wm))
+                found = {(s.gates, s.wire_map) for s in
+                         find_sites(c, rule, params, None, direction, "QCancilla")}
+                assert found == accepted, (rule, direction, c)
+                cases += 1
+                sites += len(found)
+    assert (cases, sites) == (750, 425)
 
 
 def test_replay_and_reverse():
@@ -619,18 +673,12 @@ def test_id_level_steps_equal_circuit_steps(monkeypatch):
 
 @pytest.mark.parametrize("theory", ["QC", "QCprime"])
 def test_normalizer_takes_the_fast_paths(theory, monkeypatch):
-    """No normalizer step falls back to the canonical-order comparison, and
-    a run builds one ``Circuit`` from its working gates, for the trace, and
-    threads only that one: every rule instance it cites is substituted into
-    a shape built before."""
+    """A run builds one ``Circuit`` from its working gates, for the trace,
+    and threads only that one: every rule instance it cites is substituted
+    into a shape built before."""
     cases = _normalized(theory)
-
-    def no_fallback(*args):
-        raise AssertionError("canonical-order fallback")
-
     built, threaded = [], []
     make, thread = rewrite.Circuit, circuit_module.thread
-    monkeypatch.setattr(rewrite, "_canonical_gates", no_fallback)
     monkeypatch.setattr(rewrite, "Circuit", lambda *a: built.append(a) or make(*a))
     monkeypatch.setattr(circuit_module, "thread", lambda c: threaded.append(c) or thread(c))
     for c, params, deriv in cases:
