@@ -4,11 +4,12 @@ A circuit is a wire-threaded ordered gate sequence between ``n_in`` input
 wires and ``n_out`` output wires.  Gates act on positions in the running
 ordered list of open wires; ``INIT`` inserts a wire at its stated position,
 ``DEST`` removes one.  Circuits are identified up to deformation (sliding
-gates with disjoint wire support past each other), which is decided by a
-canonical topological ordering of the wire-threading DAG.  A ``Circuit``
-keeps the threading its constructor validated, the one record of its
-widest frame, and its canonical order once computed, so nothing threads
-or orders it again.
+gates with disjoint wire support past each other).  One binding in the
+wire-threading DAG (``_bind``) decides that equality, for a rule side
+against a block and for two whole circuits (``_deformation``);
+``canonicalize`` gives a deterministic topological order of the DAG.  A
+``Circuit`` keeps the threading its constructor validated and the one
+record of its widest frame, so nothing threads it again.
 INIT/DEST keep their mutual order under every deformation and rewrite, so
 each INIT's own position is the one record of wire order.
 
@@ -25,7 +26,6 @@ Contents:
 
 from __future__ import annotations
 
-import functools
 import heapq
 import json
 import math
@@ -197,19 +197,6 @@ class Gate:
             return self
         return Gate(self.kind, wires, self.params, self.pattern, self.base)
 
-    # -- deformation-level equality helpers --------------------------------
-
-    def same_gate(self, other: "Gate") -> bool:
-        """Equality with angles compared modulo the kind's period."""
-        if (self.kind, self.wires, self.pattern) != (other.kind, other.wires, other.pattern):
-            return False
-        if (self.base is None) != (other.base is None):
-            return False
-        if self.base is not None and not self.base.same_gate(other.base):
-            return False
-        period = angle_period(self.kind, self.base.kind if self.base else None)
-        return all(angles_equal(a, b, period) for a, b in zip(self.params, other.params))
-
     def sort_key(self):
         period = angle_period(self.kind, self.base.kind if self.base else None)
         pkey = tuple(round(reduce_angle(p, period) / ANGLE_EPS) for p in self.params)
@@ -297,17 +284,10 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-    @functools.cached_property
-    def canonical_order(self) -> tuple[int, ...]:
-        """The gate indices in canonical order (``canonicalize``), computed
-        on first read and kept, as the threading is."""
-        return _canonical_order(_id_gates(self))
-
     def with_angles(self, angles) -> "Circuit":
         """This circuit with new ``angles``, one per gate that carries one,
         in gate order.  Kinds and wires stay, so the threading is kept;
-        each gate with an angle is built anew, which checks the angle.  The
-        canonical order, which angles may change, is computed anew."""
+        each gate with an angle is built anew, which checks the angle."""
         gates = list(self.gates)
         at = [i for i, g in enumerate(gates) if g.params]
         angles = tuple(angles)
@@ -352,7 +332,7 @@ class CanonicalForm:
         if not isinstance(other, CanonicalForm):
             return NotImplemented
         a, b = self.circuit, other.circuit
-        return (a.n_in, a.n_out) == (b.n_in, b.n_out) and _same_gates(a.gates, b.gates)
+        return (a.n_in, a.n_out) == (b.n_in, b.n_out) and deformation_equal(a, b)
 
 
 @dataclass(frozen=True)
@@ -454,6 +434,81 @@ def _place(alive: list[int], gates) -> list[Gate]:
     return out
 
 
+def _bind(gates: list[_IdGate], cand, side, at: dict) -> list[tuple[list[int], dict]]:
+    """Each way the side ``side`` binds to the gates ``cand`` (indices into
+    id-level ``gates``, in order), extending the binding ``at``: the gates
+    its gates bind to, and the binding.  ``side`` is a circuit and the
+    angles of its gates that carry one, or None for the circuit's own.
+
+    A label, a side's wire or the INIT/DEST chain (``_deps``), binds to a
+    wire id and the last gate bound on it (None before the first).  Each
+    side gate binds a candidate of its kind and angle (modulo the kind's
+    period), and a CTRL one of its pattern and base: the next one on a
+    bound label's wire, or, with no label bound, any one, SWAP either way
+    round; its other labels must end there or take wires no label holds.
+    A GPHASE binds the first free one of its angle.  With its inputs and
+    the chain bound first, as a step's block and ``_deformation`` bind,
+    every gate it reaches has a bound label: it binds one way or none,
+    filling ``at`` in place.
+    """
+    succ, last = {}, {}   # succ: (gate, id) -> the next candidate on it
+    for i in cand:
+        for wid in _deps(*gates[i]):
+            succ[last.get(wid), wid] = i
+            last[wid] = i
+    shape, angles = side
+    angles = None if angles is None else iter(angles)
+    wanted = [(s.kind, _deps(s, labs), None if not s.params else
+               s.params[0] if angles is None else next(angles), s if s.base else None)
+              for s, labs in zip(shape.gates, shape.threading.gate_ids)]
+    found, partial = [], [(0, [], at)]   # (next side gate, gates bound, binding)
+    while partial:
+        k, chosen, at = partial.pop()
+        for kind, labs, angle, ctl in wanted[k:]:   # ctl: the CTRL side gate
+            for lab in labs:
+                if lab in at:
+                    next_on = (succ.get(at[lab]),)
+                    break
+            else:
+                next_on = cand
+            fits = []
+            for i in next_on:
+                if i is None or i in chosen or gates[i][0].kind != kind:
+                    continue
+                g, ids = gates[i][0], _deps(*gates[i])
+                if len(ids) != len(labs) or angle is not None and not angles_equal(
+                        g.params[0], angle, angle_period(kind)):
+                    continue
+                if ctl is not None:
+                    b, cb = g.base, ctl.base
+                    if (g.pattern, b.kind, b.wires) != (ctl.pattern, cb.kind, cb.wires) or (
+                            b.params and not angles_equal(b.params[0], cb.params[0],
+                                                          angle_period(b.kind))):
+                        continue
+                for order in (ids, ids[::-1]) if kind == "SWAP" else (ids,):
+                    for lab, wid in zip(labs, order):
+                        if (succ.get(at[lab]) != i or at[lab][1] != wid if lab in at
+                                else any(w == wid for _, w in at.values())):
+                            break
+                    else:
+                        fits.append((i, order))
+                if fits and not labs:
+                    break
+            if not fits:
+                break
+            k += 1
+            i, order = fits.pop()
+            for j, other in fits:   # each other way binds on from a copy
+                branch = {**at, **{lab: (j, w) for lab, w in zip(labs, other)}}
+                partial.append((k, chosen + [j], branch))
+            chosen.append(i)
+            for lab, wid in zip(labs, order):
+                at[lab] = (i, wid)
+        else:
+            found.append((chosen, at))
+    return found
+
+
 # -- composition ------------------------------------------------------------
 
 def compose_seq(c1: Circuit, c2: Circuit) -> Circuit:
@@ -546,7 +601,7 @@ def _ctrl_gates(g: Gate) -> list[Gate]:
     return flips + core + [Gate(f.kind, f.wires) for f in reversed(flips)]
 
 
-# -- canonicalization -------------------------------------------------------
+# -- canonicalization and deformation equality -------------------------------
 
 _NO_WIRE = 1 << 60  # sort sentinel for 0-wire gates
 
@@ -558,19 +613,14 @@ def canonicalize(c: Circuit) -> CanonicalForm:
     Ready gates are emitted by (dependency depth, smallest touched wire id,
     kind, parameters).
     """
-    gates = _canonical_gates(c.n_in, _id_gates(c), c.canonical_order)
-    return CanonicalForm(Circuit(c.n_in, c.n_out, tuple(gates)))
+    gates = _id_gates(c)
+    placed = _place(list(range(c.n_in)), [gates[i] for i in _canonical_order(gates)])
+    return CanonicalForm(Circuit(c.n_in, c.n_out, tuple(placed)))
 
 
 def _id_gates(c: Circuit) -> list[_IdGate]:
     """``c`` at the id level, read off its threading."""
     return list(zip(c.gates, c.threading.gate_ids))
-
-
-def _canonical_gates(n_in: int, gates: list[_IdGate], order) -> list[Gate]:
-    """The id-level ``gates`` on ``n_in`` inputs in their canonical
-    ``order``, placed."""
-    return _place(list(range(n_in)), [gates[i] for i in order])
 
 
 def _canonical_order(gates: list[_IdGate]) -> tuple[int, ...]:
@@ -616,15 +666,24 @@ def _prio(g: Gate, ids: tuple[int, ...], depth: int, idx: int):
     return (depth, min_id, g.sort_key(), idx)
 
 
-def _same_gates(a, b) -> bool:
-    return len(a) == len(b) and all(g1.same_gate(g2) for g1, g2 in zip(a, b))
+def _deformation(c1: Circuit, c2: Circuit) -> list[int] | None:
+    """Where each gate of ``c1`` sits in ``c2``, of the same arity, if the
+    two are equal up to deformation; else None.  ``c1`` binds, as a side,
+    to all of ``c2`` with the inputs and the INIT/DEST chain bound
+    (``_bind``), and as every wire is bound, each INIT must open its wire
+    at its partner's position."""
+    if len(c1.gates) != len(c2.gates):
+        return None
+    at = {lab: (None, lab) for lab in (_STRUCT, *range(c1.n_in))}
+    found = _bind(_id_gates(c2), range(len(c2.gates)), (c1, None), at)
+    if not found or any(g.kind == "INIT" and g.wires != c2.gates[i].wires
+                        for g, i in zip(c1.gates, found[0][0])):
+        return None
+    return found[0][0]
 
 
 def deformation_equal(c1: Circuit, c2: Circuit) -> bool:
     """True iff the two circuits are equal up to prop deformation."""
     if (c1.n_in, c1.n_out) != (c2.n_in, c2.n_out):
         raise ArityMismatch("deformation_equal needs equal arities")
-    if c1.gates == c2.gates:
-        return True
-    return _same_gates(_canonical_gates(c1.n_in, _id_gates(c1), c1.canonical_order),
-                       _canonical_gates(c2.n_in, _id_gates(c2), c2.canonical_order))
+    return c1.gates == c2.gates or _deformation(c1, c2) is not None

@@ -26,7 +26,7 @@ import numpy as np
 
 from .circuit import (TWO_PI, Circuit, Gate, _wire, angles_equal, circuit,
                       expand_gate, reduce_angle, unfold)
-from .errors import (InconsistentClasses, NoInterpretation, UnknownLemma,
+from .errors import (BadArity, InconsistentClasses, NoInterpretation, UnknownLemma,
                      UnsupportedGate)
 from .euler import b_funcs
 from .semantics import eval_matrix
@@ -56,8 +56,13 @@ def interp_k(c: Circuit, k: int) -> float:
     """The determinant-related valuation, in [0, 2*pi).  It is a prop
     functor only for k >= 2: at k = 1, ``SWAP SWAP`` weighs pi and the empty
     circuit 0.  ``minimality_report`` never uses k = 1: it takes
-    k = target_n - 1, and (I) needs ``target_n >= 3`` (2 raises BadArity)."""
-    r = _weigh(_vanilla(c).gates, k)
+    k = target_n - 1, and (I) needs ``target_n >= 3`` (2 raises BadArity).
+    A ``k`` whose weights overflow a float, or a macro that unfolds deeper
+    than Python's recursion limit allows, raises BadArity."""
+    try:
+        r = _weigh(_vanilla(c).gates, k)
+    except (OverflowError, RecursionError) as exc:
+        raise BadArity(f"interp_k at k={k} is out of reach: {type(exc).__name__}") from None
     return 0.0 if r > TWO_PI - 1e-12 else r
 
 

@@ -16,9 +16,9 @@ once and compares it with the matrix of the one before.  Every step goes
 through one recorder, ``_Recorder``, on id-level gates (``_apply``): it
 keeps one working circuit across a derivation's steps and builds a
 ``Circuit`` only when one is read; ``replay`` and reversal share one walk
-over a derivation (``_walk``).  A ``Circuit`` keeps its canonical order
-once computed, so deformation checks and carried sites that meet the same
-circuit again do not order it again.
+over a derivation (``_walk``).  Reversal carries each site with the gate
+map that its landing check binds (``_deformation``), so no circuit is put
+in canonical order.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _IdGate, _STRUCT, _deps,
-                      _frame, _id_gates, _place, _real, _wire, angle_period,
+from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _IdGate, _STRUCT, _bind,
+                      _deformation, _deps, _frame, _id_gates, _place, _real, _wire,
                       angles_equal, deformation_equal, reduce_angle)
 from .errors import (BadArity, DomainError, IllegalSite, InvalidCircuit, NoMatch,
                      QcError, SemanticDrift, UnknownTheory, UnsupportedGate)
@@ -151,12 +151,11 @@ def _apply(gates: list[_IdGate], n_in: int, src, dst,
     """Replace the block ``site`` selects in id-level ``gates`` (inputs
     0..n_in-1), which binds to the side ``src`` (``_bind``), by the side
     ``dst`` (``_sides``): the new gates and the reverse step's site."""
-    sel = tuple(site.gates)
-    if len(sel) != len(set(sel)) or any(not 0 <= i < len(gates) for i in sel):
+    sel = tuple(sorted(site.gates))
+    if len(sel) != len(set(sel)) or sel and not 0 <= sel[0] <= sel[-1] < len(gates):
         raise NoMatch("site gate indices out of range or repeated")
     if len(sel) != len(src[0].gates):
         raise NoMatch(f"site selects {len(sel)} gates, source side has {len(src[0].gates)}")
-    sel = tuple(sorted(sel))
     anchor = sel[0] if sel else site.at
     if not 0 <= anchor <= len(gates):
         raise NoMatch("splice index out of range")
@@ -362,61 +361,61 @@ def reverse_derivation(d: Derivation, name: str = "") -> Derivation:
 
     A reversed step restores its predecessor only up to deformation, so the
     circuit the reversed run reaches may order its gates differently from
-    the one on which the forward step recorded its replacement's site.  That
-    site is carried over by canonical rank (``_carry_site``), never searched
-    for, and the reversed step must land deformation-equal on the forward
-    step's input; otherwise NoMatch is raised.  The reversed derivation
-    starts from the forward replay's end, which the reversed sites refer
-    to; ``d.final`` may only be deformation-equal to it.  The forward run
-    is ``replay``'s walk (``_walk``), with lemmas and without the safety net.
+    the one on which the forward step recorded its replacement's site.  The
+    reversed step must land deformation-equal on the forward step's input,
+    otherwise NoMatch is raised, and the gate map that check binds
+    (``_deformation``) carries the next site over (``_carry_site``), never
+    searched for.  The reversed derivation starts from the forward replay's
+    end, which the reversed sites refer to; ``d.final`` may only be
+    deformation-equal to it.  The forward run is ``replay``'s walk
+    (``_walk``), with lemmas and without the safety net.
     """
     fwd = list(_walk(d, allow_lemmas=True, safety=False, tol=0.0))
     c = fwd[-1][1] if fwd else d.initial
     rec = _Recorder(d.theory, c)
+    where = range(len(c.gates))   # where each gate of the recorded circuit sits in c
     for i in reversed(range(len(fwd))):
         step, (before, after, rev_site) = d.steps[i], fwd[i]
         chain = any(before.gates[j].kind in ("INIT", "DEST") for j in step.site.gates)
         what = f"step {i} ({step.rule} {step.direction}) does not reverse"
         try:
-            rec.step(Step(step.rule, "RL" if step.direction == "LR" else "LR",
-                          step.params, step.n, _carry_site(rev_site, after, c, chain)))
+            rec.step(Step(step.rule, "RL" if step.direction == "LR" else "LR", step.params,
+                          step.n, _carry_site(rev_site, after, c, where, chain)))
         except QcError as exc:
             raise NoMatch(f"{what}: {exc}") from exc
         c = rec.c
-        if not deformation_equal(c, before):
+        where = _deformation(before, c)
+        if where is None:
             raise NoMatch(f"{what}: it lands off the recorded circuit")
     return Derivation(d.theory, rec.initial, rec.steps, d.initial,
                       name=name or (d.name + "_reversed" if d.name else ""))
 
 
-def _carry_site(site: Site, rec: Circuit, cur: Circuit, chain: bool) -> Site:
+def _carry_site(site: Site, rec: Circuit, cur: Circuit, where, chain: bool) -> Site:
     """Move a reverse site from ``rec`` to the deformation-equal ``cur``.
 
-    Deformation-equal circuits give each gate the same canonical rank and
-    each wire the same id, so gates map by rank and the wire map goes
-    through ids.  ``site`` selects a contiguous block of ``rec`` from
-    ``site.at`` on, as ``_Recorder.step`` returns it.  An empty block goes
-    right after the last gate it depends on: one before ``site.at`` that
-    shares a wire with it or, when the block joins the INIT/DEST chain
+    Gate ``i`` of ``rec`` sits at ``where[i]`` in ``cur`` (``_deformation``),
+    and deformation-equal circuits give each wire the same id, so the wire
+    map goes through ids.  ``site`` selects a contiguous block of ``rec``
+    from ``site.at`` on, as ``_Recorder.step`` returns it.  An empty block
+    goes right after the last gate it depends on: one before ``site.at``
+    that shares a wire with it or, when the block joins the INIT/DEST chain
     (``chain``), that is an INIT or DEST.
     """
     if rec.gates == cur.gates:
         return site
     rec_gates = _id_gates(rec)
-    gates = _id_gates(cur)
     rec_frame = _frame(range(rec.n_in), rec_gates[:site.at])
     wire_ids = [rec_frame[pos] for pos in site.wire_map]
-    rank = {i: r for r, i in enumerate(rec.canonical_order)}
-    cur_order = cur.canonical_order
     if site.gates:
-        sel = tuple(sorted(cur_order[rank[i]] for i in site.gates))
+        sel = tuple(sorted(where[i] for i in site.gates))
         at = sel[0]
     else:
         deps = set(wire_ids) | ({_STRUCT} if chain else set())
         sel = ()
-        at = max((cur_order[rank[i]] + 1 for i in range(site.at)
+        at = max((where[i] + 1 for i in range(site.at)
                   if deps.intersection(_deps(*rec_gates[i]))), default=0)
-    _, _, frame = _assembly(gates, cur.n_in, sel, at)
+    _, _, frame = _assembly(_id_gates(cur), cur.n_in, sel, at)
     if not set(wire_ids) <= set(frame):
         raise NoMatch("a carried wire is not open at the carried site")
     return Site(sel, tuple(frame.index(w) for w in wire_ids), at)
@@ -471,72 +470,6 @@ def _matches(gates: list[_IdGate], n_in: int, src_side, dst_side,
                 except QcError:
                     pass
     return sorted(hits.items(), key=lambda hit: (hit[0].gates, hit[0].wire_map))
-
-
-def _bind(gates: list[_IdGate], cand, side, at: dict) -> list[tuple[list[int], dict]]:
-    """Each way the side ``side`` (``_sides``) binds to the gates ``cand``
-    (indices into id-level ``gates``, in order), extending the binding
-    ``at``: the gates its gates bind to, and the binding.
-
-    A label, a side's wire or the INIT/DEST chain (``_deps``), binds to a
-    wire id and the last gate bound on it (None before the first).  Each
-    side gate binds a candidate of its kind and angle (modulo the kind's
-    period): the next one on a bound label's wire, or, with no label bound,
-    any one, SWAP either way round; its other labels must end there or take
-    wires no label holds.  A GPHASE binds the first free one of its angle.
-    A step binds its inputs and the chain first, so every gate it reaches
-    has a bound label: it binds one way or none, filling ``at`` in place.
-    """
-    succ, last = {}, {}   # succ: (gate, id) -> the next candidate on it
-    for i in cand:
-        for wid in _deps(*gates[i]):
-            succ[last.get(wid), wid] = i
-            last[wid] = i
-    shape, angles = side
-    angles = None if angles is None else iter(angles)
-    wanted = [(s.kind, _deps(s, labs), None if not s.params else
-               s.params[0] if angles is None else next(angles))
-              for s, labs in zip(shape.gates, shape.threading.gate_ids)]
-    found, partial = [], [(0, [], at)]   # (next side gate, gates bound, binding)
-    while partial:
-        k, chosen, at = partial.pop()
-        for kind, labs, angle in wanted[k:]:
-            for lab in labs:
-                if lab in at:
-                    next_on = (succ.get(at[lab]),)
-                    break
-            else:
-                next_on = cand
-            fits = []
-            for i in next_on:
-                if i is None or i in chosen or gates[i][0].kind != kind:
-                    continue
-                g, ids = gates[i][0], _deps(*gates[i])
-                if len(ids) != len(labs) or angle is not None and not angles_equal(
-                        g.params[0], angle, angle_period(kind)):
-                    continue
-                for order in (ids, ids[::-1]) if kind == "SWAP" else (ids,):
-                    for lab, wid in zip(labs, order):
-                        if (succ.get(at[lab]) != i or at[lab][1] != wid if lab in at
-                                else any(w == wid for _, w in at.values())):
-                            break
-                    else:
-                        fits.append((i, order))
-                if fits and not labs:
-                    break
-            if not fits:
-                break
-            k += 1
-            i, order = fits.pop()
-            for j, other in fits:   # each other way binds on from a copy
-                branch = {**at, **{lab: (j, w) for lab, w in zip(labs, other)}}
-                partial.append((k, chosen + [j], branch))
-            chosen.append(i)
-            for lab, wid in zip(labs, order):
-                at[lab] = (i, wid)
-        else:
-            found.append((chosen, at))
-    return found
 
 
 # -- 1-qubit normalization ----------------------------------------------------

@@ -11,7 +11,8 @@ from qc_equate import (Circuit, Gate, canonicalize, circuit, cnot, compose_par,
                        compose_seq, ctrl, deformation_equal, dest,
                        expand_macros, eval_matrix, gphase, h, init, mcp, mcrx,
                        p, rx, swap, x, z)
-from qc_equate.circuit import ALL_KINDS, PRIMITIVE_KINDS, expand_gate, unfold
+from qc_equate.circuit import (ALL_KINDS, ANGLE_EPS, PRIMITIVE_KINDS, _deps, _id_gates,
+                               _place, angle_period, angles_equal, expand_gate, unfold)
 from qc_equate.errors import ArityMismatch, InvalidCircuit
 
 PI = math.pi
@@ -150,11 +151,7 @@ def test_canonicalize_examples():
 
 def test_canonical_order_is_kept_and_never_inherited():
     # two global phases are ordered by angle, so new angles reorder them
-    c = circuit(1, [gphase(0.2), h(0), gphase(0.1)])
-    assert c.canonical_order == (1, 2, 0)
-    assert c.canonical_order is c.canonical_order
-    d = c.with_angles((0.1, 0.2))
-    assert d.canonical_order == (1, 0, 2)
+    d = circuit(1, [gphase(0.2), h(0), gphase(0.1)]).with_angles((0.1, 0.2))
     assert canonicalize(d).circuit.gates == (h(0), gphase(0.1), gphase(0.2))
 
 
@@ -173,6 +170,7 @@ def test_canonicalize_idempotent_and_semantics_preserving():
         c = rand_vanilla(rng, n, int(rng.integers(0, 10)))
         k = canonicalize(c)
         assert canonicalize(k.circuit) == k
+        assert canonicalize(k.circuit).circuit.gates == k.circuit.gates
         assert np.max(np.abs(eval_matrix(k.circuit) - eval_matrix(c))) < 1e-10
 
 
@@ -190,6 +188,120 @@ def test_canonicalize_random_transposition_oracle():
                 continue
             gates[i], gates[i + 1] = b, a
             assert canonicalize(circuit(n, gates)) == base
+            assert canonicalize(circuit(n, gates)).circuit.gates == base.circuit.gates
+
+
+def _rand_wired(rng) -> Circuit:
+    """A random circuit over GPHASE, H, P, CNOT, SWAP, CTRL, MCP and
+    INIT/DEST, with angles from a small set so that equal ones recur."""
+    n = int(rng.integers(1, 4))
+    width, gates = n, []
+    for _ in range(int(rng.integers(0, 10))):
+        k, a = int(rng.integers(0, 9)), float(rng.choice((0.0, 0.5, 1.0, PI, 2.0)))
+        w = [int(v) for v in rng.permutation(width)]
+        m = int(rng.integers(1, width + 1)) if w else 0
+        if k == 0:
+            gates.append(gphase(a))
+        elif k == 7:
+            gates.append(init(int(rng.integers(0, width + 1))))
+            width += 1
+        elif not w:
+            continue
+        elif k in (1, 2):
+            gates.append(h(w[0]) if k == 1 else p(a, w[0]))
+        elif k == 6:
+            gates.append(mcp(a, tuple(w[:m])))
+        elif k == 8:
+            gates.append(dest(w[0]))
+            width -= 1
+        elif width >= 2:
+            m = max(m, 2)
+            base = (p(a, 0), x(0), z(0), rx(a, 0))[int(rng.integers(4))]
+            gates.append(cnot(w[0], w[1]) if k == 3 else swap(w[0], w[1]) if k == 4 else
+                         ctrl("".join(rng.choice(["0", "1"], m - 1)), base, tuple(w[:m])))
+    return Circuit(n, width, tuple(gates))
+
+
+def _transposed(rng, c: Circuit) -> Circuit:
+    """``c`` after random swaps of adjacent gates that share no wire."""
+    gates = _id_gates(c)
+    for _ in range(3 * len(gates) if len(gates) > 1 else 0):
+        i = int(rng.integers(0, len(gates) - 1))
+        if not set(_deps(*gates[i])) & set(_deps(*gates[i + 1])):
+            gates[i], gates[i + 1] = gates[i + 1], gates[i]
+    return Circuit(c.n_in, c.n_out, tuple(_place(list(range(c.n_in)), gates)))
+
+
+def _mutated(rng, c: Circuit, how: str):
+    """``c`` with one gate changed as ``how`` says, or None."""
+    gates = list(c.gates)
+    at = [i for i, g in enumerate(gates) if how in ("period", "1e-6") and (
+              g.params or g.base is not None and g.base.params)
+          or g.kind == {"cnot": "CNOT", "ctrl": "CTRL", "init": "INIT",
+                        "gphase": "GPHASE"}.get(how)]
+    if not at:
+        return None
+    i = at[int(rng.integers(len(at)))]
+    g = gates[i]
+    if how in ("period", "1e-6"):
+        t = g.base or g
+        by = angle_period(t.kind) * int(rng.choice([-2, -1, 1, 2])) if how == "period" else 1e-6
+        t = Gate(t.kind, t.wires, (t.params[0] + by,))
+        gates[i] = ctrl(g.pattern, t, g.wires) if g.base else t
+    elif how == "cnot":
+        gates[i] = cnot(g.wires[1], g.wires[0])
+    elif how == "ctrl" and rng.integers(2):
+        j = int(rng.integers(len(g.pattern)))
+        gates[i] = ctrl(g.pattern[:j] + "10"[int(g.pattern[j])] + g.pattern[j + 1:], g.base, g.wires)
+    elif how == "ctrl":
+        other = [b for b in (p(0.5, 0), x(0), z(0), rx(0.5, 0), g.base.with_wires((1,)))
+                 if b != g.base]
+        gates[i] = ctrl(g.pattern, other[int(rng.integers(len(other)))], g.wires)
+    elif how == "init":
+        gates[i] = init(g.wires[0] + int(rng.choice([-1, 1])))
+    else:   # the global phases in another order
+        slots = [j for j, f in enumerate(gates) if f.kind == "GPHASE"]
+        for j, f in zip(slots, [gates[j] for j in rng.permutation(slots)]):
+            gates[j] = f
+    try:
+        return Circuit(c.n_in, c.n_out, tuple(gates))
+    except InvalidCircuit:
+        return None
+
+
+def _same_placed(a, b) -> bool:
+    """Gate lists equal gate by gate, each angle modulo its kind's period."""
+    def same(g1, g2):
+        if (g1.kind, g1.wires, g1.pattern, g1.base is None) != (
+                g2.kind, g2.wires, g2.pattern, g2.base is None):
+            return False
+        period = angle_period(g1.kind, g1.base.kind if g1.base else None)
+        return ((g1.base is None or same(g1.base, g2.base))
+                and all(angles_equal(u, v, period) for u, v in zip(g1.params, g2.params)))
+    return len(a) == len(b) and all(map(same, a, b))
+
+
+def test_deformation_equal_agrees_with_canonical_order():
+    # the reference puts both circuits in canonical order and compares the
+    # placed lists; pairs come from adjacent transpositions, some mutated.
+    # No shift is below ANGLE_EPS, where the sort key's rounding and the
+    # greedy global-phase binding may legitimately differ
+    assert 1e-6 > 100 * ANGLE_EPS
+    rng = np.random.default_rng(27)
+    seen = {}
+    for _ in range(1500):
+        c = _rand_wired(rng)
+        d = _transposed(rng, c)
+        how = str(rng.choice(["none", "period", "1e-6", "cnot", "ctrl", "init", "gphase"]))
+        if how != "none" and (d := _mutated(rng, d, how)) is None:
+            continue
+        want = _same_placed(canonicalize(c).circuit.gates, canonicalize(d).circuit.gates)
+        assert deformation_equal(c, d) == deformation_equal(d, c) == want, (how, c, d)
+        seen[how, want] = seen.get((how, want), 0) + 1
+    for how in ("none", "period", "gphase"):
+        assert seen.get((how, True), 0) > 20, seen
+    for how in ("1e-6", "cnot", "ctrl", "init"):
+        assert seen.get((how, False), 0) > 20, seen
 
 
 def test_init_dest_threading_and_canonical():

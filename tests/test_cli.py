@@ -141,6 +141,15 @@ def test_negative_seed_exits_2(capsys):
         assert out == "" and "seed -" in err, argv
 
 
+def test_minimality_target_n_out_of_reach_exits_2(capsys):
+    # (I) at 331 wires unfolds deeper than the recursion limit, and at
+    # 1026 its weights overflow a float
+    for n in ("331", "1026"):
+        assert main(["minimality", "--axiom", "I", "--target-n", n, "--samples", "1"]) == 2, n
+        out, err = capsys.readouterr()
+        assert out == "" and f"interp_k at k={int(n) - 1} is out of reach" in err, n
+
+
 def test_expand(files, capsys):
     assert main(["expand", files["hph"]]) == 0
     out = json.loads(capsys.readouterr().out)

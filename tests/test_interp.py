@@ -13,7 +13,8 @@ from qc_equate import (apply_step, circuit, cnot, ctrl, eval_matrix,
 from qc_equate import interp
 from qc_equate.circuit import Circuit, angles_equal, init, dest
 from qc_equate.cli import main
-from qc_equate.errors import BadParams, InvalidCircuit, UnknownLemma, UnsupportedGate
+from qc_equate.errors import (BadArity, BadParams, InvalidCircuit, UnknownLemma,
+                              UnsupportedGate)
 from qc_equate.interp import equal_value_sets, minimality_matrix
 from qc_equate.theories import THEORIES, instances, list_rules, signature, verify_theory
 from qc_equate.rewrite import Site, Step
@@ -51,6 +52,15 @@ def test_interp_k_rejects_ancilla():
         interp_k(Circuit(0, 1, (init(0),)), 2)
     with pytest.raises(UnsupportedGate):
         interp_k(Circuit(1, 0, (dest(0),)), 2)
+
+
+def test_interp_k_out_of_reach_raises_bad_arity():
+    # a weight of 2^1024 overflows a float, and a 332-wire MCP unfolds
+    # deeper than the recursion limit allows
+    with pytest.raises(BadArity, match="OverflowError"):
+        interp_k(circuit(0, [gphase(0.3)]), 1025)
+    with pytest.raises(BadArity, match="RecursionError"):
+        interp_k(circuit(332, [mcp(0.3, tuple(range(332)))]), 3)
 
 
 def test_interp_k_matches_det_arg_at_k_equals_n():

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qc_equate import (Circuit, Derivation, Gate, RuleId, apply_step, circuit,
-                       deformation_equal, eval_matrix, find_sites, gphase, mcp,
-                       p, replay, resolve_rule, reverse_derivation, rx)
+from qc_equate import (Circuit, Derivation, Gate, RuleId, apply_step, canonicalize,
+                       circuit, deformation_equal, eval_matrix, find_sites, gphase,
+                       mcp, normalize_1q, p, replay, resolve_rule,
+                       reverse_derivation, rx)
 from qc_equate import rewrite, traces as tr
 from qc_equate.circuit import angle_period
 from qc_equate.errors import NoMatch, QcError, SemanticDrift
@@ -304,30 +305,30 @@ def test_threading_records_the_widest_frame(monkeypatch):
 
 
 def test_reversal_orders_each_circuit_once(monkeypatch):
-    # each canonical order is traced to the Circuit whose id-level gates it
-    # was computed from: every one is a Circuit's, and no Circuit is ordered twice
-    module = sys.modules["qc_equate.circuit"]
-    real_ids, real_order = module._id_gates, module._canonical_order
-    of, ordered = {}, []
-
-    def id_gates(c):
-        out = real_ids(c)
-        of[id(out)] = (out, c)
-        return out
-
+    # no circuit is ordered even once: deformation checks bind in the wire
+    # DAG and reversal carries its sites with the gate map its landing
+    # check binds, so building, replaying, reversing and normalizing never
+    # compute a canonical order
     def order(gates):
-        ordered.append(of.get(id(gates), (None, None))[1])
-        return real_order(gates)
+        raise AssertionError("a canonical order was computed")
 
-    monkeypatch.setattr(module, "_id_gates", id_gates)
-    monkeypatch.setattr(module, "_canonical_order", order)
+    monkeypatch.setattr(sys.modules["qc_equate.circuit"], "_canonical_order", order)
+    with pytest.raises(AssertionError):
+        canonicalize(circuit(1, [p(0.3, 0)]))
+    assert len(tr.all_traces()) == 19
+    reversed_ = 0
     for d in _frozen():
+        replay(d, allow_lemmas=True)
         try:
             reverse_derivation(d)
+            reversed_ += 1
         except NoMatch:
             assert d.name == "qcancilla_p0"
-    assert ordered and all(c is not None for c in ordered)
-    assert len({id(c) for c in ordered}) == len(ordered)
+    assert reversed_ == 18
+    c = circuit(1, [gphase(0.4), rx(1.1, 0), p(0.3, 0), rx(-2.0, 0)])
+    for theory in ("QC", "QCprime"):
+        _, d = normalize_1q(c, emit_trace=True, theory=theory)
+        reverse_derivation(d)
 
 
 def test_builder_must_end_on_the_target_side():
