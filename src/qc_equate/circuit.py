@@ -17,7 +17,7 @@ each INIT's own position is the one record of wire order.
 until no gate is a macro.
 
 Contents:
-    - Gate / Circuit / CanonicalForm data types and JSON (de)serialization
+    - Gate / Circuit data types and JSON (de)serialization
     - compose_seq / compose_par  (sequential and parallel composition)
     - unfold / expand_gate / expand_macros  (X, Z, RX, MCP, MCRX, CTRL ->
       primitives)
@@ -26,11 +26,11 @@ Contents:
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,11 +41,12 @@ TWO_PI = 2.0 * math.pi
 #: tolerance for angle comparisons (modulo the gate kind's period)
 ANGLE_EPS = 1e-9
 
+#: the most wires a circuit or rule may declare: no list indexes more
+_MAX_WIRES = sys.maxsize
+
 PRIMITIVE_KINDS = ("GPHASE", "H", "P", "CNOT", "SWAP", "INIT", "DEST")
 MACRO_KINDS = ("X", "Z", "RX", "MCP", "MCRX", "CTRL")
 ALL_KINDS = PRIMITIVE_KINDS + MACRO_KINDS
-
-_KIND_ORDER = {k: i for i, k in enumerate(ALL_KINDS)}
 
 # wire count (None = variable) and parameter count per kind
 _KIND_SIG = {
@@ -197,12 +198,6 @@ class Gate:
             return self
         return Gate(self.kind, wires, self.params, self.pattern, self.base)
 
-    def sort_key(self):
-        period = angle_period(self.kind, self.base.kind if self.base else None)
-        pkey = tuple(round(reduce_angle(p, period) / ANGLE_EPS) for p in self.params)
-        bkey = self.base.sort_key() if self.base is not None else ()
-        return (_KIND_ORDER[self.kind], self.pattern, pkey, bkey)
-
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "wires": list(self.wires), "params": list(self.params)}
         if self.kind == "CTRL":
@@ -275,6 +270,8 @@ class Circuit:
             object.__setattr__(self, "n_out", _wire(self.n_out))
         if self.n_in < 0 or self.n_out < 0:
             raise InvalidCircuit("negative wire count")
+        if self.n_in > _MAX_WIRES or self.n_out > _MAX_WIRES:
+            raise InvalidCircuit(f"wire count above {_MAX_WIRES}")
         try:   # raises InvalidCircuit on bad threading
             object.__setattr__(self, "threading", thread(self))
         except AttributeError:   # thread reads fields only a Gate has
@@ -320,19 +317,6 @@ class Circuit:
 def circuit(n: int, gates=()) -> Circuit:
     """Width-preserving circuit (no INIT/DEST): n wires in and out."""
     return Circuit(n, n, tuple(gates))
-
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """A circuit whose gates are in canonical topological order."""
-
-    circuit: Circuit
-
-    def __eq__(self, other):
-        if not isinstance(other, CanonicalForm):
-            return NotImplemented
-        a, b = self.circuit, other.circuit
-        return (a.n_in, a.n_out) == (b.n_in, b.n_out) and deformation_equal(a, b)
 
 
 @dataclass(frozen=True)
@@ -472,8 +456,8 @@ def _bind(gates: list[_IdGate], cand, side, at: dict) -> list[tuple[list[int], d
             else:
                 next_on = cand
             fits = []
-            for i in next_on:
-                if i is None or i in chosen or gates[i][0].kind != kind:
+            for i in next_on:   # a bound label's successor is never bound yet
+                if i is None or gates[i][0].kind != kind or next_on is cand and i in chosen:
                     continue
                 g, ids = gates[i][0], _deps(*gates[i])
                 if len(ids) != len(labs) or angle is not None and not angles_equal(
@@ -606,16 +590,12 @@ def _ctrl_gates(g: Gate) -> list[Gate]:
 _NO_WIRE = 1 << 60  # sort sentinel for 0-wire gates
 
 
-def canonicalize(c: Circuit) -> CanonicalForm:
-    """Deterministic topological order of the wire-threading DAG.
-
-    Gates sharing a wire keep their order, and so do INIT/DEST (``_deps``).
-    Ready gates are emitted by (dependency depth, smallest touched wire id,
-    kind, parameters).
-    """
+def canonicalize(c: Circuit) -> Circuit:
+    """``c`` with its gates in the deterministic topological order of the
+    wire-threading DAG (``_canonical_order``)."""
     gates = _id_gates(c)
     placed = _place(list(range(c.n_in)), [gates[i] for i in _canonical_order(gates)])
-    return CanonicalForm(Circuit(c.n_in, c.n_out, tuple(placed)))
+    return Circuit(c.n_in, c.n_out, tuple(placed))
 
 
 def _id_gates(c: Circuit) -> list[_IdGate]:
@@ -623,47 +603,29 @@ def _id_gates(c: Circuit) -> list[_IdGate]:
     return list(zip(c.gates, c.threading.gate_ids))
 
 
-def _canonical_order(gates: list[_IdGate]) -> tuple[int, ...]:
-    """The indices of the id-level ``gates`` in canonical order.
+def _canonical_order(gates: list[_IdGate]) -> list[int]:
+    """The indices of the id-level ``gates`` in canonical order: by
+    dependency depth, then smallest wire id, then index.  Gates that share
+    a wire id, or the INIT/DEST chain (``_deps``), keep their order.  Two
+    gates of one depth share no wire id, so only wireless global phases
+    tie there; they sort by angle modulo 2pi.
 
     Deformation-equal circuits put the same gate at the same rank.
     """
-    n = len(gates)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    n_pred = [0] * n
-    last_by_id: dict[int, int] = {}
+    depth, last = [], {}   # last: wire id -> the latest gate on it
     for i, (g, ids) in enumerate(gates):
-        preds = set()
-        for wid in _deps(g, ids):
-            if wid in last_by_id:
-                preds.add(last_by_id[wid])
-            last_by_id[wid] = i
-        for j in preds:
-            succ[j].append(i)
-        n_pred[i] = len(preds)
+        deps = _deps(g, ids)
+        depth.append(1 + max((depth[last[w]] for w in deps if w in last), default=-1))
+        for w in deps:
+            last[w] = i
 
-    depth = [0] * n
-    ready = []
-    for i in range(n):
-        if n_pred[i] == 0:
-            heapq.heappush(ready, _prio(*gates[i], 0, i))
-    order: list[int] = []
-    while ready:
-        *_, i = heapq.heappop(ready)
-        order.append(i)
-        for j in succ[i]:
-            depth[j] = max(depth[j], depth[i] + 1)
-            n_pred[j] -= 1
-            if n_pred[j] == 0:
-                heapq.heappush(ready, _prio(*gates[j], depth[j], j))
-    if len(order) != n:
-        raise InvalidCircuit("cycle in threading DAG")  # unreachable by construction
-    return tuple(order)
+    def key(i):
+        g, ids = gates[i]
+        if ids:
+            return depth[i], min(ids), 0, i
+        return depth[i], _NO_WIRE, round(reduce_angle(g.params[0]) / ANGLE_EPS), i
 
-
-def _prio(g: Gate, ids: tuple[int, ...], depth: int, idx: int):
-    min_id = min(ids) if ids else _NO_WIRE
-    return (depth, min_id, g.sort_key(), idx)
+    return sorted(range(len(gates)), key=key)
 
 
 def _deformation(c1: Circuit, c2: Circuit) -> list[int] | None:

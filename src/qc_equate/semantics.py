@@ -141,10 +141,6 @@ def is_isometry(m: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(gram - np.eye(gram.shape[0]))) <= tol)
 
 
-def is_unitary(m: np.ndarray, tol: float = 1e-9) -> bool:
-    return m.shape[0] == m.shape[1] and is_isometry(m, tol)
-
-
 def det_arg(c: Circuit) -> float:
     """arg(det(eval_matrix(c))) normalized to [0, 2*pi)."""
     if c.n_in != c.n_out:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import (Circuit, Gate, _controls_phase, _real, _wire, circuit,
+from .circuit import (_MAX_WIRES, Circuit, Gate, _controls_phase, _real, _wire, circuit,
                       cnot, dest, gphase, h, init, mcp, mcrx, p, rx, swap,
                       unfold, x, z)
 from .errors import (BadArity, BadParams, InvalidCircuit, UnknownLemma,
@@ -415,6 +415,8 @@ def _resolve(theory: str, name: str, params, n: int | None, allow_lemmas: bool):
         raise BadArity(f"{name} needs a wire count of at least {min_n}")
     if arity is not None and n not in (None, arity):
         raise BadArity(f"{name} is pinned at {arity} wires")
+    if n is not None and n > _MAX_WIRES:
+        raise BadArity(f"{name} needs a wire count of at most {_MAX_WIRES}")
     shape, angles = _shape(theory, name, n if arity is None else arity)
     return shape, params, None if angles is None else angles(*params)
 

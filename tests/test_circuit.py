@@ -1,8 +1,11 @@
 """Circuit construction, composition, macro expansion, canonicalization."""
 
+import hashlib
+import itertools
 import json
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -74,6 +77,8 @@ def test_threading_validation():
         Circuit(1, 2, ())          # wrong declared n_out
     with pytest.raises(InvalidCircuit):
         Circuit(0, 0, (dest(0),))  # nothing to destroy
+    with pytest.raises(InvalidCircuit):
+        Circuit(2**70, 2**70)      # more wires than a list can index
     # INIT inserts a wire; the widened frame is usable afterwards
     c = Circuit(1, 2, (init(0), cnot(0, 1)))
     assert c.n_out == 2
@@ -152,7 +157,12 @@ def test_canonicalize_examples():
 def test_canonical_order_is_kept_and_never_inherited():
     # two global phases are ordered by angle, so new angles reorder them
     d = circuit(1, [gphase(0.2), h(0), gphase(0.1)]).with_angles((0.1, 0.2))
-    assert canonicalize(d).circuit.gates == (h(0), gphase(0.1), gphase(0.2))
+    assert canonicalize(d).gates == (h(0), gphase(0.1), gphase(0.2))
+    # global phases have depth 0 and no wire: they come after the wired
+    # depth-0 gate, by angle modulo 2pi, whatever the input order
+    gates = (gphase(0.3 + 2 * PI), h(0), gphase(0.1))
+    for perm in itertools.permutations(gates):
+        assert canonicalize(circuit(1, perm)).gates == (h(0), gphase(0.1), gphase(0.3 + 2 * PI))
 
 
 def test_deformation_equal_checks_arity_before_gates():
@@ -169,9 +179,8 @@ def test_canonicalize_idempotent_and_semantics_preserving():
         n = int(rng.integers(1, 7))
         c = rand_vanilla(rng, n, int(rng.integers(0, 10)))
         k = canonicalize(c)
-        assert canonicalize(k.circuit) == k
-        assert canonicalize(k.circuit).circuit.gates == k.circuit.gates
-        assert np.max(np.abs(eval_matrix(k.circuit) - eval_matrix(c))) < 1e-10
+        assert canonicalize(k) == k
+        assert np.max(np.abs(eval_matrix(k) - eval_matrix(c))) < 1e-10
 
 
 def test_canonicalize_random_transposition_oracle():
@@ -188,7 +197,88 @@ def test_canonicalize_random_transposition_oracle():
                 continue
             gates[i], gates[i + 1] = b, a
             assert canonicalize(circuit(n, gates)) == base
-            assert canonicalize(circuit(n, gates)).circuit.gates == base.circuit.gates
+
+
+def _rand_every_kind(rng) -> Circuit:
+    """A random circuit on 1-4 input wires over every gate kind, CTRL on
+    each base, with global phases drawn often at angles that tie: equal,
+    or a period apart."""
+    n = int(rng.integers(1, 5))
+    width, gates = n, []
+    for _ in range(int(rng.integers(0, 12))):
+        i = int(rng.integers(len(ALL_KINDS) + 3))
+        kind = ALL_KINDS[i] if i < len(ALL_KINDS) else "GPHASE"
+        a = float(rng.choice((0.0, 0.5, 1.0, PI))) + 2 * PI * int(rng.integers(-1, 2))
+        w = [int(v) for v in rng.permutation(width)]
+        m = int(rng.integers(1, width + 1)) if w else 0
+        if kind == "GPHASE":
+            gates.append(gphase(a))
+        elif kind == "INIT":
+            if width < 5:
+                gates.append(init(int(rng.integers(width + 1))))
+                width += 1
+        elif not w:
+            continue
+        elif kind == "DEST":
+            gates.append(dest(w[0]))
+            width -= 1
+        elif kind in ("H", "X", "Z"):
+            gates.append(Gate(kind, (w[0],)))
+        elif kind in ("P", "RX"):
+            gates.append(Gate(kind, (w[0],), (a,)))
+        elif kind in ("MCP", "MCRX"):
+            gates.append(Gate(kind, tuple(w[:m]), (a,)))
+        elif width < 2:
+            continue
+        elif kind in ("CNOT", "SWAP"):
+            gates.append(Gate(kind, (w[0], w[1])))
+        else:
+            m = max(m, 2)
+            base = (p(a, 0), x(0), z(0), rx(a, 0))[int(rng.integers(4))]
+            gates.append(ctrl("".join(rng.choice(["0", "1"], m - 1)), base, tuple(w[:m])))
+    return Circuit(n, width, tuple(gates))
+
+
+def test_canonical_form_is_pinned():
+    # the exact canonical gate lists of a seeded corpus, hashed: any change
+    # to the canonical order shows here
+    rng = np.random.default_rng(28)
+    digest, kinds = hashlib.sha256(), set()
+    for _ in range(2000):
+        c = _rand_every_kind(rng)
+        kinds.update(g.kind if g.base is None else ("CTRL", g.base.kind) for g in c.gates)
+        digest.update(canonicalize(c).to_json().encode() + b"\n")
+    assert kinds == set(ALL_KINDS) - {"CTRL"} | {("CTRL", b) for b in ("P", "X", "Z", "RX")}
+    assert digest.hexdigest() == (
+        "7c8e82d2862570c27b5812f32a6b0a3196d0fc5e314d740d7fc593e723ec96d1")
+
+
+def test_deformation_equal_is_linear():
+    # binding a whole circuit costs about what ordering it does; a binding
+    # that searched its bound gates for each candidate took 12 times as long
+    # at this size
+    rng = np.random.default_rng(5)
+    gates = []
+    for _ in range(8000):
+        a, b = (int(v) for v in rng.choice(4, 2, replace=False))
+        gates.append((h(a), p(float(rng.uniform(0, 6)), a), cnot(a, b))[int(rng.integers(3))])
+    shuffled = list(gates)
+    for _ in range(3 * len(gates)):
+        i = int(rng.integers(len(gates) - 1))
+        if not set(shuffled[i].wires) & set(shuffled[i + 1].wires):
+            shuffled[i], shuffled[i + 1] = shuffled[i + 1], shuffled[i]
+    c, d = circuit(4, gates), circuit(4, shuffled)
+
+    def fastest(f):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            f()
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert c.gates != d.gates and deformation_equal(c, d)
+    assert fastest(lambda: deformation_equal(c, d)) < 4 * fastest(lambda: canonicalize(c))
 
 
 def _rand_wired(rng) -> Circuit:
@@ -295,7 +385,7 @@ def test_deformation_equal_agrees_with_canonical_order():
         how = str(rng.choice(["none", "period", "1e-6", "cnot", "ctrl", "init", "gphase"]))
         if how != "none" and (d := _mutated(rng, d, how)) is None:
             continue
-        want = _same_placed(canonicalize(c).circuit.gates, canonicalize(d).circuit.gates)
+        want = _same_placed(canonicalize(c).gates, canonicalize(d).gates)
         assert deformation_equal(c, d) == deformation_equal(d, c) == want, (how, c, d)
         seen[how, want] = seen.get((how, want), 0) + 1
     for how in ("none", "period", "gphase"):
@@ -308,8 +398,7 @@ def test_init_dest_threading_and_canonical():
     c = Circuit(1, 1, (h(0), init(0), cnot(0, 1), dest(0), h(0)))
     assert np.max(np.abs(eval_matrix(c) - np.eye(2))) < 1e-10
     # the INIT wire is the control of the CNOT and stays |0>
-    k = canonicalize(c)
-    assert deformation_equal(k.circuit, c)
+    assert deformation_equal(canonicalize(c), c)
 
 
 def test_json_round_trip():

@@ -190,6 +190,15 @@ def test_bad_input_exit_code(files, tmp_path):
     bad_count = tmp_path / "bad_count.json"
     bad_count.write_text(json.dumps({"n_in": True, "n_out": 1, "gates": []}))
     assert main(["eval", str(bad_count)]) == 2
+    # wire counts no list can index: a circuit's, and an (I) step's width
+    bad_count.write_text(json.dumps({"n_in": 2**70, "n_out": 1, "gates": []}))
+    assert main(["eval", str(bad_count)]) == 2
+    wide_i = json.loads((Path(__file__).resolve().parent.parent / "traces" / "qc_5cx.json")
+                        .read_text())
+    (step,) = [s for s in wide_i["steps"] if s["rule"] == "I"]
+    step["n"] = 2**70
+    bad_count.write_text(json.dumps(wide_i))
+    assert main(["replay", str(bad_count), "--allow-lemmas"]) == 2
     # non-finite matrix entries (JSON Infinity/NaN parse) are not unitary
     for entry in (math.inf, math.nan):
         bad_unitary = tmp_path / "bad_unitary.json"

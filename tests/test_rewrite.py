@@ -393,8 +393,8 @@ def _deformation_equal_block(c: Circuit, src: Circuit, sel, wm) -> bool:
         return False
     placed = circuit_module._place(list(range(src.n_in)),
                                    [(g, tuple(label[w] for w in ids)) for g, ids in block])
-    return (canonicalize(Circuit(src.n_in, src.n_out, tuple(placed))).circuit.gates
-            == canonicalize(src).circuit.gates)
+    return (canonicalize(Circuit(src.n_in, src.n_out, tuple(placed))).gates
+            == canonicalize(src).gates)
 
 
 def test_find_sites_lists_every_site_apply_step_accepts():

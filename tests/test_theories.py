@@ -40,6 +40,9 @@ def test_instantiate_validation():
     # a fixed-width rule takes no other width
     with pytest.raises(BadArity):
         resolve_rule("QC", "H2", (), 2)
+    # nor a width no list can index
+    with pytest.raises(BadArity):
+        resolve_rule("QC", "I", (), 2**70)
     with pytest.raises(UnknownLemma):
         signature("NOPE")
     # (EH) is a lemma of QCprime: citable only with allow_lemmas
