@@ -6,10 +6,11 @@ ordered list of open wires; ``INIT`` inserts a wire at its stated position,
 ``DEST`` removes one.  Circuits are identified up to deformation (sliding
 gates with disjoint wire support past each other).  One binding in the
 wire-threading DAG (``_bind``) decides that equality, for a rule side
-against a block and for two whole circuits (``_deformation``);
-``canonicalize`` gives a deterministic topological order of the DAG.  A
-``Circuit`` keeps the threading its constructor validated and the one
-record of its widest frame, so nothing threads it again.
+against a block and for two whole circuits (``_deformation``), wire map
+and INIT places included; ``canonicalize`` gives a deterministic
+topological order of the DAG.  A ``Circuit`` keeps the threading its
+constructor validated and the one record of its widest frame, so nothing
+threads it again.
 INIT/DEST keep their mutual order under every deformation and rewrite, so
 each INIT's own position is the one record of wire order.
 
@@ -34,7 +35,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ArityMismatch, InvalidCircuit
+from .errors import ArityMismatch, InvalidCircuit, NoMatch
 
 TWO_PI = 2.0 * math.pi
 
@@ -418,11 +419,12 @@ def _place(alive: list[int], gates) -> list[Gate]:
     return out
 
 
-def _bind(gates: list[_IdGate], cand, side, at: dict) -> list[tuple[list[int], dict]]:
+def _bind(gates: list[_IdGate], cand, side, frame=None,
+          wire_map=()) -> list[tuple[list[int], dict]]:
     """Each way the side ``side`` binds to the gates ``cand`` (indices into
-    id-level ``gates``, in order), extending the binding ``at``: the gates
-    its gates bind to, and the binding.  ``side`` is a circuit and the
-    angles of its gates that carry one, or None for the circuit's own.
+    id-level ``gates``, in order): the gates its gates bind to, and the
+    binding.  ``side`` is a circuit and the angles of its gates that carry
+    one, or None for the circuit's own.
 
     A label, a side's wire or the INIT/DEST chain (``_deps``), binds to a
     wire id and the last gate bound on it (None before the first).  Each
@@ -430,31 +432,51 @@ def _bind(gates: list[_IdGate], cand, side, at: dict) -> list[tuple[list[int], d
     period), and a CTRL one of its pattern and base: the next one on a
     bound label's wire, or, with no label bound, any one, SWAP either way
     round; its other labels must end there or take wires no label holds.
-    A GPHASE binds the first free one of its angle.  With its inputs and
-    the chain bound first, as a step's block and ``_deformation`` bind,
-    every gate it reaches has a bound label: it binds one way or none,
-    filling ``at`` in place.
+    A GPHASE binds the first free one of its angle.  Given the open ids
+    ``frame`` where the candidates assemble, the chain and each input
+    label ``i`` bind first, to the id at ``wire_map[i]``, so it binds one
+    way or none, and each INIT must open its wire where the side's does
+    among the bound wires; a wire map off the frame, or an INIT off its
+    place, raises NoMatch.  With no frame nothing is bound first.
     """
+    shape, angles = side
+    at = {}   # label -> (last gate bound on it, wire id)
+    if frame is not None:
+        if len(wire_map) != shape.n_in:
+            raise NoMatch(f"wire_map has {len(wire_map)} entries, "
+                          f"rule has {shape.n_in} input wires")
+        at[_STRUCT] = (None, _STRUCT)
+        for lab, pos in enumerate(wire_map):
+            if not 0 <= pos < len(frame):
+                raise NoMatch(f"wire_map position {pos} out of range at the site frame")
+            at[lab] = (None, frame[pos])
+        if len(set(wire_map)) != len(wire_map):
+            raise NoMatch("wire_map is not injective")
     succ, last = {}, {}   # succ: (gate, id) -> the next candidate on it
+    phases = []           # the global phases left free, one list per partial binding
     for i in cand:
-        for wid in _deps(*gates[i]):
+        deps = _deps(*gates[i])
+        for wid in deps:
             succ[last.get(wid), wid] = i
             last[wid] = i
-    shape, angles = side
+        if not deps:
+            phases.append(i)
     angles = None if angles is None else iter(angles)
     wanted = [(s.kind, _deps(s, labs), None if not s.params else
                s.params[0] if angles is None else next(angles), s if s.base else None)
               for s, labs in zip(shape.gates, shape.threading.gate_ids)]
-    found, partial = [], [(0, [], at)]   # (next side gate, gates bound, binding)
+    found, partial = [], [(0, [], at, phases)]   # (next side gate, bound, binding, phases)
     while partial:
-        k, chosen, at = partial.pop()
+        k, chosen, at, phases = partial.pop()
         for kind, labs, angle, ctl in wanted[k:]:   # ctl: the CTRL side gate
             for lab in labs:
                 if lab in at:
                     next_on = (succ.get(at[lab]),)
                     break
             else:
-                next_on = cand
+                if not labs and phases is None:   # a branch lists its own
+                    phases = [i for i in cand if gates[i][0].kind == "GPHASE" and i not in chosen]
+                next_on = cand if labs else phases
             fits = []
             for i in next_on:   # a bound label's successor is never bound yet
                 if i is None or gates[i][0].kind != kind or next_on is cand and i in chosen:
@@ -476,7 +498,8 @@ def _bind(gates: list[_IdGate], cand, side, at: dict) -> list[tuple[list[int], d
                             break
                     else:
                         fits.append((i, order))
-                if fits and not labs:
+                if fits and not labs:   # a phase binds the first free one
+                    phases.remove(i)
                     break
             if not fits:
                 break
@@ -484,12 +507,27 @@ def _bind(gates: list[_IdGate], cand, side, at: dict) -> list[tuple[list[int], d
             i, order = fits.pop()
             for j, other in fits:   # each other way binds on from a copy
                 branch = {**at, **{lab: (j, w) for lab, w in zip(labs, other)}}
-                partial.append((k, chosen + [j], branch))
+                partial.append((k, chosen + [j], branch, None))
             chosen.append(i)
             for lab, wid in zip(labs, order):
                 at[lab] = (i, wid)
         else:
             found.append((chosen, at))
+    if frame is None or not found or len(found[0][1]) == 1 + shape.n_in:
+        return found   # nothing bound first, no way, or the side opens no wire
+    chosen, at = found[0]
+    bound, alive = {wid for _, wid in at.values()}, list(frame)
+    every = bound.issuperset(frame)   # then each INIT's place is its own position
+    places = iter([s.wires[0] for s in shape.gates if s.kind == "INIT"])
+    for i in sorted(chosen):
+        g, ids = gates[i]
+        if g.kind == "INIT":
+            alive.insert(g.wires[0], ids[0])
+            place = g.wires[0] if every else [w for w in alive if w in bound].index(ids[0])
+            if place != next(places):
+                raise NoMatch("a selected INIT opens its wire off the rule side's place")
+        elif g.kind == "DEST":
+            alive.remove(ids[0])
     return found
 
 
@@ -631,17 +669,15 @@ def _canonical_order(gates: list[_IdGate]) -> list[int]:
 def _deformation(c1: Circuit, c2: Circuit) -> list[int] | None:
     """Where each gate of ``c1`` sits in ``c2``, of the same arity, if the
     two are equal up to deformation; else None.  ``c1`` binds, as a side,
-    to all of ``c2`` with the inputs and the INIT/DEST chain bound
-    (``_bind``), and as every wire is bound, each INIT must open its wire
-    at its partner's position."""
+    to all of ``c2`` with the inputs as both frame and wire map (``_bind``)."""
     if len(c1.gates) != len(c2.gates):
         return None
-    at = {lab: (None, lab) for lab in (_STRUCT, *range(c1.n_in))}
-    found = _bind(_id_gates(c2), range(len(c2.gates)), (c1, None), at)
-    if not found or any(g.kind == "INIT" and g.wires != c2.gates[i].wires
-                        for g, i in zip(c1.gates, found[0][0])):
+    inputs = range(c1.n_in)
+    try:
+        found = _bind(_id_gates(c2), range(len(c2.gates)), (c1, None), inputs, inputs)
+    except NoMatch:   # an INIT opens its wire off its partner's position
         return None
-    return found[0][0]
+    return found[0][0] if found else None
 
 
 def deformation_equal(c1: Circuit, c2: Circuit) -> bool:

@@ -145,7 +145,10 @@ def euler_eprime(a1p: float, a3p: float) -> tuple[NormalFormParams, EulerCase]:
 
 def nf_from_unitary(u: np.ndarray) -> NormalFormParams:
     """The unique normal-form parameters of a 2x2 unitary."""
-    u = np.asarray(u, dtype=complex)
+    try:
+        u = np.asarray(u, dtype=complex)
+    except (ValueError, TypeError):
+        raise NotUnitary("input is not a matrix of complex numbers") from None
     if u.shape != (2, 2):
         raise NotUnitary(f"expected a 2x2 matrix, got {u.shape}")
     if not np.isfinite(u).all() or np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-9:

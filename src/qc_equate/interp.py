@@ -58,7 +58,11 @@ def interp_k(c: Circuit, k: int) -> float:
     circuit 0.  ``minimality_report`` never uses k = 1: it takes
     k = target_n - 1, and (I) needs ``target_n >= 3`` (2 raises BadArity).
     A ``k`` whose weights overflow a float, or a macro that unfolds deeper
-    than Python's recursion limit allows, raises BadArity."""
+    than Python's recursion limit allows, raises BadArity, as does a
+    negative ``k``; a ``k`` that is not an integer raises InvalidCircuit."""
+    k = _wire(k, "k")
+    if k < 0:
+        raise BadArity(f"interp_k needs k >= 0, got {k}")
     try:
         r = _weigh(_vanilla(c).gates, k)
     except (OverflowError, RecursionError) as exc:

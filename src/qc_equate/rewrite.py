@@ -7,7 +7,8 @@ verifies that the selected gates can be commuted into a contiguous block
 and are deformation-equal to the rule's source side, then splices in the
 target side.  One binding in the wire DAG (``_bind``) decides equality: a
 step binds the source side to its block with the inputs its wire map
-names, and ``find_sites`` to the whole circuit with nothing bound.  A step
+names, which also checks the wire map and where each INIT opens its wire,
+and ``find_sites`` to the whole circuit with nothing bound.  A step
 reads the rule's shape and each side's angles (``_sides``), never a built
 instance, so only its target's angle gates are new.
 A safety net re-checks the semantics of every accepted step numerically,
@@ -162,41 +163,19 @@ def _apply(gates: list[_IdGate], n_in: int, src, dst,
 
     # wire positions are read where the block assembles, after the floats-before
     assembly, after, frame = _assembly(gates, n_in, sel, anchor)
-    wire_map = site.wire_map
-    if len(wire_map) != src[0].n_in:
-        raise NoMatch(f"wire_map has {len(wire_map)} entries, "
-                      f"rule has {src[0].n_in} input wires")
-
-    at = {_STRUCT: (None, _STRUCT)}   # label -> (last gate bound on it, wire id)
-    for lab, pos in enumerate(wire_map):
-        if not 0 <= pos < len(frame):
-            raise NoMatch(f"wire_map position {pos} out of range at the site frame")
-        at[lab] = (None, frame[pos])
-    if len(set(wire_map)) != len(wire_map):
-        raise NoMatch("wire_map is not injective")
-    # the block binds with its inputs and the INIT/DEST chain bound, which
-    # pairs its INITs with the side's in order; each must open its wire
-    # where the side's does among the bound wires
-    if not _bind(gates, sel, src, at):
+    found = _bind(gates, sel, src, frame, site.wire_map)
+    if not found:
         raise NoMatch("selected block is not deformation-equal to the rule side")
+    at = found[0][1]
     src_ids = [at[lab][1] for lab in range(len(at) - 1)]   # by source-side label
-    inits, alive = [], frame[:]
-    for i in sel if len(src_ids) > len(wire_map) else ():   # the side opens wires
-        g, ids = gates[i]
-        if g.kind == "INIT":
-            alive.insert(g.wires[0], ids[0])
-            opens = [s.wires[0] for s in src[0].gates if s.kind == "INIT"]
-            if [wid for wid in alive if wid in src_ids].index(ids[0]) != opens[len(inits)]:
-                raise NoMatch("a selected INIT opens its wire off the rule side's place")
-            inits.append(gates[i])
-        elif g.kind == "DEST":
-            alive.remove(ids[0])
+    inits = ([gates[i] for i in sel if gates[i][0].kind == "INIT"]
+             if len(src_ids) > src[0].n_in else [])   # the side opens wires
     repl = _build_replacement(src[0], *dst, src_ids, inits, frame, gates, n_in)
 
     # site for the reverse step: the replacement block in the new circuit,
     # which assembles in the same frame, so under the same wire map
     start = len(assembly)
-    rev_site = Site(tuple(range(start, start + len(repl))), wire_map, start)
+    rev_site = Site(tuple(range(start, start + len(repl))), site.wire_map, start)
     window_post = gates[sel[-1] + 1:] if sel else gates[anchor:]
     return assembly + repl + [gates[i] for i in after] + window_post, rev_site
 
@@ -452,7 +431,7 @@ def _matches(gates: list[_IdGate], n_in: int, src_side, dst_side,
     ``find_sites`` says (with wire map ``wires`` when given), and what
     ``_apply`` gives there."""
     hits: dict[Site, tuple] = {}
-    for chosen, at in _bind(gates, range(len(gates)), src_side, {}) if src_side[0].gates else ():
+    for chosen, at in _bind(gates, range(len(gates)), src_side) if src_side[0].gates else ():
         sel = tuple(sorted(chosen))
         try:
             frame = _assembly(gates, n_in, sel, sel[0])[2]

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import time
+import timeit
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qc_equate import (Circuit, Gate, canonicalize, circuit, cnot, compose_par,
                        compose_seq, ctrl, deformation_equal, dest,
                        expand_macros, eval_matrix, gphase, h, init, mcp, mcrx,
                        p, rx, swap, x, z)
-from qc_equate.circuit import (ALL_KINDS, ANGLE_EPS, PRIMITIVE_KINDS, _deps, _id_gates,
+from qc_equate.circuit import (ALL_KINDS, ANGLE_EPS, PRIMITIVE_KINDS, _bind, _deps, _id_gates,
                                _place, angle_period, angles_equal, expand_gate, unfold)
 from qc_equate.errors import ArityMismatch, InvalidCircuit
 
@@ -279,6 +280,32 @@ def test_deformation_equal_is_linear():
 
     assert c.gates != d.gates and deformation_equal(c, d)
     assert fastest(lambda: deformation_equal(c, d)) < 4 * fastest(lambda: canonicalize(c))
+
+
+def test_deformation_equal_is_linear_in_global_phases():
+    # a global phase binds the first free one of its angle; a binding that
+    # scanned every gate for each phase took 400 times as long as ordering
+    # both circuits at this size
+    rng = np.random.default_rng(6)
+    gates = [h(0) if i % 2 else gphase(float(rng.uniform(0, 6))) for i in range(2000)]
+    rng.shuffle(gates)
+    c = circuit(1, gates)
+    d = circuit(1, [g for g in gates if g.kind == "H"] + [g for g in gates if g.kind == "GPHASE"])
+
+    def fastest(f):
+        return min(timeit.repeat(f, number=1, repeat=3))
+
+    assert c.gates != d.gates and deformation_equal(c, d)
+    assert fastest(lambda: deformation_equal(c, d)) < 4 * fastest(
+        lambda: (canonicalize(c), canonicalize(d)))
+
+
+def test_bind_gives_each_way_its_own_free_phases():
+    # with nothing bound the side's H binds either H, and each way then
+    # binds the first global phase that it left free
+    c = circuit(2, [h(0), h(1), gphase(0.5)])
+    found = _bind(_id_gates(c), range(3), (circuit(1, [h(0), gphase(0.5)]), None))
+    assert sorted(chosen for chosen, _ in found) == [[0, 2], [1, 2]]
 
 
 def _rand_wired(rng) -> Circuit:

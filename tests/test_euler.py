@@ -139,6 +139,12 @@ def test_nf_from_unitary_examples():
             nf_from_unitary(np.array(bad, dtype=complex))
 
 
+def test_nf_from_unitary_rejects_what_is_not_complex():
+    for bad in ("ab", [[1, 0], [0, "x"]]):
+        with pytest.raises(NotUnitary, match="not a matrix of complex numbers"):
+            nf_from_unitary(bad)
+
+
 def test_b_derivs_anchor_values():
     d1, d2, d3 = b_derivs_alpha2(PI / 4, PI / 4, PI / 4)
     assert abs(d1 - (2 + 6 * math.sqrt(2)) / 17) < 1e-10

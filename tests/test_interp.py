@@ -63,6 +63,16 @@ def test_interp_k_out_of_reach_raises_bad_arity():
         interp_k(circuit(332, [mcp(0.3, tuple(range(332)))]), 3)
 
 
+def test_interp_k_needs_an_integer_k_of_at_least_0():
+    c = circuit(1, [h(0)])
+    for k in (2.5, True, "3"):
+        with pytest.raises(InvalidCircuit, match="is not an integer"):
+            interp_k(c, k)
+    with pytest.raises(BadArity, match="k >= 0"):
+        interp_k(c, -1)
+    assert interp_k(c, 0) == PI / 2 and interp_k(c, np.int64(1)) == PI
+
+
 def test_interp_k_matches_det_arg_at_k_equals_n():
     from qc_equate import det_arg
     rng = np.random.default_rng(30)

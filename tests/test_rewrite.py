@@ -1,8 +1,10 @@
 """Rule application, sites, replay, and the 1-qubit decision procedures."""
 
 import functools
+import hashlib
 import importlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -530,6 +532,22 @@ def test_normalize_traces_replay():
         out = replay(deriv, allow_lemmas=True, safety=True, tol=1e-9)
         assert deformation_equal(out, deriv.final)
         assert np.max(np.abs(eval_matrix(out) - eval_matrix(c))) < 1e-8
+
+
+def test_normalize_traces_and_reversals_are_pinned():
+    # the exact normalizer traces of a seeded corpus and their reversals,
+    # hashed: a change to which sites the engine picks or carries shows
+    # here even when every trace still replays
+    rng = np.random.default_rng(29)
+    digest = hashlib.sha256()
+    for _ in range(50):
+        c = rand_1q(rng, int(rng.integers(0, 13)))
+        for theory in ("QC", "QCprime"):
+            _, d = normalize_1q(c, emit_trace=True, theory=theory)
+            pair = [d.to_dict(), reverse_derivation(d).to_dict()]
+            digest.update(json.dumps(pair, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "fa75b99a5c234a42a594ca6552e7b6aec20a26d865734279e1a0ee981b4ae6b8")
 
 
 def test_normalize_qcprime_variant():

@@ -1,6 +1,7 @@
 """The shipped derivation set: replay, JSON round trips, reversibility."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -117,6 +118,24 @@ def test_reverse_of_shipped_trace():
         rd = reverse_derivation(d)
         out = replay(rd, allow_lemmas=True, safety=True)
         assert deformation_equal(out, d.initial), d.name
+
+
+def test_reversals_of_frozen_traces_are_pinned():
+    # reversal's exact output on the frozen traces, hashed: a change to how
+    # a site is carried shows here even when every reversal still replays
+    digest, reversed_ = hashlib.sha256(), 0
+    for d in _frozen():
+        if d.name == "qcancilla_p0":
+            with pytest.raises(NoMatch) as exc:
+                reverse_derivation(d)
+            assert str(exc.value) == ("step 5 (ACX LR) does not reverse: "
+                                      "it lands off the recorded circuit")
+            continue
+        digest.update(json.dumps(reverse_derivation(d).to_dict(), sort_keys=True).encode() + b"\n")
+        reversed_ += 1
+    assert reversed_ == 18
+    assert digest.hexdigest() == (
+        "6c616f5bc09afbb468ae0d742ba2d7bebef0d89dbc3a30225d362b1f0fb3934b")
 
 
 def test_reverse_carries_sites_without_a_scan(monkeypatch):
