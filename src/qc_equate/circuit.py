@@ -27,6 +27,7 @@ Contents:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -282,21 +283,24 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
+    @functools.cached_property
+    def _plan(self) -> "_Plan":
+        """This circuit compiled (``_compile``), once per circuit object."""
+        return _compile(self)
+
     def with_angles(self, angles) -> "Circuit":
         """This circuit with new ``angles``, one per gate that carries one,
         in gate order.  Kinds and wires stay, so the threading is kept;
         each gate with an angle is built anew, which checks the angle."""
-        gates = list(self.gates)
-        at = [i for i, g in enumerate(gates) if g.params]
+        gates, at = list(self.gates), self._plan.angle_at
         angles = tuple(angles)
         if len(angles) != len(at):
             raise InvalidCircuit(f"{len(at)} gates carry an angle, got {len(angles)} angles")
         for i, a in zip(at, angles):
             gates[i] = Gate(gates[i].kind, gates[i].wires, (a,))
         out = object.__new__(Circuit)
-        for name, v in (("n_in", self.n_in), ("n_out", self.n_out),
-                        ("gates", tuple(gates)), ("threading", self.threading)):
-            object.__setattr__(out, name, v)
+        out.__dict__.update(n_in=self.n_in, n_out=self.n_out, gates=tuple(gates),
+                            threading=self.threading)
         return out
 
     def to_dict(self) -> dict:
@@ -375,11 +379,8 @@ def thread(c: Circuit) -> Threading:
 # reshapes the open-wire list, so each INIT's own position stays valid and
 # is the one record of where its wire sits.
 
-class _IdGate(NamedTuple):
-    """A gate and the ids of the wires it touches."""
-
-    gate: Gate
-    ids: tuple[int, ...]
+#: a gate and the ids of the wires it touches
+_IdGate = tuple[Gate, tuple[int, ...]]
 
 
 _STRUCT = -1  # pseudo wire id that chains every INIT and DEST
@@ -388,6 +389,33 @@ _STRUCT = -1  # pseudo wire id that chains every INIT and DEST
 def _deps(g: Gate, ids: tuple[int, ...]) -> tuple[int, ...]:
     """The ids that order ``g``: its wires, plus the INIT/DEST chain."""
     return ids + (_STRUCT,) if g.kind in ("INIT", "DEST") else ids
+
+
+class _Plan(NamedTuple):
+    """What binding a circuit as a rule side, or splicing it in, reads of
+    it: the same for every instance of a rule shape, so a rule side is
+    compiled once (``Circuit._plan``).  A gate's angle slot indexes the
+    angles of the gates that carry one, in gate order (None: no angle)."""
+
+    binds: tuple      # per gate: kind, labels (``_deps``), slot, period, CTRL gate or None
+    splices: tuple    # per gate: the gate, its labels, slot, whether it is an INIT
+    angle_at: tuple[int, ...]    # the gates that carry an angle
+    angles: tuple[float, ...]    # and their angles
+    born_out: tuple              # (output, label) of each output an INIT opens
+
+
+def _compile(c: Circuit) -> _Plan:
+    """``c``'s plan (``_Plan``)."""
+    at = tuple(i for i, g in enumerate(c.gates) if g.params)
+    slot = dict(zip(at, range(len(at))))
+    per_gate = [(s, labs, slot.get(i)) for i, (s, labs)
+                in enumerate(zip(c.gates, c.threading.gate_ids))]
+    return _Plan(
+        tuple((s.kind, _deps(s, labs), k, angle_period(s.kind), s if s.base else None)
+              for s, labs, k in per_gate),
+        tuple((s, labs, k, s.kind == "INIT") for s, labs, k in per_gate),
+        at, tuple(c.gates[i].params[0] for i in at),
+        tuple((k, lab) for k, lab in enumerate(c.threading.output_ids) if lab >= c.n_in))
 
 
 def _frame(alive, gates) -> list[int]:
@@ -424,7 +452,8 @@ def _bind(gates: list[_IdGate], cand, side, frame=None,
     """Each way the side ``side`` binds to the gates ``cand`` (indices into
     id-level ``gates``, in order): the gates its gates bind to, and the
     binding.  ``side`` is a circuit and the angles of its gates that carry
-    one, or None for the circuit's own.
+    one, or None for the circuit's own.  It reads the circuit's plan
+    (``Circuit._plan``): a rule side's is compiled once, any other's here.
 
     A label, a side's wire or the INIT/DEST chain (``_deps``), binds to a
     wire id and the last gate bound on it (None before the first).  Each
@@ -437,9 +466,14 @@ def _bind(gates: list[_IdGate], cand, side, frame=None,
     label ``i`` bind first, to the id at ``wire_map[i]``, so it binds one
     way or none, and each INIT must open its wire where the side's does
     among the bound wires; a wire map off the frame, or an INIT off its
-    place, raises NoMatch.  With no frame nothing is bound first.
+    place, raises NoMatch.  With no frame nothing is bound first, so an
+    unbound label must take a wire no label holds; with one, only an INIT
+    binds an unbound label, to the wire it opens, which no label holds.
     """
     shape, angles = side
+    plan = shape._plan
+    if angles is None:
+        angles = plan.angles
     at = {}   # label -> (last gate bound on it, wire id)
     if frame is not None:
         if len(wire_map) != shape.n_in:
@@ -461,14 +495,10 @@ def _bind(gates: list[_IdGate], cand, side, frame=None,
             last[wid] = i
         if not deps:
             phases.append(i)
-    angles = None if angles is None else iter(angles)
-    wanted = [(s.kind, _deps(s, labs), None if not s.params else
-               s.params[0] if angles is None else next(angles), s if s.base else None)
-              for s, labs in zip(shape.gates, shape.threading.gate_ids)]
     found, partial = [], [(0, [], at, phases)]   # (next side gate, bound, binding, phases)
     while partial:
         k, chosen, at, phases = partial.pop()
-        for kind, labs, angle, ctl in wanted[k:]:   # ctl: the CTRL side gate
+        for kind, labs, slot, period, ctl in plan.binds[k:]:   # ctl: the CTRL side gate
             for lab in labs:
                 if lab in at:
                     next_on = (succ.get(at[lab]),)
@@ -482,8 +512,8 @@ def _bind(gates: list[_IdGate], cand, side, frame=None,
                 if i is None or gates[i][0].kind != kind or next_on is cand and i in chosen:
                     continue
                 g, ids = gates[i][0], _deps(*gates[i])
-                if len(ids) != len(labs) or angle is not None and not angles_equal(
-                        g.params[0], angle, angle_period(kind)):
+                if len(ids) != len(labs) or slot is not None and not angles_equal(
+                        g.params[0], angles[slot], period):
                     continue
                 if ctl is not None:
                     b, cb = g.base, ctl.base
@@ -494,7 +524,7 @@ def _bind(gates: list[_IdGate], cand, side, frame=None,
                 for order in (ids, ids[::-1]) if kind == "SWAP" else (ids,):
                     for lab, wid in zip(labs, order):
                         if (succ.get(at[lab]) != i or at[lab][1] != wid if lab in at
-                                else any(w == wid for _, w in at.values())):
+                                else frame is None and any(w == wid for _, w in at.values())):
                             break
                     else:
                         fits.append((i, order))

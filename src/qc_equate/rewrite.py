@@ -10,7 +10,10 @@ step binds the source side to its block with the inputs its wire map
 names, which also checks the wire map and where each INIT opens its wire,
 and ``find_sites`` to the whole circuit with nothing bound.  A step
 reads the rule's shape and each side's angles (``_sides``), never a built
-instance, so only its target's angle gates are new.
+instance, so only its target's angle gates are new; what it reads of a
+side, binding or splicing it, is compiled once per rule shape
+(``Circuit._plan``), and a request that passed ``resolve_rule``'s checks
+is not checked again.
 A safety net re-checks the semantics of every accepted step numerically,
 with the theory's own equality; a replay evaluates each circuit it passes
 once and compares it with the matrix of the one before.  Every step goes
@@ -187,7 +190,8 @@ def _assembly(gates: list[_IdGate], n_in: int, sel: tuple[int, ...], anchor: int
     block_ids: set[int] = set()
     after_ids: set[int] = set()
     before, after = [], []
-    for i in range(anchor, sel[-1] + 1 if sel else anchor):
+    # a block that fills its window has no floats to sort out
+    for i in range(anchor, sel[-1] + 1) if sel and sel[-1] - anchor >= len(sel) else ():
         deps = set(_deps(*gates[i]))
         if i in sel:
             if deps & after_ids:
@@ -210,36 +214,35 @@ def _build_replacement(src: Circuit, dst: Circuit, angles, src_ids: list[int],
     of the source side, of shape ``src``, assembles (``frame``); the block
     bound the source side's wires to ``src_ids`` and opens ``inits``.
 
-    Each target gate with an angle is built once, from its shape gate and
-    the next target angle.  An INIT of a wire the source side created is
-    the block's INIT, at its own position.  A fresh INIT takes the id one
+    The target side is read off its plan (``Circuit._plan``).  Each
+    target gate with an angle slot is built once, from its shape gate and
+    that target angle.  An INIT of a wire the source side created is the
+    block's INIT, at its own position.  A fresh INIT takes the id one
     above every id in use and goes right before the next mapped wire in
     rule order, after the last one, or at 0 when no wire is mapped.
     """
     born = {ids[0]: g for g, ids in inits}
     id_of = dict(enumerate(src_ids[:src.n_in]))
-    for lab, src_lab in zip(dst.threading.output_ids, src.threading.output_ids):
-        if lab >= dst.n_in:
-            id_of[lab] = src_ids[src_lab]   # boundary wire shared by both sides
-    angles = None if angles is None else iter(angles)
+    for k, lab in dst._plan.born_out:   # boundary wire shared by both sides
+        id_of[lab] = src_ids[src.threading.output_ids[k]]
 
     repl: list[_IdGate] = []
-    for g, labs in zip(dst.gates, dst.threading.gate_ids):
-        if g.kind == "INIT" and labs[0] not in id_of:
+    for g, labs, slot, opens in dst._plan.splices:
+        if opens and labs[0] not in id_of:
             id_of[labs[0]] = 1 + max([n_in - 1, *id_of.values(),
                                       *(wid for _, ids in gates for wid in ids)])
-        ids = tuple(id_of[lab] for lab in labs)
-        if g.kind == "INIT" and ids[0] in born:
+        ids = tuple([id_of[lab] for lab in labs])
+        if opens and ids[0] in born:
             g = born[ids[0]]
-        elif g.kind == "INIT":
+        elif opens:
             alive = _frame(frame, repl)
             mapped = [wid for wid in alive if wid in id_of.values()]
             r = g.wires[0]
             g = g.with_wires((alive.index(mapped[r]) if r < len(mapped) else
                               alive.index(mapped[-1]) + 1 if mapped else 0,))
-        elif g.params and angles is not None:
-            g = Gate(g.kind, g.wires, (next(angles),))
-        repl.append(_IdGate(g, ids))
+        elif slot is not None and angles is not None:
+            g = Gate(g.kind, g.wires, (angles[slot],))
+        repl.append((g, ids))
     return repl
 
 
@@ -539,9 +542,9 @@ class _Normalizer(_Recorder):
     def find_word(self, word: list[str], pred=None) -> int | None:
         """Index of the first run of gates matching the kind word, the last
         gate (the global phase) left out, whose index meets ``pred``."""
-        kinds, m = self.kinds()[:-1], len(word)
-        return next((j for j in range(len(kinds) - m + 1) if kinds[j:j + m] == word
-                     and (pred is None or pred(j))), None)
+        kinds, m = self.kinds(), len(word)
+        return next((j for j, k in enumerate(kinds[:len(kinds) - m]) if k == word[0]
+                     and kinds[j:j + m] == word and (pred is None or pred(j))), None)
 
     # -- high level ----------------------------------------------------------
 

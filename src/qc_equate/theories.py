@@ -11,13 +11,13 @@ Four theories are provided:
 plus a catalog of derived-equation schemas (lemmas) and definitional
 rewrites (macro unfoldings).  ``resolve_rule`` is the one way to build an
 instance: what a step in a theory may cite, under that theory's id.  Each
-rule's two sides are built and threaded once per theory and width, with
-placeholder angles, and an instance substitutes the angles its angle map
-gives for the parameters (``Circuit.with_angles``); a rule without
-parameters has one instance per theory and width.  A rewrite step makes
-the same checks but reads the shape and the angles without building the
-sides (``_resolve``); ``resolve_rule`` builds them for callers that read
-them.  ``equal_in`` is each
+rule's two sides are built, threaded and compiled once per theory and
+width, with placeholder angles, and an instance builds the gates that
+carry an angle at the positions compiled with the side
+(``Circuit.with_angles``); a rule without parameters has one instance per
+theory and width.  A rewrite step makes the same checks, served from a
+memo of requests that passed them, and reads the shape and the angles
+without building the sides (``_resolve``).  ``equal_in`` is each
 theory's equality, and ``check_soundness`` validates any instance
 numerically; nothing is assumed.
 """
@@ -87,7 +87,7 @@ def _czexp(a: int, b: int, sign: float = 1.0) -> list[Gate]:
 # gives their shapes, every angle the placeholder ``_A``, and its angle map:
 # params -> (lhs angles, rhs angles), one per gate that carries an angle,
 # in gate order.  An instance substitutes them (``Circuit.with_angles``); a
-# rewrite step reads them beside the shape and builds no source-side gate.
+# rewrite step reads them beside the shape's plan and builds no source gate.
 
 _A = 0.0
 
@@ -394,30 +394,47 @@ def resolve_rule(theory: str, name: str, params=(), n: int | None = None,
                         shape.rhs.with_angles(rhs))
 
 
+#: (theory, name, n, allow_lemmas, param count) -> ``_shape`` of a request that passed
+_CHECKED: dict = {}
+
+
 def _resolve(theory: str, name: str, params, n: int | None, allow_lemmas: bool):
     """``resolve_rule``'s checks, without building the sides: the rule's
     shape instance (``_shape``), the checked params, and the angle map's
     (lhs angles, rhs angles) for them, or None for a rule without
-    parameters, whose shape is its instance."""
-    if _kind(theory, name) == "lemma" and not allow_lemmas:
-        raise UnknownLemma(f"{name} is not an axiom of {theory} "
-                           "(derived lemmas need allow_lemmas)")
-    n_params, arity, min_n = signature(name)
-    params = tuple(v if type(v) is float else _real(v, f"{name} param")
-                   for v in params)
-    if not all(map(math.isfinite, params)):
-        raise InvalidCircuit(f"{name} params must be finite, got {params}")
-    if n is not None:
-        n = _wire(n, f"{name} wire count")
-    if len(params) != n_params:
-        raise BadParams(f"{name} takes {n_params} params, got {len(params)}")
-    if arity is None and (n is None or n < min_n):
-        raise BadArity(f"{name} needs a wire count of at least {min_n}")
-    if arity is not None and n not in (None, arity):
-        raise BadArity(f"{name} is pinned at {arity} wires")
-    if n is not None and n > _MAX_WIRES:
-        raise BadArity(f"{name} needs a wire count of at most {_MAX_WIRES}")
-    shape, angles = _shape(theory, name, n if arity is None else arity)
+    parameters, whose shape is its instance.
+
+    A request whose ``n`` is None or an int, ``allow_lemmas`` a bool and
+    ``params`` a tuple of finite floats is served from the lookups that
+    passed every check (``_CHECKED``); any other runs the checks, so
+    errors never change."""
+    key = ((theory, name, n, allow_lemmas, len(params)) if type(params) is tuple
+           and (n is None or type(n) is int) and type(allow_lemmas) is bool
+           and all(type(v) is float and math.isfinite(v) for v in params) else None)
+    rule = _CHECKED.get(key)
+    if rule is None:
+        if _kind(theory, name) == "lemma" and not allow_lemmas:
+            raise UnknownLemma(f"{name} is not an axiom of {theory} "
+                               "(derived lemmas need allow_lemmas)")
+        n_params, arity, min_n = signature(name)
+        params = tuple(v if type(v) is float else _real(v, f"{name} param")
+                       for v in params)
+        if not all(map(math.isfinite, params)):
+            raise InvalidCircuit(f"{name} params must be finite, got {params}")
+        if n is not None:
+            n = _wire(n, f"{name} wire count")
+        if len(params) != n_params:
+            raise BadParams(f"{name} takes {n_params} params, got {len(params)}")
+        if arity is None and (n is None or n < min_n):
+            raise BadArity(f"{name} needs a wire count of at least {min_n}")
+        if arity is not None and n not in (None, arity):
+            raise BadArity(f"{name} is pinned at {arity} wires")
+        if n is not None and n > _MAX_WIRES:
+            raise BadArity(f"{name} needs a wire count of at most {_MAX_WIRES}")
+        rule = _shape(theory, name, n if arity is None else arity)
+        if key is not None:
+            _CHECKED[key] = rule
+    shape, angles = rule
     return shape, params, None if angles is None else angles(*params)
 
 

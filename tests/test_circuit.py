@@ -300,6 +300,24 @@ def test_deformation_equal_is_linear_in_global_phases():
         lambda: (canonicalize(c), canonicalize(d)))
 
 
+def test_deformation_equal_is_linear_in_inits():
+    # with the inputs bound first, an INIT binds a label no other label
+    # can hold; a binding that compared it with every bound label took
+    # about 2.5 times as long as ordering both circuits at this size
+    n, rng = 4000, np.random.default_rng(70)
+    opens = tuple(init(int(rng.integers(0, k + 1))) for k in range(n))
+    c = Circuit(0, n, opens + tuple(h(w) for w in range(n)))
+    d = Circuit(0, n, opens + tuple(h(w) for w in reversed(range(n))))
+    assert c.gates != d.gates and deformation_equal(c, d)
+    fresh = iter([Circuit(0, n, c.gates) for _ in range(3)])   # each compiles its plan
+
+    def fastest(f):
+        return min(timeit.repeat(f, number=1, repeat=3))
+
+    assert fastest(lambda: deformation_equal(next(fresh), d)) < fastest(
+        lambda: (canonicalize(c), canonicalize(d)))
+
+
 def test_bind_gives_each_way_its_own_free_phases():
     # with nothing bound the side's H binds either H, and each way then
     # binds the first global phase that it left free

@@ -25,6 +25,7 @@ from qc_equate.traces import all_traces, derive_equal
 
 rewrite = importlib.import_module("qc_equate.rewrite")
 circuit_module = importlib.import_module("qc_equate.circuit")
+theories = importlib.import_module("qc_equate.theories")
 
 PI = math.pi
 
@@ -318,6 +319,57 @@ def test_circuits_are_threaded_once(monkeypatch):
     calls.clear()
     eval_matrix(c)
     assert calls == []
+
+
+def _raised(run) -> tuple[type, str]:
+    with pytest.raises(QcError) as info:
+        run()
+    return info.type, str(info.value)
+
+
+def test_checked_lookups_never_serve_an_unchecked_request():
+    # each bad request fails as on a cold memo, after a valid request that
+    # a key of equal values (1 == 1.0 == True, one param) would share
+    c = circuit(2, [cnot(0, 1), p(0.7, 0), cnot(0, 1)])
+    site = Site((0, 1, 2), (0, 1))
+    c_step = lambda params: apply_step(c, Step("C", "LR", params, None, site))
+    cases = [(lambda: resolve_rule("QC", "H2", (), 1), lambda: resolve_rule("QC", "H2", (), 1.0))]
+    cases += [(lambda: c_step((0.7,)), lambda bad=bad: c_step(bad))
+              for bad in (("7",), (True,), (math.inf,))]
+    cases += [(lambda: resolve_rule("QC", "MCPDEF", (0.3,), 1),
+               lambda n=n: resolve_rule("QC", "MCPDEF", (0.3,), n)) for n in (True, 1.0)]
+    for warm, bad in cases:
+        theories._CHECKED.clear()
+        cold = _raised(bad)
+        warm()
+        assert _raised(bad) == cold
+    # numpy reals are checked and read as the floats they are
+    for _ in range(2):
+        assert c_step((np.float64(0.7),)) == c_step((0.7,))
+        assert (resolve_rule("QC", "E", tuple(np.float64([0.1, 0.2, 0.3])))
+                == resolve_rule("QC", "E", (0.1, 0.2, 0.3)))
+
+
+def test_each_rule_side_is_compiled_once(monkeypatch):
+    # a rule side is compiled the first time a step reads it, once per
+    # theory, rule and width, and a second run compiles nothing
+    theories._CHECKED.clear()
+    theories._shape.cache_clear()
+    built, compile_ = [], circuit_module._compile
+    monkeypatch.setattr(circuit_module, "_compile", lambda c: built.append(c) or compile_(c))
+    rng = np.random.default_rng(30)
+    inputs = [rand_1q(rng, int(rng.integers(0, 14))) for _ in range(30)]
+    for run in range(2):
+        for theory in ("QC", "QCprime"):
+            for c in inputs:
+                normalize_1q(c, emit_trace=True, theory=theory)
+        if run == 0:
+            sides = {id(side) for shape, _ in theories._CHECKED.values()
+                     for side in (shape.lhs, shape.rhs)}
+            assert built and len({id(c) for c in built}) == len(built)
+            assert {id(c) for c in built} <= sides
+            built.clear()
+    assert built == []
 
 
 def test_find_sites():
