@@ -26,8 +26,8 @@ import numpy as np
 
 from .circuit import (TWO_PI, Circuit, Gate, _wire, angles_equal, circuit,
                       expand_gate, reduce_angle, unfold)
-from .errors import (BadArity, InconsistentClasses, NoInterpretation, UnknownLemma,
-                     UnsupportedGate)
+from .errors import (BadArity, BadParams, InconsistentClasses, NoInterpretation,
+                     UnknownLemma, UnsupportedGate)
 from .euler import b_funcs
 from .semantics import eval_matrix
 from .theories import _seeded_rng, instances, list_rules, resolve_rule, signature
@@ -310,6 +310,8 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
         witness = _THEORY_WITNESS.get((theory, axiom), axiom)
         kind = f"interp[{witness}]"
         if axiom == "SPLUS":
+            if samples < 1:   # the psi-free instances would be none
+                raise BadParams("SPLUS gets no psi-free instance with samples=0")
             psi = float(rng.uniform(0.1, TWO_PI - 0.1))
         value, equal = (lambda c: interp_axiom(witness, c, psi)), _values_equal
     else:

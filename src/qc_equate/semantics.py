@@ -13,6 +13,15 @@ controls match and the target is 1, the other 1-qubit bases update the two
 target half-views of the control slice with their 2x2 entries, and SWAP
 swaps two axes.  No macro is expanded; ``eval_matrix(expand_macros(c))``
 (the CLI's ``expand``) gives the primitive route.
+
+The same evaluator, ``_evaluate``, also evaluates a batch of instances of
+one compiled circuit that differ only in their angles: the state tensor
+gets a trailing axis of instances, and the gate at each angle slot of
+``Circuit._plan`` carries that slot's row of angles, one per instance, as
+its parameter (``_BatchGate``).  The kernels are the same: an angle-reading
+kernel takes a float through ``cmath``/``math`` and a row through
+``numpy``.  ``eval_matrix`` is the batch-free call, so every angle it reads
+is a gate's own float.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,12 +60,34 @@ def within_cap(c: Circuit) -> bool:
 
 def eval_matrix(c: Circuit) -> np.ndarray:
     """Matrix of the circuit, one in-place kernel per gate, if ``within_cap``."""
+    return _evaluate(c)
+
+
+class _BatchGate(NamedTuple):
+    """A gate that carries an angle, in a batch: its one parameter is a row
+    of angles, one per instance."""
+
+    kind: str
+    wires: tuple[int, ...]
+    params: tuple[np.ndarray]
+
+
+def _evaluate(c: Circuit, angles: np.ndarray | None = None) -> np.ndarray:
+    """``eval_matrix``, or with ``angles``, an array (slots, k) of k
+    instances' angles, one row per slot of ``c._plan``, the k matrices of
+    ``c`` with those angles stacked on a trailing axis: (rows, cols, k)."""
     if not within_cap(c):
         raise WireCapExceeded(f"circuit opens {c.threading.widest} wires at once, "
                               f"cap {wire_cap()}")
     cols = 2 ** c.n_in
     t = np.eye(cols, dtype=complex).reshape((2,) * c.n_in + (cols,))
-    for g in c.gates:
+    gates = c.gates
+    if angles is not None:   # each slot's gate reads its row
+        t = np.repeat(t[..., None], angles.shape[1], axis=-1)
+        gates = list(gates)
+        for i, row in zip(c._plan.angle_at, angles):
+            gates[i] = _BatchGate(gates[i].kind, gates[i].wires, (row,))
+    for g in gates:
         if g.kind == "INIT":   # a new axis in state |0>
             t = np.stack([t, np.zeros_like(t)], axis=g.wires[0])
         elif g.kind == "DEST":   # project onto <0|
@@ -64,7 +96,7 @@ def eval_matrix(c: Circuit) -> np.ndarray:
             t = np.swapaxes(t, *g.wires)
         else:
             _apply_kernel(t, g)
-    return t.reshape(2 ** c.n_out, cols)
+    return t.reshape(2 ** c.n_out, cols) if angles is None else t.reshape(2 ** c.n_out, cols, -1)
 
 
 #: gate kinds that are their last wire's 1-qubit base controlled by all
@@ -72,10 +104,13 @@ def eval_matrix(c: Circuit) -> np.ndarray:
 _ALL_ONES_BASE = {"CNOT": "X", "MCP": "P", "MCRX": "RX"}
 
 
-def _apply_kernel(t: np.ndarray, g: Gate) -> None:
-    """Apply one non-structural gate to the state tensor in place."""
+def _apply_kernel(t: np.ndarray, g: Gate | _BatchGate) -> None:
+    """Apply one non-structural gate to the state tensor in place.  An
+    angle is a float (``cmath``/``math``), or a ``_BatchGate``'s row of
+    angles, one per instance on the tensor's trailing axis (``numpy``)."""
     if g.kind == "GPHASE":
-        t *= cmath.exp(1j * g.params[0])
+        phi = g.params[0]
+        t *= cmath.exp(1j * phi) if type(phi) is float else np.exp(1j * phi)
         return
     idx = [slice(None)] * t.ndim
     if g.kind == "CTRL":
@@ -90,7 +125,8 @@ def _apply_kernel(t: np.ndarray, g: Gate) -> None:
     if base in ("P", "Z"):  # diagonal: phase the slice where the target is 1
         idx[target] = 1
         view = t[tuple(idx)]
-        view *= cmath.exp(1j * (params[0] if base == "P" else math.pi))
+        phi = params[0] if base == "P" else math.pi
+        view *= cmath.exp(1j * phi) if type(phi) is float else np.exp(1j * phi)
         return
     idx[target] = 0
     a = t[tuple(idx)]
@@ -104,7 +140,11 @@ def _apply_kernel(t: np.ndarray, g: Gate) -> None:
     if base == "H":
         u00, u01, u10, u11 = _H
     else:  # RX
-        cos, sin = math.cos(params[0] / 2.0), math.sin(params[0] / 2.0)
+        half = params[0] / 2.0
+        if type(half) is float:
+            cos, sin = math.cos(half), math.sin(half)
+        else:
+            cos, sin = np.cos(half), np.sin(half)
         u00, u01, u10, u11 = cos, -1j * sin, -1j * sin, cos
     a_new = u00 * a + u01 * b
     b *= u11
@@ -117,7 +157,7 @@ def _apply_kernel(t: np.ndarray, g: Gate) -> None:
 def equal_matrices(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     if a.shape != b.shape:
         raise ShapeMismatch(f"shapes {a.shape} vs {b.shape}")
-    return bool(np.max(np.abs(a - b)) <= tol) if a.size else True
+    return bool(np.abs(a - b).max() <= tol) if a.size else True
 
 
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:

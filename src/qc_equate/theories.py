@@ -20,6 +20,13 @@ memo of requests that passed them, and reads the shape and the angles
 without building the sides (``_resolve``).  ``equal_in`` is each
 theory's equality, and ``check_soundness`` validates any instance
 numerically; nothing is assumed.
+
+``verify_theory`` draws each rule's parameters in chunks (``_draws``, the
+one sampling loop, which ``instances`` shares) and checks a chunk without
+building its instances: each row passes ``_resolve``'s checks and the
+angle map, each side is evaluated once for the chunk, its instances on a
+trailing batch axis (``semantics._evaluate``), and each instance is
+compared on its own with ``equal_in``.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from .circuit import (_MAX_WIRES, Circuit, Gate, _controls_phase, _real, _wire, 
 from .errors import (BadArity, BadParams, InvalidCircuit, UnknownLemma,
                      UnknownTheory)
 from .euler import euler_e, euler_eprime
-from .semantics import equal_matrices, equal_up_to_phase, eval_matrix
+from .semantics import _evaluate, equal_matrices, equal_up_to_phase, eval_matrix
 
 THEORIES = ("QC", "QCprime", "QCugp", "QCancilla")
 
@@ -487,15 +494,21 @@ def sample_params(n_params: int, rng: np.random.Generator) -> tuple[float, ...]:
     return tuple(rng.uniform(-4 * PI, 4 * PI, n_params).tolist())
 
 
-def instances(theory: str, name: str, samples: int, max_qubits: int,
-              rng: np.random.Generator):
-    """Sampled instances of the axiom ``name`` of ``theory``.
+#: parameter draws per chunk: ``verify_theory`` evaluates a chunk's
+#: instances of a rule side as one batch, so its memory is bounded by a
+#: chunk whatever the sample count
+_CHUNK = 128
 
-    ``samples`` parameter draws, or one for a rule without parameters (its
-    instance is fixed), at the rule's own width, or at every width from its
-    least one to ``max_qubits`` for an n-ary rule such as (I).  Raises
-    BadParams when that leaves the rule with no instance, so no report
-    passes with nothing checked.
+
+def _draws(name: str, samples: int, max_qubits: int, rng: np.random.Generator):
+    """The one sampling loop: (width, parameter rows) in chunks of at most
+    ``_CHUNK`` rows.  ``samples`` rows, or one empty row for a rule without
+    parameters (its instance is fixed), at the rule's own width, or at every
+    width from its least one to ``max_qubits`` for an n-ary rule such as
+    (I).  A chunk is one ``rng.uniform`` call, which draws the numbers that
+    one ``sample_params`` call per row would.  Raises BadParams when that
+    leaves the rule with no instance, so no report passes with nothing
+    checked.
     """
     n_params, arity, min_n = signature(name)
     samples, max_qubits = _wire(samples, "samples"), _wire(max_qubits, "max_qubits")
@@ -505,23 +518,66 @@ def instances(theory: str, name: str, samples: int, max_qubits: int,
         raise BadParams(f"{name} gets no instance with samples={samples}, "
                         f"max_qubits={max_qubits}")
     for n in ns:
-        for _ in range(draws):
-            yield resolve_rule(theory, name, sample_params(n_params, rng), n)
+        for start in range(0, draws, _CHUNK):
+            rows = rng.uniform(-4 * PI, 4 * PI, (min(_CHUNK, draws - start), n_params))
+            yield n, [tuple(row) for row in rows.tolist()]
+
+
+def instances(theory: str, name: str, samples: int, max_qubits: int,
+              rng: np.random.Generator):
+    """Sampled instances of the axiom ``name`` of ``theory``, one per row
+    that ``_draws`` gives."""
+    for n, rows in _draws(name, samples, max_qubits, rng):
+        for row in rows:
+            yield resolve_rule(theory, name, row, n)
+
+
+def _chunk_sound(theory: str, name: str, n: int, rows, tol: float) -> bool:
+    """Whether every instance of ``name`` at width ``n`` with the parameter
+    ``rows`` is sound: ``resolve_rule``'s checks and angle map for each row,
+    then each side evaluated once for the whole chunk (``_evaluate``'s
+    batch) and each instance compared with ``equal_in``."""
+    sides = ([], [])   # per side, each row's angles
+    for row in rows:
+        shape, _, angles = _resolve(theory, name, row, n, False)
+        if angles is None:   # no parameters: the one fixed instance
+            return check_soundness(shape, tol)
+        for side, side_angles, out in zip((shape.lhs, shape.rhs), angles, sides):
+            out.append(_checked_angles(side, side_angles))
+    lhs, rhs = (_evaluate(side, np.array(a, dtype=float).T)
+                for side, a in zip((shape.lhs, shape.rhs), sides))
+    return all([equal_in(theory, lhs[..., k], rhs[..., k], tol) for k in range(len(rows))])
+
+
+def _checked_angles(side: Circuit, angles) -> tuple:
+    """``angles`` for ``side``'s angle slots, checked as ``Circuit.with_angles``
+    and the ``Gate`` constructor check them."""
+    at = side._plan.angle_at
+    if len(angles) != len(at):
+        raise InvalidCircuit(f"{len(at)} gates carry an angle, got {len(angles)} angles")
+    if not all(map(math.isfinite, angles)):
+        bad = next(i for i, a in zip(at, angles) if not math.isfinite(a))
+        raise InvalidCircuit(f"non-finite angle in {side.gates[bad].kind}")
+    return angles
 
 
 def verify_theory(theory: str, samples: int = 100, max_qubits: int = 6,
                   tol: float = 1e-9, seed: int = 0) -> dict:
-    """Check every axiom of a theory on its sampled ``instances``.
+    """Check every axiom of a theory on its sampled instances (``_draws``).
 
     A parametrised rule is checked ``samples`` times; a rule without
-    parameters has one fixed instance, checked once per width.  Returns
-    {rule name: {"checks": int, "ok": bool}} plus an "ok" summary key.
+    parameters has one fixed instance, checked once per width.  The
+    instances of one chunk are evaluated as one batch per side and compared
+    one by one.  Returns {rule name: {"checks": int, "ok": bool}} plus an
+    "ok" summary key.
     """
     rng = _seeded_rng(seed)
     report: dict = {"theory": theory, "tol": tol, "rules": {}, "ok": True}
     for rid in list_rules(theory):
-        oks = [check_soundness(inst, tol)
-               for inst in instances(theory, rid.name, samples, max_qubits, rng)]
-        report["rules"][rid.name] = {"checks": len(oks), "ok": all(oks)}
-        report["ok"] = report["ok"] and all(oks)
+        checks, ok = 0, True
+        for n, rows in _draws(rid.name, samples, max_qubits, rng):
+            ok = _chunk_sound(theory, rid.name, n, rows, tol) and ok
+            checks += len(rows)
+        report["rules"][rid.name] = {"checks": checks, "ok": ok}
+        report["ok"] = report["ok"] and ok
     return report

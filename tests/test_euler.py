@@ -53,6 +53,24 @@ def test_euler_e_against_product_oracle():
         assert np.max(np.abs(nf_mat(params) - lhs_e(*a))) < 1e-9, (a, case.tag)
 
 
+def test_valid_rejects_each_stated_boundary():
+    good = (0.3, 1.2, 0.8, 2.0)
+    assert NormalFormParams(*good).valid()
+    for b2 in (-0.1, PI + 0.1):          # b2 outside [0, pi]
+        assert not NormalFormParams(0.3, 1.2, b2, 0.0).valid(), b2
+    for b2 in (0.0, PI):                 # b3 must be 0 when b2 is 0 or pi
+        assert NormalFormParams(0.3, 1.2, b2, 0.0).valid()
+        assert not NormalFormParams(0.3, 1.2, b2, 2.0).valid(), b2
+    for i in (0, 1, 3):                  # b0, b1, b3 outside [0, 2pi)
+        for bad in (-0.1, TWO_PI + 0.1):
+            b = list(good)
+            b[i] = bad
+            assert not NormalFormParams(*b).valid(), b
+        b = list(good)
+        b[i] = TWO_PI
+        assert not NormalFormParams(*b).valid(tol=0.0), b
+
+
 def test_euler_e_special_cases():
     params, case = euler_e(0.0, 1.1, 0.0)
     assert case.tag == ZPRIME_ZERO

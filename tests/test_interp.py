@@ -1,5 +1,6 @@
 """Alternative interpretations, minimality reports, sign assignments."""
 
+import itertools
 import json
 import math
 
@@ -247,6 +248,11 @@ def test_minimality_with_nothing_to_check_raises():
         minimality_report("QC", "C", samples=0)
     with pytest.raises(BadParams):      # (I) is in scope of CZ, with no width
         minimality_report("QC", "CZ", max_qubits=2)
+    for theory in ("QC", "QCprime"):    # SPLUS with no psi-free instance
+        with pytest.raises(BadParams):
+            minimality_report(theory, "SPLUS", samples=0)
+        assert main(["minimality", "--theory", theory, "--axiom", "SPLUS",
+                     "--samples", "0"]) == 2
 
 
 def test_minimality_rejects_a_non_integer_sample_count():
@@ -347,6 +353,16 @@ def test_interp_E_invariance_under_small_rules():
         assert equal_value_sets(interp_E_values(c), interp_E_values(c2)), \
             (name, direction)
         done += 1
+
+
+def test_sign_gap_is_the_signed_phase_sum_difference():
+    # s' . (b1, b2, b3) - s . (a1, a2, a3) at fixed angles, every sign pair
+    a = (0.7, 1.1, -0.4)
+    b = interp.b_funcs(*a)
+    for s in itertools.product((1.0, -1.0), repeat=3):
+        for sp in itertools.product((1.0, -1.0), repeat=3):
+            want = sum(u * v for u, v in zip(sp, b)) - sum(u * v for u, v in zip(s, a))
+            assert abs(sign_gap(s, sp, *a) - want) <= 1e-12, (s, sp)
 
 
 def test_sign_gap_derivative_is_nonzero():

@@ -12,6 +12,7 @@ from qc_equate import (Circuit, circuit, cnot, compose_par, compose_seq,
                        is_isometry, mcp, mcrx, p, rx, swap, x, z)
 from qc_equate.errors import (DegenerateMatrix, InvalidCircuit,
                               ShapeMismatch, WireCapExceeded)
+from qc_equate.semantics import _evaluate
 
 PI = math.pi
 SQ2 = math.sqrt(2)
@@ -203,6 +204,19 @@ def test_kernels_agree_with_expansion_oracle():
                      "X", "Z", "RX", "MCP", "MCRX", "CTRL"}
     assert bases == {"P", "X", "Z", "RX"}
     assert zero_ctrl > 0 and structural > 0
+
+
+def test_a_batch_of_angles_evaluates_each_instance():
+    # the batch's instance k is the circuit with the angles of column k
+    rng = np.random.default_rng(20261020)
+    for _ in range(200):
+        c = _random_circuit(rng)
+        angles = rng.uniform(-7, 7, (len(c._plan.angle_at), 3))
+        batch = _evaluate(c, angles)
+        assert batch.shape == (2 ** c.n_out, 2 ** c.n_in, 3)
+        for k in range(3):
+            one = eval_matrix(c.with_angles(angles[:, k].tolist()))
+            assert np.max(np.abs(batch[..., k] - one)) < 1e-12, c.to_json()
 
 
 _PRIMITIVE_MATRICES = {

@@ -1,7 +1,9 @@
 """Rule catalogs, instantiation, and the master soundness suite."""
 
 import importlib
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from qc_equate import (THEORIES, Circuit, RuleId, RuleInstance, check_soundness,
                        minimality_report, resolve_rule, swap, verify_theory)
 from qc_equate.errors import (BadArity, BadParams, InvalidCircuit, QcError,
                               UnknownLemma, UnknownTheory)
-from qc_equate.theories import _RULES, instances, signature
+from qc_equate import semantics, theories
+from qc_equate.theories import _RULES, instances, sample_params, signature
 
 PI = math.pi
 
@@ -116,6 +119,117 @@ def test_verify_theory_checks_per_rule_kind():
     assert {name: r["checks"] for name, r in report["rules"].items()} == {
         "S2PI": 1, "SPLUS": 7, "H2": 1, "P0": 1, "C": 7, "B": 1, "CZ": 1,
         "EH": 1, "E": 7, "I": 3}
+
+
+def _reference_report(theory, samples, max_qubits, tol, seed):
+    """``verify_theory``'s report, one built instance at a time: its own
+    seeded rng, ``sample_params``, ``resolve_rule`` and ``check_soundness``."""
+    rng = np.random.default_rng(seed)
+    report = {"theory": theory, "tol": tol, "rules": {}, "ok": True}
+    for rid in list_rules(theory):
+        n_params, arity, min_n = signature(rid.name)
+        ns = range(min_n, max_qubits + 1) if arity is None else (arity,)
+        oks = [check_soundness(resolve_rule(theory, rid.name, sample_params(n_params, rng), n),
+                               tol)
+               for n in ns for _ in range(samples if n_params else 1)]
+        report["rules"][rid.name] = {"checks": len(oks), "ok": all(oks)}
+        report["ok"] = report["ok"] and all(oks)
+    return report
+
+
+def _clear_shapes():
+    theories._shape.cache_clear()
+    theories._CHECKED.clear()
+
+
+@pytest.fixture
+def fresh_shapes():
+    """Rule shapes and checked requests built anew after the test."""
+    yield
+    _clear_shapes()
+
+
+def _route_angle_maps(monkeypatch, hook):
+    """Route every rule's angle map through ``hook(name, params, angles, k)``,
+    whose return the map returns: ``angles`` is what the map returns today,
+    and ``k`` counts the map's calls per rule shape."""
+    for name, (n_params, wires, build) in list(_RULES.items()):
+        def patched(n, name=name, build=build):
+            lhs, rhs, angles = build(n)
+            if angles is None:
+                return lhs, rhs, None
+            calls = itertools.count()
+            return lhs, rhs, lambda *params: hook(name, params, angles(*params), next(calls))
+        monkeypatch.setitem(_RULES, name, (n_params, wires, patched))
+    _clear_shapes()
+
+
+def test_verify_theory_equals_a_per_instance_reference(monkeypatch, fresh_shapes):
+    # the same parameter draws, rule by rule, and the same report; 150
+    # samples make a full chunk and a part one
+    drawn = []
+    _route_angle_maps(monkeypatch, lambda name, params, angles, k:
+                      drawn.append((name, params)) or angles)
+    for theory in THEORIES:
+        for seed in (0, 7):
+            report = verify_theory(theory, samples=150, max_qubits=4, seed=seed)
+            batched, drawn[:] = drawn[:], []
+            assert report == _reference_report(theory, 150, 4, 1e-9, seed), (theory, seed)
+            assert drawn == batched, (theory, seed)
+            drawn.clear()
+    # one wrong row in a chunk fails its rule, which keeps its check count
+    monkeypatch.undo()
+    _route_angle_maps(monkeypatch, lambda name, params, angles, k:
+                      (angles[0], (angles[1][0] + 0.5,)) if (name, k) == ("C", 37) else angles)
+    report = verify_theory("QC", samples=150, max_qubits=4)
+    assert report["rules"]["C"] == {"checks": 150, "ok": False}
+    assert not report["ok"]
+    assert all(r["ok"] for name, r in report["rules"].items() if name != "C")
+    # a non-finite angle in one row raises what building its gate raises
+    monkeypatch.undo()
+    _route_angle_maps(monkeypatch, lambda name, params, angles, k:
+                      (angles[0], (math.inf,) + angles[1][1:])
+                      if name == "E" and k in (0, 37) else angles)
+    with pytest.raises(InvalidCircuit) as built:
+        resolve_rule("QC", "E", (0.1, 0.2, 0.3))       # the map's call 0
+    with pytest.raises(InvalidCircuit) as checked:
+        verify_theory("QC", samples=150, max_qubits=4)   # its call 37
+    assert str(checked.value) == str(built.value) == "non-finite angle in GPHASE"
+
+
+def test_verify_theory_evaluates_each_side_once_per_chunk(monkeypatch):
+    calls = []
+    evaluate = semantics._evaluate
+
+    def counted(c, angles=None):
+        calls.append(1 if angles is None else angles.shape[1])
+        return evaluate(c, angles)
+    for module in (semantics, theories):
+        monkeypatch.setattr(module, "_evaluate", counted)
+    report = verify_theory("QC", samples=100, max_qubits=5)
+    chunks = 0
+    for rid in list_rules("QC"):
+        n_params, arity, min_n = signature(rid.name)
+        widths = 1 if arity is not None else 5 - min_n + 1
+        chunks += widths * (math.ceil(100 / theories._CHUNK) if n_params else 1)
+    assert len(calls) <= 2 * chunks
+    # every instance is evaluated, once per side
+    assert sum(calls) == 2 * sum(r["checks"] for r in report["rules"].values())
+
+
+def test_verify_theory_memory_does_not_grow_with_samples():
+    # an untraced run first fills the interpreter's free lists, which
+    # would otherwise count as growth
+    verify_theory("QC", samples=4000, max_qubits=3)
+    peaks = {}
+    for samples in (500, 4000):
+        tracemalloc.start()
+        try:
+            verify_theory("QC", samples=samples, max_qubits=3, seed=1)
+            peaks[samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4000] <= peaks[500] + 4096, peaks
 
 
 def test_i_rule_sound_but_not_axiomatic_below_three():
