@@ -83,7 +83,7 @@ def reduce_angle(value: float, period: float = TWO_PI) -> float:
     r = math.fmod(value, period)
     if r <= 0.0:        # so a zero, -0.0 included, leaves as 0.0 below
         r += period
-    if r > period - ANGLE_EPS:
+    if r >= period - ANGLE_EPS:
         r = 0.0
     return r
 

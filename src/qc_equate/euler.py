@@ -56,14 +56,15 @@ class NormalFormParams:
         return iter((self.beta0, self.beta1, self.beta2, self.beta3))
 
     def valid(self, tol: float = ANGLE_EPS) -> bool:
+        """Whether these are the angles ``_pack`` emits, to ``tol``: b0, b1,
+        b3 in [0, 2pi - tol), b2 in [0, pi], b3 = 0 when b2 is 0 or pi."""
         b0, b1, b2, b3 = self
-        if not (-tol <= b0 < TWO_PI + tol and -tol <= b1 < TWO_PI + tol
-                and -tol <= b3 < TWO_PI + tol):
+        if not (-tol <= b0 < TWO_PI - tol and -tol <= b1 < TWO_PI - tol
+                and -tol <= b3 < TWO_PI - tol):
             return False
         if not -tol <= b2 <= math.pi + tol:
             return False
-        if (abs(b2) <= tol or abs(b2 - math.pi) <= tol) and not (
-                b3 <= tol or TWO_PI - b3 <= tol):
+        if (abs(b2) <= tol or abs(b2 - math.pi) <= tol) and b3 > tol:
             return False
         return True
 

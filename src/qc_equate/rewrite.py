@@ -12,8 +12,8 @@ and ``find_sites`` to the whole circuit with nothing bound.  A step
 reads the rule's shape and each side's angles (``_sides``), never a built
 instance, so only its target's angle gates are new; what it reads of a
 side, binding or splicing it, is compiled once per rule shape
-(``Circuit._plan``), and a request that passed ``resolve_rule``'s checks
-is not checked again.
+(``Circuit._plan``), and every step runs ``resolve_rule``'s checks on its
+request (``_resolve``), then applies the rule's angle map to its params.
 A safety net re-checks the semantics of every accepted step numerically,
 with the theory's own equality; a replay evaluates each circuit it passes
 once and compares it with the matrix of the one before.  Every step goes
@@ -144,8 +144,8 @@ def _sides(step: Step, theory: str, allow_lemmas: bool):
     as the rule's shape and its angles (None for a rule without parameters)."""
     if step.direction not in ("LR", "RL"):
         raise NoMatch(f"bad direction {step.direction!r}")
-    shape, _, angles = _resolve(theory, step.rule, step.params, step.n, allow_lemmas)
-    lhs, rhs = angles or (None, None)
+    shape, params, angles = _resolve(theory, step.rule, step.params, step.n, allow_lemmas)
+    lhs, rhs = (None, None) if angles is None else angles(*params)
     lhs, rhs = (shape.lhs, lhs), (shape.rhs, rhs)
     return (lhs, rhs) if step.direction == "LR" else (rhs, lhs)
 

@@ -21,7 +21,9 @@ gets a trailing axis of instances, and the gate at each angle slot of
 its parameter (``_BatchGate``).  The kernels are the same: an angle-reading
 kernel takes a float through ``cmath``/``math`` and a row through
 ``numpy``.  ``eval_matrix`` is the batch-free call, so every angle it reads
-is a gate's own float.
+is a gate's own float.  Both equality predicates take such a batch too
+and hold when they hold for every instance; ``equal_up_to_phase`` finds
+one phase per instance.
 """
 
 from __future__ import annotations
@@ -75,7 +77,9 @@ class _BatchGate(NamedTuple):
 def _evaluate(c: Circuit, angles: np.ndarray | None = None) -> np.ndarray:
     """``eval_matrix``, or with ``angles``, an array (slots, k) of k
     instances' angles, one row per slot of ``c._plan``, the k matrices of
-    ``c`` with those angles stacked on a trailing axis: (rows, cols, k)."""
+    ``c`` with those angles stacked on a trailing axis: (rows, cols, k).
+    The angles are checked as ``Circuit.with_angles`` and the ``Gate``
+    constructor check them, with the same errors."""
     if not within_cap(c):
         raise WireCapExceeded(f"circuit opens {c.threading.widest} wires at once, "
                               f"cap {wire_cap()}")
@@ -83,9 +87,15 @@ def _evaluate(c: Circuit, angles: np.ndarray | None = None) -> np.ndarray:
     t = np.eye(cols, dtype=complex).reshape((2,) * c.n_in + (cols,))
     gates = c.gates
     if angles is not None:   # each slot's gate reads its row
+        at = c._plan.angle_at
+        if len(angles) != len(at):
+            raise InvalidCircuit(f"{len(at)} gates carry an angle, got {len(angles)} angles")
+        if not np.isfinite(angles).all():   # the first instance's first bad slot
+            slot = np.argwhere(~np.isfinite(angles.T))[0][1]
+            raise InvalidCircuit(f"non-finite angle in {gates[at[slot]].kind}")
         t = np.repeat(t[..., None], angles.shape[1], axis=-1)
         gates = list(gates)
-        for i, row in zip(c._plan.angle_at, angles):
+        for i, row in zip(at, angles):
             gates[i] = _BatchGate(gates[i].kind, gates[i].wires, (row,))
     for g in gates:
         if g.kind == "INIT":   # a new axis in state |0>
@@ -161,18 +171,21 @@ def equal_matrices(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """True iff a = lam * b for some unit scalar lam."""
+    """True iff a = lam * b for some unit scalar lam.  Matrices with a
+    trailing batch axis (rows, cols, k) have one lam per instance: True iff
+    every instance is, and any (near-)zero instance of ``b`` raises."""
     if a.shape != b.shape:
         raise ShapeMismatch(f"shapes {a.shape} vs {b.shape}")
-    flat_b = b.ravel()
-    i = int(np.argmax(np.abs(flat_b)))
-    if np.abs(flat_b[i]) < 1e-12:
+    flat_a, flat_b = a.reshape(-1, *a.shape[2:]), b.reshape(-1, *b.shape[2:])
+    i = np.argmax(np.abs(flat_b), axis=0, keepdims=True)
+    pivot = np.take_along_axis(flat_b, i, axis=0)
+    if np.abs(pivot).min() < 1e-12:
         raise DegenerateMatrix("cannot extract a phase from a (near-)zero matrix")
-    lam = a.ravel()[i] / flat_b[i]
-    mag = abs(lam)
-    if abs(mag - 1.0) > max(tol, 1e-9):
+    lam = np.take_along_axis(flat_a, i, axis=0) / pivot
+    mag = np.abs(lam)
+    if np.abs(mag - 1.0).max() > max(tol, 1e-9):
         return False
-    lam = lam / mag if mag > 0 else 1.0
+    lam = np.divide(lam, mag, out=np.ones_like(lam), where=mag > 0)
     return bool(np.max(np.abs(a - lam * b)) <= tol)
 
 

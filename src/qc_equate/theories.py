@@ -15,18 +15,18 @@ rule's two sides are built, threaded and compiled once per theory and
 width, with placeholder angles, and an instance builds the gates that
 carry an angle at the positions compiled with the side
 (``Circuit.with_angles``); a rule without parameters has one instance per
-theory and width.  A rewrite step makes the same checks, served from a
-memo of requests that passed them, and reads the shape and the angles
-without building the sides (``_resolve``).  ``equal_in`` is each
-theory's equality, and ``check_soundness`` validates any instance
-numerically; nothing is assumed.
+theory and width.  Every request, a rewrite step's included, runs the
+same checks (``_resolve``), which give the rule's shape and its angle map
+without building the sides.  ``equal_in`` is each theory's equality, and
+``check_soundness`` validates any instance numerically; nothing is
+assumed.
 
 ``verify_theory`` draws each rule's parameters in chunks (``_draws``, the
 one sampling loop, which ``instances`` shares) and checks a chunk without
-building its instances: each row passes ``_resolve``'s checks and the
-angle map, each side is evaluated once for the chunk, its instances on a
-trailing batch axis (``semantics._evaluate``), and each instance is
-compared on its own with ``equal_in``.
+building its instances: one request for the chunk, the angle map applied
+to each row, each side evaluated once for the chunk, its instances on a
+trailing batch axis (``semantics._evaluate``, which checks the angles as
+building the gates would), and one ``equal_in`` call over the batch.
 """
 
 from __future__ import annotations
@@ -367,6 +367,7 @@ def signature(name: str) -> Signature:
     return Signature(n_params, wires, wires)
 
 
+@functools.cache
 def _kind(theory: str, name: str) -> str:
     """What ``name`` is in ``theory``: an axiom if the theory lists it, one
     of the macro definitions, or else a lemma, checked but not an axiom."""
@@ -396,53 +397,50 @@ def resolve_rule(theory: str, name: str, params=(), n: int | None = None,
     shape, params, angles = _resolve(theory, name, params, n, allow_lemmas)
     if angles is None:
         return shape
-    lhs, rhs = angles
+    lhs, rhs = angles(*params)
     return RuleInstance(shape.id, params, shape.n, shape.lhs.with_angles(lhs),
                         shape.rhs.with_angles(rhs))
 
 
-#: (theory, name, n, allow_lemmas, param count) -> ``_shape`` of a request that passed
-_CHECKED: dict = {}
-
-
 def _resolve(theory: str, name: str, params, n: int | None, allow_lemmas: bool):
     """``resolve_rule``'s checks, without building the sides: the rule's
-    shape instance (``_shape``), the checked params, and the angle map's
-    (lhs angles, rhs angles) for them, or None for a rule without
+    shape instance (``_shape``), the checked params, and the rule's angle
+    map, params -> (lhs angles, rhs angles), or None for a rule without
     parameters, whose shape is its instance.
 
-    A request whose ``n`` is None or an int, ``allow_lemmas`` a bool and
-    ``params`` a tuple of finite floats is served from the lookups that
-    passed every check (``_CHECKED``); any other runs the checks, so
-    errors never change."""
-    key = ((theory, name, n, allow_lemmas, len(params)) if type(params) is tuple
-           and (n is None or type(n) is int) and type(allow_lemmas) is bool
-           and all(type(v) is float and math.isfinite(v) for v in params) else None)
-    rule = _CHECKED.get(key)
-    if rule is None:
-        if _kind(theory, name) == "lemma" and not allow_lemmas:
-            raise UnknownLemma(f"{name} is not an axiom of {theory} "
-                               "(derived lemmas need allow_lemmas)")
-        n_params, arity, min_n = signature(name)
-        params = tuple(v if type(v) is float else _real(v, f"{name} param")
-                       for v in params)
-        if not all(map(math.isfinite, params)):
-            raise InvalidCircuit(f"{name} params must be finite, got {params}")
-        if n is not None:
-            n = _wire(n, f"{name} wire count")
-        if len(params) != n_params:
-            raise BadParams(f"{name} takes {n_params} params, got {len(params)}")
-        if arity is None and (n is None or n < min_n):
-            raise BadArity(f"{name} needs a wire count of at least {min_n}")
-        if arity is not None and n not in (None, arity):
-            raise BadArity(f"{name} is pinned at {arity} wires")
-        if n is not None and n > _MAX_WIRES:
-            raise BadArity(f"{name} needs a wire count of at most {_MAX_WIRES}")
-        rule = _shape(theory, name, n if arity is None else arity)
-        if key is not None:
-            _CHECKED[key] = rule
-    shape, angles = rule
-    return shape, params, None if angles is None else angles(*params)
+    Every call runs every check, in this order, and the first that fails
+    raises: the theory and the rule (``_kind``), then a lemma without
+    ``allow_lemmas``; each param a real number, then all of them finite;
+    the wire count an integer; the param count; the wire count against
+    the rule's arity and the wire cap.  Only what the checked values alone
+    decide is cached: the rule's kind and the last two checks with the
+    shape (``_fitted``)."""
+    if _kind(theory, name) == "lemma" and not allow_lemmas:
+        raise UnknownLemma(f"{name} is not an axiom of {theory} "
+                           "(derived lemmas need allow_lemmas)")
+    params = tuple(v if type(v) is float else _real(v, f"{name} param") for v in params)
+    if not all(map(math.isfinite, params)):
+        raise InvalidCircuit(f"{name} params must be finite, got {params}")
+    if n is not None:
+        n = _wire(n, f"{name} wire count")
+    shape, angles = _fitted(theory, name, n, len(params))
+    return shape, params, angles
+
+
+@functools.cache
+def _fitted(theory: str, name: str, n: int | None, count: int):
+    """``_shape`` of the rule at the wire count ``n`` (None for its fixed
+    one) once ``count`` params and ``n`` fit its signature."""
+    n_params, arity, min_n = signature(name)
+    if count != n_params:
+        raise BadParams(f"{name} takes {n_params} params, got {count}")
+    if arity is None and (n is None or n < min_n):
+        raise BadArity(f"{name} needs a wire count of at least {min_n}")
+    if arity is not None and n not in (None, arity):
+        raise BadArity(f"{name} is pinned at {arity} wires")
+    if n is not None and n > _MAX_WIRES:
+        raise BadArity(f"{name} needs a wire count of at most {_MAX_WIRES}")
+    return _shape(theory, name, n if arity is None else arity)
 
 
 @functools.cache
@@ -467,8 +465,8 @@ def _kept_angles(angles, keep, *params):
 
 
 def equal_in(theory: str, a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether two circuit matrices are equal in ``theory``: exactly, or up
-    to a global phase in QCugp."""
+    """Whether two circuit matrices, or batches of them, are equal in
+    ``theory``: exactly, or up to a global phase per instance in QCugp."""
     return (equal_up_to_phase if theory == "QCugp" else equal_matrices)(a, b, tol)
 
 
@@ -534,31 +532,14 @@ def instances(theory: str, name: str, samples: int, max_qubits: int,
 
 def _chunk_sound(theory: str, name: str, n: int, rows, tol: float) -> bool:
     """Whether every instance of ``name`` at width ``n`` with the parameter
-    ``rows`` is sound: ``resolve_rule``'s checks and angle map for each row,
-    then each side evaluated once for the whole chunk (``_evaluate``'s
-    batch) and each instance compared with ``equal_in``."""
-    sides = ([], [])   # per side, each row's angles
-    for row in rows:
-        shape, _, angles = _resolve(theory, name, row, n, False)
-        if angles is None:   # no parameters: the one fixed instance
-            return check_soundness(shape, tol)
-        for side, side_angles, out in zip((shape.lhs, shape.rhs), angles, sides):
-            out.append(_checked_angles(side, side_angles))
-    lhs, rhs = (_evaluate(side, np.array(a, dtype=float).T)
-                for side, a in zip((shape.lhs, shape.rhs), sides))
-    return all([equal_in(theory, lhs[..., k], rhs[..., k], tol) for k in range(len(rows))])
-
-
-def _checked_angles(side: Circuit, angles) -> tuple:
-    """``angles`` for ``side``'s angle slots, checked as ``Circuit.with_angles``
-    and the ``Gate`` constructor check them."""
-    at = side._plan.angle_at
-    if len(angles) != len(at):
-        raise InvalidCircuit(f"{len(at)} gates carry an angle, got {len(angles)} angles")
-    if not all(map(math.isfinite, angles)):
-        bad = next(i for i, a in zip(at, angles) if not math.isfinite(a))
-        raise InvalidCircuit(f"non-finite angle in {side.gates[bad].kind}")
-    return angles
+    ``rows`` is sound: one request, its angle map applied to each row, each
+    side evaluated once with its (slots, k) angles (``_evaluate``'s batch;
+    a rule without parameters, one row, as it is) and one ``equal_in``."""
+    shape, _, angles = _resolve(theory, name, rows[0], n, False)
+    batches = (None, None) if angles is None else zip(*(angles(*row) for row in rows))
+    lhs, rhs = (_evaluate(side, a if a is None else np.array(a, dtype=float).T)
+                for side, a in zip((shape.lhs, shape.rhs), batches))
+    return equal_in(theory, lhs, rhs, tol)
 
 
 def verify_theory(theory: str, samples: int = 100, max_qubits: int = 6,
@@ -568,8 +549,8 @@ def verify_theory(theory: str, samples: int = 100, max_qubits: int = 6,
     A parametrised rule is checked ``samples`` times; a rule without
     parameters has one fixed instance, checked once per width.  The
     instances of one chunk are evaluated as one batch per side and compared
-    one by one.  Returns {rule name: {"checks": int, "ok": bool}} plus an
-    "ok" summary key.
+    in one ``equal_in`` call.  Returns {rule name: {"checks": int, "ok":
+    bool}} plus an "ok" summary key.
     """
     rng = _seeded_rng(seed)
     report: dict = {"theory": theory, "tol": tol, "rules": {}, "ok": True}

@@ -67,8 +67,9 @@ def test_valid_rejects_each_stated_boundary():
             b[i] = bad
             assert not NormalFormParams(*b).valid(), b
         b = list(good)
-        b[i] = TWO_PI
+        b[i] = TWO_PI                    # 2pi is 0's twin, at either tol
         assert not NormalFormParams(*b).valid(tol=0.0), b
+        assert not NormalFormParams(*b).valid(), b
 
 
 def test_euler_e_special_cases():

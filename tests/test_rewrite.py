@@ -321,6 +321,11 @@ def test_circuits_are_threaded_once(monkeypatch):
     assert calls == []
 
 
+def _clear_request_caches():
+    for cached in (theories._shape, theories._fitted, theories._kind):
+        cached.cache_clear()
+
+
 def _raised(run) -> tuple[type, str]:
     with pytest.raises(QcError) as info:
         run()
@@ -328,8 +333,8 @@ def _raised(run) -> tuple[type, str]:
 
 
 def test_checked_lookups_never_serve_an_unchecked_request():
-    # each bad request fails as on a cold memo, after a valid request that
-    # a key of equal values (1 == 1.0 == True, one param) would share
+    # each bad request fails as on cold caches, after a valid request of
+    # equal values (1 == 1.0 == True, one param) that fills them
     c = circuit(2, [cnot(0, 1), p(0.7, 0), cnot(0, 1)])
     site = Site((0, 1, 2), (0, 1))
     c_step = lambda params: apply_step(c, Step("C", "LR", params, None, site))
@@ -339,7 +344,7 @@ def test_checked_lookups_never_serve_an_unchecked_request():
     cases += [(lambda: resolve_rule("QC", "MCPDEF", (0.3,), 1),
                lambda n=n: resolve_rule("QC", "MCPDEF", (0.3,), n)) for n in (True, 1.0)]
     for warm, bad in cases:
-        theories._CHECKED.clear()
+        _clear_request_caches()
         cold = _raised(bad)
         warm()
         assert _raised(bad) == cold
@@ -353,18 +358,20 @@ def test_checked_lookups_never_serve_an_unchecked_request():
 def test_each_rule_side_is_compiled_once(monkeypatch):
     # a rule side is compiled the first time a step reads it, once per
     # theory, rule and width, and a second run compiles nothing
-    theories._CHECKED.clear()
-    theories._shape.cache_clear()
+    _clear_request_caches()
     built, compile_ = [], circuit_module._compile
     monkeypatch.setattr(circuit_module, "_compile", lambda c: built.append(c) or compile_(c))
     rng = np.random.default_rng(30)
     inputs = [rand_1q(rng, int(rng.integers(0, 14))) for _ in range(30)]
     for run in range(2):
+        cited = set()
         for theory in ("QC", "QCprime"):
             for c in inputs:
-                normalize_1q(c, emit_trace=True, theory=theory)
+                _, deriv = normalize_1q(c, emit_trace=True, theory=theory)
+                cited |= {(theory, s.rule, signature(s.rule).arity if s.n is None else s.n)
+                          for s in deriv.steps}
         if run == 0:
-            sides = {id(side) for shape, _ in theories._CHECKED.values()
+            sides = {id(side) for triple in cited for shape, _ in [theories._shape(*triple)]
                      for side in (shape.lhs, shape.rhs)}
             assert built and len({id(c) for c in built}) == len(built)
             assert {id(c) for c in built} <= sides

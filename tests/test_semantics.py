@@ -108,6 +108,34 @@ def test_equal_up_to_phase():
         equal_up_to_phase(np.eye(2), np.zeros((2, 2)))
 
 
+def test_batched_equality_is_per_instance_equality():
+    # instances on a trailing axis, each with its own phase: a batch holds
+    # iff every instance does; one instance off by more than tol fails it
+    rng = np.random.default_rng(3)
+    us = np.stack([eval_matrix(circuit(2, [rx(t, 0), h(1), cnot(0, 1), p(phi, 1)]))
+                   for t, phi in rng.uniform(-4, 4, (5, 2))], axis=-1)
+    phased = us * np.exp(1j * rng.uniform(-PI, PI, 5))
+    off = phased.copy()
+    off[1, 2, 3] += 1e-6
+    for pred in (equal_up_to_phase, equal_matrices):
+        for a, b in ((us, phased), (phased, off), (us, off), (off, off)):
+            each = [pred(a[..., k], b[..., k], 1e-9) for k in range(5)]
+            assert pred(a, b, 1e-9) == all(each), (pred.__name__, each)
+    assert equal_up_to_phase(us, phased, 1e-9) and not equal_up_to_phase(us, off, 1e-9)
+    # a (near-)zero instance of b: the phase cannot be extracted from it,
+    # in the batch as on its own; equality compares it like any other
+    degenerate = off.copy()
+    degenerate[..., 1] = 0.0
+    for a in (us, phased):
+        with pytest.raises(DegenerateMatrix):
+            equal_up_to_phase(a[..., 1], degenerate[..., 1])
+        with pytest.raises(DegenerateMatrix):
+            equal_up_to_phase(a, degenerate)
+        each = [equal_matrices(a[..., k], degenerate[..., k]) for k in range(5)]
+        assert not equal_matrices(a, degenerate) and not all(each)
+    assert equal_matrices(degenerate, degenerate)
+
+
 def test_is_isometry():
     assert is_isometry(eval_matrix(Circuit(0, 1, (init(0),))))
     assert not is_isometry(eval_matrix(Circuit(1, 0, (dest(0),))))

@@ -138,13 +138,13 @@ def _reference_report(theory, samples, max_qubits, tol, seed):
 
 
 def _clear_shapes():
-    theories._shape.cache_clear()
-    theories._CHECKED.clear()
+    for cached in (theories._shape, theories._fitted, theories._kind):
+        cached.cache_clear()
 
 
 @pytest.fixture
 def fresh_shapes():
-    """Rule shapes and checked requests built anew after the test."""
+    """Rule shapes and the request caches built anew after the test."""
     yield
     _clear_shapes()
 
@@ -212,7 +212,7 @@ def test_verify_theory_evaluates_each_side_once_per_chunk(monkeypatch):
         n_params, arity, min_n = signature(rid.name)
         widths = 1 if arity is not None else 5 - min_n + 1
         chunks += widths * (math.ceil(100 / theories._CHUNK) if n_params else 1)
-    assert len(calls) <= 2 * chunks
+    assert len(calls) == 2 * chunks
     # every instance is evaluated, once per side
     assert sum(calls) == 2 * sum(r["checks"] for r in report["rules"].values())
 
@@ -347,6 +347,37 @@ def test_non_finite_or_overflowing_params_raise():
     # half-angle sums do not overflow where the full sums would
     inst = resolve_rule("QC", "E", (1e308, 1e308, 1e308))
     assert all(map(math.isfinite, (a for g in inst.rhs.gates for a in g.params)))
+
+
+#: requests with two faults each, (theory, name, params, n, allow_lemmas),
+#: and the error of the one that the request checks find first
+_TWO_FAULTS = [
+    (("QX", "PMINUS", (0.1,), None, False), UnknownTheory, "no theory 'QX'"),
+    (("QC", "NOPE", ("x",), None, True), UnknownLemma, "no rule named 'NOPE' in QC"),
+    (("QC", "PMINUS", (math.inf,), None, False), UnknownLemma,
+     "PMINUS is not an axiom of QC (derived lemmas need allow_lemmas)"),
+    (("QC", "E", ("7", math.nan, 0.1), None, False), InvalidCircuit,
+     "E param '7' is not a real number"),
+    (("QC", "C", (True, 0.2), None, False), InvalidCircuit, "C param True is not a real number"),
+    (("QC", "C", (math.inf,), 2.0, False), InvalidCircuit, "C params must be finite, got (inf,)"),
+    (("QC", "C", (0.1, 0.2), 1.0, False), InvalidCircuit, "C wire count 1.0 is not an integer"),
+    (("QC", "C", (0.1, 0.2), 3, False), BadParams, "C takes 1 params, got 2"),
+    (("QC", "I", (0.1,), 2, False), BadParams, "I takes 0 params, got 1"),
+]
+
+
+@pytest.mark.parametrize("request_, error, message", _TWO_FAULTS)
+def test_request_checks_run_in_order_cold_and_warm(request_, error, message):
+    # the same error on cold caches and after a valid request of the rule
+    name = request_[1] if request_[1] in _RULES else "PMINUS"
+    n_params, _, min_n = signature(name)
+    _clear_shapes()
+    for warm in (False, True):
+        if warm:
+            resolve_rule("QC", name, (0.3,) * n_params, min_n, True)
+        with pytest.raises(error) as info:
+            resolve_rule(*request_)
+        assert str(info.value) == message, warm
 
 
 def test_lemma_examples():
