@@ -19,6 +19,8 @@ until no gate is a macro.
 
 Contents:
     - Gate / Circuit data types and JSON (de)serialization
+    - Circuit.with_angles / Circuit._batched  (an instance with new angles,
+      or the gates of a batch of instances, with their angles checked)
     - compose_seq / compose_par  (sequential and parallel composition)
     - unfold / expand_gate / expand_macros  (X, Z, RX, MCP, MCRX, CTRL ->
       primitives)
@@ -35,6 +37,8 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ArityMismatch, InvalidCircuit, NoMatch
 
@@ -255,6 +259,16 @@ def ctrl(pattern: str, base: Gate, wires: tuple[int, ...]) -> Gate:
     return Gate("CTRL", tuple(wires), (), pattern, base)
 
 
+class _BatchGate(NamedTuple):
+    """A gate that carries an angle, in a batch of instances of one circuit
+    (``Circuit._batched``): its one parameter is a row of angles, one per
+    instance."""
+
+    kind: str
+    wires: tuple[int, ...]
+    params: tuple[np.ndarray]
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list applied left-to-right between n_in and n_out wires."""
@@ -288,20 +302,42 @@ class Circuit:
         """This circuit compiled (``_compile``), once per circuit object."""
         return _compile(self)
 
+    def _slots(self, count: int) -> tuple[int, ...]:
+        """The gates that carry an angle (``_plan.angle_at``), once
+        ``count`` angles fit them."""
+        at = self._plan.angle_at
+        if count != len(at):
+            raise InvalidCircuit(f"{len(at)} gates carry an angle, got {count} angles")
+        return at
+
     def with_angles(self, angles) -> "Circuit":
         """This circuit with new ``angles``, one per gate that carries one,
         in gate order.  Kinds and wires stay, so the threading is kept;
         each gate with an angle is built anew, which checks the angle."""
-        gates, at = list(self.gates), self._plan.angle_at
         angles = tuple(angles)
-        if len(angles) != len(at):
-            raise InvalidCircuit(f"{len(at)} gates carry an angle, got {len(angles)} angles")
+        gates, at = list(self.gates), self._slots(len(angles))
         for i, a in zip(at, angles):
             gates[i] = Gate(gates[i].kind, gates[i].wires, (a,))
         out = object.__new__(Circuit)
         out.__dict__.update(n_in=self.n_in, n_out=self.n_out, gates=tuple(gates),
                             threading=self.threading)
         return out
+
+    def _batched(self, angles: np.ndarray) -> list:
+        """This circuit's gates for a batch of instances that differ only in
+        their angles: ``angles`` is an array (slots, k), one row per gate
+        that carries an angle, and each such gate becomes a ``_BatchGate``
+        with its row.  The angles are checked as ``with_angles`` and the
+        ``Gate`` constructor check one instance's, with the same errors:
+        their count, then that each is finite (the first instance's first
+        bad slot names its gate)."""
+        gates, at = list(self.gates), self._slots(len(angles))
+        if not np.isfinite(angles).all():
+            slot = np.argwhere(~np.isfinite(angles.T))[0][1]
+            raise InvalidCircuit(f"non-finite angle in {gates[at[slot]].kind}")
+        for i, row in zip(at, angles):
+            gates[i] = _BatchGate(gates[i].kind, gates[i].wires, (row,))
+        return gates
 
     def to_dict(self) -> dict:
         return {"n_in": self.n_in, "n_out": self.n_out,

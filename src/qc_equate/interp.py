@@ -13,11 +13,22 @@ costs O(n), not its 2 * 3^(n-1) - 1 expanded gates.  The witnesses that
 read only kinds and wires (S2PI, H2, P0, P0', C, EH, B, CZ) have one value
 per rule width, so ``minimality_report`` reads one instance per width for
 them.
+
+``interp_k`` is the batch-free call of ``_interp_k``, which also weighs a
+batch of instances of one circuit that differ only in their angles, as
+``semantics._evaluate`` evaluates one: the gate at each angle slot carries
+a row of angles, one per instance (``Circuit._batched``, which checks
+them).  A GPHASE or P weighs its row with the float operations a float
+angle gets; a macro weighs each row's ``Gate``.  ``minimality_report``'s
+(I) row checks each chunk of a rule's draws with one request, one weigh
+per side and one vectorised comparison, and builds no instance; the other
+witnesses build an instance only when they check it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -30,7 +41,7 @@ from .errors import (BadArity, BadParams, InconsistentClasses, NoInterpretation,
                      UnknownLemma, UnsupportedGate)
 from .euler import b_funcs
 from .semantics import eval_matrix
-from .theories import _seeded_rng, instances, list_rules, resolve_rule, signature
+from .theories import _batch, _draws, _seeded_rng, list_rules, resolve_rule, signature
 
 HALF_PI = math.pi / 2.0
 
@@ -60,21 +71,40 @@ def interp_k(c: Circuit, k: int) -> float:
     A ``k`` whose weights overflow a float, or a macro that unfolds deeper
     than Python's recursion limit allows, raises BadArity, as does a
     negative ``k``; a ``k`` that is not an integer raises InvalidCircuit."""
+    return _interp_k(c, k)
+
+
+def _interp_k(c: Circuit, k: int, angles: np.ndarray | None = None):
+    """``interp_k``, or with ``angles``, an array (slots, m) of m instances'
+    angles, one row per gate of ``c`` that carries one, the m instances'
+    values as an array (``Circuit._batched`` checks the angles).  A weight
+    that overflows to inf, which a float product gives silently, gives a
+    NaN value in a batch too, with no numpy warning."""
     k = _wire(k, "k")
     if k < 0:
         raise BadArity(f"interp_k needs k >= 0, got {k}")
+    c = _vanilla(c)
+    gates = c.gates if angles is None else c._batched(angles)
     try:
-        r = _weigh(_vanilla(c).gates, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = _weigh(gates, k)
     except (OverflowError, RecursionError) as exc:
         raise BadArity(f"interp_k at k={k} is out of reach: {type(exc).__name__}") from None
+    if isinstance(r, np.ndarray):
+        return np.where(r > TWO_PI - 1e-12, 0.0, r)
     return 0.0 if r > TWO_PI - 1e-12 else r
 
 
-def _weigh(gates, k: int) -> float:
+def _weigh(gates, k: int):
     """``interp_k``'s sum over ``gates``, modulo 2*pi.  A macro weighs what
     its ``unfold`` weighs, which reads no wire: it is weighed on wires
     ``0..n-1``, so the two shapes an MCP unfolds into per level are each
-    weighed once and an n-wire MCP costs O(n)."""
+    weighed once and an n-wire MCP costs O(n).
+
+    A ``_BatchGate`` weighs each instance's angle: a GPHASE or P with the
+    same float operations (numpy's float ``%`` is Python's), a macro
+    through a ``Gate`` built from each angle, which checks it.  The sum
+    then holds one value per instance."""
     total = 0.0
     for g in gates:
         if g.kind == "GPHASE":
@@ -85,8 +115,12 @@ def _weigh(gates, k: int) -> float:
             w = (2.0 ** (k - 1)) * g.params[0]
         elif g.kind in ("CNOT", "SWAP"):
             w = (2.0 ** (k - 2)) * math.pi
-        else:
+        elif type(g) is Gate:
             w = _macro_weight(g.with_wires(tuple(range(len(g.wires)))), k)
+        else:
+            wires = tuple(range(len(g.wires)))
+            w = np.array([_macro_weight(Gate(g.kind, wires, (a,)), k)
+                          for a in g.params[0].tolist()])
         # reduced before it is added, so a weight of 2^(k-2) pi or more
         # does not round away the low bits of the total
         total = (total + w % TWO_PI) % TWO_PI
@@ -155,11 +189,19 @@ _THEORY_WITNESS = {("QCprime", "P0"): "P0'"}
 
 
 def _values_equal(a, b) -> bool:
+    """Whether two ``interp_axiom`` values, counts or matrices, are equal."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= 1e-9)
-    if isinstance(a, float) or isinstance(b, float):
-        return angles_equal(a, b, TWO_PI, 1e-8)
     return a == b
+
+
+def _angles_all_equal(a, b) -> bool:
+    """Whether two ``interp_k`` values, or two arrays of them, one per
+    instance, are equal for every instance: ``angles_equal(a, b, TWO_PI,
+    1e-8)`` with the same float operations."""
+    d = np.fmod(np.subtract(a, b), TWO_PI)
+    d = np.where(d < 0.0, d + TWO_PI, d)
+    return bool(np.all((d <= 1e-8) | (TWO_PI - d <= 1e-8)))
 
 
 # -- sign assignments and the Euler counter-model ------------------------------
@@ -284,12 +326,19 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     is the sign-assignment value set; the remaining eight axioms use their
     registered interpretations.  Axioms acting on more qubits than the
     interpretation's soundness bound are out of scope; every other rule is
-    checked on its sampled ``instances``: every draw for (I) and (E),
-    whose interpretations read angles, and one draw per width for the
-    others, which read only kinds and wires, or, for SPLUS, keep in scope
-    only its own psi instances and rules with no parameters.  No
-    interpretation is defined on INIT/DEST, so a rule with an ancilla side
-    has no witness and the report does not pass.
+    checked on its sampled draws (``theories._draws``, drawn in full, so
+    later rules' draws do not depend on where one fails): every draw for
+    (I) and (E), whose interpretations read angles, and one draw per width
+    for the others, which read only kinds and wires, or, for SPLUS, keep
+    in scope only its own psi instances and rules with no parameters.
+
+    (I) checks a chunk of draws as one batch: one request, the angle map
+    applied to each row, each side weighed once with its (slots, k) angles
+    (``_interp_k``) and one vectorised comparison.  The other witnesses
+    build an instance only when they check it, and a rule stops at its
+    first unsound chunk or instance.  No interpretation is defined on
+    INIT/DEST, so a rule with an ancilla side has no witness and the
+    report does not pass.
     """
     rng = _seeded_rng(seed)
     seed, samples = _wire(seed, "seed"), _wire(samples, "samples")   # echoed as ints
@@ -300,11 +349,11 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     if axiom == "I":
         bound = target_n - 1
         kind = f"interp_k(k={bound})"
-        value, equal = (lambda c: interp_k(c, bound)), _values_equal
+        value, equal = (lambda c, angles: _interp_k(c, bound, angles)), _angles_all_equal
     elif axiom == "E":
         bound = 1
         kind = "sign-assignment value set"
-        value, equal = interp_E_values, equal_value_sets
+        value, equal = (lambda c, _: interp_E_values(c)), equal_value_sets
     elif axiom in INTERP_BOUND:
         bound = INTERP_BOUND[axiom]
         witness = _THEORY_WITNESS.get((theory, axiom), axiom)
@@ -313,22 +362,34 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
             if samples < 1:   # the psi-free instances would be none
                 raise BadParams("SPLUS gets no psi-free instance with samples=0")
             psi = float(rng.uniform(0.1, TWO_PI - 0.1))
-        value, equal = (lambda c: interp_axiom(witness, c, psi)), _values_equal
+        value, equal = (lambda c, _: interp_axiom(witness, c, psi)), _values_equal
     else:
         raise NoInterpretation(f"no counter-interpretation registered for {axiom}")
 
-    def kept(inst) -> bool:
-        return equal(value(inst.lhs), value(inst.rhs))
+    def checks(name: str, chunks):
+        """The rule's checks, each (lhs, rhs, lhs angles, rhs angles): for
+        (I) one per chunk, its instances on a batch axis (``_batch``), for
+        the other witnesses one per instance, built when it is checked."""
+        for n, rows in chunks:
+            if axiom == "I":
+                shape, angles = _batch(theory, name, n, rows)
+                yield (shape.lhs, shape.rhs, *angles)
+            else:
+                for row in rows:
+                    inst = resolve_rule(theory, name, row, n)
+                    yield inst.lhs, inst.rhs, None, None
+
+    def kept(lhs, rhs, a, b) -> bool:
+        return equal(value(lhs, a), value(rhs, b))
 
     results: dict[str, str] = {}
     for rid in list_rules(theory):
         name = rid.name
         if name == axiom == "I":
-            insts = [resolve_rule(theory, name, (), target_n)]
+            chunks = [(target_n, [()])]
         elif name == axiom == "SPLUS":
             # the psi-carrying instances are the unsound ones
-            insts = [resolve_rule(theory, name, (psi, float(rng.uniform(0.2, 3.0))), 0)
-                     for _ in range(3)]
+            chunks = [(0, [(psi, float(rng.uniform(0.2, 3.0))) for _ in range(3)])]
         else:
             arity = signature(name).arity
             width = max_qubits if arity is None else arity
@@ -336,13 +397,14 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
                 results[name] = "out-of-scope"
                 continue
             draws = samples if axiom in ("I", "E") else min(samples, 1)
-            # drawn in full, so later rules' draws do not depend on where
-            # this one fails
-            insts = list(instances(theory, name, draws, max_qubits, rng))
-        if _has_ancilla(insts[0].lhs) or _has_ancilla(insts[0].rhs):
+            chunks = list(_draws(name, draws, max_qubits, rng))
+        rule_checks = checks(name, chunks)
+        first = next(rule_checks)
+        if _has_ancilla(first[0]) or _has_ancilla(first[1]):
             results[name] = "no-witness"
         else:
-            results[name] = "sound" if all(map(kept, insts)) else "unsound"
+            results[name] = ("sound" if kept(*first) and all(itertools.starmap(kept, rule_checks))
+                             else "unsound")
 
     unsound = {k for k, v in results.items() if v == "unsound"}
     report = {"theory": theory, "axiom": axiom, "interpretation": kind,
@@ -351,9 +413,8 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     if psi is not None:
         report["psi"] = psi
         # psi-free instances must stay sound
-        free = [resolve_rule(theory, "SPLUS", rng.uniform(0.1, 3.0, 2), 0)
-                for _ in range(samples)]
-        report["psi_free_sound"] = all(map(kept, free))
+        free = [rng.uniform(0.1, 3.0, 2) for _ in range(samples)]
+        report["psi_free_sound"] = all(itertools.starmap(kept, checks("SPLUS", [(0, free)])))
         report["pass"] = report["pass"] and report["psi_free_sound"]
     return report
 

@@ -18,12 +18,12 @@ The same evaluator, ``_evaluate``, also evaluates a batch of instances of
 one compiled circuit that differ only in their angles: the state tensor
 gets a trailing axis of instances, and the gate at each angle slot of
 ``Circuit._plan`` carries that slot's row of angles, one per instance, as
-its parameter (``_BatchGate``).  The kernels are the same: an angle-reading
-kernel takes a float through ``cmath``/``math`` and a row through
-``numpy``.  ``eval_matrix`` is the batch-free call, so every angle it reads
-is a gate's own float.  Both equality predicates take such a batch too
-and hold when they hold for every instance; ``equal_up_to_phase`` finds
-one phase per instance.
+its parameter (``Circuit._batched``, which checks the angles).  The
+kernels are the same: an angle-reading kernel takes a float through
+``cmath``/``math`` and a row through ``numpy``.  ``eval_matrix`` is the
+batch-free call, so every angle it reads is a gate's own float.  Both
+equality predicates take such a batch too and hold when they hold for
+every instance; ``equal_up_to_phase`` finds one phase per instance.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, _BatchGate
 from .errors import (BadParams, DegenerateMatrix, InvalidCircuit, NotUnitary,
                      ShapeMismatch, WireCapExceeded)
 
@@ -65,21 +64,12 @@ def eval_matrix(c: Circuit) -> np.ndarray:
     return _evaluate(c)
 
 
-class _BatchGate(NamedTuple):
-    """A gate that carries an angle, in a batch: its one parameter is a row
-    of angles, one per instance."""
-
-    kind: str
-    wires: tuple[int, ...]
-    params: tuple[np.ndarray]
-
-
 def _evaluate(c: Circuit, angles: np.ndarray | None = None) -> np.ndarray:
     """``eval_matrix``, or with ``angles``, an array (slots, k) of k
     instances' angles, one row per slot of ``c._plan``, the k matrices of
     ``c`` with those angles stacked on a trailing axis: (rows, cols, k).
-    The angles are checked as ``Circuit.with_angles`` and the ``Gate``
-    constructor check them, with the same errors."""
+    ``Circuit._batched`` checks the angles as ``Circuit.with_angles`` and
+    the ``Gate`` constructor check them, with the same errors."""
     if not within_cap(c):
         raise WireCapExceeded(f"circuit opens {c.threading.widest} wires at once, "
                               f"cap {wire_cap()}")
@@ -87,16 +77,8 @@ def _evaluate(c: Circuit, angles: np.ndarray | None = None) -> np.ndarray:
     t = np.eye(cols, dtype=complex).reshape((2,) * c.n_in + (cols,))
     gates = c.gates
     if angles is not None:   # each slot's gate reads its row
-        at = c._plan.angle_at
-        if len(angles) != len(at):
-            raise InvalidCircuit(f"{len(at)} gates carry an angle, got {len(angles)} angles")
-        if not np.isfinite(angles).all():   # the first instance's first bad slot
-            slot = np.argwhere(~np.isfinite(angles.T))[0][1]
-            raise InvalidCircuit(f"non-finite angle in {gates[at[slot]].kind}")
+        gates = c._batched(angles)
         t = np.repeat(t[..., None], angles.shape[1], axis=-1)
-        gates = list(gates)
-        for i, row in zip(at, angles):
-            gates[i] = _BatchGate(gates[i].kind, gates[i].wires, (row,))
     for g in gates:
         if g.kind == "INIT":   # a new axis in state |0>
             t = np.stack([t, np.zeros_like(t)], axis=g.wires[0])

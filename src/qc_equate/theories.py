@@ -15,7 +15,8 @@ rule's two sides are built, threaded and compiled once per theory and
 width, with placeholder angles, and an instance builds the gates that
 carry an angle at the positions compiled with the side
 (``Circuit.with_angles``); a rule without parameters has one instance per
-theory and width.  Every request, a rewrite step's included, runs the
+theory and width.  The most recently requested shapes are kept, up to
+``_SHAPES_KEPT``.  Every request, a rewrite step's included, runs the
 same checks (``_resolve``), which give the rule's shape and its angle map
 without building the sides.  ``equal_in`` is each theory's equality, and
 ``check_soundness`` validates any instance numerically; nothing is
@@ -23,10 +24,12 @@ assumed.
 
 ``verify_theory`` draws each rule's parameters in chunks (``_draws``, the
 one sampling loop, which ``instances`` shares) and checks a chunk without
-building its instances: one request for the chunk, the angle map applied
-to each row, each side evaluated once for the chunk, its instances on a
-trailing batch axis (``semantics._evaluate``, which checks the angles as
-building the gates would), and one ``equal_in`` call over the batch.
+building its instances: one request for the chunk and the angle map
+applied to each row (``_batch``, which ``interp.minimality_report``'s (I)
+row shares), each side evaluated once for the chunk, its instances on a
+trailing batch axis (``semantics._evaluate``; ``Circuit._batched`` checks
+the angles as building the gates would), and one ``equal_in`` call over
+the batch.
 """
 
 from __future__ import annotations
@@ -427,7 +430,13 @@ def _resolve(theory: str, name: str, params, n: int | None, allow_lemmas: bool):
     return shape, params, angles
 
 
-@functools.cache
+#: most rule shapes the request caches keep: several times the catalog's
+#: working set (about 120 after every benchmark workload), so only a run of
+#: requests at many distinct wire counts evicts
+_SHAPES_KEPT = 512
+
+
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
 def _fitted(theory: str, name: str, n: int | None, count: int):
     """``_shape`` of the rule at the wire count ``n`` (None for its fixed
     one) once ``count`` params and ``n`` fit its signature."""
@@ -443,7 +452,7 @@ def _fitted(theory: str, name: str, n: int | None, count: int):
     return _shape(theory, name, n if arity is None else arity)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
 def _shape(theory: str, name: str, n: int):
     """The rule's instance at width ``n``, with placeholder angles, and its
     angle map; a rule without parameters has no angle map, and this is its
@@ -530,15 +539,24 @@ def instances(theory: str, name: str, samples: int, max_qubits: int,
             yield resolve_rule(theory, name, row, n)
 
 
+def _batch(theory: str, name: str, n: int, rows):
+    """The instances of the axiom ``name`` at width ``n`` with the parameter
+    ``rows``, as one request: the rule's shape and its angle map applied to
+    each row, each side's angles an array (slots, k), one column per row
+    (``Circuit._batched`` checks them); (None, None) for a rule without
+    parameters, whose one row is its shape."""
+    shape, _, angles = _resolve(theory, name, rows[0], n, False)
+    if angles is None:
+        return shape, (None, None)
+    return shape, tuple(np.array(a, dtype=float).T for a in zip(*(angles(*row) for row in rows)))
+
+
 def _chunk_sound(theory: str, name: str, n: int, rows, tol: float) -> bool:
     """Whether every instance of ``name`` at width ``n`` with the parameter
-    ``rows`` is sound: one request, its angle map applied to each row, each
-    side evaluated once with its (slots, k) angles (``_evaluate``'s batch;
-    a rule without parameters, one row, as it is) and one ``equal_in``."""
-    shape, _, angles = _resolve(theory, name, rows[0], n, False)
-    batches = (None, None) if angles is None else zip(*(angles(*row) for row in rows))
-    lhs, rhs = (_evaluate(side, a if a is None else np.array(a, dtype=float).T)
-                for side, a in zip((shape.lhs, shape.rhs), batches))
+    ``rows`` is sound: one request (``_batch``), each side evaluated once
+    with its angles (``_evaluate``'s batch) and one ``equal_in``."""
+    shape, angles = _batch(theory, name, n, rows)
+    lhs, rhs = map(_evaluate, (shape.lhs, shape.rhs), angles)
     return equal_in(theory, lhs, rhs, tol)
 
 

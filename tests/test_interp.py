@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,14 +12,16 @@ from qc_equate import (apply_step, circuit, cnot, ctrl, eval_matrix,
                        expand_macros, find_sites, gphase, h, interp_E_values,
                        interp_axiom, interp_k, mcp, mcrx, minimality_report, p,
                        resolve_rule, rx, sign_classes, sign_gap, x, z)
-from qc_equate import interp
+from qc_equate import interp, theories
 from qc_equate.circuit import Circuit, angles_equal, init, dest
 from qc_equate.cli import main
 from qc_equate.errors import (BadArity, BadParams, InvalidCircuit, UnknownLemma,
                               UnsupportedGate)
 from qc_equate.interp import equal_value_sets, minimality_matrix
-from qc_equate.theories import THEORIES, instances, list_rules, signature, verify_theory
+from qc_equate.theories import (THEORIES, instances, lemma_names, list_rules, signature,
+                                verify_theory)
 from qc_equate.rewrite import Site, Step
+from test_theories import _route_angle_maps, fresh_shapes  # noqa: F401 (a fixture)
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -449,3 +452,159 @@ def test_minimality_reports_echo_numpy_integers_as_ints():
         assert json.dumps(rep) == json.dumps(minimality_report("QC", axiom, target_n=4, **ints))
     rep = minimality_matrix("QC", **np_ints)
     assert json.dumps(rep) == json.dumps(minimality_matrix("QC", **ints))
+
+
+def _reference_minimality(theory, axiom, samples, seed, target_n, max_qubits=5):
+    """``minimality_report``, one built instance at a time: its own seeded
+    rng, ``instances`` and the scalar witnesses."""
+    rng = np.random.default_rng(seed)
+    psi = None
+    if axiom == "I":
+        bound, kind = target_n - 1, f"interp_k(k={target_n - 1})"
+        value, equal = ((lambda c: interp_k(c, bound)),
+                        (lambda a, b: angles_equal(a, b, TWO_PI, 1e-8)))
+    elif axiom == "E":
+        bound, kind = 1, "sign-assignment value set"
+        value, equal = interp_E_values, equal_value_sets
+    else:
+        bound = interp.INTERP_BOUND[axiom]
+        witness = interp._THEORY_WITNESS.get((theory, axiom), axiom)
+        kind = f"interp[{witness}]"
+        if axiom == "SPLUS":
+            psi = float(rng.uniform(0.1, TWO_PI - 0.1))
+        value, equal = (lambda c: interp_axiom(witness, c, psi)), interp._values_equal
+
+    def kept(inst):
+        return equal(value(inst.lhs), value(inst.rhs))
+
+    results = {}
+    for rid in list_rules(theory):
+        name = rid.name
+        if name == axiom == "I":
+            insts = [resolve_rule(theory, name, (), target_n)]
+        elif name == axiom == "SPLUS":
+            insts = [resolve_rule(theory, name, (psi, float(rng.uniform(0.2, 3.0))), 0)
+                     for _ in range(3)]
+        else:
+            arity = signature(name).arity
+            width = max_qubits if arity is None else arity
+            if bound is not None and width > bound and name != axiom:
+                results[name] = "out-of-scope"
+                continue
+            draws = samples if axiom in ("I", "E") else 1
+            insts = list(instances(theory, name, draws, max_qubits, rng))
+        if any(g.kind in ("INIT", "DEST") for c in (insts[0].lhs, insts[0].rhs) for g in c.gates):
+            results[name] = "no-witness"
+        else:
+            results[name] = "sound" if all(map(kept, insts)) else "unsound"
+    unsound = {k for k, v in results.items() if v == "unsound"}
+    report = {"theory": theory, "axiom": axiom, "interpretation": kind,
+              "bound": bound, "samples": samples, "seed": seed, "results": results,
+              "pass": unsound == {axiom} and "no-witness" not in results.values()}
+    if psi is not None:
+        report["psi"] = psi
+        free = [resolve_rule(theory, "SPLUS", rng.uniform(0.1, 3.0, 2), 0)
+                for _ in range(samples)]
+        report["psi_free_sound"] = all(map(kept, free))
+        report["pass"] = report["pass"] and report["psi_free_sound"]
+    return report
+
+
+def _witnessed(theory):
+    return [r.name for r in list_rules(theory)
+            if r.name in interp.INTERP_BOUND or r.name in ("E", "I")]
+
+
+def test_minimality_report_equals_a_per_instance_reference(monkeypatch, fresh_shapes):
+    # 150 samples make a full chunk and a part one for every (I) and (E)
+    # row; the reports are compared as JSON, so an int never stands in
+    # for a float
+    for theory in THEORIES:
+        for axiom in _witnessed(theory):
+            for seed in (0, 7):
+                for target_n in (3, 4, 12):
+                    args = (theory, axiom, 150, seed, target_n)
+                    report = minimality_report(theory, axiom, samples=150, seed=seed,
+                                               target_n=target_n)
+                    assert json.dumps(report) == json.dumps(_reference_minimality(*args)), args
+    # one wrong row, in the part chunk, makes its rule unsound
+    _route_angle_maps(monkeypatch, lambda name, params, angles, k:
+                      (angles[0], (angles[1][0] + 0.5,)) if (name, k) == ("C", 137) else angles)
+    results = minimality_report("QC", "I", samples=150)["results"]
+    assert results == {name: "unsound" if name in ("C", "I") else "sound"
+                       for name in _witnessed("QC")}
+    # a non-finite mapped angle raises what building its gate raises
+    monkeypatch.undo()
+    _route_angle_maps(monkeypatch, lambda name, params, angles, k:
+                      (angles[0], (math.inf,) + angles[1][1:])
+                      if name == "E" and k in (0, 37) else angles)
+    with pytest.raises(InvalidCircuit) as built:
+        resolve_rule("QC", "E", (0.1, 0.2, 0.3))             # the map's call 0
+    with pytest.raises(InvalidCircuit) as checked:
+        minimality_report("QC", "I", samples=150)            # its call 37
+    assert str(checked.value) == str(built.value) == "non-finite angle in GPHASE"
+
+
+#: rows whose weights land on and around a multiple of 2*pi
+_EDGE_ANGLES = (0.0, TWO_PI, -TWO_PI, 1e-13, TWO_PI - 1e-13, PI, -PI / 2)
+
+
+def test_batched_interp_k_equals_interp_k_exactly():
+    # every side of every parametrised rule, in every theory, at three
+    # widths of an n-ary rule; RX, MCP and MCRX slots go through a Gate
+    # per row, GPHASE and P slots through numpy
+    rng = np.random.default_rng(33)
+    kinds, seen = set(), 0
+    for theory in THEORIES:
+        for name in dict.fromkeys([r.name for r in list_rules(theory)] + lemma_names()):
+            n_params, arity, min_n = signature(name)
+            if not n_params:
+                continue
+            for n in (arity,) if arity is not None else range(min_n, min_n + 3):
+                rows = [tuple(r) for r in rng.uniform(-4 * PI, 4 * PI, (20, n_params)).tolist()]
+                rows += [(a,) * n_params for a in _EDGE_ANGLES]
+                shape, _, angles = theories._resolve(theory, name, rows[0], n, True)
+                mapped = [angles(*row) for row in rows]
+                for i, side in enumerate((shape.lhs, shape.rhs)):
+                    if any(g.kind in ("INIT", "DEST") for g in side.gates):
+                        continue
+                    batch = np.array([m[i] for m in mapped], dtype=float).T
+                    kinds |= {side.gates[j].kind for j in side._plan.angle_at}
+                    for k in range(2, 13):
+                        scalar = [interp_k(side.with_angles(m[i]), k) for m in mapped]
+                        got = interp._interp_k(side, k, batch)
+                        assert np.broadcast_to(got, len(rows)).tolist() == scalar, \
+                            (theory, name, n, i, k)
+                        seen += 1
+    assert kinds == {"GPHASE", "P", "RX", "MCP", "MCRX"} and seen > 1000
+
+
+def test_minimality_i_row_makes_one_request_and_one_weigh_per_side_per_chunk(monkeypatch):
+    requests, weighs, built = [], [], []
+    resolve, weigh, with_angles = theories._resolve, interp._interp_k, Circuit.with_angles
+    monkeypatch.setattr(theories, "_resolve", lambda *a: requests.append(a[1]) or resolve(*a))
+    monkeypatch.setattr(interp, "_interp_k",
+                        lambda c, k, angles=None: weighs.append(angles) or weigh(c, k, angles))
+    monkeypatch.setattr(Circuit, "with_angles",
+                        lambda self, angles: built.append(self) or with_angles(self, angles))
+    report = minimality_report("QC", "I", samples=150, target_n=4)
+    chunks = {name: 1 if name == "I" or not signature(name).n_params
+              else math.ceil(150 / theories._CHUNK) for name in report["results"]}
+    assert sorted(requests) == sorted(name for name, c in chunks.items() for _ in range(c))
+    assert len(weighs) == 2 * sum(chunks.values())
+    # every draw is weighed, once per side
+    draws = sum(1 if name == "I" or not signature(name).n_params else 150 for name in chunks)
+    assert sum(1 if a is None else a.shape[1] for a in weighs) == 2 * draws
+    assert built == []
+
+
+def test_wide_minimality_reports_raise_bad_arity_and_never_warn():
+    # (I) at 331 and 1023 wires unfolds deeper than the recursion limit,
+    # after the earlier rules' weights have overflowed to inf at k = 1022;
+    # at 1026 the first weight overflows a float
+    for n, cause in ((331, "RecursionError"), (1023, "RecursionError"),
+                     (1026, "OverflowError")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadArity, match=f"^interp_k at k={n - 1} is out of reach: {cause}$"):
+                minimality_report("QC", "I", target_n=n)

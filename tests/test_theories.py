@@ -1,5 +1,6 @@
 """Rule catalogs, instantiation, and the master soundness suite."""
 
+import gc
 import importlib
 import itertools
 import math
@@ -230,6 +231,39 @@ def test_verify_theory_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
     assert peaks[4000] <= peaks[500] + 4096, peaks
+
+
+def test_request_caches_are_bounded(fresh_shapes):
+    # 30 requests at distinct wide wire counts fill the rule-shape caches
+    # with wide sides, and as many narrow requests as the caches keep
+    # evict every one of them
+    narrow = [(t, name, n, (0.1,) * signature(name).n_params)
+              for t in THEORIES for name in ("MCPDEF", "MCRXDEF", "ESTAR_N", "I")
+              for n in range(3, 35)]
+    assert len(narrow) == theories._SHAPES_KEPT
+
+    def request_narrow():
+        for t, name, n, params in narrow:
+            resolve_rule(t, name, params, n, True)
+
+    _clear_shapes()
+    tracemalloc.start()   # before the narrow sides are built, so their rebuilds count as even
+    try:
+        request_narrow()
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        for n in range(1000, 1030):
+            resolve_rule("QC", "MCRXDEF", (0.1,), n, True)
+        wide = tracemalloc.get_traced_memory()[0]
+        request_narrow()
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert wide - base > 2_000_000, (base, wide)
+    assert after - base < 200_000, (base, wide, after)
+    for cached in (theories._shape, theories._fitted):
+        assert cached.cache_info().currsize == theories._SHAPES_KEPT
 
 
 def test_i_rule_sound_but_not_axiomatic_below_three():
