@@ -9,6 +9,16 @@ into the normal-form shape GPHASE(b0) . P(b1) . RX(b2) . P(b3), with the
 output angles computed from intermediate complex numbers z, z'.  The same
 shape underlies the unique 1-qubit normal form: b0, b1, b3 in [0, 2pi),
 b2 in [0, pi], and b3 = 0 whenever b2 is 0 or pi.
+
+The z, z' formulas are written once, for floats and for columns of
+angles.  The public ``euler_e``/``euler_eprime`` take floats and return
+the parameters with the ``EulerCase`` that fired.  The rule angle maps
+call ``_e_angles``/``_eprime_angles``: with floats they return
+``euler_e``'s/``euler_eprime``'s parameters, bit for bit; with columns,
+one per input angle, the case split, boundary fix and reduction run as
+numpy masks (``_from_z_columns``) and agree with the float path to about
+an ulp, as numpy's trig, ``arctan2`` and ``hypot`` may differ from
+``math``'s and ``cmath``'s in the last bit.
 """
 
 from __future__ import annotations
@@ -124,24 +134,90 @@ def _finite(*alphas: float):
 
 # The half-angle sums are taken as a/2 + b/2: it equals (a + b)/2 bit for bit
 # barring underflow of the halves, and it stays finite where a + b overflows.
+# ``_z_e`` and ``_z_eprime`` give z and z' as (real, imaginary) pairs and the
+# base of b0: float angles through ``math``, columns of angles through
+# ``numpy``.
+
+def _trig(a):
+    return (np.cos, np.sin) if isinstance(a, np.ndarray) else (math.cos, math.sin)
+
+
+def _z_e(a1, a2, a3):
+    cos, sin = _trig(a1)
+    h1, h2, h3 = a1 / 2.0, a2 / 2.0, a3 / 2.0
+    c2, s2 = cos(h2), sin(h2)
+    return ((c2 * cos(h1 + h3), s2 * cos(h1 - h3)),
+            (c2 * sin(h1 + h3), -s2 * sin(h1 - h3)), h2)
+
+
+def _z_eprime(a1p, a3p):
+    cos, sin = _trig(a1p)
+    h1, h3 = a1p / 2.0, a3p / 2.0
+    return ((-sin(h1 + h3), cos(h1 - h3)), (cos(h1 + h3), -sin(h1 - h3)), math.pi / 2.0)
+
 
 def euler_e(a1: float, a2: float, a3: float) -> tuple[NormalFormParams, EulerCase]:
     """Angles for RX(a1).P(a2).RX(a3) = GPHASE(b0).P(b1).RX(b2).P(b3)."""
     _finite(a1, a2, a3)
-    h1, h2, h3 = a1 / 2.0, a2 / 2.0, a3 / 2.0
-    c2, s2 = math.cos(h2), math.sin(h2)
-    z = complex(c2 * math.cos(h1 + h3), s2 * math.cos(h1 - h3))
-    zp = complex(c2 * math.sin(h1 + h3), -s2 * math.sin(h1 - h3))
-    return _from_z(z, zp, h2)
+    z, zp, b0_base = _z_e(a1, a2, a3)
+    return _from_z(complex(*z), complex(*zp), b0_base)
 
 
 def euler_eprime(a1p: float, a3p: float) -> tuple[NormalFormParams, EulerCase]:
     """Angles for RX(a1').H.RX(a3') = GPHASE(b0').P(b1').RX(b2').P(b3')."""
     _finite(a1p, a3p)
-    h1, h3 = a1p / 2.0, a3p / 2.0
-    z = complex(-math.sin(h1 + h3), math.cos(h1 - h3))
-    zp = complex(math.cos(h1 + h3), -math.sin(h1 - h3))
-    return _from_z(z, zp, math.pi / 2.0)
+    z, zp, b0_base = _z_eprime(a1p, a3p)
+    return _from_z(complex(*z), complex(*zp), b0_base)
+
+
+def _e_angles(a1, a2, a3) -> tuple:
+    """(b0, b1, b2, b3) of ``euler_e``, or with columns of k angles each,
+    four columns of k: the same case split, boundary fix and reduction,
+    as masks, to about an ulp of the float path."""
+    if not isinstance(a1, np.ndarray):
+        return tuple(euler_e(a1, a2, a3)[0])
+    return _from_z_columns(*_z_e(a1, a2, a3))
+
+
+def _eprime_angles(a1p, a3p) -> tuple:
+    """(b0', b1', b2', b3') of ``euler_eprime``, floats or columns, as
+    ``_e_angles``."""
+    if not isinstance(a1p, np.ndarray):
+        return tuple(euler_eprime(a1p, a3p)[0])
+    return _from_z_columns(*_z_eprime(a1p, a3p))
+
+
+def _from_z_columns(z, zp, b0_base) -> tuple:
+    """``_from_z`` and ``_pack`` over columns: each case and boundary is a
+    mask, and a phase is ``arctan2`` of the (real, imaginary) pair."""
+    (zr, zi), (pr, pi_) = z, zp
+    ph, ph_p = np.arctan2(zi, zr), np.arctan2(pi_, pr)
+    abs_z, abs_p = np.hypot(zr, zi), np.hypot(pr, pi_)
+    zp_zero = abs_p <= CASE_EPS
+    z_zero = ~zp_zero & (abs_z <= CASE_EPS)
+    generic = ~(zp_zero | z_zero)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b2 = np.where(zp_zero, 0.0, np.where(z_zero, math.pi,
+                                             2.0 * np.arctan2(1.0, abs_z / abs_p)))
+    b0 = b0_base - np.where(z_zero, ph_p, ph)
+    b1 = np.where(generic, ph + ph_p, 2.0 * np.where(z_zero, ph_p, ph))
+    b3 = np.where(generic, ph - ph_p, 0.0)
+    # the boundary fix (``_boundary_fix``)
+    near_0 = np.sin(b2 / 2.0) < BOUNDARY_EPS
+    near_pi = ~near_0 & (np.cos(b2 / 2.0) < BOUNDARY_EPS)
+    b0 = np.where(near_pi, b0 + b3, b0)
+    b1 = np.where(near_0, b1 + b3, np.where(near_pi, b1 - b3, b1))
+    b2 = np.where(near_0, 0.0, np.where(near_pi, math.pi, b2))
+    b3 = np.where(near_0 | near_pi, 0.0, b3)
+    return (_reduce_columns(b0), _reduce_columns(b1), np.clip(b2, 0.0, math.pi),
+            _reduce_columns(b3))
+
+
+def _reduce_columns(v: np.ndarray) -> np.ndarray:
+    """``reduce_angle`` of each entry."""
+    r = np.fmod(v, TWO_PI)
+    r = np.where(r <= 0.0, r + TWO_PI, r)
+    return np.where(r >= TWO_PI - ANGLE_EPS, 0.0, r)
 
 
 def nf_from_unitary(u: np.ndarray) -> NormalFormParams:

@@ -12,16 +12,20 @@ gates, and weighs a macro by recursion on ``unfold``, so an n-wire MCP
 costs O(n), not its 2 * 3^(n-1) - 1 expanded gates.  The witnesses that
 read only kinds and wires (S2PI, H2, P0, P0', C, EH, B, CZ) have one value
 per rule width, so ``minimality_report`` reads one instance per width for
-them.
+them; the Euler value set reads no GPHASE angle, so it reads one instance
+of a rule whose parameters reach only GPHASE gates (SPLUS).
 
 ``interp_k`` is the batch-free call of ``_interp_k``, which also weighs a
 batch of instances of one circuit that differ only in their angles, as
 ``semantics._evaluate`` evaluates one: the gate at each angle slot carries
 a row of angles, one per instance (``Circuit._batched``, which checks
 them).  A GPHASE or P weighs its row with the float operations a float
-angle gets; a macro weighs each row's ``Gate``.  ``minimality_report``'s
-(I) row checks each chunk of a rule's draws with one request, one weigh
-per side and one vectorised comparison, and builds no instance; the other
+angle gets; a macro weighs its one-level ``unfold`` with the row scaled
+by each unfolded gate's factor (``_unfold_rows``), which gives the float
+path's angles bit for bit, and builds no ``Gate`` per row.
+``minimality_report``'s (I) row checks each chunk of a rule's draws with
+one request, one weigh per side and one vectorised comparison, and builds
+no instance, and SPLUS's psi-free check is one such batch; the other
 witnesses build an instance only when they check it.
 """
 
@@ -35,13 +39,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .circuit import (TWO_PI, Circuit, Gate, _wire, angles_equal, circuit,
+from .circuit import (TWO_PI, Circuit, Gate, _BatchGate, _wire, angles_equal, circuit,
                       expand_gate, reduce_angle, unfold)
 from .errors import (BadArity, BadParams, InconsistentClasses, NoInterpretation,
                      UnknownLemma, UnsupportedGate)
 from .euler import b_funcs
 from .semantics import eval_matrix
-from .theories import _batch, _draws, _seeded_rng, list_rules, resolve_rule, signature
+from .theories import (_batch, _draws, _resolve, _seeded_rng, list_rules, resolve_rule,
+                       signature)
 
 HALF_PI = math.pi / 2.0
 
@@ -95,16 +100,18 @@ def _interp_k(c: Circuit, k: int, angles: np.ndarray | None = None):
     return 0.0 if r > TWO_PI - 1e-12 else r
 
 
-def _weigh(gates, k: int):
+def _weigh(gates, k: int, weighed: dict | None = None):
     """``interp_k``'s sum over ``gates``, modulo 2*pi.  A macro weighs what
     its ``unfold`` weighs, which reads no wire: it is weighed on wires
     ``0..n-1``, so the two shapes an MCP unfolds into per level are each
     weighed once and an n-wire MCP costs O(n).
 
-    A ``_BatchGate`` weighs each instance's angle: a GPHASE or P with the
-    same float operations (numpy's float ``%`` is Python's), a macro
-    through a ``Gate`` built from each angle, which checks it.  The sum
-    then holds one value per instance."""
+    A ``_BatchGate`` weighs each instance's angle with the float operations
+    a float angle gets (numpy's float ``%`` is Python's): a GPHASE or P
+    its row, a macro its unfolding at rows scaled as ``_unfold_rows``
+    scales them.  ``weighed`` keeps those macro weights for one batch, by
+    kind, wire count and rows, as ``_macro_weight``'s cache keeps a
+    ``Gate``'s.  The sum then holds one value per instance."""
     total = 0.0
     for g in gates:
         if g.kind == "GPHASE":
@@ -118,9 +125,11 @@ def _weigh(gates, k: int):
         elif type(g) is Gate:
             w = _macro_weight(g.with_wires(tuple(range(len(g.wires)))), k)
         else:
-            wires = tuple(range(len(g.wires)))
-            w = np.array([_macro_weight(Gate(g.kind, wires, (a,)), k)
-                          for a in g.params[0].tolist()])
+            weighed = {} if weighed is None else weighed
+            key = (g.kind, len(g.wires), g.params[0].tobytes())
+            if key not in weighed:
+                weighed[key] = _weigh(_unfold_rows(g), k, weighed)
+            w = weighed[key]
         # reduced before it is added, so a weight of 2^(k-2) pi or more
         # does not round away the low bits of the total
         total = (total + w % TWO_PI) % TWO_PI
@@ -131,6 +140,17 @@ def _weigh(gates, k: int):
 @functools.lru_cache(maxsize=1024)
 def _macro_weight(g: Gate, k: int) -> float:
     return _weigh(unfold(g), k)
+
+
+def _unfold_rows(g: _BatchGate) -> list:
+    """The one-level ``unfold`` of a batch macro on wires ``0..n-1``: each
+    unfolded angle is a factor times the macro's (the unfolding at angle 1
+    shows the factors, +-2^-j), so a gate that carries one carries the
+    macro's row scaled by its factor, which is ``unfold``'s own
+    ``theta / 2.0`` bit for bit."""
+    at_one = unfold(Gate(g.kind, tuple(range(len(g.wires))), (1.0,)))
+    return [_BatchGate(u.kind, u.wires, (u.params[0] * g.params[0],)) if u.params else u
+            for u in at_one]
 
 
 # -- the eight per-axiom interpretations --------------------------------------
@@ -195,13 +215,27 @@ def _values_equal(a, b) -> bool:
     return a == b
 
 
+def _angles_near(a, b, tol: float) -> np.ndarray:
+    """``angles_equal(a, b, TWO_PI, tol)`` entry by entry, with the same
+    float operations."""
+    d = np.fmod(np.subtract(a, b), TWO_PI)
+    d = np.where(d < 0.0, d + TWO_PI, d)
+    return (d <= tol) | (TWO_PI - d <= tol)
+
+
 def _angles_all_equal(a, b) -> bool:
     """Whether two ``interp_k`` values, or two arrays of them, one per
     instance, are equal for every instance: ``angles_equal(a, b, TWO_PI,
-    1e-8)`` with the same float operations."""
-    d = np.fmod(np.subtract(a, b), TWO_PI)
-    d = np.where(d < 0.0, d + TWO_PI, d)
-    return bool(np.all((d <= 1e-8) | (TWO_PI - d <= 1e-8)))
+    1e-8)``."""
+    return bool(np.all(_angles_near(a, b, 1e-8)))
+
+
+def _phase_slots_only(theory: str, name: str, n: int) -> bool:
+    """Whether every gate of the rule's sides at width ``n`` that carries a
+    parameter's angle is a GPHASE."""
+    shape = _resolve(theory, name, (0.0,) * signature(name).n_params, n, False)[0]
+    return all(c.gates[i].kind == "GPHASE" for c in (shape.lhs, shape.rhs)
+               for i in c._plan.angle_at)
 
 
 # -- sign assignments and the Euler counter-model ------------------------------
@@ -331,13 +365,17 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     (I) and (E), whose interpretations read angles, and one draw per width
     for the others, which read only kinds and wires, or, for SPLUS, keep
     in scope only its own psi instances and rules with no parameters.
+    (E)'s value sets read P angles only, so a rule whose parameters reach
+    only GPHASE gates (SPLUS) has its first draw checked.
 
     (I) checks a chunk of draws as one batch: one request, the angle map
-    applied to each row, each side weighed once with its (slots, k) angles
-    (``_interp_k``) and one vectorised comparison.  The other witnesses
-    build an instance only when they check it, and a rule stops at its
-    first unsound chunk or instance.  No interpretation is defined on
-    INIT/DEST, so a rule with an ancilla side has no witness and the
+    called once with a column per parameter, each side weighed once with
+    its (slots, k) angles (``_interp_k``) and one vectorised comparison.
+    SPLUS's psi-free draws are one such batch, compared with the float
+    operations of ``angles_equal(angle, psi, 2pi, 1e-9)``.  The other
+    witnesses build an instance only when they check it, and a rule stops
+    at its first unsound chunk or instance.  No interpretation is defined
+    on INIT/DEST, so a rule with an ancilla side has no witness and the
     report does not pass.
     """
     rng = _seeded_rng(seed)
@@ -375,7 +413,7 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
                 shape, angles = _batch(theory, name, n, rows)
                 yield (shape.lhs, shape.rhs, *angles)
             else:
-                for row in rows:
+                for row in rows.tolist():
                     inst = resolve_rule(theory, name, row, n)
                     yield inst.lhs, inst.rhs, None, None
 
@@ -386,10 +424,10 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     for rid in list_rules(theory):
         name = rid.name
         if name == axiom == "I":
-            chunks = [(target_n, [()])]
+            chunks = [(target_n, np.empty((1, 0)))]
         elif name == axiom == "SPLUS":
             # the psi-carrying instances are the unsound ones
-            chunks = [(0, [(psi, float(rng.uniform(0.2, 3.0))) for _ in range(3)])]
+            chunks = [(0, np.array([(psi, float(rng.uniform(0.2, 3.0))) for _ in range(3)]))]
         else:
             arity = signature(name).arity
             width = max_qubits if arity is None else arity
@@ -398,6 +436,10 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
                 continue
             draws = samples if axiom in ("I", "E") else min(samples, 1)
             chunks = list(_draws(name, draws, max_qubits, rng))
+            if axiom == "E" and _phase_slots_only(theory, name, chunks[0][0]):
+                # the value set reads no GPHASE angle, so every row of the
+                # rule has its first row's values
+                chunks = [(chunks[0][0], chunks[0][1][:1])]
         rule_checks = checks(name, chunks)
         first = next(rule_checks)
         if _has_ancilla(first[0]) or _has_ancilla(first[1]):
@@ -412,9 +454,12 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
               "pass": unsound == {axiom} and "no-witness" not in results.values()}
     if psi is not None:
         report["psi"] = psi
-        # psi-free instances must stay sound
-        free = [rng.uniform(0.1, 3.0, 2) for _ in range(samples)]
-        report["psi_free_sound"] = all(itertools.starmap(kept, checks("SPLUS", [(0, free)])))
+        # psi-free instances must stay sound: every gate of SPLUS's sides
+        # is a GPHASE at an angle slot, so a side's value is whether one of
+        # its slots' angles equals psi
+        _, sides = _batch(theory, "SPLUS", 0, rng.uniform(0.1, 3.0, (samples, 2)))
+        lhs, rhs = (_angles_near(a, psi, 1e-9).any(axis=0) for a in sides)
+        report["psi_free_sound"] = bool(np.array_equal(lhs, rhs))
         report["pass"] = report["pass"] and report["psi_free_sound"]
     return report
 

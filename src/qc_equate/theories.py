@@ -23,13 +23,15 @@ without building the sides.  ``equal_in`` is each theory's equality, and
 assumed.
 
 ``verify_theory`` draws each rule's parameters in chunks (``_draws``, the
-one sampling loop, which ``instances`` shares) and checks a chunk without
-building its instances: one request for the chunk and the angle map
-applied to each row (``_batch``, which ``interp.minimality_report``'s (I)
-row shares), each side evaluated once for the chunk, its instances on a
-trailing batch axis (``semantics._evaluate``; ``Circuit._batched`` checks
-the angles as building the gates would), and one ``equal_in`` call over
-the batch.
+one sampling loop, which ``instances`` shares), an array of rows, and
+checks a chunk without building its instances: one request for the chunk
+and one call of the angle map, each parameter a column of the chunk's
+draws (``_batch``, which ``interp.minimality_report``'s (I) row and its
+SPLUS psi-free check share), each side evaluated once for the chunk, its
+instances on a trailing batch axis (``semantics._evaluate``;
+``Circuit._batched`` checks the angles as building the gates would), and
+one ``equal_in`` call over the batch.  No Python loop runs over a chunk's
+rows.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .circuit import (_MAX_WIRES, Circuit, Gate, _controls_phase, _real, _wire, 
                       unfold, x, z)
 from .errors import (BadArity, BadParams, InvalidCircuit, UnknownLemma,
                      UnknownTheory)
-from .euler import euler_e, euler_eprime
+from .euler import _e_angles, _eprime_angles
 from .semantics import _evaluate, equal_matrices, equal_up_to_phase, eval_matrix
 
 THEORIES = ("QC", "QCprime", "QCugp", "QCancilla")
@@ -98,12 +100,15 @@ def _czexp(a: int, b: int, sign: float = 1.0) -> list[Gate]:
 # params -> (lhs angles, rhs angles), one per gate that carries an angle,
 # in gate order.  An instance substitutes them (``Circuit.with_angles``); a
 # rewrite step reads them beside the shape's plan and builds no source gate.
+# A map takes floats, or one column of k draws per parameter (``_batch``),
+# and gives a column for each angle that depends on them; an angle that
+# does not stays a float (``_columns`` repeats it).
 
 _A = 0.0
 
 
 def _euler_angles(a1, a2, a3):
-    return (a1, a2, a3), tuple(euler_e(a1, a2, a3)[0])
+    return (a1, a2, a3), _e_angles(a1, a2, a3)
 
 
 def _normal_form() -> Circuit:
@@ -152,7 +157,7 @@ def _build_pplus(n):
 
 def _build_eprime(n):
     return (circuit(1, [rx(_A, 0), h(0), rx(_A, 0)]), _normal_form(),
-            lambda a1p, a3p: ((a1p, a3p), tuple(euler_eprime(a1p, a3p)[0])))
+            lambda a1p, a3p: ((a1p, a3p), _eprime_angles(a1p, a3p)))
 
 def _build_a(n):
     return Circuit(0, 0, (init(0), dest(0))), Circuit(0, 0, ()), None
@@ -509,7 +514,7 @@ _CHUNK = 128
 
 def _draws(name: str, samples: int, max_qubits: int, rng: np.random.Generator):
     """The one sampling loop: (width, parameter rows) in chunks of at most
-    ``_CHUNK`` rows.  ``samples`` rows, or one empty row for a rule without
+    ``_CHUNK`` rows, each an array (rows, params).  ``samples`` rows, or one empty row for a rule without
     parameters (its instance is fixed), at the rule's own width, or at every
     width from its least one to ``max_qubits`` for an n-ary rule such as
     (I).  A chunk is one ``rng.uniform`` call, which draws the numbers that
@@ -526,8 +531,7 @@ def _draws(name: str, samples: int, max_qubits: int, rng: np.random.Generator):
                         f"max_qubits={max_qubits}")
     for n in ns:
         for start in range(0, draws, _CHUNK):
-            rows = rng.uniform(-4 * PI, 4 * PI, (min(_CHUNK, draws - start), n_params))
-            yield n, [tuple(row) for row in rows.tolist()]
+            yield n, rng.uniform(-4 * PI, 4 * PI, (min(_CHUNK, draws - start), n_params))
 
 
 def instances(theory: str, name: str, samples: int, max_qubits: int,
@@ -535,20 +539,30 @@ def instances(theory: str, name: str, samples: int, max_qubits: int,
     """Sampled instances of the axiom ``name`` of ``theory``, one per row
     that ``_draws`` gives."""
     for n, rows in _draws(name, samples, max_qubits, rng):
-        for row in rows:
+        for row in rows.tolist():
             yield resolve_rule(theory, name, row, n)
 
 
-def _batch(theory: str, name: str, n: int, rows):
+def _batch(theory: str, name: str, n: int, rows: np.ndarray):
     """The instances of the axiom ``name`` at width ``n`` with the parameter
-    ``rows``, as one request: the rule's shape and its angle map applied to
-    each row, each side's angles an array (slots, k), one column per row
-    (``Circuit._batched`` checks them); (None, None) for a rule without
-    parameters, whose one row is its shape."""
+    ``rows``, an array (k, params), as one request: the rule's shape and its
+    angle map called once, each parameter a column of k values, each side's
+    angles an array (slots, k), one column per row (``Circuit._batched``
+    checks them); (None, None) for a rule without parameters, whose one
+    row is its shape."""
     shape, _, angles = _resolve(theory, name, rows[0], n, False)
     if angles is None:
         return shape, (None, None)
-    return shape, tuple(np.array(a, dtype=float).T for a in zip(*(angles(*row) for row in rows)))
+    return shape, tuple(_columns(side, len(rows)) for side in angles(*rows.T))
+
+
+def _columns(side, k: int) -> np.ndarray:
+    """A side's mapped angles as an array (slots, k): a slot's column, or
+    its constant angle in every column."""
+    out = np.empty((len(side), k))
+    for slot, a in enumerate(side):
+        out[slot] = a
+    return out
 
 
 def _chunk_sound(theory: str, name: str, n: int, rows, tol: float) -> bool:

@@ -551,8 +551,8 @@ _EDGE_ANGLES = (0.0, TWO_PI, -TWO_PI, 1e-13, TWO_PI - 1e-13, PI, -PI / 2)
 
 def test_batched_interp_k_equals_interp_k_exactly():
     # every side of every parametrised rule, in every theory, at three
-    # widths of an n-ary rule; RX, MCP and MCRX slots go through a Gate
-    # per row, GPHASE and P slots through numpy
+    # widths of an n-ary rule; GPHASE and P slots weigh their rows, and
+    # RX, MCP and MCRX slots their unfoldings' rows (``_unfold_rows``)
     rng = np.random.default_rng(33)
     kinds, seen = set(), 0
     for theory in THEORIES:
@@ -577,6 +577,45 @@ def test_batched_interp_k_equals_interp_k_exactly():
                             (theory, name, n, i, k)
                         seen += 1
     assert kinds == {"GPHASE", "P", "RX", "MCP", "MCRX"} and seen > 1000
+
+
+def _doubling(values) -> bool:
+    """Whether ``values``, interp_k's at k = 2, 3, ..., hold the doubling
+    law: each is twice the one before it, modulo 2*pi, to 1e-12."""
+    return all(angles_equal(v, 2.0 * u, TWO_PI, 1e-12) for u, v in zip(values, values[1:]))
+
+
+def test_interp_k_doubles_with_k():
+    # interp_k(c, k + 1) = 2 interp_k(c, k) modulo 2pi at k = 2..12, as
+    # every weight doubles: on both sides of every catalog rule, lemmas
+    # included, at seeded angles, one instance at a time and as one batch
+    # per side, and on seeded random circuits
+    rng = np.random.default_rng(34)
+    ks = range(2, 14)
+    checked = 0
+    for theory in THEORIES:
+        for name in dict.fromkeys([r.name for r in list_rules(theory)] + lemma_names()):
+            n_params, arity, min_n = signature(name)
+            for n in (arity,) if arity is not None else range(min_n, min_n + 3):
+                rows = rng.uniform(-4 * PI, 4 * PI, (4, n_params))
+                shape, _, angles = theories._resolve(theory, name, rows[0], n, True)
+                batches = ((None, None) if angles is None else
+                           [theories._columns(side, len(rows)) for side in angles(*rows.T)])
+                for side, batch in zip((shape.lhs, shape.rhs), batches):
+                    if any(g.kind in ("INIT", "DEST") for g in side.gates):
+                        continue
+                    insts = [side] if batch is None else list(map(side.with_angles,
+                                                                  batch.T.tolist()))
+                    for c in insts:
+                        assert _doubling([interp_k(c, k) for k in ks]), (theory, name, n)
+                    batched = [np.broadcast_to(interp._interp_k(side, k, batch), len(insts))
+                               for k in ks]
+                    assert all(map(_doubling, zip(*batched))), (theory, name, n)
+                    checked += len(insts)
+    for _ in range(40):
+        c = rand_vanilla(rng, int(rng.integers(1, 5)), int(rng.integers(0, 12)))
+        assert _doubling([interp_k(c, k) for k in ks]), c
+    assert checked > 500
 
 
 def test_minimality_i_row_makes_one_request_and_one_weigh_per_side_per_chunk(monkeypatch):

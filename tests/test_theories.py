@@ -16,9 +16,11 @@ from qc_equate import (THEORIES, Circuit, RuleId, RuleInstance, check_soundness,
 from qc_equate.errors import (BadArity, BadParams, InvalidCircuit, QcError,
                               UnknownLemma, UnknownTheory)
 from qc_equate import semantics, theories
+from qc_equate.circuit import angles_equal
 from qc_equate.theories import _RULES, instances, sample_params, signature
 
 PI = math.pi
+TWO_PI = 2 * PI
 
 
 def test_catalogs():
@@ -151,16 +153,29 @@ def fresh_shapes():
 
 
 def _route_angle_maps(monkeypatch, hook):
-    """Route every rule's angle map through ``hook(name, params, angles, k)``,
-    whose return the map returns: ``angles`` is what the map returns today,
-    and ``k`` counts the map's calls per rule shape."""
+    """Route every rule's angle map through ``hook(name, params, angles, k)``
+    one parameter row at a time, whose return the map returns for that row:
+    ``params`` are the row's floats, ``angles`` what the map returns for
+    them today, and ``k`` counts the rows per rule shape.  A map called with
+    columns, one per parameter, is called once; its angles are split into
+    rows for the hook and the hook's rows stacked back into columns."""
     for name, (n_params, wires, build) in list(_RULES.items()):
         def patched(n, name=name, build=build):
             lhs, rhs, angles = build(n)
             if angles is None:
                 return lhs, rhs, None
             calls = itertools.count()
-            return lhs, rhs, lambda *params: hook(name, params, angles(*params), next(calls))
+
+            def routed(*params):
+                if not isinstance(params[0], np.ndarray):
+                    return hook(name, params, angles(*params), next(calls))
+                k = len(params[0])
+                cols = [[np.broadcast_to(a, k).tolist() for a in side] for side in angles(*params)]
+                hooked = [hook(name, tuple(row), tuple(tuple(a[i] for a in side) for side in cols),
+                               next(calls))
+                          for i, row in enumerate(np.array(params).T.tolist())]
+                return tuple(tuple(map(np.array, zip(*side))) for side in zip(*hooked))
+            return lhs, rhs, routed
         monkeypatch.setitem(_RULES, name, (n_params, wires, patched))
     _clear_shapes()
 
@@ -198,6 +213,44 @@ def test_verify_theory_equals_a_per_instance_reference(monkeypatch, fresh_shapes
     assert str(checked.value) == str(built.value) == "non-finite angle in GPHASE"
 
 
+#: parameter rows on the Euler cases: (E)'s z' = 0, z = 0, and b2 next
+#: to 0 and to pi (the boundary fix), then (E')'s in the same order
+_EULER_EDGES = {3: [(0.0, 1.1, 0.0), (TWO_PI, 0.8, -TWO_PI), (PI, PI, 0.0),
+                    (0.3, 0.0, -0.3 + 1e-9), (1.0, 0.0, PI - 1.0 + 1e-9)],
+                2: [(PI / 2, PI / 2), (PI / 2, -PI / 2), (PI / 2 + 2e-9, PI / 2),
+                    (PI / 2 + 2e-9, -PI / 2)]}
+
+
+def test_column_angle_maps_equal_the_float_maps():
+    # every parametrised axiom of the four theories, its angle map called
+    # once with columns and once per row with floats: equal modulo 2pi to
+    # 1e-14, as numpy's trig, arctan2 and hypot may differ from math's and
+    # cmath's in the last bit
+    from qc_equate.euler import GENERIC, euler_e, euler_eprime
+    rng = np.random.default_rng(34)
+    seen = set()
+    for theory in THEORIES:
+        for rid in list_rules(theory):
+            n_params, arity, _ = signature(rid.name)
+            if not n_params:
+                continue
+            rows = rng.uniform(-4 * PI, 4 * PI, (200, n_params)).tolist()
+            rows += _EULER_EDGES.get(n_params, [])
+            shape, _, angles = theories._resolve(theory, rid.name, rows[0], arity, False)
+            columns = angles(*np.array(rows).T)
+            for i, row in enumerate(rows):
+                for got, want in zip(columns, angles(*row)):
+                    assert len(got) == len(want), (theory, rid.name)
+                    for a, b in zip(got, want):
+                        assert angles_equal(np.broadcast_to(a, len(rows))[i], b, TWO_PI, 1e-14), \
+                            (theory, rid.name, row)
+                if rid.name in ("E", "EPRIME"):
+                    nf, case = (euler_e if rid.name == "E" else euler_eprime)(*row)
+                    seen.add(case.tag if case.tag != GENERIC or nf.beta2 not in (0.0, PI)
+                             else f"b2 = {nf.beta2}")
+    assert seen == {"GENERIC", "Z_ZERO", "ZPRIME_ZERO", "b2 = 0.0", f"b2 = {PI}"}
+
+
 def test_verify_theory_evaluates_each_side_once_per_chunk(monkeypatch):
     calls = []
     evaluate = semantics._evaluate
@@ -218,18 +271,42 @@ def test_verify_theory_evaluates_each_side_once_per_chunk(monkeypatch):
     assert sum(calls) == 2 * sum(r["checks"] for r in report["rules"].values())
 
 
-def test_verify_theory_memory_does_not_grow_with_samples():
-    # an untraced run first fills the interpreter's free lists, which
-    # would otherwise count as growth
+@pytest.fixture
+def full_free_lists():
+    """A function that fills CPython's free lists: it makes and drops more
+    tuples of each length below 20 (2000 a length), lists, dicts and floats
+    than CPython keeps free.  A full collection after the test empties them
+    again."""
+    def fill():
+        junk = [tuple(range(i, i + n)) for n in range(1, 20) for i in range(2100)]
+        junk += [[i] for i in range(200)] + [{i: i} for i in range(200)]
+        junk += [i + 0.5 for i in range(200)]
+        del junk
+    yield fill
+    gc.collect()
+
+
+def test_verify_theory_memory_does_not_grow_with_samples(full_free_lists):
+    # peaks at steady state: an untraced run first does the one-time work,
+    # and the free lists are full before each traced run, which so takes
+    # its tuples, lists, dicts and floats from them and gives them back; an
+    # object it allocated and freed would stay in a free list, counted as
+    # held, and a longer run frees more of them.  No collection runs while
+    # tracing, as a full one empties the free lists.
     verify_theory("QC", samples=4000, max_qubits=3)
     peaks = {}
-    for samples in (500, 4000):
-        tracemalloc.start()
-        try:
-            verify_theory("QC", samples=samples, max_qubits=3, seed=1)
-            peaks[samples] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    gc.disable()
+    try:
+        for samples in (500, 4000):
+            full_free_lists()
+            tracemalloc.start()
+            try:
+                verify_theory("QC", samples=samples, max_qubits=3, seed=1)
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    finally:
+        gc.enable()
     assert peaks[4000] <= peaks[500] + 4096, peaks
 
 

@@ -1,0 +1,59 @@
+"""Print one SHA-256 digest per family of qc-equate's JSON reports.
+
+    PYTHONPATH=src python3 tools/report_digest.py
+
+Run from the root of a qc-equate source tree; the package is imported from
+``PYTHONPATH``, so pointing it at another tree's ``src/`` digests that
+tree's reports.  Two trees whose reports agree print the same three lines:
+
+- ``verify_theory``: the four theories at seeds 0-19, samples 100,
+  max_qubits 7;
+- ``minimality_report``: every rule of the four theories at seeds 0-19 and
+  target_n 3, 4, 8 and 12, the error's type and text for a rule that has
+  no report;
+- ``minimality_matrix``: the four theories at seeds 0-5.
+
+A family's digest is taken over its reports in that order, one JSON line
+each with sorted keys.
+"""
+
+import hashlib
+import json
+
+from qc_equate import THEORIES, list_rules, minimality_report, verify_theory
+from qc_equate.errors import QcError
+from qc_equate.interp import minimality_matrix
+
+SEEDS = range(20)
+TARGET_NS = (3, 4, 8, 12)
+MATRIX_SEEDS = range(6)
+
+
+def _minimality(theory: str, axiom: str, seed: int, target_n: int):
+    try:
+        return minimality_report(theory, axiom, seed=seed, target_n=target_n)
+    except QcError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def families():
+    """(family name, its reports in order), one family at a time."""
+    yield "verify_theory", (verify_theory(t, samples=100, max_qubits=7, seed=s)
+                            for t in THEORIES for s in SEEDS)
+    yield "minimality_report", (_minimality(t, r.name, s, n) for t in THEORIES
+                                for r in list_rules(t) for s in SEEDS for n in TARGET_NS)
+    yield "minimality_matrix", (minimality_matrix(t, seed=s)
+                                for t in THEORIES for s in MATRIX_SEEDS)
+
+
+def main() -> None:
+    for name, reports in families():
+        digest, count = hashlib.sha256(), 0
+        for report in reports:
+            digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+            count += 1
+        print(f"{name} {count} {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
