@@ -6,14 +6,20 @@ breaks: indicator and parity counts for the small rules, swap/cnot functors
 for B and CZ, the determinant-related valuation ``interp_k`` for the
 multi-control rule, and a sign-assignment phase sum for the Euler rule.
 
-The per-axiom witnesses and the Euler value set read a circuit's gates
-with its macros expanded by ``expand_gate``.  ``interp_k`` is a sum over
-gates, and weighs a macro by recursion on ``unfold``, so an n-wire MCP
-costs O(n), not its 2 * 3^(n-1) - 1 expanded gates.  The witnesses that
-read only kinds and wires (S2PI, H2, P0, P0', C, EH, B, CZ) have one value
-per rule width, so ``minimality_report`` reads one instance per width for
-them; the Euler value set reads no GPHASE angle, so it reads one instance
-of a rule whose parameters reach only GPHASE gates (SPLUS).
+``interp_k`` is a sum over gates, and weighs a macro by recursion on
+``unfold``, so an n-wire MCP costs O(n), not its 2 * 3^(n-1) - 1 expanded
+gates.  The witnesses that read no angle (S2PI, H2, P0, P0', C, EH, B, CZ)
+are functors too, and fold over the gates the same way (``_fold``): the
+indicators and parities count GPHASE, H, P and CNOT gates, B and CZ keep
+the GF(2)-linear wire map of the SWAPs, or CNOTs and SWAPs, and a macro
+adds the fold of its ``unfold``, taken once per macro shape, which reads
+no angle.  They have one value per rule width, so ``minimality_report``
+reads one instance per width for them and compares their values with
+``==``.  SPLUS's witness and the Euler value set read angles, and read
+gates with their macros expanded by ``expand_gate``: SPLUS only a macro
+whose fold counts a GPHASE, the value set a 1-qubit circuit.  The value
+set reads no GPHASE angle, so it reads one instance of a rule whose
+parameters reach only GPHASE gates (SPLUS).
 
 ``interp_k`` is the batch-free call of ``_interp_k``, which also weighs a
 batch of instances of one circuit that differ only in their angles, as
@@ -34,13 +40,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .circuit import (TWO_PI, Circuit, Gate, _BatchGate, _wire, angles_equal, circuit,
-                      expand_gate, reduce_angle, unfold)
+from .circuit import (_KIND_SIG, MACRO_KINDS, TWO_PI, Circuit, Gate, _BatchGate, _wire,
+                      angles_equal, circuit, expand_gate, reduce_angle, unfold)
 from .errors import (BadArity, BadParams, InconsistentClasses, NoInterpretation,
                      UnknownLemma, UnsupportedGate)
 from .euler import b_funcs
@@ -155,46 +162,121 @@ def _unfold_rows(g: _BatchGate) -> list:
 
 # -- the eight per-axiom interpretations --------------------------------------
 
-def _count(gates: list[Gate], kinds) -> int:
-    return sum(1 for g in gates if g.kind in kinds)
+#: the kinds the witnesses that read no angle count, at their index in the
+#: counts ``_fold`` gives
+_COUNTED = {"GPHASE": 0, "H": 1, "P": 2, "CNOT": 3}
+
+#: what each counting witness makes of the counts of GPHASE, H, P and CNOT
+_OF_COUNTS = {
+    "S2PI": lambda gphases, hs, ps, cnots: int(gphases > 0),
+    "H2": lambda gphases, hs, ps, cnots: int(hs > 0),
+    "P0": lambda gphases, hs, ps, cnots: (hs + ps) % 2,
+    "P0'": lambda gphases, hs, ps, cnots: int(ps > 0),
+    "C": lambda gphases, hs, ps, cnots: int(cnots > 0),
+    "EH": lambda gphases, hs, ps, cnots: hs % 2,
+}
+
+#: the kinds whose wire map the B and CZ witnesses keep
+_KEPT = {"B": ("SWAP",), "CZ": ("CNOT", "SWAP")}
 
 
-def _keep_only(c: Circuit, gates: list[Gate], kinds) -> Circuit:
-    """A circuit of ``c``'s arity holding those of ``gates``, its expansion,
-    of the given kinds."""
-    return Circuit(c.n_in, c.n_out, tuple(g for g in gates if g.kind in kinds))
+def _fold(gates, n: int, keep: tuple) -> tuple:
+    """The counts of GPHASE, H, P and CNOT in ``gates``, on ``n`` wires,
+    with their macros expanded, and the wire map of their gates of the
+    kinds in ``keep`` (CNOT, SWAP; None when ``keep`` is empty): these
+    gates map the wire bits GF(2)-linearly, and row w of the map is a
+    bitmask of the input wires XORed into wire w.  A macro adds the fold of
+    its ``unfold`` (``_macro_fold``), composed onto its wires."""
+    counts = [0, 0, 0, 0]
+    rows = [1 << w for w in range(n)] if keep else None
+    for g in gates:
+        kind = g.kind
+        if kind in _COUNTED:
+            counts[_COUNTED[kind]] += 1
+        if kind in keep:
+            a, b = g.wires
+            if kind == "CNOT":
+                rows[b] ^= rows[a]
+            else:
+                rows[a], rows[b] = rows[b], rows[a]
+        elif kind in MACRO_KINDS:
+            base = g.base and g.base.kind
+            sub, local = _macro_fold(kind, len(g.wires), g.pattern, base, keep)
+            counts = [a + b for a, b in zip(counts, sub)]
+            if local is not None:
+                old = [rows[w] for w in g.wires]
+                for w, row in zip(g.wires, local):
+                    rows[w] = functools.reduce(operator.xor, (r for i, r in enumerate(old)
+                                                              if row >> i & 1), 0)
+    return tuple(counts), rows if rows is None else tuple(rows)
+
+
+# bounded like _macro_weight; the key is the macro's shape and holds no
+# angle, as the kinds and wires of unfold read none
+@functools.lru_cache(maxsize=1024)
+def _macro_fold(kind: str, n: int, pattern: str, base: str | None, keep: tuple) -> tuple:
+    """``_fold`` of the ``unfold`` of a macro of this shape on wires
+    ``0..n-1``, at angle 1.  Its wire map is None when it is the identity,
+    as every macro's is, so that it costs nothing to compose."""
+    at_one = Gate(kind, tuple(range(n)), (1.0,) * _KIND_SIG[kind][1], pattern,
+                  None if base is None else Gate(base, (0,), (1.0,) * _KIND_SIG[base][1]))
+    counts, rows = _fold(unfold(at_one), n, keep)
+    return counts, None if rows == tuple(1 << w for w in range(n)) else rows
+
+
+def _folded(name: str, gates, n: int, keep: tuple = ()) -> tuple:
+    """``_fold`` for the witness ``name``: a macro that unfolds deeper than
+    Python's recursion limit allows raises BadArity."""
+    try:
+        return _fold(gates, n, keep)
+    except RecursionError:
+        raise BadArity(f"interp[{name}] unfolds deeper than the recursion limit") from None
+
+
+def _witness(name: str, c: Circuit):
+    """The value of vanilla ``c`` under the witness ``name`` that reads no
+    angle, as ``minimality_report`` compares it: an int, or for B and CZ
+    the wire map."""
+    keep = _KEPT.get(name, ())
+    if not keep and name not in _OF_COUNTS:
+        raise NoInterpretation(f"no registered counter-interpretation for {name}")
+    counts, wires = _folded(name, c.gates, c.n_in, keep)
+    return wires if keep else _OF_COUNTS[name](*counts)
 
 
 def interp_axiom(name: str, c: Circuit, psi: float | None = None):
     """Value of circuit c under the counter-interpretation for ``name``.
 
-    ``P0'`` is the (P0) witness of QCprime: 1 when the expanded circuit
-    has a P gate.  Only SPLUS reads an angle; the others read the kinds and
-    wires of the expansion.
+    The witnesses that read no angle fold over the gates, a macro adding
+    the fold of its ``unfold`` once per macro shape (``_fold``), so they
+    are linear in width.  S2PI, H2, P0', C are 1 when the circuit, macros
+    expanded, has a GPHASE, H, P or CNOT; P0 is #H + #P and EH #H, modulo
+    2.  ``P0'`` is the (P0) witness of QCprime.  B and CZ give the
+    permutation matrix of the circuit's SWAPs, or CNOTs and SWAPs, alone,
+    with wire 0 the most significant bit (``eval_matrix``'s, and its wire
+    cap).  SPLUS reads an angle: it is 1 when the circuit, macros expanded,
+    has a GPHASE at psi, and it expands only the macros whose fold counts
+    a GPHASE.  A macro deeper than Python's recursion limit allows raises
+    BadArity.
     """
-    e = _expanded(c)
-    if name == "S2PI":
-        return int(_count(e, ("GPHASE",)) > 0)
+    c = _vanilla(c)
     if name == "SPLUS":
         if psi is None:
             raise NoInterpretation("the SPLUS interpretation needs a phase psi")
-        return int(any(g.kind == "GPHASE" and angles_equal(g.params[0], psi, TWO_PI, 1e-9)
-                       for g in e))
-    if name == "H2":
-        return int(_count(e, ("H",)) > 0)
-    if name == "P0":
-        return _count(e, ("H", "P")) % 2
-    if name == "P0'":
-        return int(_count(e, ("P",)) > 0)
-    if name == "C":
-        return int(_count(e, ("CNOT",)) > 0)
-    if name == "B":
-        return eval_matrix(_keep_only(c, e, ("SWAP",)))
-    if name == "CZ":
-        return eval_matrix(_keep_only(c, e, ("CNOT", "SWAP")))
-    if name == "EH":
-        return _count(e, ("H",)) % 2
-    raise NoInterpretation(f"no registered counter-interpretation for {name}")
+        phased = [g for g in c.gates if _folded(name, (g,), c.n_in)[0][0]]
+        return int(any(e.kind == "GPHASE" and angles_equal(e.params[0], psi, TWO_PI, 1e-9)
+                       for g in phased for e in expand_gate(g)))
+    if name not in _KEPT:
+        return _witness(name, c)
+    # the basis state with input bits x goes to y, y_w the XOR of row w's x_i
+    eye = eval_matrix(Circuit(c.n_in, c.n_out, ()))
+    n, xs = c.n_in, np.arange(2 ** c.n_in)
+    ys = np.zeros_like(xs)
+    for w, row in enumerate(_witness(name, c)):
+        y_w = functools.reduce(np.bitwise_xor, (xs >> (n - 1 - i) & 1
+                                                for i in range(n) if row >> i & 1), 0)
+        ys = ys | y_w << (n - 1 - w)
+    return eye[:, ys]
 
 
 #: qubit bound within which each interpretation is sound on the other axioms
@@ -206,13 +288,6 @@ INTERP_BOUND = {"S2PI": 0, "SPLUS": 0, "H2": 1, "P0": 1, "C": 2, "CZ": None,
 #: circuit has a P gate at all.  QC keeps the parity: (EH) gives a P-free
 #: circuit P gates.
 _THEORY_WITNESS = {("QCprime", "P0"): "P0'"}
-
-
-def _values_equal(a, b) -> bool:
-    """Whether two ``interp_axiom`` values, counts or matrices, are equal."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= 1e-9)
-    return a == b
 
 
 def _angles_near(a, b, tol: float) -> np.ndarray:
@@ -373,7 +448,8 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     its (slots, k) angles (``_interp_k``) and one vectorised comparison.
     SPLUS's psi-free draws are one such batch, compared with the float
     operations of ``angles_equal(angle, psi, 2pi, 1e-9)``.  The other
-    witnesses build an instance only when they check it, and a rule stops
+    witnesses build an instance only when they check it, and compare its
+    sides' values with ``==`` (B and CZ their wire maps), and a rule stops
     at its first unsound chunk or instance.  No interpretation is defined
     on INIT/DEST, so a rule with an ancilla side has no witness and the
     report does not pass.
@@ -400,7 +476,9 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
             if samples < 1:   # the psi-free instances would be none
                 raise BadParams("SPLUS gets no psi-free instance with samples=0")
             psi = float(rng.uniform(0.1, TWO_PI - 0.1))
-        value, equal = (lambda c, _: interp_axiom(witness, c, psi)), _values_equal
+        value = ((lambda c, _: interp_axiom(witness, c, psi)) if axiom == "SPLUS"
+                 else (lambda c, _: _witness(witness, c)))
+        equal = operator.eq
     else:
         raise NoInterpretation(f"no counter-interpretation registered for {axiom}")
 

@@ -87,6 +87,15 @@ def test_minimality(capsys):
     assert exc.value.code == 2
 
 
+def test_minimality_cz_at_twelve_wires(capsys):
+    # the CZ witness folds each macro shape once, so it expands no 12-wire
+    # MCP into its 2 * 3^11 - 1 gates
+    rc = main(["minimality", "--theory", "QC", "--axiom", "CZ", "--max-qubits", "12",
+               "--samples", "2"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+
+
 def test_list_rules(capsys):
     assert main(["list-rules", "--theory", "QCancilla", "--list"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -11,12 +11,12 @@ import pytest
 from qc_equate import (apply_step, circuit, cnot, ctrl, eval_matrix,
                        expand_macros, find_sites, gphase, h, interp_E_values,
                        interp_axiom, interp_k, mcp, mcrx, minimality_report, p,
-                       resolve_rule, rx, sign_classes, sign_gap, x, z)
+                       resolve_rule, rx, sign_classes, sign_gap, swap, x, z)
 from qc_equate import interp, theories
 from qc_equate.circuit import Circuit, angles_equal, init, dest
 from qc_equate.cli import main
 from qc_equate.errors import (BadArity, BadParams, InvalidCircuit, UnknownLemma,
-                              UnsupportedGate)
+                              UnsupportedGate, WireCapExceeded)
 from qc_equate.interp import equal_value_sets, minimality_matrix
 from qc_equate.theories import (THEORIES, instances, lemma_names, list_rules, signature,
                                 verify_theory)
@@ -402,6 +402,117 @@ def test_angle_free_witnesses_have_one_value_per_rule_width():
     assert seen > 400
 
 
+def _rand_any_gate(rng, n):
+    """A seeded gate of any vanilla kind on ``n`` wires, at a random angle,
+    on a random (unsorted) wire tuple; a CTRL gets a random base, pattern
+    and control count, none among them."""
+    kinds = ("GPHASE", "H", "P", "X", "Z", "RX", "MCP", "MCRX", "CTRL")
+    kind = str(rng.choice(kinds + (("CNOT", "SWAP") if n >= 2 else ())))
+    angle = float(rng.uniform(-4 * PI, 4 * PI))
+
+    def wires(k):
+        return tuple(int(w) for w in rng.choice(n, k, replace=False))
+
+    if kind == "GPHASE":
+        return gphase(angle)
+    if kind in ("CNOT", "SWAP"):
+        return (cnot if kind == "CNOT" else swap)(*wires(2))
+    if kind in ("H", "X", "Z"):
+        return {"H": h, "X": x, "Z": z}[kind](*wires(1))
+    if kind in ("P", "RX"):
+        return (p if kind == "P" else rx)(angle, *wires(1))
+    ws = wires(int(rng.integers(1, n + 1)))
+    if kind == "MCP":
+        return mcp(angle, ws)
+    if kind == "MCRX":
+        return mcrx(angle, ws)
+    base = (p(angle, 0), x(0), z(0), rx(angle, 0))[int(rng.integers(4))]
+    return ctrl("".join(str(b) for b in rng.integers(0, 2, len(ws) - 1)), base, ws)
+
+
+def test_angle_free_witnesses_equal_counts_of_the_expansion():
+    # an oracle that never folds: each witness that reads no angle, on 400
+    # seeded circuits of 1-6 wires, is the count or the matrix computed
+    # from the circuit's full expansion
+    rng = np.random.default_rng(35)
+    counts = {"S2PI": lambda k: int(k["GPHASE"] > 0), "H2": lambda k: int(k["H"] > 0),
+              "P0": lambda k: (k["H"] + k["P"]) % 2, "P0'": lambda k: int(k["P"] > 0),
+              "C": lambda k: int(k["CNOT"] > 0), "EH": lambda k: k["H"] % 2}
+    kept = {"B": ("SWAP",), "CZ": ("CNOT", "SWAP")}
+    seen = set()
+    for _ in range(400):
+        n = int(rng.integers(1, 7))
+        c = circuit(n, [_rand_any_gate(rng, n) for _ in range(int(rng.integers(0, 8)))])
+        expanded = expand_macros(c).gates
+        kinds = {kind: sum(g.kind == kind for g in expanded)
+                 for kind in ("GPHASE", "H", "P", "CNOT")}
+        for w, want in counts.items():
+            assert interp_axiom(w, c) == want(kinds), (w, c)
+        for w, keep in kept.items():
+            want = eval_matrix(circuit(n, [g for g in expanded if g.kind in keep]))
+            got = interp_axiom(w, c)
+            assert got.shape == want.shape and np.max(np.abs(got - want)) <= 1e-12, (w, c)
+        for g in c.gates:
+            seen.add(g.kind if g.kind != "CTRL" else (g.base.kind, len(g.wires) > 1))
+            seen.add(("unsorted", list(g.wires) != sorted(g.wires)))
+    assert seen >= {"GPHASE", "H", "P", "CNOT", "SWAP", "X", "Z", "RX", "MCP", "MCRX",
+                    ("unsorted", True)} | {(b, many) for b in "PXZ" for many in (False, True)} \
+        | {("RX", False), ("RX", True)}
+
+
+def test_angle_free_minimality_reports_expand_no_macro(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a witness that reads no angle expanded a macro")
+
+    monkeypatch.setattr(interp, "_expanded", refuse)
+    monkeypatch.setattr(interp, "expand_gate", refuse)
+    for theory in ("QC", "QCprime"):
+        for name in (r.name for r in list_rules(theory)):
+            if name in interp.INTERP_BOUND and name != "SPLUS":
+                assert minimality_report(theory, name, samples=2)["pass"], (theory, name)
+    # widths whose MCPs expand into 2 * 3^11 - 1 gates
+    for name in ("CZ", "B", "EH"):
+        assert minimality_report("QC", name, max_qubits=12, samples=2)["pass"], name
+
+
+def test_a_macro_wire_map_is_composed_onto_its_wires(monkeypatch):
+    # every macro's wire map is the identity: a 3-wire MCP made to unfold
+    # into a CNOT and a SWAP shows its map moved onto the macro's wires
+    real = interp.unfold
+    monkeypatch.setattr(interp, "unfold", lambda g: [cnot(0, 1), swap(1, 2)]
+                        if g.kind == "MCP" and len(g.wires) == 3 else real(g))
+    interp._macro_fold.cache_clear()
+    try:
+        got = interp_axiom("CZ", circuit(4, [h(1), mcp(1.0, (3, 0, 2)), cnot(2, 1)]))
+    finally:
+        interp._macro_fold.cache_clear()
+    want = eval_matrix(circuit(4, [cnot(3, 0), swap(0, 2), cnot(2, 1)]))
+    assert np.array_equal(got, want)
+
+
+def test_wide_witnesses_return_their_value_or_raise_bad_arity():
+    # a 400-wire MCP unfolds 400 levels deep: each witness returns its
+    # value, as it does at 200 wires, or raises BadArity, never a raw
+    # RecursionError; B's and CZ's matrices are over the wire cap, and
+    # their wire maps, which minimality_report compares, are the identity.
+    # Folds of narrower MCPs are cached, so 400 wires are folded before
+    # 200 and after
+    want = {"H2": 0, "C": 1, "EH": 0, "SPLUS": 0}
+    interp._macro_fold.cache_clear()
+    for n in (400, 200, 400):
+        c = circuit(n, [mcp(1.0, tuple(range(n)))])
+        for w in ("H2", "C", "EH", "SPLUS", "B", "CZ"):
+            if w in ("B", "CZ"):
+                with pytest.raises(WireCapExceeded):
+                    interp_axiom(w, c)
+            try:
+                got = interp_axiom(w, c, 0.5) if w in want else interp._witness(w, c)
+            except BadArity as exc:
+                assert n == 400 and "recursion limit" in str(exc), (n, w)
+                continue
+            assert got == want.get(w, tuple(1 << i for i in range(n))), (n, w)
+
+
 def test_splus_witness_keeps_only_parameter_free_rules_in_scope():
     # minimality_report reads one draw per width for the rows of SPLUS's
     # witness, which reads angles: besides SPLUS, which takes its own psi
@@ -454,6 +565,13 @@ def test_minimality_reports_echo_numpy_integers_as_ints():
     assert json.dumps(rep) == json.dumps(minimality_matrix("QC", **ints))
 
 
+def _values_equal(a, b) -> bool:
+    """Whether two ``interp_axiom`` values, counts or matrices, are equal."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a.shape == b.shape and bool(np.max(np.abs(a - b)) <= 1e-9)
+    return a == b
+
+
 def _reference_minimality(theory, axiom, samples, seed, target_n, max_qubits=5):
     """``minimality_report``, one built instance at a time: its own seeded
     rng, ``instances`` and the scalar witnesses."""
@@ -472,7 +590,7 @@ def _reference_minimality(theory, axiom, samples, seed, target_n, max_qubits=5):
         kind = f"interp[{witness}]"
         if axiom == "SPLUS":
             psi = float(rng.uniform(0.1, TWO_PI - 0.1))
-        value, equal = (lambda c: interp_axiom(witness, c, psi)), interp._values_equal
+        value, equal = (lambda c: interp_axiom(witness, c, psi)), _values_equal
 
     def kept(inst):
         return equal(value(inst.lhs), value(inst.rhs))

@@ -323,14 +323,22 @@ def test_request_caches_are_bounded(fresh_shapes):
         for t, name, n, params in narrow:
             resolve_rule(t, name, params, n, True)
 
+    def request_wide():
+        for n in range(1000, 1030):
+            resolve_rule("QC", "MCRXDEF", (0.1,), n, True)
+
     _clear_shapes()
     tracemalloc.start()   # before the narrow sides are built, so their rebuilds count as even
     try:
+        # base is read, as after is, once narrow sides are rebuilt after a
+        # wide eviction: the rebuilds find CPython's free lists in the same
+        # state whatever an earlier test left in them
+        request_narrow()
+        request_wide()
         request_narrow()
         gc.collect()
         base = tracemalloc.get_traced_memory()[0]
-        for n in range(1000, 1030):
-            resolve_rule("QC", "MCRXDEF", (0.1,), n, True)
+        request_wide()
         wide = tracemalloc.get_traced_memory()[0]
         request_narrow()
         gc.collect()
