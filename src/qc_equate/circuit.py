@@ -735,7 +735,10 @@ def _canonical_order(gates: list[_IdGate]) -> list[int]:
 def _deformation(c1: Circuit, c2: Circuit) -> list[int] | None:
     """Where each gate of ``c1`` sits in ``c2``, of the same arity, if the
     two are equal up to deformation; else None.  ``c1`` binds, as a side,
-    to all of ``c2`` with the inputs as both frame and wire map (``_bind``)."""
+    to all of ``c2`` with the inputs as both frame and wire map (``_bind``);
+    identical gate lists bind gate for gate, with no plan compiled."""
+    if c1.gates == c2.gates:
+        return list(range(len(c1.gates)))
     if len(c1.gates) != len(c2.gates):
         return None
     inputs = range(c1.n_in)

@@ -192,14 +192,16 @@ def _assembly(gates: list[_IdGate], n_in: int, sel: tuple[int, ...], anchor: int
     before, after = [], []
     # a block that fills its window has no floats to sort out
     for i in range(anchor, sel[-1] + 1) if sel and sel[-1] - anchor >= len(sel) else ():
-        deps = set(_deps(*gates[i]))
+        g, deps = gates[i]
+        if g.kind in ("INIT", "DEST"):   # the INIT/DEST chain, as _deps has it
+            deps += (_STRUCT,)
         if i in sel:
-            if deps & after_ids:
+            if not after_ids.isdisjoint(deps):
                 raise IllegalSite("selected gates cannot be commuted into a block")
-            block_ids |= deps
-        elif deps & (block_ids | after_ids):
+            block_ids.update(deps)
+        elif not (block_ids.isdisjoint(deps) and after_ids.isdisjoint(deps)):
             after.append(i)
-            after_ids |= deps
+            after_ids.update(deps)
         else:
             before.append(i)
     assembly = gates[:anchor] + [gates[i] for i in before]
@@ -524,9 +526,6 @@ class _Normalizer(_Recorder):
     def angle(self, i: int) -> float:
         return self.gates[i][0].params[0]
 
-    def kinds(self) -> list[str]:
-        return [g.kind for g, _ in self.gates]
-
     def insert(self, rule: str, k: int):
         """Run a rule with an empty right side (H2, P0) backwards in front
         of gate k."""
@@ -540,16 +539,21 @@ class _Normalizer(_Recorder):
             self._merge_phase(landed[0])
 
     def find_word(self, word: list[str], pred=None) -> int | None:
-        """Index of the first run of gates matching the kind word, the last
-        gate (the global phase) left out, whose index meets ``pred``."""
-        kinds, m = self.kinds(), len(word)
-        return next((j for j, k in enumerate(kinds[:len(kinds) - m]) if k == word[0]
-                     and kinds[j:j + m] == word and (pred is None or pred(j))), None)
+        """Index of the first run of gates matching the kind word of one or
+        two kinds, the last gate (the global phase) left out, whose index
+        meets ``pred``: one pass over the gates."""
+        gates, m = self.gates, len(word)
+        first, second = word[0], word[-1]
+        for j in range(len(gates) - m):
+            if (gates[j][0].kind == first and gates[j + m - 1][0].kind == second
+                    and (pred is None or pred(j))):
+                return j
+        return None
 
     # -- high level ----------------------------------------------------------
 
     def run(self) -> NormalFormParams:
-        if self.kinds()[-1:] != ["GPHASE"]:
+        if not self.gates or self.gates[-1][0].kind != "GPHASE":
             self.do("S2PI", "RL", site=Site((), (), len(self.gates)))
         while (i := self.find_word(["GPHASE"])) is not None:
             self._merge_phase(i)
@@ -564,14 +568,19 @@ class _Normalizer(_Recorder):
         self.do("SPLUS", "LR", (self.angle(i), self.angle(last)), site=Site((i, last), ()))
 
     def _unfold_macros(self):
-        """Unfold X, Z, RX, MCP and MCRX, leftmost first."""
+        """Unfold X, Z, RX, MCP and MCRX, leftmost first.  An unfolding
+        changes no gate in front of its own, so the scan resumes there: a
+        one-wire MCRX unfolds to an RX, which it meets next."""
         rules = {"X": "XDEF", "Z": "ZDEF", "RX": "RXDEF", "MCP": "MCPDEF",
                  "MCRX": "MCRXDEF"}
-        while (i := next((i for i, k in enumerate(self.kinds())
-                          if k in rules), None)) is not None:
+        i = 0
+        while i < len(self.gates):
             g = self.gates[i][0]
-            n = 1 if g.kind in ("MCP", "MCRX") else None
-            self.lr(rules[g.kind], i, params=g.params, n=n)
+            if g.kind in rules:
+                n = 1 if g.kind in ("MCP", "MCRX") else None
+                self.lr(rules[g.kind], i, params=g.params, n=n)
+            else:
+                i += 1
 
     def _mint_rx0(self, k: int):
         """Insert RX(0) in front of gate k: H P(0) H by (H2) and (P0),
@@ -623,7 +632,7 @@ class _Normalizer(_Recorder):
         (0, 0).  Each Euler rule is total over its three cases, so no case
         needs its own route.
         """
-        hs = [i for i, k in enumerate(self.kinds()) if k == "H"]
+        hs = [i for i, (g, _) in enumerate(self.gates) if g.kind == "H"]
         if not hs:
             return False
         k, qc = hs[0], self.theory == "QC"
@@ -671,12 +680,12 @@ class _Normalizer(_Recorder):
             while self._merge_wire_pairs():
                 pass
         k = self.find_word(["RX"])
-        if "P" not in self.kinds()[:k]:
+        if self.find_word(["P"], lambda j: j < k) is None:
             self.insert("P0", k)
         k = self.find_word(["RX"])
-        if "P" not in self.kinds()[k + 1:-1]:
+        if self.find_word(["P"], lambda j: j > k) is None:
             self.insert("P0", len(self.gates) - 1)
-        if (kinds := self.kinds()) != ["P", "RX", "P", "GPHASE"]:
+        if (kinds := [g.kind for g, _ in self.gates]) != ["P", "RX", "P", "GPHASE"]:
             raise SemanticDrift(f"normalization left shape {kinds} (engine bug)")
         b1, b2, b3, b0 = map(self.angle, range(4))
         return _pack(b0, b1, reduce_angle(b2, 2 * TWO_PI), b3)

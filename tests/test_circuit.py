@@ -15,8 +15,8 @@ from qc_equate import (Circuit, Gate, canonicalize, circuit, cnot, compose_par,
                        compose_seq, ctrl, deformation_equal, dest,
                        expand_macros, eval_matrix, gphase, h, init, mcp, mcrx,
                        p, rx, swap, x, z)
-from qc_equate.circuit import (ALL_KINDS, ANGLE_EPS, PRIMITIVE_KINDS, _bind, _deps, _id_gates,
-                               _place, angle_period, angles_equal, expand_gate, unfold)
+from qc_equate.circuit import (ALL_KINDS, ANGLE_EPS, PRIMITIVE_KINDS, _bind, _deformation,
+                               _deps, _id_gates, _place, angle_period, angles_equal, expand_gate, unfold)
 from qc_equate.errors import ArityMismatch, InvalidCircuit
 
 PI = math.pi
@@ -437,6 +437,24 @@ def test_deformation_equal_agrees_with_canonical_order():
         assert seen.get((how, True), 0) > 20, seen
     for how in ("1e-6", "cnot", "ctrl", "init"):
         assert seen.get((how, False), 0) > 20, seen
+
+
+def test_identical_circuits_bind_gate_for_gate():
+    # _deformation returns the identity map for identical gate lists without
+    # binding: the binding it skips would bind gate i to gate i, equal-angle
+    # global phases, SWAPs either way round and INIT/DEST chains included
+    rng = np.random.default_rng(36)
+    seen = set()
+    for _ in range(3000):
+        c = _rand_wired(rng)
+        seen.update(g.kind for g in c.gates)
+        inputs, identity = range(c.n_in), list(range(len(c.gates)))
+        found = _bind(_id_gates(c), range(len(c.gates)), (c, None), inputs, inputs)
+        assert found[0][0] == identity, c
+        c = Circuit(c.n_in, c.n_out, c.gates)
+        assert _deformation(c, Circuit(c.n_in, c.n_out, c.gates)) == identity
+        assert "_plan" not in c.__dict__   # nothing compiled
+    assert {"INIT", "DEST", "GPHASE", "SWAP", "CTRL"} <= seen
 
 
 def test_init_dest_threading_and_canonical():

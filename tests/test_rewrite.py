@@ -15,6 +15,7 @@ from qc_equate import (Circuit, Derivation, Site, Step, apply_step, canonicalize
                        eval_matrix, find_sites, gphase, h, init, nf_from_unitary,
                        normalize_1q, p, replay, reverse_derivation, rx, swap,
                        x, z)
+from qc_equate.circuit import angles_equal
 from qc_equate.errors import (ArityMismatch, BadArity, DomainError,
                               IllegalSite, InvalidCircuit, NoMatch, QcError,
                               UnknownTheory, UnsupportedGate)
@@ -765,6 +766,32 @@ def test_normalizer_takes_the_fast_paths(theory, monkeypatch):
         again, d = normalize_1q(c, emit_trace=True, theory=theory)
         assert len(built) == 1 and again == params and d.steps == deriv.steps
         assert threaded == [d.final]
+
+
+def _find_word_reference(kinds, word, pred=None):
+    """``_Normalizer.find_word`` as a slice compare over the whole kind list."""
+    m = len(word)
+    return next((j for j, k in enumerate(kinds[:len(kinds) - m]) if k == word[0]
+                 and kinds[j:j + m] == word and (pred is None or pred(j))), None)
+
+
+def test_find_word_agrees_with_the_slice_reference():
+    rng = np.random.default_rng(36)
+    words = (["GPHASE"], ["P", "P"], ["H", "H"], ["RX"])
+    found, zeros = 0, 0
+    for i in range(1200):
+        c = rand_1q(rng, int(rng.integers(0, 25)), grid=i % 2 == 0)
+        nz = rewrite._Normalizer("QC", c)
+        kinds = [g.kind for g in c.gates]
+        for word in words:
+            got = nz.find_word(word)
+            assert got == _find_word_reference(kinds, word), (c, word)
+            found += got is not None
+        p0 = lambda j: angles_equal(nz.angle(j), 0.0)   # noqa: E731
+        got = nz.find_word(["P"], p0)
+        assert got == _find_word_reference(kinds, ["P"], p0), c
+        zeros += got is not None
+    assert found > 2000 and zeros > 100
 
 
 @pytest.mark.xfail(raises=NoMatch, strict=True,

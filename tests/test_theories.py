@@ -140,6 +140,23 @@ def _reference_report(theory, samples, max_qubits, tol, seed):
     return report
 
 
+def test_check_soundness_agrees_with_the_chunk_check_row_by_row():
+    # check_soundness is the one-instance form of verify_theory's check:
+    # on every axiom's draws, one built instance at a time, it decides
+    # each row as _chunk_sound does on that row alone
+    rng = np.random.default_rng(36)
+    rows_seen = 0
+    for theory in THEORIES:
+        for rid in list_rules(theory):
+            for n, rows in theories._draws(rid.name, 8, 4, rng):
+                for row in rows:
+                    one = check_soundness(resolve_rule(theory, rid.name, row.tolist(), n), 1e-9)
+                    chunk = theories._chunk_sound(theory, rid.name, n, row[None], 1e-9)
+                    assert one == chunk, (theory, rid.name, n, row)
+                    rows_seen += 1
+    assert rows_seen > 120
+
+
 def _clear_shapes():
     for cached in (theories._shape, theories._fitted, theories._kind):
         cached.cache_clear()
