@@ -50,7 +50,8 @@ class UnknownLemma(QcError):
 class BadParams(QcError):
     """Wrong parameter count for a rule or lemma instance (a parameter that
     is not a real number is InvalidCircuit), a sampling run with nothing to
-    check or a negative seed, or a bad QCEQ_WIRE_CAP."""
+    check or a negative seed, a comparison tolerance that is not a finite
+    number >= 0, or a bad QCEQ_WIRE_CAP."""
 
 
 class BadArity(QcError):

@@ -15,14 +15,21 @@ side, binding or splicing it, is compiled once per rule shape
 (``Circuit._plan``), and every step runs ``resolve_rule``'s checks on its
 request (``_resolve``), then applies the rule's angle map to its params.
 A safety net re-checks the semantics of every accepted step numerically,
-with the theory's own equality; a replay evaluates each circuit it passes
-once and compares it with the matrix of the one before.  Every step goes
-through one recorder, ``_Recorder``, on id-level gates (``_apply``): it
-keeps one working circuit across a derivation's steps and builds a
-``Circuit`` only when one is read; ``replay`` and reversal share one walk
-over a derivation (``_walk``).  Reversal carries each site with the gate
-map that its landing check binds (``_deformation``), so no circuit is put
-in canonical order.
+with the theory's own equality (``_safety_check``); a replay evaluates
+each circuit it passes once and compares it with the matrix of the one
+before.  A step changes no gate in front of its block, so the net also
+keeps that circuit's state after those gates and runs the next circuit on
+from it when its gates there are the same, compared gate by gate: one
+state beside the matrix, and every matrix is ``eval_matrix``'s.  A walk
+reads the wire cap once.  Every step goes through one recorder,
+``_Recorder``, on id-level gates (``_apply``): it keeps one working
+circuit across a derivation's steps and builds a ``Circuit`` only when one
+is read; ``replay`` and reversal share one walk over a derivation
+(``_walk``), which yields each step's id-level gate lists and builds a
+circuit only for the safety net.  Reversal decides each landing by list
+equality first, and carries each site with the gate map that its landing
+check binds (``_deformation``) where the lists differ, so no circuit is
+put in canonical order.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _IdGate, _STRUCT, _bind,
 from .errors import (BadArity, DomainError, IllegalSite, InvalidCircuit, NoMatch,
                      QcError, SemanticDrift, UnknownTheory, UnsupportedGate)
 from .euler import NormalFormParams, _pack
-from .semantics import eval_matrix, within_cap
-from .theories import _resolve, equal_in, resolve_rule
+from .semantics import _resumed, wire_cap
+from .theories import _check_tol, _resolve, equal_in, resolve_rule
 
 @dataclass(frozen=True)
 class Site:
@@ -131,12 +138,19 @@ def apply_step(c: Circuit, step: Step, theory: str = "QC",
                allow_lemmas: bool = True, safety: bool = True,
                tol: float = 1e-9) -> Circuit:
     """``c`` after ``step``; with ``safety``, checked by the safety net."""
+    _check_tol(tol)
     rec = _Recorder(theory, c, allow_lemmas)
     rec.step(step)
     out = rec.c
     if safety:
-        _safety_check(c, out, theory, tol)
+        _safety_check(c, out, theory, tol, None, _anchor(step.site))
     return out
+
+
+def _anchor(site: Site) -> int:
+    """Where the block ``site`` selects begins: no gate in front of it
+    changes (``_apply``)."""
+    return min(site.gates) if site.gates else site.at
 
 
 def _sides(step: Step, theory: str, allow_lemmas: bool):
@@ -248,20 +262,50 @@ def _build_replacement(src: Circuit, dst: Circuit, angles, src_ids: list[int],
     return repl
 
 
+class _Net:
+    """What the safety net carries from one check of a walk to the next:
+    the wire cap, read at the first check; the matrix of the circuit the
+    last check evaluated (None when it skipped); and that circuit's state
+    after its first ``at`` gates, where the next step's block begins (None
+    when the check did not come by there)."""
+
+    def __init__(self):
+        self.cap: int | None = None
+        self.m = None
+        self.state = None
+        self.at = 0
+
+
 def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float,
-                  m_before=None):
-    """Check that ``after`` is equal in ``theory`` to ``before``, whose
-    matrix is ``m_before`` when already evaluated, and so within the wire
-    cap, and return ``after``'s matrix; None, with no check, when either
-    opens more wires at once than the cap (``within_cap``)."""
-    if not within_cap(after) or (m_before is None and not within_cap(before)):
-        return None
-    if m_before is None:
-        m_before = eval_matrix(before)
-    m_after = eval_matrix(after)
-    if not equal_in(theory, m_before, m_after, tol):
+                  net: _Net | None = None, at: int = 0, keep: int | None = None) -> None:
+    """Check that ``after``, which a step whose block begins at gate ``at``
+    made of ``before``, is equal in ``theory`` to ``before``, and so within
+    the wire cap; skip the check when either opens more wires at once than
+    the cap (``Threading.widest``).
+
+    ``net`` has ``before``'s matrix and its state after its first ``at``
+    gates when the last check evaluated them; else ``before`` is evaluated
+    here, that state kept on the way.  ``after`` runs on from that state
+    when its first ``at`` gates equal ``before``'s, compared gate by gate,
+    and from the identity otherwise, so each matrix is ``eval_matrix``'s.
+    The check leaves ``net`` with ``after``'s matrix and its state after its
+    first ``keep`` gates (``semantics._resumed``)."""
+    net = _Net() if net is None else net
+    if net.cap is None:
+        net.cap = wire_cap()
+    if after.threading.widest > net.cap or (
+            net.m is None and before.threading.widest > net.cap):
+        net.m = net.state = None
+        return
+    if net.m is None:
+        net.m, net.state = _resumed(before, None, 0, at)
+        net.at = at
+    resume = net.at == at and after.gates[:at] == before.gates[:at]
+    m_after, net.state = _resumed(after, net.state if resume else None, at, keep)
+    net.at = keep
+    if not equal_in(theory, net.m, m_after, tol):
         raise SemanticDrift("rewrite changed the semantics (engine bug)")
-    return m_after
+    net.m = m_after
 
 
 # -- recording and replay -----------------------------------------------------
@@ -281,8 +325,7 @@ class _Recorder:
 
     @property
     def c(self) -> Circuit:
-        i = self.initial
-        return Circuit(i.n_in, i.n_out, tuple(_place(list(range(i.n_in)), self.gates)))
+        return _built(self.initial, self.gates)
 
     def do(self, rule: str, direction: str, params=(), n: int | None = None,
            site: Site = Site()) -> Site:
@@ -305,22 +348,33 @@ class _Recorder:
         return Derivation(self.theory, self.initial, self.steps, self.c, name=name)
 
 
+def _built(initial: Circuit, gates: list[_IdGate]) -> Circuit:
+    """The id-level ``gates`` of a derivation from ``initial``, placed as a
+    validated ``Circuit``."""
+    return Circuit(initial.n_in, initial.n_out,
+                   tuple(_place(list(range(initial.n_in)), gates)))
+
+
 def _walk(d: Derivation, allow_lemmas: bool, safety: bool, tol: float):
-    """Apply ``d``'s steps through one recorder, checked as ``replay``
-    says when ``safety``, and yield each step's input circuit, output
-    circuit and reverse site; a failing step's error gets the prefix
-    ``step i (rule dir): ``."""
-    rec = _Recorder(d.theory, d.initial, allow_lemmas)
-    c, m = d.initial, None   # m: c's matrix, when the last step checked it
+    """Apply ``d``'s steps through one recorder and yield each step's
+    id-level input and output gates (new lists at every step, never
+    changed after), its reverse site and, with ``safety``, its output
+    ``Circuit``, checked as ``replay`` says (None without: no circuit is
+    built).  A failing step's error gets the prefix ``step i (rule dir): ``.
+    """
+    rec, net = _Recorder(d.theory, d.initial, allow_lemmas), _Net()
+    anchors = [_anchor(step.site) for step in d.steps] + [None]
+    c = d.initial if safety else None
     for i, step in enumerate(d.steps):
+        before = rec.gates
         try:
             rev_site = rec.step(step)
-            before, c = c, rec.c
             if safety:
-                m = _safety_check(before, c, d.theory, tol, m)
+                prev, c = c, rec.c
+                _safety_check(prev, c, d.theory, tol, net, anchors[i], anchors[i + 1])
         except QcError as exc:
             raise type(exc)(f"step {i} ({step.rule} {step.direction}): {exc}") from exc
-        yield before, c, rev_site
+        yield before, rec.gates, rev_site, c
 
 
 def replay(d: Derivation, allow_lemmas: bool = False, safety: bool = True,
@@ -329,12 +383,18 @@ def replay(d: Derivation, allow_lemmas: bool = False, safety: bool = True,
 
     With ``safety``, each step is checked as ``apply_step`` checks it, but
     every circuit is evaluated once: a step's circuit is compared with the
-    matrix the step before evaluated.  A step wider than the wire cap is
-    not checked, and the next check evaluates its circuit afresh.
+    matrix the step before evaluated, and is run on from that circuit's
+    state where the step's block begins when the gates in front of the
+    block are the same.  A step wider than the wire cap is not checked,
+    and the next check evaluates its circuit afresh.  Without ``safety``
+    the only circuit built is the one returned.
     """
-    c = d.initial
-    for _, c, _ in _walk(d, allow_lemmas, safety, tol):
+    _check_tol(tol)
+    c, gates = d.initial, None
+    for _, gates, _, c in _walk(d, allow_lemmas, safety, tol):
         pass
+    if c is None:
+        c = _built(d.initial, gates)
     if not deformation_equal(c, d.final):
         raise NoMatch("replayed circuit is not deformation-equal to the declared final")
     return c
@@ -352,23 +412,32 @@ def reverse_derivation(d: Derivation, name: str = "") -> Derivation:
     searched for.  The reversed derivation starts from the forward replay's
     end, which the reversed sites refer to; ``d.final`` may only be
     deformation-equal to it.  The forward run is ``replay``'s walk
-    (``_walk``), with lemmas and without the safety net.
+    (``_walk``), with lemmas and without the safety net, so it builds no
+    circuit.  A reversed step whose gate list equals the recorded one
+    lands on it and its successor's site carries over as it is; only
+    where the lists differ are the two placed as circuits, each once.
     """
     fwd = list(_walk(d, allow_lemmas=True, safety=False, tol=0.0))
-    c = fwd[-1][1] if fwd else d.initial
-    rec = _Recorder(d.theory, c)
-    where = range(len(c.gates))   # where each gate of the recorded circuit sits in c
+    start = _built(d.initial, fwd[-1][1]) if fwd else d.initial
+    rec = _Recorder(d.theory, start)
+    # the last landing: the recorded circuit and the reached one, None when
+    # their gate lists are equal, with where each gate of the first sits
+    landing, where = None, None
     for i in reversed(range(len(fwd))):
-        step, (before, after, rev_site) = d.steps[i], fwd[i]
-        chain = any(before.gates[j].kind in ("INIT", "DEST") for j in step.site.gates)
+        step, (before, _, rev_site, _) = d.steps[i], fwd[i]
+        chain = any(before[j][0].kind in ("INIT", "DEST") for j in step.site.gates)
         what = f"step {i} ({step.rule} {step.direction}) does not reverse"
         try:
+            site = rev_site if landing is None else _carry_site(rev_site, *landing, where, chain)
             rec.step(Step(step.rule, "RL" if step.direction == "LR" else "LR", step.params,
-                          step.n, _carry_site(rev_site, after, c, where, chain)))
+                          step.n, site))
         except QcError as exc:
             raise NoMatch(f"{what}: {exc}") from exc
-        c = rec.c
-        where = _deformation(before, c)
+        if rec.gates == before:
+            landing = None
+            continue
+        landing = (d.initial if i == 0 else _built(d.initial, before), rec.c)
+        where = _deformation(*landing)
         if where is None:
             raise NoMatch(f"{what}: it lands off the recorded circuit")
     return Derivation(d.theory, rec.initial, rec.steps, d.initial,

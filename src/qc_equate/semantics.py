@@ -24,6 +24,12 @@ kernels are the same: an angle-reading kernel takes a float through
 batch-free call, so every angle it reads is a gate's own float.  Both
 equality predicates take such a batch too and hold when they hold for
 every instance; ``equal_up_to_phase`` finds one phase per instance.
+
+Every evaluation runs one gate loop (``_run``).  The rewrite engine's
+safety net evaluates through ``_resumed``, which runs the loop on from a
+kept state tensor, the state after a circuit's first gates, and keeps one
+such state of the circuit it evaluates: the same kernels in the same
+order on the same data, so its matrix is ``eval_matrix``'s.
 """
 
 from __future__ import annotations
@@ -73,12 +79,40 @@ def _evaluate(c: Circuit, angles: np.ndarray | None = None) -> np.ndarray:
     if not within_cap(c):
         raise WireCapExceeded(f"circuit opens {c.threading.widest} wires at once, "
                               f"cap {wire_cap()}")
-    cols = 2 ** c.n_in
-    t = np.eye(cols, dtype=complex).reshape((2,) * c.n_in + (cols,))
-    gates = c.gates
-    if angles is not None:   # each slot's gate reads its row
-        gates = c._batched(angles)
-        t = np.repeat(t[..., None], angles.shape[1], axis=-1)
+    t, rows, cols = _identity(c.n_in), 2 ** c.n_out, 2 ** c.n_in
+    if angles is None:
+        return _run(t, c.gates).reshape(rows, cols)
+    gates = c._batched(angles)   # each slot's gate reads its row
+    t = np.repeat(t[..., None], angles.shape[1], axis=-1)
+    return _run(t, gates).reshape(rows, cols, -1)
+
+
+def _resumed(c: Circuit, state: np.ndarray | None, at: int,
+             keep: int | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """``eval_matrix(c)``, the wire cap unread, run on from ``state``, the
+    state after ``c``'s first ``at`` gates, which it may overwrite (None:
+    from the identity, whatever ``at``), and the state after ``c``'s first
+    ``keep`` gates, copied in its own layout, so a later run on from it
+    applies each kernel as one from the identity would (None when ``keep``
+    is None or not in ``at..len(c.gates)``)."""
+    if state is None:
+        state, at = _identity(c.n_in), 0
+    gates, kept = c.gates, None
+    if keep is not None and at <= keep <= len(gates):
+        state = _run(state, gates[at:keep])
+        kept, at = state.copy(order="K"), keep
+    return _run(state, gates[at:]).reshape(2 ** c.n_out, 2 ** c.n_in), kept
+
+
+def _identity(n_in: int) -> np.ndarray:
+    """The state tensor ``(2,) * n_in + (cols,)`` of the empty circuit."""
+    cols = 2 ** n_in
+    return np.eye(cols, dtype=complex).reshape((2,) * n_in + (cols,))
+
+
+def _run(t: np.ndarray, gates) -> np.ndarray:
+    """The state tensor ``t`` after ``gates``: the one gate loop, in place
+    where a kernel allows it."""
     for g in gates:
         if g.kind == "INIT":   # a new axis in state |0>
             t = np.stack([t, np.zeros_like(t)], axis=g.wires[0])
@@ -88,7 +122,7 @@ def _evaluate(c: Circuit, angles: np.ndarray | None = None) -> np.ndarray:
             t = np.swapaxes(t, *g.wires)
         else:
             _apply_kernel(t, g)
-    return t.reshape(2 ** c.n_out, cols) if angles is None else t.reshape(2 ** c.n_out, cols, -1)
+    return t
 
 
 #: gate kinds that are their last wire's 1-qubit base controlled by all

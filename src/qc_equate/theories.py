@@ -39,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -484,8 +485,18 @@ def equal_in(theory: str, a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bo
     return (equal_up_to_phase if theory == "QCugp" else equal_matrices)(a, b, tol)
 
 
+def _check_tol(tol) -> None:
+    """The one check of a comparison tolerance: a finite real number >= 0;
+    BadParams otherwise (a nan or negative one fails every comparison, an
+    infinite one passes every one)."""
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not (math.isfinite(tol) and tol >= 0)):
+        raise BadParams(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def check_soundness(inst: RuleInstance, tol: float = 1e-9) -> bool:
     """Numerically compare both sides in the instance's theory."""
+    _check_tol(tol)
     return equal_in(inst.id.theory, eval_matrix(inst.lhs), eval_matrix(inst.rhs), tol)
 
 
@@ -584,6 +595,7 @@ def verify_theory(theory: str, samples: int = 100, max_qubits: int = 6,
     in one ``equal_in`` call.  Returns {rule name: {"checks": int, "ok":
     bool}} plus an "ok" summary key.
     """
+    _check_tol(tol)
     rng = _seeded_rng(seed)
     report: dict = {"theory": theory, "tol": tol, "rules": {}, "ok": True}
     for rid in list_rules(theory):

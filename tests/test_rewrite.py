@@ -14,9 +14,9 @@ from qc_equate import (Circuit, Derivation, Site, Step, apply_step, canonicalize
                        circuit, cnot, ctrl, decide_equiv_1q, deformation_equal, dest,
                        eval_matrix, find_sites, gphase, h, init, nf_from_unitary,
                        normalize_1q, p, replay, reverse_derivation, rx, swap,
-                       x, z)
+                       check_soundness, verify_theory, x, z)
 from qc_equate.circuit import angles_equal
-from qc_equate.errors import (ArityMismatch, BadArity, DomainError,
+from qc_equate.errors import (ArityMismatch, BadArity, BadParams, DomainError,
                               IllegalSite, InvalidCircuit, NoMatch, QcError,
                               UnknownTheory, UnsupportedGate)
 from qc_equate.euler import GENERIC, Z_ZERO, ZPRIME_ZERO, euler_e, euler_eprime
@@ -151,6 +151,24 @@ def _h2(site, direction="LR"):
 def test_engine_rejections(run, error):
     with pytest.raises(error):
         run()
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+def test_a_bad_tol_is_refused(tol):
+    # a nan or negative tol fails every comparison, so the safety net would
+    # report an engine bug and soundness an unsound rule; an infinite one
+    # passes every comparison.  Each entry point refuses it up front.
+    rec = rewrite._Recorder("QC", circuit(1, [h(0), h(0)]))
+    rec.do("H2", "LR", site=Site((0, 1), (0,)))
+    d = rec.derivation()
+    runs = [lambda: replay(d, tol=tol),
+            lambda: apply_step(d.initial, d.steps[0], tol=tol),
+            lambda: verify_theory("QC", samples=2, max_qubits=3, tol=tol),
+            lambda: check_soundness(resolve_rule("QC", "H2"), tol=tol)]
+    for run in runs:
+        with pytest.raises(BadParams, match="^tol must be a finite number >= 0"):
+            run()
+    replay(d)   # the default tol is fine
 
 
 def test_qcugp_steps_cite_rules_without_global_phases():

@@ -29,3 +29,7 @@ def test_step_costs_splits_the_step_on_five_circuits():
             # each part runs inside the step's _apply, resolve before it
             assert 0 < r["match_us"] < r["apply_us"] and 0 < r["resolve_us"], name
         assert t["apply_by_length"] and all(v > 0 for v in t["apply_by_length"].values())
+    rep = out["replay"]
+    assert set(rep) == {"traces", "steps", "step_us", "build_us", "evaluate_us", "compare_us"}
+    assert rep["traces"] == 19 and rep["steps"] == 248
+    assert all(rep[f"{part}_us"] > 0 for part in ("step", "build", "evaluate", "compare"))

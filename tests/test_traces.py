@@ -5,15 +5,16 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qc_equate import (Circuit, Derivation, Gate, RuleId, apply_step, canonicalize,
-                       circuit, deformation_equal, eval_matrix, find_sites, gphase,
+                       circuit, deformation_equal, eval_matrix, find_sites, gphase, h,
                        mcp, normalize_1q, p, replay, resolve_rule,
-                       reverse_derivation, rx)
+                       reverse_derivation, rx, x, z)
 from qc_equate import rewrite, traces as tr
 from qc_equate.circuit import angle_period
 from qc_equate.errors import NoMatch, QcError, SemanticDrift
@@ -197,14 +198,16 @@ def test_a_step_matches_angles_as_same_gate_does():
 
 
 def _count_evals(monkeypatch) -> list:
-    """Record each circuit the safety net evaluates, in call order."""
-    seen, real = [], rewrite.eval_matrix
+    """Record each circuit the safety net evaluates, in call order: every
+    evaluation, from the identity or run on from a kept state, is one
+    ``_resumed`` call."""
+    seen, real = [], rewrite._resumed
 
-    def counted(c):
+    def counted(c, *args):
         seen.append(c)
-        return real(c)
+        return real(c, *args)
 
-    monkeypatch.setattr(rewrite, "eval_matrix", counted)
+    monkeypatch.setattr(rewrite, "_resumed", counted)
     return seen
 
 
@@ -235,6 +238,93 @@ def test_safety_net_fires_at_the_corrupted_step(k, monkeypatch):
     monkeypatch.setattr(rewrite, "_build_replacement", corrupted)
     with pytest.raises(SemanticDrift, match=fr"^step {k} \("):
         replay(d, allow_lemmas=True, safety=True)
+
+
+def _rand_1q(rng, m: int) -> Circuit:
+    kinds = [lambda a: h(0), lambda a: p(a, 0), lambda a: rx(a, 0), gphase,
+             lambda a: x(0), lambda a: z(0)]
+    return circuit(1, [kinds[rng.integers(0, len(kinds))](float(rng.uniform(-7, 7)))
+                       for _ in range(m)])
+
+
+def test_resumed_safety_net_compares_eval_matrix_bytes(monkeypatch):
+    # a check runs a step's circuit on from the state the last one kept
+    # where the step's block begins; every matrix it compares is still
+    # eval_matrix's, byte for byte, over the frozen traces (INIT/DEST in
+    # qcancilla_*, SWAP in qc_pgadget), their reversals and seeded
+    # normalizer traces
+    real, resumed_over, resumed_in = rewrite._resumed, set(), set()
+
+    def checked(c, state, at, keep):
+        m, kept = real(c, state, at, keep)
+        want = eval_matrix(c)
+        assert m.shape == want.shape and m.dtype == want.dtype
+        assert m.tobytes() == want.tobytes(), c.to_json()
+        if state is not None:
+            resumed_over.update(g.kind for g in c.gates[:at])
+            resumed_in.update(g.kind for g in c.gates)
+        return m, kept
+
+    monkeypatch.setattr(rewrite, "_resumed", checked)
+    runs = _frozen()
+    runs += [reverse_derivation(d) for d in runs if d.name != "qcancilla_p0"]
+    assert len(runs) == 19 + 18
+    rng = np.random.default_rng(37)
+    for k in range(50):
+        theory = ("QC", "QCprime")[k % 2]
+        runs.append(normalize_1q(_rand_1q(rng, int(rng.integers(0, 13))), emit_trace=True,
+                                 theory=theory)[1])
+    for d in runs:
+        replay(d, allow_lemmas=True, safety=True)
+    # states kept past an INIT (one wire more) and a SWAP (axes swapped),
+    # and run on through a DEST
+    assert {"INIT", "SWAP", "H", "P"} <= resumed_over and "DEST" in resumed_in
+
+
+def test_safety_net_fires_at_a_change_in_front_of_the_block(monkeypatch):
+    # a mutant splice that also moves the angle of a P in front of the
+    # block of step 1: the net must see the gates it would run on from
+    # differ, not take the step's word that nothing there changed
+    (d,) = [d for d in _frozen() if d.name == "qc_pminus"]
+    pre = apply_step(d.initial, d.steps[0], d.theory, safety=False)
+    at = rewrite._anchor(d.steps[1].site)
+    assert at == 4 and pre.gates[1].kind == "P"
+    calls, real = [], rewrite._apply
+
+    def mutant(*args):
+        gates, rev_site = real(*args)
+        calls.append(None)
+        if len(calls) == 2:
+            g, ids = gates[1]
+            gates = [gates[0], (Gate(g.kind, g.wires, (g.params[0] + 0.5,)), ids), *gates[2:]]
+        return gates, rev_site
+
+    monkeypatch.setattr(rewrite, "_apply", mutant)
+    with pytest.raises(SemanticDrift, match=r"^step 1 \("):
+        replay(d, allow_lemmas=True, safety=True)
+
+
+def test_safety_replay_memory_does_not_grow_with_gate_count():
+    # on 7 wires a state is 2^7 x 2^7 complex numbers, 256 KiB: the net
+    # keeps one beside the matrix, not one per gate, however long the
+    # circuit grows (each step splices an H pair into its middle)
+    def derivation(steps: int) -> Derivation:
+        rec = rewrite._Recorder("QC", circuit(7, [h(w) for w in range(7)]))
+        for i in range(steps):
+            rec.do("H2", "RL", site=Site((), (i % 7,), len(rec.gates) // 2))
+        return rec.derivation()
+
+    peaks = []
+    for steps in (4, 60):
+        d = derivation(steps)
+        replay(d, safety=True)
+        tracemalloc.start()
+        try:
+            replay(d, safety=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 ** 14 * 16, peaks
 
 
 def test_wire_cap_skips_the_same_steps_as_apply_step(monkeypatch):

@@ -1,4 +1,5 @@
-"""Split the rewrite step's cost on the benchmark's normalizer inputs.
+"""Split the rewrite step's cost on the benchmark's normalizer inputs and in
+a replay of the frozen traces.
 
     PYTHONPATH=src python3 tools/step_costs.py [--seed 41] [--passes 3] [--circuits N]
 
@@ -18,6 +19,14 @@ pass.  Prints one JSON object, per theory:
   an outer time includes the timers of the calls inside it;
 - ``apply_by_length``: the median microseconds of ``_apply`` by the working
   circuit's gate count, in buckets of four.
+
+and a ``replay`` section over the frozen ``traces/*.json``, each replayed
+with lemmas and the safety net ``--passes`` times after one warm-up pass:
+``traces``, ``steps`` (per pass) and the median microseconds per step of
+``step`` (``_Recorder.step``), ``build`` (the ``Circuit`` built for the
+net, ``_built``), ``evaluate`` (the net's evaluations, ``_resumed``; a
+trace's first step also evaluates its initial circuit) and ``compare``
+(``equal_in``).
 """
 
 import argparse
@@ -32,7 +41,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "perfbench"))
 
 import workloads  # noqa: E402
-from qc_equate import normalize_1q, rewrite  # noqa: E402
+from qc_equate import Derivation, normalize_1q, replay, rewrite  # noqa: E402
 
 THEORIES = ("QC", "QCprime")
 BUCKET = 4
@@ -110,6 +119,49 @@ def _parts(circuits, theory: str, passes: int):
     return by_rule, by_length
 
 
+def _replay_parts(derivs, passes: int) -> list[dict]:
+    """Per replayed step, the seconds of each part: the step, then the
+    calls until the next step or the end of its replay."""
+    parts = [(rewrite, "_built", "build"), (rewrite, "_resumed", "evaluate"),
+             (rewrite, "equal_in", "compare")]
+    per_step: list[dict] = []
+    step = rewrite._Recorder.step
+
+    with _Timed(parts) as timed:
+        def flush():
+            if timed.into:
+                per_step.append(dict(timed.into))
+                timed.into.clear()
+
+        def recorded(rec, s):
+            flush()
+            t0 = perf_counter()
+            try:
+                return step(rec, s)
+            finally:
+                timed.into["step"] += perf_counter() - t0
+
+        rewrite._Recorder.step = recorded
+        try:
+            for _ in range(passes):
+                for d in derivs:
+                    replay(d, allow_lemmas=True, safety=True)
+                    flush()
+        finally:
+            rewrite._Recorder.step = step
+    return per_step
+
+
+def replay_report(passes: int) -> dict:
+    derivs = [Derivation.from_dict(js) for js in workloads.load_frozen().values()]
+    for d in derivs:   # warm-up: rule shapes and plans compiled
+        replay(d, allow_lemmas=True, safety=True)
+    per_step = _replay_parts(derivs, passes)
+    return {"traces": len(derivs), "steps": len(per_step) // passes,
+            **{f"{part}_us": _us([t.get(part, 0.0) for t in per_step])
+               for part in ("step", "build", "evaluate", "compare")}}
+
+
 def _us(values) -> float:
     return round(statistics.median(values) * 1e6, 2)
 
@@ -137,6 +189,7 @@ def report(seed: int = 41, passes: int = 3, count: int | None = None) -> dict:
             "apply_by_length": {f"{b * BUCKET}-{b * BUCKET + BUCKET - 1}": _us(ts)
                                 for b, ts in sorted(by_length.items())},
         }
+    out["replay"] = replay_report(passes)
     return out
 
 
