@@ -262,11 +262,13 @@ def ctrl(pattern: str, base: Gate, wires: tuple[int, ...]) -> Gate:
 class _BatchGate(NamedTuple):
     """A gate that carries an angle, in a batch of instances of one circuit
     (``Circuit._batched``): its one parameter is a row of angles, one per
-    instance."""
+    instance.  It is never a CTRL: its pattern is empty and its base None."""
 
     kind: str
     wires: tuple[int, ...]
     params: tuple[np.ndarray]
+    pattern: str = ""
+    base: None = None
 
 
 @dataclass(frozen=True)

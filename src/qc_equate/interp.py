@@ -6,33 +6,18 @@ breaks: indicator and parity counts for the small rules, swap/cnot functors
 for B and CZ, the determinant-related valuation ``interp_k`` for the
 multi-control rule, and a sign-assignment phase sum for the Euler rule.
 
-``interp_k`` is a sum over gates, and weighs a macro by recursion on
-``unfold``, so an n-wire MCP costs O(n), not its 2 * 3^(n-1) - 1 expanded
-gates.  The witnesses that read no angle (S2PI, H2, P0, P0', C, EH, B, CZ)
-are functors too, and fold over the gates the same way (``_fold``): the
-indicators and parities count GPHASE, H, P and CNOT gates, B and CZ keep
-the GF(2)-linear wire map of the SWAPs, or CNOTs and SWAPs, and a macro
-adds the fold of its ``unfold``, taken once per macro shape, which reads
-no angle.  They have one value per rule width, so ``minimality_report``
-reads one instance per width for them and compares their values with
-``==``.  SPLUS's witness and the Euler value set read angles, and read
-gates with their macros expanded by ``expand_gate``: SPLUS only a macro
-whose fold counts a GPHASE, the value set a 1-qubit circuit.  The value
-set reads no GPHASE angle, so it reads one instance of a rule whose
-parameters reach only GPHASE gates (SPLUS).
-
-``interp_k`` is the batch-free call of ``_interp_k``, which also weighs a
-batch of instances of one circuit that differ only in their angles, as
-``semantics._evaluate`` evaluates one: the gate at each angle slot carries
-a row of angles, one per instance (``Circuit._batched``, which checks
-them).  A GPHASE or P weighs its row with the float operations a float
-angle gets; a macro weighs its one-level ``unfold`` with the row scaled
-by each unfolded gate's factor (``_unfold_rows``), which gives the float
-path's angles bit for bit, and builds no ``Gate`` per row.
-``minimality_report``'s (I) row checks each chunk of a rule's draws with
-one request, one weigh per side and one vectorised comparison, and builds
-no instance, and SPLUS's psi-free check is one such batch; the other
-witnesses build an instance only when they check it.
+``interp_k`` and the witnesses that read no angle (S2PI, H2, P0, P0', C,
+EH, B, CZ) sum each gate's summary (``_summary``), made once per gate shape
+from a macro's ``unfold`` at angle 1, narrower shapes first, with no
+recursion: its counts of GPHASE, H, P, CNOT and SWAP, B's and CZ's
+GF(2)-linear wire maps, and its weight, affine in its angle with exact
+dyadic coefficients.  So an n-wire MCP(phi) weighs 2^(k-n) phi in O(n), not
+over its 2 * 3^(n-1) - 1 expanded gates, and no cache holds an angle.
+SPLUS's witness and the Euler value set read angles, and read gates with
+their macros expanded by ``expand_gate``.  ``interp_k`` is the batch-free
+call of ``_interp_k``, which also weighs a batch of instances of one
+circuit that differ only in their angles, bit for bit as one at a time, so
+``minimality_report`` checks (I) a chunk of draws at a time.
 """
 
 from __future__ import annotations
@@ -42,12 +27,14 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import (_KIND_SIG, MACRO_KINDS, TWO_PI, Circuit, Gate, _BatchGate, _wire,
-                      angles_equal, circuit, expand_gate, reduce_angle, unfold)
+from .circuit import (_KIND_SIG, TWO_PI, Circuit, Gate, _wire, angles_equal, circuit,
+                      expand_gate, reduce_angle, unfold)
 from .errors import (BadArity, BadParams, InconsistentClasses, NoInterpretation,
                      UnknownLemma, UnsupportedGate)
 from .euler import b_funcs
@@ -80,18 +67,17 @@ def interp_k(c: Circuit, k: int) -> float:
     functor only for k >= 2: at k = 1, ``SWAP SWAP`` weighs pi and the empty
     circuit 0.  ``minimality_report`` never uses k = 1: it takes
     k = target_n - 1, and (I) needs ``target_n >= 3`` (2 raises BadArity).
-    A ``k`` whose weights overflow a float, or a macro that unfolds deeper
-    than Python's recursion limit allows, raises BadArity, as does a
-    negative ``k``; a ``k`` that is not an integer raises InvalidCircuit."""
+    A ``k`` at which a weight is not a finite float raises BadArity, as
+    does a negative ``k``; a ``k`` that is not an integer raises
+    InvalidCircuit."""
     return _interp_k(c, k)
 
 
 def _interp_k(c: Circuit, k: int, angles: np.ndarray | None = None):
     """``interp_k``, or with ``angles``, an array (slots, m) of m instances'
-    angles, one row per gate of ``c`` that carries one, the m instances'
-    values as an array (``Circuit._batched`` checks the angles).  A weight
-    that overflows to inf, which a float product gives silently, gives a
-    NaN value in a batch too, with no numpy warning."""
+    angles, one row per gate of ``c`` that carries one, their m values as
+    an array (``Circuit._batched`` checks the angles).  A weight that a
+    float product overflows silently raises BadArity, with no warning."""
     k = _wire(k, "k")
     if k < 0:
         raise BadArity(f"interp_k needs k >= 0, got {k}")
@@ -100,71 +86,108 @@ def _interp_k(c: Circuit, k: int, angles: np.ndarray | None = None):
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             r = _weigh(gates, k)
-    except (OverflowError, RecursionError) as exc:
-        raise BadArity(f"interp_k at k={k} is out of reach: {type(exc).__name__}") from None
-    if isinstance(r, np.ndarray):
+    except OverflowError:   # 2^k coef beyond a float; an inf weight sums to NaN
+        r = math.nan
+    batch = isinstance(r, np.ndarray)
+    if np.isnan(r).any() if batch else r != r:
+        raise BadArity(f"interp_k at k={k} is out of reach: OverflowError")
+    if batch:
         return np.where(r > TWO_PI - 1e-12, 0.0, r)
     return 0.0 if r > TWO_PI - 1e-12 else r
 
 
-def _weigh(gates, k: int, weighed: dict | None = None):
-    """``interp_k``'s sum over ``gates``, modulo 2*pi.  A macro weighs what
-    its ``unfold`` weighs, which reads no wire: it is weighed on wires
-    ``0..n-1``, so the two shapes an MCP unfolds into per level are each
-    weighed once and an n-wire MCP costs O(n).
-
-    A ``_BatchGate`` weighs each instance's angle with the float operations
-    a float angle gets (numpy's float ``%`` is Python's): a GPHASE or P
-    its row, a macro its unfolding at rows scaled as ``_unfold_rows``
-    scales them.  ``weighed`` keeps those macro weights for one batch, by
-    kind, wire count and rows, as ``_macro_weight``'s cache keeps a
-    ``Gate``'s.  The sum then holds one value per instance."""
+def _weigh(gates, k: int):
+    """``interp_k``'s sum over ``gates``, modulo 2*pi, of ``const + coef *
+    angle`` (``_affine``): a float angle, or a ``_BatchGate``'s row of
+    angles with the same float operations, which gives one sum per row."""
     total = 0.0
     for g in gates:
-        if g.kind == "GPHASE":
-            w = (2.0 ** k) * g.params[0]
-        elif g.kind == "H":
-            w = (2.0 ** (k - 1)) * math.pi
-        elif g.kind == "P":
-            w = (2.0 ** (k - 1)) * g.params[0]
-        elif g.kind in ("CNOT", "SWAP"):
-            w = (2.0 ** (k - 2)) * math.pi
-        elif type(g) is Gate:
-            w = _macro_weight(g.with_wires(tuple(range(len(g.wires)))), k)
-        else:
-            weighed = {} if weighed is None else weighed
-            key = (g.kind, len(g.wires), g.params[0].tobytes())
-            if key not in weighed:
-                weighed[key] = _weigh(_unfold_rows(g), k, weighed)
-            w = weighed[key]
-        # reduced before it is added, so a weight of 2^(k-2) pi or more
-        # does not round away the low bits of the total
-        total = (total + w % TWO_PI) % TWO_PI
+        const, coef = _affine(_shape(g), k)
+        if coef:
+            # reduced before it is added, so a weight of 2^(k-2) pi or more
+            # does not round away the low bits of the total
+            const = const + coef * (g.params or g.base.params)[0] % TWO_PI
+        total = (total + const) % TWO_PI
     return total
 
 
-# bounded: the key holds the macro's angle, which most callers draw anew
 @functools.lru_cache(maxsize=1024)
-def _macro_weight(g: Gate, k: int) -> float:
-    return _weigh(unfold(g), k)
+def _affine(shape, k: int) -> tuple[float, float]:
+    """A gate of ``shape`` weighs ``const + coef * angle`` at level k,
+    modulo 2*pi: its summary's exact 2^k const, reduced modulo 2 before it
+    meets pi, and 2^k coef, which raises OverflowError beyond a float."""
+    s = _summary(shape)
+    num, den = s.const.numerator, s.const.denominator
+    const = num * pow(2, k, 2 * den) % (2 * den) / den * math.pi
+    return const, math.ldexp(s.coef.numerator, k + 1 - s.coef.denominator.bit_length())
 
 
-def _unfold_rows(g: _BatchGate) -> list:
-    """The one-level ``unfold`` of a batch macro on wires ``0..n-1``: each
-    unfolded angle is a factor times the macro's (the unfolding at angle 1
-    shows the factors, +-2^-j), so a gate that carries one carries the
-    macro's row scaled by its factor, which is ``unfold``'s own
-    ``theta / 2.0`` bit for bit."""
-    at_one = unfold(Gate(g.kind, tuple(range(len(g.wires))), (1.0,)))
-    return [_BatchGate(u.kind, u.wires, (u.params[0] * g.params[0],)) if u.params else u
-            for u in at_one]
+class _Summary(NamedTuple):
+    """What the valuations read of a gate shape, with its macros unfolded:
+    its counts of GPHASE, H, P, CNOT and SWAP, its weight 2^k (const pi +
+    coef angle) at level k, both exact dyadic rationals, and B's and CZ's
+    wire maps (``_wire_map``), ``{wire: row}`` without the identity's rows."""
+
+    counts: tuple[int, ...]
+    const: Fraction
+    coef: Fraction
+    maps: tuple[dict, dict]
+
+
+#: the primitives' summaries, by kind: a GPHASE weighs 2^k angle, a P
+#: 2^(k-1) angle, an H 2^(k-1) pi and a CNOT or SWAP 2^(k-2) pi
+_LEAVES = {
+    "GPHASE": _Summary((1, 0, 0, 0, 0), Fraction(0), Fraction(1), ({}, {})),
+    "H": _Summary((0, 1, 0, 0, 0), Fraction(1, 2), Fraction(0), ({}, {})),
+    "P": _Summary((0, 0, 1, 0, 0), Fraction(0), Fraction(1, 2), ({}, {})),
+    "CNOT": _Summary((0, 0, 0, 1, 0), Fraction(1, 4), Fraction(0), ({}, {1: 3})),
+    "SWAP": _Summary((0, 0, 0, 0, 1), Fraction(1, 4), Fraction(0), ({0: 2, 1: 1},) * 2),
+}
+
+#: the summaries made, by shape, and after a miss past 4096 only the leaves'
+_SUMMARIES = dict(_LEAVES)
+
+
+def _shape(g):
+    """What of a gate its summary reads, no wire and no angle: a
+    primitive's kind, or a macro's kind, width, pattern and base kind."""
+    if g.kind in _LEAVES:
+        return g.kind
+    return g.kind, len(g.wires), g.pattern, g.base and g.base.kind
+
+
+def _summary(shape) -> _Summary:
+    """The summary of a gate of ``shape``: a macro's is made from those of
+    its ``unfold`` on wires ``0..n-1`` at angle 1, which a worklist makes
+    before it, narrower shapes first, so no call recurses and the result
+    does not depend on what is held; an unfolded angle is a factor (+-2^-j)
+    of the macro's own angle, or when it has none, a multiple of pi."""
+    if shape not in _SUMMARIES:
+        if len(_SUMMARIES) > 4096:
+            _SUMMARIES.clear()
+            _SUMMARIES.update(_LEAVES)
+        todo = [shape]
+        while shape not in _SUMMARIES:
+            kind, n, pattern, base = todo[-1]
+            g = Gate(kind, tuple(range(n)), (1.0,) * _KIND_SIG[kind][1], pattern,
+                     None if base is None else Gate(base, (0,), (1.0,) * _KIND_SIG[base][1]))
+            subs = unfold(g)
+            todo += dict.fromkeys(s for s in map(_shape, subs) if s not in _SUMMARIES)
+            if todo[-1] != (kind, n, pattern, base):
+                continue
+            parts = [_SUMMARIES[_shape(u)] for u in subs]
+            const = sum(s.const for s in parts)
+            coef = sum(s.coef * Fraction(u.params[0]) for u, s in zip(subs, parts) if u.params)
+            if not (g.params or g.base is not None and g.base.params):
+                const, coef = const + coef / Fraction(math.pi), 0
+            maps = (_wire_map(subs, i) for i in (0, 1))
+            _SUMMARIES[todo.pop()] = _Summary(
+                _counts(subs), Fraction(const), Fraction(coef),
+                tuple({w: r for w, r in m.items() if r != 1 << w} for m in maps))
+    return _SUMMARIES[shape]
 
 
 # -- the eight per-axiom interpretations --------------------------------------
-
-#: the kinds the witnesses that read no angle count, at their index in the
-#: counts ``_fold`` gives
-_COUNTED = {"GPHASE": 0, "H": 1, "P": 2, "CNOT": 3}
 
 #: what each counting witness makes of the counts of GPHASE, H, P and CNOT
 _OF_COUNTS = {
@@ -176,94 +199,69 @@ _OF_COUNTS = {
     "EH": lambda gphases, hs, ps, cnots: hs % 2,
 }
 
-#: the kinds whose wire map the B and CZ witnesses keep
-_KEPT = {"B": ("SWAP",), "CZ": ("CNOT", "SWAP")}
+#: the witnesses that read a wire map, at its index in ``_Summary.maps``:
+#: B's of the SWAPs, CZ's of the CNOTs and SWAPs
+_KEPT = {"B": 0, "CZ": 1}
 
 
-def _fold(gates, n: int, keep: tuple) -> tuple:
-    """The counts of GPHASE, H, P and CNOT in ``gates``, on ``n`` wires,
-    with their macros expanded, and the wire map of their gates of the
-    kinds in ``keep`` (CNOT, SWAP; None when ``keep`` is empty): these
-    gates map the wire bits GF(2)-linearly, and row w of the map is a
-    bitmask of the input wires XORed into wire w.  A macro adds the fold of
-    its ``unfold`` (``_macro_fold``), composed onto its wires."""
-    counts = [0, 0, 0, 0]
-    rows = [1 << w for w in range(n)] if keep else None
+def _counts(gates) -> tuple:
+    """The counts of GPHASE, H, P, CNOT and SWAP in ``gates``, with their
+    macros unfolded."""
+    gphases = hs = ps = cnots = swaps = 0
     for g in gates:
-        kind = g.kind
-        if kind in _COUNTED:
-            counts[_COUNTED[kind]] += 1
-        if kind in keep:
-            a, b = g.wires
-            if kind == "CNOT":
-                rows[b] ^= rows[a]
-            else:
-                rows[a], rows[b] = rows[b], rows[a]
-        elif kind in MACRO_KINDS:
-            base = g.base and g.base.kind
-            sub, local = _macro_fold(kind, len(g.wires), g.pattern, base, keep)
-            counts = [a + b for a, b in zip(counts, sub)]
-            if local is not None:
-                old = [rows[w] for w in g.wires]
-                for w, row in zip(g.wires, local):
-                    rows[w] = functools.reduce(operator.xor, (r for i, r in enumerate(old)
-                                                              if row >> i & 1), 0)
-    return tuple(counts), rows if rows is None else tuple(rows)
+        a, b, c, d, e = _summary(_shape(g)).counts
+        gphases, hs, ps, cnots, swaps = gphases + a, hs + b, ps + c, cnots + d, swaps + e
+    return gphases, hs, ps, cnots, swaps
 
 
-# bounded like _macro_weight; the key is the macro's shape and holds no
-# angle, as the kinds and wires of unfold read none
-@functools.lru_cache(maxsize=1024)
-def _macro_fold(kind: str, n: int, pattern: str, base: str | None, keep: tuple) -> tuple:
-    """``_fold`` of the ``unfold`` of a macro of this shape on wires
-    ``0..n-1``, at angle 1.  Its wire map is None when it is the identity,
-    as every macro's is, so that it costs nothing to compose."""
-    at_one = Gate(kind, tuple(range(n)), (1.0,) * _KIND_SIG[kind][1], pattern,
-                  None if base is None else Gate(base, (0,), (1.0,) * _KIND_SIG[base][1]))
-    counts, rows = _fold(unfold(at_one), n, keep)
-    return counts, None if rows == tuple(1 << w for w in range(n)) else rows
-
-
-def _folded(name: str, gates, n: int, keep: tuple = ()) -> tuple:
-    """``_fold`` for the witness ``name``: a macro that unfolds deeper than
-    Python's recursion limit allows raises BadArity."""
-    try:
-        return _fold(gates, n, keep)
-    except RecursionError:
-        raise BadArity(f"interp[{name}] unfolds deeper than the recursion limit") from None
+def _wire_map(gates, i: int) -> dict:
+    """The GF(2)-linear wire map of ``gates``, their summaries' maps at
+    index ``i`` (``_KEPT``) composed: row w, a bitmask of the input wires
+    XORed into wire w, is held once written."""
+    rows = {}
+    for g in gates:
+        m = _summary(_shape(g)).maps[i]
+        if m:
+            old = [rows.get(w, 1 << w) for w in g.wires]
+            for w, row in m.items():
+                x = 0
+                for j, r in enumerate(old):
+                    if row >> j & 1:
+                        x ^= r
+                rows[g.wires[w]] = x
+    return rows
 
 
 def _witness(name: str, c: Circuit):
     """The value of vanilla ``c`` under the witness ``name`` that reads no
     angle, as ``minimality_report`` compares it: an int, or for B and CZ
     the wire map."""
-    keep = _KEPT.get(name, ())
-    if not keep and name not in _OF_COUNTS:
+    if name in _KEPT:
+        rows = _wire_map(c.gates, _KEPT[name])
+        return tuple(rows.get(w, 1 << w) for w in range(c.n_in))
+    if name not in _OF_COUNTS:
         raise NoInterpretation(f"no registered counter-interpretation for {name}")
-    counts, wires = _folded(name, c.gates, c.n_in, keep)
-    return wires if keep else _OF_COUNTS[name](*counts)
+    return _OF_COUNTS[name](*_counts(c.gates)[:4])
 
 
 def interp_axiom(name: str, c: Circuit, psi: float | None = None):
     """Value of circuit c under the counter-interpretation for ``name``.
 
-    The witnesses that read no angle fold over the gates, a macro adding
-    the fold of its ``unfold`` once per macro shape (``_fold``), so they
-    are linear in width.  S2PI, H2, P0', C are 1 when the circuit, macros
-    expanded, has a GPHASE, H, P or CNOT; P0 is #H + #P and EH #H, modulo
-    2.  ``P0'`` is the (P0) witness of QCprime.  B and CZ give the
-    permutation matrix of the circuit's SWAPs, or CNOTs and SWAPs, alone,
-    with wire 0 the most significant bit (``eval_matrix``'s, and its wire
-    cap).  SPLUS reads an angle: it is 1 when the circuit, macros expanded,
-    has a GPHASE at psi, and it expands only the macros whose fold counts
-    a GPHASE.  A macro deeper than Python's recursion limit allows raises
-    BadArity.
+    The witnesses that read no angle sum each gate's summary (``_counts``,
+    ``_wire_map``), so they are linear in width.  S2PI, H2, P0', C are 1
+    when the circuit, macros expanded, has a GPHASE, H, P or CNOT; P0 is
+    #H + #P and EH #H, modulo 2.  ``P0'`` is the (P0) witness of QCprime.
+    B and CZ give the permutation matrix of the circuit's SWAPs, or CNOTs
+    and SWAPs, alone, with wire 0 the most significant bit
+    (``eval_matrix``'s, and its wire cap).  SPLUS reads an angle: it is 1
+    when the circuit, macros expanded, has a GPHASE at psi, and it expands
+    only the macros whose summary counts a GPHASE.
     """
     c = _vanilla(c)
     if name == "SPLUS":
         if psi is None:
             raise NoInterpretation("the SPLUS interpretation needs a phase psi")
-        phased = [g for g in c.gates if _folded(name, (g,), c.n_in)[0][0]]
+        phased = [g for g in c.gates if _summary(_shape(g)).counts[0]]
         return int(any(e.kind == "GPHASE" and angles_equal(e.params[0], psi, TWO_PI, 1e-9)
                        for g in phased for e in expand_gate(g)))
     if name not in _KEPT:

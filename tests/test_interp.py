@@ -59,12 +59,17 @@ def test_interp_k_rejects_ancilla():
 
 
 def test_interp_k_out_of_reach_raises_bad_arity():
-    # a weight of 2^1024 overflows a float, and a 332-wire MCP unfolds
-    # deeper than the recursion limit allows
+    # a weight of 2^1024 overflows a float, and so does 2^1022 * 7, which a
+    # float product, in Python or numpy, gives as inf with no error; a
+    # 332-wire MCP, whose unfolding is 332 levels deep, weighs its closed
+    # form
     with pytest.raises(BadArity, match="OverflowError"):
         interp_k(circuit(0, [gphase(0.3)]), 1025)
-    with pytest.raises(BadArity, match="RecursionError"):
-        interp_k(circuit(332, [mcp(0.3, tuple(range(332)))]), 3)
+    with pytest.raises(BadArity, match="^interp_k at k=1023 is out of reach: OverflowError$"):
+        interp_k(circuit(1, [p(7.0, 0)]), 1023)
+    with pytest.raises(BadArity, match="^interp_k at k=1023 is out of reach: OverflowError$"):
+        interp._interp_k(circuit(1, [p(1.0, 0)]), 1023, np.array([[7.0, 1.0]]))
+    assert interp_k(circuit(332, [mcp(0.3, tuple(range(332)))]), 3) == math.ldexp(0.3, 3 - 332)
 
 
 def test_interp_k_needs_an_integer_k_of_at_least_0():
@@ -117,6 +122,24 @@ def test_unboundedness_witness():
         w = interp_k(circuit(n, [mcp(TWO_PI, tuple(range(n)))]), n - 1)
         assert abs(w - PI) <= 1e-12
         assert interp_k(circuit(n, []), n - 1) == 0.0
+
+
+def test_interp_k_of_an_mcp_is_its_closed_form():
+    # an n-wire MCP(phi) weighs 2^(k-n) phi modulo 2pi, at every width
+    rng = np.random.default_rng(35)
+    for n in range(1, 13):
+        c_of = lambda phi: circuit(n, [mcp(phi, tuple(range(n)))])  # noqa: E731
+        for k in range(max(2, n), n + 9):
+            phi = float(rng.uniform(-TWO_PI, TWO_PI))
+            assert angles_equal(interp_k(c_of(phi), k), math.ldexp(phi, k - n) % TWO_PI,
+                                TWO_PI, 1e-9), (n, k, phi)
+    for n in (332, 400, 1000):
+        wires = tuple(range(n))
+        for k in (3, n - 1):
+            phi = float(rng.uniform(-TWO_PI, TWO_PI))
+            assert angles_equal(interp_k(circuit(n, [mcp(phi, wires)]), k),
+                                math.ldexp(phi, k - n) % TWO_PI, TWO_PI, 1e-12), (n, k)
+        assert interp_k(circuit(n, [mcp(TWO_PI, wires)]), n - 1) == PI
 
 
 def _interp_k_by_expansion(expanded, k):
@@ -481,36 +504,81 @@ def test_a_macro_wire_map_is_composed_onto_its_wires(monkeypatch):
     real = interp.unfold
     monkeypatch.setattr(interp, "unfold", lambda g: [cnot(0, 1), swap(1, 2)]
                         if g.kind == "MCP" and len(g.wires) == 3 else real(g))
-    interp._macro_fold.cache_clear()
-    try:
-        got = interp_axiom("CZ", circuit(4, [h(1), mcp(1.0, (3, 0, 2)), cnot(2, 1)]))
-    finally:
-        interp._macro_fold.cache_clear()
+    monkeypatch.setattr(interp, "_SUMMARIES", dict(interp._LEAVES))
+    got = interp_axiom("CZ", circuit(4, [h(1), mcp(1.0, (3, 0, 2)), cnot(2, 1)]))
     want = eval_matrix(circuit(4, [cnot(3, 0), swap(0, 2), cnot(2, 1)]))
     assert np.array_equal(got, want)
 
 
-def test_wide_witnesses_return_their_value_or_raise_bad_arity():
+def test_wide_witnesses_return_their_value():
     # a 400-wire MCP unfolds 400 levels deep: each witness returns its
-    # value, as it does at 200 wires, or raises BadArity, never a raw
-    # RecursionError; B's and CZ's matrices are over the wire cap, and
-    # their wire maps, which minimality_report compares, are the identity.
-    # Folds of narrower MCPs are cached, so 400 wires are folded before
-    # 200 and after
+    # value, as it does at 200 wires; B's and CZ's matrices are over the
+    # wire cap, and their wire maps, which minimality_report compares, are
+    # the identity.  400 wires are folded before 200 and after
     want = {"H2": 0, "C": 1, "EH": 0, "SPLUS": 0}
-    interp._macro_fold.cache_clear()
     for n in (400, 200, 400):
         c = circuit(n, [mcp(1.0, tuple(range(n)))])
         for w in ("H2", "C", "EH", "SPLUS", "B", "CZ"):
             if w in ("B", "CZ"):
                 with pytest.raises(WireCapExceeded):
                     interp_axiom(w, c)
-            try:
-                got = interp_axiom(w, c, 0.5) if w in want else interp._witness(w, c)
-            except BadArity as exc:
-                assert n == 400 and "recursion limit" in str(exc), (n, w)
-                continue
+            got = interp_axiom(w, c, 0.5) if w in want else interp._witness(w, c)
             assert got == want.get(w, tuple(1 << i for i in range(n))), (n, w)
+
+
+def _wide_values(n: int) -> list:
+    """``interp_k`` of an n-wire MCP(1.0) at k = 3 and k = n - 1, and its
+    value under each witness that reads no angle."""
+    c = circuit(n, [mcp(1.0, tuple(range(n)))])
+    return ([interp_k(c, 3), interp_k(c, n - 1)]
+            + [interp._witness(w, c) for w in ("S2PI", "H2", "P0", "P0'", "C", "EH", "B", "CZ")])
+
+
+def _at_depth(frames: int, call):
+    """``call()`` from ``frames`` nested frames further down the stack."""
+    return call() if frames == 0 else _at_depth(frames - 1, call)
+
+
+def _cleared(monkeypatch) -> None:
+    monkeypatch.setattr(interp, "_SUMMARIES", dict(interp._LEAVES))
+    interp._affine.cache_clear()
+
+
+def test_wide_values_do_not_depend_on_history(monkeypatch):
+    # a summary is made from narrower ones in a loop, so what the caches
+    # hold and how deep the caller's stack is decide nothing: a 400-wire
+    # call gives one value on cleared caches, after a 200-wire call and
+    # 300 frames deep; a 1000-wire MCP weighs from cleared caches as deep
+    _cleared(monkeypatch)
+    cold = _wide_values(400)
+    _cleared(monkeypatch)
+    _wide_values(200)
+    warm = _wide_values(400)
+    _cleared(monkeypatch)
+    deep = _at_depth(300, lambda: _wide_values(400))
+    assert cold == warm == deep
+    assert cold[2:8] == [0, 0, 1, 1, 1, 0]
+    _cleared(monkeypatch)
+    c = circuit(1000, [mcp(TWO_PI, tuple(range(1000)))])
+    assert _at_depth(300, lambda: interp_k(c, 999)) == PI
+
+
+def test_interp_k_caches_hold_no_angle(monkeypatch):
+    # a gate's weight is affine in its angle, so new angles add nothing
+    # to interp's caches once their shapes and k have been weighed
+    rng = np.random.default_rng(36)
+    _cleared(monkeypatch)
+
+    def sizes():
+        return len(interp._SUMMARIES), interp._affine.cache_info().currsize
+
+    for i in range(200):
+        a = float(rng.uniform(-TWO_PI, TWO_PI))
+        interp_k(circuit(1, [rx(a, 0)]), 4)
+        interp_k(circuit(3, [mcp(a, (2, 0, 1))]), 4)
+        if i == 0:
+            first = sizes()
+    assert sizes() == first
 
 
 def test_splus_witness_keeps_only_parameter_free_rules_in_scope():
@@ -669,8 +737,8 @@ _EDGE_ANGLES = (0.0, TWO_PI, -TWO_PI, 1e-13, TWO_PI - 1e-13, PI, -PI / 2)
 
 def test_batched_interp_k_equals_interp_k_exactly():
     # every side of every parametrised rule, in every theory, at three
-    # widths of an n-ary rule; GPHASE and P slots weigh their rows, and
-    # RX, MCP and MCRX slots their unfoldings' rows (``_unfold_rows``)
+    # widths of an n-ary rule; every slot, GPHASE, P, RX, MCP or MCRX,
+    # weighs its row through its shape's affine weight (``_affine``)
     rng = np.random.default_rng(33)
     kinds, seen = set(), 0
     for theory in THEORIES:
@@ -756,11 +824,13 @@ def test_minimality_i_row_makes_one_request_and_one_weigh_per_side_per_chunk(mon
 
 
 def test_wide_minimality_reports_raise_bad_arity_and_never_warn():
-    # (I) at 331 and 1023 wires unfolds deeper than the recursion limit,
-    # after the earlier rules' weights have overflowed to inf at k = 1022;
-    # at 1026 the first weight overflows a float
-    for n, cause in ((331, "RecursionError"), (1023, "RecursionError"),
-                     (1026, "OverflowError")):
+    # (I) at 331 wires is weighed, and the witness still breaks (I)'s own
+    # row; at 1023 an earlier rule's weight overflows to inf at k = 1022,
+    # and at 1026 the first weight overflows a float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert minimality_report("QC", "I", target_n=331)["results"]["I"] == "unsound"
+    for n, cause in ((1023, "OverflowError"), (1026, "OverflowError")):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(BadArity, match=f"^interp_k at k={n - 1} is out of reach: {cause}$"):
