@@ -84,19 +84,15 @@ def angle_period(kind: str, base_kind: str | None = None) -> float:
 
 def reduce_angle(value: float, period: float = TWO_PI) -> float:
     """Map into [0, period), values within ANGLE_EPS of period map to 0."""
-    r = math.fmod(value, period)
-    if r <= 0.0:        # so a zero, -0.0 included, leaves as 0.0 below
-        r += period
-    if r >= period - ANGLE_EPS:
-        r = 0.0
-    return r
+    r = float(value) % period
+    return 0.0 if r >= period - ANGLE_EPS else r
 
 
-def angles_equal(a: float, b: float, period: float = TWO_PI, tol: float = ANGLE_EPS) -> bool:
-    d = math.fmod(a - b, period)
-    if d < 0.0:
-        d += period
-    return d <= tol or period - d <= tol
+def angles_equal(a, b, period: float = TWO_PI, tol: float = ANGLE_EPS):
+    """Whether ``a`` and ``b`` are within ``tol`` of each other modulo
+    ``period``: a bool for floats, entry by entry for numpy arrays."""
+    d = (a - b) % period
+    return (d <= tol) | (period - d <= tol)
 
 
 def _wire(w, what: str = "wire") -> int:
@@ -755,4 +751,4 @@ def deformation_equal(c1: Circuit, c2: Circuit) -> bool:
     """True iff the two circuits are equal up to prop deformation."""
     if (c1.n_in, c1.n_out) != (c2.n_in, c2.n_out):
         raise ArityMismatch("deformation_equal needs equal arities")
-    return c1.gates == c2.gates or _deformation(c1, c2) is not None
+    return _deformation(c1, c2) is not None

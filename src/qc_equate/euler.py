@@ -215,8 +215,7 @@ def _from_z_columns(z, zp, b0_base) -> tuple:
 
 def _reduce_columns(v: np.ndarray) -> np.ndarray:
     """``reduce_angle`` of each entry."""
-    r = np.fmod(v, TWO_PI)
-    r = np.where(r <= 0.0, r + TWO_PI, r)
+    r = v % TWO_PI
     return np.where(r >= TWO_PI - ANGLE_EPS, 0.0, r)
 
 

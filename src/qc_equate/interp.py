@@ -9,7 +9,7 @@ multi-control rule, and a sign-assignment phase sum for the Euler rule.
 ``interp_k`` and the witnesses that read no angle (S2PI, H2, P0, P0', C,
 EH, B, CZ) sum each gate's summary (``_summary``), made once per gate shape
 from a macro's ``unfold`` at angle 1, narrower shapes first, with no
-recursion: its counts of GPHASE, H, P, CNOT and SWAP, B's and CZ's
+recursion: its counts of GPHASE, H, P and CNOT, B's and CZ's
 GF(2)-linear wire maps, and its weight, affine in its angle with exact
 dyadic coefficients.  So an n-wire MCP(phi) weighs 2^(k-n) phi in O(n), not
 over its 2 * 3^(n-1) - 1 expanded gates, and no cache holds an angle.
@@ -124,7 +124,7 @@ def _affine(shape, k: int) -> tuple[float, float]:
 
 class _Summary(NamedTuple):
     """What the valuations read of a gate shape, with its macros unfolded:
-    its counts of GPHASE, H, P, CNOT and SWAP, its weight 2^k (const pi +
+    its counts of GPHASE, H, P and CNOT, its weight 2^k (const pi +
     coef angle) at level k, both exact dyadic rationals, and B's and CZ's
     wire maps (``_wire_map``), ``{wire: row}`` without the identity's rows."""
 
@@ -137,11 +137,11 @@ class _Summary(NamedTuple):
 #: the primitives' summaries, by kind: a GPHASE weighs 2^k angle, a P
 #: 2^(k-1) angle, an H 2^(k-1) pi and a CNOT or SWAP 2^(k-2) pi
 _LEAVES = {
-    "GPHASE": _Summary((1, 0, 0, 0, 0), Fraction(0), Fraction(1), ({}, {})),
-    "H": _Summary((0, 1, 0, 0, 0), Fraction(1, 2), Fraction(0), ({}, {})),
-    "P": _Summary((0, 0, 1, 0, 0), Fraction(0), Fraction(1, 2), ({}, {})),
-    "CNOT": _Summary((0, 0, 0, 1, 0), Fraction(1, 4), Fraction(0), ({}, {1: 3})),
-    "SWAP": _Summary((0, 0, 0, 0, 1), Fraction(1, 4), Fraction(0), ({0: 2, 1: 1},) * 2),
+    "GPHASE": _Summary((1, 0, 0, 0), Fraction(0), Fraction(1), ({}, {})),
+    "H": _Summary((0, 1, 0, 0), Fraction(1, 2), Fraction(0), ({}, {})),
+    "P": _Summary((0, 0, 1, 0), Fraction(0), Fraction(1, 2), ({}, {})),
+    "CNOT": _Summary((0, 0, 0, 1), Fraction(1, 4), Fraction(0), ({}, {1: 3})),
+    "SWAP": _Summary((0, 0, 0, 0), Fraction(1, 4), Fraction(0), ({0: 2, 1: 1},) * 2),
 }
 
 #: the summaries made, by shape, and after a miss past 4096 only the leaves'
@@ -158,33 +158,42 @@ def _shape(g):
 
 def _summary(shape) -> _Summary:
     """The summary of a gate of ``shape``: a macro's is made from those of
-    its ``unfold`` on wires ``0..n-1`` at angle 1, which a worklist makes
-    before it, narrower shapes first, so no call recurses and the result
-    does not depend on what is held; an unfolded angle is a factor (+-2^-j)
+    its ``unfold`` on wires ``0..n-1`` at angle 1 (``_unfolded``, once per
+    shape), which a worklist makes before it, narrower shapes first, so no
+    call recurses and the result does not depend on what is held; an unfolded angle is a factor (+-2^-j)
     of the macro's own angle, or when it has none, a multiple of pi."""
     if shape not in _SUMMARIES:
         if len(_SUMMARIES) > 4096:
             _SUMMARIES.clear()
             _SUMMARIES.update(_LEAVES)
-        todo = [shape]
-        while shape not in _SUMMARIES:
-            kind, n, pattern, base = todo[-1]
-            g = Gate(kind, tuple(range(n)), (1.0,) * _KIND_SIG[kind][1], pattern,
-                     None if base is None else Gate(base, (0,), (1.0,) * _KIND_SIG[base][1]))
-            subs = unfold(g)
-            todo += dict.fromkeys(s for s in map(_shape, subs) if s not in _SUMMARIES)
-            if todo[-1] != (kind, n, pattern, base):
+        todo = {shape: _unfolded(shape)}   # the shapes to make, the last first
+        while todo:
+            top = next(reversed(todo))
+            g, subs = todo[top]
+            missing = dict.fromkeys(s for s in map(_shape, subs) if s not in _SUMMARIES)
+            if missing:   # made first; a shape already in ``todo`` moves up
+                for s in missing:
+                    todo[s] = todo.pop(s) if s in todo else _unfolded(s)
                 continue
+            del todo[top]
             parts = [_SUMMARIES[_shape(u)] for u in subs]
             const = sum(s.const for s in parts)
             coef = sum(s.coef * Fraction(u.params[0]) for u, s in zip(subs, parts) if u.params)
             if not (g.params or g.base is not None and g.base.params):
                 const, coef = const + coef / Fraction(math.pi), 0
             maps = (_wire_map(subs, i) for i in (0, 1))
-            _SUMMARIES[todo.pop()] = _Summary(
+            _SUMMARIES[top] = _Summary(
                 _counts(subs), Fraction(const), Fraction(coef),
                 tuple({w: r for w, r in m.items() if r != 1 << w} for m in maps))
     return _SUMMARIES[shape]
+
+
+def _unfolded(shape) -> tuple[Gate, list[Gate]]:
+    """A macro of ``shape`` on wires ``0..n-1`` at angle 1, and its ``unfold``."""
+    kind, n, pattern, base = shape
+    g = Gate(kind, tuple(range(n)), (1.0,) * _KIND_SIG[kind][1], pattern,
+             None if base is None else Gate(base, (0,), (1.0,) * _KIND_SIG[base][1]))
+    return g, unfold(g)
 
 
 # -- the eight per-axiom interpretations --------------------------------------
@@ -205,13 +214,13 @@ _KEPT = {"B": 0, "CZ": 1}
 
 
 def _counts(gates) -> tuple:
-    """The counts of GPHASE, H, P, CNOT and SWAP in ``gates``, with their
-    macros unfolded."""
-    gphases = hs = ps = cnots = swaps = 0
+    """The counts of GPHASE, H, P and CNOT in ``gates``, with their macros
+    unfolded."""
+    gphases = hs = ps = cnots = 0
     for g in gates:
-        a, b, c, d, e = _summary(_shape(g)).counts
-        gphases, hs, ps, cnots, swaps = gphases + a, hs + b, ps + c, cnots + d, swaps + e
-    return gphases, hs, ps, cnots, swaps
+        a, b, c, d = _summary(_shape(g)).counts
+        gphases, hs, ps, cnots = gphases + a, hs + b, ps + c, cnots + d
+    return gphases, hs, ps, cnots
 
 
 def _wire_map(gates, i: int) -> dict:
@@ -241,7 +250,7 @@ def _witness(name: str, c: Circuit):
         return tuple(rows.get(w, 1 << w) for w in range(c.n_in))
     if name not in _OF_COUNTS:
         raise NoInterpretation(f"no registered counter-interpretation for {name}")
-    return _OF_COUNTS[name](*_counts(c.gates)[:4])
+    return _OF_COUNTS[name](*_counts(c.gates))
 
 
 def interp_axiom(name: str, c: Circuit, psi: float | None = None):
@@ -288,19 +297,11 @@ INTERP_BOUND = {"S2PI": 0, "SPLUS": 0, "H2": 1, "P0": 1, "C": 2, "CZ": None,
 _THEORY_WITNESS = {("QCprime", "P0"): "P0'"}
 
 
-def _angles_near(a, b, tol: float) -> np.ndarray:
-    """``angles_equal(a, b, TWO_PI, tol)`` entry by entry, with the same
-    float operations."""
-    d = np.fmod(np.subtract(a, b), TWO_PI)
-    d = np.where(d < 0.0, d + TWO_PI, d)
-    return (d <= tol) | (TWO_PI - d <= tol)
-
-
 def _angles_all_equal(a, b) -> bool:
     """Whether two ``interp_k`` values, or two arrays of them, one per
     instance, are equal for every instance: ``angles_equal(a, b, TWO_PI,
     1e-8)``."""
-    return bool(np.all(_angles_near(a, b, 1e-8)))
+    return bool(np.all(angles_equal(a, b, TWO_PI, 1e-8)))
 
 
 def _phase_slots_only(theory: str, name: str, n: int) -> bool:
@@ -444,11 +445,11 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     (I) checks a chunk of draws as one batch: one request, the angle map
     called once with a column per parameter, each side weighed once with
     its (slots, k) angles (``_interp_k``) and one vectorised comparison.
-    SPLUS's psi-free draws are one such batch, compared with the float
-    operations of ``angles_equal(angle, psi, 2pi, 1e-9)``.  The other
-    witnesses build an instance only when they check it, and compare its
-    sides' values with ``==`` (B and CZ their wire maps), and a rule stops
-    at its first unsound chunk or instance.  No interpretation is defined
+    SPLUS's psi-free draws are one such batch, compared entry by entry by
+    ``angles_equal(angle, psi, 2pi, 1e-9)``.  The other witnesses build an
+    instance only when they check it, and compare its sides' values with
+    ``==`` (B and CZ their wire maps), and a rule stops at its first
+    unsound chunk or instance.  No interpretation is defined
     on INIT/DEST, so a rule with an ancilla side has no witness and the
     report does not pass.
     """
@@ -534,7 +535,7 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
         # is a GPHASE at an angle slot, so a side's value is whether one of
         # its slots' angles equals psi
         _, sides = _batch(theory, "SPLUS", 0, rng.uniform(0.1, 3.0, (samples, 2)))
-        lhs, rhs = (_angles_near(a, psi, 1e-9).any(axis=0) for a in sides)
+        lhs, rhs = (angles_equal(a, psi, TWO_PI, 1e-9).any(axis=0) for a in sides)
         report["psi_free_sound"] = bool(np.array_equal(lhs, rhs))
         report["pass"] = report["pass"] and report["psi_free_sound"]
     return report

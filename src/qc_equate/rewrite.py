@@ -143,7 +143,7 @@ def apply_step(c: Circuit, step: Step, theory: str = "QC",
     rec.step(step)
     out = rec.c
     if safety:
-        _safety_check(c, out, theory, tol, None, _anchor(step.site))
+        _safety_check(c, out, theory, tol, at=_anchor(step.site))
     return out
 
 
@@ -262,50 +262,34 @@ def _build_replacement(src: Circuit, dst: Circuit, angles, src_ids: list[int],
     return repl
 
 
-class _Net:
-    """What the safety net carries from one check of a walk to the next:
-    the wire cap, read at the first check; the matrix of the circuit the
-    last check evaluated (None when it skipped); and that circuit's state
-    after its first ``at`` gates, where the next step's block begins (None
-    when the check did not come by there)."""
-
-    def __init__(self):
-        self.cap: int | None = None
-        self.m = None
-        self.state = None
-        self.at = 0
-
-
 def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float,
-                  net: _Net | None = None, at: int = 0, keep: int | None = None) -> None:
+                  cap: int | None = None, m=None, state=None, at: int = 0,
+                  keep: int | None = None):
     """Check that ``after``, which a step whose block begins at gate ``at``
     made of ``before``, is equal in ``theory`` to ``before``, and so within
-    the wire cap; skip the check when either opens more wires at once than
-    the cap (``Threading.widest``).
+    the wire ``cap`` (None: ``wire_cap()``); skip the check when either
+    opens more wires at once than the cap (``Threading.widest``).
 
-    ``net`` has ``before``'s matrix and its state after its first ``at``
-    gates when the last check evaluated them; else ``before`` is evaluated
-    here, that state kept on the way.  ``after`` runs on from that state
-    when its first ``at`` gates equal ``before``'s, compared gate by gate,
-    and from the identity otherwise, so each matrix is ``eval_matrix``'s.
-    The check leaves ``net`` with ``after``'s matrix and its state after its
-    first ``keep`` gates (``semantics._resumed``)."""
-    net = _Net() if net is None else net
-    if net.cap is None:
-        net.cap = wire_cap()
-    if after.threading.widest > net.cap or (
-            net.m is None and before.threading.widest > net.cap):
-        net.m = net.state = None
-        return
-    if net.m is None:
-        net.m, net.state = _resumed(before, None, 0, at)
-        net.at = at
-    resume = net.at == at and after.gates[:at] == before.gates[:at]
-    m_after, net.state = _resumed(after, net.state if resume else None, at, keep)
-    net.at = keep
-    if not equal_in(theory, net.m, m_after, tol):
+    ``m`` is ``before``'s matrix and ``state`` its state after its first
+    ``at`` gates when the last check evaluated them; with no ``m``,
+    ``before`` is evaluated here, that state kept on the way.  ``after``
+    runs on from that state when its first ``at`` gates equal ``before``'s,
+    compared gate by gate, and from the identity otherwise, so each matrix
+    is ``eval_matrix``'s.  Returns ``after``'s matrix and its state after
+    its first ``keep`` gates (``semantics._resumed``), or (None, None) when
+    the check is skipped."""
+    if cap is None:
+        cap = wire_cap()
+    if after.threading.widest > cap or m is None and before.threading.widest > cap:
+        return None, None
+    if m is None:
+        m, state = _resumed(before, None, 0, at)
+    if after.gates[:at] != before.gates[:at]:
+        state = None
+    m_after, state = _resumed(after, state, at, keep)
+    if not equal_in(theory, m, m_after, tol):
         raise SemanticDrift("rewrite changed the semantics (engine bug)")
-    net.m = m_after
+    return m_after, state
 
 
 # -- recording and replay -----------------------------------------------------
@@ -362,16 +346,19 @@ def _walk(d: Derivation, allow_lemmas: bool, safety: bool, tol: float):
     ``Circuit``, checked as ``replay`` says (None without: no circuit is
     built).  A failing step's error gets the prefix ``step i (rule dir): ``.
     """
-    rec, net = _Recorder(d.theory, d.initial, allow_lemmas), _Net()
+    rec = _Recorder(d.theory, d.initial, allow_lemmas)
     anchors = [_anchor(step.site) for step in d.steps] + [None]
     c = d.initial if safety else None
+    cap = m = state = None   # the wire cap, read at the first check
     for i, step in enumerate(d.steps):
         before = rec.gates
         try:
             rev_site = rec.step(step)
             if safety:
                 prev, c = c, rec.c
-                _safety_check(prev, c, d.theory, tol, net, anchors[i], anchors[i + 1])
+                cap = wire_cap() if cap is None else cap
+                m, state = _safety_check(prev, c, d.theory, tol, cap, m, state,
+                                         anchors[i], anchors[i + 1])
         except QcError as exc:
             raise type(exc)(f"step {i} ({step.rule} {step.direction}): {exc}") from exc
         yield before, rec.gates, rev_site, c

@@ -60,13 +60,9 @@ def wire_cap() -> int:
         raise BadParams(f"QCEQ_WIRE_CAP={raw!r} is not an integer") from None
 
 
-def within_cap(c: Circuit) -> bool:
-    """Whether the circuit opens no more wires at once than the wire cap."""
-    return c.threading.widest <= wire_cap()
-
-
 def eval_matrix(c: Circuit) -> np.ndarray:
-    """Matrix of the circuit, one in-place kernel per gate, if ``within_cap``."""
+    """Matrix of the circuit, one in-place kernel per gate, if it opens no
+    more wires at once than the wire cap."""
     return _evaluate(c)
 
 
@@ -76,9 +72,9 @@ def _evaluate(c: Circuit, angles: np.ndarray | None = None) -> np.ndarray:
     ``c`` with those angles stacked on a trailing axis: (rows, cols, k).
     ``Circuit._batched`` checks the angles as ``Circuit.with_angles`` and
     the ``Gate`` constructor check them, with the same errors."""
-    if not within_cap(c):
-        raise WireCapExceeded(f"circuit opens {c.threading.widest} wires at once, "
-                              f"cap {wire_cap()}")
+    cap = wire_cap()
+    if c.threading.widest > cap:
+        raise WireCapExceeded(f"circuit opens {c.threading.widest} wires at once, cap {cap}")
     t, rows, cols = _identity(c.n_in), 2 ** c.n_out, 2 ** c.n_in
     if angles is None:
         return _run(t, c.gates).reshape(rows, cols)

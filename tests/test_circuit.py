@@ -16,7 +16,9 @@ from qc_equate import (Circuit, Gate, canonicalize, circuit, cnot, compose_par,
                        expand_macros, eval_matrix, gphase, h, init, mcp, mcrx,
                        p, rx, swap, x, z)
 from qc_equate.circuit import (ALL_KINDS, ANGLE_EPS, PRIMITIVE_KINDS, _bind, _deformation,
-                               _deps, _id_gates, _place, angle_period, angles_equal, expand_gate, unfold)
+                               _deps, _id_gates, _place, angle_period, angles_equal, expand_gate,
+                               reduce_angle, unfold)
+from qc_equate.euler import _reduce_columns
 from qc_equate.errors import ArityMismatch, InvalidCircuit
 
 PI = math.pi
@@ -663,3 +665,46 @@ def test_expand_gate_equals_the_unfolding():
         assert _exact(expand_gate(g)) == _exact(want)
         seen += 1
     assert seen > 200
+
+
+def _equal_by_fmod(a: float, b: float, period: float, tol: float) -> bool:
+    """A reference angle comparison, with ``math.fmod``."""
+    d = math.fmod(a - b, period)
+    if d < 0.0:
+        d += period
+    return d <= tol or period - d <= tol
+
+
+def _reduced_by_fmod(value: float, period: float) -> float:
+    """A reference reduction into [0, period), with ``math.fmod``."""
+    r = math.fmod(value, period)
+    if r <= 0.0:
+        r += period
+    return 0.0 if r >= period - ANGLE_EPS else r
+
+
+def test_angle_helpers_take_arrays_and_match_an_fmod_reference():
+    # angles_equal on arrays decides each entry as on floats, and
+    # reduce_angle and euler's column form give the reference's bits,
+    # signed zeros included, at the period's edges and far past it
+    rng = np.random.default_rng(39)
+    for period in (2 * PI, 4 * PI, PI / 2):
+        edges = [0.0, -0.0, period, -period, period + 1e-9, period - 1e-9,
+                 -period + 1e-9, -period - 1e-9, 5e-324, -5e-324, 1e17, -1e17]
+        near = rng.integers(-9, 9, 400) * period
+        a = np.concatenate([[x for x in edges for _ in edges], rng.uniform(-40, 40, 1500),
+                            near + rng.normal(0.0, 1e-8, 400)])
+        b = np.concatenate([edges * len(edges), rng.uniform(-40, 40, 1500), near])
+        pairs = list(zip(a.tolist(), b.tolist()))
+        for tol in (0.0, 1e-9, 1e-8):
+            want = [_equal_by_fmod(x, y, period, tol) for x, y in pairs]
+            assert [angles_equal(x, y, period, tol) for x, y in pairs] == want
+            assert all(type(angles_equal(x, y, period, tol)) is bool for x, y in pairs[:50])
+            assert angles_equal(a, b, period, tol).tolist() == want, (period, tol)
+        want = [_reduced_by_fmod(v, period) for v in a.tolist()]
+        got = [reduce_angle(v, period) for v in a.tolist()]
+        assert all(type(r) is float for r in got)
+        assert [r.hex() for r in got] == [r.hex() for r in want], period
+        assert type(reduce_angle(np.float64(a[20]), period)) is float
+        if period == 2 * PI:
+            assert _reduce_columns(a).tobytes() == np.array(want).tobytes()

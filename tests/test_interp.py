@@ -581,6 +581,54 @@ def test_interp_k_caches_hold_no_angle(monkeypatch):
     assert sizes() == first
 
 
+@pytest.mark.parametrize("order", [1, -1], ids=["as-defined", "reversed"])
+def test_a_cold_summary_unfolds_each_shape_once(monkeypatch, order):
+    # the worklist keeps each shape's unit-angle gate and its unfold with
+    # its entry, so a cold request unfolds every shape it makes once; with
+    # each unfolding reversed, an MCRX's MCP asks for the narrower MCP that
+    # is already waiting in the worklist, which moves up
+    unfolded, real = [], interp.unfold
+
+    def counted(g):
+        assert interp._shape(g) not in unfolded, g   # fails here, not in a loop
+        unfolded.append(interp._shape(g))
+        return real(g)[::order]
+
+    monkeypatch.setattr(interp, "unfold", counted)
+    for gate in (mcp(0.3, tuple(range(12))), mcrx(0.3, tuple(range(9))),
+                 ctrl("0101101", x(0), tuple(range(8)))):
+        _cleared(monkeypatch)
+        unfolded.clear()
+        interp_k(circuit(len(gate.wires), [gate]), 3)
+        made = set(interp._SUMMARIES) - set(interp._LEAVES)
+        assert sorted(unfolded) == sorted(made) and len(made) >= 9, gate
+
+
+def test_summaries_restart_past_their_bound(monkeypatch):
+    # past 4096 entries a miss starts the summaries over from the leaves:
+    # they shrink back below the bound, and a shape made again after the
+    # restart gives the values it gave before
+    _cleared(monkeypatch)
+
+    def values(c) -> list:
+        return [interp_k(c, 3), interp_k(c, 13)] + [interp._witness(w, c)
+                                                    for w in _SHAPE_WITNESSES]
+
+    def shape(i: int):
+        return circuit(14, [ctrl(format(i, "013b"), x(0), tuple(range(14)))])
+
+    first = shape(0)
+    before = values(first)
+    sizes = []
+    for i in range(1, 4200):
+        interp_k(shape(i), 3)
+        sizes.append(len(interp._SUMMARIES))
+    assert max(sizes) > 4096 > sizes[-1]
+    assert interp._shape(first.gates[0]) not in interp._SUMMARIES
+    interp._affine.cache_clear()
+    assert values(first) == before
+
+
 def test_splus_witness_keeps_only_parameter_free_rules_in_scope():
     # minimality_report reads one draw per width for the rows of SPLUS's
     # witness, which reads angles: besides SPLUS, which takes its own psi

@@ -1,5 +1,6 @@
 """The scripts under ``tools/``: each runs and prints what its docstring says."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -33,3 +34,28 @@ def test_step_costs_splits_the_step_on_five_circuits():
     assert set(rep) == {"traces", "steps", "step_us", "build_us", "evaluate_us", "compare_us"}
     assert rep["traces"] == 19 and rep["steps"] == 248
     assert all(rep[f"{part}_us"] > 0 for part in ("step", "build", "evaluate", "compare"))
+
+
+#: the digests of ``tools/report_digest.py``'s reports, all but its slow
+#: ``normalize_1q`` family: a change to a report fails here until the
+#: change log explains it and gives the new digest
+PINNED_DIGESTS = {
+    "verify_theory": (80, "1aa79eee1ec14edf266b7354153c2ad697481d3c4d37383c4d7ba4979768a8ef"),
+    "minimality_report": (3200,
+                          "25d044933e8ef9cfb39a96df5620bbf9981ef74342b97f85f3252f07b449761f"),
+    "minimality_matrix": (24, "3f3286c112befbb7ed24fa4afed019eb0b0e7d6f938a1b4541ad340825338309"),
+    "minimality_report@7": (65,
+                            "74d7be85930255495b7703c864e2a0e7beb3bcbc91e35487a8f41b462b2af0af"),
+    "reverse_derivation": (19,
+                           "fff026476c00493664617122b8f3a1d8ea5e5384f6c1cbccaf78366bf10b6ef5"),
+}
+
+
+def test_report_digests_are_pinned():
+    spec = importlib.util.spec_from_file_location(
+        "report_digest", os.path.join(ROOT, "tools", "report_digest.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    got = {name: tool.digest(reports) for name, reports in tool.families()
+           if name in PINNED_DIGESTS}
+    assert got == PINNED_DIGESTS

@@ -247,6 +247,23 @@ def _rand_1q(rng, m: int) -> Circuit:
                        for _ in range(m)])
 
 
+def test_replay_without_the_safety_net_ends_where_a_checked_replay_does(monkeypatch):
+    # replay(safety=False), which the benchmark's normalizer check runs on
+    # every op, builds only the circuit it returns: the gates a checked
+    # replay ends on, deformation-equal to the declared final, with no
+    # evaluation on the way
+    rng = np.random.default_rng(39)
+    runs = _frozen() + [normalize_1q(_rand_1q(rng, int(rng.integers(1, 13))), emit_trace=True,
+                                     theory=("QC", "QCprime")[k % 2])[1] for k in range(20)]
+    assert len(runs) == 39 and all(d.steps for d in runs)
+    checked = [replay(d, allow_lemmas=True, safety=True) for d in runs]
+    seen = _count_evals(monkeypatch)
+    for d, want in zip(runs, checked):
+        got = replay(d, allow_lemmas=True, safety=False)
+        assert got.gates == want.gates and deformation_equal(got, d.final), d.name
+    assert seen == []
+
+
 def test_resumed_safety_net_compares_eval_matrix_bytes(monkeypatch):
     # a check runs a step's circuit on from the state the last one kept
     # where the step's block begins; every matrix it compares is still

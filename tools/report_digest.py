@@ -22,8 +22,9 @@ tree's reports.  Two trees whose reports agree print the same six lines:
   ``traces/``, or the error's type and text.
 
 A family's digest is taken over its reports in that order, one JSON line
-each with sorted keys.  The rewrite families show that a change to the
-engine kept every step and every site.
+each with sorted keys (``digest``).  The rewrite families show that a
+change to the engine kept every step and every site.
+``tests/test_tools.py`` pins every digest but ``normalize_1q``'s.
 """
 
 import hashlib
@@ -111,13 +112,19 @@ def families():
                                  for d in _frozen_traces())
 
 
+def digest(reports) -> tuple[int, str]:
+    """How many ``reports`` there are, and their SHA-256 digest."""
+    h, count = hashlib.sha256(), 0
+    for report in reports:
+        h.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+        count += 1
+    return count, h.hexdigest()
+
+
 def main() -> None:
     for name, reports in families():
-        digest, count = hashlib.sha256(), 0
-        for report in reports:
-            digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
-            count += 1
-        print(f"{name} {count} {digest.hexdigest()}")
+        count, hexdigest = digest(reports)
+        print(f"{name} {count} {hexdigest}")
 
 
 if __name__ == "__main__":
