@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArityMismatch, InvalidCircuit, NoMatch
+from .errors import ArityMismatch, BadParams, InvalidCircuit, NoMatch
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,6 +113,15 @@ def _real(v, what: str = "angle") -> float:
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise InvalidCircuit(f"{what} {v!r} is not a real number")
     return float(v)
+
+
+def _check_tol(tol) -> None:
+    """The one check of a comparison tolerance: a finite real number >= 0;
+    BadParams otherwise (a nan or negative one fails every comparison, an
+    infinite one passes every one)."""
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not (math.isfinite(tol) and tol >= 0)):
+        raise BadParams(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _as_tuple(vs, what: str) -> tuple:

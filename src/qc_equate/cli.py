@@ -59,9 +59,8 @@ def cmd_equiv(args) -> int:
     b = eval_matrix(_load_circuit(args.circuit_b))
     if a.shape != b.shape:
         print("shape mismatch", file=sys.stderr)
-        return 1
-    same = (equal_up_to_phase(a, b, args.tol) if args.up_to_phase
-            else equal_matrices(a, b, args.tol))
+    same = a.shape == b.shape and (equal_up_to_phase if args.up_to_phase
+                                   else equal_matrices)(a, b, args.tol)
     _emit({"equal": bool(same), "up_to_phase": bool(args.up_to_phase),
            "tol": args.tol})
     return 0 if same else 1

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (ANGLE_EPS, TWO_PI, Circuit, angles_equal, gphase, p,
+from .circuit import (ANGLE_EPS, TWO_PI, Circuit, _check_tol, angles_equal, gphase, p,
                       reduce_angle, rx)
 from .errors import DomainError, NotUnitary
 
@@ -90,6 +90,7 @@ class NormalFormParams:
              [-1j * np.exp(1j * b3) * s, np.exp(1j * (b1 + b3)) * c]])
 
     def close_to(self, other: "NormalFormParams", tol: float = 1e-8) -> bool:
+        _check_tol(tol)
         return (angles_equal(self.beta0, other.beta0, TWO_PI, tol)
                 and angles_equal(self.beta1, other.beta1, TWO_PI, tol)
                 and abs(self.beta2 - other.beta2) <= tol

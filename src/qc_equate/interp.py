@@ -335,8 +335,6 @@ def _one_qubit(c: Circuit) -> None:
 
 def sign_classes(c: Circuit) -> SignClasses:
     _one_qubit(c)
-    if c.n_in == 0:   # only global phases: no P gates, one empty class set
-        return SignClasses([], [], [])
     return _sign_classes(_expanded(c))
 
 

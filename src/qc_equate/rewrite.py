@@ -24,12 +24,12 @@ state beside the matrix, and every matrix is ``eval_matrix``'s.  A walk
 reads the wire cap once.  Every step goes through one recorder,
 ``_Recorder``, on id-level gates (``_apply``): it keeps one working
 circuit across a derivation's steps and builds a ``Circuit`` only when one
-is read; ``replay`` and reversal share one walk over a derivation
-(``_walk``), which yields each step's id-level gate lists and builds a
-circuit only for the safety net.  Reversal decides each landing by list
-equality first, and carries each site with the gate map that its landing
-check binds (``_deformation``) where the lists differ, so no circuit is
-put in canonical order.
+is read; ``apply_step``, ``replay`` and reversal share one walk over
+steps (``_walk``), which yields each step's id-level gate lists and builds
+a circuit only for the safety net.  ``reverse_derivation`` alone decides
+that a landing is exact (equal gate lists or placed gates), and carries a
+site over any other with the gate map its landing check binds
+(``_deformation``), so no circuit is put in canonical order.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ import math
 from dataclasses import dataclass
 
 from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _IdGate, _STRUCT, _bind,
-                      _deformation, _deps, _frame, _id_gates, _place, _real, _wire,
-                      angles_equal, deformation_equal, reduce_angle)
+                      _check_tol, _deformation, _deps, _frame, _id_gates, _place, _real,
+                      _wire, angles_equal, deformation_equal, reduce_angle)
 from .errors import (BadArity, DomainError, IllegalSite, InvalidCircuit, NoMatch,
                      QcError, SemanticDrift, UnknownTheory, UnsupportedGate)
 from .euler import NormalFormParams, _pack
 from .semantics import _resumed, wire_cap
-from .theories import _check_tol, _resolve, equal_in, resolve_rule
+from .theories import _resolve, equal_in, resolve_rule
 
 @dataclass(frozen=True)
 class Site:
@@ -137,14 +137,9 @@ class Derivation:
 def apply_step(c: Circuit, step: Step, theory: str = "QC",
                allow_lemmas: bool = True, safety: bool = True,
                tol: float = 1e-9) -> Circuit:
-    """``c`` after ``step``; with ``safety``, checked by the safety net."""
-    _check_tol(tol)
-    rec = _Recorder(theory, c, allow_lemmas)
-    rec.step(step)
-    out = rec.c
-    if safety:
-        _safety_check(c, out, theory, tol, at=_anchor(step.site))
-    return out
+    """``c`` after ``step``, a one-step walk (``_walk``) whose error gets
+    the prefix ``step 0 (rule dir): ``; with ``safety``, checked by the net."""
+    return _run(theory, c, [step], allow_lemmas, safety, tol)
 
 
 def _anchor(site: Site) -> int:
@@ -263,12 +258,11 @@ def _build_replacement(src: Circuit, dst: Circuit, angles, src_ids: list[int],
 
 
 def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float,
-                  cap: int | None = None, m=None, state=None, at: int = 0,
-                  keep: int | None = None):
+                  cap: int, m, state, at: int, keep: int | None):
     """Check that ``after``, which a step whose block begins at gate ``at``
     made of ``before``, is equal in ``theory`` to ``before``, and so within
-    the wire ``cap`` (None: ``wire_cap()``); skip the check when either
-    opens more wires at once than the cap (``Threading.widest``).
+    the wire ``cap``; skip the check when either opens more wires at once
+    than the cap (``Threading.widest``).  ``_walk`` is the one caller.
 
     ``m`` is ``before``'s matrix and ``state`` its state after its first
     ``at`` gates when the last check evaluated them; with no ``m``,
@@ -278,8 +272,6 @@ def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float,
     is ``eval_matrix``'s.  Returns ``after``'s matrix and its state after
     its first ``keep`` gates (``semantics._resumed``), or (None, None) when
     the check is skipped."""
-    if cap is None:
-        cap = wire_cap()
     if after.threading.widest > cap or m is None and before.threading.widest > cap:
         return None, None
     if m is None:
@@ -339,49 +331,54 @@ def _built(initial: Circuit, gates: list[_IdGate]) -> Circuit:
                    tuple(_place(list(range(initial.n_in)), gates)))
 
 
-def _walk(d: Derivation, allow_lemmas: bool, safety: bool, tol: float):
-    """Apply ``d``'s steps through one recorder and yield each step's
-    id-level input and output gates (new lists at every step, never
+def _walk(theory: str, initial: Circuit, steps, allow_lemmas: bool, safety: bool, tol: float):
+    """Apply ``steps`` to ``initial`` through one recorder and yield each
+    step's id-level input and output gates (new lists at every step, never
     changed after), its reverse site and, with ``safety``, its output
     ``Circuit``, checked as ``replay`` says (None without: no circuit is
     built).  A failing step's error gets the prefix ``step i (rule dir): ``.
     """
-    rec = _Recorder(d.theory, d.initial, allow_lemmas)
-    anchors = [_anchor(step.site) for step in d.steps] + [None]
-    c = d.initial if safety else None
+    rec = _Recorder(theory, initial, allow_lemmas)
+    anchors = [_anchor(step.site) for step in steps] + [None]
+    c = initial if safety else None
     cap = m = state = None   # the wire cap, read at the first check
-    for i, step in enumerate(d.steps):
+    for i, step in enumerate(steps):
         before = rec.gates
         try:
             rev_site = rec.step(step)
             if safety:
                 prev, c = c, rec.c
                 cap = wire_cap() if cap is None else cap
-                m, state = _safety_check(prev, c, d.theory, tol, cap, m, state,
+                m, state = _safety_check(prev, c, theory, tol, cap, m, state,
                                          anchors[i], anchors[i + 1])
         except QcError as exc:
             raise type(exc)(f"step {i} ({step.rule} {step.direction}): {exc}") from exc
         yield before, rec.gates, rev_site, c
 
 
+def _run(theory: str, initial: Circuit, steps, allow_lemmas: bool, safety: bool, tol: float):
+    """``initial`` after ``steps``, walked to the end (``_walk``): the last
+    circuit the safety net built, or built here when it built none."""
+    _check_tol(tol)
+    c, gates = initial, None
+    for _, gates, _, c in _walk(theory, initial, steps, allow_lemmas, safety, tol):
+        pass
+    return _built(initial, gates) if c is None else c
+
+
 def replay(d: Derivation, allow_lemmas: bool = False, safety: bool = True,
            tol: float = 1e-9) -> Circuit:
     """Fold the steps over the initial circuit; verify the declared final.
 
-    With ``safety``, each step is checked as ``apply_step`` checks it, but
-    every circuit is evaluated once: a step's circuit is compared with the
-    matrix the step before evaluated, and is run on from that circuit's
-    state where the step's block begins when the gates in front of the
-    block are the same.  A step wider than the wire cap is not checked,
-    and the next check evaluates its circuit afresh.  Without ``safety``
-    the only circuit built is the one returned.
+    The steps run through the walk ``apply_step`` runs (``_walk``).  With
+    ``safety`` every circuit is evaluated once: a step's circuit is
+    compared with the matrix the step before evaluated, and is run on from
+    that circuit's state where the step's block begins when the gates in
+    front of the block are the same.  A step wider than the wire cap is not
+    checked, and the next check evaluates its circuit afresh.  Without
+    ``safety`` the only circuit built is the one returned.
     """
-    _check_tol(tol)
-    c, gates = d.initial, None
-    for _, gates, _, c in _walk(d, allow_lemmas, safety, tol):
-        pass
-    if c is None:
-        c = _built(d.initial, gates)
+    c = _run(d.theory, d.initial, d.steps, allow_lemmas, safety, tol)
     if not deformation_equal(c, d.final):
         raise NoMatch("replayed circuit is not deformation-equal to the declared final")
     return c
@@ -394,45 +391,47 @@ def reverse_derivation(d: Derivation, name: str = "") -> Derivation:
     circuit the reversed run reaches may order its gates differently from
     the one on which the forward step recorded its replacement's site.  The
     reversed step must land deformation-equal on the forward step's input,
-    otherwise NoMatch is raised, and the gate map that check binds
-    (``_deformation``) carries the next site over (``_carry_site``), never
-    searched for.  The reversed derivation starts from the forward replay's
-    end, which the reversed sites refer to; ``d.final`` may only be
-    deformation-equal to it.  The forward run is ``replay``'s walk
+    otherwise NoMatch is raised.  The forward run is ``replay``'s walk
     (``_walk``), with lemmas and without the safety net, so it builds no
-    circuit.  A reversed step whose gate list equals the recorded one
-    lands on it and its successor's site carries over as it is; only
-    where the lists differ are the two placed as circuits, each once.
+    circuit.  This is the one place that decides a landing is exact: the
+    reached gate list equals the recorded one, or the two placed circuits'
+    gates are equal; the next site then carries over as it is.  Any other
+    landing binds the gate map (``_deformation``) that carries the next
+    site over (``_carry_site``), never searched for.  The reversed
+    derivation starts from the forward replay's end, which the reversed
+    sites refer to; ``d.final`` may only be deformation-equal to it.
     """
-    fwd = list(_walk(d, allow_lemmas=True, safety=False, tol=0.0))
+    fwd = list(_walk(d.theory, d.initial, d.steps, True, False, 0.0))   # lemmas, no net
     start = _built(d.initial, fwd[-1][1]) if fwd else d.initial
     rec = _Recorder(d.theory, start)
-    # the last landing: the recorded circuit and the reached one, None when
-    # their gate lists are equal, with where each gate of the first sits
-    landing, where = None, None
+    # the last landing that is not exact: the recorded circuit, the reached
+    # one and where each gate of the first sits in the second; None if exact
+    landing = None
     for i in reversed(range(len(fwd))):
         step, (before, _, rev_site, _) = d.steps[i], fwd[i]
         chain = any(before[j][0].kind in ("INIT", "DEST") for j in step.site.gates)
         what = f"step {i} ({step.rule} {step.direction}) does not reverse"
         try:
-            site = rev_site if landing is None else _carry_site(rev_site, *landing, where, chain)
+            site = rev_site if landing is None else _carry_site(rev_site, *landing, chain)
             rec.step(Step(step.rule, "RL" if step.direction == "LR" else "LR", step.params,
                           step.n, site))
         except QcError as exc:
             raise NoMatch(f"{what}: {exc}") from exc
-        if rec.gates == before:
-            landing = None
-            continue
-        landing = (d.initial if i == 0 else _built(d.initial, before), rec.c)
-        where = _deformation(*landing)
-        if where is None:
-            raise NoMatch(f"{what}: it lands off the recorded circuit")
+        landing = None
+        if rec.gates != before:
+            recorded, reached = d.initial if i == 0 else _built(d.initial, before), rec.c
+            if recorded.gates != reached.gates:
+                where = _deformation(recorded, reached)
+                if where is None:
+                    raise NoMatch(f"{what}: it lands off the recorded circuit")
+                landing = (recorded, reached, where)
     return Derivation(d.theory, rec.initial, rec.steps, d.initial,
                       name=name or (d.name + "_reversed" if d.name else ""))
 
 
 def _carry_site(site: Site, rec: Circuit, cur: Circuit, where, chain: bool) -> Site:
-    """Move a reverse site from ``rec`` to the deformation-equal ``cur``.
+    """Move a reverse site from ``rec`` to the deformation-equal ``cur``,
+    whose gates differ: over an exact landing the site stays as it is.
 
     Gate ``i`` of ``rec`` sits at ``where[i]`` in ``cur`` (``_deformation``),
     and deformation-equal circuits give each wire the same id, so the wire
@@ -442,8 +441,6 @@ def _carry_site(site: Site, rec: Circuit, cur: Circuit, where, chain: bool) -> S
     that shares a wire with it or, when the block joins the INIT/DEST chain
     (``chain``), that is an INIT or DEST.
     """
-    if rec.gates == cur.gates:
-        return site
     rec_gates = _id_gates(rec)
     rec_frame = _frame(range(rec.n_in), rec_gates[:site.at])
     wire_ids = [rec_frame[pos] for pos in site.wire_map]
@@ -498,9 +495,10 @@ def _matches(gates: list[_IdGate], n_in: int, src_side, dst_side,
             frame = _assembly(gates, n_in, sel, sel[0])[2]
         except IllegalSite:
             continue
+        # a bound input id is open in ``frame``: open before the window, or
+        # by an unselected INIT that ``_assembly`` moved in front of the
+        # block; a selected INIT binds a born label, which no input shares
         ids = [at[lab][1] if lab in at else None for lab in range(src_side[0].n_in)]
-        if any(wid is not None and wid not in frame for wid in ids):
-            continue
         free = [pos for pos, wid in enumerate(frame) if all(w != wid for _, w in at.values())]
         for pick in map(iter, itertools.permutations(free, ids.count(None))):
             site = Site(sel, tuple(next(pick) if wid is None else frame.index(wid) for wid in ids))
@@ -554,6 +552,7 @@ def normalize_1q(c: Circuit, emit_trace: bool = False, theory: str = "QC"):
 
 def decide_equiv_1q(c1: Circuit, c2: Circuit, tol: float = 1e-8) -> bool:
     """Completeness-based equality test: compare normal-form parameters."""
+    _check_tol(tol)
     p1, _ = normalize_1q(c1)
     p2, _ = normalize_1q(c2)
     return p1.close_to(p2, tol)

@@ -40,7 +40,7 @@ import os
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _BatchGate
+from .circuit import Circuit, Gate, _BatchGate, _check_tol
 from .errors import (BadParams, DegenerateMatrix, InvalidCircuit, NotUnitary,
                      ShapeMismatch, WireCapExceeded)
 
@@ -177,6 +177,7 @@ def _apply_kernel(t: np.ndarray, g: Gate | _BatchGate) -> None:
 # -- predicates --------------------------------------------------------------
 
 def equal_matrices(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+    _check_tol(tol)
     if a.shape != b.shape:
         raise ShapeMismatch(f"shapes {a.shape} vs {b.shape}")
     return bool(np.abs(a - b).max() <= tol) if a.size else True
@@ -186,6 +187,7 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     """True iff a = lam * b for some unit scalar lam.  Matrices with a
     trailing batch axis (rows, cols, k) have one lam per instance: True iff
     every instance is, and any (near-)zero instance of ``b`` raises."""
+    _check_tol(tol)
     if a.shape != b.shape:
         raise ShapeMismatch(f"shapes {a.shape} vs {b.shape}")
     flat_a, flat_b = a.reshape(-1, *a.shape[2:]), b.reshape(-1, *b.shape[2:])

@@ -39,14 +39,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import (_MAX_WIRES, Circuit, Gate, _controls_phase, _real, _wire, circuit,
-                      cnot, dest, gphase, h, init, mcp, mcrx, p, rx, swap,
+from .circuit import (_MAX_WIRES, Circuit, Gate, _check_tol, _controls_phase, _real, _wire,
+                      circuit, cnot, dest, gphase, h, init, mcp, mcrx, p, rx, swap,
                       unfold, x, z)
 from .errors import (BadArity, BadParams, InvalidCircuit, UnknownLemma,
                      UnknownTheory)
@@ -483,15 +482,6 @@ def equal_in(theory: str, a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bo
     """Whether two circuit matrices, or batches of them, are equal in
     ``theory``: exactly, or up to a global phase per instance in QCugp."""
     return (equal_up_to_phase if theory == "QCugp" else equal_matrices)(a, b, tol)
-
-
-def _check_tol(tol) -> None:
-    """The one check of a comparison tolerance: a finite real number >= 0;
-    BadParams otherwise (a nan or negative one fails every comparison, an
-    infinite one passes every one)."""
-    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
-            or not (math.isfinite(tol) and tol >= 0)):
-        raise BadParams(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def check_soundness(inst: RuleInstance, tol: float = 1e-9) -> bool:

@@ -44,6 +44,17 @@ def test_equiv_up_to_phase(files, capsys):
     assert main(["equiv", files["hh"], files["hph"]]) == 1
 
 
+def test_equiv_of_different_widths_prints_its_verdict(files, tmp_path, capsys):
+    # unequal shapes exit 1 with the verdict on stdout, as unequal matrices do
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(circuit(2, [h(0)]).to_dict()))
+    for extra, phase in (([], False), (["--up-to-phase"], True)):
+        assert main(["equiv", files["hh"], str(wide), *extra]) == 1
+        out = capsys.readouterr()
+        assert json.loads(out.out) == {"equal": False, "up_to_phase": phase, "tol": 1e-9}
+        assert out.err == "shape mismatch\n"
+
+
 def test_verify_rules(capsys):
     rc = main(["verify-rules", "--theory", "QC", "--samples", "20",
                "--max-qubits", "4", "--tol", "1e-9", "--seed", "42"])

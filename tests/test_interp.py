@@ -342,6 +342,17 @@ def test_sign_classes_examples():
     assert sc.pairing == [(1, 2)]
 
 
+def test_sign_classes_of_zero_wire_circuits():
+    # a vanilla zero-wire circuit holds only global phases: no P gate and
+    # no class; one with an ancilla is refused as interp_E_values refuses it
+    for gates in ((), (gphase(0.3),), (gphase(0.3), gphase(-1.2))):
+        assert sign_classes(Circuit(0, 0, gates)) == interp.SignClasses([], [], [])
+    ancilla = Circuit(0, 0, (init(0), p(0.3, 0), dest(0)))
+    for run in (sign_classes, interp_E_values):
+        with pytest.raises(UnsupportedGate):
+            run(ancilla)
+
+
 def test_interp_E_value_sets():
     phi = 0.8
     vals = interp_E_values(circuit(1, [p(phi, 0)]))

@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from qc_equate import (Circuit, Derivation, Site, Step, apply_step, canonicalize,
-                       circuit, cnot, ctrl, decide_equiv_1q, deformation_equal, dest,
+from qc_equate import (Circuit, Derivation, NormalFormParams, Site, Step, apply_step,
+                       canonicalize, circuit, cnot, ctrl, decide_equiv_1q,
+                       deformation_equal, dest, equal_matrices, equal_up_to_phase,
                        eval_matrix, find_sites, gphase, h, init, nf_from_unitary,
                        normalize_1q, p, replay, reverse_derivation, rx, swap,
                        check_soundness, verify_theory, x, z)
@@ -171,6 +172,28 @@ def test_a_bad_tol_is_refused(tol):
     replay(d)   # the default tol is fine
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+def test_a_bad_tol_is_refused_by_the_public_predicates(tol):
+    # an infinite tol finds I equal to X and H H equal to H, and a nan one
+    # finds H H unequal to the empty circuit: each predicate refuses it
+    eye, flip = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+    nf = NormalFormParams(0.0, 0.0, 0.0, 0.0)
+    runs = [lambda: equal_matrices(eye, flip, tol=tol),
+            lambda: equal_up_to_phase(eye, flip, tol=tol),
+            lambda: nf.close_to(NormalFormParams(1.0, 0.0, 0.0, 0.0), tol=tol),
+            lambda: decide_equiv_1q(circuit(1, [h(0), h(0)]), circuit(1, [h(0)]), tol=tol)]
+    for run in runs:
+        with pytest.raises(BadParams, match="^tol must be a finite number >= 0"):
+            run()
+
+
+def test_apply_step_errors_carry_the_walks_step_prefix():
+    # apply_step is a one-step walk, so its error reads as replay's does
+    step = Step("H2", "LR", (), None, Site((0, 2), (0,)))
+    with pytest.raises(NoMatch, match=r"^step 0 \(H2 LR\): "):
+        apply_step(circuit(1, [h(0), h(0)]), step)
+
+
 def test_qcugp_steps_cite_rules_without_global_phases():
     # (E) and (RXDEF) lose their GPHASE in QCugp, and the safety net
     # compares up to a global phase there
@@ -208,7 +231,7 @@ def _step_and_reverse_site(c, step, theory, safety=True):
     site = rec.step(step)
     out = rec.c
     if safety:
-        rewrite._safety_check(c, out, theory, 1e-9)
+        assert apply_step(c, step, theory) == out
     return out, site
 
 

@@ -9,9 +9,11 @@ import pytest
 from qc_equate import (Circuit, circuit, cnot, compose_par, compose_seq,
                        ctrl, det_arg, dest, equal_matrices, equal_up_to_phase,
                        eval_matrix, expand_macros, gphase, h, init,
-                       is_isometry, mcp, mcrx, p, rx, swap, x, z)
-from qc_equate.errors import (DegenerateMatrix, InvalidCircuit,
-                              ShapeMismatch, WireCapExceeded)
+                       interp_E_values, interp_axiom, is_isometry, mcp, mcrx,
+                       nf_from_unitary, p, rx, sign_classes, swap, x, z)
+from qc_equate.errors import (DegenerateMatrix, InvalidCircuit, NoInterpretation,
+                              NotUnitary, ShapeMismatch, UnsupportedGate,
+                              WireCapExceeded)
 from qc_equate.semantics import _evaluate
 
 PI = math.pi
@@ -328,3 +330,24 @@ def test_eval_matrix_refuses_a_circuit_whose_inits_pass_the_cap(monkeypatch):
     assert eval_matrix(Circuit(1, 1, (h(0),))).shape == (2, 2)
     monkeypatch.setenv("QCEQ_WIRE_CAP", "2")
     assert np.allclose(eval_matrix(c), np.eye(2))
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda: circuit(1, [p(0.1, 0)]).with_angles((0.1, 0.2)), InvalidCircuit,
+     "^1 gates carry an angle, got 2 angles"),
+    (lambda: interp_axiom("E", circuit(1, [h(0)])), NoInterpretation,
+     "^no registered counter-interpretation for E$"),
+    (lambda: interp_axiom("SPLUS", circuit(1, [gphase(0.3)])), NoInterpretation,
+     "needs a phase psi$"),
+    (lambda: sign_classes(circuit(2, [cnot(0, 1)])), UnsupportedGate, "1-qubit circuits$"),
+    (lambda: interp_E_values(circuit(2, [cnot(0, 1)])), UnsupportedGate, "1-qubit circuits$"),
+    (lambda: nf_from_unitary(np.eye(3)), NotUnitary, r"^expected a 2x2 matrix, got \(3, 3\)$"),
+    (lambda: equal_up_to_phase(np.eye(2), np.eye(4)), ShapeMismatch,
+     r"^shapes \(2, 2\) vs \(4, 4\)$"),
+    (lambda: det_arg(Circuit(1, 1, (init(0), dest(1)))), NotUnitary, "^determinant is"),
+], ids=["with-angles-count", "no-witness", "splus-without-psi", "sign-classes-2-wire",
+        "e-values-2-wire", "nf-not-2x2", "phase-shapes", "det-arg-singular"])
+def test_public_error_paths(run, error, message):
+    # each public error path that no other test reaches, with its message
+    with pytest.raises(error, match=message):
+        run()
