@@ -14,16 +14,20 @@ GF(2)-linear wire maps, and its weight, affine in its angle with exact
 dyadic coefficients.  So an n-wire MCP(phi) weighs 2^(k-n) phi in O(n), not
 over its 2 * 3^(n-1) - 1 expanded gates, and no cache holds an angle.
 SPLUS's witness and the Euler value set read angles, and read gates with
-their macros expanded by ``expand_gate``.  ``interp_k`` is the batch-free
-call of ``_interp_k``, which also weighs a batch of instances of one
-circuit that differ only in their angles, bit for bit as one at a time, so
-``minimality_report`` checks (I) a chunk of draws at a time.
+their macros expanded by ``expand_gate``.
+
+``minimality_report`` decides (I)'s rows without drawing or weighing: each
+rule side has one exact form (``_forms``), its weight over 2^k as a
+constant in units of pi plus one coefficient per parameter, all
+``Fraction``s, built once per theory, rule and width from the gates'
+summaries and the rule's angle map read off at 0 and at the unit vectors.
+A rule whose map is not affine, (E) or (E'), has no form and rests on the
+determinant law instead.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -39,8 +43,8 @@ from .errors import (BadArity, BadParams, InconsistentClasses, NoInterpretation,
                      UnknownLemma, UnsupportedGate)
 from .euler import b_funcs
 from .semantics import eval_matrix
-from .theories import (_batch, _draws, _resolve, _seeded_rng, list_rules, resolve_rule,
-                       signature)
+from .theories import (_SHAPES_KEPT, _batch, _columns, _draws, _resolve, _seeded_rng,
+                       _widths, list_rules, resolve_rule, signature)
 
 HALF_PI = math.pi / 2.0
 
@@ -65,41 +69,27 @@ def _expanded(c: Circuit) -> list[Gate]:
 def interp_k(c: Circuit, k: int) -> float:
     """The determinant-related valuation, in [0, 2*pi).  It is a prop
     functor only for k >= 2: at k = 1, ``SWAP SWAP`` weighs pi and the empty
-    circuit 0.  ``minimality_report`` never uses k = 1: it takes
-    k = target_n - 1, and (I) needs ``target_n >= 3`` (2 raises BadArity).
+    circuit 0.  ``minimality_report`` never uses k = 1: it decides (I)'s
+    rows at k = target_n - 1 from exact forms (``_exact_row``), not by
+    calling this, and (I) needs ``target_n >= 3`` (2 raises BadArity).
     A ``k`` at which a weight is not a finite float raises BadArity, as
-    does a negative ``k``; a ``k`` that is not an integer raises
-    InvalidCircuit."""
-    return _interp_k(c, k)
-
-
-def _interp_k(c: Circuit, k: int, angles: np.ndarray | None = None):
-    """``interp_k``, or with ``angles``, an array (slots, m) of m instances'
-    angles, one row per gate of ``c`` that carries one, their m values as
-    an array (``Circuit._batched`` checks the angles).  A weight that a
-    float product overflows silently raises BadArity, with no warning."""
+    does a negative ``k``, with no warning; a ``k`` that is not an integer
+    raises InvalidCircuit."""
     k = _wire(k, "k")
     if k < 0:
         raise BadArity(f"interp_k needs k >= 0, got {k}")
-    c = _vanilla(c)
-    gates = c.gates if angles is None else c._batched(angles)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = _weigh(gates, k)
+        r = _weigh(_vanilla(c).gates, k)
     except OverflowError:   # 2^k coef beyond a float; an inf weight sums to NaN
         r = math.nan
-    batch = isinstance(r, np.ndarray)
-    if np.isnan(r).any() if batch else r != r:
+    if r != r:
         raise BadArity(f"interp_k at k={k} is out of reach: OverflowError")
-    if batch:
-        return np.where(r > TWO_PI - 1e-12, 0.0, r)
     return 0.0 if r > TWO_PI - 1e-12 else r
 
 
-def _weigh(gates, k: int):
+def _weigh(gates, k: int) -> float:
     """``interp_k``'s sum over ``gates``, modulo 2*pi, of ``const + coef *
-    angle`` (``_affine``): a float angle, or a ``_BatchGate``'s row of
-    angles with the same float operations, which gives one sum per row."""
+    angle`` (``_affine``)."""
     total = 0.0
     for g in gates:
         const, coef = _affine(_shape(g), k)
@@ -297,19 +287,111 @@ INTERP_BOUND = {"S2PI": 0, "SPLUS": 0, "H2": 1, "P0": 1, "C": 2, "CZ": None,
 _THEORY_WITNESS = {("QCprime", "P0"): "P0'"}
 
 
-def _angles_all_equal(a, b) -> bool:
-    """Whether two ``interp_k`` values, or two arrays of them, one per
-    instance, are equal for every instance: ``angles_equal(a, b, TWO_PI,
-    1e-8)``."""
-    return bool(np.all(angles_equal(a, b, TWO_PI, 1e-8)))
-
-
 def _phase_slots_only(theory: str, name: str, n: int) -> bool:
     """Whether every gate of the rule's sides at width ``n`` that carries a
     parameter's angle is a GPHASE."""
     shape = _resolve(theory, name, (0.0,) * signature(name).n_params, n, False)[0]
     return all(c.gates[i].kind == "GPHASE" for c in (shape.lhs, shape.rhs)
                for i in c._plan.angle_at)
+
+
+# -- (I)'s exact forms ---------------------------------------------------------
+
+#: the seeded points at which an angle map read off at 0 and at the unit
+#: vectors is checked to be affine, to 1e-12
+_AFFINE_POINTS = 8
+
+#: the largest denominator a read angle, in units of pi, or coefficient may
+#: have to count as exact: a float that is no small dyadic multiple of pi
+#: has one near 2^52
+_DYADIC = 1 << 32
+
+
+class _Form(NamedTuple):
+    """A rule side's weight over 2^k, exactly: ``const`` pi plus
+    ``coefs[j]`` times parameter j, dyadic rationals."""
+
+    const: Fraction
+    coefs: tuple[Fraction, ...]
+
+
+@functools.lru_cache(maxsize=_SHAPES_KEPT)
+def _forms(theory: str, name: str, n: int) -> tuple[_Form, _Form] | None:
+    """The exact forms of the rule's two sides at width ``n``, or None when
+    its angle map is not affine or an angle that a side weighs is not an
+    exact dyadic multiple of pi.  Each angle slot is read off the map at 0
+    and at the unit vectors, then checked, unscaled, at ``_AFFINE_POINTS``
+    points of a generator of its own, after ``Circuit._batched`` has
+    checked every read angle as building the gates would.  The cache holds
+    no drawn angle: only the forms, made once per theory, rule and
+    width."""
+    n_params = signature(name).n_params
+    shape, _, angles = _resolve(theory, name, (0.0,) * n_params, n, True)
+    sides = (_vanilla(shape.lhs), _vanilla(shape.rhs))
+    if angles is None:
+        slots = [[(a, ()) for a in c._plan.angles] for c in sides]
+    else:
+        points = np.random.default_rng(0).uniform(-4 * math.pi, 4 * math.pi,
+                                                  (n_params, _AFFINE_POINTS))
+        at = np.hstack([np.zeros((n_params, 1)), np.eye(n_params), points])
+        slots = []
+        for c, side in zip(sides, angles(*at)):
+            cols = _columns(side, at.shape[1])
+            c._batched(cols)
+            base, units = cols[:, 0], cols[:, 1:n_params + 1] - cols[:, :1]
+            if not (np.abs(base[:, None] + units @ points - cols[:, n_params + 1:])
+                    <= 1e-12).all():
+                return None
+            slots.append(list(zip(base.tolist(), map(tuple, units.tolist()))))
+    forms = tuple(_form(c, s, n_params) for c, s in zip(sides, slots))
+    return None if None in forms else forms
+
+
+def _form(c: Circuit, slots, n_params: int) -> _Form | None:
+    """``c``'s exact form, its angle slots affine maps ``slots`` of the
+    parameters, (angle at 0, coefficient per parameter); None when an angle
+    it weighs is not exact (``_in_pi``) or a coefficient not dyadic."""
+    const, coefs = Fraction(0), [Fraction(0)] * n_params
+    slot = dict(zip(c._plan.angle_at, slots))
+    for i, g in enumerate(c.gates):
+        s = _summary(_shape(g))
+        const += s.const
+        if not s.coef:
+            continue
+        base, units = slot[i] if i in slot else (g.base.params[0], ())
+        q = _in_pi(base)
+        units = [Fraction(u) for u in units]
+        if q is None or any(u.denominator > _DYADIC for u in units):
+            return None
+        const += s.coef * q
+        for j, u in enumerate(units):
+            coefs[j] += s.coef * u
+    return _Form(const, tuple(coefs))
+
+
+def _in_pi(angle: float) -> Fraction | None:
+    """``angle`` in units of pi when it is exactly a dyadic multiple of pi
+    as a float writes it (``2 * math.pi``, ``-math.pi / 2``), else None."""
+    q = Fraction(angle / math.pi)
+    return q if q.denominator <= _DYADIC and float(q) * math.pi == angle else None
+
+
+def _exact_row(theory: str, name: str, n: int, k: int) -> str:
+    """(I)'s row of the rule at width ``n`` under interp_k: "sound" when
+    its sides' forms have equal coefficients and 2^k times the constants'
+    difference is 0 modulo 2, which the modular power decides exactly, and
+    else "unsound".  A rule with no form rests on the determinant law:
+    on one wire interp_k = 2^(k-1) arg det, which a sound rule keeps when
+    its theory's equality is exact, so it reads "sound"; anywhere else,
+    as in QCugp, whose equality drops a global phase, "unshown"."""
+    forms = _forms(theory, name, n)
+    if forms is None:
+        return "sound" if n == 1 and theory != "QCugp" else "unshown"
+    lhs, rhs = forms
+    gap = lhs.const - rhs.const
+    den = 2 * gap.denominator
+    return ("sound" if lhs.coefs == rhs.coefs and gap.numerator * pow(2, k, den) % den == 0
+            else "unsound")
 
 
 # -- sign assignments and the Euler counter-model ------------------------------
@@ -431,24 +513,29 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     For (I) the interpretation is interp_k at k = target_n - 1; for (E) it
     is the sign-assignment value set; the remaining eight axioms use their
     registered interpretations.  Axioms acting on more qubits than the
-    interpretation's soundness bound are out of scope; every other rule is
-    checked on its sampled draws (``theories._draws``, drawn in full, so
-    later rules' draws do not depend on where one fails): every draw for
-    (I) and (E), whose interpretations read angles, and one draw per width
-    for the others, which read only kinds and wires, or, for SPLUS, keep
-    in scope only its own psi instances and rules with no parameters.
-    (E)'s value sets read P angles only, so a rule whose parameters reach
-    only GPHASE gates (SPLUS) has its first draw checked.
+    interpretation's soundness bound are out of scope.
 
-    (I) checks a chunk of draws as one batch: one request, the angle map
-    called once with a column per parameter, each side weighed once with
-    its (slots, k) angles (``_interp_k``) and one vectorised comparison.
-    SPLUS's psi-free draws are one such batch, compared entry by entry by
-    ``angles_equal(angle, psi, 2pi, 1e-9)``.  The other witnesses build an
-    instance only when they check it, and compare its sides' values with
-    ``==`` (B and CZ their wire maps), and a rule stops at its first
-    unsound chunk or instance.  No interpretation is defined
-    on INIT/DEST, so a rule with an ancilla side has no witness and the
+    (I)'s rows are decided exactly, with no draw and no float weight, at
+    every width: a rule whose angle map is affine compares its sides'
+    exact forms (``_exact_row``), and (E) and (E'), whose maps are not,
+    rest on the determinant law, which shows them "sound" in QC and
+    QCprime and leaves QCugp's (E) "unshown"; an "unshown" row fails the
+    report as an "unsound" one does.  The forms are cached per theory,
+    rule and width, so a repeated report reads no rule.
+
+    Every other rule is checked on its sampled draws (``theories._draws``,
+    drawn in full, so later rules' draws do not depend on where one
+    fails): every draw for (E), whose value sets read angles, and one draw
+    per width for the others, which read only kinds and wires, or, for
+    SPLUS, keep in scope only its own psi instances and rules with no
+    parameters.  (E)'s value sets read P angles only, so a rule whose
+    parameters reach only GPHASE gates (SPLUS) has its first draw checked.
+    SPLUS's psi-free draws are one batch (``theories._batch``), compared
+    entry by entry by ``angles_equal(angle, psi, 2pi, 1e-9)``.  The other
+    witnesses build an instance only when they check it, and compare its
+    sides' values with ``==`` (B and CZ their wire maps), and a rule stops
+    at its first unsound instance.  No interpretation is defined on
+    INIT/DEST, so a rule with an ancilla side has no witness and the
     report does not pass.
     """
     rng = _seeded_rng(seed)
@@ -460,11 +547,10 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     if axiom == "I":
         bound = target_n - 1
         kind = f"interp_k(k={bound})"
-        value, equal = (lambda c, angles: _interp_k(c, bound, angles)), _angles_all_equal
     elif axiom == "E":
         bound = 1
         kind = "sign-assignment value set"
-        value, equal = (lambda c, _: interp_E_values(c)), equal_value_sets
+        value, equal = interp_E_values, equal_value_sets
     elif axiom in INTERP_BOUND:
         bound = INTERP_BOUND[axiom]
         witness = _THEORY_WITNESS.get((theory, axiom), axiom)
@@ -473,60 +559,50 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
             if samples < 1:   # the psi-free instances would be none
                 raise BadParams("SPLUS gets no psi-free instance with samples=0")
             psi = float(rng.uniform(0.1, TWO_PI - 0.1))
-        value = ((lambda c, _: interp_axiom(witness, c, psi)) if axiom == "SPLUS"
-                 else (lambda c, _: _witness(witness, c)))
+        value = ((lambda c: interp_axiom(witness, c, psi)) if axiom == "SPLUS"
+                 else (lambda c: _witness(witness, c)))
         equal = operator.eq
     else:
         raise NoInterpretation(f"no counter-interpretation registered for {axiom}")
 
-    def checks(name: str, chunks):
-        """The rule's checks, each (lhs, rhs, lhs angles, rhs angles): for
-        (I) one per chunk, its instances on a batch axis (``_batch``), for
-        the other witnesses one per instance, built when it is checked."""
-        for n, rows in chunks:
-            if axiom == "I":
-                shape, angles = _batch(theory, name, n, rows)
-                yield (shape.lhs, shape.rhs, *angles)
-            else:
-                for row in rows.tolist():
-                    inst = resolve_rule(theory, name, row, n)
-                    yield inst.lhs, inst.rhs, None, None
-
-    def kept(lhs, rhs, a, b) -> bool:
-        return equal(value(lhs, a), value(rhs, b))
+    def kept(inst) -> bool:
+        return equal(value(inst.lhs), value(inst.rhs))
 
     results: dict[str, str] = {}
     for rid in list_rules(theory):
         name = rid.name
-        if name == axiom == "I":
-            chunks = [(target_n, np.empty((1, 0)))]
-        elif name == axiom == "SPLUS":
+        arity = signature(name).arity
+        width = max_qubits if arity is None else arity
+        if name != axiom and bound is not None and width > bound:
+            results[name] = "out-of-scope"
+            continue
+        if axiom == "I":
+            ns = (target_n,) if name == axiom else _widths(name, samples, max_qubits)[0]
+            rows = [_exact_row(theory, name, n, bound) for n in ns]
+            results[name] = next((v for v in rows if v != "sound"), "sound")
+            continue
+        if name == axiom == "SPLUS":
             # the psi-carrying instances are the unsound ones
             chunks = [(0, np.array([(psi, float(rng.uniform(0.2, 3.0))) for _ in range(3)]))]
         else:
-            arity = signature(name).arity
-            width = max_qubits if arity is None else arity
-            if bound is not None and width > bound and name != axiom:
-                results[name] = "out-of-scope"
-                continue
-            draws = samples if axiom in ("I", "E") else min(samples, 1)
+            draws = samples if axiom == "E" else min(samples, 1)
             chunks = list(_draws(name, draws, max_qubits, rng))
             if axiom == "E" and _phase_slots_only(theory, name, chunks[0][0]):
                 # the value set reads no GPHASE angle, so every row of the
                 # rule has its first row's values
                 chunks = [(chunks[0][0], chunks[0][1][:1])]
-        rule_checks = checks(name, chunks)
-        first = next(rule_checks)
-        if _has_ancilla(first[0]) or _has_ancilla(first[1]):
+        insts = (resolve_rule(theory, name, row, n) for n, rows in chunks for row in rows.tolist())
+        first = next(insts)
+        if _has_ancilla(first.lhs) or _has_ancilla(first.rhs):
             results[name] = "no-witness"
         else:
-            results[name] = ("sound" if kept(*first) and all(itertools.starmap(kept, rule_checks))
-                             else "unsound")
+            results[name] = "sound" if kept(first) and all(map(kept, insts)) else "unsound"
 
     unsound = {k for k, v in results.items() if v == "unsound"}
     report = {"theory": theory, "axiom": axiom, "interpretation": kind,
               "bound": bound, "samples": samples, "seed": seed, "results": results,
-              "pass": unsound == {axiom} and "no-witness" not in results.values()}
+              "pass": unsound == {axiom}
+              and not {"no-witness", "unshown"} & set(results.values())}
     if psi is not None:
         report["psi"] = psi
         # psi-free instances must stay sound: every gate of SPLUS's sides

@@ -26,8 +26,8 @@ assumed.
 one sampling loop, which ``instances`` shares), an array of rows, and
 checks a chunk without building its instances: one request for the chunk
 and one call of the angle map, each parameter a column of the chunk's
-draws (``_batch``, which ``interp.minimality_report``'s (I) row and its
-SPLUS psi-free check share), each side evaluated once for the chunk, its
+draws (``_batch``, which ``interp.minimality_report``'s SPLUS psi-free
+check shares), each side evaluated once for the chunk, its
 instances on a trailing batch axis (``semantics._evaluate``;
 ``Circuit._batched`` checks the angles as building the gates would), and
 one ``equal_in`` call over the batch.  No Python loop runs over a chunk's
@@ -513,16 +513,13 @@ def sample_params(n_params: int, rng: np.random.Generator) -> tuple[float, ...]:
 _CHUNK = 128
 
 
-def _draws(name: str, samples: int, max_qubits: int, rng: np.random.Generator):
-    """The one sampling loop: (width, parameter rows) in chunks of at most
-    ``_CHUNK`` rows, each an array (rows, params).  ``samples`` rows, or one empty row for a rule without
-    parameters (its instance is fixed), at the rule's own width, or at every
-    width from its least one to ``max_qubits`` for an n-ary rule such as
-    (I).  A chunk is one ``rng.uniform`` call, which draws the numbers that
-    one ``sample_params`` call per row would.  Raises BadParams when that
-    leaves the rule with no instance, so no report passes with nothing
-    checked.
-    """
+def _widths(name: str, samples: int, max_qubits: int) -> tuple[range | tuple, int]:
+    """The widths a sampling run checks ``name`` at, and its rows per
+    width: ``samples`` rows, or one empty row for a rule without parameters
+    (its instance is fixed), at the rule's own width, or at every width
+    from its least one to ``max_qubits`` for an n-ary rule such as (I).
+    Raises BadParams when that leaves the rule with no instance, so no
+    report passes with nothing checked."""
     n_params, arity, min_n = signature(name)
     samples, max_qubits = _wire(samples, "samples"), _wire(max_qubits, "max_qubits")
     draws = samples if n_params else 1
@@ -530,6 +527,17 @@ def _draws(name: str, samples: int, max_qubits: int, rng: np.random.Generator):
     if draws < 1 or not ns:
         raise BadParams(f"{name} gets no instance with samples={samples}, "
                         f"max_qubits={max_qubits}")
+    return ns, draws
+
+
+def _draws(name: str, samples: int, max_qubits: int, rng: np.random.Generator):
+    """The one sampling loop: (width, parameter rows) at ``_widths``, in
+    chunks of at most ``_CHUNK`` rows, each an array (rows, params).  A
+    chunk is one ``rng.uniform`` call, which draws the numbers that one
+    ``sample_params`` call per row would.
+    """
+    ns, draws = _widths(name, samples, max_qubits)
+    n_params = signature(name).n_params
     for n in ns:
         for start in range(0, draws, _CHUNK):
             yield n, rng.uniform(-4 * PI, 4 * PI, (min(_CHUNK, draws - start), n_params))

@@ -162,13 +162,15 @@ def test_negative_seed_exits_2(capsys):
 
 
 def test_minimality_target_n_out_of_reach_exits_2(capsys):
-    # (I) at 331 wires gives its report, and at 1026 its weights overflow
-    # a float
-    assert main(["minimality", "--axiom", "I", "--target-n", "331", "--samples", "1"]) in (0, 1)
-    assert json.loads(capsys.readouterr().out)["bound"] == 330
-    assert main(["minimality", "--axiom", "I", "--target-n", "1026", "--samples", "1"]) == 2
+    # (I)'s rows are exact at any width, so 331 and 1026 wires pass; (I)
+    # is defined from 3 wires on, so --target-n 2 is refused
+    for n in (331, 1026):
+        assert main(["minimality", "--axiom", "I", "--target-n", str(n), "--samples", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["bound"] == n - 1 and out["pass"] is True
+    assert main(["minimality", "--axiom", "I", "--target-n", "2", "--samples", "1"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "interp_k at k=1025 is out of reach" in err
+    assert out == "" and "I needs a wire count of at least 3" in err
 
 
 def test_expand(files, capsys):

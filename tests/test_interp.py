@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,8 +68,6 @@ def test_interp_k_out_of_reach_raises_bad_arity():
         interp_k(circuit(0, [gphase(0.3)]), 1025)
     with pytest.raises(BadArity, match="^interp_k at k=1023 is out of reach: OverflowError$"):
         interp_k(circuit(1, [p(7.0, 0)]), 1023)
-    with pytest.raises(BadArity, match="^interp_k at k=1023 is out of reach: OverflowError$"):
-        interp._interp_k(circuit(1, [p(1.0, 0)]), 1023, np.array([[7.0, 1.0]]))
     assert interp_k(circuit(332, [mcp(0.3, tuple(range(332)))]), 3) == math.ldexp(0.3, 3 - 332)
 
 
@@ -761,9 +760,10 @@ def _witnessed(theory):
 
 
 def test_minimality_report_equals_a_per_instance_reference(monkeypatch, fresh_shapes):
-    # 150 samples make a full chunk and a part one for every (I) and (E)
-    # row; the reports are compared as JSON, so an int never stands in
-    # for a float
+    # 150 samples make a full chunk and a part one for every (E) row; the
+    # reports are compared as JSON, so an int never stands in for a float.
+    # (I)'s exact rows agree with the sampled reference but on QCugp's (E),
+    # which interp_k breaks and the exact report calls "unshown"
     for theory in THEORIES:
         for axiom in _witnessed(theory):
             for seed in (0, 7):
@@ -771,22 +771,29 @@ def test_minimality_report_equals_a_per_instance_reference(monkeypatch, fresh_sh
                     args = (theory, axiom, 150, seed, target_n)
                     report = minimality_report(theory, axiom, samples=150, seed=seed,
                                                target_n=target_n)
-                    assert json.dumps(report) == json.dumps(_reference_minimality(*args)), args
-    # one wrong row, in the part chunk, makes its rule unsound
+                    want = _reference_minimality(*args)
+                    if (theory, axiom) == ("QCugp", "I"):
+                        assert want["results"]["E"] == "unsound" and not want["pass"]
+                        want["results"]["E"] = "unshown"
+                    assert json.dumps(report) == json.dumps(want), args
+    # (I) reads C's map once, at 0, at the unit vector and at 8 checked
+    # points: one wrong point refuses its form, so C, on two wires, reads
+    # "unshown" and the report fails
     _route_angle_maps(monkeypatch, lambda name, params, angles, k:
-                      (angles[0], (angles[1][0] + 0.5,)) if (name, k) == ("C", 137) else angles)
-    results = minimality_report("QC", "I", samples=150)["results"]
-    assert results == {name: "unsound" if name in ("C", "I") else "sound"
-                       for name in _witnessed("QC")}
+                      (angles[0], (angles[1][0] + 0.5,)) if (name, k) == ("C", 5) else angles)
+    report = minimality_report("QC", "I", samples=150)
+    assert report["results"] == {name: "unsound" if name == "I" else "unshown" if name == "C"
+                                 else "sound" for name in _witnessed("QC")}
+    assert not report["pass"]
     # a non-finite mapped angle raises what building its gate raises
     monkeypatch.undo()
     _route_angle_maps(monkeypatch, lambda name, params, angles, k:
                       (angles[0], (math.inf,) + angles[1][1:])
-                      if name == "E" and k in (0, 37) else angles)
+                      if name == "E" and k in (0, 7) else angles)
     with pytest.raises(InvalidCircuit) as built:
         resolve_rule("QC", "E", (0.1, 0.2, 0.3))             # the map's call 0
     with pytest.raises(InvalidCircuit) as checked:
-        minimality_report("QC", "I", samples=150)            # its call 37
+        minimality_report("QC", "I", samples=150)            # its call 7
     assert str(checked.value) == str(built.value) == "non-finite angle in GPHASE"
 
 
@@ -794,34 +801,44 @@ def test_minimality_report_equals_a_per_instance_reference(monkeypatch, fresh_sh
 _EDGE_ANGLES = (0.0, TWO_PI, -TWO_PI, 1e-13, TWO_PI - 1e-13, PI, -PI / 2)
 
 
-def test_batched_interp_k_equals_interp_k_exactly():
-    # every side of every parametrised rule, in every theory, at three
-    # widths of an n-ary rule; every slot, GPHASE, P, RX, MCP or MCRX,
-    # weighs its row through its shape's affine weight (``_affine``)
+def _form_value(form, row, k: int) -> float:
+    """interp_k at level ``k`` that an exact ``form`` gives the parameter
+    ``row``: 2^k const reduced modulo 2 exactly, then the parameters'
+    terms in floats."""
+    return (float(form.const * 2 ** k % 2) * PI
+            + sum(float(c * 2 ** k) * t for c, t in zip(form.coefs, row)))
+
+
+def test_exact_forms_equal_interp_k_of_their_instances():
+    # every side of every catalog rule, lemmas included, in every theory,
+    # at three widths of an n-ary rule, at seeded and edge angles: a form
+    # evaluated at a row is the float interp_k of the row's instance; the
+    # forms of the rules whose angle map is not affine are refused
     rng = np.random.default_rng(33)
-    kinds, seen = set(), 0
+    kinds, seen, refused = set(), 0, set()
     for theory in THEORIES:
         for name in dict.fromkeys([r.name for r in list_rules(theory)] + lemma_names()):
             n_params, arity, min_n = signature(name)
-            if not n_params:
-                continue
             for n in (arity,) if arity is not None else range(min_n, min_n + 3):
                 rows = [tuple(r) for r in rng.uniform(-4 * PI, 4 * PI, (20, n_params)).tolist()]
-                rows += [(a,) * n_params for a in _EDGE_ANGLES]
+                rows = rows + [(a,) * n_params for a in _EDGE_ANGLES] if n_params else [()]
                 shape, _, angles = theories._resolve(theory, name, rows[0], n, True)
-                mapped = [angles(*row) for row in rows]
-                for i, side in enumerate((shape.lhs, shape.rhs)):
-                    if any(g.kind in ("INIT", "DEST") for g in side.gates):
-                        continue
-                    batch = np.array([m[i] for m in mapped], dtype=float).T
+                if any(map(interp._has_ancilla, (shape.lhs, shape.rhs))):
+                    continue
+                forms = interp._forms(theory, name, n)
+                if forms is None:
+                    refused.add(name)
+                    continue
+                for i, (side, form) in enumerate(zip((shape.lhs, shape.rhs), forms)):
                     kinds |= {side.gates[j].kind for j in side._plan.angle_at}
-                    for k in range(2, 13):
-                        scalar = [interp_k(side.with_angles(m[i]), k) for m in mapped]
-                        got = interp._interp_k(side, k, batch)
-                        assert np.broadcast_to(got, len(rows)).tolist() == scalar, \
-                            (theory, name, n, i, k)
-                        seen += 1
-    assert kinds == {"GPHASE", "P", "RX", "MCP", "MCRX"} and seen > 1000
+                    for row in rows:
+                        c = side if angles is None else side.with_angles(angles(*row)[i])
+                        for k in range(2, 13):
+                            assert angles_equal(_form_value(form, row, k), interp_k(c, k),
+                                                TWO_PI, 1e-9), (theory, name, n, i, row, k)
+                            seen += 1
+    assert refused == {"E", "EPRIME", "ESTAR_N"}
+    assert kinds == {"GPHASE", "P", "RX", "MCP", "MCRX"} and seen > 10000
 
 
 def _doubling(values) -> bool:
@@ -833,8 +850,8 @@ def _doubling(values) -> bool:
 def test_interp_k_doubles_with_k():
     # interp_k(c, k + 1) = 2 interp_k(c, k) modulo 2pi at k = 2..12, as
     # every weight doubles: on both sides of every catalog rule, lemmas
-    # included, at seeded angles, one instance at a time and as one batch
-    # per side, and on seeded random circuits
+    # included, at seeded angles, one instance at a time and through the
+    # side's exact form where it has one, and on seeded random circuits
     rng = np.random.default_rng(34)
     ks = range(2, 14)
     checked = 0
@@ -846,16 +863,19 @@ def test_interp_k_doubles_with_k():
                 shape, _, angles = theories._resolve(theory, name, rows[0], n, True)
                 batches = ((None, None) if angles is None else
                            [theories._columns(side, len(rows)) for side in angles(*rows.T)])
-                for side, batch in zip((shape.lhs, shape.rhs), batches):
-                    if any(g.kind in ("INIT", "DEST") for g in side.gates):
+                sides = (shape.lhs, shape.rhs)
+                forms = (None if any(map(interp._has_ancilla, sides))
+                         else interp._forms(theory, name, n))
+                for i, (side, batch) in enumerate(zip(sides, batches)):
+                    if interp._has_ancilla(side):
                         continue
                     insts = [side] if batch is None else list(map(side.with_angles,
                                                                   batch.T.tolist()))
                     for c in insts:
                         assert _doubling([interp_k(c, k) for k in ks]), (theory, name, n)
-                    batched = [np.broadcast_to(interp._interp_k(side, k, batch), len(insts))
-                               for k in ks]
-                    assert all(map(_doubling, zip(*batched))), (theory, name, n)
+                    if forms is not None:
+                        assert all(_doubling([_form_value(forms[i], row, k) for k in ks])
+                                   for row in rows.tolist()), (theory, name, n)
                     checked += len(insts)
     for _ in range(40):
         c = rand_vanilla(rng, int(rng.integers(1, 5)), int(rng.integers(0, 12)))
@@ -863,34 +883,85 @@ def test_interp_k_doubles_with_k():
     assert checked > 500
 
 
-def test_minimality_i_row_makes_one_request_and_one_weigh_per_side_per_chunk(monkeypatch):
-    requests, weighs, built = [], [], []
-    resolve, weigh, with_angles = theories._resolve, interp._interp_k, Circuit.with_angles
-    monkeypatch.setattr(theories, "_resolve", lambda *a: requests.append(a[1]) or resolve(*a))
-    monkeypatch.setattr(interp, "_interp_k",
-                        lambda c, k, angles=None: weighs.append(angles) or weigh(c, k, angles))
-    monkeypatch.setattr(Circuit, "with_angles",
-                        lambda self, angles: built.append(self) or with_angles(self, angles))
-    report = minimality_report("QC", "I", samples=150, target_n=4)
-    chunks = {name: 1 if name == "I" or not signature(name).n_params
-              else math.ceil(150 / theories._CHUNK) for name in report["results"]}
-    assert sorted(requests) == sorted(name for name, c in chunks.items() for _ in range(c))
-    assert len(weighs) == 2 * sum(chunks.values())
-    # every draw is weighed, once per side
-    draws = sum(1 if name == "I" or not signature(name).n_params else 150 for name in chunks)
-    assert sum(1 if a is None else a.shape[1] for a in weighs) == 2 * draws
-    assert built == []
+def test_a_repeated_i_report_reads_no_rule(monkeypatch):
+    # (I)'s exact forms are cached per theory, rule and width, with no
+    # angle and no seed: a second report at the same target_n, at another
+    # seed, requests no rule, checks no batch of angles, builds no instance
+    for theory in ("QC", "QCprime", "QCugp"):
+        first = minimality_report(theory, "I", target_n=6, seed=1)
+        calls = []
+        for owner, attr in ((theories, "_resolve"), (interp, "_resolve"),
+                            (Circuit, "_batched"), (Circuit, "with_angles")):
+            monkeypatch.setattr(owner, attr, lambda *a, attr=attr: calls.append(attr))
+        again = minimality_report(theory, "I", target_n=6, seed=2)
+        monkeypatch.undo()
+        assert calls == [] and again["results"] == first["results"], theory
 
 
-def test_wide_minimality_reports_raise_bad_arity_and_never_warn():
-    # (I) at 331 wires is weighed, and the witness still breaks (I)'s own
-    # row; at 1023 an earlier rule's weight overflows to inf at k = 1022,
-    # and at 1026 the first weight overflows a float
+def test_exact_rows_read_the_angle_map(monkeypatch, fresh_shapes):
+    # a weighed angle counts as exact only as a dyadic multiple of pi as a
+    # float writes it: C's map shifted by pi keeps its form and its row,
+    # shifted by 0.3 it is refused, never rounded, and C reads "unshown";
+    # a right side that doubles the angle has another coefficient
+    assert interp._in_pi(2 * PI) == 2 and interp._in_pi(-PI / 2) == Fraction(-1, 2)
+    assert interp._in_pi(0.0) == 0 and interp._in_pi(0.3) is None
+    assert interp._in_pi(PI / 3) is None and interp._in_pi(PI * 2.0 ** -40) is None
+    for routed, row in (((PI, PI), "sound"), ((0.3, 0.3), "unshown"), ((0.0, None), "unsound")):
+        def hook(name, params, angles, k, routed=routed):
+            if name != "C":
+                return angles
+            return tuple(tuple(2 * a if shift is None else a + shift for a in side)
+                         for side, shift in zip(angles, routed))
+        _route_angle_maps(monkeypatch, hook)
+        report = minimality_report("QC", "I", target_n=5)
+        assert report["results"]["C"] == row and report["pass"] == (row == "sound"), routed
+        monkeypatch.undo()
+
+
+def test_wide_minimality_reports_pass_and_never_warn():
+    # (I)'s rows are exact at every width: 331 wires, and 1023 and 1026,
+    # where a float weight of 2^k overflows, give passing reports
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert minimality_report("QC", "I", target_n=331)["results"]["I"] == "unsound"
-    for n, cause in ((1023, "OverflowError"), (1026, "OverflowError")):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(BadArity, match=f"^interp_k at k={n - 1} is out of reach: {cause}$"):
-                minimality_report("QC", "I", target_n=n)
+        for n in (331, 1023, 1026):
+            report = minimality_report("QC", "I", target_n=n)
+            assert report["pass"] and report["bound"] == n - 1, n
+            assert report["results"]["I"] == "unsound"
+
+
+def test_i_reports_pass_at_every_width():
+    # from n = 24 on, a float check of 2^k-scaled weights read SPLUS
+    # unsound; the exact rows pass at every n, with no tolerance involved
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theory in ("QC", "QCprime"):
+            for n in range(3, 65):
+                for seed in range(3):
+                    assert minimality_report(theory, "I", target_n=n, seed=seed)["pass"], \
+                        (theory, n, seed)
+            assert minimality_report(theory, "I", target_n=1000, seed=0)["pass"], theory
+
+
+def test_exact_i_rows_agree_with_sampled_instances():
+    # the oracle: public interp_k of each rule's sampled instances,
+    # compared one at a time; the one disagreement is QCugp's (E), which
+    # interp_k breaks and the report calls "unshown", since a rule that
+    # holds up to a global phase keeps no determinant
+    for theory in ("QC", "QCprime", "QCugp"):
+        for target_n in range(3, 21):
+            k = target_n - 1
+            for seed in range(3):
+                rng = np.random.default_rng(seed)
+                results = minimality_report(theory, "I", target_n=target_n, seed=seed)["results"]
+                for name, row in results.items():
+                    if row == "out-of-scope":
+                        continue
+                    insts = ([resolve_rule(theory, name, (), target_n)] if name == "I"
+                             else list(instances(theory, name, 15, 5, rng)))
+                    sampled = ("sound" if all(angles_equal(interp_k(i.lhs, k), interp_k(i.rhs, k),
+                                                           TWO_PI, 1e-9) for i in insts)
+                               else "unsound")
+                    if row == "unshown":
+                        assert (theory, name, sampled) == ("QCugp", "E", "unsound"), target_n
+                    else:
+                        assert row == sampled, (theory, target_n, seed, name)

@@ -15,7 +15,7 @@ from qc_equate import (THEORIES, Circuit, RuleId, RuleInstance, check_soundness,
                        minimality_report, resolve_rule, swap, verify_theory)
 from qc_equate.errors import (BadArity, BadParams, InvalidCircuit, QcError,
                               UnknownLemma, UnknownTheory)
-from qc_equate import semantics, theories
+from qc_equate import interp, semantics, theories
 from qc_equate.circuit import angles_equal
 from qc_equate.theories import _RULES, instances, sample_params, signature
 
@@ -158,7 +158,7 @@ def test_check_soundness_agrees_with_the_chunk_check_row_by_row():
 
 
 def _clear_shapes():
-    for cached in (theories._shape, theories._fitted, theories._kind):
+    for cached in (theories._shape, theories._fitted, theories._kind, interp._forms):
         cached.cache_clear()
 
 

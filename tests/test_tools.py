@@ -42,10 +42,12 @@ def test_step_costs_splits_the_step_on_five_circuits():
 PINNED_DIGESTS = {
     "verify_theory": (80, "1aa79eee1ec14edf266b7354153c2ad697481d3c4d37383c4d7ba4979768a8ef"),
     "minimality_report": (3200,
-                          "25d044933e8ef9cfb39a96df5620bbf9981ef74342b97f85f3252f07b449761f"),
-    "minimality_matrix": (24, "3f3286c112befbb7ed24fa4afed019eb0b0e7d6f938a1b4541ad340825338309"),
+                          "4f847f63e4159d80f9058dde022a5915beefe8b3c4ec09c30258724fdc096d69"),
+    "minimality_matrix": (24, "ef8f73c917c1ad3d71a43870a8eee70295a8e9e8c3ee1eb1e8edfe315145a036"),
     "minimality_report@7": (65,
                             "74d7be85930255495b7703c864e2a0e7beb3bcbc91e35487a8f41b462b2af0af"),
+    "minimality_report@wide": (24,
+                               "12ecb18a25f2c8c3ab34099b64f33509f9ed72482ad2d52e1d124037918099ca"),
     "reverse_derivation": (19,
                            "fff026476c00493664617122b8f3a1d8ea5e5384f6c1cbccaf78366bf10b6ef5"),
 }

@@ -4,7 +4,7 @@
 
 Run from the root of a qc-equate source tree; the package is imported from
 ``PYTHONPATH``, so pointing it at another tree's ``src/`` digests that
-tree's reports.  Two trees whose reports agree print the same six lines:
+tree's reports.  Two trees whose reports agree print the same seven lines:
 
 - ``verify_theory``: the four theories at seeds 0-19, samples 100,
   max_qubits 7;
@@ -15,6 +15,9 @@ tree's reports.  Two trees whose reports agree print the same six lines:
 - ``minimality_report@7``: every axiom of QC and QCprime whose witness
   reads no angle (all of ``INTERP_BOUND`` but SPLUS) at max_qubits 7 and
   seeds 0-4, widths the default reports never reach;
+- ``minimality_report@wide``: (I) in QC and QCprime at target_n 24, 32, 48
+  and 64 and seeds 0-2, widths at which 2^k-scaled float weights lose the
+  precision a sampled check needs;
 - ``normalize_1q``: QC and QCprime on 300 seeded 1-qubit circuits of 0-20
   gates (``nf_circuits``), each circuit's normal-form params, trace and
   the trace's reversal, or the error's type and text;
@@ -43,6 +46,8 @@ SEEDS = range(20)
 TARGET_NS = (3, 4, 8, 12)
 MATRIX_SEEDS = range(6)
 WIDE_SEEDS = range(5)
+WIDE_TARGET_NS = (24, 32, 48, 64)
+WIDE_I_SEEDS = range(3)
 NF_CIRCUITS = 300
 NF_MAX_LEN = 20
 #: angles the normalizer treats apart: zero, the band edges and periods
@@ -106,6 +111,8 @@ def families():
                                   for t in ("QC", "QCprime") for r in list_rules(t)
                                   if r.name in INTERP_BOUND and r.name != "SPLUS"
                                   for s in WIDE_SEEDS)
+    yield "minimality_report@wide", (_minimality(t, "I", s, n) for t in ("QC", "QCprime")
+                                     for n in WIDE_TARGET_NS for s in WIDE_I_SEEDS)
     yield "normalize_1q", (_json_or_error(lambda: _normalized(c, t))
                            for t in ("QC", "QCprime") for c in nf_circuits())
     yield "reverse_derivation", (_json_or_error(lambda: q.reverse_derivation(d).to_dict())
