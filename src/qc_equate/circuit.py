@@ -472,20 +472,39 @@ def _frame(alive, gates) -> list[int]:
     return alive
 
 
+def _widest(n_in: int, gates) -> int:
+    """The most wires open at once along the id-level ``gates`` from
+    ``n_in`` inputs, INITs counted: ``Threading.widest`` of their circuit."""
+    width = widest = n_in
+    for g, _ in gates:
+        if g.kind == "INIT":
+            width += 1
+            widest = max(widest, width)
+        elif g.kind == "DEST":
+            width -= 1
+    return widest
+
+
 def _place(alive: list[int], gates) -> list[Gate]:
     """The id-level ``gates`` on the positions their ids hold in the running
     open-wire list ``alive``, which is updated in place.  Each INIT keeps
-    its own position."""
+    its own position.  A gate on an id that is not open, or an INIT at a
+    position outside the list, raises InvalidCircuit, as ``thread`` does."""
     out = []
     for g, ids in gates:
         if g.kind == "INIT":
+            if not 0 <= g.wires[0] <= len(alive):
+                raise InvalidCircuit(f"INIT position {g.wires[0]} out of range "
+                                     f"(width {len(alive)})")
             alive.insert(g.wires[0], ids[0])
-        elif g.kind == "DEST":
-            pos = alive.index(ids[0])
-            del alive[pos]
-            g = g.with_wires((pos,))
         else:
-            g = g.with_wires(tuple(map(alive.index, ids)))
+            try:
+                pos = tuple(map(alive.index, ids))
+            except ValueError:
+                raise InvalidCircuit(f"{g.kind} on a wire id that is not open") from None
+            g = g.with_wires(pos)
+            if g.kind == "DEST":
+                del alive[pos[0]]
         out.append(g)
     return out
 

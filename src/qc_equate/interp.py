@@ -43,7 +43,7 @@ from .errors import (BadArity, BadParams, InconsistentClasses, NoInterpretation,
                      UnknownLemma, UnsupportedGate)
 from .euler import b_funcs
 from .semantics import eval_matrix
-from .theories import (_SHAPES_KEPT, _batch, _columns, _draws, _resolve, _seeded_rng,
+from .theories import (_SHAPES_KEPT, _batch, _checked_seed, _columns, _draws, _resolve,
                        _widths, list_rules, resolve_rule, signature)
 
 HALF_PI = math.pi / 2.0
@@ -538,11 +538,11 @@ def minimality_report(theory: str, axiom: str, max_qubits: int = 5,
     INIT/DEST, so a rule with an ancilla side has no witness and the
     report does not pass.
     """
-    rng = _seeded_rng(seed)
-    seed, samples = _wire(seed, "seed"), _wire(samples, "samples")   # echoed as ints
+    seed, samples = _checked_seed(seed), _wire(samples, "samples")   # echoed as ints
     target_n = _wire(target_n, "target_n")
     if axiom not in {r.name for r in list_rules(theory)}:
         raise UnknownLemma(f"{axiom} is not an axiom of {theory}")
+    rng = None if axiom == "I" else np.random.default_rng(seed)   # (I) draws nothing
     psi = None
     if axiom == "I":
         bound = target_n - 1

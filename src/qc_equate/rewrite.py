@@ -19,17 +19,19 @@ with the theory's own equality (``_safety_check``); a replay evaluates
 each circuit it passes once and compares it with the matrix of the one
 before.  A step changes no gate in front of its block, so the net also
 keeps that circuit's state after those gates and runs the next circuit on
-from it when its gates there are the same, compared gate by gate: one
-state beside the matrix, and every matrix is ``eval_matrix``'s.  A walk
-reads the wire cap once.  Every step goes through one recorder,
-``_Recorder``, on id-level gates (``_apply``): it keeps one working
-circuit across a derivation's steps and builds a ``Circuit`` only when one
-is read; ``apply_step``, ``replay`` and reversal share one walk over
-steps (``_walk``), which yields each step's id-level gate lists and builds
-a circuit only for the safety net.  ``reverse_derivation`` alone decides
-that a landing is exact (equal gate lists or placed gates), and carries a
-site over any other with the gate map its landing check binds
-(``_deformation``), so no circuit is put in canonical order.
+from it when its gates there are the same: one state beside the matrix,
+and every matrix is ``eval_matrix``'s.  The net reads the id-level gates
+and places only those it runs, so it builds no ``Circuit``; a walk reads
+the wire cap once.  Every step goes through one recorder, ``_Recorder``,
+on id-level gates (``_apply``): it keeps one working circuit across a
+derivation's steps and builds a ``Circuit`` only when one is read;
+``apply_step``, ``replay`` and reversal share one walk over steps
+(``_walk``), which yields each step's id-level gate lists and builds no
+circuit, so a replay builds only the circuit it returns, with or without
+the net.  ``reverse_derivation`` alone decides that a landing is exact
+(equal gate lists or placed gates), and carries a site over any other
+with the gate map its landing check binds (``_deformation``), so no
+circuit is put in canonical order.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 from .circuit import (ANGLE_EPS, TWO_PI, Circuit, Gate, _IdGate, _STRUCT, _bind,
                       _check_tol, _deformation, _deps, _frame, _id_gates, _place, _real,
-                      _wire, angles_equal, deformation_equal, reduce_angle)
+                      _widest, _wire, angles_equal, deformation_equal, reduce_angle)
 from .errors import (BadArity, DomainError, IllegalSite, InvalidCircuit, NoMatch,
                      QcError, SemanticDrift, UnknownTheory, UnsupportedGate)
 from .euler import NormalFormParams, _pack
@@ -257,28 +259,29 @@ def _build_replacement(src: Circuit, dst: Circuit, angles, src_ids: list[int],
     return repl
 
 
-def _safety_check(before: Circuit, after: Circuit, theory: str, tol: float,
-                  cap: int, m, state, at: int, keep: int | None):
-    """Check that ``after``, which a step whose block begins at gate ``at``
-    made of ``before``, is equal in ``theory`` to ``before``, and so within
-    the wire ``cap``; skip the check when either opens more wires at once
-    than the cap (``Threading.widest``).  ``_walk`` is the one caller.
+def _safety_check(before: list[_IdGate], after: list[_IdGate], n_in: int, theory: str,
+                  tol: float, cap: int, m, state, at: int, keep: int | None):
+    """Check that the id-level ``after`` (inputs 0..n_in-1), which a step
+    whose block begins at gate ``at`` made of ``before``, is equal in
+    ``theory`` to ``before``, and so within the wire ``cap``; skip the
+    check when either opens more wires at once than the cap (``_widest``).
+    ``_walk`` is the one caller.
 
     ``m`` is ``before``'s matrix and ``state`` its state after its first
     ``at`` gates when the last check evaluated them; with no ``m``,
     ``before`` is evaluated here, that state kept on the way.  ``after``
-    runs on from that state when its first ``at`` gates equal ``before``'s,
-    compared gate by gate, and from the identity otherwise, so each matrix
-    is ``eval_matrix``'s.  Returns ``after``'s matrix and its state after
-    its first ``keep`` gates (``semantics._resumed``), or (None, None) when
-    the check is skipped."""
-    if after.threading.widest > cap or m is None and before.threading.widest > cap:
+    runs on from that state when its first ``at`` gates are ``before``'s,
+    the same tuples unless the step changed one, and from the identity
+    otherwise, so each matrix is ``eval_matrix``'s.  Returns ``after``'s
+    matrix and its state after its first ``keep`` gates
+    (``semantics._resumed``), or (None, None) when the check is skipped."""
+    if _widest(n_in, after) > cap or m is None and _widest(n_in, before) > cap:
         return None, None
     if m is None:
-        m, state = _resumed(before, None, 0, at)
-    if after.gates[:at] != before.gates[:at]:
+        m, state = _resumed(before, n_in, None, 0, at)
+    if after[:at] != before[:at]:
         state = None
-    m_after, state = _resumed(after, state, at, keep)
+    m_after, state = _resumed(after, n_in, state, at, keep)
     if not equal_in(theory, m, m_after, tol):
         raise SemanticDrift("rewrite changed the semantics (engine bug)")
     return m_after, state
@@ -290,7 +293,8 @@ class _Recorder:
     """Applies steps in a theory while recording them, so the derivation it
     ends with replays by construction; every step of the engine goes
     through ``step``.  The working circuit stays id-level across steps
-    (``gates``); reading ``c`` builds it as a validated ``Circuit``."""
+    (``gates``), and so does the safety net; reading ``c`` builds it as a
+    validated ``Circuit``."""
 
     def __init__(self, theory: str, initial: Circuit, allow_lemmas: bool = True):
         self.theory = theory
@@ -334,36 +338,34 @@ def _built(initial: Circuit, gates: list[_IdGate]) -> Circuit:
 def _walk(theory: str, initial: Circuit, steps, allow_lemmas: bool, safety: bool, tol: float):
     """Apply ``steps`` to ``initial`` through one recorder and yield each
     step's id-level input and output gates (new lists at every step, never
-    changed after), its reverse site and, with ``safety``, its output
-    ``Circuit``, checked as ``replay`` says (None without: no circuit is
-    built).  A failing step's error gets the prefix ``step i (rule dir): ``.
+    changed after) and its reverse site; with ``safety`` the output is
+    checked as ``replay`` says, on those lists.  No ``Circuit`` is built.
+    A failing step's error gets the prefix ``step i (rule dir): ``.
     """
     rec = _Recorder(theory, initial, allow_lemmas)
     anchors = [_anchor(step.site) for step in steps] + [None]
-    c = initial if safety else None
     cap = m = state = None   # the wire cap, read at the first check
     for i, step in enumerate(steps):
         before = rec.gates
         try:
             rev_site = rec.step(step)
             if safety:
-                prev, c = c, rec.c
                 cap = wire_cap() if cap is None else cap
-                m, state = _safety_check(prev, c, theory, tol, cap, m, state,
-                                         anchors[i], anchors[i + 1])
+                m, state = _safety_check(before, rec.gates, initial.n_in, theory, tol, cap,
+                                         m, state, anchors[i], anchors[i + 1])
         except QcError as exc:
             raise type(exc)(f"step {i} ({step.rule} {step.direction}): {exc}") from exc
-        yield before, rec.gates, rev_site, c
+        yield before, rec.gates, rev_site
 
 
 def _run(theory: str, initial: Circuit, steps, allow_lemmas: bool, safety: bool, tol: float):
-    """``initial`` after ``steps``, walked to the end (``_walk``): the last
-    circuit the safety net built, or built here when it built none."""
+    """``initial`` after ``steps``, walked to the end (``_walk``): the one
+    ``Circuit`` the walk's last gates are built into."""
     _check_tol(tol)
-    c, gates = initial, None
-    for _, gates, _, c in _walk(theory, initial, steps, allow_lemmas, safety, tol):
+    gates = _id_gates(initial)
+    for _, gates, _ in _walk(theory, initial, steps, allow_lemmas, safety, tol):
         pass
-    return _built(initial, gates) if c is None else c
+    return _built(initial, gates)
 
 
 def replay(d: Derivation, allow_lemmas: bool = False, safety: bool = True,
@@ -375,8 +377,9 @@ def replay(d: Derivation, allow_lemmas: bool = False, safety: bool = True,
     compared with the matrix the step before evaluated, and is run on from
     that circuit's state where the step's block begins when the gates in
     front of the block are the same.  A step wider than the wire cap is not
-    checked, and the next check evaluates its circuit afresh.  Without
-    ``safety`` the only circuit built is the one returned.
+    checked, and the next check evaluates its circuit afresh.  The net
+    reads the id-level gates, so with or without ``safety`` the only
+    circuit built is the one returned.
     """
     c = _run(d.theory, d.initial, d.steps, allow_lemmas, safety, tol)
     if not deformation_equal(c, d.final):
@@ -408,7 +411,7 @@ def reverse_derivation(d: Derivation, name: str = "") -> Derivation:
     # one and where each gate of the first sits in the second; None if exact
     landing = None
     for i in reversed(range(len(fwd))):
-        step, (before, _, rev_site, _) = d.steps[i], fwd[i]
+        step, (before, _, rev_site) = d.steps[i], fwd[i]
         chain = any(before[j][0].kind in ("INIT", "DEST") for j in step.site.gates)
         what = f"step {i} ({step.rule} {step.direction}) does not reverse"
         try:

@@ -26,10 +26,12 @@ equality predicates take such a batch too and hold when they hold for
 every instance; ``equal_up_to_phase`` finds one phase per instance.
 
 Every evaluation runs one gate loop (``_run``).  The rewrite engine's
-safety net evaluates through ``_resumed``, which runs the loop on from a
-kept state tensor, the state after a circuit's first gates, and keeps one
-such state of the circuit it evaluates: the same kernels in the same
-order on the same data, so its matrix is ``eval_matrix``'s.
+safety net evaluates through ``_resumed``, which reads a circuit's
+id-level gates, not a ``Circuit``: it places only the gates it runs, runs
+the loop on from a kept state tensor, the state after the circuit's first
+gates, and keeps one such state of the circuit it evaluates: the same
+kernels in the same order on the same data, so its matrix is
+``eval_matrix``'s.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import os
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _BatchGate, _check_tol
+from .circuit import Circuit, Gate, _BatchGate, _check_tol, _frame, _place
 from .errors import (BadParams, DegenerateMatrix, InvalidCircuit, NotUnitary,
                      ShapeMismatch, WireCapExceeded)
 
@@ -83,21 +85,23 @@ def _evaluate(c: Circuit, angles: np.ndarray | None = None) -> np.ndarray:
     return _run(t, gates).reshape(rows, cols, -1)
 
 
-def _resumed(c: Circuit, state: np.ndarray | None, at: int,
+def _resumed(gates, n_in: int, state: np.ndarray | None, at: int,
              keep: int | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """``eval_matrix(c)``, the wire cap unread, run on from ``state``, the
-    state after ``c``'s first ``at`` gates, which it may overwrite (None:
-    from the identity, whatever ``at``), and the state after ``c``'s first
-    ``keep`` gates, copied in its own layout, so a later run on from it
-    applies each kernel as one from the identity would (None when ``keep``
-    is None or not in ``at..len(c.gates)``)."""
+    """``eval_matrix`` of the circuit whose id-level gates are ``gates``
+    on inputs 0..n_in-1, the wire cap unread, run on from ``state``, the
+    state after the first ``at`` gates, which it may overwrite (None: from
+    the identity, whatever ``at``), and the state after the first ``keep``
+    gates, copied in its own layout, so a later run on from it applies
+    each kernel as one from the identity would (None when ``keep`` is None
+    or not in ``at..len(gates)``).  Only the gates it runs are placed,
+    from the ids open after the first ``at``."""
     if state is None:
-        state, at = _identity(c.n_in), 0
-    gates, kept = c.gates, None
+        state, at = _identity(n_in), 0
+    placed, kept = _place(_frame(range(n_in), gates[:at]), gates[at:]), None
     if keep is not None and at <= keep <= len(gates):
-        state = _run(state, gates[at:keep])
-        kept, at = state.copy(order="K"), keep
-    return _run(state, gates[at:]).reshape(2 ** c.n_out, 2 ** c.n_in), kept
+        state = _run(state, placed[:keep - at])
+        kept, placed = state.copy(order="K"), placed[keep - at:]
+    return _run(state, placed).reshape(-1, 2 ** n_in), kept
 
 
 def _identity(n_in: int) -> np.ndarray:

@@ -496,11 +496,11 @@ def lemma_names() -> list[str]:
 
 # -- sampling / master soundness suite ---------------------------------------
 
-def _seeded_rng(seed) -> np.random.Generator:
-    """The generator a sampling run draws from: ``seed`` is an int >= 0."""
+def _checked_seed(seed) -> int:
+    """``seed`` as a sampling run reads it: an int >= 0."""
     if (seed := _wire(seed, "seed")) < 0:
         raise BadParams(f"seed {seed} is negative")
-    return np.random.default_rng(seed)
+    return seed
 
 
 def sample_params(n_params: int, rng: np.random.Generator) -> tuple[float, ...]:
@@ -594,7 +594,7 @@ def verify_theory(theory: str, samples: int = 100, max_qubits: int = 6,
     bool}} plus an "ok" summary key.
     """
     _check_tol(tol)
-    rng = _seeded_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     report: dict = {"theory": theory, "tol": tol, "rules": {}, "ok": True}
     for rid in list_rules(theory):
         checks, ok = 0, True

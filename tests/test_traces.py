@@ -16,8 +16,8 @@ from qc_equate import (Circuit, Derivation, Gate, RuleId, apply_step, canonicali
                        mcp, normalize_1q, p, replay, resolve_rule,
                        reverse_derivation, rx, x, z)
 from qc_equate import rewrite, traces as tr
-from qc_equate.circuit import angle_period
-from qc_equate.errors import NoMatch, QcError, SemanticDrift
+from qc_equate.circuit import _frame, _place, _widest, angle_period
+from qc_equate.errors import InvalidCircuit, NoMatch, QcError, SemanticDrift
 from qc_equate.rewrite import Site
 
 PI = math.pi
@@ -197,15 +197,23 @@ def test_a_step_matches_angles_as_same_gate_does():
     assert checked >= 150, checked
 
 
+def _placed(gates, n_in: int) -> Circuit:
+    """The circuit whose id-level gates on ``n_in`` inputs are ``gates``,
+    as the safety net reads it."""
+    return Circuit(n_in, len(_frame(range(n_in), gates)),
+                   tuple(_place(list(range(n_in)), gates)))
+
+
 def _count_evals(monkeypatch) -> list:
-    """Record each circuit the safety net evaluates, in call order: every
-    evaluation, from the identity or run on from a kept state, is one
-    ``_resumed`` call."""
+    """Record each circuit the safety net evaluates, placed, in call order:
+    every evaluation, from the identity or run on from a kept state, is
+    one ``_resumed`` call."""
     seen, real = [], rewrite._resumed
 
-    def counted(c, *args):
-        seen.append(c)
-        return real(c, *args)
+    def counted(gates, n_in, *args):
+        m, kept = real(gates, n_in, *args)
+        seen.append(_placed(gates, n_in))
+        return m, kept
 
     monkeypatch.setattr(rewrite, "_resumed", counted)
     return seen
@@ -240,6 +248,53 @@ def test_safety_net_fires_at_the_corrupted_step(k, monkeypatch):
         replay(d, allow_lemmas=True, safety=True)
 
 
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("bad, why", [(Gate("DEST", (0,)), "not open"),
+                                      (Gate("INIT", (9,)), r"out of range \(width \d\)")])
+def test_safety_net_fires_at_an_unplaceable_splice(k, bad, why, monkeypatch):
+    # a splice that closes a wire no gate opened, or opens one off the
+    # open-wire list, leaves gates no circuit can place: the net places
+    # the gates it runs, so the step that made them fails with a QcError,
+    # not a numpy error or an error of the replay's final build
+    d = Derivation.from_dict(json.loads((TRACE_DIR / "qc_ctrlpminuspi.json").read_text()))
+    calls, real = [], rewrite._build_replacement
+
+    def corrupted(*args):
+        repl = real(*args)
+        calls.append(None)
+        if len(calls) == k + 1:
+            repl = repl + [(bad, (1 << 20,))]
+        return repl
+
+    monkeypatch.setattr(rewrite, "_build_replacement", corrupted)
+    with pytest.raises(InvalidCircuit, match=fr"^step {k} \(.*{why}$"):
+        replay(d, allow_lemmas=True, safety=True)
+
+
+def test_a_checked_replay_builds_one_circuit(monkeypatch):
+    # the safety net reads the recorder's id-level gates, so a checked
+    # replay of a frozen trace or of its reversal, and a checked
+    # apply_step, construct one Circuit: the one they return
+    runs = _frozen()
+    runs += [reverse_derivation(d) for d in runs if d.name != "qcancilla_p0"]
+    assert len(runs) == 19 + 18
+    circuit_module, built = sys.modules["qc_equate.circuit"], []
+    real = circuit_module.thread
+
+    def counted(c):
+        built.append(c)
+        return real(c)
+
+    monkeypatch.setattr(circuit_module, "thread", counted)
+    for d in runs:
+        built.clear()
+        out = replay(d, allow_lemmas=True, safety=True)
+        assert len(built) == 1 and built[0] is out, (d.name, len(built))
+        built.clear()
+        out = apply_step(d.initial, d.steps[0], d.theory, allow_lemmas=True, safety=True)
+        assert len(built) == 1 and built[0] is out, (d.name, len(built))
+
+
 def _rand_1q(rng, m: int) -> Circuit:
     kinds = [lambda a: h(0), lambda a: p(a, 0), lambda a: rx(a, 0), gphase,
              lambda a: x(0), lambda a: z(0)]
@@ -272,8 +327,9 @@ def test_resumed_safety_net_compares_eval_matrix_bytes(monkeypatch):
     # normalizer traces
     real, resumed_over, resumed_in = rewrite._resumed, set(), set()
 
-    def checked(c, state, at, keep):
-        m, kept = real(c, state, at, keep)
+    def checked(gates, n_in, state, at, keep):
+        m, kept = real(gates, n_in, state, at, keep)
+        c = _placed(gates, n_in)
         want = eval_matrix(c)
         assert m.shape == want.shape and m.dtype == want.dtype
         assert m.tobytes() == want.tobytes(), c.to_json()
@@ -409,12 +465,13 @@ def test_wire_cap_counts_the_wires_inits_open(monkeypatch):
 
 def test_threading_records_the_widest_frame(monkeypatch):
     # every circuit the replay of a frozen trace, or of its reversal,
-    # passes through goes through the safety net
+    # passes through goes through the safety net, whose id-level count of
+    # the widest frame is the one its placed circuit's threading records
     seen, real = [], rewrite._safety_check
 
-    def recorded(before, after, *args):
-        seen.extend((before, after))
-        return real(before, after, *args)
+    def recorded(before, after, n_in, *args):
+        seen.extend((_placed(gates, n_in), _widest(n_in, gates)) for gates in (before, after))
+        return real(before, after, n_in, *args)
 
     monkeypatch.setattr(rewrite, "_safety_check", recorded)
     n_steps = 0
@@ -426,8 +483,8 @@ def test_threading_records_the_widest_frame(monkeypatch):
             replay(run, allow_lemmas=True, safety=True)
             n_steps += len(run.steps)
     assert len(seen) == 2 * n_steps
-    assert all(c.threading.widest == _widest_frame(c) for c in seen)
-    assert any(c.threading.widest > max(c.n_in, c.n_out) for c in seen)
+    assert all(w == c.threading.widest == _widest_frame(c) for c, w in seen)
+    assert any(c.threading.widest > max(c.n_in, c.n_out) for c, _ in seen)
 
 
 def test_reversal_orders_each_circuit_once(monkeypatch):

@@ -23,10 +23,12 @@ pass.  Prints one JSON object, per theory:
 and a ``replay`` section over the frozen ``traces/*.json``, each replayed
 with lemmas and the safety net ``--passes`` times after one warm-up pass:
 ``traces``, ``steps`` (per pass) and the median microseconds per step of
-``step`` (``_Recorder.step``), ``build`` (the ``Circuit`` built for the
-net, ``_built``), ``evaluate`` (the net's evaluations, ``_resumed``; a
-trace's first step also evaluates its initial circuit) and ``compare``
-(``equal_in``).
+``step`` (``_Recorder.step``), ``place`` (the net placing the id-level
+gates it runs, ``_place``), ``evaluate`` (the net's evaluations,
+``_resumed``, its placing included; a trace's first step also evaluates
+its initial circuit) and ``compare`` (``equal_in``).  The net builds no
+``Circuit``: a replay's one circuit, the one it returns, is built after
+its last step and is in no part.
 """
 
 import argparse
@@ -41,7 +43,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "perfbench"))
 
 import workloads  # noqa: E402
-from qc_equate import Derivation, normalize_1q, replay, rewrite  # noqa: E402
+from qc_equate import Derivation, normalize_1q, replay, rewrite, semantics  # noqa: E402
 
 THEORIES = ("QC", "QCprime")
 BUCKET = 4
@@ -122,7 +124,7 @@ def _parts(circuits, theory: str, passes: int):
 def _replay_parts(derivs, passes: int) -> list[dict]:
     """Per replayed step, the seconds of each part: the step, then the
     calls until the next step or the end of its replay."""
-    parts = [(rewrite, "_built", "build"), (rewrite, "_resumed", "evaluate"),
+    parts = [(semantics, "_place", "place"), (rewrite, "_resumed", "evaluate"),
              (rewrite, "equal_in", "compare")]
     per_step: list[dict] = []
     step = rewrite._Recorder.step
@@ -159,7 +161,7 @@ def replay_report(passes: int) -> dict:
     per_step = _replay_parts(derivs, passes)
     return {"traces": len(derivs), "steps": len(per_step) // passes,
             **{f"{part}_us": _us([t.get(part, 0.0) for t in per_step])
-               for part in ("step", "build", "evaluate", "compare")}}
+               for part in ("step", "place", "evaluate", "compare")}}
 
 
 def _us(values) -> float:
