@@ -3,10 +3,12 @@
 A circuit is a wire-threaded ordered gate sequence between ``n_in`` input
 wires and ``n_out`` output wires.  Gates act on positions in the running
 ordered list of open wires; ``INIT`` inserts a wire at its stated position,
-``DEST`` removes one.  Circuits are identified up to deformation (sliding
-gates with disjoint wire support past each other).  One binding in the
+``DEST`` removes one.  The engine reads a circuit at the id level, each
+gate but an INIT on its own wire ids (``_id_gates``, undone by
+``_place``).  Circuits are identified up to deformation (sliding gates
+with disjoint wire support past each other).  One binding in the
 wire-threading DAG (``_bind``) decides that equality, for a rule side
-against a block and for two whole circuits (``_deformation``), wire map
+against a block and for two id-level lists (``_deformation``), wire map
 and INIT places included; ``canonicalize`` gives a deterministic
 topological order of the DAG.  A ``Circuit`` keeps the threading its
 constructor validated and the one record of its widest frame, so nothing
@@ -306,8 +308,8 @@ class Circuit:
 
     @functools.cached_property
     def _plan(self) -> "_Plan":
-        """This circuit compiled (``_compile``), once per circuit object."""
-        return _compile(self)
+        """This circuit compiled at the id level (``_compile``), once per object."""
+        return _compile(_id_gates(self), self.n_in)
 
     def _slots(self, count: int) -> tuple[int, ...]:
         """The gates that carry an angle (``_plan.angle_at``), once
@@ -416,11 +418,13 @@ def thread(c: Circuit) -> Threading:
 
 # -- the id-level wire model ------------------------------------------------
 #
-# A circuit read at the id level is a list of (gate, wire ids) pairs, as
-# ``zip(c.gates, c.threading.gate_ids)`` gives it.  Gates may be moved and
-# replaced as long as INIT/DEST keep their chain order: nothing else
-# reshapes the open-wire list, so each INIT's own position stays valid and
-# is the one record of where its wire sits.
+# Inside the engine a circuit is a list of (gate, wire ids) pairs
+# (``_id_gates``), and a derivation keeps that form throughout.  Every gate
+# but an INIT sits on its own ids (a SWAP's are its sorted wires), so equal
+# lists are one circuit.  Gates may be moved and replaced as long as
+# INIT/DEST keep their chain order: nothing else reshapes the open-wire
+# list, so each INIT's own position stays valid and is the one record of
+# where its wire sits.
 
 #: a gate and the ids of the wires it touches
 _IdGate = tuple[Gate, tuple[int, ...]]
@@ -435,30 +439,32 @@ def _deps(g: Gate, ids: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class _Plan(NamedTuple):
-    """What binding a circuit as a rule side, or splicing it in, reads of
-    it: the same for every instance of a rule shape, so a rule side is
-    compiled once (``Circuit._plan``).  A gate's angle slot indexes the
-    angles of the gates that carry one, in gate order (None: no angle)."""
+    """What binding an id-level list as a side, or splicing it in, reads of
+    it: for a rule side the same for every instance of its shape, so a rule
+    side is compiled once (``Circuit._plan``).  A gate's angle slot indexes
+    the angles of the gates that carry one, in gate order (None: no angle)."""
 
+    n_in: int
     binds: tuple      # per gate: kind, labels (``_deps``), slot, period, CTRL gate or None
     splices: tuple    # per gate: the gate, its labels, slot, whether it is an INIT
     angle_at: tuple[int, ...]    # the gates that carry an angle
     angles: tuple[float, ...]    # and their angles
     born_out: tuple              # (output, label) of each output an INIT opens
+    inits: tuple[int, ...]       # each INIT's position, in gate order
 
 
-def _compile(c: Circuit) -> _Plan:
-    """``c``'s plan (``_Plan``)."""
-    at = tuple(i for i, g in enumerate(c.gates) if g.params)
+def _compile(gates: list[_IdGate], n_in: int) -> _Plan:
+    """The plan (``_Plan``) of the id-level ``gates`` from ``n_in`` inputs."""
+    at = tuple(i for i, (g, _) in enumerate(gates) if g.params)
     slot = dict(zip(at, range(len(at))))
-    per_gate = [(s, labs, slot.get(i)) for i, (s, labs)
-                in enumerate(zip(c.gates, c.threading.gate_ids))]
+    per_gate = [(g, labs, slot.get(i)) for i, (g, labs) in enumerate(gates)]
     return _Plan(
-        tuple((s.kind, _deps(s, labs), k, angle_period(s.kind), s if s.base else None)
-              for s, labs, k in per_gate),
-        tuple((s, labs, k, s.kind == "INIT") for s, labs, k in per_gate),
-        at, tuple(c.gates[i].params[0] for i in at),
-        tuple((k, lab) for k, lab in enumerate(c.threading.output_ids) if lab >= c.n_in))
+        n_in, tuple((g.kind, _deps(g, labs), k, angle_period(g.kind), g if g.base else None)
+                    for g, labs, k in per_gate),
+        tuple((g, labs, k, g.kind == "INIT") for g, labs, k in per_gate),
+        at, tuple(gates[i][0].params[0] for i in at),
+        tuple((k, lab) for k, lab in enumerate(_frame(range(n_in), gates)) if lab >= n_in),
+        tuple(g.wires[0] for g, _ in gates if g.kind == "INIT"))
 
 
 def _frame(alive, gates) -> list[int]:
@@ -487,9 +493,10 @@ def _widest(n_in: int, gates) -> int:
 
 def _place(alive: list[int], gates) -> list[Gate]:
     """The id-level ``gates`` on the positions their ids hold in the running
-    open-wire list ``alive``, which is updated in place.  Each INIT keeps
-    its own position.  A gate on an id that is not open, or an INIT at a
-    position outside the list, raises InvalidCircuit, as ``thread`` does."""
+    open-wire list ``alive``, which is updated in place: the one way back
+    to positions.  Each INIT keeps its own position.  A gate on an id that
+    is not open, or an INIT at a position outside the list, raises
+    InvalidCircuit, as ``thread`` does."""
     out = []
     for g, ids in gates:
         if g.kind == "INIT":
@@ -513,9 +520,9 @@ def _bind(gates: list[_IdGate], cand, side, frame=None,
           wire_map=()) -> list[tuple[list[int], dict]]:
     """Each way the side ``side`` binds to the gates ``cand`` (indices into
     id-level ``gates``, in order): the gates its gates bind to, and the
-    binding.  ``side`` is a circuit and the angles of its gates that carry
-    one, or None for the circuit's own.  It reads the circuit's plan
-    (``Circuit._plan``): a rule side's is compiled once, any other's here.
+    binding.  ``side`` is a plan (``_Plan``) and the angles of its gates
+    that carry one, or None for the plan's own: a rule side's plan is
+    compiled once (``Circuit._plan``), any other list's by the caller.
 
     A label, a side's wire or the INIT/DEST chain (``_deps``), binds to a
     wire id and the last gate bound on it (None before the first).  Each
@@ -532,15 +539,14 @@ def _bind(gates: list[_IdGate], cand, side, frame=None,
     unbound label must take a wire no label holds; with one, only an INIT
     binds an unbound label, to the wire it opens, which no label holds.
     """
-    shape, angles = side
-    plan = shape._plan
+    plan, angles = side
     if angles is None:
         angles = plan.angles
     at = {}   # label -> (last gate bound on it, wire id)
     if frame is not None:
-        if len(wire_map) != shape.n_in:
+        if len(wire_map) != plan.n_in:
             raise NoMatch(f"wire_map has {len(wire_map)} entries, "
-                          f"rule has {shape.n_in} input wires")
+                          f"rule has {plan.n_in} input wires")
         at[_STRUCT] = (None, _STRUCT)
         for lab, pos in enumerate(wire_map):
             if not 0 <= pos < len(frame):
@@ -605,12 +611,12 @@ def _bind(gates: list[_IdGate], cand, side, frame=None,
                 at[lab] = (i, wid)
         else:
             found.append((chosen, at))
-    if frame is None or not found or len(found[0][1]) == 1 + shape.n_in:
+    if frame is None or not found or len(found[0][1]) == 1 + plan.n_in:
         return found   # nothing bound first, no way, or the side opens no wire
     chosen, at = found[0]
     bound, alive = {wid for _, wid in at.values()}, list(frame)
     every = bound.issuperset(frame)   # then each INIT's place is its own position
-    places = iter([s.wires[0] for s in shape.gates if s.kind == "INIT"])
+    places = iter(plan.inits)
     for i in sorted(chosen):
         g, ids = gates[i]
         if g.kind == "INIT":
@@ -729,8 +735,10 @@ def canonicalize(c: Circuit) -> Circuit:
 
 
 def _id_gates(c: Circuit) -> list[_IdGate]:
-    """``c`` at the id level, read off its threading."""
-    return list(zip(c.gates, c.threading.gate_ids))
+    """``c`` at the id level, read off its threading: each gate but an INIT
+    on its wire ids (a SWAP's sorted, as its constructor sorts them)."""
+    return [(g, ids) if g.kind == "INIT" else (s := g.with_wires(ids), s.wires)
+            for g, ids in zip(c.gates, c.threading.gate_ids)]
 
 
 def _canonical_order(gates: list[_IdGate]) -> list[int]:
@@ -758,25 +766,25 @@ def _canonical_order(gates: list[_IdGate]) -> list[int]:
     return sorted(range(len(gates)), key=key)
 
 
-def _deformation(c1: Circuit, c2: Circuit) -> list[int] | None:
-    """Where each gate of ``c1`` sits in ``c2``, of the same arity, if the
-    two are equal up to deformation; else None.  ``c1`` binds, as a side,
-    to all of ``c2`` with the inputs as both frame and wire map (``_bind``);
-    identical gate lists bind gate for gate, with no plan compiled."""
-    if c1.gates == c2.gates:
-        return list(range(len(c1.gates)))
-    if len(c1.gates) != len(c2.gates):
+def _deformation(g1: list[_IdGate], g2: list[_IdGate], n_in: int):
+    """Where each gate of the id-level ``g1`` sits in ``g2``, both from
+    ``n_in`` inputs, and the binding, which takes each wire id of ``g1`` to
+    its partner in ``g2``, if the two are equal up to deformation; else
+    None.  ``g1`` is compiled here and binds, as a side, to all of ``g2``
+    with the inputs as both frame and wire map (``_bind``)."""
+    if len(g1) != len(g2):
         return None
-    inputs = range(c1.n_in)
+    inputs = range(n_in)
     try:
-        found = _bind(_id_gates(c2), range(len(c2.gates)), (c1, None), inputs, inputs)
+        found = _bind(g2, range(len(g2)), (_compile(g1, n_in), None), inputs, inputs)
     except NoMatch:   # an INIT opens its wire off its partner's position
         return None
-    return found[0][0] if found else None
+    return found[0] if found else None
 
 
 def deformation_equal(c1: Circuit, c2: Circuit) -> bool:
     """True iff the two circuits are equal up to prop deformation."""
     if (c1.n_in, c1.n_out) != (c2.n_in, c2.n_out):
         raise ArityMismatch("deformation_equal needs equal arities")
-    return _deformation(c1, c2) is not None
+    return c1.gates == c2.gates or _deformation(_id_gates(c1), _id_gates(c2),
+                                                c1.n_in) is not None

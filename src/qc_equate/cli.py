@@ -103,11 +103,7 @@ def cmd_verify_rules(args) -> int:
 
 def cmd_replay(args) -> int:
     deriv = _load(args.trace, Derivation.from_dict)
-    try:
-        final = replay(deriv, allow_lemmas=args.allow_lemmas, tol=args.tol)
-    except QcError as exc:
-        print(f"replay failed: {exc}", file=sys.stderr)
-        return 2
+    final = replay(deriv, allow_lemmas=args.allow_lemmas, tol=args.tol)
     _emit({"ok": True, "steps": len(deriv.steps), "final": final.to_dict()})
     return 0
 

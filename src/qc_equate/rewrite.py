@@ -23,15 +23,15 @@ from it when its gates there are the same: one state beside the matrix,
 and every matrix is ``eval_matrix``'s.  The net reads the id-level gates
 and places only those it runs, so it builds no ``Circuit``; a walk reads
 the wire cap once.  Every step goes through one recorder, ``_Recorder``,
-on id-level gates (``_apply``): it keeps one working circuit across a
-derivation's steps and builds a ``Circuit`` only when one is read;
-``apply_step``, ``replay`` and reversal share one walk over steps
-(``_walk``), which yields each step's id-level gate lists and builds no
-circuit, so a replay builds only the circuit it returns, with or without
-the net.  ``reverse_derivation`` alone decides that a landing is exact
-(equal gate lists or placed gates), and carries a site over any other
-with the gate map its landing check binds (``_deformation``), so no
-circuit is put in canonical order.
+on id-level gates (``_apply``), each but an INIT on its wire ids: it
+keeps one working list across a derivation's steps and builds a
+``Circuit`` only when one is read; ``apply_step``, ``replay`` and
+reversal share one walk over steps (``_walk``), which yields each step's
+id-level gate lists and builds no circuit, so a replay builds only the
+circuit it returns, with or without the net.  ``reverse_derivation``
+alone decides that a landing is exact (equal lists), and carries a site
+over any other with the gate map and wire ids its landing check binds
+(``_deformation``), so it builds no circuit but its start.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def _apply(gates: list[_IdGate], n_in: int, src, dst,
 
     # wire positions are read where the block assembles, after the floats-before
     assembly, after, frame = _assembly(gates, n_in, sel, anchor)
-    found = _bind(gates, sel, src, frame, site.wire_map)
+    found = _bind(gates, sel, (src[0]._plan, src[1]), frame, site.wire_map)
     if not found:
         raise NoMatch("selected block is not deformation-equal to the rule side")
     at = found[0][1]
@@ -227,12 +227,13 @@ def _build_replacement(src: Circuit, dst: Circuit, angles, src_ids: list[int],
     of the source side, of shape ``src``, assembles (``frame``); the block
     bound the source side's wires to ``src_ids`` and opens ``inits``.
 
-    The target side is read off its plan (``Circuit._plan``).  Each
-    target gate with an angle slot is built once, from its shape gate and
-    that target angle.  An INIT of a wire the source side created is the
-    block's INIT, at its own position.  A fresh INIT takes the id one
-    above every id in use and goes right before the next mapped wire in
-    rule order, after the last one, or at 0 when no wire is mapped.
+    The target side is read off its plan (``Circuit._plan``), and each
+    gate but an INIT goes on its ids: one with an angle slot is built
+    once, from its shape gate, its ids and that target angle.  An INIT of
+    a wire the source side created is the block's INIT, at its own
+    position.  A fresh INIT takes the id one above every id in use and
+    goes right before the next mapped wire in rule order, after the last
+    one, or at 0 when no wire is mapped.
     """
     born = {ids[0]: g for g, ids in inits}
     id_of = dict(enumerate(src_ids[:src.n_in]))
@@ -254,8 +255,10 @@ def _build_replacement(src: Circuit, dst: Circuit, angles, src_ids: list[int],
             g = g.with_wires((alive.index(mapped[r]) if r < len(mapped) else
                               alive.index(mapped[-1]) + 1 if mapped else 0,))
         elif slot is not None and angles is not None:
-            g = Gate(g.kind, g.wires, (angles[slot],))
-        repl.append((g, ids))
+            g = Gate(g.kind, ids, (angles[slot],))
+        else:
+            g = g.with_wires(ids)
+        repl.append((g, ids if opens else g.wires))
     return repl
 
 
@@ -293,8 +296,8 @@ class _Recorder:
     """Applies steps in a theory while recording them, so the derivation it
     ends with replays by construction; every step of the engine goes
     through ``step``.  The working circuit stays id-level across steps
-    (``gates``), and so does the safety net; reading ``c`` builds it as a
-    validated ``Circuit``."""
+    (``gates``), and so does the safety net; reading ``c`` places it
+    (``_place``) as a validated ``Circuit``."""
 
     def __init__(self, theory: str, initial: Circuit, allow_lemmas: bool = True):
         self.theory = theory
@@ -395,11 +398,11 @@ def reverse_derivation(d: Derivation, name: str = "") -> Derivation:
     the one on which the forward step recorded its replacement's site.  The
     reversed step must land deformation-equal on the forward step's input,
     otherwise NoMatch is raised.  The forward run is ``replay``'s walk
-    (``_walk``), with lemmas and without the safety net, so it builds no
-    circuit.  This is the one place that decides a landing is exact: the
-    reached gate list equals the recorded one, or the two placed circuits'
-    gates are equal; the next site then carries over as it is.  Any other
-    landing binds the gate map (``_deformation``) that carries the next
+    (``_walk``), with lemmas and without the net, and both runs stay
+    id-level, so the one circuit built is the start.  A landing is exact
+    when the reached list equals the recorded one: the next site then
+    carries over as it is.  Any other landing binds the recorded list to
+    the reached one (``_deformation``), and that binding carries the next
     site over (``_carry_site``), never searched for.  The reversed
     derivation starts from the forward replay's end, which the reversed
     sites refer to; ``d.final`` may only be deformation-equal to it.
@@ -407,45 +410,45 @@ def reverse_derivation(d: Derivation, name: str = "") -> Derivation:
     fwd = list(_walk(d.theory, d.initial, d.steps, True, False, 0.0))   # lemmas, no net
     start = _built(d.initial, fwd[-1][1]) if fwd else d.initial
     rec = _Recorder(d.theory, start)
-    # the last landing that is not exact: the recorded circuit, the reached
-    # one and where each gate of the first sits in the second; None if exact
+    # the last landing that is not exact: the recorded list, the reached
+    # one and how the first binds to the second; None if exact
     landing = None
     for i in reversed(range(len(fwd))):
         step, (before, _, rev_site) = d.steps[i], fwd[i]
         chain = any(before[j][0].kind in ("INIT", "DEST") for j in step.site.gates)
         what = f"step {i} ({step.rule} {step.direction}) does not reverse"
         try:
-            site = rev_site if landing is None else _carry_site(rev_site, *landing, chain)
+            site = rev_site if landing is None else _carry_site(rev_site, *landing,
+                                                                d.initial.n_in, chain)
             rec.step(Step(step.rule, "RL" if step.direction == "LR" else "LR", step.params,
                           step.n, site))
         except QcError as exc:
             raise NoMatch(f"{what}: {exc}") from exc
         landing = None
         if rec.gates != before:
-            recorded, reached = d.initial if i == 0 else _built(d.initial, before), rec.c
-            if recorded.gates != reached.gates:
-                where = _deformation(recorded, reached)
-                if where is None:
-                    raise NoMatch(f"{what}: it lands off the recorded circuit")
-                landing = (recorded, reached, where)
+            bound = _deformation(before, rec.gates, d.initial.n_in)
+            if bound is None:
+                raise NoMatch(f"{what}: it lands off the recorded circuit")
+            landing = (before, rec.gates, bound)
     return Derivation(d.theory, rec.initial, rec.steps, d.initial,
                       name=name or (d.name + "_reversed" if d.name else ""))
 
 
-def _carry_site(site: Site, rec: Circuit, cur: Circuit, where, chain: bool) -> Site:
-    """Move a reverse site from ``rec`` to the deformation-equal ``cur``,
-    whose gates differ: over an exact landing the site stays as it is.
+def _carry_site(site: Site, rec: list[_IdGate], cur: list[_IdGate], bound, n_in: int,
+                chain: bool) -> Site:
+    """Move a reverse site from the id-level ``rec`` to ``cur``, which
+    ``rec`` binds to (``bound``, from ``_deformation``) but does not equal.
 
-    Gate ``i`` of ``rec`` sits at ``where[i]`` in ``cur`` (``_deformation``),
-    and deformation-equal circuits give each wire the same id, so the wire
-    map goes through ids.  ``site`` selects a contiguous block of ``rec``
-    from ``site.at`` on, as ``_Recorder.step`` returns it.  An empty block
-    goes right after the last gate it depends on: one before ``site.at``
-    that shares a wire with it or, when the block joins the INIT/DEST chain
+    Gate ``i`` of ``rec`` sits at ``where[i]`` in ``cur``, and each wire
+    id of ``rec`` binds one of ``cur``, so the wire map goes through the
+    binding.  ``site`` selects a contiguous block of ``rec`` from
+    ``site.at`` on, as ``_Recorder.step`` returns it.  An empty block goes
+    right after the last gate it depends on: one before ``site.at`` that
+    shares a wire with it or, when the block joins the INIT/DEST chain
     (``chain``), that is an INIT or DEST.
     """
-    rec_gates = _id_gates(rec)
-    rec_frame = _frame(range(rec.n_in), rec_gates[:site.at])
+    where, binding = bound
+    rec_frame = _frame(range(n_in), rec[:site.at])
     wire_ids = [rec_frame[pos] for pos in site.wire_map]
     if site.gates:
         sel = tuple(sorted(where[i] for i in site.gates))
@@ -454,8 +457,9 @@ def _carry_site(site: Site, rec: Circuit, cur: Circuit, where, chain: bool) -> S
         deps = set(wire_ids) | ({_STRUCT} if chain else set())
         sel = ()
         at = max((where[i] + 1 for i in range(site.at)
-                  if deps.intersection(_deps(*rec_gates[i]))), default=0)
-    _, _, frame = _assembly(_id_gates(cur), cur.n_in, sel, at)
+                  if deps.intersection(_deps(*rec[i]))), default=0)
+    _, _, frame = _assembly(cur, n_in, sel, at)
+    wire_ids = [binding[w][1] for w in wire_ids]
     if not set(wire_ids) <= set(frame):
         raise NoMatch("a carried wire is not open at the carried site")
     return Site(sel, tuple(frame.index(w) for w in wire_ids), at)
@@ -492,7 +496,8 @@ def _matches(gates: list[_IdGate], n_in: int, src_side, dst_side,
     ``find_sites`` says (with wire map ``wires`` when given), and what
     ``_apply`` gives there."""
     hits: dict[Site, tuple] = {}
-    for chosen, at in _bind(gates, range(len(gates)), src_side) if src_side[0].gates else ():
+    side = (src_side[0]._plan, src_side[1])
+    for chosen, at in _bind(gates, range(len(gates)), side) if src_side[0].gates else ():
         sel = tuple(sorted(chosen))
         try:
             frame = _assembly(gates, n_in, sel, sel[0])[2]

@@ -57,9 +57,12 @@ _H = (SQRT2_INV, SQRT2_INV, SQRT2_INV, -SQRT2_INV)
 def wire_cap() -> int:
     raw = os.environ.get("QCEQ_WIRE_CAP", DEFAULT_WIRE_CAP)
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise BadParams(f"QCEQ_WIRE_CAP={raw!r} is not an integer") from None
+    if cap < 0:
+        raise BadParams(f"QCEQ_WIRE_CAP={raw!r} is negative")
+    return cap
 
 
 def eval_matrix(c: Circuit) -> np.ndarray:

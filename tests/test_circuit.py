@@ -1,6 +1,7 @@
 """Circuit construction, composition, macro expansion, canonicalization."""
 
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -20,6 +21,8 @@ from qc_equate.circuit import (ALL_KINDS, ANGLE_EPS, PRIMITIVE_KINDS, _bind, _de
                                reduce_angle, unfold)
 from qc_equate.euler import _reduce_columns
 from qc_equate.errors import ArityMismatch, InvalidCircuit
+
+circuit_module = importlib.import_module("qc_equate.circuit")
 
 PI = math.pi
 
@@ -324,7 +327,7 @@ def test_bind_gives_each_way_its_own_free_phases():
     # with nothing bound the side's H binds either H, and each way then
     # binds the first global phase that it left free
     c = circuit(2, [h(0), h(1), gphase(0.5)])
-    found = _bind(_id_gates(c), range(3), (circuit(1, [h(0), gphase(0.5)]), None))
+    found = _bind(_id_gates(c), range(3), (circuit(1, [h(0), gphase(0.5)])._plan, None))
     assert sorted(chosen for chosen, _ in found) == [[0, 2], [1, 2]]
 
 
@@ -441,21 +444,28 @@ def test_deformation_equal_agrees_with_canonical_order():
         assert seen.get((how, False), 0) > 20, seen
 
 
-def test_identical_circuits_bind_gate_for_gate():
-    # _deformation returns the identity map for identical gate lists without
-    # binding: the binding it skips would bind gate i to gate i, equal-angle
-    # global phases, SWAPs either way round and INIT/DEST chains included
+def test_identical_circuits_bind_gate_for_gate(monkeypatch):
+    # deformation_equal answers identical gate lists without binding: the
+    # binding it skips would bind gate i to gate i, equal-angle global
+    # phases, SWAPs either way round and INIT/DEST chains included.  At the
+    # id level every gate but an INIT sits on its wire ids, and placing the
+    # list gives the circuit's own gates back
     rng = np.random.default_rng(36)
-    seen = set()
+    seen, compiled, compile_ = set(), [], circuit_module._compile
+    monkeypatch.setattr(circuit_module, "_compile", lambda *a: compiled.append(a) or compile_(*a))
     for _ in range(3000):
         c = _rand_wired(rng)
         seen.update(g.kind for g in c.gates)
         inputs, identity = range(c.n_in), list(range(len(c.gates)))
-        found = _bind(_id_gates(c), range(len(c.gates)), (c, None), inputs, inputs)
+        found = _bind(_id_gates(c), range(len(c.gates)), (c._plan, None), inputs, inputs)
         assert found[0][0] == identity, c
-        c = Circuit(c.n_in, c.n_out, c.gates)
-        assert _deformation(c, Circuit(c.n_in, c.n_out, c.gates)) == identity
-        assert "_plan" not in c.__dict__   # nothing compiled
+        gates = _id_gates(c)
+        assert all(g.wires == ids for g, ids in gates if g.kind != "INIT"), c
+        assert _place(list(range(c.n_in)), gates) == list(c.gates), c
+        assert _deformation(gates, list(gates), c.n_in)[0] == identity
+        c, compiled[:] = Circuit(c.n_in, c.n_out, c.gates), []
+        assert deformation_equal(c, Circuit(c.n_in, c.n_out, c.gates))
+        assert compiled == [] and "_plan" not in c.__dict__   # nothing compiled
     assert {"INIT", "DEST", "GPHASE", "SWAP", "CTRL"} <= seen
 
 

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from qc_equate import circuit, euler_e, h, p, rx
+from qc_equate import circuit, euler_e, eval_matrix, h, p, rx
 from qc_equate.cli import main
+from qc_equate.errors import BadParams, WireCapExceeded
 
 HH = {"n_in": 1, "n_out": 1,
       "gates": [{"kind": "H", "wires": [0], "params": []},
@@ -296,6 +297,22 @@ def test_bad_wire_cap_exits_2(files, monkeypatch, capsys):
     trace = Path(__file__).resolve().parent.parent / "traces" / "qc_cnot2.json"
     assert main(["replay", str(trace)]) == 2
     assert "QCEQ_WIRE_CAP" in capsys.readouterr().err
+
+
+def test_a_negative_wire_cap_is_refused(monkeypatch, capsys):
+    # a negative cap is no cap: eval_matrix and replay refuse it, as they
+    # refuse one that is not an integer, and 0 stays a valid cap
+    trace = Path(__file__).resolve().parent.parent / "traces" / "qc_cnot2.json"
+    monkeypatch.setenv("QCEQ_WIRE_CAP", "-3")
+    with pytest.raises(BadParams, match="^QCEQ_WIRE_CAP='-3' is negative$"):
+        eval_matrix(circuit(1, [h(0)]))
+    assert main(["replay", str(trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "QCEQ_WIRE_CAP='-3' is negative" in captured.err
+    monkeypatch.setenv("QCEQ_WIRE_CAP", "0")
+    assert eval_matrix(circuit(0, [])).shape == (1, 1)
+    with pytest.raises(WireCapExceeded, match="cap 0$"):
+        eval_matrix(circuit(1, [h(0)]))
 
 
 def test_wire_cap_skips_steps_whose_inits_open_too_many_wires(monkeypatch, capsys):

@@ -401,8 +401,8 @@ def test_each_rule_side_is_compiled_once(monkeypatch):
     # a rule side is compiled the first time a step reads it, once per
     # theory, rule and width, and a second run compiles nothing
     _clear_request_caches()
-    built, compile_ = [], circuit_module._compile
-    monkeypatch.setattr(circuit_module, "_compile", lambda c: built.append(c) or compile_(c))
+    built, compile_ = [], Circuit._plan.func
+    monkeypatch.setattr(Circuit._plan, "func", lambda c: built.append(c) or compile_(c))
     rng = np.random.default_rng(30)
     inputs = [rand_1q(rng, int(rng.integers(0, 14))) for _ in range(30)]
     for run in range(2):

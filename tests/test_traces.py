@@ -139,13 +139,25 @@ def test_reversals_of_frozen_traces_are_pinned():
         "6c616f5bc09afbb468ae0d742ba2d7bebef0d89dbc3a30225d362b1f0fb3934b")
 
 
+def _ancillas_opened_out_of_order() -> Derivation:
+    """Two ancillas, the later one opened in front of the earlier one, which
+    an (H2) step then uses: the reversal starts on birth-ordered ids, so
+    the two wires swap ids against the forward run, and the (H2) site's
+    wire map is carried over a landing through the binding's wire ids."""
+    rec = rewrite._Recorder("QCancilla", circuit(1, [h(0)]))
+    rec.do("A", "RL", site=Site((), (), 1))
+    rec.do("H2", "RL", site=Site((), (0,), 2))
+    rec.do("A", "RL", site=Site((), (), 0))
+    return rec.derivation()
+
+
 def test_reverse_carries_sites_without_a_scan(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("reverse_derivation scanned for a site")
 
     monkeypatch.setattr(rewrite, "_matches", no_scan)
     for d in (tr.derive_rule("QCprime", "E", (0.9, 1.7, -0.6)),
-              tr.derive_rule("QCprime", "PMINUS", (1.3,))):
+              tr.derive_rule("QCprime", "PMINUS", (1.3,)), _ancillas_opened_out_of_order()):
         out = replay(reverse_derivation(d), allow_lemmas=True, safety=True)
         assert deformation_equal(out, d.initial)
 
@@ -293,6 +305,22 @@ def test_a_checked_replay_builds_one_circuit(monkeypatch):
         built.clear()
         out = apply_step(d.initial, d.steps[0], d.theory, allow_lemmas=True, safety=True)
         assert len(built) == 1 and built[0] is out, (d.name, len(built))
+
+
+def test_a_reversal_builds_one_circuit_its_start(monkeypatch):
+    # a reversal decides, binds and carries every landing on the id-level
+    # lists, so the one Circuit it places is the reversed derivation's
+    # start, also for qcancilla_p0, which fails at a landing
+    built, real = [], rewrite._built
+    monkeypatch.setattr(rewrite, "_built", lambda *args: built.append(real(*args)) or built[-1])
+    for d in _frozen():
+        built.clear()
+        if d.name == "qcancilla_p0":
+            with pytest.raises(NoMatch, match="^step 5 "):
+                reverse_derivation(d)
+            assert len(built) == 1, d.name
+        else:
+            assert reverse_derivation(d).initial is built[0] and len(built) == 1, d.name
 
 
 def _rand_1q(rng, m: int) -> Circuit:
