@@ -22,7 +22,7 @@ from qc_equate.interp import equal_value_sets, minimality_matrix
 from qc_equate.theories import (THEORIES, instances, lemma_names, list_rules, signature,
                                 verify_theory)
 from qc_equate.rewrite import Site, Step
-from test_theories import _route_angle_maps, fresh_shapes  # noqa: F401 (a fixture)
+from test_theories import _clear_shapes, _route_angle_maps, fresh_shapes  # noqa: F401 (a fixture)
 
 PI = math.pi
 TWO_PI = 2 * PI
@@ -508,6 +508,25 @@ def test_angle_free_minimality_reports_expand_no_macro(monkeypatch):
         assert minimality_report("QC", name, max_qubits=12, samples=2)["pass"], name
 
 
+def test_angle_free_minimality_reports_draw_nothing_and_build_no_instance(monkeypatch,
+                                                                         fresh_shapes):
+    # each row is read off the rule's shape: with the draws, the generator
+    # and instance building refused, every report that reads no angle runs
+    # from cleared caches and equals the report made before
+    def refuse(*args, **kwargs):
+        raise AssertionError("a witness that reads no angle drew or built an instance")
+
+    args = [(t, r.name, m) for t in THEORIES for r in list_rules(t)
+            if r.name in interp.INTERP_BOUND and r.name != "SPLUS" for m in (5, 7)]
+    want = [minimality_report(t, name, max_qubits=m) for t, name, m in args]
+    monkeypatch.setattr(interp, "resolve_rule", refuse)
+    monkeypatch.setattr(interp, "_draws", refuse)
+    monkeypatch.setattr(interp.np.random, "default_rng", refuse)
+    _clear_shapes()
+    assert [minimality_report(t, name, max_qubits=m) for t, name, m in args] == want
+    assert len(args) == 52
+
+
 def test_a_macro_wire_map_is_composed_onto_its_wires(monkeypatch):
     # every macro's wire map is the identity: a 3-wire MCP made to unfold
     # into a CNOT and a SWAP shows its map moved onto the macro's wires
@@ -735,7 +754,7 @@ def _reference_minimality(theory, axiom, samples, seed, target_n, max_qubits=5):
             if bound is not None and width > bound and name != axiom:
                 results[name] = "out-of-scope"
                 continue
-            draws = samples if axiom in ("I", "E") else 1
+            draws = samples if axiom in ("I", "E") else min(samples, 1)
             insts = list(instances(theory, name, draws, max_qubits, rng))
         if any(g.kind in ("INIT", "DEST") for c in (insts[0].lhs, insts[0].rhs) for g in c.gates):
             results[name] = "no-witness"
@@ -752,6 +771,14 @@ def _reference_minimality(theory, axiom, samples, seed, target_n, max_qubits=5):
         report["psi_free_sound"] = all(map(kept, free))
         report["pass"] = report["pass"] and report["psi_free_sound"]
     return report
+
+
+def _json_or_refusal(call) -> str:
+    """``call()``'s report as JSON, or the type and text of its BadParams."""
+    try:
+        return json.dumps(call())
+    except BadParams as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _witnessed(theory):
@@ -776,6 +803,18 @@ def test_minimality_report_equals_a_per_instance_reference(monkeypatch, fresh_sh
                         assert want["results"]["E"] == "unsound" and not want["pass"]
                         want["results"]["E"] = "unshown"
                     assert json.dumps(report) == json.dumps(want), args
+    # the witnesses that read no angle at 7 wires and at 0, 1 and 2 samples:
+    # samples=0 refuses the first in-scope rule with parameters, as drawing
+    # its rows would
+    for theory in THEORIES:
+        for axiom in _witnessed(theory):
+            if axiom in ("E", "I", "SPLUS"):
+                continue
+            for max_qubits, samples, seed in itertools.product((5, 7), (0, 1, 2), (0, 7)):
+                args = (theory, axiom, samples, seed, 4, max_qubits)
+                report = _json_or_refusal(lambda: minimality_report(
+                    theory, axiom, max_qubits=max_qubits, samples=samples, seed=seed))
+                assert report == _json_or_refusal(lambda: _reference_minimality(*args)), args
     # (I) reads C's map once, at 0, at the unit vector and at 8 checked
     # points: one wrong point refuses its form, so C, on two wires, reads
     # "unshown" and the report fails

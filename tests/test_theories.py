@@ -158,7 +158,8 @@ def test_check_soundness_agrees_with_the_chunk_check_row_by_row():
 
 
 def _clear_shapes():
-    for cached in (theories._shape, theories._fitted, theories._kind, interp._forms):
+    for cached in (theories._shape, theories._fitted, theories._kind, interp._forms,
+                   interp._angle_free_row):
         cached.cache_clear()
 
 
@@ -366,6 +367,19 @@ def test_request_caches_are_bounded(fresh_shapes):
     assert after - base < 200_000, (base, wide, after)
     for cached in (theories._shape, theories._fitted):
         assert cached.cache_info().currsize == theories._SHAPES_KEPT
+
+
+def test_angle_free_rows_are_bounded(fresh_shapes):
+    # one row per theory, rule, width and witness: a sweep of more distinct
+    # (I) widths than the row cache keeps fills it and goes no further
+    witnesses = ("S2PI", "H2", "P0", "P0'", "C", "EH", "B", "CZ")
+    rows = [(t, "I", n, w) for t in ("QC", "QCprime", "QCugp") for w in witnesses
+            for n in range(3, 25)]
+    assert len(rows) > interp._SHAPES_KEPT == theories._SHAPES_KEPT
+    _clear_shapes()
+    for row in rows:
+        assert interp._angle_free_row(*row) in ("sound", "unsound")
+    assert interp._angle_free_row.cache_info().currsize == theories._SHAPES_KEPT
 
 
 def test_i_rule_sound_but_not_axiomatic_below_three():

@@ -48,6 +48,8 @@ PINNED_DIGESTS = {
                             "74d7be85930255495b7703c864e2a0e7beb3bcbc91e35487a8f41b462b2af0af"),
     "minimality_report@wide": (24,
                                "12ecb18a25f2c8c3ab34099b64f33509f9ed72482ad2d52e1d124037918099ca"),
+    "minimality_report@samples": (
+        520, "7f8cfeaec90c2b211e1213e453c25d135575178ba96512901da2bc499e2c2cc7"),
     "reverse_derivation": (19,
                            "fff026476c00493664617122b8f3a1d8ea5e5384f6c1cbccaf78366bf10b6ef5"),
 }

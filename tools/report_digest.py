@@ -4,7 +4,7 @@
 
 Run from the root of a qc-equate source tree; the package is imported from
 ``PYTHONPATH``, so pointing it at another tree's ``src/`` digests that
-tree's reports.  Two trees whose reports agree print the same seven lines:
+tree's reports.  Two trees whose reports agree print the same eight lines:
 
 - ``verify_theory``: the four theories at seeds 0-19, samples 100,
   max_qubits 7;
@@ -18,6 +18,10 @@ tree's reports.  Two trees whose reports agree print the same seven lines:
 - ``minimality_report@wide``: (I) in QC and QCprime at target_n 24, 32, 48
   and 64 and seeds 0-2, widths at which 2^k-scaled float weights lose the
   precision a sampled check needs;
+- ``minimality_report@samples``: every axiom of QCugp and QCancilla whose
+  witness reads no angle at max_qubits 5 and 7, samples 0, 1, 2 and 100
+  and seeds 0-4, the error's type and text where samples=0 leaves a rule
+  with no instance;
 - ``normalize_1q``: QC and QCprime on 300 seeded 1-qubit circuits of 0-20
   gates (``nf_circuits``), each circuit's normal-form params, trace and
   the trace's reversal, or the error's type and text;
@@ -48,6 +52,7 @@ MATRIX_SEEDS = range(6)
 WIDE_SEEDS = range(5)
 WIDE_TARGET_NS = (24, 32, 48, 64)
 WIDE_I_SEEDS = range(3)
+ANGLE_FREE_SAMPLES = (0, 1, 2, 100)
 NF_CIRCUITS = 300
 NF_MAX_LEN = 20
 #: angles the normalizer treats apart: zero, the band edges and periods
@@ -64,9 +69,17 @@ def _json_or_error(call):
         return {"error": f"{type(exc).__name__}: {exc}"}
 
 
-def _minimality(theory: str, axiom: str, seed: int, target_n: int = 4, max_qubits: int = 5):
+def _minimality(theory: str, axiom: str, seed: int, target_n: int = 4, max_qubits: int = 5,
+                samples: int = 100):
     return _json_or_error(lambda: minimality_report(theory, axiom, seed=seed, target_n=target_n,
-                                                    max_qubits=max_qubits))
+                                                    max_qubits=max_qubits, samples=samples))
+
+
+def _angle_free(theories) -> list:
+    """The axioms of ``theories`` whose witness reads no angle, as
+    (theory, axiom) pairs in catalog order."""
+    return [(t, r.name) for t in theories for r in list_rules(t)
+            if r.name in INTERP_BOUND and r.name != "SPLUS"]
 
 
 def nf_circuits(count: int = NF_CIRCUITS, seed: int = 0) -> list:
@@ -107,12 +120,14 @@ def families():
                                 for r in list_rules(t) for s in SEEDS for n in TARGET_NS)
     yield "minimality_matrix", (minimality_matrix(t, seed=s)
                                 for t in THEORIES for s in MATRIX_SEEDS)
-    yield "minimality_report@7", (_minimality(t, r.name, s, max_qubits=7)
-                                  for t in ("QC", "QCprime") for r in list_rules(t)
-                                  if r.name in INTERP_BOUND and r.name != "SPLUS"
-                                  for s in WIDE_SEEDS)
+    yield "minimality_report@7", (_minimality(t, a, s, max_qubits=7)
+                                  for t, a in _angle_free(("QC", "QCprime")) for s in WIDE_SEEDS)
     yield "minimality_report@wide", (_minimality(t, "I", s, n) for t in ("QC", "QCprime")
                                      for n in WIDE_TARGET_NS for s in WIDE_I_SEEDS)
+    yield "minimality_report@samples", (_minimality(t, a, s, max_qubits=m, samples=k)
+                                        for t, a in _angle_free(("QCugp", "QCancilla"))
+                                        for m in (5, 7) for k in ANGLE_FREE_SAMPLES
+                                        for s in WIDE_SEEDS)
     yield "normalize_1q", (_json_or_error(lambda: _normalized(c, t))
                            for t in ("QC", "QCprime") for c in nf_circuits())
     yield "reverse_derivation", (_json_or_error(lambda: q.reverse_derivation(d).to_dict())
